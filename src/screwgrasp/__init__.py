@@ -36,8 +36,10 @@ from .metric import (
     GlobalMetricResult,
     MetricResult,
     PathPoint,
+    RaySupport,
     SweepRow,
     global_metric,
+    gws_sample,
     local_metric,
     metric_sweep,
 )
@@ -45,13 +47,11 @@ from .problem import (
     ConicProgram,
     ExternalWrench,
     GraspProblem,
-    RaySupport,
     TorqueModel,
     VariableLayout,
     compile_program,
     external_wrench_in_b,
     grasp_map,
-    gws_sample,
     scale_problem,
     transform_problem,
 )
@@ -77,7 +77,6 @@ from .screws import (
     InfinitePitch,
     ScrewCoordinates,
     TaskScrew,
-    Twist,
     Wrench,
     adjoint_matrix,
     adjoint_transform,

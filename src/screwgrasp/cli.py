@@ -25,14 +25,22 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ScenarioError, ScrewGraspError
-from .metric import local_metric, metric_sweep
+from .metric import gws_sample, local_metric, metric_sweep
 from .problem import compile_program
-from .scenarios import BUILTINS, Scenario, builtin_scenario, load_bundled, load_scenario, scenario_family
+from .scenarios import (
+    BUILTINS,
+    Scenario,
+    builtin_scenario,
+    load_bundled,
+    load_scenario,
+    rebuild_scenario,
+    scenario_family,
+)
 from .screws import Wrench, wrench_to_screw
 from .solver import SolveSettings, solve, solve_with_oracle
 
@@ -68,7 +76,6 @@ class RunConfig:
     max_rel_gap: float = 0.02
     out: str | None = None
     output_format: str = "text"  # eval only: text | csv
-    parallel: int | None = None
     subspace: tuple[str, ...] = ("fx", "fz", "ty")
     rays: int = 64
     feasibility_tol: float | None = None
@@ -133,9 +140,6 @@ def _resolve_scenario(cfg: RunConfig) -> Scenario:
         return base
     if base.family is None:
         raise CliError("--set requires a scenario with generator family information")
-    gen = base.family.generator
-    if gen == "cuboid":
-        gen = "cuboid_pivot" if (cfg.task or base.tasks[0][0]) == "S1" else "cuboid_slide"
     params = dict(base.family.params)
     length = params.get("L")
     for key, raw in cfg.overrides.items():
@@ -143,7 +147,7 @@ def _resolve_scenario(cfg: RunConfig) -> Scenario:
             raise CliError(f"unknown parameter {key!r}; valid: {sorted(params)}")
         params[key] = _parse_quantity(raw, length)
     try:
-        return builtin_scenario(gen, **params)
+        return rebuild_scenario(base, params, cfg.task)
     except ScrewGraspError as exc:
         raise CliError(str(exc)) from None
 
@@ -205,7 +209,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     except ScrewGraspError as exc:
         raise CliError(str(exc)) from None
     grid = np.linspace(start, stop, count)
-    rows = metric_sweep(family, grid, cfg.direction, cfg.settings(), cfg.parallel)
+    rows = metric_sweep(family, grid, cfg.direction, cfg.settings())
     table = [
         [
             _fmt(r.parameter),
@@ -287,20 +291,18 @@ def cmd_gws(cfg: RunConfig) -> int:
         raise CliError("--rays must be >= 4")
     scenario = _resolve_scenario(cfg)
     problem = _problem_for(scenario, cfg.task)
-    settings = cfg.settings()
-
-    table = []
-    for d in _subspace_directions(len(comps), cfg.rays):
+    dirs = _subspace_directions(len(comps), cfg.rays)
+    coords = []
+    for d in dirs:
         w6 = np.zeros(6)
         for value, comp in zip(d, comps):
             w6[_WRENCH_COMPONENTS[comp]] = value
-        coords = wrench_to_screw(Wrench.from_array(w6))
-        res = solve(compile_program(replace(problem, task=coords.axis), direction=+1), settings)
-        if res.status == "Optimal":
-            support = res.objective / coords.magnitude
-            table.append([*(_fmt(v) for v in d), _fmt(support), res.status])
-        else:
-            table.append([*(_fmt(v) for v in d), "", res.status])
+        coords.append(wrench_to_screw(Wrench.from_array(w6)))
+    rays = gws_sample(problem, [sc.axis for sc in coords], cfg.settings())
+    table = [
+        [*(_fmt(v) for v in d), "" if ray.eta is None else _fmt(ray.eta / sc.magnitude), ray.status]
+        for d, sc, ray in zip(dirs, coords, rays)
+    ]
     _write_rows([*comps, "eta", "status"], table, cfg.out)
     return EXIT_OK
 
@@ -318,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--set", action="append", default=[], metavar="K=V",
                         help="family parameter override (units: deg, rad, N, Nm, m, L)")
         sp.add_argument("--out", help="output file (default: stdout)")
-        sp.add_argument("--parallel", type=int, help="worker threads for sweeps")
         sp.add_argument("--tol-feas", type=float, dest="tol_feas", help="feasibility tolerance")
         sp.add_argument("--tol-gap", type=float, dest="tol_gap", help="relative duality gap tolerance")
 
@@ -358,7 +359,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         direction=+1 if args.dir == "+" else -1,
         overrides=overrides,
         out=args.out,
-        parallel=args.parallel,
         feasibility_tol=args.tol_feas,
         duality_gap_tol=args.tol_gap,
     )

@@ -3,21 +3,24 @@
 ``local_metric`` solves one scenario: the optimal eta is the largest wrench
 magnitude the grasp can apply along the task screw (force magnitude for a
 finite-pitch screw, torque magnitude for an infinite-pitch one).
-``global_metric`` takes the minimum over a discretized motion path, and
+``global_metric`` takes the minimum over a discretized motion path,
 ``metric_sweep`` tabulates eta over a parameter grid, tolerating per-point
 failures (a sweep routinely runs past the pose where the task becomes
-infeasible).
+infeasible), and ``gws_sample`` probes the grasp wrench space boundary along
+a set of screw directions.  Every job solves its points one after another on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ScrewGraspError
 from .problem import ConicProgram, GraspProblem, compile_program
+from .screws import TaskScrew
 from .solver import SolveResult, SolveSettings, solve
 
 ACTIVE_TOL = 1e-6
@@ -143,28 +146,49 @@ def metric_sweep(
     grid,
     direction: int = +1,
     settings: SolveSettings | None = None,
-    parallelism: int | None = None,
 ) -> list[SweepRow]:
-    """Evaluate ``family(value)`` at every grid value.
+    """Evaluate ``family(value)`` at every grid value, in grid order.
 
-    ``family`` maps a parameter value to a GraspProblem.  Points run
-    concurrently (``parallelism`` threads) but rows come back in grid order;
-    a point that fails to build or solve is recorded, not fatal.
+    ``family`` maps a parameter value to a GraspProblem.  A point that fails
+    to build or solve is recorded, not fatal.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid must be nonempty")
-
-    def one(value: float) -> SweepRow:
+    rows = []
+    for value in grid:
         t0 = time.perf_counter()
         try:
-            problem = family(value)
-            r = local_metric(problem, direction, settings)
-            return SweepRow(value, r.eta, r.status, r.iterations, r.wall_ms)
+            r = local_metric(family(value), direction, settings)
+            rows.append(SweepRow(value, r.eta, r.status, r.iterations, r.wall_ms))
         except Exception as exc:  # per-point failures must not kill the sweep
-            return SweepRow(value, None, f"error: {exc}", 0, (time.perf_counter() - t0) * 1e3)
+            rows.append(SweepRow(value, None, f"error: {exc}", 0, (time.perf_counter() - t0) * 1e3))
+    return rows
 
-    if parallelism is not None and parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, grid))
+
+@dataclass(frozen=True)
+class RaySupport:
+    """Support of the grasp wrench space along one screw direction."""
+
+    screw: TaskScrew
+    eta: float | None
+    status: str
+
+
+def gws_sample(p: GraspProblem, directions, settings: SolveSettings | None = None) -> list[RaySupport]:
+    """Boundary of the grasp wrench space along a set of screw directions.
+
+    Each direction is solved independently; failed rays are tagged with their
+    solver status instead of aborting the sweep.
+    """
+    settings = settings or SolveSettings()
+    out: list[RaySupport] = []
+    for screw in directions:
+        try:
+            res = solve(compile_program(replace(p, task=screw), direction=+1), settings)
+        except ScrewGraspError as exc:
+            out.append(RaySupport(screw=screw, eta=None, status=f"error: {exc}"))
+            continue
+        eta = res.objective if res.status == "Optimal" else None
+        out.append(RaySupport(screw=screw, eta=eta, status=res.status))
+    return out

@@ -464,34 +464,3 @@ def scale_problem(p: GraspProblem, k: float) -> GraspProblem:
         external=ext,
         torque_model=tm,
     )
-
-
-@dataclass(frozen=True)
-class RaySupport:
-    """Support of the grasp wrench space along one screw direction."""
-
-    screw: TaskScrew
-    eta: float | None
-    status: str
-
-
-def gws_sample(p: GraspProblem, directions, settings=None) -> list[RaySupport]:
-    """Boundary of the grasp wrench space along a set of screw directions.
-
-    Each direction is solved independently; failed rays are tagged with their
-    solver status instead of aborting the sweep.
-    """
-    from .solver import SolveSettings, solve
-
-    settings = settings or SolveSettings()
-    out: list[RaySupport] = []
-    for screw in directions:
-        prob = replace(p, task=screw)
-        try:
-            res = solve(compile_program(prob, direction=+1), settings)
-        except ScrewGraspError as exc:
-            out.append(RaySupport(screw=screw, eta=None, status=f"error: {exc}"))
-            continue
-        eta = res.objective if res.status == "Optimal" else None
-        out.append(RaySupport(screw=screw, eta=eta, status=res.status))
-    return out

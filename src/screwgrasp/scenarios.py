@@ -327,6 +327,18 @@ def builtin_scenario(name: str, **overrides) -> Scenario:
     return spec.build(spec.params_cls(**overrides))
 
 
+def rebuild_scenario(scenario: Scenario, params: dict, task: str | None = None) -> Scenario:
+    """Regenerate a family-carrying scenario from its generator at ``params``.
+
+    The two-task ``cuboid`` family is regenerated as ``cuboid_pivot`` when the
+    selected task (default: the first) is S1 and as ``cuboid_slide`` otherwise.
+    """
+    gen = scenario.family.generator
+    if gen == "cuboid":
+        gen = "cuboid_pivot" if (task or scenario.tasks[0][0]) == "S1" else "cuboid_slide"
+    return builtin_scenario(gen, **params)
+
+
 def scenario_family(scenario: Scenario, parameter: str, task: str | None = None):
     """Callable mapping a parameter value to a GraspProblem, for sweeps.
 
@@ -335,17 +347,12 @@ def scenario_family(scenario: Scenario, parameter: str, task: str | None = None)
     """
     if scenario.family is None:
         raise ScrewGraspError("scenario has no generator family; cannot sweep a parameter")
-    gen = scenario.family.generator
-    if gen == "cuboid":
-        gen = "cuboid_pivot" if (task or scenario.tasks[0][0]) == "S1" else "cuboid_slide"
     base = dict(scenario.family.params)
     if parameter not in base:
         raise ScrewGraspError(f"unknown parameter {parameter!r}; valid: {sorted(base)}")
 
     def build(value: float) -> GraspProblem:
-        params = dict(base)
-        params[parameter] = value
-        return builtin_scenario(gen, **params).problem(task)
+        return rebuild_scenario(scenario, {**base, parameter: value}, task).problem(task)
 
     build(base[parameter])  # fail fast on an invalid base scenario or task
     return build

@@ -105,20 +105,6 @@ class Wrench:
 
 
 @dataclass(frozen=True)
-class Twist:
-    """Generalized velocity: ``linear`` (m/s) and ``angular`` (rad/s)."""
-
-    linear: np.ndarray
-    angular: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear", _vec3(self.linear))
-        object.__setattr__(self, "angular", _vec3(self.angular))
-        if not (np.all(np.isfinite(self.linear)) and np.all(np.isfinite(self.angular))):
-            raise ValueError("twist components must be finite")
-
-
-@dataclass(frozen=True)
 class TaskScrew:
     """A screw axis: unit direction ``l`` through point ``q`` with pitch ``h``.
 

@@ -27,7 +27,7 @@ tightens as the facet count grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -244,11 +244,11 @@ class _KKT:
         for M, at, d in zip(w2_soc, cone._starts, cone.soc_dims):
             r = n + p + at
             self.K[r : r + d, r : r + d] = -M
-        self._Kfull = self.K.copy()
         scale = max(1.0, float(np.max(np.abs(self.K))))
         for delta in (0.0, 1e-12 * scale, 1e-8 * scale):
-            Kreg = self._Kfull.copy()
+            Kreg = self.K  # sytrf factors a copy; K itself is kept for refinement
             if delta:
+                Kreg = self.K.copy()
                 di = np.arange(self.K.shape[0])
                 Kreg[di[:n], di[:n]] += delta
                 Kreg[di[n:], di[n:]] -= delta
@@ -263,7 +263,7 @@ class _KKT:
         if info != 0:
             raise _NumericalTrouble("KKT solve failed")
         for _ in range(2):
-            r = rhs - self._Kfull @ x
+            r = rhs - self.K @ x
             if np.max(np.abs(r)) <= 1e-13 * (1.0 + np.max(np.abs(rhs))):
                 break
             dx, info = self._sytrs(self._ldu, self._ipiv, r, lower=1)
@@ -397,8 +397,9 @@ def _reduce_null_columns(sf: _StdForm) -> tuple[_StdForm, bool]:
     components of a fixed support aligned with the task).
 
     If the objective improves along such a direction the program is
-    unbounded; otherwise the direction is irrelevant and gets pinned so the
-    KKT system stays nonsingular.
+    unbounded provided it is feasible (the caller checks); otherwise the
+    direction is irrelevant and gets pinned so the KKT system stays
+    nonsingular.
     """
     n = sf.c.shape[0]
     M = np.vstack([sf.A, sf.G])
@@ -485,11 +486,15 @@ def interior_point_backend(
         )
     sf, free_ray = _reduce_null_columns(sf_red)
     if free_ray:
+        # the ray proves unboundedness only if the program is feasible at all
+        feas = interior_point_backend(replace(prog, f=np.zeros_like(prog.f)), settings, trace)
+        if feas.status != "Optimal":
+            return replace(feas, objective=None)
         return SolveResult(
             status="Unbounded", objective=None, primal=None,
-            residuals=Residuals(math.nan, math.nan, math.nan), iterations=0,
-            certificate="objective improves along a direction no constraint sees "
-                        "(uncapped free reaction aligned with the task?)",
+            residuals=Residuals(math.nan, math.nan, math.nan), iterations=feas.iterations,
+            certificate="feasible, and the objective improves along a direction no "
+                        "constraint sees (uncapped free reaction aligned with the task?)",
         )
     c, A, b, G, h, cone = sf.c, sf.A, sf.b, sf.G, sf.h, sf.cone
     n, p, m = c.shape[0], A.shape[0], G.shape[0]

@@ -1,10 +1,13 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import screwgrasp
 from screwgrasp.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from screwgrasp.contacts import EnvironmentContact, Pcwf, PcwfParams
 from screwgrasp.problem import ExternalWrench
@@ -161,6 +164,29 @@ class TestSweep:
         assert code == EXIT_OK
         assert any(float(r["eta"]) < 0 for r in rows_of(out_path))
 
+    @pytest.mark.parametrize("task,builtin", [("S1", "cuboid_pivot"), ("S2", "cuboid_slide")])
+    @pytest.mark.parametrize("overrides", [(), ("--set", "x_E=0.4L")])
+    def test_two_task_file_sweeps_as_its_builtin(self, capsys, tmp_path, task, builtin, overrides):
+        # --set rebuilds the scenario and --sweep rebuilds each point; both
+        # map the two-task cuboid family to the builtin of the chosen task
+        from screwgrasp.scenarios import cuboid_scenario
+
+        path = tmp_path / "both.scenario"
+        save_scenario(cuboid_scenario(), path)
+        texts = []
+        for source in (("--scenario", str(path), "--task", task), ("--builtin", builtin)):
+            out_path = tmp_path / "out.csv"
+            code, _, _ = run(capsys, "sweep", *source, *overrides,
+                             "--sweep", "alpha=0deg:60deg:4", "--out", str(out_path))
+            assert code == EXIT_OK
+            texts.append([line.rsplit(",", 1)[0] for line in out_path.read_text().splitlines()])
+        assert texts[0] == texts[1]
+
+    def test_parallel_flag_removed(self, capsys):
+        code, _, _ = run(capsys, "sweep", "--builtin", "door_handle", "--parallel", "2",
+                         "--sweep", "theta=0deg:5deg:2")
+        assert code == EXIT_INPUT
+
 
 class TestOracleCheck:
     def test_door_handle_within_threshold(self, capsys):
@@ -248,9 +274,12 @@ class TestGws:
 
 
 def test_console_entry_point_smoke():
+    # the child process imports the same screwgrasp as this suite
+    src = str(Path(screwgrasp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "screwgrasp.cli", "eval", "--builtin", "door_handle"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "status: Optimal" in proc.stdout

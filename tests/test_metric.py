@@ -9,7 +9,7 @@ from screwgrasp.contacts import (
     PcwfParams,
     SfceParams,
 )
-from screwgrasp.metric import PathPoint, global_metric, local_metric, metric_sweep
+from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep
 from screwgrasp.problem import ExternalWrench, GraspProblem, compile_program
 from screwgrasp.scenarios import CuboidParams, DoorHandleParams, make_cuboid, make_door_handle
 from screwgrasp.screws import INFINITE_PITCH, TaskScrew, screw_to_unit_wrench
@@ -181,14 +181,6 @@ class TestMetricSweep:
         assert [r.parameter for r in rows] == [0.0, 0.5, 1.0]
         assert all(abs(r.eta - 2.0) <= 1e-8 for r in rows)
 
-    def test_rows_in_grid_order_with_parallelism(self):
-        grid = np.linspace(0.0, 0.3, 7)
-        family = lambda v: make_door_handle(DoorHandleParams(x_c=float(v)))
-        seq = metric_sweep(family, grid, +1, TIGHT, parallelism=1)
-        par = metric_sweep(family, grid, +1, TIGHT, parallelism=4)
-        assert [r.parameter for r in par] == list(grid)
-        assert [r.eta for r in par] == [r.eta for r in seq]
-
     def test_per_point_failures_recorded(self):
         def family(v):
             if v > 0.5:
@@ -203,3 +195,45 @@ class TestMetricSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             metric_sweep(lambda v: forced_eta_problem(1.0), [], +1, TIGHT)
+
+
+class TestGwsSample:
+    def test_symmetry_without_gravity(self):
+        # door handle at x_c = 0, theta = 0: a half-turn about the handle's
+        # x-axis maps the grasp to itself and flips the hinge moment
+        p = make_door_handle(DoorHandleParams(x_c=0.0, theta=0.0))
+        moments = gws_sample(p, [
+            TaskScrew(l=[0, 0, 1], pitch=INFINITE_PITCH),
+            TaskScrew(l=[0, 0, -1], pitch=INFINITE_PITCH),
+        ], TIGHT)
+        assert all(r.status == "Optimal" for r in moments)
+        assert abs(moments[0].eta - moments[1].eta) <= 1e-6 * max(1.0, abs(moments[0].eta))
+
+        # support-free antipodal pinch: half-turn about z flips +-x forces
+        pinch = GraspProblem(
+            manipulator_contacts=p.manipulator_contacts,
+            environment_contacts=(),
+            external=ExternalWrench(),
+            task=p.task,
+        )
+        forces = gws_sample(pinch, [TaskScrew(l=[1, 0, 0]), TaskScrew(l=[-1, 0, 0])], TIGHT)
+        assert all(r.status == "Optimal" for r in forces)
+        assert abs(forces[0].eta - forces[1].eta) <= 1e-6 * max(1.0, abs(forces[0].eta))
+
+    def test_uncapped_support_force_ray_is_unbounded(self):
+        # the hinge's free reaction forces span any force task
+        p = make_door_handle(DoorHandleParams())
+        out = gws_sample(p, [TaskScrew(l=[1, 0, 0], pitch=0.0)], TIGHT)
+        assert out[0].status == "Unbounded"
+        assert out[0].eta is None
+
+    def test_failed_rays_tagged(self):
+        # a ceiling contact cannot carry gravity: every ray infeasible
+        ceiling = EnvironmentContact(rotation=np.diag([1.0, -1.0, -1.0]),
+                                     position=np.zeros(3), model=Pcwf(PcwfParams(mu=0.3)))
+        p = GraspProblem(manipulator_contacts=(), environment_contacts=(ceiling,),
+                         external=ExternalWrench(force=[0, 0, -5.0]),
+                         task=TaskScrew(l=[0, 0, 1]))
+        out = gws_sample(p, [TaskScrew(l=[1, 0, 0])])
+        assert out[0].eta is None
+        assert out[0].status == "Infeasible"

@@ -18,7 +18,6 @@ from screwgrasp.problem import (
     compile_program,
     external_wrench_in_b,
     grasp_map,
-    gws_sample,
     scale_problem,
     transform_problem,
 )
@@ -252,45 +251,3 @@ class TestProblemTransforms:
         eta_small = solve(compile_program(small), TIGHT).objective
         eta_large = solve(compile_program(large), TIGHT).objective
         assert eta_large >= eta_small - 1e-9
-
-
-class TestGwsSample:
-    def test_symmetry_without_gravity(self):
-        # door handle at x_c = 0, theta = 0: a half-turn about the handle's
-        # x-axis maps the grasp to itself and flips the hinge moment
-        p = make_door_handle(DoorHandleParams(x_c=0.0, theta=0.0))
-        moments = gws_sample(p, [
-            TaskScrew(l=[0, 0, 1], pitch=INFINITE_PITCH),
-            TaskScrew(l=[0, 0, -1], pitch=INFINITE_PITCH),
-        ], TIGHT)
-        assert all(r.status == "Optimal" for r in moments)
-        assert abs(moments[0].eta - moments[1].eta) <= 1e-6 * max(1.0, abs(moments[0].eta))
-
-        # support-free antipodal pinch: half-turn about z flips +-x forces
-        pinch = GraspProblem(
-            manipulator_contacts=p.manipulator_contacts,
-            environment_contacts=(),
-            external=ExternalWrench(),
-            task=p.task,
-        )
-        forces = gws_sample(pinch, [TaskScrew(l=[1, 0, 0]), TaskScrew(l=[-1, 0, 0])], TIGHT)
-        assert all(r.status == "Optimal" for r in forces)
-        assert abs(forces[0].eta - forces[1].eta) <= 1e-6 * max(1.0, abs(forces[0].eta))
-
-    def test_uncapped_support_force_ray_is_unbounded(self):
-        # the hinge's free reaction forces span any force task
-        p = make_door_handle(DoorHandleParams())
-        out = gws_sample(p, [TaskScrew(l=[1, 0, 0], pitch=0.0)], TIGHT)
-        assert out[0].status == "Unbounded"
-        assert out[0].eta is None
-
-    def test_failed_rays_tagged(self):
-        # a ceiling contact cannot carry gravity: every ray infeasible
-        ceiling = EnvironmentContact(rotation=np.diag([1.0, -1.0, -1.0]),
-                                     position=np.zeros(3), model=Pcwf(PcwfParams(mu=0.3)))
-        p = GraspProblem(manipulator_contacts=(), environment_contacts=(ceiling,),
-                         external=ExternalWrench(force=[0, 0, -5.0]),
-                         task=TaskScrew(l=[0, 0, 1]))
-        out = gws_sample(p, [TaskScrew(l=[1, 0, 0])])
-        assert out[0].eta is None
-        assert out[0].status == "Infeasible"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import mkprog, soc
+from test_random_scenarios import random_problem
 from screwgrasp.errors import SolverDataError, UnsupportedProgramError
 from screwgrasp.problem import compile_program
 from screwgrasp.scenarios import DoorHandleParams, make_door_handle
@@ -57,6 +58,17 @@ class TestClosedFormPrograms:
         r = solve(free_ray(), TIGHT)
         assert r.status == "Unbounded"
         assert r.certificate is not None
+
+    def test_unseen_free_ray_needs_feasibility(self):
+        # eta appears in no constraint, so presolve finds a free improving
+        # ray; it proves unboundedness only when x0 = g is feasible
+        def prog(g):
+            return mkprog([0.0, 1.0], [[1.0, 0.0]], [g], lb=[0.0, -np.inf])
+
+        assert solve(prog(5.0), TIGHT).status == "Unbounded"
+        r = solve(prog(-5.0), TIGHT)
+        assert r.status == "Infeasible"
+        assert r.objective is None
 
 
 class TestResultContracts:
@@ -158,3 +170,28 @@ class TestOracle:
     def test_facet_floor(self):
         with pytest.raises(ValueError):
             solve_with_oracle(unsupported_load(), 3)
+
+
+def fuzz_draw(seed: int, trial: int):
+    """Program of one trial of the random battery loop run with default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for i in range(trial + 1):
+        problem = random_problem(rng)
+        if problem is None:
+            continue
+        direction = +1 if rng.random() < 0.5 else -1
+        if i == trial:
+            return compile_program(problem, direction)
+    raise ValueError(f"seed {seed} trial {trial} draws no problem")
+
+
+# two FixedSupport contacts whose free reactions align with the task: the
+# objective improves along a ray no constraint sees, yet the program is infeasible
+@pytest.mark.parametrize("seed,trial", [(1, 187), (1, 189), (3, 94), (3, 116), (3, 197),
+                                        (6, 41), (8, 52), (8, 198)])
+def test_free_ray_on_infeasible_draw(seed, trial):
+    prog = fuzz_draw(seed, trial)
+    res = solve(prog, SolveSettings(duality_gap_tol=1e-9))
+    assert res.status == "Infeasible", res.certificate
+    assert "Farkas" in res.certificate
+    assert solve_with_oracle(prog, 32).status == "Infeasible"
