@@ -92,51 +92,57 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 class _Cone:
+    # Per-block dot products stay ``u1 @ v1`` (BLAS ddot) rather than a segment
+    # sum over all blocks: the two round differently, and that difference has
+    # flipped solve statuses on the fuzz corpus.  Scalar work is on Python
+    # floats, which round exactly as numpy scalars do and cost less.
     def __init__(self, q: int, soc_dims: list[int]):
         self.q = q
         self.soc_dims = list(soc_dims)
         self.dim = q + sum(soc_dims)
         self.degree = q + len(soc_dims)
-        self._starts = []
+        # per SOC block: head index, tail slice, block slice and J = diag(1, -1, ..., -1)
+        self.blocks: list[tuple[int, slice, slice, np.ndarray]] = []
         at = q
         for d in soc_dims:
-            self._starts.append(at)
+            J = np.diag(np.concatenate([[1.0], -np.ones(d - 1)]))
+            self.blocks.append((at, slice(at + 1, at + d), slice(at, at + d), J))
             at += d
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
         e[: self.q] = 1.0
-        for at in self._starts:
-            e[at] = 1.0
+        for h, _, _, _ in self.blocks:
+            e[h] = 1.0
         return e
 
     def min_eig(self, u: np.ndarray) -> float:
-        vals = [np.min(u[: self.q])] if self.q else []
-        for at, d in zip(self._starts, self.soc_dims):
-            vals.append(u[at] - np.linalg.norm(u[at + 1 : at + d]))
+        vals = [u[: self.q].min()] if self.q else []
+        for h, t, _, _ in self.blocks:
+            ut = u[t]
+            vals.append(u.item(h) - math.sqrt(ut @ ut))
         return min(vals) if vals else math.inf
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty(self.dim)
         out[: self.q] = u[: self.q] * v[: self.q]
-        for at, d in zip(self._starts, self.soc_dims):
-            u0, u1 = u[at], u[at + 1 : at + d]
-            v0, v1 = v[at], v[at + 1 : at + d]
-            out[at] = u0 * v0 + u1 @ v1
-            out[at + 1 : at + d] = u0 * v1 + v0 * u1
+        for h, t, _, _ in self.blocks:
+            u0, u1 = u.item(h), u[t]
+            v0, v1 = v.item(h), v[t]
+            out[h] = u0 * v0 + u1 @ v1
+            out[t] = u0 * v1 + v0 * u1
         return out
 
     def div(self, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Solve lam o x = v for x (lam interior)."""
         out = np.empty(self.dim)
         out[: self.q] = v[: self.q] / lam[: self.q]
-        for at, d in zip(self._starts, self.soc_dims):
-            a, b = lam[at], lam[at + 1 : at + d]
-            v0, v1 = v[at], v[at + 1 : at + d]
-            det = a * a - b @ b
-            x0 = (a * v0 - b @ v1) / det
-            out[at] = x0
-            out[at + 1 : at + d] = (v1 - x0 * b) / a
+        for h, t, _, _ in self.blocks:
+            a, b = lam.item(h), lam[t]
+            v0, v1 = v.item(h), v[t]
+            x0 = (a * v0 - b @ v1) / (a * a - b @ b)  # numpy scalar division: det 0 gives inf/nan
+            out[h] = x0
+            out[t] = (v1 - x0 * b) / a
         return out
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
@@ -144,20 +150,21 @@ class _Cone:
         alpha = math.inf
         if self.q:
             neg = du[: self.q] < 0
-            if np.any(neg):
-                alpha = float(np.min(-u[: self.q][neg] / du[: self.q][neg]))
-        for at, d in zip(self._starts, self.soc_dims):
-            u0, u1 = u[at], u[at + 1 : at + d]
-            d0, d1 = du[at], du[at + 1 : at + d]
-            a = d0 * d0 - d1 @ d1
-            b = 2.0 * (u0 * d0 - u1 @ d1)
-            c = u0 * u0 - u1 @ u1
+            if neg.any():
+                alpha = float((-u[: self.q][neg] / du[: self.q][neg]).min())
+        for h, t, _, _ in self.blocks:
+            u0, u1 = u.item(h), u[t]
+            d0, d1 = du.item(h), du[t]
+            a = d0 * d0 - float(d1 @ d1)
+            b = 2.0 * (u0 * d0 - float(u1 @ d1))
+            c = u0 * u0 - float(u1 @ u1)
             if a >= 0 and b >= 0:
                 continue
             disc = b * b - 4.0 * a * c
             if a >= 0 and disc < 0:
                 continue
-            root = 2.0 * c / (-b + math.sqrt(max(disc, 0.0)))
+            den = -b + math.sqrt(max(disc, 0.0))
+            root = 2.0 * c / den if den else np.float64(2.0 * c) / den  # +-inf or nan, as numpy
             if root >= 0:
                 alpha = min(alpha, float(root))
         return alpha
@@ -172,33 +179,35 @@ class _Scaling:
         self.w_lp = np.sqrt(s[:q] / z[:q]) if q else np.zeros(0)
         self.soc_W: list[np.ndarray] = []
         self.soc_Winv: list[np.ndarray] = []
-        for at, d in zip(cone._starts, cone.soc_dims):
-            sb, zb = s[at : at + d], z[at : at + d]
-            rho_s = (sb[0] - np.linalg.norm(sb[1:])) * (sb[0] + np.linalg.norm(sb[1:]))
-            rho_z = (zb[0] - np.linalg.norm(zb[1:])) * (zb[0] + np.linalg.norm(zb[1:]))
+        for h, t, blk, J in cone.blocks:
+            s0, st, z0, zt = s.item(h), s[t], z.item(h), z[t]
+            ns, nz = math.sqrt(st @ st), math.sqrt(zt @ zt)
+            rho_s = (s0 - ns) * (s0 + ns)
+            rho_z = (z0 - nz) * (z0 + nz)
             if rho_s <= 0 or rho_z <= 0:
                 raise _NumericalTrouble("iterate left the cone interior")
-            sbar = sb / math.sqrt(rho_s)
-            zbar = zb / math.sqrt(rho_z)
+            sbar = s[blk] / math.sqrt(rho_s)
+            zbar = z[blk] / math.sqrt(rho_z)
             gamma = math.sqrt((1.0 + sbar @ zbar) / 2.0)
             # NT point wbar with wbar' J wbar = 1; v is its Jordan square root
-            wbar = (sbar + np.concatenate([[zbar[0]], -zbar[1:]])) / (2.0 * gamma)
+            jz = -zbar
+            jz[0] = zbar[0]
+            wbar = (sbar + jz) / (2.0 * gamma)
             v = wbar.copy()
             v[0] += 1.0
-            v /= math.sqrt(2.0 * (wbar[0] + 1.0))
-            J = np.diag(np.concatenate([[1.0], -np.ones(d - 1)]))
-            beta = (rho_s / rho_z) ** 0.25  # W^2 = sqrt(rho_s/rho_z) * P(wbar)
-            W = beta * (2.0 * np.outer(v, v) - J)
-            Winv = (1.0 / beta) * (2.0 * J @ np.outer(v, v) @ J - J)
-            self.soc_W.append(W)
-            self.soc_Winv.append(Winv)
+            v /= math.sqrt(2.0 * (wbar.item(0) + 1.0))
+            beta = np.float64(rho_s / rho_z) ** 0.25  # W^2 = sqrt(rho_s/rho_z) * P(wbar); 1/beta may be inf
+            jv = -v
+            jv[0] = v[0]
+            self.soc_W.append(beta * (2.0 * np.outer(v, v) - J))
+            self.soc_Winv.append((1.0 / beta) * (2.0 * np.outer(jv, jv) - J))  # J W J / beta^2
         self.lam = self.apply_W(z)
 
     def _blockwise(self, v: np.ndarray, lp: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
         out = np.empty(self.cone.dim)
         out[: self.cone.q] = lp * v[: self.cone.q]
-        for M, at, d in zip(mats, self.cone._starts, self.cone.soc_dims):
-            out[at : at + d] = M @ v[at : at + d]
+        for M, (_, _, blk, _) in zip(mats, self.cone.blocks):
+            out[blk] = M @ v[blk]
         return out
 
     def apply_W(self, v: np.ndarray) -> np.ndarray:
@@ -221,7 +230,7 @@ class _KKT:
     with static regularization on singular retry and iterative refinement.
     """
 
-    def __init__(self, A: np.ndarray, G: np.ndarray):
+    def __init__(self, A: np.ndarray, G: np.ndarray, cone: _Cone):
         self.A, self.G = A, G
         self.n = A.shape[1]
         self.p = A.shape[0]
@@ -234,17 +243,16 @@ class _KKT:
         self.K[n + p :, :n] = G
         self.K[:n, n + p :] = G.T
         self._sytrf, self._sytrs = sla.get_lapack_funcs(("sytrf", "sytrs"), (self.K,))
+        # the -W'W block: orthant diagonal and SOC squares; its other entries stay 0
+        self._lp_diag = np.arange(n + p, n + p + cone.q)
+        self._soc = [slice(n + p + blk.start, n + p + blk.stop) for _, _, blk, _ in cone.blocks]
 
-    def factor(self, w2_lp: np.ndarray, w2_soc: list[np.ndarray], cone: _Cone):
-        n, p = self.n, self.p
-        self.K[n + p :, n + p :] = 0.0
-        q = cone.q
-        idx = np.arange(n + p, n + p + q)
-        self.K[idx, idx] = -w2_lp
-        for M, at, d in zip(w2_soc, cone._starts, cone.soc_dims):
-            r = n + p + at
-            self.K[r : r + d, r : r + d] = -M
-        scale = max(1.0, float(np.max(np.abs(self.K))))
+    def factor(self, w2_lp: np.ndarray, w2_soc: list[np.ndarray]):
+        n = self.n
+        self.K[self._lp_diag, self._lp_diag] = -w2_lp
+        for M, sl in zip(w2_soc, self._soc):
+            self.K[sl, sl] = -M
+        scale = max(1.0, float(np.abs(self.K).max()))
         for delta in (0.0, 1e-12 * scale, 1e-8 * scale):
             Kreg = self.K  # sytrf factors a copy; K itself is kept for refinement
             if delta:
@@ -264,7 +272,7 @@ class _KKT:
             raise _NumericalTrouble("KKT solve failed")
         for _ in range(2):
             r = rhs - self.K @ x
-            if np.max(np.abs(r)) <= 1e-13 * (1.0 + np.max(np.abs(rhs))):
+            if np.abs(r).max() <= 1e-13 * (1.0 + np.abs(rhs).max()):
                 break
             dx, info = self._sytrs(self._ldu, self._ipiv, r, lower=1)
             if info != 0:
@@ -331,13 +339,6 @@ def _standardize(prog: ConicProgram) -> _StdForm:
     return _StdForm(c=-prog.f.copy(), A=prog.F.copy(), b=prog.g.copy(), G=G, h=h, cone=_Cone(q, soc_dims))
 
 
-def _row_groups(cone: _Cone) -> list[np.ndarray]:
-    groups = [np.array([i]) for i in range(cone.q)]
-    for at, d in zip(cone._starts, cone.soc_dims):
-        groups.append(np.arange(at, at + d))
-    return groups
-
-
 def _equilibrate(sf: _StdForm, rounds: int = 8) -> _StdForm:
     """Ruiz-style equilibration; SOC row blocks share one scale so cones are
     preserved.  Returns a new _StdForm carrying the column scales needed to
@@ -345,31 +346,32 @@ def _equilibrate(sf: _StdForm, rounds: int = 8) -> _StdForm:
     p, n = sf.A.shape
     m = sf.G.shape[0]
     A, G, b, h, c = sf.A.copy(), sf.G.copy(), sf.b.copy(), sf.h.copy(), sf.c.copy()
-    groups = _row_groups(sf.cone)
+    # contiguous row groups of G: each orthant row alone, then each SOC block
+    starts = np.array([*range(sf.cone.q), *(blk.start for _, _, blk, _ in sf.cone.blocks)],
+                      dtype=np.intp)
+    sizes = np.diff(starts, append=m)
     dc = np.ones(n)
-    for _ in range(rounds):
-        M = np.vstack([A, G]) if p else G
-        if M.size == 0:
-            break
-        col = np.max(np.abs(M), axis=0)
+    for _ in range(rounds if n and p + m else 0):
+        col = np.abs(G).max(axis=0, initial=0.0)
+        if p:
+            col = np.maximum(np.abs(A).max(axis=0), col)
         col[col == 0] = 1.0
         sc = 1.0 / np.sqrt(col)
         A *= sc
         G *= sc
         dc *= sc
         if p:
-            ra = np.max(np.abs(A), axis=1)
+            ra = np.abs(A).max(axis=1)
             ra[ra == 0] = 1.0
             sa = 1.0 / np.sqrt(ra)
             A *= sa[:, None]
             b *= sa
-        for idx in groups:
-            rg = np.max(np.abs(G[idx]))
-            if rg == 0:
-                continue
-            s = 1.0 / np.sqrt(rg)
-            G[idx] *= s
-            h[idx] *= s
+        if m:
+            rg = np.maximum.reduceat(np.abs(G).max(axis=1), starts)
+            rg[rg == 0] = 1.0  # an all-zero group keeps scale 1
+            s = np.repeat(1.0 / np.sqrt(rg), sizes)
+            G *= s[:, None]
+            h *= s
     c = c * dc
     return _StdForm(c=c, A=A, b=b, G=G, h=h, cone=sf.cone, col_scale=dc)
 
@@ -422,21 +424,29 @@ def _reduce_null_columns(sf: _StdForm) -> tuple[_StdForm, bool]:
 # The interior-point loop
 # ---------------------------------------------------------------------------
 
-def _measure(prog: ConicProgram, x: np.ndarray) -> tuple[float, float]:
-    """(relative equality residual, worst absolute cone/box violation) of x
-    against the original program."""
-    g_norm = float(np.max(np.abs(prog.g), initial=0.0))
-    eq = float(np.max(np.abs(prog.F @ x - prog.g), initial=0.0)) / (1.0 + g_norm)
-    viol = 0.0
-    finite_lb = np.isfinite(prog.lb)
-    finite_ub = np.isfinite(prog.ub)
-    if np.any(finite_lb):
-        viol = max(viol, float(np.max(prog.lb[finite_lb] - x[finite_lb], initial=0.0)))
-    if np.any(finite_ub):
-        viol = max(viol, float(np.max(x[finite_ub] - prog.ub[finite_ub], initial=0.0)))
-    for blk in prog.socs:
-        viol = max(viol, float(np.linalg.norm(blk.A @ x + blk.b) - (blk.c @ x + blk.d)))
-    return eq, max(0.0, viol)
+def _residual_check(prog: ConicProgram):
+    """x -> (relative equality residual, worst absolute cone/box violation)
+    of x against the original program, with the program's index arrays and
+    norms taken once."""
+    F, g = prog.F, prog.g
+    g_scale = 1.0 + float(np.abs(g).max(initial=0.0))
+    lbi, ubi = np.flatnonzero(np.isfinite(prog.lb)), np.flatnonzero(np.isfinite(prog.ub))
+    lb, ub = prog.lb[lbi], prog.ub[ubi]
+    socs = tuple((blk.A, blk.b, blk.c, blk.d) for blk in prog.socs)
+
+    def measure(x: np.ndarray) -> tuple[float, float]:
+        eq = float(np.abs(F @ x - g).max(initial=0.0)) / g_scale
+        viol = 0.0
+        if lbi.size:
+            viol = max(viol, float((lb - x[lbi]).max(initial=0.0)))
+        if ubi.size:
+            viol = max(viol, float((x[ubi] - ub).max(initial=0.0)))
+        for A, b, c, d in socs:
+            r = A @ x + b
+            viol = max(viol, float(math.sqrt(r @ r) - (c @ x + d)))
+        return eq, max(0.0, viol)
+
+    return measure
 
 
 def solve(
@@ -500,8 +510,9 @@ def interior_point_backend(
     n, p, m = c.shape[0], A.shape[0], G.shape[0]
     nu = cone.degree
 
-    kkt = _KKT(A, G)
+    kkt = _KKT(A, G, cone)
     e = cone.identity()
+    measure = _residual_check(prog)
 
     def split(u):
         return u[:n], u[n : n + p], u[n + p :]
@@ -516,14 +527,14 @@ def interior_point_backend(
         if x is None:
             return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan), iters, cert)
         xo = unscale_x(x, tau)
-        eq, viol = _measure(prog, xo)
+        eq, viol = measure(xo)
         obj = float(prog.f @ xo)
         return SolveResult(status, obj if status in ("Optimal", "IterationLimit") else None,
                            xo, Residuals(eq, viol, gap), iters, cert)
 
     try:
         # -- initialization (W = I) -------------------------------------
-        kkt.factor(np.ones(cone.q), [np.eye(d) for d in cone.soc_dims], cone)
+        kkt.factor(np.ones(cone.q), [np.eye(d) for d in cone.soc_dims])
         u = kkt.solve(np.concatenate([np.zeros(n), b, h]))
         x, _, w = split(u)
         s = -w.copy()
@@ -538,9 +549,10 @@ def interior_point_backend(
             z = z + (1.0 - a) * e
         tau, kappa = 1.0, 1.0
 
-        c_norm = 1.0 + float(np.max(np.abs(c), initial=0.0))
-        b_norm = 1.0 + float(np.max(np.abs(b), initial=0.0))
-        h_norm = 1.0 + float(np.max(np.abs(h), initial=0.0))
+        c_norm = 1.0 + float(np.abs(c).max(initial=0.0))
+        b_norm = 1.0 + float(np.abs(b).max(initial=0.0))
+        h_norm = 1.0 + float(np.abs(h).max(initial=0.0))
+        rhs_tau = np.concatenate([-c, b, h])
 
         for it in range(settings.max_iterations):
             rx = A.T @ y + G.T @ z + c * tau
@@ -551,8 +563,8 @@ def interior_point_backend(
 
             # -- termination, measured on the original program ----------
             xo = unscale_x(x, tau)
-            eq_res, cone_viol = _measure(prog, xo)
-            dres = float(np.max(np.abs(rx), initial=0.0)) / (tau * c_norm)
+            eq_res, cone_viol = measure(xo)
+            dres = float(np.abs(rx).max(initial=0.0)) / (tau * c_norm)
             pobj = float(c @ x) / tau
             dobj = -float(b @ y + h @ z) / tau
             gap = float(s @ z) / tau**2
@@ -576,7 +588,7 @@ def interior_point_backend(
             bhz = float(b @ y + h @ z)
             if bhz < 0:
                 yc, zc = y / (-bhz), z / (-bhz)
-                farkas = float(np.max(np.abs(A.T @ yc + G.T @ zc), initial=0.0))
+                farkas = float(np.abs(A.T @ yc + G.T @ zc).max(initial=0.0))
                 if farkas <= settings.feasibility_tol * c_norm:
                     return finish("Infeasible", iters=it,
                                   cert=f"Farkas ray with b'y + h'z = -1: "
@@ -584,8 +596,8 @@ def interior_point_backend(
             cx = float(c @ x)
             if cx < 0:
                 xc, sc_ = x / (-cx), s / (-cx)
-                ray_eq = float(np.max(np.abs(A @ xc), initial=0.0))
-                ray_cone = float(np.max(np.abs(G @ xc + sc_), initial=0.0))
+                ray_eq = float(np.abs(A @ xc).max(initial=0.0))
+                ray_cone = float(np.abs(G @ xc + sc_).max(initial=0.0))
                 if ray_eq <= settings.feasibility_tol * b_norm and ray_cone <= settings.feasibility_tol * h_norm:
                     return finish("Unbounded", iters=it,
                                   cert=f"improving ray with c'x = -1: ||A x||_inf = {ray_eq:.3e}, "
@@ -595,8 +607,8 @@ def interior_point_backend(
             scal = _Scaling(cone, s, z)
             lam = scal.lam
             w2_lp, w2_soc = scal.w_squared_blocks()
-            kkt.factor(w2_lp, w2_soc, cone)
-            u1 = kkt.solve(np.concatenate([-c, b, h]))
+            kkt.factor(w2_lp, w2_soc)
+            u1 = kkt.solve(rhs_tau)
             x1, y1, z1 = split(u1)
             zeta1 = c @ x1 + b @ y1 + h @ z1
             denom0 = kappa / tau - zeta1
@@ -604,14 +616,14 @@ def interior_point_backend(
                 raise _NumericalTrouble("degenerate tau step")
 
             def direction(w1, w2, w3, w4, d_s, d_kt):
-                rhs3 = w3 - scal.apply_W(cone.div(lam, d_s))
-                u2 = kkt.solve(np.concatenate([-w1, w2, rhs3]))
+                lam_ds = cone.div(lam, d_s)
+                u2 = kkt.solve(np.concatenate([-w1, w2, w3 - scal.apply_W(lam_ds)]))
                 x2, y2, z2 = split(u2)
                 dtau = (w4 + d_kt / tau + (c @ x2 + b @ y2 + h @ z2)) / denom0
                 dx = x2 + dtau * x1
                 dy = y2 + dtau * y1
                 dz = z2 + dtau * z1
-                ds = scal.apply_W(cone.div(lam, d_s) - scal.apply_W(dz))
+                ds = scal.apply_W(lam_ds - scal.apply_W(dz))
                 dkappa = (d_kt - kappa * dtau) / tau
                 return dx, dy, dz, dtau, ds, dkappa
 
@@ -624,8 +636,8 @@ def interior_point_backend(
                 return alpha
 
             # -- predictor (affine) --------------------------------------
-            d_s = -cone.prod(lam, lam)
-            dxa, dya, dza, dta, dsa, dka = direction(rx, ry, rz, rt, d_s, -tau * kappa)
+            lam2 = cone.prod(lam, lam)
+            dxa, dya, dza, dta, dsa, dka = direction(rx, ry, rz, rt, -lam2, -tau * kappa)
             alpha_aff = min(1.0, max_alpha(dsa, dza, dta, dka))
             gap_aff = ((s + alpha_aff * dsa) @ (z + alpha_aff * dza)
                        + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka))
@@ -633,14 +645,14 @@ def interior_point_backend(
 
             # -- corrector ----------------------------------------------
             corr = cone.prod(scal.apply_Winv(dsa), scal.apply_W(dza))
-            d_s = sigma * mu * e - cone.prod(lam, lam) - corr
+            d_s = sigma * mu * e - lam2 - corr
             d_kt = sigma * mu - tau * kappa - dta * dka
             one_minus = 1.0 - sigma
             dx, dy, dz, dtau, ds, dkappa = direction(
                 one_minus * rx, one_minus * ry, one_minus * rz, one_minus * rt, d_s, d_kt
             )
             alpha = min(1.0, _STEP_FRACTION * max_alpha(ds, dz, dtau, dkappa))
-            if not np.isfinite(alpha) or alpha < _MIN_STEP:
+            if not math.isfinite(alpha) or alpha < _MIN_STEP:
                 raise _NumericalTrouble("step length collapsed")
 
             x = x + alpha * dx
@@ -649,7 +661,7 @@ def interior_point_backend(
             s = s + alpha * ds
             tau = tau + alpha * dtau
             kappa = kappa + alpha * dkappa
-            if tau <= 0 or kappa < 0 or not np.isfinite(tau):
+            if tau <= 0 or kappa < 0 or not math.isfinite(tau):
                 raise _NumericalTrouble("embedding variables left the cone")
 
         if "x" in best:
@@ -721,7 +733,7 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     res = linprog(c_lp, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 0:
         x = res.x[:n]
-        eq, viol = _measure(prog, x)
+        eq, viol = _residual_check(prog)(x)
         return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), int(res.nit))
     status = {2: "Infeasible", 3: "Unbounded"}.get(res.status, "NumericalFailure")
     return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan),

@@ -1,0 +1,309 @@
+"""Cone algebra, NT scaling, equilibration and the residual check.
+
+The ``ref_*`` functions are the plain per-block loops the solver's flattened
+versions replaced; they stay here as the reference.  The flattened versions
+perform the same floating-point operations in the same order, so they must
+agree bit for bit (``np.array_equal`` / ``==``), not to a tolerance: a
+reordered sum fails these tests.  The behaviour tests check the algebra
+itself against bisection and the Nesterov-Todd identities.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from test_random_scenarios import random_problem
+from screwgrasp.problem import compile_program
+from screwgrasp.solver import (
+    _Cone,
+    _equilibrate,
+    _residual_check,
+    _Scaling,
+    _standardize,
+    _StdForm,
+)
+
+# (q, SOC dimensions): no orthant and an orthant, dimensions 2, 3 and 4 mixed
+CONES = [(0, [3]), (0, [2, 4, 3]), (3, [4]), (5, [3, 2, 4, 4, 3]), (2, [])]
+DRAWS = 50
+
+
+def starts(q, dims):
+    return list(np.cumsum([q, *dims])[:-1])
+
+
+def ref_min_eig(q, dims, u):
+    vals = [np.min(u[:q])] if q else []
+    for at, d in zip(starts(q, dims), dims):
+        vals.append(u[at] - np.linalg.norm(u[at + 1 : at + d]))
+    return min(vals) if vals else math.inf
+
+
+def ref_prod(q, dims, u, v):
+    out = np.empty(q + sum(dims))
+    out[:q] = u[:q] * v[:q]
+    for at, d in zip(starts(q, dims), dims):
+        u0, u1 = u[at], u[at + 1 : at + d]
+        v0, v1 = v[at], v[at + 1 : at + d]
+        out[at] = u0 * v0 + u1 @ v1
+        out[at + 1 : at + d] = u0 * v1 + v0 * u1
+    return out
+
+
+def ref_div(q, dims, lam, v):
+    out = np.empty(q + sum(dims))
+    out[:q] = v[:q] / lam[:q]
+    for at, d in zip(starts(q, dims), dims):
+        a, b = lam[at], lam[at + 1 : at + d]
+        v0, v1 = v[at], v[at + 1 : at + d]
+        det = a * a - b @ b
+        x0 = (a * v0 - b @ v1) / det
+        out[at] = x0
+        out[at + 1 : at + d] = (v1 - x0 * b) / a
+    return out
+
+
+def ref_max_step(q, dims, u, du):
+    alpha = math.inf
+    if q:
+        neg = du[:q] < 0
+        if np.any(neg):
+            alpha = float(np.min(-u[:q][neg] / du[:q][neg]))
+    for at, d in zip(starts(q, dims), dims):
+        u0, u1 = u[at], u[at + 1 : at + d]
+        d0, d1 = du[at], du[at + 1 : at + d]
+        a = d0 * d0 - d1 @ d1
+        b = 2.0 * (u0 * d0 - u1 @ d1)
+        c = u0 * u0 - u1 @ u1
+        if a >= 0 and b >= 0:
+            continue
+        disc = b * b - 4.0 * a * c
+        if a >= 0 and disc < 0:
+            continue
+        root = 2.0 * c / (-b + math.sqrt(max(disc, 0.0)))
+        if root >= 0:
+            alpha = min(alpha, float(root))
+    return alpha
+
+
+def ref_scaling(q, dims, s, z):
+    """(orthant diagonal, SOC blocks of W, SOC blocks of W^-1, lambda)."""
+    w_lp = np.sqrt(s[:q] / z[:q]) if q else np.zeros(0)
+    Ws, Winvs = [], []
+    for at, d in zip(starts(q, dims), dims):
+        sb, zb = s[at : at + d], z[at : at + d]
+        rho_s = (sb[0] - np.linalg.norm(sb[1:])) * (sb[0] + np.linalg.norm(sb[1:]))
+        rho_z = (zb[0] - np.linalg.norm(zb[1:])) * (zb[0] + np.linalg.norm(zb[1:]))
+        sbar = sb / math.sqrt(rho_s)
+        zbar = zb / math.sqrt(rho_z)
+        gamma = math.sqrt((1.0 + sbar @ zbar) / 2.0)
+        wbar = (sbar + np.concatenate([[zbar[0]], -zbar[1:]])) / (2.0 * gamma)
+        v = wbar.copy()
+        v[0] += 1.0
+        v /= math.sqrt(2.0 * (wbar[0] + 1.0))
+        J = np.diag(np.concatenate([[1.0], -np.ones(d - 1)]))
+        beta = (rho_s / rho_z) ** 0.25
+        Ws.append(beta * (2.0 * np.outer(v, v) - J))
+        Winvs.append((1.0 / beta) * (2.0 * J @ np.outer(v, v) @ J - J))
+    lam = np.empty(q + sum(dims))
+    lam[:q] = w_lp * z[:q]
+    for W, at, d in zip(Ws, starts(q, dims), dims):
+        lam[at : at + d] = W @ z[at : at + d]
+    return w_lp, Ws, Winvs, lam
+
+
+def ref_equilibrate(sf, rounds=8):
+    p, n = sf.A.shape
+    A, G, b, h, c = sf.A.copy(), sf.G.copy(), sf.b.copy(), sf.h.copy(), sf.c.copy()
+    cone = sf.cone
+    groups = [np.array([i]) for i in range(cone.q)]
+    for at, d in zip(starts(cone.q, cone.soc_dims), cone.soc_dims):
+        groups.append(np.arange(at, at + d))
+    dc = np.ones(n)
+    for _ in range(rounds):
+        M = np.vstack([A, G]) if p else G
+        if M.size == 0:
+            break
+        col = np.max(np.abs(M), axis=0)
+        col[col == 0] = 1.0
+        sc = 1.0 / np.sqrt(col)
+        A *= sc
+        G *= sc
+        dc *= sc
+        if p:
+            ra = np.max(np.abs(A), axis=1)
+            ra[ra == 0] = 1.0
+            sa = 1.0 / np.sqrt(ra)
+            A *= sa[:, None]
+            b *= sa
+        for idx in groups:
+            rg = np.max(np.abs(G[idx]))
+            if rg == 0:
+                continue
+            s = 1.0 / np.sqrt(rg)
+            G[idx] *= s
+            h[idx] *= s
+    return A, G, b, h, c * dc, dc
+
+
+def ref_measure(prog, x):
+    g_norm = float(np.max(np.abs(prog.g), initial=0.0))
+    eq = float(np.max(np.abs(prog.F @ x - prog.g), initial=0.0)) / (1.0 + g_norm)
+    viol = 0.0
+    finite_lb = np.isfinite(prog.lb)
+    finite_ub = np.isfinite(prog.ub)
+    if np.any(finite_lb):
+        viol = max(viol, float(np.max(prog.lb[finite_lb] - x[finite_lb], initial=0.0)))
+    if np.any(finite_ub):
+        viol = max(viol, float(np.max(x[finite_ub] - prog.ub[finite_ub], initial=0.0)))
+    for blk in prog.socs:
+        viol = max(viol, float(np.linalg.norm(blk.A @ x + blk.b) - (blk.c @ x + blk.d)))
+    return eq, max(0.0, viol)
+
+
+def interior(rng, q, dims, margin=0.1):
+    """A random point of the cone's interior, scaled over several decades."""
+    u = np.empty(q + sum(dims))
+    u[:q] = rng.uniform(margin, 3.0, q) * 10.0 ** rng.uniform(-3, 3, q)
+    for at, d in zip(starts(q, dims), dims):
+        tail = rng.normal(size=d - 1) * 10.0 ** rng.uniform(-3, 3)
+        u[at + 1 : at + d] = tail
+        u[at] = np.linalg.norm(tail) * (1.0 + rng.uniform(margin, 2.0)) + rng.uniform(0.0, 1e-3)
+    return u
+
+
+def cases(seed=0):
+    rng = np.random.default_rng(seed)
+    for q, dims in CONES:
+        for _ in range(DRAWS):
+            yield rng, q, dims, _Cone(q, dims)
+
+
+class TestAgainstLoopReference:
+    def test_min_eig_prod_div(self):
+        for rng, q, dims, cone in cases(1):
+            u, v = interior(rng, q, dims), rng.normal(size=q + sum(dims))
+            assert cone.min_eig(u) == ref_min_eig(q, dims, u)
+            assert cone.min_eig(v) == ref_min_eig(q, dims, v)
+            assert np.array_equal(cone.prod(u, v), ref_prod(q, dims, u, v))
+            assert np.array_equal(cone.div(u, v), ref_div(q, dims, u, v))
+
+    def test_max_step(self):
+        for rng, q, dims, cone in cases(2):
+            u = interior(rng, q, dims)
+            for du in (rng.normal(size=u.size) * 10.0 ** rng.uniform(-2, 2), -u, interior(rng, q, dims)):
+                assert cone.max_step(u, du) == ref_max_step(q, dims, u, du)
+
+    def test_zero_denominators_as_numpy(self):
+        """On the cone boundary max_step's root and div's determinant divide
+        by zero; both give inf/nan as numpy scalars do and never raise."""
+        cone = _Cone(1, [3, 2])
+        u = np.array([1.0, 1.0, 1.0, 0.0, 2.0, 2.0])  # both SOC blocks on the boundary
+        du = np.array([1.0, -1.0, -2.0, 0.0, -1.0, -3.0])
+        v = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert cone.max_step(u, du) == ref_max_step(1, [3, 2], u, du)
+            got, want = cone.div(u, v), ref_div(1, [3, 2], u, v)
+        assert not np.isfinite(got[1:]).all()
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_scaling(self):
+        for rng, q, dims, cone in cases(3):
+            s, z = interior(rng, q, dims), interior(rng, q, dims)
+            scal = _Scaling(cone, s, z)
+            w_lp, Ws, Winvs, lam = ref_scaling(q, dims, s, z)
+            assert np.array_equal(scal.w_lp, w_lp)
+            assert len(scal.soc_W) == len(Ws) == len(scal.soc_Winv)
+            assert all(np.array_equal(a, b) for a, b in zip(scal.soc_W, Ws))
+            assert all(np.array_equal(a, b) for a, b in zip(scal.soc_Winv, Winvs))
+            assert np.array_equal(scal.lam, lam)
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_equilibrate(self, p):
+        rng = np.random.default_rng(4 + p)
+        for q, dims in CONES:
+            m, n = q + sum(dims), 7
+            G = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-4, 4, size=(m, 1))
+            G[rng.random(m) < 0.2] = 0.0  # all-zero rows, and so some all-zero groups
+            A = rng.normal(size=(p, n)) * 10.0 ** rng.uniform(-4, 4, size=(p, 1))
+            sf = _StdForm(c=rng.normal(size=n), A=A, b=rng.normal(size=p), G=G,
+                          h=rng.normal(size=m), cone=_Cone(q, dims))
+            got = _equilibrate(sf)
+            want = ref_equilibrate(sf)
+            for a, b in zip((got.A, got.G, got.b, got.h, got.c, got.col_scale), want):
+                assert np.array_equal(a, b)
+
+    def test_equilibrate_compiled_programs(self):
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            prob = random_problem(rng)
+            if prob is None:
+                continue
+            sf = _standardize(compile_program(prob, +1))
+            got = _equilibrate(sf)
+            want = ref_equilibrate(sf)
+            for a, b in zip((got.A, got.G, got.b, got.h, got.c, got.col_scale), want):
+                assert np.array_equal(a, b)
+
+    def test_residual_check(self):
+        rng = np.random.default_rng(7)
+        seen_bounds = seen_socs = 0
+        for _ in range(60):
+            prob = random_problem(rng)
+            if prob is None:
+                continue
+            prog = compile_program(prob, -1 if rng.random() < 0.5 else +1)
+            measure = _residual_check(prog)
+            seen_bounds += bool(np.isfinite(prog.lb).any() or np.isfinite(prog.ub).any())
+            seen_socs += bool(prog.socs)
+            for scale in (1e-3, 1.0, 1e3):
+                x = rng.normal(size=prog.n_vars) * scale
+                assert measure(x) == ref_measure(prog, x)
+        assert seen_bounds and seen_socs
+
+
+def bisect_step(cone, u, du, hi=1e6):
+    """sup {alpha in [0, hi] : u + alpha du in K} by bisection on min_eig."""
+    if cone.min_eig(u + hi * du) >= 0:
+        return math.inf
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if cone.min_eig(u + mid * du) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestConeBehaviour:
+    def test_max_step_matches_bisection(self):
+        for rng, q, dims, cone in cases(8):
+            u = interior(rng, q, dims, margin=0.5)
+            du = rng.normal(size=u.size) * u.max()
+            alpha = cone.max_step(u, du)
+            want = bisect_step(cone, u, du)
+            if math.isinf(want):
+                assert math.isinf(alpha)
+            else:
+                assert abs(alpha - want) <= 1e-7 * max(1.0, want)
+                assert cone.min_eig(u + 0.999 * alpha * du) >= 0
+                assert cone.min_eig(u + 1.001 * alpha * du) < 0
+
+    def test_max_step_inf_for_directions_inside_the_cone(self):
+        for rng, q, dims, cone in cases(9):
+            u = interior(rng, q, dims)
+            assert cone.max_step(u, interior(rng, q, dims)) == math.inf
+            assert cone.max_step(u, np.zeros(u.size)) == math.inf
+
+    def test_nesterov_todd_identities(self):
+        for rng, q, dims, cone in cases(10):
+            s, z = interior(rng, q, dims, margin=0.5), interior(rng, q, dims, margin=0.5)
+            scal = _Scaling(cone, s, z)
+            assert np.array_equal(scal.apply_W(z), scal.lam)
+            lam = scal.lam
+            assert np.allclose(scal.apply_Winv(s), lam, rtol=1e-12, atol=1e-12 * np.abs(lam).max())
+            for W, Winv in zip(scal.soc_W, scal.soc_Winv):
+                assert np.allclose(W @ Winv, np.eye(W.shape[0]), rtol=0.0, atol=1e-12)
+                assert np.array_equal(W, W.T)
