@@ -89,6 +89,7 @@ from .solver import (
     SolveSettings,
     interior_point_backend,
     solve,
+    solve_batch,
     solve_with_oracle,
 )
 

@@ -7,8 +7,10 @@ finite-pitch screw, torque magnitude for an infinite-pitch one).
 ``metric_sweep`` tabulates eta over a parameter grid, tolerating per-point
 failures (a sweep routinely runs past the pose where the task becomes
 infeasible), and ``gws_sample`` probes the grasp wrench space boundary along
-a set of screw directions.  Every job solves its points one after another on
-the calling thread.
+a set of screw directions.  The three multi-point jobs compile every point,
+then hand all programs to ``solver.solve_batch``, which runs the points of one
+structure as one stacked interior-point solve with the same results as
+solving each alone.  ``local_metric`` solves its one program alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import ScrewGraspError
 from .problem import ConicProgram, GraspProblem, compile_program
 from .screws import TaskScrew
-from .solver import SolveResult, SolveSettings, solve
+from .solver import SolveResult, SolveSettings, solve, solve_batch
 
 ACTIVE_TOL = 1e-6
 
@@ -33,6 +35,10 @@ class MetricResult:
     ``eta`` is present only for Optimal solves.  A negative eta means the
     grasp cannot even null the external wrench along the task direction; it
     is reported as-is with ``warning`` set rather than clamped.
+
+    ``wall_ms`` is the compile and solve time of this point; for a point of a
+    ``global_metric`` path, solved in one batch with the others, it is the
+    point's own compile time plus an equal share of the batch's solve time.
     """
 
     eta: float | None
@@ -84,15 +90,7 @@ def active_constraints(prog: ConicProgram, x, tol: float = ACTIVE_TOL) -> tuple[
     return tuple(active)
 
 
-def local_metric(
-    p: GraspProblem, direction: int = +1, settings: SolveSettings | None = None, trace=None
-) -> MetricResult:
-    """Compile and solve one scenario along +/- the task screw."""
-    settings = settings or SolveSettings()
-    t0 = time.perf_counter()
-    prog = compile_program(p, direction=direction)
-    res = solve(prog, settings, trace=trace)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+def _metric_result(prog: ConicProgram, res: SolveResult, direction: int, wall_ms: float) -> MetricResult:
     eta = res.objective if res.status == "Optimal" else None
     warning = None
     if eta is not None and eta < 0:
@@ -112,13 +110,49 @@ def local_metric(
     )
 
 
+def local_metric(
+    p: GraspProblem, direction: int = +1, settings: SolveSettings | None = None, trace=None
+) -> MetricResult:
+    """Compile and solve one scenario along +/- the task screw."""
+    settings = settings or SolveSettings()
+    t0 = time.perf_counter()
+    prog = compile_program(p, direction=direction)
+    res = solve(prog, settings, trace=trace)
+    return _metric_result(prog, res, direction, (time.perf_counter() - t0) * 1e3)
+
+
+def _solve_points(progs: list[ConicProgram], settings, errors) -> tuple[list, float]:
+    """(results, solve ms per program) of one batched solve.  If the solver
+    rejects a program (a ScrewGraspError, raised before any solve), every
+    program is solved alone, and one that raises one of ``errors`` gets its
+    exception in place of a result.  Any other error of the batch propagates."""
+    t0 = time.perf_counter()
+    try:
+        results = solve_batch(progs, settings)
+    except ScrewGraspError:
+        results = []
+        for prog in progs:
+            try:
+                results.append(solve(prog, settings))
+            except errors as exc:
+                results.append(exc)
+    return results, (time.perf_counter() - t0) * 1e3 / max(1, len(progs))
+
+
 def global_metric(
     path: list[PathPoint], direction: int = +1, settings: SolveSettings | None = None
 ) -> GlobalMetricResult:
     """Minimum local metric over a discretized path (the whole-task metric)."""
     if not path:
         raise ValueError("path must contain at least one point")
-    per_point = tuple(local_metric(pt.problem, direction, settings) for pt in path)
+    progs, compile_ms = [], []
+    for pt in path:
+        t0 = time.perf_counter()
+        progs.append(compile_program(pt.problem, direction=direction))
+        compile_ms.append((time.perf_counter() - t0) * 1e3)
+    results, share = _solve_points(progs, settings, errors=())  # an exception ends the path
+    per_point = tuple(_metric_result(prog, res, direction, ms + share)
+                      for prog, res, ms in zip(progs, results, compile_ms))
     failures = tuple(pt.label or f"#{i}" for i, (pt, r) in enumerate(zip(path, per_point))
                      if r.status != "Optimal")
     if failures:
@@ -134,6 +168,10 @@ def global_metric(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point of a sweep.  ``wall_ms`` is the point's own compile time
+    plus an equal share of the sweep's batched solve time; for a point that
+    failed to build or compile, the time until it failed."""
+
     parameter: float
     eta: float | None
     status: str
@@ -150,19 +188,29 @@ def metric_sweep(
     """Evaluate ``family(value)`` at every grid value, in grid order.
 
     ``family`` maps a parameter value to a GraspProblem.  A point that fails
-    to build or solve is recorded, not fatal.
+    to build, compile or solve is recorded, not fatal.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid must be nonempty")
-    rows = []
-    for value in grid:
+    rows: list = [None] * len(grid)
+    progs, at, compile_ms = [], [], []
+    for i, value in enumerate(grid):
         t0 = time.perf_counter()
         try:
-            r = local_metric(family(value), direction, settings)
-            rows.append(SweepRow(value, r.eta, r.status, r.iterations, r.wall_ms))
+            progs.append(compile_program(family(value), direction))
         except Exception as exc:  # per-point failures must not kill the sweep
-            rows.append(SweepRow(value, None, f"error: {exc}", 0, (time.perf_counter() - t0) * 1e3))
+            rows[i] = SweepRow(value, None, f"error: {exc}", 0, (time.perf_counter() - t0) * 1e3)
+            continue
+        at.append(i)
+        compile_ms.append((time.perf_counter() - t0) * 1e3)
+    results, share = _solve_points(progs, settings, Exception)
+    for i, ms, res in zip(at, compile_ms, results):
+        if isinstance(res, Exception):
+            rows[i] = SweepRow(grid[i], None, f"error: {res}", 0, ms + share)
+        else:
+            eta = res.objective if res.status == "Optimal" else None
+            rows[i] = SweepRow(grid[i], eta, res.status, res.iterations, ms + share)
     return rows
 
 
@@ -178,17 +226,23 @@ class RaySupport:
 def gws_sample(p: GraspProblem, directions, settings: SolveSettings | None = None) -> list[RaySupport]:
     """Boundary of the grasp wrench space along a set of screw directions.
 
-    Each direction is solved independently; failed rays are tagged with their
-    solver status instead of aborting the sweep.
+    Each direction is its own program (all solved in one batch); failed rays
+    are tagged with their solver status instead of aborting the sweep.
     """
     settings = settings or SolveSettings()
-    out: list[RaySupport] = []
-    for screw in directions:
+    directions = list(directions)
+    out: list = [None] * len(directions)
+    progs, at = [], []
+    for i, screw in enumerate(directions):
         try:
-            res = solve(compile_program(replace(p, task=screw), direction=+1), settings)
+            progs.append(compile_program(replace(p, task=screw), direction=+1))
+            at.append(i)
         except ScrewGraspError as exc:
-            out.append(RaySupport(screw=screw, eta=None, status=f"error: {exc}"))
-            continue
-        eta = res.objective if res.status == "Optimal" else None
-        out.append(RaySupport(screw=screw, eta=eta, status=res.status))
+            out[i] = RaySupport(screw=screw, eta=None, status=f"error: {exc}")
+    for i, res in zip(at, _solve_points(progs, settings, ScrewGraspError)[0]):
+        if isinstance(res, Exception):
+            out[i] = RaySupport(screw=directions[i], eta=None, status=f"error: {res}")
+        else:
+            eta = res.objective if res.status == "Optimal" else None
+            out[i] = RaySupport(screw=directions[i], eta=eta, status=res.status)
     return out

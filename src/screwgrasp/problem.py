@@ -33,7 +33,14 @@ from .contacts import (
     SfceParams,
 )
 from .errors import CompileError, ScrewGraspError
-from .screws import TaskScrew, Wrench, adjoint_matrix, check_rotation, screw_to_unit_wrench
+from .screws import (
+    TaskScrew,
+    Wrench,
+    adjoint_matrix,
+    adjoint_matrix_unchecked,
+    check_rotation,
+    screw_to_unit_wrench,
+)
 
 _SFCE_KEEP = ("f_t", "f_o", "f_n", "m_n")
 _PCWF_KEEP = ("f_t", "f_o", "f_n")
@@ -159,11 +166,11 @@ def grasp_map(contacts) -> np.ndarray:
     """
     blocks = []
     for c in contacts:
-        if hasattr(c, "rotation"):
-            R, p = c.rotation, c.position
+        if isinstance(c, (ManipulatorContact, EnvironmentContact)):  # rotation checked when built
+            blocks.append(adjoint_matrix_unchecked(c.rotation, c.position))
         else:
-            R, p = c
-        blocks.append(adjoint_matrix(check_rotation(R), p))
+            R, p = (c.rotation, c.position) if hasattr(c, "rotation") else c
+            blocks.append(adjoint_matrix(R, p))
     if not blocks:
         return np.zeros((6, 0))
     return np.hstack(blocks)
@@ -322,7 +329,7 @@ def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
     socs: list[SocBlock] = []
 
     for cs, (group, idx, contact) in zip(slices, all_contacts):
-        G6 = adjoint_matrix(contact.rotation, contact.position)
+        G6 = adjoint_matrix_unchecked(contact.rotation, contact.position)  # checked when built
         for k, comp in enumerate(cs.components):
             F[:6, cs.start + k] = G6[:, LOCAL_COMPONENTS.index(comp)]
         if cs.kind == "fixed":

@@ -154,7 +154,13 @@ def adjoint_matrix(R: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     Maps a local wrench [f; m] to [R f ; p x (R f) + R m].
     """
-    R = check_rotation(R)
+    return adjoint_matrix_unchecked(check_rotation(R), p)
+
+
+def adjoint_matrix_unchecked(R: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``adjoint_matrix`` for an R already validated by ``check_rotation``
+    (a contact's rotation is checked when the contact is built); R is not
+    checked again."""
     p = np.asarray(p, dtype=float).reshape(3)
     G = np.zeros((6, 6))
     G[:3, :3] = R

@@ -1,0 +1,199 @@
+"""Batched solves give the bytes of solving each program alone.
+
+``solver.solve_batch`` runs programs of one structure as one stacked
+interior-point loop.  Every result here is compared with ``solver.solve`` of
+the same program through ``result_bytes`` of ``tools/solve_digest.py``:
+status, iterations, objective, certificate, residuals and primal bytes.
+"""
+
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import mkprog, soc
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from solve_digest import result_bytes  # noqa: E402
+from screwgrasp import metric, solver  # noqa: E402
+from screwgrasp.cli import _subspace_directions  # noqa: E402
+from screwgrasp.errors import ScrewGraspError, SolverDataError  # noqa: E402
+from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep  # noqa: E402
+from screwgrasp.problem import compile_program  # noqa: E402
+from screwgrasp.scenarios import builtin_scenario  # noqa: E402
+from screwgrasp.screws import Wrench, wrench_to_screw  # noqa: E402
+from screwgrasp.solver import SolveSettings, solve, solve_batch  # noqa: E402
+
+THETAS = np.radians(np.linspace(0.0, 40.0, 41))
+ALPHAS = np.radians(np.arange(0, 61, 10))
+
+
+def door_progs(x_c: float, direction: int) -> list:
+    return [compile_program(builtin_scenario("door_handle", x_c=x_c, theta=float(t)).problem(), direction)
+            for t in THETAS]
+
+
+def cuboid_progs(name: str, direction: int) -> list:
+    return [compile_program(builtin_scenario(name, alpha=float(a), x_E=x_E).problem(), direction)
+            for x_E in (0.06, 0.09, 0.12) for a in ALPHAS]
+
+
+def assert_same_as_alone(progs, settings=None):
+    batch = solve_batch(progs, settings)
+    assert len(batch) == len(progs)
+    for i, (prog, res) in enumerate(zip(progs, batch)):
+        assert result_bytes(res) == result_bytes(solve(prog, settings)), f"program {i}"
+    return batch
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("x_c", [0.0, 0.05, 0.10, 0.15])
+def test_door_acceptance_sweeps(x_c, direction):
+    batch = assert_same_as_alone(door_progs(x_c, direction))
+    assert {r.status for r in batch} == {"Optimal"}
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("name", ["cuboid_pivot", "cuboid_slide"])
+def test_pivot_and_slide_grids(name, direction):
+    batch = assert_same_as_alone(cuboid_progs(name, direction))
+    # instances stop at different iterations and leave the stack one by one
+    assert len({r.iterations for r in batch}) > 1
+
+
+def test_gws_cuboid_slide_64_rays():
+    """The 962 rays of ``gws --builtin cuboid_slide --rays 64``."""
+    p = builtin_scenario("cuboid_slide").problem()
+    screws = []
+    for d in _subspace_directions(3, 64):
+        w6 = np.zeros(6)
+        w6[[0, 2, 4]] = d  # fx, fz, ty
+        screws.append(wrench_to_screw(Wrench.from_array(w6)).axis)
+    progs = [compile_program(replace(p, task=s), +1) for s in screws]
+    assert len(progs) == 962
+    batch = assert_same_as_alone(progs)
+    rays = gws_sample(p, screws)
+    assert [(r.status, r.eta) for r in rays] == [
+        (b.status, b.objective if b.status == "Optimal" else None) for b in batch]
+
+
+def test_iteration_limit_for_every_instance():
+    settings = SolveSettings(max_iterations=3)
+    batch = assert_same_as_alone(door_progs(0.05, +1), settings)
+    assert {(r.status, r.iterations) for r in batch} == {("IterationLimit", 3)}
+
+
+def test_two_structures_keep_input_order():
+    door, pivot = door_progs(0.0, +1)[:6], cuboid_progs("cuboid_pivot", +1)[:6]
+    mixed = [prog for pair in zip(door, pivot) for prog in pair] + door[6:7]
+    batch = assert_same_as_alone(mixed)
+    assert len({r.iterations for r in batch[0::2]} & {r.iterations for r in batch[1::2]}) == 0
+
+
+def test_groups_below_min_batch_are_solved_alone(monkeypatch):
+    sizes = []
+    run = solver._ipm_batch
+    monkeypatch.setattr(solver, "_ipm_batch", lambda progs, sf, st: sizes.append(len(progs)) or run(progs, sf, st))
+    pivot = cuboid_progs("cuboid_pivot", +1)[:solver._MIN_BATCH]
+    assert_same_as_alone(door_progs(0.0, +1)[: solver._MIN_BATCH - 1] + pivot)
+    assert sizes == [solver._MIN_BATCH]
+
+
+def test_presolve_exits_and_reduced_shapes_within_a_group(monkeypatch):
+    """One structure before presolve (3 variables, 2 equality rows, one
+    cone): full-rank members; consistent rank-deficient members, which lose a
+    row and a pinned column in presolve and so form a batch of their own; an
+    inconsistent member and a free-ray member, each solved alone."""
+    cone = (soc([[0, 0, 1]], [0], [1, 1, 0], 1.0),)  # |x3| <= x1 + x2 + 1
+
+    def full(a, b):
+        return mkprog([0, 0, 1], [[1, 0, 0], [0, 1, 0]], [a, b], cone)
+
+    def deficient(s, shift=0.0, f=(0, 0, 1)):
+        return mkprog(f, [[1, 1, 0], [2, 2, 0]], [s, 2 * s + shift], cone)
+
+    batches = []
+    run = solver._ipm_batch
+    monkeypatch.setattr(solver, "_ipm_batch", lambda progs, sf, st: batches.append(len(progs)) or run(progs, sf, st))
+    progs = [full(0.5, 0.2), deficient(0.3), full(1.0, -0.5), deficient(0.3, shift=1.0),
+             deficient(0.7), full(0.1, 0.1), deficient(0.2, f=(1, -1, 1)), deficient(-0.4),
+             full(-0.3, 0.4), deficient(0.5)]
+    batch = assert_same_as_alone(progs)
+    assert [r.status for r in batch] == ["Optimal", "Optimal", "Optimal", "Infeasible",
+                                         "Optimal", "Optimal", "Unbounded", "Optimal",
+                                         "Optimal", "Optimal"]
+    assert abs(batch[0].objective - 1.7) < 1e-7 and abs(batch[1].objective - 1.3) < 1e-7
+    assert sorted(batches) == [4, 4]
+
+
+def test_rejected_program_raises_before_solving():
+    progs = door_progs(0.0, +1)[:3]
+    g = progs[1].g.copy()
+    g[0] = np.nan
+    with pytest.raises(SolverDataError):
+        solve_batch([progs[0], replace(progs[1], g=g), progs[2]])
+
+
+def test_sweep_records_failing_points_in_grid_order():
+    def family(theta):
+        if 0.2 < theta < 0.4:
+            raise ScrewGraspError(f"no pose at {theta:.3f}")
+        return builtin_scenario("door_handle", theta=float(theta)).problem()
+
+    rows = metric_sweep(family, THETAS, +1)
+    assert [r.parameter for r in rows] == list(THETAS)
+    for theta, row in zip(THETAS, rows):
+        if 0.2 < theta < 0.4:
+            assert row.status == f"error: no pose at {theta:.3f}"
+            assert row.eta is None and row.iterations == 0
+        else:
+            alone = local_metric(family(theta), +1)
+            assert (row.status, row.eta, row.iterations) == (alone.status, alone.eta, alone.iterations)
+    assert sum(r.status.startswith("error: ") for r in rows) == 11
+
+
+def test_sweep_point_the_solver_rejects_is_its_own_row(monkeypatch):
+    """If the solver rejects one point's program, only that row records it."""
+    compile_one, compiled = metric.compile_program, []
+
+    def poison_third(p, direction):
+        prog = compile_one(p, direction)
+        compiled.append(prog)
+        if len(compiled) == 3:
+            prog = replace(prog, g=np.full_like(prog.g, np.inf))
+        return prog
+
+    monkeypatch.setattr(metric, "compile_program", poison_third)
+    family = lambda v: builtin_scenario("cuboid_pivot", alpha=float(v)).problem()  # noqa: E731
+    rows = metric_sweep(family, ALPHAS, +1)
+    assert rows[2].status == "error: program rhs contains NaN/Inf"
+    for i in (0, 1, 3, 4, 5, 6):
+        alone = solve(compiled[i])
+        assert (rows[i].status, rows[i].eta, rows[i].iterations) == (alone.status, alone.objective, alone.iterations)
+
+
+def test_batch_defect_is_not_retried_point_by_point(monkeypatch):
+    """Only a rejected program sends a job back to solving its points alone;
+    any other error of the batched run surfaces instead of costing speed."""
+    def broken(progs, sf, settings):
+        raise IndexError("defect in the batched loop")
+
+    monkeypatch.setattr(solver, "_ipm_batch", broken)
+    family = lambda v: builtin_scenario("cuboid_pivot", alpha=float(v)).problem()  # noqa: E731
+    with pytest.raises(IndexError, match="defect in the batched loop"):
+        metric_sweep(family, ALPHAS, +1)
+    with pytest.raises(IndexError, match="defect in the batched loop"):
+        gws_sample(family(0.0), [builtin_scenario("cuboid_pivot").problem().task] * solver._MIN_BATCH)
+
+
+def test_global_metric_per_point_matches_local_metric():
+    path = [PathPoint(float(t), builtin_scenario("door_handle", theta=float(t)).problem(), f"{t:.2f}")
+            for t in THETAS[::5]]
+    res = global_metric(path, +1)
+    for pt, r in zip(path, res.per_point):
+        alone = local_metric(pt.problem, +1)
+        assert result_bytes(r.solve_result) == result_bytes(alone.solve_result)
+        assert (r.eta, r.active_constraints, r.warning) == (alone.eta, alone.active_constraints, alone.warning)

@@ -1,17 +1,24 @@
-"""Print one SHA-256 over the solver's results on the benchmark's inputs.
+"""Print SHA-256 digests over the solver's results on the benchmark's inputs.
 
 A change meant to speed the solver up without changing its arithmetic must
-leave this digest unchanged.  Run it at the parent commit and at the change,
-from the root of each checkout, and compare the two lines:
+leave both digests unchanged.  Run it at the parent commit and at the change,
+from the root of each checkout, and compare the outputs:
 
     python3 tools/solve_digest.py
 
-The inputs are those of ``perfbench/workloads.py``: every ``eval_grid`` point
-(compiled and solved with the default settings), and every draw of the
-2000-draw ``fuzz_oracle`` corpus, solved by the interior-point method and by
-the LP oracle with the benchmark's settings.  Each result contributes its
-status, iteration count, objective, certificate, residuals and primal bytes.
-Takes about a minute.
+The first digest (second line) covers the inputs of ``perfbench/workloads.py``:
+every ``eval_grid`` point (compiled and solved alone with the default
+settings), and every draw of the 2000-draw ``fuzz_oracle`` corpus, solved by
+the interior-point method and by the LP oracle with the benchmark's settings.
+Each result contributes its status, iteration count, objective, certificate,
+residuals and primal bytes.
+
+The sweep digest (third line) covers the multi-point jobs: the
+``metric_sweep`` rows of the four ``batch_cli`` sweep jobs (run through the
+CLI) and of the door acceptance sweeps (x_c in 0, 0.05, 0.10, 0.15; 41 angles;
+both directions), each row's status, iteration count and eta bytes, and the
+``gws_sample`` rays of ``gws --builtin cuboid_slide --rays 64``, each ray's
+status and eta bytes.  Takes under a minute.
 """
 
 from __future__ import annotations
@@ -19,13 +26,16 @@ from __future__ import annotations
 import hashlib
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
+import numpy as np  # noqa: E402
+
 from perfbench import workloads  # noqa: E402  (puts this checkout's src/ on sys.path)
-from screwgrasp import problem, scenarios, solver  # noqa: E402
+from screwgrasp import cli, metric, problem, scenarios, solver  # noqa: E402
 
 
 def result_bytes(res: solver.SolveResult) -> bytes:
@@ -35,6 +45,49 @@ def result_bytes(res: solver.SolveResult) -> bytes:
     primal = b"none" if res.primal is None else res.primal.astype("<f8").tobytes()
     text = f"{res.status}|{res.iterations}|{res.certificate}|".encode()
     return text + objective + resid + primal
+
+
+def eta_bytes(eta: float | None) -> bytes:
+    return b"none" if eta is None else struct.pack("<d", eta)
+
+
+def cli_results(argv: list[str], name: str) -> list:
+    """What ``cli.<name>`` (metric_sweep or gws_sample) returned while the CLI ran ``argv``."""
+    original, captured = getattr(cli, name), []
+
+    def record(*args, **kwargs):
+        captured.append(original(*args, **kwargs))
+        return captured[-1]
+
+    setattr(cli, name, record)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _ = workloads.run_cli_job(argv, Path(tmp) / "out.csv")
+    finally:
+        setattr(cli, name, original)
+    if code != 0 or len(captured) != 1:
+        raise RuntimeError(f"{argv} exited {code} after {len(captured)} call(s) of {name}")
+    return captured[0]
+
+
+def sweep_digest() -> str:
+    """The sweep digest line: CLI sweeps, door acceptance sweeps, 64-ray GWS."""
+    digest = hashlib.sha256()
+    rows = []
+    for _name, argv in workloads.BATCH_JOBS:
+        if argv[0] == "sweep":
+            rows += cli_results(list(argv), "metric_sweep")
+    thetas = np.radians(np.linspace(0.0, 40.0, 41))
+    for x_c in (0.0, 0.05, 0.10, 0.15):
+        family = scenarios.scenario_family(scenarios.builtin_scenario("door_handle", x_c=x_c), "theta")
+        for direction in (+1, -1):
+            rows += metric.metric_sweep(family, thetas, direction)
+    for r in rows:
+        digest.update(f"{r.status}|{r.iterations}|".encode() + eta_bytes(r.eta))
+    rays = cli_results(["gws", "--builtin", "cuboid_slide", "--rays", "64"], "gws_sample")
+    for ray in rays:
+        digest.update(f"{ray.status}|".encode() + eta_bytes(ray.eta))
+    return f"sweep_rows={len(rows)} gws_rays={len(rays)} sweep_digest={digest.hexdigest()}"
 
 
 def main() -> int:
@@ -54,6 +107,7 @@ def main() -> int:
             counts["fuzz_oracle"] += 1
     print(" ".join(f"{k}={v}" for k, v in counts.items()), f"results={sum(counts.values())}")
     print(digest.hexdigest())
+    print(sweep_digest())
     return 0
 
 
