@@ -87,7 +87,6 @@ from .solver import (
     Residuals,
     SolveResult,
     SolveSettings,
-    interior_point_backend,
     solve,
     solve_batch,
     solve_with_oracle,

@@ -70,8 +70,8 @@ class RunConfig:
     scenario_path: str | None = None
     task: str | None = None
     direction: int = +1
-    overrides: dict[str, float] = field(default_factory=dict)
-    sweep: tuple[str, float, float, int] | None = None
+    overrides: dict[str, str] = field(default_factory=dict)  # values as typed, parsed against the scenario
+    sweep: tuple[str, str, str, int] | None = None  # param, start and stop as typed, count
     facets: int = 64
     max_rel_gap: float = 0.02
     out: str | None = None
@@ -203,7 +203,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep is None:
         raise CliError("sweep requires --sweep PARAM=START:STOP:COUNT")
     scenario = _resolve_scenario(cfg)
-    param, start, stop, count = cfg.sweep
+    param, start_s, stop_s, count = cfg.sweep
+    # the bounds may carry unit suffixes that need the family's L
+    length = None if scenario.family is None else scenario.family.params.get("L")
+    start, stop = _parse_quantity(start_s, length), _parse_quantity(stop_s, length)
     try:
         family = scenario_family(scenario, param, cfg.task)
     except ScrewGraspError as exc:
@@ -396,19 +399,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         cfg = _config_from_args(args)
-        if cfg.sweep is not None:
-            # sweep bounds may carry unit suffixes that need the family's L
-            scenario = _resolve_scenario(cfg)
-            length = None
-            if scenario.family is not None:
-                length = scenario.family.params.get("L")
-            param, start_s, stop_s, count = cfg.sweep
-            cfg.sweep = (
-                param,
-                _parse_quantity(start_s, length),
-                _parse_quantity(stop_s, length),
-                count,
-            )
         handler = {
             "eval": cmd_eval,
             "sweep": cmd_sweep,

@@ -37,6 +37,19 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+def _set_pose(contact) -> None:
+    """Store a contact's rotation (checked to be in SO(3)) and position (3
+    finite entries) as read-only float copies."""
+    R = check_rotation(contact.rotation).copy()
+    R.setflags(write=False)
+    p = np.asarray(contact.position, dtype=float).reshape(3).copy()
+    if not np.all(np.isfinite(p)):
+        raise ScrewGraspError("contact position must be finite")
+    p.setflags(write=False)
+    object.__setattr__(contact, "rotation", R)
+    object.__setattr__(contact, "position", p)
+
+
 @dataclass(frozen=True)
 class SfceParams:
     """Soft-finger elliptic cone: friction coefficient mu, tangential
@@ -136,15 +149,7 @@ class ManipulatorContact:
     f_n_max: float = 1e6
 
     def __post_init__(self):
-        R = check_rotation(self.rotation)
-        R = R.copy()
-        R.setflags(write=False)
-        p = np.asarray(self.position, dtype=float).reshape(3).copy()
-        if not np.all(np.isfinite(p)):
-            raise ScrewGraspError("contact position must be finite")
-        p.setflags(write=False)
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "position", p)
+        _set_pose(self)
         object.__setattr__(self, "f_n_max", _positive("f_n_max", self.f_n_max))
 
 
@@ -164,14 +169,7 @@ class EnvironmentContact:
     f_n_max: float | None = None
 
     def __post_init__(self):
-        R = check_rotation(self.rotation).copy()
-        R.setflags(write=False)
-        p = np.asarray(self.position, dtype=float).reshape(3).copy()
-        if not np.all(np.isfinite(p)):
-            raise ScrewGraspError("contact position must be finite")
-        p.setflags(write=False)
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "position", p)
+        _set_pose(self)
         if self.f_n_min is not None:
             f_n_min = float(self.f_n_min)
             if not (np.isfinite(f_n_min) and f_n_min >= 0.0):

@@ -22,7 +22,9 @@ class CompileError(ScrewGraspError):
 
 
 class SolverDataError(ScrewGraspError):
-    """Conic program data contains NaN/Inf or inconsistent dimensions."""
+    """Conic program data contains NaN/Inf, NaN bounds or a lower bound above
+    its upper bound; raised when the ConicProgram or SocBlock is built.
+    Inconsistent dimensions are a CompileError."""
 
 
 class UnsupportedProgramError(ScrewGraspError):

@@ -10,7 +10,10 @@ infeasible), and ``gws_sample`` probes the grasp wrench space boundary along
 a set of screw directions.  The three multi-point jobs compile every point,
 then hand all programs to ``solver.solve_batch``, which runs the points of one
 structure as one stacked interior-point solve with the same results as
-solving each alone.  ``local_metric`` solves its one program alone.
+solving each alone; ``local_metric`` calls ``solver.solve``, the one-program
+case of the same path.  A program the solver could not take (NaN/Inf data,
+crossed bounds) fails when it is compiled, so in a sweep or GWS probe it is
+that point's error row and every compiled program reaches the solver.
 """
 
 from __future__ import annotations
@@ -121,21 +124,10 @@ def local_metric(
     return _metric_result(prog, res, direction, (time.perf_counter() - t0) * 1e3)
 
 
-def _solve_points(progs: list[ConicProgram], settings, errors) -> tuple[list, float]:
-    """(results, solve ms per program) of one batched solve.  If the solver
-    rejects a program (a ScrewGraspError, raised before any solve), every
-    program is solved alone, and one that raises one of ``errors`` gets its
-    exception in place of a result.  Any other error of the batch propagates."""
+def _solve_points(progs: list[ConicProgram], settings) -> tuple[list, float]:
+    """(results, solve ms per program) of one batched solve."""
     t0 = time.perf_counter()
-    try:
-        results = solve_batch(progs, settings)
-    except ScrewGraspError:
-        results = []
-        for prog in progs:
-            try:
-                results.append(solve(prog, settings))
-            except errors as exc:
-                results.append(exc)
+    results = solve_batch(progs, settings)
     return results, (time.perf_counter() - t0) * 1e3 / max(1, len(progs))
 
 
@@ -150,7 +142,7 @@ def global_metric(
         t0 = time.perf_counter()
         progs.append(compile_program(pt.problem, direction=direction))
         compile_ms.append((time.perf_counter() - t0) * 1e3)
-    results, share = _solve_points(progs, settings, errors=())  # an exception ends the path
+    results, share = _solve_points(progs, settings)
     per_point = tuple(_metric_result(prog, res, direction, ms + share)
                       for prog, res, ms in zip(progs, results, compile_ms))
     failures = tuple(pt.label or f"#{i}" for i, (pt, r) in enumerate(zip(path, per_point))
@@ -188,7 +180,8 @@ def metric_sweep(
     """Evaluate ``family(value)`` at every grid value, in grid order.
 
     ``family`` maps a parameter value to a GraspProblem.  A point that fails
-    to build, compile or solve is recorded, not fatal.
+    to build or compile is an ``error: ...`` row, one that fails to solve
+    has its solver status; neither is fatal.
     """
     grid = list(grid)
     if not grid:
@@ -204,13 +197,10 @@ def metric_sweep(
             continue
         at.append(i)
         compile_ms.append((time.perf_counter() - t0) * 1e3)
-    results, share = _solve_points(progs, settings, Exception)
+    results, share = _solve_points(progs, settings)
     for i, ms, res in zip(at, compile_ms, results):
-        if isinstance(res, Exception):
-            rows[i] = SweepRow(grid[i], None, f"error: {res}", 0, ms + share)
-        else:
-            eta = res.objective if res.status == "Optimal" else None
-            rows[i] = SweepRow(grid[i], eta, res.status, res.iterations, ms + share)
+        eta = res.objective if res.status == "Optimal" else None
+        rows[i] = SweepRow(grid[i], eta, res.status, res.iterations, ms + share)
     return rows
 
 
@@ -239,10 +229,7 @@ def gws_sample(p: GraspProblem, directions, settings: SolveSettings | None = Non
             at.append(i)
         except ScrewGraspError as exc:
             out[i] = RaySupport(screw=screw, eta=None, status=f"error: {exc}")
-    for i, res in zip(at, _solve_points(progs, settings, ScrewGraspError)[0]):
-        if isinstance(res, Exception):
-            out[i] = RaySupport(screw=directions[i], eta=None, status=f"error: {res}")
-        else:
-            eta = res.objective if res.status == "Optimal" else None
-            out[i] = RaySupport(screw=directions[i], eta=eta, status=res.status)
+    for i, res in zip(at, _solve_points(progs, settings)[0]):
+        eta = res.objective if res.status == "Optimal" else None
+        out[i] = RaySupport(screw=directions[i], eta=eta, status=res.status)
     return out

@@ -19,6 +19,7 @@ remains and where.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from .contacts import (
     PcwfParams,
     SfceParams,
 )
-from .errors import CompileError, ScrewGraspError
+from .errors import CompileError, ScrewGraspError, SolverDataError
 from .screws import (
     TaskScrew,
     Wrench,
@@ -46,6 +47,13 @@ _SFCE_KEEP = ("f_t", "f_o", "f_n", "m_n")
 _PCWF_KEEP = ("f_t", "f_o", "f_n")
 
 
+def _read_only(v) -> np.ndarray:
+    """A read-only float copy of v."""
+    v = np.array(v, dtype=float)
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class ExternalWrench:
     """Constant external load: force (N) at ``application_point`` (m) plus a
@@ -57,10 +65,9 @@ class ExternalWrench:
 
     def __post_init__(self):
         for name in ("force", "moment", "application_point"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(3).copy()
+            v = _read_only(getattr(self, name)).reshape(3)
             if not np.all(np.isfinite(v)):
                 raise ScrewGraspError(f"external wrench {name} must be finite")
-            v.setflags(write=False)
             object.__setattr__(self, name, v)
 
     def is_zero(self) -> bool:
@@ -98,10 +105,9 @@ class TorqueModel:
             raise ScrewGraspError("jacobian must be a 2-D matrix")
         l = J.shape[1]
         for name in ("tau_g", "tau_min", "tau_max"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(l).copy()
+            v = _read_only(getattr(self, name)).reshape(l)
             if not np.all(np.isfinite(v)):
                 raise ScrewGraspError(f"torque model {name} must be finite")
-            v.setflags(write=False)
             object.__setattr__(self, name, v)
         if np.any(self.tau_min > self.tau_max):
             raise ScrewGraspError("tau_min must not exceed tau_max componentwise")
@@ -121,9 +127,7 @@ class TorqueModel:
                     raise ScrewGraspError("jacobian is not block-diagonal per manipulator")
                 col += d
             object.__setattr__(self, "dofs", dofs)
-        J = J.copy()
-        J.setflags(write=False)
-        object.__setattr__(self, "jacobian", J)
+        object.__setattr__(self, "jacobian", _read_only(J))
 
     @property
     def n_joints(self) -> int:
@@ -230,7 +234,8 @@ class ConeTag:
 
 @dataclass(frozen=True)
 class SocBlock:
-    """One second-order cone constraint ||A x + b|| <= c'x + d."""
+    """One second-order cone constraint ||A x + b|| <= c'x + d.  Its arrays
+    are stored as read-only copies and must be finite."""
 
     A: np.ndarray
     b: np.ndarray
@@ -239,11 +244,22 @@ class SocBlock:
     tag: ConeTag | None = None
     label: str = ""
 
+    def __post_init__(self):
+        for name in ("A", "b", "c"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
+                and np.isfinite(self.c).all() and math.isfinite(self.d)):
+            raise SolverDataError(f"SOC block {self.label!r} contains NaN/Inf")
+
 
 @dataclass(frozen=True)
 class ConicProgram:
     """Standard-shape conic program: maximize f'x subject to F x = g, SOC
-    blocks, and box bounds (+-inf where absent)."""
+    blocks, and box bounds (+-inf where absent).
+
+    A program is valid once built: its arrays are stored as read-only copies,
+    inconsistent dimensions raise CompileError, and NaN/Inf data, NaN bounds
+    or lb > ub raise SolverDataError, so every solver entry accepts it."""
 
     f: np.ndarray
     F: np.ndarray
@@ -258,6 +274,8 @@ class ConicProgram:
         return self.f.shape[0]
 
     def __post_init__(self):
+        for name in ("f", "F", "g", "lb", "ub"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         n = self.f.shape[0]
         if self.F.shape != (self.g.shape[0], n) or self.lb.shape != (n,) or self.ub.shape != (n,):
             raise CompileError("inconsistent conic program dimensions")
@@ -266,6 +284,13 @@ class ConicProgram:
                 raise CompileError(f"inconsistent SOC block dimensions ({blk.label})")
         if self.layout.n_vars != n:
             raise CompileError("layout does not cover the variable vector")
+        for arr, name in ((self.f, "objective"), (self.F, "equalities"), (self.g, "rhs")):
+            if not np.isfinite(arr).all():
+                raise SolverDataError(f"program {name} contains NaN/Inf")
+        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
+            raise SolverDataError("bounds contain NaN")
+        if (self.lb > self.ub).any():
+            raise SolverDataError("lower bound exceeds upper bound")
 
 
 def _kept_components(contact) -> tuple[str, tuple[str, ...]]:

@@ -18,6 +18,15 @@ bound) and the second-order cones of the contact constraints.  Ruiz
 equilibration conditions the data (contact problems mix N and N.m scales);
 convergence is always measured against the *original* data.
 
+``solve`` is the one-program case of ``solve_batch``, and both take one path:
+programs are grouped by structure, each group is presolved as one stack
+(equilibration and two SVD reductions), the presolve exits (degenerate,
+inconsistent equalities, free ray) are settled in one place, and the rest run
+through the scalar loop ``_ipm`` or, from ``_MIN_BATCH`` programs of one
+reduced shape on, through the stacked loop ``_ipm_batch``.  The two loops
+round each program alike, so a result does not depend on its batch.  Program
+data need no check here: a ``ConicProgram`` is valid once it is built.
+
 ``solve_with_oracle`` is the independent validation path: every contact cone
 is replaced by its inscribed polyhedral approximation and the resulting LP is
 handed to scipy's HiGHS solver, giving a lower bound on the true optimum that
@@ -34,7 +43,7 @@ import scipy.linalg as sla
 from scipy.optimize import linprog
 
 from .contacts import discretize_pcwf, discretize_sfce
-from .errors import SolverDataError, UnsupportedProgramError
+from .errors import UnsupportedProgramError
 from .problem import ConicProgram
 
 _STEP_FRACTION = 0.99
@@ -455,18 +464,9 @@ class _StdForm:
 
 
 def _standardize(prog: ConicProgram) -> _StdForm:
+    """One program in conic standard form.  The program's data were checked
+    when it was built, so every entry is finite and lb <= ub."""
     n = prog.n_vars
-    for arr, name in ((prog.f, "objective"), (prog.F, "equalities"), (prog.g, "rhs")):
-        if not np.all(np.isfinite(arr)):
-            raise SolverDataError(f"program {name} contains NaN/Inf")
-    for blk in prog.socs:
-        if not (np.all(np.isfinite(blk.A)) and np.all(np.isfinite(blk.b)) and np.all(np.isfinite(blk.c)) and np.isfinite(blk.d)):
-            raise SolverDataError(f"SOC block {blk.label!r} contains NaN/Inf")
-    if np.any(np.isnan(prog.lb)) or np.any(np.isnan(prog.ub)):
-        raise SolverDataError("bounds contain NaN")
-    if np.any(prog.lb > prog.ub):
-        raise SolverDataError("lower bound exceeds upper bound")
-
     # rows: -x_j <= -lb_j, then x_j <= ub_j per finite bound, then one block per SOC
     lbi, ubi = np.flatnonzero(np.isfinite(prog.lb)), np.flatnonzero(np.isfinite(prog.ub))
     q = lbi.size + ubi.size
@@ -484,18 +484,22 @@ def _standardize(prog: ConicProgram) -> _StdForm:
         h[at] = blk.d
         h[at + 1 : at + d] = blk.b
         at += d
-    return _StdForm(c=-prog.f.copy(), A=prog.F.copy(), b=prog.g.copy(), G=G, h=h, cone=_Cone(q, soc_dims))
+    return _StdForm(c=-prog.f, A=prog.F, b=prog.g, G=G, h=h, cone=_Cone(q, soc_dims))
 
 
 def _stack(sfs: list[_StdForm]) -> _StdForm:
-    """Standard forms of one structure as one stacked form."""
-    return _StdForm(*(np.stack([getattr(sf, k) for sf in sfs]) for k in "cAbGh"), cone=sfs[0].cone)
+    """Standard forms of one structure as one stacked form; a single form
+    becomes a stack of one by ``[None]`` views, without a copy."""
+    stack = (lambda xs: xs[0][None]) if len(sfs) == 1 else np.stack
+    return _StdForm(*(stack([getattr(sf, k) for sf in sfs]) for k in "cAbGh"), cone=sfs[0].cone)
 
 
-def _take(sf: _StdForm, idx: np.ndarray) -> _StdForm:
-    """Some instances of a stacked form; every array keeps its per-instance
-    memory layout (the basis is a transposed view), so BLAS is called alike."""
-    basis = None if sf.basis is None else np.swapaxes(np.swapaxes(sf.basis, 1, 2)[idx], 1, 2)
+def _take(sf: _StdForm, idx) -> _StdForm:
+    """Instances of a stacked form: an integer gives that program's own form
+    as views, an index array a smaller stack.  Every array keeps its
+    per-instance memory layout (the basis is a transposed view), so BLAS is
+    called alike."""
+    basis = None if sf.basis is None else np.swapaxes(np.swapaxes(sf.basis, -1, -2)[idx], -1, -2)
     return _StdForm(sf.c[idx], sf.A[idx], sf.b[idx], sf.G[idx], sf.h[idx], sf.cone,
                     sf.col_scale[idx], basis)
 
@@ -653,57 +657,111 @@ def solve(
     backend=None,
 ) -> SolveResult:
     """Solve a conic program to optimality or an infeasibility/unboundedness
-    certificate.
+    certificate: the one-program case of ``solve_batch``, with the same result.
 
     ``trace``, if given, is called once per iteration with a dict of the
     iteration number, residuals, gap and embedding variables.  ``backend``
     swaps in an external conic solver with the same
     ``(prog, settings, trace) -> SolveResult`` contract; the default is the
     in-house interior-point method, which the whole acceptance suite runs on.
-    ``solve_batch`` solves many programs at once with the same results.
     """
     if backend is not None:
         return backend(prog, settings, trace)
-    return interior_point_backend(prog, settings, trace)
+    return _solve_all([prog], settings, trace)[0]
 
 
-def interior_point_backend(
-    prog: ConicProgram, settings: SolveSettings | None = None, trace=None
-) -> SolveResult:
-    """The reference solver: HSD primal-dual interior-point method."""
+def solve_batch(progs, settings: SolveSettings | None = None) -> list[SolveResult]:
+    """Solve many conic programs; each result equals ``solve(prog, settings)``
+    byte for byte (status, iterations, objective, certificate, residuals and
+    primal).
+
+    Programs of one structure (variable count, equality shape, finite-bound
+    pattern, cone dimensions and, after presolve, reduced shapes) are
+    presolved as one stack, and from ``_MIN_BATCH`` programs on they run
+    through one interior-point loop over stacked arrays, so numpy's call
+    overhead is paid once per iteration for the group rather than once per
+    program.  Each instance keeps its own termination, certificates, best
+    iterate and failure exits, and leaves the stack when it finishes.
+    """
+    return _solve_all(list(progs), settings)
+
+
+# The smallest group worth a batched run, measured on door, pivot and slide
+# programs (2-core machine, numpy 2.4 with OpenBLAS), presolve included: one
+# instance through the stacked loop takes about 2.6 times as long as through
+# the scalar loop ``_ipm`` (eval_grid run that way drops from 140 to 56
+# solves/s), two take 1.2-2.1 times as long as two single solves, three
+# break even and four take about 0.75 times as long.
+_MIN_BATCH = 4
+
+
+def _solve_all(progs: list[ConicProgram], settings: SolveSettings | None, trace=None) -> list[SolveResult]:
+    """The one solve path of ``solve`` and ``solve_batch``: standardize each
+    program, group the programs by structure, and solve each group.  ``trace``
+    reaches the instances that run through the scalar loop."""
     settings = settings or SolveSettings()
-    sf0 = _standardize(prog)
+    sfs = [_standardize(prog) for prog in progs]
+    groups: dict[tuple, list[int]] = {}
+    for i, prog in enumerate(progs):
+        key = (prog.n_vars, prog.F.shape, np.isfinite(prog.lb).tobytes(),
+               np.isfinite(prog.ub).tobytes(), tuple(blk.A.shape[0] for blk in prog.socs))
+        groups.setdefault(key, []).append(i)
+    results: list = [None] * len(progs)
+    for members in groups.values():
+        while members:
+            members = _solve_group(progs, sfs, members, settings, trace, results)
+    return results
 
-    # degenerate: nothing but the objective
-    if sf0.A.shape[0] == 0 and sf0.G.shape[0] == 0:
-        if np.any(sf0.c):
-            return SolveResult(
-                status="Unbounded", objective=None, primal=None,
-                residuals=Residuals(0.0, 0.0, math.nan), iterations=0,
-                certificate="objective is a free ray (no constraints)",
-            )
-        x = np.zeros(prog.n_vars)
-        return SolveResult("Optimal", 0.0, x, Residuals(0.0, 0.0, 0.0), 0)
 
-    sf_red, inconsistent, _ = _reduce_equalities(_equilibrate(sf0))
-    if inconsistent:
-        return SolveResult(
-            status="Infeasible", objective=None, primal=None,
-            residuals=Residuals(math.inf, 0.0, math.nan), iterations=0,
-            certificate="equality system F x = g is rank-deficient and inconsistent",
-        )
-    sf, free_ray, _ = _reduce_null_columns(sf_red)
-    if free_ray:
-        # the ray proves unboundedness only if the program is feasible at all
-        feas = interior_point_backend(replace(prog, f=np.zeros_like(prog.f)), settings, trace)
+def _solve_group(progs, sfs, members: list[int], settings: SolveSettings, trace, results: list) -> list[int]:
+    """Presolve programs of one structure as a stack and settle the members
+    whose reduced shapes match the first one's: a presolve exit (degenerate,
+    inconsistent, free ray) here, the rest through ``_ipm_batch`` from
+    ``_MIN_BATCH`` members on and through ``_ipm`` below.  Returns the other
+    members, to be presolved again as a stack of their own."""
+    sf0 = _stack([sfs[i] for i in members])
+    if sf0.A.shape[-2] == 0 and sf0.G.shape[-2] == 0:  # degenerate: nothing but the objective
+        for i, c in zip(members, sf0.c):
+            if np.any(c):
+                results[i] = SolveResult("Unbounded", None, None, Residuals(0.0, 0.0, math.nan), 0,
+                                         "objective is a free ray (no constraints)")
+            else:
+                results[i] = SolveResult("Optimal", 0.0, np.zeros(progs[i].n_vars), Residuals(0.0, 0.0, 0.0), 0)
+        return []
+    sf, inconsistent, same = _reduce_equalities(_equilibrate(sf0))
+    infeasible = same & inconsistent
+    for k in np.flatnonzero(infeasible):
+        results[members[k]] = SolveResult(
+            "Infeasible", None, None, Residuals(math.inf, 0.0, math.nan), 0,
+            "equality system F x = g is rank-deficient and inconsistent")
+    live = same & ~inconsistent
+    free_ray = np.zeros_like(live)
+    if live.any():  # else no member needs the second reduction
+        sf, free_ray, same_null = _reduce_null_columns(sf)
+        live &= same_null
+    # a free ray proves unboundedness only if the program is feasible at all
+    free = [members[k] for k in np.flatnonzero(live & free_ray)]
+    feasibility = _solve_all([replace(progs[i], f=np.zeros(progs[i].n_vars)) for i in free], settings, trace)
+    for i, feas in zip(free, feasibility):
         if feas.status != "Optimal":
-            return replace(feas, objective=None)
-        return SolveResult(
-            status="Unbounded", objective=None, primal=None,
-            residuals=Residuals(math.nan, math.nan, math.nan), iterations=feas.iterations,
-            certificate="feasible, and the objective improves along a direction no "
-                        "constraint sees (uncapped free reaction aligned with the task?)",
-        )
+            results[i] = replace(feas, objective=None)
+        else:
+            results[i] = SolveResult(
+                "Unbounded", None, None, Residuals(math.nan, math.nan, math.nan), feas.iterations,
+                "feasible, and the objective improves along a direction no "
+                "constraint sees (uncapped free reaction aligned with the task?)")
+    run = np.flatnonzero(live & ~free_ray)
+    if len(run) >= _MIN_BATCH:
+        for k, res in zip(run, _ipm_batch([progs[members[k]] for k in run], _take(sf, run), settings)):
+            results[members[k]] = res
+    else:
+        for k in run:
+            results[members[k]] = _ipm(progs[members[k]], _take(sf, int(k)), settings, trace)
+    return [i for i, done in zip(members, infeasible | live) if not done]
+
+
+def _ipm(prog: ConicProgram, sf: _StdForm, settings: SolveSettings, trace=None) -> SolveResult:
+    """The HSD primal-dual interior-point loop on one presolved program."""
     c, A, b, G, h, cone = sf.c, sf.A, sf.b, sf.G, sf.h, sf.cone
     n, p, m = c.shape[0], A.shape[0], G.shape[0]
     nu = cone.degree
@@ -867,69 +925,6 @@ def interior_point_backend(
 # Batched runs: programs of one structure through one stacked loop
 # ---------------------------------------------------------------------------
 
-# The smallest group worth a batched run, measured on door, pivot and slide
-# programs (2-core machine, numpy 2.4 with OpenBLAS), presolve included: one
-# instance through the stacked loop takes about 2.6 times as long as
-# ``interior_point_backend`` (eval_grid run that way drops from 140 to 56
-# solves/s), two take 1.2-2.1 times as long as two single solves, three
-# break even and four take about 0.75 times as long.
-_MIN_BATCH = 4
-
-
-def solve_batch(progs, settings: SolveSettings | None = None) -> list[SolveResult]:
-    """Solve many conic programs; each result equals ``solve(prog, settings)``
-    byte for byte (status, iterations, objective, certificate, residuals and
-    primal).
-
-    Programs of one structure (variable count, equality shape, finite-bound
-    pattern, cone dimensions and, after presolve, reduced shapes) run through
-    one interior-point loop over stacked arrays, so numpy's call overhead is
-    paid once per iteration for the group rather than once per program.  Each
-    instance keeps its own termination, certificates, best iterate and failure
-    exits, and leaves the stack when it finishes.  Groups smaller than
-    ``_MIN_BATCH``, and programs that presolve settles (degenerate,
-    inconsistent, free ray), are solved alone.  A program ``solve`` would
-    reject raises here, before any solve.
-    """
-    settings = settings or SolveSettings()
-    progs = list(progs)
-    sfs = [_standardize(prog) for prog in progs]
-    groups: dict[tuple, list[int]] = {}
-    for i, prog in enumerate(progs):
-        key = (prog.n_vars, prog.F.shape, np.isfinite(prog.lb).tobytes(),
-               np.isfinite(prog.ub).tobytes(), tuple(blk.A.shape[0] for blk in prog.socs))
-        groups.setdefault(key, []).append(i)
-    results: list = [None] * len(progs)
-    for members in groups.values():
-        _solve_group(progs, sfs, members, settings, results)
-    return results
-
-
-def _solve_group(progs, sfs, members: list[int], settings: SolveSettings, results: list):
-    """Presolve one structure group as a stack and run the instances whose
-    reduced shapes match the first one's as a batch; repeat with the rest."""
-    while members:
-        first = sfs[members[0]]
-        if len(members) < _MIN_BATCH or (first.A.shape[0] == 0 and first.G.shape[0] == 0):
-            for i in members:
-                results[i] = interior_point_backend(progs[i], settings)
-            return
-        sf, inconsistent, same_eq = _reduce_equalities(_equilibrate(_stack([sfs[i] for i in members])))
-        sf, free_ray, same_null = _reduce_null_columns(sf)
-        same = same_eq & same_null
-        alone = same & (inconsistent | free_ray)
-        batch = np.flatnonzero(same & ~alone)
-        if len(batch) < _MIN_BATCH:
-            alone[batch] = True
-        for k in np.flatnonzero(alone):
-            results[members[k]] = interior_point_backend(progs[members[k]], settings)
-        if len(batch) >= _MIN_BATCH:
-            ids = [members[k] for k in batch]
-            for i, res in zip(ids, _ipm_batch([progs[i] for i in ids], _take(sf, batch), settings)):
-                results[i] = res
-        members = [i for i, ok in zip(members, same) if not ok]
-
-
 class _Rows:
     """Per-instance arrays of a batched run, one row per instance still running."""
 
@@ -940,7 +935,7 @@ class _Rows:
 
 
 def _ipm_batch(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings) -> list[SolveResult]:
-    """The loop of ``interior_point_backend`` over a stack of presolved programs
+    """The loop of ``_ipm`` over a stack of presolved programs
     of one structure, every row rounded exactly as that program alone.
 
     Dot products, matrix products and the KKT refinement residual are stacked

@@ -102,11 +102,11 @@ def test_groups_below_min_batch_are_solved_alone(monkeypatch):
     assert sizes == [solver._MIN_BATCH]
 
 
-def test_presolve_exits_and_reduced_shapes_within_a_group(monkeypatch):
+def presolve_group() -> list:
     """One structure before presolve (3 variables, 2 equality rows, one
     cone): full-rank members; consistent rank-deficient members, which lose a
     row and a pinned column in presolve and so form a batch of their own; an
-    inconsistent member and a free-ray member, each solved alone."""
+    inconsistent member and a free-ray member, settled by presolve."""
     cone = (soc([[0, 0, 1]], [0], [1, 1, 0], 1.0),)  # |x3| <= x1 + x2 + 1
 
     def full(a, b):
@@ -115,18 +115,37 @@ def test_presolve_exits_and_reduced_shapes_within_a_group(monkeypatch):
     def deficient(s, shift=0.0, f=(0, 0, 1)):
         return mkprog(f, [[1, 1, 0], [2, 2, 0]], [s, 2 * s + shift], cone)
 
+    return [full(0.5, 0.2), deficient(0.3), full(1.0, -0.5), deficient(0.3, shift=1.0),
+            deficient(0.7), full(0.1, 0.1), deficient(0.2, f=(1, -1, 1)), deficient(-0.4),
+            full(-0.3, 0.4), deficient(0.5)]
+
+
+def test_presolve_exits_and_reduced_shapes_within_a_group(monkeypatch):
     batches = []
     run = solver._ipm_batch
     monkeypatch.setattr(solver, "_ipm_batch", lambda progs, sf, st: batches.append(len(progs)) or run(progs, sf, st))
-    progs = [full(0.5, 0.2), deficient(0.3), full(1.0, -0.5), deficient(0.3, shift=1.0),
-             deficient(0.7), full(0.1, 0.1), deficient(0.2, f=(1, -1, 1)), deficient(-0.4),
-             full(-0.3, 0.4), deficient(0.5)]
-    batch = assert_same_as_alone(progs)
+    batch = assert_same_as_alone(presolve_group())
     assert [r.status for r in batch] == ["Optimal", "Optimal", "Optimal", "Infeasible",
                                          "Optimal", "Optimal", "Unbounded", "Optimal",
                                          "Optimal", "Optimal"]
     assert abs(batch[0].objective - 1.7) < 1e-7 and abs(batch[1].objective - 1.3) < 1e-7
     assert sorted(batches) == [4, 4]
+
+
+def test_each_program_is_presolved_once(monkeypatch):
+    """``solve`` and ``solve_batch`` share one presolve: a single program is
+    equilibrated once; the presolve group above once as a whole (10
+    programs), once for its rank-deficient members (6), and once for the
+    free-ray member's feasibility program.  Presolve exits are not presolved
+    again."""
+    calls = []
+    equilibrate = solver._equilibrate
+    monkeypatch.setattr(solver, "_equilibrate", lambda sf: calls.append(sf.c.shape[:-1]) or equilibrate(sf))
+    solve(door_progs(0.05, +1)[0])
+    assert len(calls) == 1
+    calls.clear()
+    solve_batch(presolve_group())
+    assert calls == [(10,), (6,), (1,)]
 
 
 def test_rejected_program_raises_before_solving():
@@ -156,7 +175,8 @@ def test_sweep_records_failing_points_in_grid_order():
 
 
 def test_sweep_point_the_solver_rejects_is_its_own_row(monkeypatch):
-    """If the solver rejects one point's program, only that row records it."""
+    """A point whose program has NaN/Inf data fails when it is compiled;
+    only that row records it, and the other points are solved as usual."""
     compile_one, compiled = metric.compile_program, []
 
     def poison_third(p, direction):
@@ -176,8 +196,8 @@ def test_sweep_point_the_solver_rejects_is_its_own_row(monkeypatch):
 
 
 def test_batch_defect_is_not_retried_point_by_point(monkeypatch):
-    """Only a rejected program sends a job back to solving its points alone;
-    any other error of the batched run surfaces instead of costing speed."""
+    """An error of the batched run surfaces from the job; no job falls back
+    to solving its points one by one."""
     def broken(progs, sf, settings):
         raise IndexError("defect in the batched loop")
 

@@ -182,6 +182,24 @@ class TestSweep:
             texts.append([line.rsplit(",", 1)[0] for line in out_path.read_text().splitlines()])
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("source", ["--builtin", "--scenario"])
+    def test_scenario_resolved_once(self, capsys, tmp_path, monkeypatch, source):
+        # the bounds' L suffix is read from the one scenario the sweep runs on
+        from screwgrasp import cli
+        from screwgrasp.scenarios import builtin_scenario
+
+        calls = []
+        resolve = cli._resolve_scenario
+        monkeypatch.setattr(cli, "_resolve_scenario", lambda cfg: calls.append(cfg) or resolve(cfg))
+        path = tmp_path / "pivot.scenario"
+        save_scenario(builtin_scenario("cuboid_pivot"), path)
+        name = "cuboid_pivot" if source == "--builtin" else str(path)
+        out_path = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "sweep", source, name, "--sweep", "x_E=0.2L:0.4L:3", "--out", str(out_path))
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert len(rows_of(out_path)) == 3
+
     def test_parallel_flag_removed(self, capsys):
         code, _, _ = run(capsys, "sweep", "--builtin", "door_handle", "--parallel", "2",
                          "--sweep", "theta=0deg:5deg:2")

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import rot
+from conftest import mkprog, rot, soc
 from screwgrasp.contacts import (
     EnvironmentContact,
     FixedSupport,
@@ -10,7 +12,7 @@ from screwgrasp.contacts import (
     PcwfParams,
     SfceParams,
 )
-from screwgrasp.errors import CompileError, ScrewGraspError
+from screwgrasp.errors import CompileError, ScrewGraspError, SolverDataError
 from screwgrasp.problem import (
     ExternalWrench,
     GraspProblem,
@@ -251,3 +253,51 @@ class TestProblemTransforms:
         eta_small = solve(compile_program(small), TIGHT).objective
         eta_large = solve(compile_program(large), TIGHT).objective
         assert eta_large >= eta_small - 1e-9
+
+
+class TestConicProgramValidation:
+    """A ConicProgram or SocBlock with data the solver cannot take fails when
+    it is built, and its arrays cannot be changed afterwards."""
+
+    @staticmethod
+    def program(f=(0.0, 1.0), F=((1.0, 0.0),), g=(0.5,), lb=(0.0, -np.inf), ub=(np.inf, 3.0), socs=()):
+        return mkprog(list(f), [list(r) for r in F], list(g), socs=socs, lb=list(lb), ub=list(ub))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field,message", [
+        ("f", "program objective contains NaN/Inf"),
+        ("F", "program equalities contains NaN/Inf"),
+        ("g", "program rhs contains NaN/Inf"),
+    ])
+    def test_non_finite_program_data(self, field, message, bad):
+        data = {"f": [0.0, bad], "F": [[1.0, bad]], "g": [bad]}
+        with pytest.raises(SolverDataError, match=re.escape(message)):
+            self.program(**{field: data[field]})
+
+    @pytest.mark.parametrize("field", ["A", "b", "c", "d"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_soc_data(self, field, bad):
+        data = {"A": [[1.0, 0.0]], "b": [0.0], "c": [0.0, 1.0], "d": 0.0}
+        data[field] = bad if field == "d" else np.where(np.asarray(data[field]) == 0.0, bad, data[field])
+        with pytest.raises(SolverDataError, match=re.escape("SOC block 'm0.cone' contains NaN/Inf")):
+            soc(**data, label="m0.cone")
+
+    @pytest.mark.parametrize("bounds", [{"lb": (np.nan, 0.0)}, {"ub": (1.0, np.nan)}])
+    def test_nan_bounds(self, bounds):
+        with pytest.raises(SolverDataError, match="bounds contain NaN"):
+            self.program(**bounds)
+
+    def test_crossed_bounds(self):
+        with pytest.raises(SolverDataError, match="lower bound exceeds upper bound"):
+            self.program(lb=(0.0, 4.0))
+
+    def test_arrays_are_read_only_copies(self):
+        f = np.array([0.0, 1.0])
+        blk = soc([[1.0, 0.0]], [0.0], [0.0, 1.0], 0.0)
+        prog = mkprog(f, [[1.0, 0.0]], [0.5], socs=[blk], lb=[0.0, -np.inf], ub=[np.inf, 3.0])
+        f[1] = 2.0
+        assert prog.f[1] == 1.0
+        arrays = [prog.f, prog.F, prog.g, prog.lb, prog.ub, blk.A, blk.b, blk.c]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0

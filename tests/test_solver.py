@@ -103,14 +103,12 @@ class TestResultContracts:
         assert r.objective is not None  # best iterate reported
 
     def test_nan_input_is_data_error(self):
-        prog = mkprog([np.nan], np.zeros((0, 1)), [])
         with pytest.raises(SolverDataError):
-            solve(prog)
+            solve(mkprog([np.nan], np.zeros((0, 1)), []))
 
     def test_inf_bound_crossing_is_data_error(self):
-        prog = mkprog([1.0], np.zeros((0, 1)), [], lb=[2.0], ub=[1.0])
         with pytest.raises(SolverDataError):
-            solve(prog)
+            solve(mkprog([1.0], np.zeros((0, 1)), [], lb=[2.0], ub=[1.0]))
 
     def test_trace_callback(self):
         seen = []
