@@ -43,7 +43,7 @@ def _set_pose(contact) -> None:
     R = check_rotation(contact.rotation).copy()
     R.setflags(write=False)
     p = np.asarray(contact.position, dtype=float).reshape(3).copy()
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ScrewGraspError("contact position must be finite")
     p.setflags(write=False)
     object.__setattr__(contact, "rotation", R)

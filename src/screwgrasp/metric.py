@@ -8,12 +8,14 @@ finite-pitch screw, torque magnitude for an infinite-pitch one).
 failures (a sweep routinely runs past the pose where the task becomes
 infeasible), and ``gws_sample`` probes the grasp wrench space boundary along
 a set of screw directions.  The three multi-point jobs compile every point,
-then hand all programs to ``solver.solve_batch``, which runs the points of one
-structure as one stacked interior-point solve with the same results as
-solving each alone; ``local_metric`` calls ``solver.solve``, the one-program
-case of the same path.  A program the solver could not take (NaN/Inf data,
-crossed bounds) fails when it is compiled, so in a sweep or GWS probe it is
-that point's error row and every compiled program reaches the solver.
+which costs each point only its numbers (``compile_program`` caches the
+structure the points share), then hand all programs to ``solver.solve_batch``,
+which runs the points of one structure as one stacked interior-point solve
+with the same results as solving each alone; ``local_metric`` calls
+``solver.solve``, the one-program case of the same path.  A program the
+solver could not take (NaN/Inf data, crossed bounds) fails when it is
+compiled, so in a sweep or GWS probe it is that point's error row and every
+compiled program reaches the solver.
 """
 
 from __future__ import annotations

@@ -15,12 +15,18 @@ Structurally zero wrench components (tangential moments at SFCE contacts,
 all moments at PCWF contacts, prescribed FixedSupport components) are
 eliminated from the variable vector; the layout descriptor records what
 remains and where.
+
+The structure (layout, column positions, bound and cone patterns) depends
+only on the contact kinds, their kept components and the joint count, so it
+is compiled once per such key and cached; each compile writes only its
+numbers, into arrays the program takes over without a copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,11 +46,13 @@ from .screws import (
     adjoint_matrix,
     adjoint_matrix_unchecked,
     check_rotation,
+    cross3,
     screw_to_unit_wrench,
 )
 
 _SFCE_KEEP = ("f_t", "f_o", "f_n", "m_n")
 _PCWF_KEEP = ("f_t", "f_o", "f_n")
+_CONE_SCALES = {"sfce": ("e_t", "e_o", "e_n"), "pcwf": ("e_t", "e_o")}  # A row k: 1 / (mu e_k)
 
 
 def _read_only(v) -> np.ndarray:
@@ -52,6 +60,18 @@ def _read_only(v) -> np.ndarray:
     v = np.array(v, dtype=float)
     v.setflags(write=False)
     return v
+
+
+def _built(cls, **fields):
+    """A ``cls`` that takes over arrays built for it here: they are made
+    read-only and checked, not copied.  Every field must be given."""
+    for v in fields.values():
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    obj._check()
+    return obj
 
 
 @dataclass(frozen=True)
@@ -78,7 +98,7 @@ def external_wrench_in_b(e: ExternalWrench, frame: str = "b") -> Wrench:
     """Resolve the external load about the body-frame origin."""
     return Wrench(
         force=e.force,
-        moment=np.cross(e.application_point, e.force) + e.moment,
+        moment=cross3(e.application_point, e.force) + e.moment,
         frame=frame,
     )
 
@@ -170,14 +190,9 @@ def grasp_map(contacts) -> np.ndarray:
     """
     blocks = []
     for c in contacts:
-        if isinstance(c, (ManipulatorContact, EnvironmentContact)):  # rotation checked when built
-            blocks.append(adjoint_matrix_unchecked(c.rotation, c.position))
-        else:
-            R, p = (c.rotation, c.position) if hasattr(c, "rotation") else c
-            blocks.append(adjoint_matrix(R, p))
-    if not blocks:
-        return np.zeros((6, 0))
-    return np.hstack(blocks)
+        R, p = (c.rotation, c.position) if hasattr(c, "rotation") else c
+        blocks.append(adjoint_matrix(R, p))
+    return np.hstack(blocks) if blocks else np.zeros((6, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +225,12 @@ class VariableLayout:
     eta_index: int
     n_vars: int
 
-    def variable_names(self) -> list[str]:
+    def variable_names(self) -> tuple[str, ...]:
+        """The name of each variable by index, computed once per layout."""
+        return self._names
+
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
         names = [""] * self.n_vars
         for cs in self.contacts:
             tag = "m" if cs.group == "manipulator" else "e"
@@ -219,7 +239,7 @@ class VariableLayout:
         for j in range(self.n_torques):
             names[self.torque_start + j] = f"tau[{j}]"
         names[self.eta_index] = "eta"
-        return names
+        return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -235,7 +255,7 @@ class ConeTag:
 @dataclass(frozen=True)
 class SocBlock:
     """One second-order cone constraint ||A x + b|| <= c'x + d.  Its arrays
-    are stored as read-only copies and must be finite."""
+    are stored as read-only copies (taken once) and must be finite."""
 
     A: np.ndarray
     b: np.ndarray
@@ -247,6 +267,9 @@ class SocBlock:
     def __post_init__(self):
         for name in ("A", "b", "c"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
+        self._check()
+
+    def _check(self):
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
                 and np.isfinite(self.c).all() and math.isfinite(self.d)):
             raise SolverDataError(f"SOC block {self.label!r} contains NaN/Inf")
@@ -257,7 +280,8 @@ class ConicProgram:
     """Standard-shape conic program: maximize f'x subject to F x = g, SOC
     blocks, and box bounds (+-inf where absent).
 
-    A program is valid once built: its arrays are stored as read-only copies,
+    A program is valid once built: its arrays are stored as read-only copies
+    (taken once; ``compile_program`` hands over the arrays it built instead),
     inconsistent dimensions raise CompileError, and NaN/Inf data, NaN bounds
     or lb > ub raise SolverDataError, so every solver entry accepts it."""
 
@@ -276,6 +300,9 @@ class ConicProgram:
     def __post_init__(self):
         for name in ("f", "F", "g", "lb", "ub"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
+        self._check()
+
+    def _check(self):
         n = self.f.shape[0]
         if self.F.shape != (self.g.shape[0], n) or self.lb.shape != (n,) or self.ub.shape != (n,):
             raise CompileError("inconsistent conic program dimensions")
@@ -310,6 +337,33 @@ def _kept_components(contact) -> tuple[str, tuple[str, ...]]:
     raise CompileError(f"unknown environment contact model {type(model).__name__}")
 
 
+@lru_cache(maxsize=64)  # a job needs one or two; each entry holds about 2 KB
+def _structure(key: tuple) -> tuple:
+    """The structure of every problem with this key, the (kind, kept components)
+    of each manipulator and environment contact and n_tau: the layout, the J^T
+    columns of the manipulator components in x order, and per contact its x
+    positions, the matching adjoint columns, its f_n position and, for a cone,
+    the x positions of its A entries, their scale fields, tag map and label."""
+    manipulators, environment, n_tau = key
+    slices, contacts, jt_cols = [], [], []
+    for group, tag, kinds in (("manipulator", "m", manipulators), ("environment", "e", environment)):
+        for idx, (kind, comps) in enumerate(kinds):
+            cs = ContactSlice(group, idx, kind, slices[-1].stop if slices else 0, comps)
+            slices.append(cs)
+            local = [LOCAL_COMPONENTS.index(comp) for comp in comps]
+            jt_cols += [6 * idx + k for k in local] if group == "manipulator" else []
+            i_fn = cs.position_of("f_n") if "f_n" in comps else None
+            cone = None
+            if kind in _CONE_SCALES:
+                cone = ([cs.position_of(comp) for comp in comps if comp != "f_n"], _CONE_SCALES[kind],
+                        {comp: cs.position_of(comp) for comp in comps}, f"{tag}{idx}.cone")
+            contacts.append((np.arange(cs.start, cs.stop), np.array(local, dtype=np.intp), i_fn, cone))
+    start = slices[-1].stop if slices else 0
+    layout = VariableLayout(contacts=tuple(slices), torque_start=start, n_torques=n_tau,
+                            eta_index=start + n_tau, n_vars=start + n_tau + 1)
+    return layout, np.array(jt_cols, dtype=np.intp), tuple(contacts)
+
+
 def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
     """Compile a grasp scenario into a conic program.
 
@@ -318,51 +372,28 @@ def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
     """
     if direction not in (+1, -1):
         raise CompileError("direction must be +1 or -1")
-
-    slices: list[ContactSlice] = []
-    cursor = 0
-    all_contacts = [("manipulator", i, c) for i, c in enumerate(p.manipulator_contacts)]
-    all_contacts += [("environment", j, c) for j, c in enumerate(p.environment_contacts)]
-    for group, idx, contact in all_contacts:
-        kind, comps = _kept_components(contact)
-        slices.append(ContactSlice(group=group, index=idx, kind=kind, start=cursor, components=comps))
-        cursor += len(comps)
-
     n_tau = p.torque_model.n_joints if p.torque_model is not None else 0
-    torque_start = cursor
-    cursor += n_tau
-    eta_index = cursor
-    n = cursor + 1
-    layout = VariableLayout(
-        contacts=tuple(slices),
-        torque_start=torque_start,
-        n_torques=n_tau,
-        eta_index=eta_index,
-        n_vars=n,
-    )
+    layout, jt_cols, structure = _structure((tuple(_kept_components(c) for c in p.manipulator_contacts),
+                                             tuple(_kept_components(c) for c in p.environment_contacts), n_tau))
+    n = layout.n_vars
 
     w_task = direction * screw_to_unit_wrench(p.task).as_array()
-
-    n_eq = 6 + n_tau
-    F = np.zeros((n_eq, n))
-    g = np.zeros(n_eq)
+    F = np.zeros((6 + n_tau, n))
+    g = np.zeros(6 + n_tau)
     g[:6] = -external_wrench_in_b(p.external).as_array()
-    F[:6, eta_index] = -w_task
-
-    lb = np.full(n, -np.inf)
-    ub = np.full(n, np.inf)
+    F[:6, layout.eta_index] = -w_task
+    lb, ub = np.full(n, -np.inf), np.full(n, np.inf)
     socs: list[SocBlock] = []
 
-    for cs, (group, idx, contact) in zip(slices, all_contacts):
+    contacts = (*p.manipulator_contacts, *p.environment_contacts)
+    for cs, (pos, local, i_fn, cone), contact in zip(layout.contacts, structure, contacts):
         G6 = adjoint_matrix_unchecked(contact.rotation, contact.position)  # checked when built
-        for k, comp in enumerate(cs.components):
-            F[:6, cs.start + k] = G6[:, LOCAL_COMPONENTS.index(comp)]
+        F[:6, pos] = G6[:, local]
         if cs.kind == "fixed":
             for comp, value in contact.model.prescribed.items():
                 g[:6] -= G6[:, LOCAL_COMPONENTS.index(comp)] * value
-        if "f_n" in cs.components:
-            i_fn = cs.position_of("f_n")
-            if group == "manipulator":
+        if i_fn is not None:
+            if cs.group == "manipulator":
                 lb[i_fn] = 0.0
                 ub[i_fn] = contact.f_n_max
             elif cs.kind in ("pcwf", "frictionless"):
@@ -374,51 +405,29 @@ def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
                     lb[i_fn] = contact.f_n_min
                 if contact.f_n_max is not None:
                     ub[i_fn] = contact.f_n_max
-        if cs.kind == "sfce":
-            sfce: SfceParams = contact.cone
-            A = np.zeros((3, n))
-            A[0, cs.position_of("f_t")] = 1.0 / (sfce.mu * sfce.e_t)
-            A[1, cs.position_of("f_o")] = 1.0 / (sfce.mu * sfce.e_o)
-            A[2, cs.position_of("m_n")] = 1.0 / (sfce.mu * sfce.e_n)
-            c = np.zeros(n)
-            c[cs.position_of("f_n")] = 1.0
-            tag = ConeTag(
-                kind="sfce",
-                params=sfce,
-                var_of={comp: cs.position_of(comp) for comp in _SFCE_KEEP},
-            )
-            socs.append(SocBlock(A=A, b=np.zeros(3), c=c, d=0.0, tag=tag, label=f"m{idx}.cone"))
-        elif cs.kind == "pcwf":
-            pcwf: PcwfParams = contact.model.params
-            A = np.zeros((2, n))
-            A[0, cs.position_of("f_t")] = 1.0 / (pcwf.mu * pcwf.e_t)
-            A[1, cs.position_of("f_o")] = 1.0 / (pcwf.mu * pcwf.e_o)
-            c = np.zeros(n)
-            c[cs.position_of("f_n")] = 1.0
-            tag = ConeTag(
-                kind="pcwf",
-                params=pcwf,
-                var_of={comp: cs.position_of(comp) for comp in _PCWF_KEEP},
-            )
-            socs.append(SocBlock(A=A, b=np.zeros(2), c=c, d=0.0, tag=tag, label=f"e{idx}.cone"))
+        if cone is None:
+            continue
+        cols, scales, var_of, label = cone
+        params: SfceParams | PcwfParams = contact.cone if cs.kind == "sfce" else contact.model.params
+        A = np.zeros((len(cols), n))
+        A[range(len(cols)), cols] = [1.0 / (params.mu * getattr(params, e)) for e in scales]
+        c = np.zeros(n)
+        c[i_fn] = 1.0
+        socs.append(_built(SocBlock, A=A, b=np.zeros(len(cols)), c=c, d=0.0,
+                           tag=ConeTag(kind=cs.kind, params=params, var_of=dict(var_of)), label=label))
 
     if p.torque_model is not None:
         tm = p.torque_model
-        JT = tm.jacobian.T  # l x 6n, columns in local component order per contact
-        rows = slice(6, 6 + n_tau)
-        for cs in slices:
-            if cs.group != "manipulator":
-                continue
-            for k, comp in enumerate(cs.components):
-                F[rows, cs.start + k] = JT[:, 6 * cs.index + LOCAL_COMPONENTS.index(comp)]
-        F[rows, torque_start : torque_start + n_tau] = np.eye(n_tau)
-        g[rows] = tm.tau_g
-        lb[torque_start : torque_start + n_tau] = tm.tau_min
-        ub[torque_start : torque_start + n_tau] = tm.tau_max
+        ts = layout.torque_start
+        F[6:, : jt_cols.size] = tm.jacobian.T[:, jt_cols]  # manipulator columns come first
+        F[6:, ts : ts + n_tau] = np.eye(n_tau)
+        g[6:] = tm.tau_g
+        lb[ts : ts + n_tau] = tm.tau_min
+        ub[ts : ts + n_tau] = tm.tau_max
 
     f = np.zeros(n)
-    f[eta_index] = 1.0
-    return ConicProgram(f=f, F=F, g=g, socs=tuple(socs), lb=lb, ub=ub, layout=layout)
+    f[layout.eta_index] = 1.0
+    return _built(ConicProgram, f=f, F=F, g=g, socs=tuple(socs), lb=lb, ub=ub, layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +443,7 @@ def transform_problem(p: GraspProblem, R0: np.ndarray, t0: np.ndarray) -> GraspP
     R0 = check_rotation(R0)
     t0 = np.asarray(t0, dtype=float).reshape(3)
 
-    def move_manip(c: ManipulatorContact) -> ManipulatorContact:
-        return replace(c, rotation=R0 @ c.rotation, position=R0 @ c.position + t0)
-
-    def move_env(c: EnvironmentContact) -> EnvironmentContact:
+    def move(c):
         return replace(c, rotation=R0 @ c.rotation, position=R0 @ c.position + t0)
 
     ext = ExternalWrench(
@@ -448,8 +454,8 @@ def transform_problem(p: GraspProblem, R0: np.ndarray, t0: np.ndarray) -> GraspP
     task = TaskScrew(l=R0 @ p.task.l, q=R0 @ p.task.q + t0, pitch=p.task.pitch)
     return replace(
         p,
-        manipulator_contacts=tuple(move_manip(c) for c in p.manipulator_contacts),
-        environment_contacts=tuple(move_env(c) for c in p.environment_contacts),
+        manipulator_contacts=tuple(move(c) for c in p.manipulator_contacts),
+        environment_contacts=tuple(move(c) for c in p.environment_contacts),
         external=ext,
         task=task,
     )

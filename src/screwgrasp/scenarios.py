@@ -38,7 +38,7 @@ files):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -133,6 +133,15 @@ _PINCH_PLUS_Y_FACE = np.column_stack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1
 _PINCH_MINUS_Y_FACE = np.column_stack([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
 
+def _pinch(R: np.ndarray, x: float, W: float, cone: SfceParams, f_n_max: tuple[float, float]):
+    """The two finger contacts pinching the faces y = +W/2 and y = -W/2 at
+    offset x along the body x axis, the body rotated by R."""
+    return tuple(ManipulatorContact(rotation=R @ face, position=R @ np.array([x, sy * W / 2, 0.0]),
+                                    cone=cone, f_n_max=f_max)
+                 for face, sy, f_max in ((_PINCH_PLUS_Y_FACE, 1.0, f_n_max[0]),
+                                         (_PINCH_MINUS_Y_FACE, -1.0, f_n_max[1])))
+
+
 @dataclass(frozen=True)
 class DoorHandleParams:
     """Lever-handle task parameters (defaults are the reference setup)."""
@@ -165,18 +174,6 @@ def door_handle_scenario(p: DoorHandleParams = DoorHandleParams()) -> Scenario:
     """Antipodal two-finger grasp on a spring-loaded lever handle."""
     Rh = _rot_z(-p.theta)  # handle has turned theta about the task axis -z
     cone = SfceParams(mu=p.mu_c, e_t=p.e_t, e_o=p.e_o, e_n=p.e_n)
-    c1 = ManipulatorContact(
-        rotation=Rh @ _PINCH_PLUS_Y_FACE,
-        position=Rh @ np.array([p.x_c, +p.W / 2, 0.0]),
-        cone=cone,
-        f_n_max=p.f_n_max,
-    )
-    c2 = ManipulatorContact(
-        rotation=Rh @ _PINCH_MINUS_Y_FACE,
-        position=Rh @ np.array([p.x_c, -p.W / 2, 0.0]),
-        cone=cone,
-        f_n_max=p.f_n_max,
-    )
     # hinge: free reaction except the spring moment about z opposing the turn
     support = EnvironmentContact(
         rotation=np.eye(3),
@@ -187,11 +184,11 @@ def door_handle_scenario(p: DoorHandleParams = DoorHandleParams()) -> Scenario:
     return Scenario(
         name="door_handle",
         description="turn a spring-loaded lever handle with an antipodal pinch",
-        manipulator_contacts=(c1, c2),
+        manipulator_contacts=_pinch(Rh, p.x_c, p.W, cone, (p.f_n_max, p.f_n_max)),
         environment_contacts=(support,),
         external=ExternalWrench(),
         tasks=(("S", task),),
-        family=FamilyRef("door_handle", asdict(p)),
+        family=FamilyRef("door_handle", dict(vars(p))),  # a shallow copy: the values are numbers
     )
 
 
@@ -237,18 +234,6 @@ def cuboid_scenario(p: CuboidParams = CuboidParams()) -> Scenario:
     """
     Robj = _rot_y(-p.alpha)  # lifts the +x side, edge at x = -L/2 stays down
     cone = SfceParams(mu=p.mu_c, e_t=p.e_t, e_o=p.e_o, e_n=p.e_cn)
-    c1 = ManipulatorContact(
-        rotation=Robj @ _PINCH_PLUS_Y_FACE,
-        position=Robj @ np.array([p.x_E, +p.W / 2, 0.0]),
-        cone=cone,
-        f_n_max=p.f_n_max_1,
-    )
-    c2 = ManipulatorContact(
-        rotation=Robj @ _PINCH_MINUS_Y_FACE,
-        position=Robj @ np.array([p.x_E, -p.W / 2, 0.0]),
-        cone=cone,
-        f_n_max=p.f_n_max_2,
-    )
     pcwf = PcwfParams(mu=p.mu_e, e_t=p.e_t, e_o=p.e_o)
     # edge contact = two point contacts at the edge vertices; support normal
     # is world +z (into the object)
@@ -267,11 +252,11 @@ def cuboid_scenario(p: CuboidParams = CuboidParams()) -> Scenario:
     return Scenario(
         name="cuboid",
         description="pivot or slide a box resting on a support edge",
-        manipulator_contacts=(c1, c2),
+        manipulator_contacts=_pinch(Robj, p.x_E, p.W, cone, (p.f_n_max_1, p.f_n_max_2)),
         environment_contacts=tuple(edge),
         external=gravity,
         tasks=(("S1", pivot), ("S2", slide)),
-        family=FamilyRef("cuboid", asdict(p)),
+        family=FamilyRef("cuboid", dict(vars(p))),
     )
 
 
@@ -291,26 +276,18 @@ class Builtin:
     build: object  # callable(params) -> Scenario
 
 
-def _door_build(p: DoorHandleParams) -> Scenario:
-    return door_handle_scenario(p)
-
-
-def _cuboid_pivot_build(p: CuboidParams) -> Scenario:
-    s = cuboid_scenario(p)
-    return replace(s, name="cuboid_pivot", tasks=(s.tasks[0],),
-                   family=FamilyRef("cuboid_pivot", asdict(p)))
-
-
-def _cuboid_slide_build(p: CuboidParams) -> Scenario:
-    s = cuboid_scenario(p)
-    return replace(s, name="cuboid_slide", tasks=(s.tasks[1],),
-                   family=FamilyRef("cuboid_slide", asdict(p)))
+def _cuboid_task(name: str, k: int):
+    """The generator of the one-task family ``name``: task k of the cuboid."""
+    def build(p: CuboidParams) -> Scenario:
+        s = cuboid_scenario(p)
+        return replace(s, name=name, tasks=(s.tasks[k],), family=FamilyRef(name, dict(vars(p))))
+    return build
 
 
 BUILTINS: dict[str, Builtin] = {
-    "door_handle": Builtin("door_handle", DoorHandleParams, _door_build),
-    "cuboid_pivot": Builtin("cuboid_pivot", CuboidParams, _cuboid_pivot_build),
-    "cuboid_slide": Builtin("cuboid_slide", CuboidParams, _cuboid_slide_build),
+    "door_handle": Builtin("door_handle", DoorHandleParams, door_handle_scenario),
+    "cuboid_pivot": Builtin("cuboid_pivot", CuboidParams, _cuboid_task("cuboid_pivot", 0)),
+    "cuboid_slide": Builtin("cuboid_slide", CuboidParams, _cuboid_task("cuboid_slide", 1)),
 }
 
 

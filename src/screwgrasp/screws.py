@@ -17,6 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +56,15 @@ def _vec3(v) -> np.ndarray:
 
 def skew(v: np.ndarray) -> np.ndarray:
     """3x3 cross-product matrix: skew(v) @ u == v x u."""
-    x, y, z = np.asarray(v, dtype=float).reshape(3)
+    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two 3-vectors, rounded as ``np.cross`` rounds it (each entry
+    one multiply-then-subtract) without its axis handling."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
@@ -68,10 +76,14 @@ def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise InvalidRotationError(f"rotation must be 3x3, got shape {R.shape}")
-    if not np.all(np.isfinite(R)):
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i))):
         raise InvalidRotationError("rotation contains non-finite entries")
-    err = np.max(np.abs(R.T @ R - np.eye(3)))
-    det = np.linalg.det(R)
+    # R'R - I entry by entry (symmetric: six distinct entries) and the cofactor determinant
+    err = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+              abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+              abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     # orthonormality error of order eps enters det at the same order
     if err > tol or abs(det - 1.0) > max(tol, 10.0 * err + 1e-12):
         raise InvalidRotationError(
@@ -161,7 +173,6 @@ def adjoint_matrix_unchecked(R: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``adjoint_matrix`` for an R already validated by ``check_rotation``
     (a contact's rotation is checked when the contact is built); R is not
     checked again."""
-    p = np.asarray(p, dtype=float).reshape(3)
     G = np.zeros((6, 6))
     G[:3, :3] = R
     G[3:, :3] = skew(p) @ R
@@ -193,7 +204,7 @@ def wrench_to_screw(w: Wrench) -> ScrewCoordinates:
         axis = TaskScrew(l=m / nm, q=np.zeros(3), pitch=INFINITE_PITCH)
         return ScrewCoordinates(axis=axis, magnitude=float(nm))
     pitch = float(f @ m) / nf**2
-    q = np.cross(f, m) / nf**2
+    q = cross3(f, m) / nf**2
     axis = TaskScrew(l=f / nf, q=q, pitch=pitch)
     return ScrewCoordinates(axis=axis, magnitude=float(nf))
 
@@ -206,4 +217,4 @@ def screw_to_unit_wrench(s: TaskScrew, frame: str = "b") -> Wrench:
     """
     if s.infinite_pitch:
         return Wrench(force=np.zeros(3), moment=s.l, frame=frame)
-    return Wrench(force=s.l, moment=np.cross(s.q, s.l) + s.pitch * s.l, frame=frame)
+    return Wrench(force=s.l, moment=cross3(s.q, s.l) + s.pitch * s.l, frame=frame)

@@ -19,11 +19,13 @@ equilibration conditions the data (contact problems mix N and N.m scales);
 convergence is always measured against the *original* data.
 
 ``solve`` is the one-program case of ``solve_batch``, and both take one path:
-programs are grouped by structure, each group is presolved as one stack
-(equilibration and two SVD reductions), the presolve exits (degenerate,
-inconsistent equalities, free ray) are settled in one place, and the rest run
-through the scalar loop ``_ipm`` or, from ``_MIN_BATCH`` programs of one
-reduced shape on, through the stacked loop ``_ipm_batch``.  The two loops
+programs are grouped by structure, each group is written straight into one
+stacked standard form (a single program as views of its own arrays) and
+presolved as one stack (equilibration and two SVD reductions), the presolve
+exits (degenerate, inconsistent equalities, free ray) are settled in one
+place, and the rest run through the scalar loop ``_ipm`` or, from
+``_MIN_BATCH`` programs of one reduced shape on, through the stacked loop
+``_ipm_batch``, whose residual check stacks the group's data once.  The two loops
 round each program alike, so a result does not depend on its batch.  Program
 data need no check here: a ``ConicProgram`` is valid once it is built.
 
@@ -376,10 +378,10 @@ class _KKT:
     def _factor_one(self, K: np.ndarray):
         """(ldu, ipiv) of one KKT matrix, regularized on retry; None if every attempt fails."""
         n = self.n
-        scale = max(1.0, float(np.abs(K).max()))
-        for delta in (0.0, 1e-12 * scale, 1e-8 * scale):
+        for reg in (0.0, 1e-12, 1e-8):
             Kreg = K  # sytrf factors a copy; K itself is kept for refinement
-            if delta:
+            if reg:  # the scale is needed only on retry
+                delta = reg * max(1.0, float(np.abs(K).max()))
                 Kreg = K.copy()
                 di = np.arange(K.shape[0])
                 Kreg[di[:n], di[:n]] += delta
@@ -463,35 +465,32 @@ class _StdForm:
     basis: np.ndarray | None = None  # original (scaled) vars = basis @ reduced vars
 
 
-def _standardize(prog: ConicProgram) -> _StdForm:
-    """One program in conic standard form.  The program's data were checked
-    when it was built, so every entry is finite and lb <= ub."""
-    n = prog.n_vars
+def _standardize(progs: list[ConicProgram]) -> _StdForm:
+    """Programs of one structure in conic standard form, written straight into
+    stacked (B, ...) arrays (a single program's F and g as ``[None]`` views).
+    The programs were checked when built: every entry is finite, lb <= ub."""
+    p0, B, n = progs[0], len(progs), progs[0].n_vars
     # rows: -x_j <= -lb_j, then x_j <= ub_j per finite bound, then one block per SOC
-    lbi, ubi = np.flatnonzero(np.isfinite(prog.lb)), np.flatnonzero(np.isfinite(prog.ub))
+    lbi, ubi = np.flatnonzero(np.isfinite(p0.lb)), np.flatnonzero(np.isfinite(p0.ub))
     q = lbi.size + ubi.size
-    soc_dims = [1 + blk.A.shape[0] for blk in prog.socs]
-    G = np.zeros((q + sum(soc_dims), n))
-    h = np.empty(q + sum(soc_dims))
-    G[np.arange(lbi.size), lbi] = -1.0
-    G[np.arange(lbi.size, q), ubi] = 1.0
-    h[: lbi.size] = -prog.lb[lbi]
-    h[lbi.size : q] = prog.ub[ubi]
-    at = q
-    for blk, d in zip(prog.socs, soc_dims):
-        G[at] = -blk.c
-        G[at + 1 : at + d] = -blk.A
-        h[at] = blk.d
-        h[at + 1 : at + d] = blk.b
-        at += d
-    return _StdForm(c=-prog.f, A=prog.F, b=prog.g, G=G, h=h, cone=_Cone(q, soc_dims))
-
-
-def _stack(sfs: list[_StdForm]) -> _StdForm:
-    """Standard forms of one structure as one stacked form; a single form
-    becomes a stack of one by ``[None]`` views, without a copy."""
-    stack = (lambda xs: xs[0][None]) if len(sfs) == 1 else np.stack
-    return _StdForm(*(stack([getattr(sf, k) for sf in sfs]) for k in "cAbGh"), cone=sfs[0].cone)
+    soc_dims = [1 + blk.A.shape[0] for blk in p0.socs]
+    G = np.zeros((B, q + sum(soc_dims), n))
+    h = np.empty((B, q + sum(soc_dims)))
+    G[:, np.arange(lbi.size), lbi] = -1.0
+    G[:, np.arange(lbi.size, q), ubi] = 1.0
+    for k, prog in enumerate(progs):
+        h[k, : lbi.size] = -prog.lb[lbi]
+        h[k, lbi.size : q] = prog.ub[ubi]
+        at = q
+        for blk, d in zip(prog.socs, soc_dims):
+            G[k, at] = -blk.c
+            G[k, at + 1 : at + d] = -blk.A
+            h[k, at] = blk.d
+            h[k, at + 1 : at + d] = blk.b
+            at += d
+    stack = (lambda xs: xs[0][None]) if B == 1 else np.stack
+    return _StdForm(c=-stack([prog.f for prog in progs]), A=stack([prog.F for prog in progs]),
+                    b=stack([prog.g for prog in progs]), G=G, h=h, cone=_Cone(q, soc_dims))
 
 
 def _take(sf: _StdForm, idx) -> _StdForm:
@@ -595,40 +594,46 @@ def _reduce_null_columns(sf: _StdForm):
 # The interior-point loop
 # ---------------------------------------------------------------------------
 
-def _residual_check(progs):
+class _ResidualCheck:
     """x -> (relative equality residual, worst absolute cone/box violation)
-    of x against the original program, with the program's index arrays and
-    norms taken once.
+    of x against the original programs of one structure, their data stacked
+    and norms taken once: x of shape (B, n) gives two arrays of shape (B,),
+    each entry as the program alone gives it.  ``take(k)`` is program k's own
+    check (x of shape (n,), two floats back), ``take(index array)`` a sub-stack's."""
 
-    ``progs`` is one ConicProgram (x of shape (n,), two floats back) or a list
-    of programs of one structure (x of shape (B, n), two arrays of shape (B,)
-    back, each entry as the program alone would give it)."""
-    one = isinstance(progs, ConicProgram)
-    ps = [progs] if one else list(progs)
-    stack = (lambda xs: xs[0]) if one else np.stack
-    F, g = stack([p.F for p in ps]), stack([p.g for p in ps])
-    g_scale = 1.0 + np.abs(g).max(axis=-1, initial=0.0)
-    lbi, ubi = np.flatnonzero(np.isfinite(ps[0].lb)), np.flatnonzero(np.isfinite(ps[0].ub))
-    lb, ub = stack([p.lb[lbi] for p in ps]), stack([p.ub[ubi] for p in ps])
-    socs = [tuple(stack([getattr(p.socs[k], f) for p in ps]) for f in "Abcd")
-            for k in range(len(ps[0].socs))]
+    def __init__(self, progs: list[ConicProgram]):
+        stack = (lambda xs: xs[0][None]) if len(progs) == 1 else np.stack
+        p0 = progs[0]
+        self.lbi, self.ubi = np.flatnonzero(np.isfinite(p0.lb)), np.flatnonzero(np.isfinite(p0.ub))
+        self.F, self.g = stack([p.F for p in progs]), stack([p.g for p in progs])
+        self.g_scale = 1.0 + np.abs(self.g).max(axis=-1, initial=0.0)
+        self.lb = stack([p.lb[self.lbi] for p in progs])
+        self.ub = stack([p.ub[self.ubi] for p in progs])
+        self.socs = [(*(stack([getattr(p.socs[k], f) for p in progs]) for f in "Abc"),
+                      np.array([p.socs[k].d for p in progs])) for k in range(len(p0.socs))]
 
-    vmax = max if one else _pymax
+    def take(self, idx) -> "_ResidualCheck":
+        sub = object.__new__(_ResidualCheck)
+        sub.lbi, sub.ubi = self.lbi, self.ubi
+        for name in ("F", "g", "g_scale", "lb", "ub"):
+            setattr(sub, name, getattr(self, name)[idx])
+        sub.socs = [tuple(v[idx] for v in blk) for blk in self.socs]
+        return sub
 
-    def measure(x: np.ndarray):
-        eq = np.abs(_mv(F, x) - g).max(axis=-1, initial=0.0) / g_scale
+    def __call__(self, x: np.ndarray):
+        one = x.ndim == 1
+        vmax = max if one else _pymax
+        eq = np.abs(_mv(self.F, x) - self.g).max(axis=-1, initial=0.0) / self.g_scale
         viol = 0.0
-        if lbi.size:
-            viol = vmax(viol, (lb - x[..., lbi]).max(axis=-1, initial=0.0))
-        if ubi.size:
-            viol = vmax(viol, (x[..., ubi] - ub).max(axis=-1, initial=0.0))
-        for A, b, c, d in socs:
+        if self.lbi.size:
+            viol = vmax(viol, (self.lb - x[..., self.lbi]).max(axis=-1, initial=0.0))
+        if self.ubi.size:
+            viol = vmax(viol, (x[..., self.ubi] - self.ub).max(axis=-1, initial=0.0))
+        for A, b, c, d in self.socs:
             r = _mv(A, x) + b
             viol = vmax(viol, np.sqrt(_dot(r, r)) - (_dot(c, x) + d))
         viol = vmax(0.0, viol)
         return (float(eq), float(viol)) if one else (eq, viol)
-
-    return measure
 
 
 def _unscale(col_scale: np.ndarray, basis: np.ndarray | None, x: np.ndarray, tau) -> np.ndarray:
@@ -696,11 +701,10 @@ _MIN_BATCH = 4
 
 
 def _solve_all(progs: list[ConicProgram], settings: SolveSettings | None, trace=None) -> list[SolveResult]:
-    """The one solve path of ``solve`` and ``solve_batch``: standardize each
-    program, group the programs by structure, and solve each group.  ``trace``
-    reaches the instances that run through the scalar loop."""
+    """The one solve path of ``solve`` and ``solve_batch``: group the programs
+    by structure and solve each group.  ``trace`` reaches the instances that
+    run through the scalar loop."""
     settings = settings or SolveSettings()
-    sfs = [_standardize(prog) for prog in progs]
     groups: dict[tuple, list[int]] = {}
     for i, prog in enumerate(progs):
         key = (prog.n_vars, prog.F.shape, np.isfinite(prog.lb).tobytes(),
@@ -709,17 +713,17 @@ def _solve_all(progs: list[ConicProgram], settings: SolveSettings | None, trace=
     results: list = [None] * len(progs)
     for members in groups.values():
         while members:
-            members = _solve_group(progs, sfs, members, settings, trace, results)
+            members = _solve_group(progs, members, settings, trace, results)
     return results
 
 
-def _solve_group(progs, sfs, members: list[int], settings: SolveSettings, trace, results: list) -> list[int]:
+def _solve_group(progs, members: list[int], settings: SolveSettings, trace, results: list) -> list[int]:
     """Presolve programs of one structure as a stack and settle the members
     whose reduced shapes match the first one's: a presolve exit (degenerate,
     inconsistent, free ray) here, the rest through ``_ipm_batch`` from
     ``_MIN_BATCH`` members on and through ``_ipm`` below.  Returns the other
     members, to be presolved again as a stack of their own."""
-    sf0 = _stack([sfs[i] for i in members])
+    sf0 = _standardize([progs[i] for i in members])
     if sf0.A.shape[-2] == 0 and sf0.G.shape[-2] == 0:  # degenerate: nothing but the objective
         for i, c in zip(members, sf0.c):
             if np.any(c):
@@ -768,7 +772,7 @@ def _ipm(prog: ConicProgram, sf: _StdForm, settings: SolveSettings, trace=None) 
 
     kkt = _KKT(A, G, cone)
     e = cone.identity()
-    measure = _residual_check(prog)
+    measure = _ResidualCheck([prog]).take(0)
 
     def split(u):
         return u[:n], u[n : n + p], u[n + p :]
@@ -950,6 +954,7 @@ def _ipm_batch(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings)
     nu, e = cone.degree, cone.identity()
     ftol, gtol = settings.feasibility_tol, settings.duality_gap_tol
     results: list = [None] * B
+    check = _ResidualCheck(progs)  # stacked once; rows are taken from it as instances stop
     kkt = _BatchKKT(sf.A, sf.G, cone)
     r = _Rows()
     r.ids = np.arange(B)
@@ -962,8 +967,7 @@ def _ipm_batch(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings)
     def done(i, status, x=None, tau=1.0, gap=math.nan, iters=0, cert=None):
         k = r.ids[i]
         basis = None if r.basis_t is None else r.basis_t[i].T
-        results[k] = _finish(progs[k], r.col_scale[i], basis, _residual_check(progs[k]),
-                             status, x, tau, gap, iters, cert)
+        results[k] = _finish(progs[k], r.col_scale[i], basis, check.take(k), status, x, tau, gap, iters, cert)
         out[i] = True
 
     def fail(mask, why):
@@ -998,7 +1002,7 @@ def _ipm_batch(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings)
         r.b_norm = 1.0 + np.abs(r.b).max(axis=1, initial=0.0)
         r.h_norm = 1.0 + np.abs(r.h).max(axis=1, initial=0.0)
         r.rhs_tau = np.concatenate([-r.c, r.b, r.h], axis=1)
-        measure = _residual_check(progs)
+        measure = check
 
         for it in range(settings.max_iterations):
             if out.any():
@@ -1007,7 +1011,7 @@ def _ipm_batch(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings)
                 out = np.zeros(len(r.ids), dtype=bool)
                 if not len(r.ids):
                     break
-                measure = _residual_check([progs[k] for k in r.ids])
+                measure = check.take(r.ids)
             c, A, b, G, h = r.c, r.A, r.b, r.G, r.h
             x, y, z, s, tau, kappa = r.x, r.y, r.z, r.s, r.tau, r.kappa
             At, Gt = np.swapaxes(A, 1, 2), np.swapaxes(G, 1, 2)
@@ -1179,7 +1183,7 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     res = linprog(c_lp, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 0:
         x = res.x[:n]
-        eq, viol = _residual_check(prog)(x)
+        eq, viol = _ResidualCheck([prog]).take(0)(x)
         return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), int(res.nit))
     status = {2: "Infeasible", 3: "Unbounded"}.get(res.status, "NumericalFailure")
     return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan),

@@ -18,7 +18,7 @@ from screwgrasp.problem import compile_program
 from screwgrasp.solver import (
     _Cone,
     _equilibrate,
-    _residual_check,
+    _ResidualCheck,
     _Scaling,
     _standardize,
     _StdForm,
@@ -27,6 +27,12 @@ from screwgrasp.solver import (
 # (q, SOC dimensions): no orthant and an orthant, dimensions 2, 3 and 4 mixed
 CONES = [(0, [3]), (0, [2, 4, 3]), (3, [4]), (5, [3, 2, 4, 4, 3]), (2, [])]
 DRAWS = 50
+
+
+def standard_form(prog) -> _StdForm:
+    """One program's standard form, unstacked."""
+    sf = _standardize([prog])
+    return _StdForm(*(getattr(sf, k)[0] for k in "cAbGh"), cone=sf.cone)
 
 
 def starts(q, dims):
@@ -240,7 +246,7 @@ class TestAgainstLoopReference:
             prob = random_problem(rng)
             if prob is None:
                 continue
-            sf = _standardize(compile_program(prob, +1))
+            sf = standard_form(compile_program(prob, +1))
             got = _equilibrate(sf)
             want = ref_equilibrate(sf)
             for a, b in zip((got.A, got.G, got.b, got.h, got.c, got.col_scale), want):
@@ -254,13 +260,38 @@ class TestAgainstLoopReference:
             if prob is None:
                 continue
             prog = compile_program(prob, -1 if rng.random() < 0.5 else +1)
-            measure = _residual_check(prog)
+            measure = _ResidualCheck([prog]).take(0)
             seen_bounds += bool(np.isfinite(prog.lb).any() or np.isfinite(prog.ub).any())
             seen_socs += bool(prog.socs)
             for scale in (1e-3, 1.0, 1e3):
                 x = rng.normal(size=prog.n_vars) * scale
                 assert measure(x) == ref_measure(prog, x)
         assert seen_bounds and seen_socs
+
+    def test_stacked_form_and_check_are_each_program_alone(self):
+        """A group's standard form and residual check, written as stacks,
+        hold in row k exactly program k's own."""
+        rng = np.random.default_rng(11)
+        by_key: dict = {}
+        for _ in range(200):
+            prob = random_problem(rng)
+            if prob is not None:
+                prog = compile_program(prob, -1 if rng.random() < 0.5 else +1)
+                key = (prog.F.shape, np.isfinite(prog.lb).tobytes(), np.isfinite(prog.ub).tobytes(),
+                       tuple(blk.A.shape[0] for blk in prog.socs))
+                by_key.setdefault(key, []).append(prog)
+        groups = [progs for progs in by_key.values() if len(progs) >= 3]
+        assert groups
+        for progs in groups:
+            stacked, check = _standardize(progs), _ResidualCheck(progs)
+            X = rng.normal(size=(len(progs), progs[0].n_vars))
+            eq, viol = check(X)
+            viol = np.broadcast_to(viol, eq.shape)  # 0-d when a program has no bound and no cone
+            for k, prog in enumerate(progs):
+                alone = standard_form(prog)
+                for name in "cAbGh":
+                    assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name))
+                assert (eq[k], viol[k]) == ref_measure(prog, X[k]) == check.take(k)(X[k])
 
 
 def bisect_step(cone, u, du, hi=1e6):

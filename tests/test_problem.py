@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from screwgrasp.contacts import (
     SfceParams,
 )
 from screwgrasp.errors import CompileError, ScrewGraspError, SolverDataError
+from screwgrasp import problem as problem_module
 from screwgrasp.problem import (
+    ConicProgram,
     ExternalWrench,
     GraspProblem,
+    SocBlock,
     TorqueModel,
     compile_program,
     external_wrench_in_b,
@@ -23,7 +27,13 @@ from screwgrasp.problem import (
     scale_problem,
     transform_problem,
 )
-from screwgrasp.scenarios import CuboidParams, DoorHandleParams, make_cuboid, make_door_handle
+from screwgrasp.scenarios import (
+    CuboidParams,
+    DoorHandleParams,
+    builtin_scenario,
+    make_cuboid,
+    make_door_handle,
+)
 from screwgrasp.screws import INFINITE_PITCH, TaskScrew
 from screwgrasp.solver import SolveSettings, solve, solve_with_oracle
 
@@ -301,3 +311,106 @@ class TestConicProgramValidation:
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
+
+    def test_caller_arrays_are_never_aliased(self):
+        f, F, g = np.array([0.0, 1.0]), np.array([[1.0, 0.0]]), np.array([0.5])
+        lb, ub = np.array([0.0, -np.inf]), np.array([np.inf, 3.0])
+        A, b, c = np.array([[1.0, 0.0]]), np.array([0.0]), np.array([0.0, 1.0])
+        blk = SocBlock(A=A, b=b, c=c, d=0.0, label="m0.cone")
+        prog = ConicProgram(f=f, F=F, g=g, socs=(blk,), lb=lb, ub=ub, layout=mkprog(f, F, g).layout)
+        before = [arr.copy() for arr in (prog.f, prog.F, prog.g, prog.lb, prog.ub, blk.A, blk.b, blk.c)]
+        for arr in (f, F, g, lb, ub, A, b, c):
+            arr[...] = np.nan
+        after = (prog.f, prog.F, prog.g, prog.lb, prog.ub, blk.A, blk.b, blk.c)
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+            with pytest.raises(ValueError, match="read-only"):
+                new[...] = 0.0
+        with pytest.raises(SolverDataError, match="program equalities contains NaN/Inf"):
+            ConicProgram(f=prog.f, F=F, g=prog.g, socs=(), lb=prog.lb, ub=prog.ub, layout=prog.layout)
+        with pytest.raises(SolverDataError, match=re.escape("SOC block 'm0.cone' contains NaN/Inf")):
+            SocBlock(A=A, b=blk.b, c=blk.c, d=0.0, label="m0.cone")
+
+    def test_compiled_arrays_are_read_only_and_each_programs_own(self):
+        a, b = (compile_program(builtin_scenario("cuboid_pivot", alpha=t).problem()) for t in (0.1, 0.2))
+        for prog in (a, b):
+            arrays = [prog.f, prog.F, prog.g, prog.lb, prog.ub]
+            arrays += [arr for blk in prog.socs for arr in (blk.A, blk.b, blk.c)]
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+        for x, y in zip((a.f, a.F, a.g, a.lb, a.ub, a.socs[0].A, a.socs[0].b, a.socs[0].c),
+                        (b.f, b.F, b.g, b.lb, b.ub, b.socs[0].A, b.socs[0].b, b.socs[0].c)):
+            assert not np.shares_memory(x, y)
+        assert a.socs[0].tag.var_of is not b.socs[0].tag.var_of  # the cached structure keeps its own
+
+    def test_non_finite_compiled_cone_raises_when_built(self):
+        # mu * e_t is subnormal, so the cone coefficient 1 / (mu e_t) overflows to inf
+        cone = SfceParams(mu=1e-160, e_t=1e-160)
+        contact = ManipulatorContact(rotation=np.eye(3), position=np.zeros(3), cone=cone, f_n_max=1.0)
+        p = GraspProblem(manipulator_contacts=(contact,), environment_contacts=(),
+                         external=ExternalWrench(), task=TaskScrew(l=[0, 0, 1]))
+        with pytest.raises(SolverDataError, match=re.escape("SOC block 'm0.cone' contains NaN/Inf")):
+            compile_program(p)
+
+
+def program_bytes(prog) -> bytes:
+    """Every array, label, tag and layout entry of a compiled program, as bytes."""
+    parts = [prog.f, prog.F, prog.g, prog.lb, prog.ub]
+    tags = []
+    for blk in prog.socs:
+        parts += [blk.A, blk.b, blk.c, np.array([blk.d])]
+        tags.append((blk.label, blk.tag.kind, blk.tag.params, sorted(blk.tag.var_of.items())))
+    data = b"".join(f"{arr.shape}".encode() + arr.astype("<f8").tobytes() for arr in parts)
+    return data + repr((tags, prog.layout, prog.layout.variable_names())).encode()
+
+
+def torque_problem(prescribed=(("m_t", 0.0), ("m_o", 0.0), ("m_n", 0.1))) -> GraspProblem:
+    """One SFCE finger on a revolute joint next to a pinned support."""
+    contact = ManipulatorContact(rotation=rot([0, 1, 1], 0.4), position=np.array([0.1, 0.0, 0.2]),
+                                 cone=SfceParams(mu=0.3, e_n=0.05), f_n_max=20.0)
+    support = EnvironmentContact(rotation=np.eye(3), position=np.zeros(3),
+                                 model=FixedSupport(prescribed=dict(prescribed)))
+    J = np.zeros((6, 1))
+    J[2, 0] = 1.0
+    tm = TorqueModel(jacobian=J, tau_g=[2.0], tau_min=[-5.0], tau_max=[5.0], dofs=(1,))
+    return GraspProblem(manipulator_contacts=(contact,), environment_contacts=(support,),
+                        external=ExternalWrench(force=[0, 0, -1.0], application_point=[0.1, 0, 0]),
+                        task=TaskScrew(l=[0, 0, 1], pitch=INFINITE_PITCH), torque_model=tm)
+
+
+class TestStructureCache:
+    """``compile_program`` compiles a problem's structure once and caches it;
+    a program compiled from the cache is byte for byte the program compiled
+    with the cache empty."""
+
+    @staticmethod
+    def problems() -> list:
+        door = [make_door_handle(DoorHandleParams(x_c=0.05, theta=t)) for t in (0.0, 0.3)]
+        pivot = [make_cuboid(CuboidParams(alpha=a), "pivot") for a in (0.2, 0.5)]
+        slide = [make_cuboid(CuboidParams(alpha=a, x_E=0.1), "slide") for a in (0.2, 0.5)]
+        moved = [transform_problem(p, rot([1, 2, 0.5], 1.1), np.array([0.3, -0.2, 0.7]))
+                 for p in (door[0], pivot[0])]
+        scaled = [scale_problem(p, 2.5) for p in (slide[0], torque_problem())]
+        # structures that differ from the torque problem's only in n_tau, or
+        # only in the support's kept components
+        no_torque = replace(torque_problem(), torque_model=None)
+        free_m_n = torque_problem(prescribed=(("m_t", 0.0), ("m_o", 0.0)))
+        # interleaved, so that structures are met again after others
+        return [door[0], pivot[0], torque_problem(), slide[0], no_torque, door[1], moved[0],
+                free_m_n, pivot[1], scaled[1], slide[1], moved[1], scaled[0]]
+
+    def test_cached_compile_is_byte_identical(self):
+        problem_module._structure.cache_clear()
+        cached = [(p, d, program_bytes(compile_program(p, d))) for p in self.problems() for d in (+1, -1)]
+        info = problem_module._structure.cache_info()
+        assert info.misses == 5  # door, cuboid (pivot and slide share it) and three torque-like problems
+        assert info.hits == len(cached) - 5
+        for p, d, data in cached:
+            problem_module._structure.cache_clear()
+            assert program_bytes(compile_program(p, d)) == data
+
+    def test_one_structure_shares_its_layout_and_names(self):
+        a, b = (compile_program(make_cuboid(CuboidParams(alpha=t), "slide"), -1) for t in (0.1, 0.4))
+        assert a.layout is b.layout
+        assert a.layout.variable_names() is b.layout.variable_names()

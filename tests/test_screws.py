@@ -11,6 +11,8 @@ from screwgrasp.screws import (
     Wrench,
     adjoint_matrix,
     adjoint_transform,
+    check_rotation,
+    cross3,
     screw_to_unit_wrench,
     skew,
     wrench_to_screw,
@@ -166,3 +168,38 @@ def test_screw_round_trip(f, m):
 def test_skew_matches_cross_product():
     a, b = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.7, -1.1])
     assert np.allclose(skew(a) @ b, np.cross(a, b))
+
+
+# every float64 class: signed zeros, subnormals, normals of all magnitudes
+# (products may overflow to inf, and inf - inf is nan, alike on both sides)
+any_float = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]))
+any_vec3 = st.tuples(any_float, any_float, any_float).map(np.array)
+
+
+@given(any_vec3, any_vec3)
+@example(np.array([0.0, -0.0, 5e-324]), np.array([-0.0, 1e-310, -0.0]))
+@example(np.array([1e-160, 3e-170, -2e-200]), np.array([-4e-160, 1e-150, 7e-165]))
+@settings(max_examples=500, deadline=None)
+def test_cross3_is_np_cross_bit_for_bit(a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.cross(a, b)
+    assert cross3(a, b).tobytes() == want.tobytes()
+
+
+class TestCheckRotation:
+    @given(rotations())
+    @settings(max_examples=100, deadline=None)
+    def test_accepts_rotations(self, R):
+        assert check_rotation(R) is not None
+
+    @pytest.mark.parametrize("R,message", [
+        (np.diag([1.0, 1.0, -1.0]), "matrix is not a rotation: |R'R - I| = 0.000e+00, det = -1.000000000000"),
+        (np.eye(3) * 1.001, "matrix is not a rotation: |R'R - I| = 2.001e-03, det = 1.003003001000"),
+        (np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, np.inf]]), "rotation contains non-finite entries"),
+        (np.eye(2), "rotation must be 3x3, got shape (2, 2)"),
+    ])
+    def test_rejects_with_message(self, R, message):
+        with pytest.raises(InvalidRotationError) as err:
+            check_rotation(R)
+        assert str(err.value) == message

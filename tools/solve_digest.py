@@ -1,7 +1,7 @@
 """Print SHA-256 digests over the solver's results on the benchmark's inputs.
 
 A change meant to speed the solver up without changing its arithmetic must
-leave both digests unchanged.  Run it at the parent commit and at the change,
+leave all three digests unchanged.  Run it at the parent commit and at the change,
 from the root of each checkout, and compare the outputs:
 
     python3 tools/solve_digest.py
@@ -18,7 +18,13 @@ The sweep digest (third line) covers the multi-point jobs: the
 CLI) and of the door acceptance sweeps (x_c in 0, 0.05, 0.10, 0.15; 41 angles;
 both directions), each row's status, iteration count and eta bytes, and the
 ``gws_sample`` rays of ``gws --builtin cuboid_slide --rays 64``, each ray's
-status and eta bytes.  Takes under a minute.
+status and eta bytes.
+
+The batch digest (fourth line) covers what the sweep digest leaves out of
+the multi-point jobs: every ``solve_batch`` result, all of its bytes as in the
+first digest, of the five ``batch_cli`` jobs (four sweeps and one GWS probe,
+run through the CLI) and of the door acceptance sweeps.  Takes about a
+minute.
 """
 
 from __future__ import annotations
@@ -90,6 +96,37 @@ def sweep_digest() -> str:
     return f"sweep_rows={len(rows)} gws_rays={len(rays)} sweep_digest={digest.hexdigest()}"
 
 
+def batch_digest() -> str:
+    """The batch digest line: every ``solve_batch`` result of the ``batch_cli``
+    jobs and the door acceptance sweeps, recorded where ``metric`` calls it."""
+    digest = hashlib.sha256()
+    original, count = metric.solve_batch, 0
+
+    def record(progs, settings=None):
+        nonlocal count
+        results = original(progs, settings)
+        for res in results:
+            digest.update(result_bytes(res))
+        count += len(results)
+        return results
+
+    metric.solve_batch = record
+    try:
+        for _name, argv in workloads.BATCH_JOBS:
+            with tempfile.TemporaryDirectory() as tmp:
+                code, _ = workloads.run_cli_job(list(argv), Path(tmp) / "out.csv")
+            if code != 0:
+                raise RuntimeError(f"{argv} exited {code}")
+        thetas = np.radians(np.linspace(0.0, 40.0, 41))
+        for x_c in (0.0, 0.05, 0.10, 0.15):
+            family = scenarios.scenario_family(scenarios.builtin_scenario("door_handle", x_c=x_c), "theta")
+            for direction in (+1, -1):
+                metric.metric_sweep(family, thetas, direction)
+    finally:
+        metric.solve_batch = original
+    return f"batch_results={count} batch_digest={digest.hexdigest()}"
+
+
 def main() -> int:
     digest = hashlib.sha256()
     counts = {"eval_grid": 0, "fuzz_socp": 0, "fuzz_oracle": 0}
@@ -108,6 +145,7 @@ def main() -> int:
     print(" ".join(f"{k}={v}" for k, v in counts.items()), f"results={sum(counts.values())}")
     print(digest.hexdigest())
     print(sweep_digest())
+    print(batch_digest())
     return 0
 
 
