@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -310,6 +311,7 @@ def cmd_gws(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@cache  # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="screw-grasp", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)

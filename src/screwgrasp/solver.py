@@ -23,11 +23,12 @@ programs are grouped by structure, each group is written straight into one
 stacked standard form (a single program as views of its own arrays) and
 presolved as one stack (equilibration and two SVD reductions), the presolve
 exits (degenerate, inconsistent equalities, free ray) are settled in one
-place, and the rest run through the scalar loop ``_ipm`` or, from
-``_MIN_BATCH`` programs of one reduced shape on, through the stacked loop
-``_ipm_batch``, whose residual check stacks the group's data once.  The two loops
-round each program alike, so a result does not depend on its batch.  Program
-data need no check here: a ``ConicProgram`` is valid once it is built.
+place, and the rest run through the one HSD loop ``_ipm``: one program at a
+time on its own 1-D arrays, or, from ``_MIN_BATCH`` programs of one reduced
+shape on, as one stack whose residual check stacks the group's data once.
+The loop rounds each instance of a stack as that program alone, so a result
+does not depend on its batch.  Program data need no check here: a
+``ConicProgram`` is valid once it is built.
 
 ``solve_with_oracle`` is the independent validation path: every contact cone
 is replaced by its inscribed polyhedral approximation and the resulting LP is
@@ -37,7 +38,9 @@ tightens as the facet count grows.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -262,10 +265,12 @@ class _BatchCone(_Cone):
 
 
 class _Scaling:
-    """Nesterov-Todd scaling W with W z = W^{-1} s = lambda (W symmetric)."""
+    """Nesterov-Todd scaling W with W z = W^{-1} s = lambda (W symmetric).
+    If the iterate left the cone interior, ``bad`` is set and W is not built."""
 
     def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
+        self.bad = False
         q = cone.q
         self.w_lp = np.sqrt(s[:q] / z[:q]) if q else np.zeros(0)
         self.soc_W: list[np.ndarray] = []
@@ -276,7 +281,8 @@ class _Scaling:
             rho_s = (s0 - ns) * (s0 + ns)
             rho_z = (z0 - nz) * (z0 + nz)
             if rho_s <= 0 or rho_z <= 0:
-                raise _NumericalTrouble("iterate left the cone interior")
+                self.bad = True
+                return
             sbar = s[blk] / math.sqrt(rho_s)
             zbar = z[blk] / math.sqrt(rho_z)
             gamma = math.sqrt((1.0 + sbar @ zbar) / 2.0)
@@ -312,9 +318,8 @@ class _Scaling:
 
 
 class _BatchScaling(_Scaling):
-    """_Scaling of stacked iterates (B, dim).  Instead of raising, ``bad``
-    marks the instances whose iterate left the cone interior; their rows
-    are meaningless."""
+    """_Scaling of stacked iterates (B, dim).  ``bad`` marks the instances
+    whose iterate left the cone interior; their rows are meaningless."""
 
     def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
@@ -370,11 +375,6 @@ class _KKT:
         self._lp_diag = np.arange(n + p, n + p + cone.q)
         self._soc = [slice(n + p + blk.start, n + p + blk.stop) for _, _, blk, _ in cone.blocks]
 
-    def _set_scaling(self, w2_lp: np.ndarray, w2_soc: list[np.ndarray]):
-        self.K[..., self._lp_diag, self._lp_diag] = -w2_lp
-        for M, sl in zip(w2_soc, self._soc):
-            self.K[..., sl, sl] = -M
-
     def _factor_one(self, K: np.ndarray):
         """(ldu, ipiv) of one KKT matrix, regularized on retry; None if every attempt fails."""
         n = self.n
@@ -391,46 +391,41 @@ class _KKT:
                 return ldu, ipiv
         return None
 
-    def factor(self, w2_lp: np.ndarray, w2_soc: list[np.ndarray]):
-        self._set_scaling(w2_lp, w2_soc)
-        factors = self._factor_one(self.K)
-        if factors is None:
-            raise _NumericalTrouble("KKT factorization failed")
-        self._ldu, self._ipiv = factors
+    def factor(self, w2_lp, w2_soc, out=None):
+        """Factor K with the scaling blocks W'W; return the failure mask (a
+        bool for one program).  Stacked instances marked in ``out`` are skipped."""
+        self.K[..., self._lp_diag, self._lp_diag] = -w2_lp
+        for M, sl in zip(w2_soc, self._soc):
+            self.K[..., sl, sl] = -M
+        if self.K.ndim == 2:
+            self._factors = self._factor_one(self.K)
+            return self._factors is None
+        self._factors = [None if stop else self._factor_one(K) for K, stop in zip(self.K, out)]
+        return ~out & np.array([f is None for f in self._factors])
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = self._sytrs(self._ldu, self._ipiv, rhs, lower=1)
-        if info != 0:
-            raise _NumericalTrouble("KKT solve failed")
-        for _ in range(2):
-            r = rhs - self.K @ x
-            if np.abs(r).max() <= 1e-13 * (1.0 + np.abs(rhs).max()):
-                break
-            dx, info = self._sytrs(self._ldu, self._ipiv, r, lower=1)
+    def solve(self, rhs: np.ndarray, out=None):
+        """(x, failure mask) for K x = rhs, with up to two refinement steps;
+        as ``factor``, for one program or a stack."""
+        if rhs.ndim == 1:
+            x, info = self._sytrs(*self._factors, rhs, lower=1)
             if info != 0:
-                break
-            x = x + dx
-        return x
-
-
-class _BatchKKT(_KKT):
-    """_KKT over stacked programs: the matrices and refinement residuals are
-    stacks, the LAPACK factorizations and solves run per instance.  Instead
-    of raising, ``factor`` and ``solve`` return the mask of instances that
-    failed; only the ``live`` instances are factored and solved."""
-
-    def factor(self, w2_lp, w2_soc, live: np.ndarray) -> np.ndarray:
-        self._set_scaling(w2_lp, w2_soc)
-        self._factors = [self._factor_one(K) if ok else None for K, ok in zip(self.K, live)]
-        return live & np.array([f is None for f in self._factors])
-
-    def solve(self, rhs: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                return x, True
+            for _ in range(2):
+                r = rhs - self.K @ x
+                if np.abs(r).max() <= 1e-13 * (1.0 + np.abs(rhs).max()):
+                    break
+                dx, info = self._sytrs(*self._factors, r, lower=1)
+                if info != 0:
+                    break
+                x = x + dx
+            return x, False
+        # the refinement residuals are stacks, the LAPACK solves per instance
         x = np.zeros(rhs.shape)
         failed = np.zeros(len(rhs), dtype=bool)
-        for i in np.flatnonzero(live):
+        for i in np.flatnonzero(~out):
             x[i], info = self._sytrs(*self._factors[i], rhs[i], lower=1)
             failed[i] = info != 0
-        refine = live & ~failed
+        refine = ~out & ~failed
         bound = 1e-13 * (1.0 + np.abs(rhs).max(axis=1))
         for _ in range(2):
             r = rhs - _mv(self.K, x)
@@ -442,10 +437,6 @@ class _BatchKKT(_KKT):
                     continue
                 x[i] = x[i] + dx
         return x, failed
-
-
-class _NumericalTrouble(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +615,7 @@ class _ResidualCheck:
         one = x.ndim == 1
         vmax = max if one else _pymax
         eq = np.abs(_mv(self.F, x) - self.g).max(axis=-1, initial=0.0) / self.g_scale
-        viol = 0.0
+        viol = 0.0 if one else np.zeros(eq.shape)
         if self.lbi.size:
             viol = vmax(viol, (self.lb - x[..., self.lbi]).max(axis=-1, initial=0.0))
         if self.ubi.size:
@@ -642,19 +633,6 @@ def _unscale(col_scale: np.ndarray, basis: np.ndarray | None, x: np.ndarray, tau
     return col_scale * full / tau
 
 
-def _finish(prog: ConicProgram, col_scale, basis, measure, status: str, x=None, tau=1.0,
-            gap=math.nan, iters=0, cert=None) -> SolveResult:
-    """The result of a run that stops with ``status``; x (reduced, scaled, with
-    embedding tau) is reported in original variables, checked by ``measure``."""
-    if x is None:
-        return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan), iters, cert)
-    xo = _unscale(col_scale, basis, x, tau)
-    eq, viol = measure(xo)
-    obj = float(prog.f @ xo)
-    return SolveResult(status, obj if status in ("Optimal", "IterationLimit") else None,
-                       xo, Residuals(eq, viol, gap), iters, cert)
-
-
 def solve(
     prog: ConicProgram,
     settings: SolveSettings | None = None,
@@ -665,8 +643,8 @@ def solve(
     certificate: the one-program case of ``solve_batch``, with the same result.
 
     ``trace``, if given, is called once per iteration with a dict of the
-    iteration number, residuals, gap and embedding variables.  ``backend``
-    swaps in an external conic solver with the same
+    iteration number (an int), residuals, gap and embedding variables (plain
+    floats).  ``backend`` swaps in an external conic solver with the same
     ``(prog, settings, trace) -> SolveResult`` contract; the default is the
     in-house interior-point method, which the whole acceptance suite runs on.
     """
@@ -691,19 +669,19 @@ def solve_batch(progs, settings: SolveSettings | None = None) -> list[SolveResul
     return _solve_all(list(progs), settings)
 
 
-# The smallest group worth a batched run, measured on door, pivot and slide
+# The smallest group worth a stacked run, measured on door, pivot and slide
 # programs (2-core machine, numpy 2.4 with OpenBLAS), presolve included: one
-# instance through the stacked loop takes about 2.6 times as long as through
-# the scalar loop ``_ipm`` (eval_grid run that way drops from 140 to 56
-# solves/s), two take 1.2-2.1 times as long as two single solves, three
-# break even and four take about 0.75 times as long.
+# program run as a stack of one takes 2.2-2.4 times as long as on its own 1-D
+# arrays (eval_grid run that way dropped from 140 to 56 solves/s), two take
+# 1.3-1.4 times as long as two single solves, three break even (0.95-1.03)
+# and four take 0.77-0.85 times as long.
 _MIN_BATCH = 4
 
 
 def _solve_all(progs: list[ConicProgram], settings: SolveSettings | None, trace=None) -> list[SolveResult]:
     """The one solve path of ``solve`` and ``solve_batch``: group the programs
-    by structure and solve each group.  ``trace`` reaches the instances that
-    run through the scalar loop."""
+    by structure and solve each group.  ``trace`` reaches the programs that
+    run on their own."""
     settings = settings or SolveSettings()
     groups: dict[tuple, list[int]] = {}
     for i, prog in enumerate(progs):
@@ -720,8 +698,8 @@ def _solve_all(progs: list[ConicProgram], settings: SolveSettings | None, trace=
 def _solve_group(progs, members: list[int], settings: SolveSettings, trace, results: list) -> list[int]:
     """Presolve programs of one structure as a stack and settle the members
     whose reduced shapes match the first one's: a presolve exit (degenerate,
-    inconsistent, free ray) here, the rest through ``_ipm_batch`` from
-    ``_MIN_BATCH`` members on and through ``_ipm`` below.  Returns the other
+    inconsistent, free ray) here, the rest through ``_ipm``, as one stack
+    from ``_MIN_BATCH`` members on and one by one below.  Returns the other
     members, to be presolved again as a stack of their own."""
     sf0 = _standardize([progs[i] for i in members])
     if sf0.A.shape[-2] == 0 and sf0.G.shape[-2] == 0:  # degenerate: nothing but the objective
@@ -756,373 +734,241 @@ def _solve_group(progs, members: list[int], settings: SolveSettings, trace, resu
                 "constraint sees (uncapped free reaction aligned with the task?)")
     run = np.flatnonzero(live & ~free_ray)
     if len(run) >= _MIN_BATCH:
-        for k, res in zip(run, _ipm_batch([progs[members[k]] for k in run], _take(sf, run), settings)):
+        for k, res in zip(run, _ipm([progs[members[k]] for k in run], _take(sf, run), settings)):
             results[members[k]] = res
     else:
         for k in run:
-            results[members[k]] = _ipm(progs[members[k]], _take(sf, int(k)), settings, trace)
+            results[members[k]] = _ipm([progs[members[k]]], _take(sf, int(k)), settings, trace)[0]
     return [i for i, done in zip(members, infeasible | live) if not done]
 
 
-def _ipm(prog: ConicProgram, sf: _StdForm, settings: SolveSettings, trace=None) -> SolveResult:
-    """The HSD primal-dual interior-point loop on one presolved program."""
-    c, A, b, G, h, cone = sf.c, sf.A, sf.b, sf.G, sf.h, sf.cone
-    n, p, m = c.shape[0], A.shape[0], G.shape[0]
-    nu = cone.degree
-
-    kkt = _KKT(A, G, cone)
-    e = cone.identity()
-    measure = _ResidualCheck([prog]).take(0)
-
-    def split(u):
-        return u[:n], u[n : n + p], u[n + p :]
-
-    best: dict = {"merit": math.inf}
-
-    def finish(status, x=None, tau=1.0, gap=math.nan, iters=0, cert=None):
-        return _finish(prog, sf.col_scale, sf.basis, measure, status, x, tau, gap, iters, cert)
-
-    try:
-        # -- initialization (W = I) -------------------------------------
-        kkt.factor(np.ones(cone.q), [np.eye(d) for d in cone.soc_dims])
-        u = kkt.solve(np.concatenate([np.zeros(n), b, h]))
-        x, _, w = split(u)
-        s = -w.copy()
-        a = cone.min_eig(s)
-        if a <= 0:
-            s = s + (1.0 - a) * e
-        u = kkt.solve(np.concatenate([-c, np.zeros(p), np.zeros(m)]))
-        _, y, z = split(u)
-        z = z.copy()
-        a = cone.min_eig(z)
-        if a <= 0:
-            z = z + (1.0 - a) * e
-        tau, kappa = 1.0, 1.0
-
-        c_norm = 1.0 + float(np.abs(c).max(initial=0.0))
-        b_norm = 1.0 + float(np.abs(b).max(initial=0.0))
-        h_norm = 1.0 + float(np.abs(h).max(initial=0.0))
-        rhs_tau = np.concatenate([-c, b, h])
-
-        for it in range(settings.max_iterations):
-            rx = A.T @ y + G.T @ z + c * tau
-            ry = b * tau - A @ x
-            rz = h * tau - G @ x - s
-            rt = kappa + c @ x + b @ y + h @ z
-            mu = (s @ z + tau * kappa) / (nu + 1)
-
-            # -- termination, measured on the original program ----------
-            xo = _unscale(sf.col_scale, sf.basis, x, tau)
-            eq_res, cone_viol = measure(xo)
-            dres = float(np.abs(rx).max(initial=0.0)) / (tau * c_norm)
-            pobj = float(c @ x) / tau
-            dobj = -float(b @ y + h @ z) / tau
-            gap = float(s @ z) / tau**2
-            relgap = gap / max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
-            merit = max(eq_res, cone_viol, dres, relgap)
-            if merit < best["merit"]:
-                best.update(merit=merit, x=x.copy(), tau=tau, relgap=relgap, it=it)
-            if trace:
-                trace({"iteration": it, "mu": mu, "eq": eq_res, "cone": cone_viol,
-                       "dual": dres, "relgap": relgap, "tau": tau, "kappa": kappa})
-
-            if eq_res <= settings.feasibility_tol and cone_viol <= settings.feasibility_tol \
-                    and dres <= settings.feasibility_tol and relgap <= settings.duality_gap_tol:
-                eta = -pobj  # program maximizes f'x, standard form minimizes
-                if abs(eta) > settings.unboundedness_threshold:
-                    return finish("Unbounded", iters=it,
-                                  cert=f"objective magnitude {abs(eta):.3e} exceeds threshold")
-                return finish("Optimal", x, tau, relgap, it)
-
-            # certificates
-            bhz = float(b @ y + h @ z)
-            if bhz < 0:
-                yc, zc = y / (-bhz), z / (-bhz)
-                farkas = float(np.abs(A.T @ yc + G.T @ zc).max(initial=0.0))
-                if farkas <= settings.feasibility_tol * c_norm:
-                    return finish("Infeasible", iters=it,
-                                  cert=f"Farkas ray with b'y + h'z = -1: "
-                                       f"||A'y + G'z||_inf = {farkas:.3e}")
-            cx = float(c @ x)
-            if cx < 0:
-                xc, sc_ = x / (-cx), s / (-cx)
-                ray_eq = float(np.abs(A @ xc).max(initial=0.0))
-                ray_cone = float(np.abs(G @ xc + sc_).max(initial=0.0))
-                if ray_eq <= settings.feasibility_tol * b_norm and ray_cone <= settings.feasibility_tol * h_norm:
-                    return finish("Unbounded", iters=it,
-                                  cert=f"improving ray with c'x = -1: ||A x||_inf = {ray_eq:.3e}, "
-                                       f"||G x + s||_inf = {ray_cone:.3e}, s in K")
-
-            # -- NT scaling and KKT factorization -----------------------
-            scal = _Scaling(cone, s, z)
-            lam = scal.lam
-            w2_lp, w2_soc = scal.w_squared_blocks()
-            kkt.factor(w2_lp, w2_soc)
-            u1 = kkt.solve(rhs_tau)
-            x1, y1, z1 = split(u1)
-            zeta1 = c @ x1 + b @ y1 + h @ z1
-            denom0 = kappa / tau - zeta1
-            if abs(denom0) < 1e-300:
-                raise _NumericalTrouble("degenerate tau step")
-
-            def direction(w1, w2, w3, w4, d_s, d_kt):
-                lam_ds = cone.div(lam, d_s)
-                u2 = kkt.solve(np.concatenate([-w1, w2, w3 - scal.apply_W(lam_ds)]))
-                x2, y2, z2 = split(u2)
-                dtau = (w4 + d_kt / tau + (c @ x2 + b @ y2 + h @ z2)) / denom0
-                dx = x2 + dtau * x1
-                dy = y2 + dtau * y1
-                dz = z2 + dtau * z1
-                ds = scal.apply_W(lam_ds - scal.apply_W(dz))
-                dkappa = (d_kt - kappa * dtau) / tau
-                return dx, dy, dz, dtau, ds, dkappa
-
-            def max_alpha(ds, dz, dtau, dkappa):
-                alpha = min(cone.max_step(s, ds), cone.max_step(z, dz))
-                if dtau < 0:
-                    alpha = min(alpha, -tau / dtau)
-                if dkappa < 0:
-                    alpha = min(alpha, -kappa / dkappa)
-                return alpha
-
-            # -- predictor (affine) --------------------------------------
-            lam2 = cone.prod(lam, lam)
-            dxa, dya, dza, dta, dsa, dka = direction(rx, ry, rz, rt, -lam2, -tau * kappa)
-            alpha_aff = min(1.0, max_alpha(dsa, dza, dta, dka))
-            gap_aff = ((s + alpha_aff * dsa) @ (z + alpha_aff * dza)
-                       + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka))
-            sigma = min(1.0, max(0.0, gap_aff / (s @ z + tau * kappa))) ** 3
-
-            # -- corrector ----------------------------------------------
-            corr = cone.prod(scal.apply_Winv(dsa), scal.apply_W(dza))
-            d_s = sigma * mu * e - lam2 - corr
-            d_kt = sigma * mu - tau * kappa - dta * dka
-            one_minus = 1.0 - sigma
-            dx, dy, dz, dtau, ds, dkappa = direction(
-                one_minus * rx, one_minus * ry, one_minus * rz, one_minus * rt, d_s, d_kt
-            )
-            alpha = min(1.0, _STEP_FRACTION * max_alpha(ds, dz, dtau, dkappa))
-            if not math.isfinite(alpha) or alpha < _MIN_STEP:
-                raise _NumericalTrouble("step length collapsed")
-
-            x = x + alpha * dx
-            y = y + alpha * dy
-            z = z + alpha * dz
-            s = s + alpha * ds
-            tau = tau + alpha * dtau
-            kappa = kappa + alpha * dkappa
-            if tau <= 0 or kappa < 0 or not math.isfinite(tau):
-                raise _NumericalTrouble("embedding variables left the cone")
-
-        if "x" in best:
-            return finish("IterationLimit", best["x"], best["tau"], best["relgap"], settings.max_iterations)
-        return finish("IterationLimit", iters=settings.max_iterations)
-
-    except _NumericalTrouble as exc:
-        if "x" in best:
-            return finish("NumericalFailure", best["x"], best["tau"], best["relgap"],
-                          best["it"], cert=str(exc))
-        return finish("NumericalFailure", cert=str(exc))
+class _Stop(Exception):
+    """Every instance of an ``_ipm`` run has its result."""
 
 
-# ---------------------------------------------------------------------------
-# Batched runs: programs of one structure through one stacked loop
-# ---------------------------------------------------------------------------
-
-class _Rows:
-    """Per-instance arrays of a batched run, one row per instance still running."""
-
-    def keep(self, mask: np.ndarray):
-        for name, v in vars(self).items():
-            if isinstance(v, np.ndarray):
-                setattr(self, name, v[mask])
+def _sigma(g):
+    """Mehrotra's centering sigma from the affine gap ratio g."""
+    return min(1.0, max(0.0, g)) ** 3
 
 
-def _ipm_batch(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings) -> list[SolveResult]:
-    """The loop of ``_ipm`` over a stack of presolved programs
-    of one structure, every row rounded exactly as that program alone.
+def _amax(v: np.ndarray):
+    return np.abs(v).max(axis=-1, initial=0.0)
 
-    Dot products, matrix products and the KKT refinement residual are stacked
-    matmuls (one BLAS call per instance); Python's min/max become np.where;
-    the powers (tau**2, beta, sigma) stay scalars per instance; LAPACK runs
-    per instance.  An instance that stops is recorded at once; its row runs on
-    (skipped by LAPACK) until the next iteration drops it.
+
+def _ipm(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings, trace=None) -> list[SolveResult]:
+    """The HSD primal-dual interior-point loop over presolved programs of one
+    structure: one program's own form (1-D arrays, as ``_take(sf, k)`` gives
+    it) or a stack of them (a leading instance axis), every instance rounded
+    exactly as that program alone.
+
+    One program's per-instance numbers (tau, kappa, step lengths, norms) are
+    Python or numpy scalars; a stack's are arrays.  The few operations that
+    differ are bound once per run: a dot or matvec is ``u @ v`` or a stacked
+    matmul (one BLAS call per instance), Python's min/max/if become
+    np.where, the powers (tau**2, sigma**3, beta in the scaling) stay
+    scalars per instance, and LAPACK runs per instance.  An instance that
+    stops is recorded at once; in a stack its row runs on (skipped by
+    LAPACK) until the next iteration drops it, and the run ends when every
+    instance has stopped.  ``trace`` (one program only) is called once per
+    iteration with plain ints and floats.
     """
-    cone = _BatchCone(sf.cone.q, sf.cone.soc_dims)
-    B, p, n = sf.A.shape
-    m = sf.G.shape[1]
+    one = sf.c.ndim == 1
+    if one:  # Python's operators and builtins on the program's numbers
+        cone, scaling, dot = sf.cone, _Scaling, operator.matmul
+        mv, vmin, vmax, any_, col, where = dot, min, max, bool, (lambda v: v), (lambda m, a, b: a if m else b)
+        sq, sigma_of, choose = (lambda t: t ** 2), _sigma, where
+        hits, row = (lambda m: (0,) if m else ()), (lambda v, i: v)  # the one instance, if m marks it
+    else:  # arrays of per-instance numbers, broadcast against vectors as columns
+        cone, scaling = _BatchCone(sf.cone.q, sf.cone.soc_dims), _BatchScaling
+        dot, mv, vmin, vmax, any_, col, where = _dot, _mv, _pymin, _pymax, np.any, (lambda v: v[:, None]), np.where
+        hits, row = (lambda m: np.flatnonzero(m & ~out)), (lambda v, i: v[i])  # the running instances m marks
+        # a scalar power per instance: numpy's array ** rounds differently
+        sq, sigma_of = (lambda t: np.array([np.float64(v) ** 2 for v in t.tolist()])), \
+            (lambda g: np.array([_sigma(v) for v in g]))
+
+        def choose(m, a, b):  # np.where over tuples of per-instance numbers and vectors
+            return tuple(np.where(m[:, None] if np.ndim(u) == 2 else m, u, v) for u, v in zip(a, b))
+    n, p, m = sf.c.shape[-1], sf.A.shape[-2], sf.G.shape[-2]
+    B = 1 if one else len(sf.c)
     nu, e = cone.degree, cone.identity()
     ftol, gtol = settings.feasibility_tol, settings.duality_gap_tol
     results: list = [None] * B
     check = _ResidualCheck(progs)  # stacked once; rows are taken from it as instances stop
-    kkt = _BatchKKT(sf.A, sf.G, cone)
-    r = _Rows()
-    r.ids = np.arange(B)
-    r.c, r.A, r.b, r.G, r.h, r.col_scale = sf.c, sf.A, sf.b, sf.G, sf.h, sf.col_scale
-    r.basis_t = None if sf.basis is None else np.swapaxes(sf.basis, 1, 2)  # rows keep their layout
-    r.best_merit, r.best_x = np.full(B, math.inf), np.zeros((B, n))
-    r.best_tau, r.best_relgap, r.best_it = np.ones(B), np.full(B, math.nan), np.zeros(B, dtype=int)
-    out = np.zeros(B, dtype=bool)  # stopped during this iteration (or before the loop)
+    measure = check.take(0) if one else check
+    kkt = _KKT(sf.A, sf.G, cone)
+    ids = np.arange(B)
+    out = None if one else np.zeros(B, dtype=bool)  # stopped during this iteration
+    best = ((math.inf, None, 1.0, math.nan, 0) if one  # merit, x, tau, relgap, iteration
+            else (np.full(B, math.inf), np.zeros((B, n)), np.ones(B), np.full(B, math.nan), np.zeros(B, dtype=int)))
 
     def done(i, status, x=None, tau=1.0, gap=math.nan, iters=0, cert=None):
-        k = r.ids[i]
-        basis = None if r.basis_t is None else r.basis_t[i].T
-        results[k] = _finish(progs[k], r.col_scale[i], basis, check.take(k), status, x, tau, gap, iters, cert)
-        out[i] = True
+        """Record instance i's result; x, tau and gap are the whole state, of
+        which row i (x reduced, scaled, with embedding tau) is reported in
+        original variables, checked against the original program."""
+        k, xo, obj, resid = ids[i], None, None, Residuals(math.nan, math.nan, math.nan)
+        if x is not None:
+            basis = None if sf.basis is None else row(sf.basis, i)
+            xo = _unscale(row(sf.col_scale, i), basis, row(x, i), row(tau, i))
+            resid = Residuals(*(measure if one else check.take(k))(xo), row(gap, i))
+            obj = float(progs[k].f @ xo) if status in ("Optimal", "IterationLimit") else None
+        results[k] = SolveResult(status, obj, xo, resid, iters, cert)
+        if not one:
+            out[i] = True
+        if one or out.all():
+            raise _Stop
 
-    def fail(mask, why):
-        for i in np.flatnonzero(mask & ~out):
-            if r.best_merit[i] < math.inf:
-                done(i, "NumericalFailure", r.best_x[i], r.best_tau[i], r.best_relgap[i],
-                     int(r.best_it[i]), cert=why)
+    def give_up(mask, why, status="NumericalFailure"):
+        """Stop the marked running instances as ``status`` with their best
+        iterate, if any, and certificate ``why`` (None: iteration limit)."""
+        if one and not mask:  # the common case, without a call of hits
+            return
+        merit, x, tau, gap, it = best
+        for i in hits(mask):
+            iters = int(row(it, i)) if why else settings.max_iterations
+            if row(merit, i) < math.inf:
+                done(i, status, x, tau, gap, iters, why)
             else:
-                done(i, "NumericalFailure", cert=why)
+                done(i, status, iters=iters, cert=why)
 
     def split(u):
-        return u[:, :n], u[:, n : n + p], u[:, n + p :]
+        return u[..., :n], u[..., n : n + p], u[..., n + p :]
 
-    def lift(a, v):
-        return np.where((a <= 0)[:, None], v + (1.0 - a)[:, None] * e, v)
+    def lift(v):
+        """v, moved into the cone interior if it is not there."""
+        a = cone.min_eig(v)
+        return where(col(a <= 0), v + col(1.0 - a) * e, v)
 
-    with np.errstate(all="ignore"):  # rows of stopped instances may hold inf/nan
-        # -- initialization (W = I) -------------------------------------
-        fail(kkt.factor(np.ones((B, cone.q)), [np.broadcast_to(np.eye(d), (B, d, d)) for d in cone.soc_dims],
-                        ~out), "KKT factorization failed")
-        u, bad = kkt.solve(np.concatenate([np.zeros((B, n)), r.b, r.h], axis=1), ~out)
-        fail(bad, "KKT solve failed")
-        r.x, _, w = split(u)
-        r.s = -w.copy()
-        r.s = lift(cone.min_eig(r.s), r.s)
-        u, bad = kkt.solve(np.concatenate([-r.c, np.zeros((B, p + m))], axis=1), ~out)
-        fail(bad, "KKT solve failed")
-        _, r.y, z = split(u)
-        r.z = lift(cone.min_eig(z), z.copy())
-        r.tau, r.kappa = np.ones(B), np.ones(B)
-        r.c_norm = 1.0 + np.abs(r.c).max(axis=1, initial=0.0)
-        r.b_norm = 1.0 + np.abs(r.b).max(axis=1, initial=0.0)
-        r.h_norm = 1.0 + np.abs(r.h).max(axis=1, initial=0.0)
-        r.rhs_tau = np.concatenate([-r.c, r.b, r.h], axis=1)
-        measure = check
+    def direction(w1, w2, w3, w4, d_s, d_kt):
+        lam_ds = cone.div(lam, d_s)
+        u2, bad = kkt.solve(np.concatenate([-w1, w2, w3 - scal.apply_W(lam_ds)], axis=-1), out)
+        give_up(bad, "KKT solve failed")
+        x2, y2, z2 = split(u2)
+        dtau = (w4 + d_kt / tau + (dot(c, x2) + dot(b, y2) + dot(h, z2))) / denom0
+        dt = col(dtau)
+        dx, dy, dz = x2 + dt * x1, y2 + dt * y1, z2 + dt * z1
+        ds = scal.apply_W(lam_ds - scal.apply_W(dz))
+        dkappa = (d_kt - kappa * dtau) / tau
+        return dx, dy, dz, dtau, ds, dkappa
 
-        for it in range(settings.max_iterations):
-            if out.any():
-                r.keep(~out)
-                kkt.K = kkt.K[~out]
-                out = np.zeros(len(r.ids), dtype=bool)
-                if not len(r.ids):
-                    break
-                measure = check.take(r.ids)
-            c, A, b, G, h = r.c, r.A, r.b, r.G, r.h
-            x, y, z, s, tau, kappa = r.x, r.y, r.z, r.s, r.tau, r.kappa
-            At, Gt = np.swapaxes(A, 1, 2), np.swapaxes(G, 1, 2)
-            cx, by, hz, sz = _dot(c, x), _dot(b, y), _dot(h, z), _dot(s, z)
-            rx = _mv(At, y) + _mv(Gt, z) + c * tau[:, None]
-            ry = b * tau[:, None] - _mv(A, x)
-            rz = h * tau[:, None] - _mv(G, x) - s
-            rt = kappa + cx + by + hz
-            mu = (sz + tau * kappa) / (nu + 1)
+    def max_alpha(ds, dz, dtau, dkappa):
+        alpha = vmin(cone.max_step(s, ds), cone.max_step(z, dz))
+        if any_(dtau < 0):
+            alpha = where(dtau < 0, vmin(alpha, -tau / dtau), alpha)
+        if any_(dkappa < 0):
+            alpha = where(dkappa < 0, vmin(alpha, -kappa / dkappa), alpha)
+        return alpha
 
-            # -- termination, measured on the original program ----------
-            basis = None if r.basis_t is None else np.swapaxes(r.basis_t, 1, 2)
-            eq_res, cone_viol = measure(_unscale(r.col_scale, basis, x, tau[:, None]))
-            dres = np.abs(rx).max(axis=1, initial=0.0) / (tau * r.c_norm)
-            pobj = cx / tau
-            dobj = -(by + hz) / tau
-            gap = sz / np.array([np.float64(t) ** 2 for t in tau.tolist()])
-            relgap = gap / _pymax(1.0, 0.5 * (np.abs(pobj) + np.abs(dobj)))
-            merit = _pymax(_pymax(_pymax(eq_res, cone_viol), dres), relgap)
-            better = merit < r.best_merit
-            r.best_merit = np.where(better, merit, r.best_merit)
-            r.best_x[better] = x[better]
-            r.best_tau = np.where(better, tau, r.best_tau)
-            r.best_relgap = np.where(better, relgap, r.best_relgap)
-            r.best_it[better] = it
+    c, A, b, G, h = sf.c, sf.A, sf.b, sf.G, sf.h
+    try:
+        # a stack's stopped rows may hold inf/nan; the errstate would slow one program's numpy calls
+        with contextlib.nullcontext() if one else np.errstate(all="ignore"):
+            # -- initialization (W = I) -------------------------------------
+            give_up(kkt.factor(np.ones(cone.q), [np.eye(d) for d in cone.soc_dims], out), "KKT factorization failed")
+            u, bad = kkt.solve(np.concatenate([np.zeros(c.shape), b, h], axis=-1), out)
+            give_up(bad, "KKT solve failed")
+            x, _, w = split(u)
+            s = lift(-w)
+            u, bad = kkt.solve(np.concatenate([-c, np.zeros(c.shape[:-1] + (p + m,))], axis=-1), out)
+            give_up(bad, "KKT solve failed")
+            _, y, z = split(u)
+            z = lift(z)
+            tau, kappa = (1.0, 1.0) if one else (np.ones(B), np.ones(B))
+            c_norm, b_norm, h_norm = 1.0 + _amax(c), 1.0 + _amax(b), 1.0 + _amax(h)
+            rhs_tau = np.concatenate([-c, b, h], axis=-1)
+            At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
 
-            conv = (eq_res <= ftol) & (cone_viol <= ftol) & (dres <= ftol) & (relgap <= gtol)
-            for i in np.flatnonzero(conv):
-                eta = -pobj[i]  # program maximizes f'x, standard form minimizes
-                if abs(eta) > settings.unboundedness_threshold:
-                    done(i, "Unbounded", iters=it, cert=f"objective magnitude {abs(eta):.3e} exceeds threshold")
-                else:
-                    done(i, "Optimal", x[i], tau[i], relgap[i], it)
+            for it in range(settings.max_iterations):
+                if not one and out.any():  # drop the instances that stopped
+                    keep = ~out
+                    sf = _take(sf, keep)
+                    c, A, b, G, h = sf.c, sf.A, sf.b, sf.G, sf.h
+                    At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
+                    x, y, z, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, ids, kkt.K, *best = (
+                        v[keep] for v in (x, y, z, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, ids, kkt.K, *best))
+                    out = out[keep]
+                    measure = check.take(ids)
+                cx, by, hz, sz = dot(c, x), dot(b, y), dot(h, z), dot(s, z)
+                tc = col(tau)
+                rx = mv(At, y) + mv(Gt, z) + c * tc
+                ry = b * tc - mv(A, x)
+                rz = h * tc - mv(G, x) - s
+                rt = kappa + cx + by + hz
+                mu = (sz + tau * kappa) / (nu + 1)
 
-            # certificates
-            bhz = by + hz
-            if (~out & (bhz < 0)).any():
-                farkas = np.abs(_mv(At, y / -bhz[:, None]) + _mv(Gt, z / -bhz[:, None])).max(axis=1, initial=0.0)
-                for i in np.flatnonzero(~out & (bhz < 0) & (farkas <= ftol * r.c_norm)):
-                    done(i, "Infeasible", iters=it,
-                         cert=f"Farkas ray with b'y + h'z = -1: ||A'y + G'z||_inf = {farkas[i]:.3e}")
-            if (~out & (cx < 0)).any():
-                xc, sc_ = x / -cx[:, None], s / -cx[:, None]
-                ray_eq = np.abs(_mv(A, xc)).max(axis=1, initial=0.0)
-                ray_cone = np.abs(_mv(G, xc) + sc_).max(axis=1, initial=0.0)
-                for i in np.flatnonzero(~out & (cx < 0) & (ray_eq <= ftol * r.b_norm)
-                                        & (ray_cone <= ftol * r.h_norm)):
-                    done(i, "Unbounded", iters=it,
-                         cert=f"improving ray with c'x = -1: ||A x||_inf = {ray_eq[i]:.3e}, "
-                              f"||G x + s||_inf = {ray_cone[i]:.3e}, s in K")
+                # -- termination, measured on the original program ----------
+                eq_res, cone_viol = measure(_unscale(sf.col_scale, sf.basis, x, tc))
+                dres = _amax(rx) / (tau * c_norm)
+                pobj = cx / tau
+                dobj = -(by + hz) / tau
+                relgap = sz / sq(tau) / vmax(1.0, 0.5 * (abs(pobj) + abs(dobj)))
+                merit = vmax(vmax(vmax(eq_res, cone_viol), dres), relgap)
+                best = choose(merit < best[0], (merit, x, tau, relgap, it), best)
+                if trace:
+                    trace({"iteration": it, "mu": float(mu), "eq": eq_res, "cone": cone_viol, "dual": float(dres),
+                           "relgap": float(relgap), "tau": float(tau), "kappa": float(kappa)})
 
-            # -- NT scaling and KKT factorization -----------------------
-            scal = _BatchScaling(cone, s, z)
-            fail(scal.bad, "iterate left the cone interior")
-            lam = scal.lam
-            fail(kkt.factor(*scal.w_squared_blocks(), ~out), "KKT factorization failed")
-            u1, bad = kkt.solve(r.rhs_tau, ~out)
-            fail(bad, "KKT solve failed")
-            x1, y1, z1 = split(u1)
-            denom0 = kappa / tau - (_dot(c, x1) + _dot(b, y1) + _dot(h, z1))
-            fail(np.abs(denom0) < 1e-300, "degenerate tau step")
+                conv = (eq_res <= ftol) & (cone_viol <= ftol) & (dres <= ftol) & (relgap <= gtol)
+                for i in hits(conv):
+                    eta = -row(pobj, i)  # program maximizes f'x, standard form minimizes
+                    if abs(eta) > settings.unboundedness_threshold:
+                        done(i, "Unbounded", iters=it, cert=f"objective magnitude {abs(eta):.3e} exceeds threshold")
+                    else:
+                        done(i, "Optimal", x, tau, relgap, it)
 
-            def direction(w1, w2, w3, w4, d_s, d_kt):
-                lam_ds = cone.div(lam, d_s)
-                u2, bad = kkt.solve(np.concatenate([-w1, w2, w3 - scal.apply_W(lam_ds)], axis=1), ~out)
-                fail(bad, "KKT solve failed")
-                x2, y2, z2 = split(u2)
-                dtau = (w4 + d_kt / tau + (_dot(c, x2) + _dot(b, y2) + _dot(h, z2))) / denom0
-                dx = x2 + dtau[:, None] * x1
-                dy = y2 + dtau[:, None] * y1
-                dz = z2 + dtau[:, None] * z1
-                ds = scal.apply_W(lam_ds - scal.apply_W(dz))
-                dkappa = (d_kt - kappa * dtau) / tau
-                return dx, dy, dz, dtau, ds, dkappa
+                # certificates
+                bhz = by + hz
+                if any_(bhz < 0):
+                    farkas = _amax(mv(At, y / col(-bhz)) + mv(Gt, z / col(-bhz)))
+                    for i in hits((bhz < 0) & (farkas <= ftol * c_norm)):
+                        done(i, "Infeasible", iters=it,
+                             cert=f"Farkas ray with b'y + h'z = -1: ||A'y + G'z||_inf = {row(farkas, i):.3e}")
+                if any_(cx < 0):
+                    xc, sc_ = x / col(-cx), s / col(-cx)
+                    ray_eq, ray_cone = _amax(mv(A, xc)), _amax(mv(G, xc) + sc_)
+                    for i in hits((cx < 0) & (ray_eq <= ftol * b_norm) & (ray_cone <= ftol * h_norm)):
+                        done(i, "Unbounded", iters=it,
+                             cert=f"improving ray with c'x = -1: ||A x||_inf = {row(ray_eq, i):.3e}, "
+                                  f"||G x + s||_inf = {row(ray_cone, i):.3e}, s in K")
 
-            def max_alpha(ds, dz, dtau, dkappa):
-                alpha = _pymin(cone.max_step(s, ds), cone.max_step(z, dz))
-                alpha = np.where(dtau < 0, _pymin(alpha, -tau / dtau), alpha)
-                return np.where(dkappa < 0, _pymin(alpha, -kappa / dkappa), alpha)
+                # -- NT scaling and KKT factorization -----------------------
+                scal = scaling(cone, s, z)
+                give_up(scal.bad, "iterate left the cone interior")
+                lam = scal.lam
+                give_up(kkt.factor(*scal.w_squared_blocks(), out), "KKT factorization failed")
+                u1, bad = kkt.solve(rhs_tau, out)
+                give_up(bad, "KKT solve failed")
+                x1, y1, z1 = split(u1)
+                denom0 = kappa / tau - (dot(c, x1) + dot(b, y1) + dot(h, z1))
+                give_up(abs(denom0) < 1e-300, "degenerate tau step")
 
-            # -- predictor (affine) --------------------------------------
-            lam2 = cone.prod(lam, lam)
-            dxa, dya, dza, dta, dsa, dka = direction(rx, ry, rz, rt, -lam2, -tau * kappa)
-            alpha_aff = _pymin(1.0, max_alpha(dsa, dza, dta, dka))
-            gap_aff = (_dot(s + alpha_aff[:, None] * dsa, z + alpha_aff[:, None] * dza)
-                       + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka))
-            # a scalar power per instance: numpy's array ** rounds differently
-            sigma = np.array([min(1.0, max(0.0, g)) ** 3 for g in gap_aff / (sz + tau * kappa)])
+                # -- predictor (affine) --------------------------------------
+                lam2 = cone.prod(lam, lam)
+                dxa, dya, dza, dta, dsa, dka = direction(rx, ry, rz, rt, -lam2, -tau * kappa)
+                alpha_aff = vmin(1.0, max_alpha(dsa, dza, dta, dka))
+                ac = col(alpha_aff)
+                gap_aff = (dot(s + ac * dsa, z + ac * dza)
+                           + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka))
+                sigma = sigma_of(gap_aff / (sz + tau * kappa))
 
-            # -- corrector ----------------------------------------------
-            corr = cone.prod(scal.apply_Winv(dsa), scal.apply_W(dza))
-            d_s = (sigma * mu)[:, None] * e - lam2 - corr
-            d_kt = sigma * mu - tau * kappa - dta * dka
-            om = (1.0 - sigma)[:, None]
-            dx, dy, dz, dtau, ds, dkappa = direction(om * rx, om * ry, om * rz, om[:, 0] * rt, d_s, d_kt)
-            alpha = _pymin(1.0, _STEP_FRACTION * max_alpha(ds, dz, dtau, dkappa))
-            fail(~np.isfinite(alpha) | (alpha < _MIN_STEP), "step length collapsed")
+                # -- corrector ----------------------------------------------
+                corr = cone.prod(scal.apply_Winv(dsa), scal.apply_W(dza))
+                d_s = col(sigma * mu) * e - lam2 - corr
+                d_kt = sigma * mu - tau * kappa - dta * dka
+                om = 1.0 - sigma
+                oc = col(om)
+                dx, dy, dz, dtau, ds, dkappa = direction(oc * rx, oc * ry, oc * rz, om * rt, d_s, d_kt)
+                alpha = vmin(1.0, _STEP_FRACTION * max_alpha(ds, dz, dtau, dkappa))
+                give_up(alpha < _MIN_STEP, "step length collapsed")  # alpha is never nan or +inf
 
-            r.x = x + alpha[:, None] * dx
-            r.y = y + alpha[:, None] * dy
-            r.z = z + alpha[:, None] * dz
-            r.s = s + alpha[:, None] * ds
-            r.tau = tau + alpha * dtau
-            r.kappa = kappa + alpha * dkappa
-            fail((r.tau <= 0) | (r.kappa < 0) | ~np.isfinite(r.tau), "embedding variables left the cone")
+                ac = col(alpha)
+                x, y, z, s = x + ac * dx, y + ac * dy, z + ac * dz, s + ac * ds
+                tau, kappa = tau + alpha * dtau, kappa + alpha * dkappa
+                # tau is a numpy number or array here; not 0 < tau < inf also catches nan
+                give_up(~((0 < tau) & (tau < math.inf)) | (kappa < 0), "embedding variables left the cone")
 
-        for i in np.flatnonzero(~out):
-            if r.best_merit[i] < math.inf:
-                done(i, "IterationLimit", r.best_x[i], r.best_tau[i], r.best_relgap[i], settings.max_iterations)
-            else:
-                done(i, "IterationLimit", iters=settings.max_iterations)
+            give_up(True, None, "IterationLimit")
+    except _Stop:
+        pass
     return results
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import mkprog, soc
+from test_random_scenarios import random_problem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -93,13 +94,25 @@ def test_two_structures_keep_input_order():
     assert len({r.iterations for r in batch[0::2]} & {r.iterations for r in batch[1::2]}) == 0
 
 
+def stacked_runs(monkeypatch) -> list:
+    """The results of each ``solver._ipm`` run on a stacked (2-D) state, as they are made."""
+    runs, run = [], solver._ipm
+
+    def record(progs, sf, settings, trace=None):
+        results = run(progs, sf, settings, trace)
+        if sf.c.ndim == 2:
+            runs.append(results)
+        return results
+
+    monkeypatch.setattr(solver, "_ipm", record)
+    return runs
+
+
 def test_groups_below_min_batch_are_solved_alone(monkeypatch):
-    sizes = []
-    run = solver._ipm_batch
-    monkeypatch.setattr(solver, "_ipm_batch", lambda progs, sf, st: sizes.append(len(progs)) or run(progs, sf, st))
+    runs = stacked_runs(monkeypatch)
     pivot = cuboid_progs("cuboid_pivot", +1)[:solver._MIN_BATCH]
     assert_same_as_alone(door_progs(0.0, +1)[: solver._MIN_BATCH - 1] + pivot)
-    assert sizes == [solver._MIN_BATCH]
+    assert [len(r) for r in runs] == [solver._MIN_BATCH]
 
 
 def presolve_group() -> list:
@@ -121,15 +134,13 @@ def presolve_group() -> list:
 
 
 def test_presolve_exits_and_reduced_shapes_within_a_group(monkeypatch):
-    batches = []
-    run = solver._ipm_batch
-    monkeypatch.setattr(solver, "_ipm_batch", lambda progs, sf, st: batches.append(len(progs)) or run(progs, sf, st))
+    runs = stacked_runs(monkeypatch)
     batch = assert_same_as_alone(presolve_group())
     assert [r.status for r in batch] == ["Optimal", "Optimal", "Optimal", "Infeasible",
                                          "Optimal", "Optimal", "Unbounded", "Optimal",
                                          "Optimal", "Optimal"]
     assert abs(batch[0].objective - 1.7) < 1e-7 and abs(batch[1].objective - 1.3) < 1e-7
-    assert sorted(batches) == [4, 4]
+    assert sorted(len(r) for r in runs) == [4, 4]
 
 
 def test_each_program_is_presolved_once(monkeypatch):
@@ -198,10 +209,14 @@ def test_sweep_point_the_solver_rejects_is_its_own_row(monkeypatch):
 def test_batch_defect_is_not_retried_point_by_point(monkeypatch):
     """An error of the batched run surfaces from the job; no job falls back
     to solving its points one by one."""
-    def broken(progs, sf, settings):
-        raise IndexError("defect in the batched loop")
+    run = solver._ipm
 
-    monkeypatch.setattr(solver, "_ipm_batch", broken)
+    def broken(progs, sf, settings, trace=None):
+        if sf.c.ndim == 2:
+            raise IndexError("defect in the batched loop")
+        return run(progs, sf, settings, trace)
+
+    monkeypatch.setattr(solver, "_ipm", broken)
     family = lambda v: builtin_scenario("cuboid_pivot", alpha=float(v)).problem()  # noqa: E731
     with pytest.raises(IndexError, match="defect in the batched loop"):
         metric_sweep(family, ALPHAS, +1)
@@ -217,3 +232,43 @@ def test_global_metric_per_point_matches_local_metric():
         alone = local_metric(pt.problem, +1)
         assert result_bytes(r.solve_result) == result_bytes(alone.solve_result)
         assert (r.eta, r.active_constraints, r.warning) == (alone.eta, alone.active_constraints, alone.warning)
+
+
+def fuzz_programs(seed: int, draws: int) -> list:
+    """The programs of the random battery loop run with default_rng(seed)."""
+    rng, progs = np.random.default_rng(seed), []
+    for _ in range(draws):
+        problem = random_problem(rng)
+        if problem is not None:
+            progs.append(compile_program(problem, +1 if rng.random() < 0.5 else -1))
+    return progs
+
+
+def loop_exit(res) -> str:
+    """The exit of the interior-point loop that gave ``res``."""
+    cert = res.certificate or ""
+    if res.status == "Unbounded":
+        return "objective threshold" if cert.startswith("objective magnitude") else "improving ray"
+    if res.status == "NumericalFailure":
+        return "NumericalFailure, best iterate" if res.primal is not None else "NumericalFailure"
+    return res.status if res.status != "Infeasible" or cert.startswith("Farkas ray") else "?"
+
+
+def test_every_loop_exit_is_the_same_from_a_stack(monkeypatch):
+    """Each exit of the loop is reached inside a stack of at least
+    ``_MIN_BATCH`` programs and gives the bytes of the program solved alone:
+    Optimal, a Farkas ray, an improving ray, the objective threshold, a
+    numerical failure reporting its best iterate, and the iteration limit."""
+    runs = stacked_runs(monkeypatch)
+    fuzz = SolveSettings(duality_gap_tol=1e-9)  # the benchmark's fuzz settings
+    draws = fuzz_programs(2, 250)
+    assert_same_as_alone(draws, fuzz)
+    assert_same_as_alone(draws[:40], replace(fuzz, max_iterations=4))
+    # maximize x2 with x1 = a x2 + g, x1 >= 0: every direction is constrained, the objective improves along (a, 1)
+    rays = [mkprog([0.0, 1.0], [[1.0, -a]], [g], lb=[0.0, -np.inf]) for a, g in ((1, 0), (2, 1), (0.5, 3), (3, -1))]
+    huge = [mkprog([1.0], np.zeros((0, 1)), [], ub=[u]) for u in (2e10, 5e11, 1e12, 3e13)]
+    assert_same_as_alone(rays + huge)
+    assert min(map(len, runs)) >= solver._MIN_BATCH
+    assert {loop_exit(res) for results in runs for res in results} == {
+        "Optimal", "Infeasible", "improving ray", "objective threshold", "NumericalFailure, best iterate",
+        "IterationLimit"}

@@ -301,3 +301,14 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "status: Optimal" in proc.stdout
+
+
+def test_parser_built_once_per_process(capsys):
+    """``main`` reuses one parser; its help and error exits stay as they were."""
+    from screwgrasp import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    code, help_text, _ = run(capsys, "--help")
+    assert code == EXIT_OK and help_text.startswith("usage: screw-grasp")
+    assert run(capsys, "--help") == (EXIT_OK, help_text, "")
+    assert run(capsys, "nonsense")[0] == EXIT_INPUT

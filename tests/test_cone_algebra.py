@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mkprog
 from test_random_scenarios import random_problem
 from screwgrasp.problem import compile_program
 from screwgrasp.solver import (
@@ -282,11 +283,15 @@ class TestAgainstLoopReference:
                 by_key.setdefault(key, []).append(prog)
         groups = [progs for progs in by_key.values() if len(progs) >= 3]
         assert groups
+        # programs with no finite bound and no cone: still one violation per program
+        bare = np.random.default_rng(12)
+        groups.append([mkprog(bare.normal(size=3), bare.normal(size=(2, 3)), bare.normal(size=2))
+                       for _ in range(3)])
         for progs in groups:
             stacked, check = _standardize(progs), _ResidualCheck(progs)
             X = rng.normal(size=(len(progs), progs[0].n_vars))
             eq, viol = check(X)
-            viol = np.broadcast_to(viol, eq.shape)  # 0-d when a program has no bound and no cone
+            assert eq.shape == viol.shape == (len(progs),)
             for k, prog in enumerate(progs):
                 alone = standard_form(prog)
                 for name in "cAbGh":

@@ -5,7 +5,7 @@ from conftest import mkprog, soc
 from test_random_scenarios import random_problem
 from screwgrasp.errors import SolverDataError, UnsupportedProgramError
 from screwgrasp.problem import compile_program
-from screwgrasp.scenarios import DoorHandleParams, make_door_handle
+from screwgrasp.scenarios import DoorHandleParams, builtin_scenario, make_door_handle
 from screwgrasp.solver import Residuals, SolveSettings, solve, solve_with_oracle
 
 TIGHT = SolveSettings(feasibility_tol=1e-9, duality_gap_tol=1e-10)
@@ -112,8 +112,19 @@ class TestResultContracts:
 
     def test_trace_callback(self):
         seen = []
-        solve(disk(), SolveSettings(), trace=seen.append)
+        res = solve(disk(), SolveSettings(), trace=seen.append)
         assert seen and {"iteration", "mu", "relgap"} <= set(seen[0])
+        assert [payload["iteration"] for payload in seen] == list(range(res.iterations + 1))
+        for payload in seen:
+            assert set(payload) == {"iteration", "mu", "eq", "cone", "dual", "relgap", "tau", "kappa"}
+            # plain Python numbers, so a logged payload reads 0.1656, not np.float64(0.1656)
+            assert {type(v) for v in payload.values()} == {int, float} and type(payload["iteration"]) is int
+
+    @pytest.mark.parametrize("name,calls", [("door_handle", 6), ("cuboid_pivot", 12), ("cuboid_slide", 14)])
+    def test_trace_one_call_per_iteration(self, name, calls):
+        seen = []
+        res = solve(compile_program(builtin_scenario(name).problem()), trace=seen.append)
+        assert len(seen) == res.iterations + 1 == calls
 
     def test_objective_threshold_reports_unbounded(self):
         prog = mkprog([1.0], np.zeros((0, 1)), [], ub=[1e12])
