@@ -14,12 +14,16 @@ normal, pointing *into* the object (this convention is used for manipulator
 and environment contacts alike).  A rigid environment attachment is modeled
 as a FixedSupport whose wrench components are free unless prescribed.
 
-``discretize_*`` produce extreme rays of an inscribed polyhedral cone; they
-exist to support the independent LP validation path, not the main solve.
+``sfce_rays``/``pcwf_rays`` give the extreme rays of an inscribed polyhedral
+cone as one array, ``discretize_*`` as wrenches, by scaling one read-only unit
+table per cone kind and facet count, computed once; they exist to support the
+independent LP validation path, not the main solve.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,6 +209,17 @@ def pcwf_contains(p: PcwfParams, w: LocalContactWrench, tol: float = 1e-8) -> bo
     return bool(r <= w.f_n + tol)
 
 
+def check_facets(facets) -> int:
+    """``facets`` as a plain int; ValueError unless it is an integer >= 4."""
+    try:
+        facets = operator.index(facets)
+    except TypeError:
+        raise ValueError(f"facets must be an integer, got {facets!r}") from None
+    if facets < 4:
+        raise ValueError("facets must be >= 4")
+    return facets
+
+
 def _latitudes(facets: int) -> np.ndarray:
     """Polar-angle grid for sphere sampling; nested under facet doubling.
 
@@ -222,6 +237,54 @@ def _snap(x: float) -> float:
     return 0.0 if abs(x) < 1e-15 else float(x)
 
 
+def _table(rows: list[tuple[float, ...]]) -> np.ndarray:
+    """One row per ray in, a read-only table with one column per ray out."""
+    table = np.array(rows, dtype=float).T.copy()
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=32)
+def _sfce_units(facets: int) -> np.ndarray:
+    """Unit SFCE rays, rows (f_t/e_t, f_o/e_o, m_n/e_n) per unit radius: a
+    latitude/longitude grid of the unit sphere, one ray per pole."""
+    phis = 2.0 * np.pi * np.arange(facets) / facets
+    rows = []
+    for theta in _latitudes(facets):
+        s, c = _snap(np.sin(theta)), _snap(np.cos(theta))
+        if s == 0.0:  # pole: all longitudes coincide
+            rows.append((0.0, 0.0, np.sign(c)))
+            continue
+        rows += [(_snap(s * np.cos(phi)), _snap(s * np.sin(phi)), c) for phi in phis]
+    return _table(rows)
+
+
+@functools.lru_cache(maxsize=32)
+def _pcwf_units(facets: int) -> np.ndarray:
+    """Unit PCWF rays, rows (f_t/e_t, f_o/e_o): the regular facets-gon."""
+    phis = 2.0 * np.pi * np.arange(facets) / facets
+    return _table([(_snap(np.cos(phi)), _snap(np.sin(phi))) for phi in phis])
+
+
+def sfce_rays(p: SfceParams, f_n: float, facets) -> np.ndarray:
+    """The rays of ``discretize_sfce`` as rows (f_t, f_o, f_n, m_n), one column per ray."""
+    facets = check_facets(facets)
+    f_n = _positive("f_n", f_n)
+    radius = p.mu * f_n
+    U = _sfce_units(facets)
+    return np.stack([(radius * p.e_t) * U[0], (radius * p.e_o) * U[1],
+                     np.full(U.shape[1], f_n), (radius * p.e_n) * U[2]])
+
+
+def pcwf_rays(p: PcwfParams, f_n: float, facets) -> np.ndarray:
+    """The rays of ``discretize_pcwf`` as rows (f_t, f_o, f_n), one column per ray."""
+    facets = check_facets(facets)
+    f_n = _positive("f_n", f_n)
+    radius = p.mu * f_n
+    U = _pcwf_units(facets)
+    return np.stack([(radius * p.e_t) * U[0], (radius * p.e_o) * U[1], np.full(U.shape[1], f_n)])
+
+
 def discretize_sfce(p: SfceParams, f_n: float, facets: int) -> list[LocalContactWrench]:
     """Extreme rays of an inscribed polyhedral approximation of the SFCE cone.
 
@@ -230,41 +293,11 @@ def discretize_sfce(p: SfceParams, f_n: float, facets: int) -> list[LocalContact
     returned wrench lies exactly on the cone boundary, so the convex hull of
     the rays is inscribed in the true cone.
     """
-    if facets < 4:
-        raise ValueError("facets must be >= 4")
-    f_n = _positive("f_n", f_n)
-    radius = p.mu * f_n
-    phis = 2.0 * np.pi * np.arange(facets) / facets
-    rays: list[LocalContactWrench] = []
-    for theta in _latitudes(facets):
-        s, c = _snap(np.sin(theta)), _snap(np.cos(theta))
-        if s == 0.0:  # pole: all longitudes coincide
-            rays.append(LocalContactWrench(f_n=f_n, m_n=radius * p.e_n * np.sign(c)))
-            continue
-        for phi in phis:
-            rays.append(
-                LocalContactWrench(
-                    f_t=radius * p.e_t * _snap(s * np.cos(phi)),
-                    f_o=radius * p.e_o * _snap(s * np.sin(phi)),
-                    f_n=f_n,
-                    m_n=radius * p.e_n * c,
-                )
-            )
-    return rays
+    return [LocalContactWrench(f_t=t, f_o=o, f_n=n, m_n=m)
+            for t, o, n, m in zip(*sfce_rays(p, f_n, facets).tolist())]
 
 
 def discretize_pcwf(p: PcwfParams, f_n: float, facets: int) -> list[LocalContactWrench]:
     """Extreme rays of the inscribed regular-polygon approximation of PCWF."""
-    if facets < 4:
-        raise ValueError("facets must be >= 4")
-    f_n = _positive("f_n", f_n)
-    radius = p.mu * f_n
-    phis = 2.0 * np.pi * np.arange(facets) / facets
-    return [
-        LocalContactWrench(
-            f_t=radius * p.e_t * _snap(np.cos(phi)),
-            f_o=radius * p.e_o * _snap(np.sin(phi)),
-            f_n=f_n,
-        )
-        for phi in phis
-    ]
+    return [LocalContactWrench(f_t=t, f_o=o, f_n=n)
+            for t, o, n in zip(*pcwf_rays(p, f_n, facets).tolist())]

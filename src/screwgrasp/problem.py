@@ -282,8 +282,9 @@ class ConicProgram:
 
     A program is valid once built: its arrays are stored as read-only copies
     (taken once; ``compile_program`` hands over the arrays it built instead),
-    inconsistent dimensions raise CompileError, and NaN/Inf data, NaN bounds
-    or lb > ub raise SolverDataError, so every solver entry accepts it."""
+    inconsistent dimensions raise CompileError, and NaN/Inf data, NaN bounds,
+    lb > ub, lb = +inf or ub = -inf raise SolverDataError, so every solver
+    entry accepts it."""
 
     f: np.ndarray
     F: np.ndarray
@@ -318,6 +319,8 @@ class ConicProgram:
             raise SolverDataError("bounds contain NaN")
         if (self.lb > self.ub).any():
             raise SolverDataError("lower bound exceeds upper bound")
+        if (self.lb == np.inf).any() or (self.ub == -np.inf).any():
+            raise SolverDataError("a lower bound of +inf or an upper bound of -inf admits no point")
 
 
 def _kept_components(contact) -> tuple[str, tuple[str, ...]]:

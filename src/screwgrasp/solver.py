@@ -47,7 +47,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import linprog
 
-from .contacts import discretize_pcwf, discretize_sfce
+from .contacts import check_facets, pcwf_rays, sfce_rays
 from .errors import UnsupportedProgramError
 from .problem import ConicProgram
 
@@ -980,51 +980,45 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     """Lower-bound the optimum by replacing each contact cone with its
     inscribed polyhedral approximation and solving the LP with HiGHS.
 
-    Every SOC block must carry a contact-cone tag; arbitrary cone blocks are
-    rejected.  The oracle shares no code with the interior-point path beyond
-    the program data itself.
+    The LP is built from arrays: the columns of ``sfce_rays``/``pcwf_rays``
+    and one (n, 2) bounds array with +-inf where absent.  Every SOC block
+    must carry a contact-cone tag; arbitrary cone blocks are rejected.  The
+    oracle shares no code with the interior-point path beyond the program
+    data itself.
     """
-    if facets < 4:
-        raise ValueError("facets must be >= 4")
+    facets = check_facets(facets)
     for blk in prog.socs:
         if blk.tag is None:
             raise UnsupportedProgramError(
                 f"SOC block {blk.label!r} is not a contact cone; the LP oracle cannot replace it"
             )
 
-    n = prog.n_vars
-    cols = [n]
-    rays = []
+    n, m = prog.n_vars, prog.F.shape[0]
+    blocks = []
     for blk in prog.socs:
         tag = blk.tag
         if tag.kind == "sfce":
-            pts = discretize_sfce(tag.params, 1.0, facets)
-            comps = ("f_t", "f_o", "f_n", "m_n")
+            comps, R = ("f_t", "f_o", "f_n", "m_n"), sfce_rays(tag.params, 1.0, facets)
         else:
-            pts = discretize_pcwf(tag.params, 1.0, facets)
-            comps = ("f_t", "f_o", "f_n")
-        R = np.array([[getattr(w, comp) for w in pts] for comp in comps])
-        rays.append((tag, comps, R))
-        cols.append(cols[-1] + R.shape[1])
-    total = cols[-1]
-
-    n_extra = sum(len(comps) for _, comps, _ in rays)
-    A_eq = np.zeros((prog.F.shape[0] + n_extra, total))
+            comps, R = ("f_t", "f_o", "f_n"), pcwf_rays(tag.params, 1.0, facets)
+        blocks.append(([tag.var_of[comp] for comp in comps], R))
+    total = n + sum(R.shape[1] for _, R in blocks)
+    A_eq = np.zeros((m + sum(R.shape[0] for _, R in blocks), total))
     b_eq = np.zeros(A_eq.shape[0])
-    A_eq[: prog.F.shape[0], :n] = prog.F
-    b_eq[: prog.F.shape[0]] = prog.g
-    row = prog.F.shape[0]
-    for k, (tag, comps, R) in enumerate(rays):
-        for i, comp in enumerate(comps):
-            A_eq[row, tag.var_of[comp]] = 1.0
-            A_eq[row, cols[k] : cols[k + 1]] = -R[i]
-            row += 1
+    A_eq[:m, :n] = prog.F
+    b_eq[:m] = prog.g
+    row, col = m, n
+    for idx, R in blocks:
+        k, r = R.shape
+        A_eq[range(row, row + k), idx] = 1.0
+        A_eq[row : row + k, col : col + r] = -R
+        row, col = row + k, col + r
 
     c_lp = np.zeros(total)
     c_lp[:n] = -prog.f
-    bounds = [(lo if np.isfinite(lo) else None, up if np.isfinite(up) else None)
-              for lo, up in zip(prog.lb, prog.ub)]
-    bounds += [(0.0, None)] * (total - n)
+    bounds = np.empty((total, 2))
+    bounds[:n, 0], bounds[:n, 1] = prog.lb, prog.ub
+    bounds[n:] = (0.0, np.inf)
 
     res = linprog(c_lp, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 0:

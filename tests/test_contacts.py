@@ -1,3 +1,11 @@
+"""Contact cones: membership, and the inscribed rays of the LP oracle.
+
+``ref_discretize_*`` are the plain per-ray loops that the cached unit tables
+of ``screwgrasp.contacts`` replaced; they stay here as the reference.  The
+tables evaluate the same scalar expressions and scale them in the same
+order, so the rays must agree byte for byte, signs of zeros included.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +16,87 @@ from screwgrasp.contacts import (
     LocalContactWrench,
     PcwfParams,
     SfceParams,
+    _latitudes,
+    _pcwf_units,
+    _sfce_units,
+    _snap,
     discretize_pcwf,
     discretize_sfce,
     pcwf_contains,
+    pcwf_rays,
     sfce_contains,
+    sfce_rays,
 )
 from screwgrasp.errors import ScrewGraspError
 
 TABLE_SFCE = SfceParams(mu=0.2, e_t=1.0, e_o=1.0, e_n=0.03)
 TABLE_PCWF = PcwfParams(mu=0.25)
+
+
+def ref_discretize_sfce(p, f_n, facets):
+    radius = p.mu * f_n
+    phis = 2.0 * np.pi * np.arange(facets) / facets
+    rays = []
+    for theta in _latitudes(facets):
+        s, c = _snap(np.sin(theta)), _snap(np.cos(theta))
+        if s == 0.0:  # pole: all longitudes coincide
+            rays.append(LocalContactWrench(f_n=f_n, m_n=radius * p.e_n * np.sign(c)))
+            continue
+        for phi in phis:
+            rays.append(LocalContactWrench(
+                f_t=radius * p.e_t * _snap(s * np.cos(phi)),
+                f_o=radius * p.e_o * _snap(s * np.sin(phi)),
+                f_n=f_n,
+                m_n=radius * p.e_n * c,
+            ))
+    return rays
+
+
+def ref_discretize_pcwf(p, f_n, facets):
+    radius = p.mu * f_n
+    phis = 2.0 * np.pi * np.arange(facets) / facets
+    return [LocalContactWrench(f_t=radius * p.e_t * _snap(np.cos(phi)),
+                               f_o=radius * p.e_o * _snap(np.sin(phi)), f_n=f_n)
+            for phi in phis]
+
+
+def ray_bytes(rays) -> bytes:
+    return np.array([w.as_array() for w in rays]).tobytes()
+
+
+FACET_COUNTS = (4, 5, 7, 8, 12, 16, 32, 33, 64, 128)
+NORMAL_FORCES = (1.0, 7.5, float(np.random.default_rng(11).uniform(0.01, 100.0)))
+
+
+class TestRayTables:
+    @pytest.mark.parametrize("maker,ref,params", [
+        (discretize_sfce, ref_discretize_sfce, TABLE_SFCE),
+        (discretize_sfce, ref_discretize_sfce, SfceParams(mu=0.37, e_t=1.3, e_o=0.45, e_n=0.021)),
+        (discretize_pcwf, ref_discretize_pcwf, TABLE_PCWF),
+        (discretize_pcwf, ref_discretize_pcwf, PcwfParams(mu=0.6, e_t=0.7, e_o=1.9)),
+    ])
+    def test_rays_are_the_per_ray_loop_byte_for_byte(self, maker, ref, params):
+        kept, array_form = ((0, 1, 2, 5), sfce_rays) if maker is discretize_sfce else ((0, 1, 2), pcwf_rays)
+        for facets in FACET_COUNTS:
+            for f_n in NORMAL_FORCES:
+                rays = maker(params, f_n, facets)
+                assert ray_bytes(rays) == ray_bytes(ref(params, f_n, facets)), (facets, f_n)
+                array = np.array([w.as_array() for w in rays])[:, kept].T
+                assert array_form(params, f_n, facets).tobytes() == array.tobytes(), (facets, f_n)
+
+    def test_tables_are_cached_and_read_only(self):
+        for units in (_sfce_units, _pcwf_units):
+            table = units(16)
+            assert units(16) is table
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 2.0
+
+    @pytest.mark.parametrize("maker,params", [(discretize_sfce, TABLE_SFCE), (discretize_pcwf, TABLE_PCWF)])
+    def test_facets_must_be_an_integer(self, maker, params):
+        for facets in (32.5, 7.9, "8"):
+            with pytest.raises(ValueError, match="integer"):
+                maker(params, 1.0, facets)
+        assert ray_bytes(maker(params, 1.0, np.int64(32))) == ray_bytes(maker(params, 1.0, 32))
 
 
 class TestSfceMembership:

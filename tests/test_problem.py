@@ -301,6 +301,15 @@ class TestConicProgramValidation:
         with pytest.raises(SolverDataError, match="lower bound exceeds upper bound"):
             self.program(lb=(0.0, 4.0))
 
+    @pytest.mark.parametrize("bound", [np.inf, -np.inf])
+    def test_bound_no_point_meets(self, bound):
+        # lb = ub = +inf (or -inf) passes lb <= ub, yet no finite x meets it
+        with pytest.raises(SolverDataError, match="admits no point"):
+            self.program(lb=(bound, -np.inf), ub=(bound, 3.0))
+        half = {"lb": (bound, -np.inf)} if bound > 0 else {"ub": (bound, 3.0), "lb": (-np.inf, -np.inf)}
+        with pytest.raises(SolverDataError, match="admits no point"):
+            self.program(**half)
+
     def test_arrays_are_read_only_copies(self):
         f = np.array([0.0, 1.0])
         blk = soc([[1.0, 0.0]], [0.0], [0.0, 1.0], 0.0)

@@ -1,12 +1,20 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import mkprog, soc
 from test_random_scenarios import random_problem
-from screwgrasp.errors import SolverDataError, UnsupportedProgramError
-from screwgrasp.problem import compile_program
-from screwgrasp.scenarios import DoorHandleParams, builtin_scenario, make_door_handle
-from screwgrasp.solver import Residuals, SolveSettings, solve, solve_with_oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from solve_digest import result_bytes  # noqa: E402
+from screwgrasp import contacts  # noqa: E402
+from screwgrasp.errors import SolverDataError, UnsupportedProgramError  # noqa: E402
+from screwgrasp.problem import compile_program  # noqa: E402
+from screwgrasp.scenarios import DoorHandleParams, builtin_scenario, make_door_handle  # noqa: E402
+from screwgrasp.solver import Residuals, SolveSettings, solve, solve_with_oracle  # noqa: E402
 
 TIGHT = SolveSettings(feasibility_tol=1e-9, duality_gap_tol=1e-10)
 
@@ -179,6 +187,22 @@ class TestOracle:
     def test_facet_floor(self):
         with pytest.raises(ValueError):
             solve_with_oracle(unsupported_load(), 3)
+
+    def test_facets_must_be_an_integer(self):
+        prog = compile_program(builtin_scenario("door_handle").problem())
+        for facets in (32.5, 7.9):
+            with pytest.raises(ValueError, match="integer"):
+                solve_with_oracle(prog, facets)
+        assert result_bytes(solve_with_oracle(prog, np.int64(32))) == result_bytes(solve_with_oracle(prog, 32))
+
+    def test_result_does_not_depend_on_cached_tables(self):
+        # cold tables at 64 and 32, then 64 again from the cache
+        contacts._sfce_units.cache_clear()
+        contacts._pcwf_units.cache_clear()
+        for name in ("door_handle", "cuboid_pivot", "cuboid_slide"):
+            prog = compile_program(builtin_scenario(name).problem())
+            first, _, again = (result_bytes(solve_with_oracle(prog, k)) for k in (64, 32, 64))
+            assert first == again, name
 
 
 def fuzz_draw(seed: int, trial: int):
