@@ -33,7 +33,9 @@ does not depend on its batch.  Program data need no check here: a
 ``solve_with_oracle`` is the independent validation path: every contact cone
 is replaced by its inscribed polyhedral approximation and the resulting LP is
 handed to scipy's HiGHS solver, giving a lower bound on the true optimum that
-tightens as the facet count grows.
+tightens as the facet count grows.  HiGHS (``scipy.optimize``) is imported on
+the first oracle solve, so a process that never calls the oracle never loads
+it; ``scipy.linalg`` is imported with this module, as every solve needs it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import linprog
 
 from .contacts import check_facets, pcwf_rays, sfce_rays
 from .errors import UnsupportedProgramError
@@ -498,38 +499,32 @@ def _equilibrate(sf: _StdForm, rounds: int = 8) -> _StdForm:
     """Ruiz-style equilibration; SOC row blocks share one scale so cones are
     preserved.  Returns a new _StdForm carrying the column scales needed to
     map the solution back.  Elementwise operations and exact max reductions
-    only, so a stacked form is scaled instance by instance as each alone."""
+    only, so a stacked form is scaled instance by instance as each alone.
+
+    A is scaled over G as one matrix [A; G] (and b over h as [b; h]): each
+    round takes one column max over all rows and one row max per row group,
+    where each equality row and each orthant row is a group alone and each
+    SOC block one group.  A, b, G and h come back as views of the result."""
     p, n = sf.A.shape[-2:]
-    m = sf.G.shape[-2]
-    A, G, b, h, c = sf.A.copy(), sf.G.copy(), sf.b.copy(), sf.h.copy(), sf.c.copy()
-    # contiguous row groups of G: each orthant row alone, then each SOC block
-    starts = np.array([*range(sf.cone.q), *(blk.start for _, _, blk, _ in sf.cone.blocks)],
+    M = np.concatenate([sf.A, sf.G], axis=-2)
+    rhs = np.concatenate([sf.b, sf.h], axis=-1)
+    starts = np.array([*range(p + sf.cone.q), *(p + blk.start for _, _, blk, _ in sf.cone.blocks)],
                       dtype=np.intp)
-    sizes = np.diff(starts, append=m)
-    dc = np.ones(c.shape)
-    for _ in range(rounds if n and p + m else 0):
-        col = np.abs(G).max(axis=-2, initial=0.0)
-        if p:
-            col = np.maximum(np.abs(A).max(axis=-2), col)
+    sizes = np.diff(starts, append=M.shape[-2])
+    dc = np.ones(sf.c.shape)
+    for _ in range(rounds if n and starts.size else 0):
+        col = np.abs(M).max(axis=-2)
         col[col == 0] = 1.0
         sc = 1.0 / np.sqrt(col)
-        A *= sc[..., None, :]
-        G *= sc[..., None, :]
+        M *= sc[..., None, :]
         dc *= sc
-        if p:
-            ra = np.abs(A).max(axis=-1)
-            ra[ra == 0] = 1.0
-            sa = 1.0 / np.sqrt(ra)
-            A *= sa[..., None]
-            b *= sa
-        if m:
-            rg = np.maximum.reduceat(np.abs(G).max(axis=-1), starts, axis=-1)
-            rg[rg == 0] = 1.0  # an all-zero group keeps scale 1
-            s = np.repeat(1.0 / np.sqrt(rg), sizes, axis=-1)
-            G *= s[..., None]
-            h *= s
-    c = c * dc
-    return _StdForm(c=c, A=A, b=b, G=G, h=h, cone=sf.cone, col_scale=dc)
+        rows = np.maximum.reduceat(np.abs(M).max(axis=-1), starts, axis=-1)
+        rows[rows == 0] = 1.0  # an all-zero row or block keeps scale 1
+        s = np.repeat(1.0 / np.sqrt(rows), sizes, axis=-1)
+        M *= s[..., None]
+        rhs *= s
+    return _StdForm(c=sf.c * dc, A=M[..., :p, :], b=rhs[..., :p], G=M[..., p:, :], h=rhs[..., p:],
+                    cone=sf.cone, col_scale=dc)
 
 
 def _rank(sv: np.ndarray, shape: tuple[int, int], empty: float) -> np.ndarray:
@@ -984,7 +979,7 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     and one (n, 2) bounds array with +-inf where absent.  Every SOC block
     must carry a contact-cone tag; arbitrary cone blocks are rejected.  The
     oracle shares no code with the interior-point path beyond the program
-    data itself.
+    data itself.  HiGHS is imported on the first call, not with this module.
     """
     facets = check_facets(facets)
     for blk in prog.socs:
@@ -1019,6 +1014,8 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     bounds = np.empty((total, 2))
     bounds[:n, 0], bounds[:n, 1] = prog.lb, prog.ub
     bounds[n:] = (0.0, np.inf)
+
+    from scipy.optimize import linprog
 
     res = linprog(c_lp, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 0:

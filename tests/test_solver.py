@@ -1,3 +1,7 @@
+import json
+import os
+import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +14,7 @@ from test_random_scenarios import random_problem
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from solve_digest import result_bytes  # noqa: E402
+import screwgrasp  # noqa: E402
 from screwgrasp import contacts  # noqa: E402
 from screwgrasp.errors import SolverDataError, UnsupportedProgramError  # noqa: E402
 from screwgrasp.problem import compile_program  # noqa: E402
@@ -203,6 +208,60 @@ class TestOracle:
             prog = compile_program(builtin_scenario(name).problem())
             first, _, again = (result_bytes(solve_with_oracle(prog, k)) for k in (64, 32, 64))
             assert first == again, name
+
+
+# Run in a fresh interpreter: the CLI jobs that never call the oracle, then one
+# oracle solve, reporting the exit codes, whether scipy.optimize was loaded
+# before and after the oracle solve, and the pickled oracle result.
+_FRESH_PROCESS = """
+import json, pickle, sys
+from pathlib import Path
+import screwgrasp
+from screwgrasp import cli
+out = Path(sys.argv[1])
+codes = [
+    cli.main(["eval", "--builtin", "door_handle"]),
+    cli.main(["sweep", "--builtin", "door_handle", "--sweep", "theta=0deg:40deg:3", "--out", str(out / "sweep.csv")]),
+    cli.main(["gws", "--builtin", "door_handle", "--rays", "4", "--out", str(out / "gws.csv")]),
+]
+before = "scipy.optimize" in sys.modules
+from screwgrasp.problem import compile_program
+from screwgrasp.scenarios import builtin_scenario
+from screwgrasp.solver import solve_with_oracle
+res = solve_with_oracle(compile_program(builtin_scenario("door_handle").problem()), 16)
+(out / "oracle.pickle").write_bytes(pickle.dumps(res))
+print(json.dumps({"codes": codes, "before": before, "after": "scipy.optimize" in sys.modules}))
+"""
+
+
+class TestOracleImport:
+    """HiGHS (``scipy.optimize``) is imported on the first oracle solve, so the
+    jobs that never call the oracle do not pay for loading it."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fresh")
+        # the child process imports the same screwgrasp as this suite
+        src = str(Path(screwgrasp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        return report, pickle.loads((out / "oracle.pickle").read_bytes()), out
+
+    def test_cli_jobs_do_not_load_scipy_optimize(self, fresh):
+        report, res, out = fresh
+        assert report["codes"] == [0, 0, 0]
+        assert (out / "sweep.csv").is_file() and (out / "gws.csv").is_file()
+        assert report["before"] is False
+        assert res.status == "Optimal"
+        assert report["after"] is True
+
+    def test_deferred_import_gives_the_same_oracle_result(self, fresh):
+        _, res, _ = fresh
+        prog = compile_program(builtin_scenario("door_handle").problem())
+        assert result_bytes(res) == result_bytes(solve_with_oracle(prog, 16))
 
 
 def fuzz_draw(seed: int, trial: int):
