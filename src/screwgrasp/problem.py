@@ -163,7 +163,6 @@ class GraspProblem:
     external: ExternalWrench
     task: TaskScrew
     torque_model: TorqueModel | None = None
-    frame: str = "b"
 
     def __post_init__(self):
         object.__setattr__(self, "manipulator_contacts", tuple(self.manipulator_contacts))

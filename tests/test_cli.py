@@ -1,5 +1,7 @@
 import csv
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import screwgrasp
 from screwgrasp.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from screwgrasp.contacts import EnvironmentContact, Pcwf, PcwfParams
 from screwgrasp.problem import ExternalWrench
-from screwgrasp.scenarios import Scenario, save_scenario
+from screwgrasp.scenarios import BUILTINS, Scenario, save_scenario
 from screwgrasp.screws import INFINITE_PITCH, TaskScrew
 
 
@@ -86,6 +88,12 @@ class TestEval:
     def test_requires_exactly_one_source(self, capsys):
         assert run(capsys, "eval")[0] == EXIT_INPUT
         assert run(capsys, "eval", "--builtin", "door_handle", "--scenario", "x")[0] == EXIT_INPUT
+
+    def test_builtin_takes_only_builtin_names(self, capsys):
+        # a packaged scenario file is not a builtin name; files go through --scenario
+        code, _, err = run(capsys, "eval", "--builtin", "../data/door_handle")
+        assert code == EXIT_INPUT
+        assert f"available: {sorted(BUILTINS)}" in err
 
     def test_set_on_family_less_file(self, capsys, infeasible_file):
         code, _, err = run(capsys, "eval", "--scenario", infeasible_file, "--set", "x_c=0")
@@ -312,3 +320,51 @@ def test_parser_built_once_per_process(capsys):
     assert code == EXIT_OK and help_text.startswith("usage: screw-grasp")
     assert run(capsys, "--help") == (EXIT_OK, help_text, "")
     assert run(capsys, "nonsense")[0] == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--builtin", "door_handle", "--tol-feas", "-1"),
+    ("eval", "--builtin", "door_handle", "--tol-gap", "0"),
+    ("gws", "--builtin", "door_handle", "--tol-gap", "nan"),
+])
+def test_bad_tolerance_is_input_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert "tolerance must be positive" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--builtin", "door_handle"),
+    ("oracle-check", "--builtin", "door_handle", "--facets", "8"),
+])
+def test_out_writes_the_stdout_report(capsys, tmp_path, argv):
+    """``--out`` takes the report that would go to stdout, for every subcommand."""
+
+    def masked(text):  # eval's wall-clock time differs between runs
+        return re.sub(r"wall_ms: \S+", "wall_ms: -", text)
+
+    code, printed, _ = run(capsys, *argv)
+    assert code == EXIT_OK and printed
+    out_path = tmp_path / "report.txt"
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == EXIT_OK
+    assert out == ""
+    assert masked(out_path.read_bytes().decode("utf-8")) == masked(printed)
+
+
+def test_readme_commands_parse():
+    """Every ``screw-grasp`` command in the README's sh blocks parses as written,
+    so the README and the parser cannot drift apart."""
+    from screwgrasp import cli
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("```", 1)[0].replace("\\\n", " ") for block in text.split("```sh\n")[1:]]
+    commands = [shlex.split(line) for block in blocks for line in block.splitlines()
+                if line.startswith("screw-grasp ")]
+    assert {argv[1] for argv in commands} == {"eval", "sweep", "oracle-check", "gws"}
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
