@@ -15,10 +15,10 @@ are errors, not warnings.  Every subcommand writes its report to ``--out
 PATH`` if given, else to stdout.
 
 Exit codes: 0 success/Optimal, 2 Infeasible, 3 Unbounded, 4 input error
-(including a bad flag value), 5 solver failure.  ``SCREW_GRASP_LOG``
-(debug|info|warning) selects log verbosity.  CSV output uses 9 significant
-digits, '.' decimals and LF line endings; apart from the wall-clock column
-it is deterministic for fixed inputs and settings.
+(including a bad flag value or a truncated flag), 5 solver failure.
+``SCREW_GRASP_LOG`` (debug|info|warning) selects log verbosity.  CSV output
+uses 9 significant digits, '.' decimals and LF line endings; apart from the
+wall-clock column it is deterministic for fixed inputs and settings.
 """
 
 from __future__ import annotations
@@ -120,9 +120,15 @@ def _facets(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     tol = _number(text)
-    if not tol > 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
     return tol
+
+
+def _max_rel_gap(text: str) -> float:
+    if not (gap := _number(text)) >= 0:
+        raise argparse.ArgumentTypeError(f"--max-rel-gap must be a nonnegative number, got {text!r}")
+    return gap
 
 
 def _fmt(x: float) -> str:
@@ -332,12 +338,13 @@ def cmd_gws(args: argparse.Namespace) -> int:
 
 @cache  # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="screw-grasp", description=__doc__,
+    # allow_abbrev=False: a truncated flag is an error, not the flag it starts
+    top = argparse.ArgumentParser(prog="screw-grasp", description=__doc__, allow_abbrev=False,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, run, summary):
-        sp = sub.add_parser(name, help=summary)
+        sp = sub.add_parser(name, help=summary, allow_abbrev=False)
         sp.set_defaults(run=run)
         sp.add_argument("--builtin", help="builtin scenario name")
         sp.add_argument("--scenario", help="scenario file path")
@@ -356,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sweep", required=True, type=_sweep_spec, metavar="PARAM=START:STOP:COUNT")
     po = add("oracle-check", cmd_oracle_check, "cross-check against the polyhedral LP oracle")
     po.add_argument("--facets", type=_facets, default=64)
-    po.add_argument("--max-rel-gap", type=float, default=0.02, dest="max_rel_gap")
+    po.add_argument("--max-rel-gap", type=_max_rel_gap, default=0.02, dest="max_rel_gap")
     pg = add("gws", cmd_gws, "sample the grasp wrench space boundary, emit CSV")
     pg.add_argument("--subspace", default="fx,fz,ty", type=_subspace,
                     help="comma-separated wrench components (fx,fy,fz,tx,ty,tz)")

@@ -25,7 +25,8 @@ presolved as one stack (equilibration and two SVD reductions), the presolve
 exits (degenerate, inconsistent equalities, free ray) are settled in one
 place, and the rest run through the one HSD loop ``_ipm``: one program at a
 time on its own 1-D arrays, or, from ``_MIN_BATCH`` programs of one reduced
-shape on, as one stack whose residual check stacks the group's data once.
+shape on, as one stack whose residual check stacks the group's data once and
+whose cone kernels work on runs of SOC blocks of one dimension at a time.
 The loop rounds each instance of a stack as that program alone, so a result
 does not depend on its batch.  Program data need no check here: a
 ``ConicProgram`` is valid once it is built.
@@ -57,18 +58,19 @@ _MIN_STEP = 1e-13
 
 
 # Helpers that run on one program's arrays or on stacks of them (a leading
-# instance axis).  A stacked product is one BLAS call per instance, the same
-# call ``M @ v`` or ``u @ v`` makes for that instance alone, so it rounds the
-# same; ``einsum`` or ``.sum()`` would not.
+# instance axis).  A stacked product is ``np.vecdot`` or ``np.matvec``, which
+# give each instance the same bits as ``u @ v`` or ``M @ v`` on that instance
+# alone, strided and transposed operands included; ``einsum`` or ``.sum()``
+# would round differently.
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M @ v, instance by instance for stacks."""
-    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+    return M @ v if v.ndim == 1 else np.matvec(M, v)
 
 
 def _dot(u: np.ndarray, v: np.ndarray):
     """u @ v, instance by instance for stacks of vectors (B, k)."""
-    return u @ v if u.ndim == 1 else (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+    return u @ v if u.ndim == 1 else np.vecdot(u, v)
 
 
 def _pymax(a, b):
@@ -98,8 +100,8 @@ class SolveSettings:
 
     def __post_init__(self):
         for name in ("feasibility_tol", "duality_gap_tol", "unboundedness_threshold"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -212,12 +214,25 @@ class _Cone:
 
 class _BatchCone(_Cone):
     """The _Cone operations on stacks of vectors (B, dim), one row per
-    instance, each row rounded exactly as the _Cone method rounds it."""
+    instance, each row rounded exactly as the _Cone method rounds it.  They
+    work on runs: maximal sequences of consecutive SOC blocks of one dimension
+    d, stored as (start, count k, d, J), each viewed as (B, k, d) by ``split``.
+    Python's min folds keep their block order, column by column of a run."""
+
+    def __init__(self, q: int, soc_dims: list[int]):
+        super().__init__(q, soc_dims)
+        firsts = [i for i, d in enumerate(soc_dims) if i == 0 or d != soc_dims[i - 1]]
+        self.runs = [(self.blocks[i][0], j - i, soc_dims[i], self.blocks[i][3])
+                     for i, j in zip(firsts, firsts[1:] + [len(soc_dims)])]
+
+    def split(self, v: np.ndarray) -> list[np.ndarray]:
+        """Each run of v (B, dim) as a (B, k, d) view (of a fresh array: writable in place)."""
+        return [v[:, at : at + k * d].reshape(len(v), k, d) for at, k, d, _ in self.runs]
 
     def min_eig(self, u: np.ndarray) -> np.ndarray:
         vals = [u[:, : self.q].min(axis=1)] if self.q else []
-        for h, t, _, _ in self.blocks:
-            vals.append(u[:, h] - np.sqrt(_dot(u[:, t], u[:, t])))
+        for U in self.split(u):
+            vals.extend((U[..., 0] - np.sqrt(np.vecdot(U[..., 1:], U[..., 1:]))).T)
         if not vals:
             return np.full(len(u), math.inf)
         out = vals[0]
@@ -228,22 +243,19 @@ class _BatchCone(_Cone):
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty(u.shape)
         out[:, : self.q] = u[:, : self.q] * v[:, : self.q]
-        for h, t, _, _ in self.blocks:
-            u0, u1 = u[:, h, None], u[:, t]
-            v0, v1 = v[:, h, None], v[:, t]
-            out[:, h] = u[:, h] * v[:, h] + _dot(u1, v1)
-            out[:, t] = u0 * v1 + v0 * u1
+        for U, V, O in zip(self.split(u), self.split(v), self.split(out)):
+            O[..., 0] = U[..., 0] * V[..., 0] + np.vecdot(U[..., 1:], V[..., 1:])
+            O[..., 1:] = U[..., :1] * V[..., 1:] + V[..., :1] * U[..., 1:]
         return out
 
     def div(self, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty(v.shape)
         out[:, : self.q] = v[:, : self.q] / lam[:, : self.q]
-        for h, t, _, _ in self.blocks:
-            a, b = lam[:, h], lam[:, t]
-            v0, v1 = v[:, h], v[:, t]
-            x0 = (a * v0 - _dot(b, v1)) / (a * a - _dot(b, b))
-            out[:, h] = x0
-            out[:, t] = (v1 - x0[:, None] * b) / a[:, None]
+        for L, V, O in zip(self.split(lam), self.split(v), self.split(out)):
+            a, b = L[..., 0], L[..., 1:]
+            x0 = (a * V[..., 0] - np.vecdot(b, V[..., 1:])) / (a * a - np.vecdot(b, b))
+            O[..., 0] = x0
+            O[..., 1:] = (V[..., 1:] - x0[..., None] * b) / a[..., None]
         return out
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
@@ -252,16 +264,16 @@ class _BatchCone(_Cone):
             neg = du[:, : self.q] < 0
             alpha = np.divide(-u[:, : self.q], du[:, : self.q],
                               out=np.full(neg.shape, math.inf), where=neg).min(axis=1)
-        for h, t, _, _ in self.blocks:
-            u0, u1 = u[:, h], u[:, t]
-            d0, d1 = du[:, h], du[:, t]
-            a = d0 * d0 - _dot(d1, d1)
-            b = 2.0 * (u0 * d0 - _dot(u1, d1))
-            c = u0 * u0 - _dot(u1, u1)
+        for U, D in zip(self.split(u), self.split(du)):
+            u0, u1, d0, d1 = U[..., 0], U[..., 1:], D[..., 0], D[..., 1:]
+            a = d0 * d0 - np.vecdot(d1, d1)
+            b = 2.0 * (u0 * d0 - np.vecdot(u1, d1))
+            c = u0 * u0 - np.vecdot(u1, u1)
             disc = b * b - 4.0 * a * c
             skip = (a >= 0) & ((b >= 0) | (disc < 0))
             root = 2.0 * c / (-b + np.sqrt(_pymax(disc, 0.0)))
-            alpha = np.where(~skip & (root >= 0), _pymin(alpha, root), alpha)
+            for r in np.where(~skip & (root >= 0), root, math.inf).T:  # inf: the block sets no bound
+                alpha = _pymin(alpha, r)
         return alpha
 
 
@@ -303,9 +315,9 @@ class _Scaling:
 
     def _blockwise(self, v: np.ndarray, lp: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
         out = np.empty(v.shape)
-        out[..., : self.cone.q] = lp * v[..., : self.cone.q]
+        out[: self.cone.q] = lp * v[: self.cone.q]
         for M, (_, _, blk, _) in zip(mats, self.cone.blocks):
-            out[..., blk] = _mv(M, v[..., blk])
+            out[blk] = M @ v[blk]
         return out
 
     def apply_W(self, v: np.ndarray) -> np.ndarray:
@@ -319,36 +331,44 @@ class _Scaling:
 
 
 class _BatchScaling(_Scaling):
-    """_Scaling of stacked iterates (B, dim).  ``bad`` marks the instances
-    whose iterate left the cone interior; their rows are meaningless."""
+    """_Scaling of stacked iterates (B, dim), run by run of a _BatchCone: W
+    and W^-1 of a run are (B, k, d, d).  ``bad`` marks the instances whose
+    iterate left the cone interior; their rows are meaningless."""
 
-    def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
+    def __init__(self, cone: _BatchCone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
         q = cone.q
         self.w_lp = np.sqrt(s[:, :q] / z[:, :q])
         self.soc_W, self.soc_Winv = [], []
         self.bad = np.zeros(len(s), dtype=bool)
-        for h, t, blk, J in cone.blocks:
-            ns, nz = np.sqrt(_dot(s[:, t], s[:, t])), np.sqrt(_dot(z[:, t], z[:, t]))
-            rho_s = (s[:, h] - ns) * (s[:, h] + ns)
-            rho_z = (z[:, h] - nz) * (z[:, h] + nz)
-            self.bad |= (rho_s <= 0) | (rho_z <= 0)
-            sbar = s[:, blk] / np.sqrt(rho_s)[:, None]
-            zbar = z[:, blk] / np.sqrt(rho_z)[:, None]
-            gamma = np.sqrt((1.0 + _dot(sbar, zbar)) / 2.0)
+        for (_, _, _, J), S, Z in zip(cone.runs, cone.split(s), cone.split(z)):
+            ns, nz = np.sqrt(np.vecdot(S[..., 1:], S[..., 1:])), np.sqrt(np.vecdot(Z[..., 1:], Z[..., 1:]))
+            rho_s = (S[..., 0] - ns) * (S[..., 0] + ns)
+            rho_z = (Z[..., 0] - nz) * (Z[..., 0] + nz)
+            self.bad |= ((rho_s <= 0) | (rho_z <= 0)).any(axis=1)
+            sbar = S / np.sqrt(rho_s)[..., None]
+            zbar = Z / np.sqrt(rho_z)[..., None]
+            gamma = np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
             jz = -zbar
-            jz[:, 0] = zbar[:, 0]
-            wbar = (sbar + jz) / (2.0 * gamma)[:, None]
+            jz[..., 0] = zbar[..., 0]
+            wbar = (sbar + jz) / (2.0 * gamma)[..., None]
             v = wbar.copy()
-            v[:, 0] += 1.0
-            v /= np.sqrt(2.0 * (wbar[:, 0] + 1.0))[:, None]
-            # a scalar power per instance: numpy's array ** rounds differently
-            beta = np.array([np.float64(r) ** 0.25 for r in (rho_s / rho_z).tolist()])[:, None, None]
+            v[..., 0] += 1.0
+            v /= np.sqrt(2.0 * (wbar[..., 0] + 1.0))[..., None]
+            # a scalar power per block: numpy's array ** rounds differently
+            beta = np.reshape([np.float64(r) ** 0.25 for r in (rho_s / rho_z).ravel().tolist()], rho_s.shape + (1, 1))
             jv = -v
-            jv[:, 0] = v[:, 0]
-            self.soc_W.append(beta * (2.0 * (v[:, :, None] * v[:, None, :]) - J))
-            self.soc_Winv.append((1.0 / beta) * (2.0 * (jv[:, :, None] * jv[:, None, :]) - J))
+            jv[..., 0] = v[..., 0]
+            self.soc_W.append(beta * (2.0 * (v[..., :, None] * v[..., None, :]) - J))
+            self.soc_Winv.append((1.0 / beta) * (2.0 * (jv[..., :, None] * jv[..., None, :]) - J))
         self.lam = self.apply_W(z)
+
+    def _blockwise(self, v: np.ndarray, lp: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+        out = np.empty(v.shape)
+        out[:, : self.cone.q] = lp * v[:, : self.cone.q]
+        for M, V, O in zip(mats, self.cone.split(v), self.cone.split(out)):
+            np.matvec(M, V, out=O)
+        return out
 
 
 class _KKT:
@@ -372,9 +392,13 @@ class _KKT:
         self.K[..., n + p :, :n] = G
         self.K[..., :n, n + p :] = np.swapaxes(G, -1, -2)
         self._sytrf, self._sytrs = sla.get_lapack_funcs(("sytrf", "sytrs"), (self.K,))
-        # the -W'W block: orthant diagonal and SOC squares; its other entries stay 0
+        # the -W'W block: orthant diagonal and SOC squares (a stack's run by run); the rest stays 0
         self._lp_diag = np.arange(n + p, n + p + cone.q)
-        self._soc = [slice(n + p + blk.start, n + p + blk.stop) for _, _, blk, _ in cone.blocks]
+        if A.ndim == 2:
+            self._soc = [(slice(n + p + blk.start, n + p + blk.stop),) * 2 for _, _, blk, _ in cone.blocks]
+        else:
+            idx = [n + p + at + np.arange(k * d).reshape(k, d) for at, k, d, _ in cone.runs]
+            self._soc = [(slice(None), i[:, :, None], i[:, None, :]) for i in idx]
 
     def _factor_one(self, K: np.ndarray):
         """(ldu, ipiv) of one KKT matrix, regularized on retry; None if every attempt fails."""
@@ -396,8 +420,8 @@ class _KKT:
         """Factor K with the scaling blocks W'W; return the failure mask (a
         bool for one program).  Stacked instances marked in ``out`` are skipped."""
         self.K[..., self._lp_diag, self._lp_diag] = -w2_lp
-        for M, sl in zip(w2_soc, self._soc):
-            self.K[..., sl, sl] = -M
+        for M, at in zip(w2_soc, self._soc):
+            self.K[at] = -M
         if self.K.ndim == 2:
             self._factors = self._factor_one(self.K)
             return self._factors is None
@@ -666,11 +690,11 @@ def solve_batch(progs, settings: SolveSettings | None = None) -> list[SolveResul
 
 # The smallest group worth a stacked run, measured on door, pivot and slide
 # programs (2-core machine, numpy 2.4 with OpenBLAS), presolve included: one
-# program run as a stack of one takes 2.2-2.4 times as long as on its own 1-D
-# arrays (eval_grid run that way dropped from 140 to 56 solves/s), two take
-# 1.3-1.4 times as long as two single solves, three break even (0.95-1.03)
-# and four take 0.77-0.85 times as long.
-_MIN_BATCH = 4
+# program run as a stack of one takes 1.8-1.9 times as long as on its own 1-D
+# arrays (2.2-2.4 before the kernels worked on runs; eval_grid run that way
+# dropped from 140 to 56 solves/s), two take 1.1-1.2 times as long as two
+# single solves, three take 0.82-0.95 times as long and four 0.65-0.78.
+_MIN_BATCH = 3
 
 
 def _solve_all(progs: list[ConicProgram], settings: SolveSettings | None, trace=None) -> list[SolveResult]:
@@ -758,13 +782,14 @@ def _ipm(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings, trace
 
     One program's per-instance numbers (tau, kappa, step lengths, norms) are
     Python or numpy scalars; a stack's are arrays.  The few operations that
-    differ are bound once per run: a dot or matvec is ``u @ v`` or a stacked
-    matmul (one BLAS call per instance), Python's min/max/if become
-    np.where, the powers (tau**2, sigma**3, beta in the scaling) stay
-    scalars per instance, and LAPACK runs per instance.  An instance that
-    stops is recorded at once; in a stack its row runs on (skipped by
-    LAPACK) until the next iteration drops it, and the run ends when every
-    instance has stopped.  ``trace`` (one program only) is called once per
+    differ are bound once per run: a dot or matvec is ``u @ v`` or
+    ``np.vecdot``/``np.matvec`` (the same bits per instance), the cone
+    kernels are ``_BatchCone``/``_BatchScaling`` (run by run of equal SOC
+    blocks), Python's min/max/if become np.where, the powers (tau**2,
+    sigma**3, beta in the scaling) stay scalars per instance, and LAPACK
+    runs per instance.  An instance that stops is recorded at once; in a
+    stack its row runs on (skipped by LAPACK) until the next iteration drops
+    it, and the run ends when every instance has stopped.  ``trace`` (one program only) is called once per
     iteration with plain ints and floats.
     """
     one = sf.c.ndim == 1
@@ -858,7 +883,8 @@ def _ipm(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings, trace
         # a stack's stopped rows may hold inf/nan; the errstate would slow one program's numpy calls
         with contextlib.nullcontext() if one else np.errstate(all="ignore"):
             # -- initialization (W = I) -------------------------------------
-            give_up(kkt.factor(np.ones(cone.q), [np.eye(d) for d in cone.soc_dims], out), "KKT factorization failed")
+            dims = cone.soc_dims if one else [d for _, _, d, _ in cone.runs]  # a W = I block per block or run
+            give_up(kkt.factor(np.ones(cone.q), [np.eye(d) for d in dims], out), "KKT factorization failed")
             u, bad = kkt.solve(np.concatenate([np.zeros(c.shape), b, h], axis=-1), out)
             give_up(bad, "KKT solve failed")
             x, _, w = split(u)

@@ -235,6 +235,20 @@ class TestOracleCheck:
         assert code == EXIT_OK
         assert "both paths report infeasible" in out
 
+    @pytest.mark.parametrize("gap", ["nan", "-1", "-inf", "x"])
+    def test_bad_max_rel_gap_is_input_error(self, capsys, gap):
+        """A gap bound no relative gap can be checked against is a bad flag
+        value, not a failed cross-check."""
+        code, out, err = run(capsys, "oracle-check", "--builtin", "door_handle", "--facets", "8",
+                             f"--max-rel-gap={gap}")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--max-rel-gap" in err and "Traceback" not in err
+
+    def test_zero_max_rel_gap_is_accepted(self, capsys):
+        assert run(capsys, "oracle-check", "--builtin", "door_handle", "--facets", "8",
+                   "--max-rel-gap", "0")[0] != EXIT_INPUT
+
 
 class TestGws:
     def test_boundary_cloud_is_convex_and_consistent(self, capsys, tmp_path):
@@ -311,6 +325,20 @@ def test_console_entry_point_smoke():
     assert "status: Optimal" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("gws", "--builtin", "door_handle", "--ray", "4", "--subspace", "fx,tz"),
+    ("eval", "--built", "door_handle"),
+    ("sweep", "--builtin", "door_handle", "--swee", "theta=0deg:5deg:2"),
+    ("oracle-check", "--builtin", "door_handle", "--facet", "8"),
+])
+def test_truncated_flag_is_refused(capsys, argv):
+    """A flag must be spelled out: a unique prefix is not taken for the flag it starts."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "unrecognized arguments" in err or "required" in err
+
+
 def test_parser_built_once_per_process(capsys):
     """``main`` reuses one parser; its help and error exits stay as they were."""
     from screwgrasp import cli
@@ -326,6 +354,8 @@ def test_parser_built_once_per_process(capsys):
     ("eval", "--builtin", "door_handle", "--tol-feas", "-1"),
     ("eval", "--builtin", "door_handle", "--tol-gap", "0"),
     ("gws", "--builtin", "door_handle", "--tol-gap", "nan"),
+    ("eval", "--builtin", "door_handle", "--tol-feas", "inf"),
+    ("sweep", "--builtin", "door_handle", "--tol-gap", "inf", "--sweep", "theta=0deg:5deg:2"),
 ])
 def test_bad_tolerance_is_input_error(capsys, argv):
     code, _, err = run(capsys, *argv)

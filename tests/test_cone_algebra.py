@@ -4,8 +4,11 @@ The ``ref_*`` functions are the plain per-block loops the solver's flattened
 versions replaced; they stay here as the reference.  The flattened versions
 perform the same floating-point operations in the same order, so they must
 agree bit for bit (``np.array_equal`` / ``==``), not to a tolerance: a
-reordered sum fails these tests.  The behaviour tests check the algebra
-itself against bisection and the Nesterov-Todd identities.
+reordered sum fails these tests.  The stacked kernels (``_BatchCone``,
+``_BatchScaling``, stacked ``_dot``/``_mv``), which work on runs of equal SOC
+blocks, are held row by row to the one-program ones the same way.  The
+behaviour tests check the algebra itself against bisection and the
+Nesterov-Todd identities.
 """
 
 import math
@@ -17,16 +20,21 @@ from conftest import mkprog
 from test_random_scenarios import random_problem
 from screwgrasp.problem import compile_program
 from screwgrasp.solver import (
+    _BatchCone,
+    _BatchScaling,
     _Cone,
+    _dot,
     _equilibrate,
+    _mv,
     _ResidualCheck,
     _Scaling,
     _standardize,
     _StdForm,
 )
 
-# (q, SOC dimensions): no orthant and an orthant, dimensions 2, 3 and 4 mixed
-CONES = [(0, [3]), (0, [2, 4, 3]), (3, [4]), (5, [3, 2, 4, 4, 3]), (2, [])]
+# (q, SOC dimensions): no orthant and an orthant, dimensions 2, 3 and 4 mixed,
+# runs of equal dimensions one to three blocks long
+CONES = [(0, [3]), (0, [2, 4, 3]), (3, [4]), (5, [3, 2, 4, 4, 3]), (2, []), (4, [4, 4, 3, 3, 3])]
 DRAWS = 50
 
 
@@ -297,6 +305,92 @@ class TestAgainstLoopReference:
                 for name in "cAbGh":
                     assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name))
                 assert (eq[k], viol[k]) == ref_measure(prog, X[k]) == check.take(k)(X[k])
+
+
+def per_block(mats):
+    """A stack's per-run (B, k, d, d) matrices as per-block (B, d, d) stacks."""
+    return [M[:, j] for M in mats for j in range(M.shape[1])]
+
+
+class TestStackedAgainstOneProgram:
+    B = 7
+
+    def stacked_cases(self, seed):
+        for rng, q, dims, cone in cases(seed):
+            yield rng, q, dims, cone, _BatchCone(q, dims)
+
+    def test_runs(self):
+        cone = _BatchCone(5, [3, 2, 4, 4, 3])
+        assert [(at, k, d) for at, k, d, _ in cone.runs] == [(5, 1, 3), (8, 1, 2), (10, 2, 4), (18, 1, 3)]
+        assert [r[:3] for r in _BatchCone(4, [4, 4, 3, 3, 3]).runs] == [(4, 2, 4), (12, 3, 3)]
+        assert _BatchCone(2, []).runs == []
+
+    def test_min_eig_prod_div_max_step(self):
+        for rng, q, dims, cone, batch in self.stacked_cases(21):
+            U = np.array([interior(rng, q, dims) for _ in range(self.B)])
+            V = rng.normal(size=U.shape) * 10.0 ** rng.uniform(-2, 2, size=(self.B, 1))
+            W = np.array([interior(rng, q, dims) for _ in range(self.B)])
+            for X in (U, V):
+                assert batch.min_eig(X).tolist() == [cone.min_eig(x) for x in X]
+            assert np.array_equal(batch.prod(U, V), np.array([cone.prod(u, v) for u, v in zip(U, V)]))
+            assert np.array_equal(batch.div(U, V), np.array([cone.div(u, v) for u, v in zip(U, V)]))
+            for D in (V, -U, W):
+                assert batch.max_step(U, D).tolist() == [cone.max_step(u, d) for u, d in zip(U, D)]
+
+    def test_boundary_rows_as_numpy(self):
+        """Rows on the cone boundary divide by zero in div and max_step; a
+        stack gives them the inf/nan that one program gives them."""
+        cone, batch = _Cone(1, [3, 2]), _BatchCone(1, [3, 2])
+        U = np.array([[1.0, 1.0, 1.0, 0.0, 2.0, 2.0], [1.0, 2.0, 0.0, 0.0, 3.0, 1.0]])
+        D = np.array([[1.0, -1.0, -2.0, 0.0, -1.0, -3.0], [-1.0, -1.0, 1.0, 0.0, 0.0, -1.0]])
+        V = np.arange(12.0).reshape(2, 6)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_step = [cone.max_step(u, d) for u, d in zip(U, D)]
+            want_div = np.array([cone.div(u, v) for u, v in zip(U, V)])
+            assert batch.max_step(U, D).tolist() == want_step
+            assert np.array_equal(batch.div(U, V), want_div, equal_nan=True)
+        assert not np.isfinite(want_div[0, 1:]).all()
+
+    def test_scaling(self):
+        for rng, q, dims, cone, batch in self.stacked_cases(22):
+            S = np.array([interior(rng, q, dims) for _ in range(self.B)])
+            Z = np.array([interior(rng, q, dims) for _ in range(self.B)])
+            if dims:  # a row whose s left the cone in the first block, and one whose z did in the last
+                S[1, q + 1] = 10.0 * S[1, q]
+                last = S.shape[1] - dims[-1]
+                Z[4, last + 1] = 10.0 * Z[4, last]
+            with np.errstate(invalid="ignore"):
+                scal = _BatchScaling(batch, S, Z)
+            alone = [_Scaling(cone, s, z) for s, z in zip(S, Z)]
+            assert scal.bad.tolist() == [one.bad for one in alone]
+            Ws, Winvs = per_block(scal.soc_W), per_block(scal.soc_Winv)
+            assert len(Ws) == len(Winvs) == len(dims)
+            for i, one in enumerate(alone):
+                assert np.array_equal(scal.w_lp[i], one.w_lp)
+                if one.bad:
+                    continue
+                assert all(np.array_equal(W[i], w) for W, w in zip(Ws, one.soc_W))
+                assert all(np.array_equal(W[i], w) for W, w in zip(Winvs, one.soc_Winv))
+                assert np.array_equal(scal.lam[i], one.lam)
+                v = rng.normal(size=S.shape[1])
+                assert np.array_equal(scal.apply_Winv(np.tile(v, (self.B, 1)))[i], one.apply_Winv(v))
+
+    def test_dot_and_mv_are_per_row_matmul(self):
+        """Stacked products give each row the bits of ``@`` on that row alone,
+        with strided vectors and transposed matrices as the solver passes them."""
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            B, m, n = rng.integers(1, 9), rng.integers(0, 20), rng.integers(0, 20)
+            scale = 10.0 ** rng.uniform(-6, 6, size=(B, 1))
+            M = rng.normal(size=(B, m, n)) * scale[:, :, None]
+            Mt = np.swapaxes(rng.normal(size=(B, n, m)), -1, -2) * scale[:, :, None]
+            v = rng.normal(size=(B, 2 * n + 1))[:, 1::2] * scale  # strided rows
+            u = rng.normal(size=(B, n + 2))[:, 2:] * scale  # offset rows
+            for mat in (M, Mt):
+                got = _mv(mat, v)
+                assert got.shape == (B, m)
+                assert all(np.array_equal(got[i], mat[i] @ v[i]) for i in range(B))
+            assert _dot(u, v).tolist() == [u[i] @ v[i] for i in range(B)]
 
 
 def bisect_step(cone, u, du, hi=1e6):

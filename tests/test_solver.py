@@ -123,6 +123,12 @@ class TestResultContracts:
         with pytest.raises(SolverDataError):
             solve(mkprog([1.0], np.zeros((0, 1)), [], lb=[2.0], ub=[1.0]))
 
+    @pytest.mark.parametrize("name", ["feasibility_tol", "duality_gap_tol", "unboundedness_threshold"])
+    @pytest.mark.parametrize("value", [0.0, -1e-8, np.nan, np.inf])
+    def test_settings_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolveSettings(**{name: value})
+
     def test_trace_callback(self):
         seen = []
         res = solve(disk(), SolveSettings(), trace=seen.append)

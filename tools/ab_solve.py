@@ -12,7 +12,8 @@ that both see the same machine state:
 * ``solve`` on the bundled door, pivot and slide programs (N calls each side);
 * ``solve_with_oracle`` at 64 facets on the same three programs (N calls);
 * ``solve_batch`` on the door, pivot and slide sweeps of the ``batch_cli``
-  workload (41, 17 and 17 points; M calls each side);
+  workload (41, 17 and 17 points) and on the programs its ``gws_slide`` job
+  hands to ``solve_batch`` (M calls each side);
 * ``solve_with_oracle`` at 32 facets on each of the first 200 draws of the
   ``fuzz_oracle`` corpus, one call of the case being all 200 (M calls).
 
@@ -30,10 +31,12 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 import time
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -41,7 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tools"))
 
-from screwgrasp import solver  # noqa: E402
+from screwgrasp import cli, metric, solver  # noqa: E402
 from screwgrasp.problem import compile_program  # noqa: E402
 from screwgrasp.scenarios import builtin_scenario  # noqa: E402
 from solve_digest import result_bytes  # noqa: E402  (puts this checkout's root on sys.path)
@@ -69,6 +72,20 @@ def load_other(checkout: Path):
     return module
 
 
+def job_programs(name: str) -> list:
+    """The programs the ``batch_cli`` job ``name`` hands to ``solve_batch``,
+    recorded while the job runs with its output sent to the null device."""
+    seen = []
+
+    def record(progs, settings=None):
+        seen.extend(progs)
+        return solver.solve_batch(progs, settings)
+
+    with mock.patch.object(metric, "solve_batch", record):
+        cli.main([*dict(workloads.BATCH_JOBS)[name], "--out", os.devnull])
+    return seen
+
+
 def cases() -> list[tuple[str, bool, object]]:
     """(name, whether it is a batch case, call on a solver module) of every timed case."""
     alphas = np.radians(np.linspace(0.0, 60.0, 17))
@@ -76,6 +93,7 @@ def cases() -> list[tuple[str, bool, object]]:
             for t in np.radians(np.linspace(0.0, 40.0, 41))]
     pivot = [compile_program(builtin_scenario("cuboid_pivot", alpha=float(a)).problem(), +1) for a in alphas]
     slide = [compile_program(builtin_scenario("cuboid_slide", alpha=float(a)).problem(), +1) for a in alphas]
+    gws = job_programs("gws_slide")
     bundled = {name: compile_program(builtin_scenario(name).problem(), +1)
                for name in ("door_handle", "cuboid_pivot", "cuboid_slide")}
     corpus = [compile_program(prob, direction) for gen_seed in workloads.FUZZ_GENERATOR_SEEDS
@@ -85,6 +103,7 @@ def cases() -> list[tuple[str, bool, object]]:
                for name, prog in bundled.items()]
             + [(f"solve_batch {name} sweep ({len(progs)})", True, lambda mod, ps=progs: mod.solve_batch(ps))
                for name, progs in (("door", door), ("pivot", pivot), ("slide", slide))]
+            + [(f"solve_batch gws_slide ({len(gws)})", True, lambda mod: mod.solve_batch(gws))]
             + [(f"oracle@{workloads.FUZZ_FACETS} fuzz corpus ({len(corpus)})", True,
                 lambda mod: [mod.solve_with_oracle(p, workloads.FUZZ_FACETS) for p in corpus])])
 
