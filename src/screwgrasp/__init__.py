@@ -8,15 +8,10 @@ screw, under friction-cone, force-bound and joint-torque constraints.
 from .contacts import (
     EnvironmentContact,
     FixedSupport,
-    LocalContactWrench,
     ManipulatorContact,
     Pcwf,
     PcwfParams,
     SfceParams,
-    discretize_pcwf,
-    discretize_sfce,
-    pcwf_contains,
-    sfce_contains,
 )
 from .errors import (
     CompileError,
@@ -51,9 +46,6 @@ from .problem import (
     VariableLayout,
     compile_program,
     external_wrench_in_b,
-    grasp_map,
-    scale_problem,
-    transform_problem,
 )
 from .scenarios import (
     BUILTINS,
@@ -65,10 +57,7 @@ from .scenarios import (
     builtin_scenario,
     cuboid_scenario,
     door_handle_scenario,
-    load_bundled,
     load_scenario,
-    make_cuboid,
-    make_door_handle,
     save_scenario,
     scenario_family,
 )
@@ -79,7 +68,6 @@ from .screws import (
     TaskScrew,
     Wrench,
     adjoint_matrix,
-    adjoint_transform,
     screw_to_unit_wrench,
     wrench_to_screw,
 )

@@ -32,7 +32,7 @@ from functools import cache
 
 import numpy as np
 
-from .contacts import check_facets
+from .contacts import _snap, check_facets
 from .errors import ScenarioError, ScrewGraspError
 from .metric import gws_sample, local_metric, metric_sweep
 from .problem import compile_program
@@ -298,21 +298,17 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 def _subspace_directions(k: int, rays: int) -> np.ndarray:
     """Deterministic unit directions in R^k (k = 2 or 3); includes the
     coordinate axes whenever rays is a multiple of 4."""
-
-    def snap(x):
-        return 0.0 if abs(x) < 1e-15 else float(x)
-
     if k == 2:
         ang = 2.0 * np.pi * np.arange(rays) / rays
-        return np.array([[snap(np.cos(a)), snap(np.sin(a))] for a in ang])
+        return np.array([[_snap(np.cos(a)), _snap(np.sin(a))] for a in ang])
     n_lat = max(2, rays // 4)
     dirs = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
     for i in range(1, n_lat):
         theta = np.pi * i / n_lat
-        s, c = np.sin(theta), snap(np.cos(theta))
+        s, c = np.sin(theta), _snap(np.cos(theta))
         for j in range(rays):
             phi = 2.0 * np.pi * j / rays
-            dirs.append(np.array([snap(s * np.cos(phi)), snap(s * np.sin(phi)), c]))
+            dirs.append(np.array([_snap(s * np.cos(phi)), _snap(s * np.sin(phi)), c]))
     return np.vstack(dirs)
 
 

@@ -15,8 +15,8 @@ and environment contacts alike).  A rigid environment attachment is modeled
 as a FixedSupport whose wrench components are free unless prescribed.
 
 ``sfce_rays``/``pcwf_rays`` give the extreme rays of an inscribed polyhedral
-cone as one array, ``discretize_*`` as wrenches, by scaling one read-only unit
-table per cone kind and facet count, computed once; they exist to support the
+cone as one array, one column per ray, by scaling one read-only unit table per
+cone kind and facet count, computed once; they exist to support the
 independent LP validation path, not the main solve.
 """
 
@@ -80,27 +80,6 @@ class PcwfParams:
     def __post_init__(self):
         for name in ("mu", "e_t", "e_o"):
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class LocalContactWrench:
-    """Wrench in a contact frame, components (f_t, f_o, f_n) in N and
-    (m_t, m_o, m_n) in N.m."""
-
-    f_t: float = 0.0
-    f_o: float = 0.0
-    f_n: float = 0.0
-    m_t: float = 0.0
-    m_o: float = 0.0
-    m_n: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.f_t, self.f_o, self.f_n, self.m_t, self.m_o, self.m_n])
-
-    @staticmethod
-    def from_array(w) -> "LocalContactWrench":
-        w = np.asarray(w, dtype=float).reshape(6)
-        return LocalContactWrench(*w)
 
 
 @dataclass(frozen=True)
@@ -185,30 +164,6 @@ class EnvironmentContact:
             raise ScrewGraspError("f_n_min must not exceed f_n_max")
 
 
-def sfce_contains(p: SfceParams, w: LocalContactWrench, tol: float = 1e-8) -> bool:
-    """Membership in the soft-finger elliptic cone.
-
-    True iff (1/mu) * sqrt((f_t/e_t)^2 + (f_o/e_o)^2 + (m_n/e_n)^2) <= f_n + tol.
-    ``w`` must carry no tangential moments (m_t = m_o = 0).
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if w.m_t != 0.0 or w.m_o != 0.0:
-        raise ValueError("SFCE wrench must have m_t = m_o = 0")
-    r = np.hypot(np.hypot(w.f_t / p.e_t, w.f_o / p.e_o), w.m_n / p.e_n) / p.mu
-    return bool(r <= w.f_n + tol)
-
-
-def pcwf_contains(p: PcwfParams, w: LocalContactWrench, tol: float = 1e-8) -> bool:
-    """Membership in the point-contact friction cone (no moments allowed)."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if w.m_t != 0.0 or w.m_o != 0.0 or w.m_n != 0.0:
-        raise ValueError("PCWF wrench must have zero moment components")
-    r = np.hypot(w.f_t / p.e_t, w.f_o / p.e_o) / p.mu
-    return bool(r <= w.f_n + tol)
-
-
 def check_facets(facets) -> int:
     """``facets`` as a plain int; ValueError unless it is an integer >= 4."""
     try:
@@ -267,7 +222,14 @@ def _pcwf_units(facets: int) -> np.ndarray:
 
 
 def sfce_rays(p: SfceParams, f_n: float, facets) -> np.ndarray:
-    """The rays of ``discretize_sfce`` as rows (f_t, f_o, f_n, m_n), one column per ray."""
+    """Extreme rays of an inscribed polyhedral approximation of the SFCE cone,
+    as rows (f_t, f_o, f_n, m_n), one column per ray.
+
+    Samples the boundary ellipsoid at normal force ``f_n`` on a nested
+    latitude/longitude grid of the (f_t/e_t, f_o/e_o, m_n/e_n) sphere; every
+    ray lies exactly on the cone boundary, so the convex hull of the rays is
+    inscribed in the true cone.
+    """
     facets = check_facets(facets)
     f_n = _positive("f_n", f_n)
     radius = p.mu * f_n
@@ -277,27 +239,11 @@ def sfce_rays(p: SfceParams, f_n: float, facets) -> np.ndarray:
 
 
 def pcwf_rays(p: PcwfParams, f_n: float, facets) -> np.ndarray:
-    """The rays of ``discretize_pcwf`` as rows (f_t, f_o, f_n), one column per ray."""
+    """Extreme rays of the inscribed regular-polygon approximation of PCWF,
+    as rows (f_t, f_o, f_n), one column per ray."""
     facets = check_facets(facets)
     f_n = _positive("f_n", f_n)
     radius = p.mu * f_n
     U = _pcwf_units(facets)
     return np.stack([(radius * p.e_t) * U[0], (radius * p.e_o) * U[1], np.full(U.shape[1], f_n)])
 
-
-def discretize_sfce(p: SfceParams, f_n: float, facets: int) -> list[LocalContactWrench]:
-    """Extreme rays of an inscribed polyhedral approximation of the SFCE cone.
-
-    Samples the boundary ellipsoid at normal force ``f_n`` on a nested
-    latitude/longitude grid of the (f_t/e_t, f_o/e_o, m_n/e_n) sphere; every
-    returned wrench lies exactly on the cone boundary, so the convex hull of
-    the rays is inscribed in the true cone.
-    """
-    return [LocalContactWrench(f_t=t, f_o=o, f_n=n, m_n=m)
-            for t, o, n, m in zip(*sfce_rays(p, f_n, facets).tolist())]
-
-
-def discretize_pcwf(p: PcwfParams, f_n: float, facets: int) -> list[LocalContactWrench]:
-    """Extreme rays of the inscribed regular-polygon approximation of PCWF."""
-    return [LocalContactWrench(f_t=t, f_o=o, f_n=n)
-            for t, o, n in zip(*pcwf_rays(p, f_n, facets).tolist())]

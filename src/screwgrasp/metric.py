@@ -95,8 +95,13 @@ def active_constraints(prog: ConicProgram, x, tol: float = ACTIVE_TOL) -> tuple[
     return tuple(active)
 
 
+def _eta(res: SolveResult) -> float | None:
+    """The objective of an Optimal solve, else None."""
+    return res.objective if res.status == "Optimal" else None
+
+
 def _metric_result(prog: ConicProgram, res: SolveResult, direction: int, wall_ms: float) -> MetricResult:
-    eta = res.objective if res.status == "Optimal" else None
+    eta = _eta(res)
     warning = None
     if eta is not None and eta < 0:
         warning = "eta < 0: the grasp cannot null the external wrench along the task screw"
@@ -119,18 +124,33 @@ def local_metric(
     p: GraspProblem, direction: int = +1, settings: SolveSettings | None = None, trace=None
 ) -> MetricResult:
     """Compile and solve one scenario along +/- the task screw."""
-    settings = settings or SolveSettings()
     t0 = time.perf_counter()
     prog = compile_program(p, direction=direction)
     res = solve(prog, settings, trace=trace)
     return _metric_result(prog, res, direction, (time.perf_counter() - t0) * 1e3)
 
 
-def _solve_points(progs: list[ConicProgram], settings) -> tuple[list, float]:
-    """(results, solve ms per program) of one batched solve."""
+def _solve_points(build, items, direction: int, settings, tolerated=()) -> list[tuple]:
+    """Compile ``build(item)`` along ``direction`` for each item, in order, and
+    solve every program in one batch.  Per item: ``(prog, result, ms)``, ms
+    its build and compile time plus an equal share of the batch's solve time,
+    or ``(None, exc, ms)`` if building or compiling raised ``exc``, one of
+    ``tolerated`` (anything else propagates), ms the time until it failed."""
+    out, progs = [], []
+    for item in items:
+        t0 = time.perf_counter()
+        try:
+            prog = compile_program(build(item), direction=direction)
+        except tolerated as exc:
+            out.append((None, exc, (time.perf_counter() - t0) * 1e3))
+            continue
+        progs.append(prog)
+        out.append((prog, None, (time.perf_counter() - t0) * 1e3))
     t0 = time.perf_counter()
-    results = solve_batch(progs, settings)
-    return results, (time.perf_counter() - t0) * 1e3 / max(1, len(progs))
+    results = iter(solve_batch(progs, settings))
+    share = (time.perf_counter() - t0) * 1e3 / max(1, len(progs))
+    return [(prog, next(results), ms + share) if prog is not None else (prog, exc, ms)
+            for prog, exc, ms in out]
 
 
 def global_metric(
@@ -139,14 +159,8 @@ def global_metric(
     """Minimum local metric over a discretized path (the whole-task metric)."""
     if not path:
         raise ValueError("path must contain at least one point")
-    progs, compile_ms = [], []
-    for pt in path:
-        t0 = time.perf_counter()
-        progs.append(compile_program(pt.problem, direction=direction))
-        compile_ms.append((time.perf_counter() - t0) * 1e3)
-    results, share = _solve_points(progs, settings)
-    per_point = tuple(_metric_result(prog, res, direction, ms + share)
-                      for prog, res, ms in zip(progs, results, compile_ms))
+    per_point = tuple(_metric_result(prog, res, direction, ms) for prog, res, ms
+                      in _solve_points(lambda pt: pt.problem, path, direction, settings))
     failures = tuple(pt.label or f"#{i}" for i, (pt, r) in enumerate(zip(path, per_point))
                      if r.status != "Optimal")
     if failures:
@@ -188,22 +202,11 @@ def metric_sweep(
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid must be nonempty")
-    rows: list = [None] * len(grid)
-    progs, at, compile_ms = [], [], []
-    for i, value in enumerate(grid):
-        t0 = time.perf_counter()
-        try:
-            progs.append(compile_program(family(value), direction))
-        except Exception as exc:  # per-point failures must not kill the sweep
-            rows[i] = SweepRow(value, None, f"error: {exc}", 0, (time.perf_counter() - t0) * 1e3)
-            continue
-        at.append(i)
-        compile_ms.append((time.perf_counter() - t0) * 1e3)
-    results, share = _solve_points(progs, settings)
-    for i, ms, res in zip(at, compile_ms, results):
-        eta = res.objective if res.status == "Optimal" else None
-        rows[i] = SweepRow(grid[i], eta, res.status, res.iterations, ms + share)
-    return rows
+    # per-point failures must not kill the sweep
+    points = _solve_points(family, grid, direction, settings, tolerated=Exception)
+    return [SweepRow(value, None, f"error: {res}", 0, ms) if prog is None
+            else SweepRow(value, _eta(res), res.status, res.iterations, ms)
+            for value, (prog, res, ms) in zip(grid, points)]
 
 
 @dataclass(frozen=True)
@@ -221,17 +224,9 @@ def gws_sample(p: GraspProblem, directions, settings: SolveSettings | None = Non
     Each direction is its own program (all solved in one batch); failed rays
     are tagged with their solver status instead of aborting the sweep.
     """
-    settings = settings or SolveSettings()
     directions = list(directions)
-    out: list = [None] * len(directions)
-    progs, at = [], []
-    for i, screw in enumerate(directions):
-        try:
-            progs.append(compile_program(replace(p, task=screw), direction=+1))
-            at.append(i)
-        except ScrewGraspError as exc:
-            out[i] = RaySupport(screw=screw, eta=None, status=f"error: {exc}")
-    for i, res in zip(at, _solve_points(progs, settings)[0]):
-        eta = res.objective if res.status == "Optimal" else None
-        out[i] = RaySupport(screw=directions[i], eta=eta, status=res.status)
-    return out
+    points = _solve_points(lambda screw: replace(p, task=screw), directions, +1, settings,
+                           tolerated=ScrewGraspError)
+    return [RaySupport(screw=screw, eta=None, status=f"error: {res}") if prog is None
+            else RaySupport(screw=screw, eta=_eta(res), status=res.status)
+            for screw, (prog, res, _ms) in zip(directions, points)]

@@ -25,7 +25,7 @@ numbers, into arrays the program takes over without a copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -44,8 +44,6 @@ from .screws import (
     TaskScrew,
     Wrench,
     adjoint_matrix,
-    adjoint_matrix_unchecked,
-    check_rotation,
     cross3,
     screw_to_unit_wrench,
 )
@@ -94,13 +92,9 @@ class ExternalWrench:
         return not (np.any(self.force) or np.any(self.moment))
 
 
-def external_wrench_in_b(e: ExternalWrench, frame: str = "b") -> Wrench:
+def external_wrench_in_b(e: ExternalWrench) -> Wrench:
     """Resolve the external load about the body-frame origin."""
-    return Wrench(
-        force=e.force,
-        moment=cross3(e.application_point, e.force) + e.moment,
-        frame=frame,
-    )
+    return Wrench(force=e.force, moment=cross3(e.application_point, e.force) + e.moment)
 
 
 @dataclass(frozen=True)
@@ -178,20 +172,6 @@ class GraspProblem:
                 f"jacobian has {self.torque_model.jacobian.shape[0]} rows, "
                 f"expected 6 x {n} manipulator contacts"
             )
-
-
-def grasp_map(contacts) -> np.ndarray:
-    """Stacked 6x6k adjoint matrix of k contact poses.
-
-    Accepts any sequence of objects with ``rotation``/``position`` (or
-    (rotation, position) pairs); column block i carries local wrench i into
-    the body frame.
-    """
-    blocks = []
-    for c in contacts:
-        R, p = (c.rotation, c.position) if hasattr(c, "rotation") else c
-        blocks.append(adjoint_matrix(R, p))
-    return np.hstack(blocks) if blocks else np.zeros((6, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +369,7 @@ def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
 
     contacts = (*p.manipulator_contacts, *p.environment_contacts)
     for cs, (pos, local, i_fn, cone), contact in zip(layout.contacts, structure, contacts):
-        G6 = adjoint_matrix_unchecked(contact.rotation, contact.position)  # checked when built
+        G6 = adjoint_matrix(contact.rotation, contact.position)  # checked when built
         F[:6, pos] = G6[:, local]
         if cs.kind == "fixed":
             for comp, value in contact.model.prescribed.items():
@@ -431,76 +411,3 @@ def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
     f[layout.eta_index] = 1.0
     return _built(ConicProgram, f=f, F=F, g=g, socs=tuple(socs), lb=lb, ub=ub, layout=layout)
 
-
-# ---------------------------------------------------------------------------
-# Scenario-level transforms (used by invariance/scaling checks and sweeps)
-# ---------------------------------------------------------------------------
-
-def transform_problem(p: GraspProblem, R0: np.ndarray, t0: np.ndarray) -> GraspProblem:
-    """Re-express the whole scenario in a rigidly transformed body frame.
-
-    (R0, t0) is the pose of the old frame in the new one; the optimal eta is
-    invariant under this map.
-    """
-    R0 = check_rotation(R0)
-    t0 = np.asarray(t0, dtype=float).reshape(3)
-
-    def move(c):
-        return replace(c, rotation=R0 @ c.rotation, position=R0 @ c.position + t0)
-
-    ext = ExternalWrench(
-        force=R0 @ p.external.force,
-        moment=R0 @ p.external.moment,
-        application_point=R0 @ p.external.application_point + t0,
-    )
-    task = TaskScrew(l=R0 @ p.task.l, q=R0 @ p.task.q + t0, pitch=p.task.pitch)
-    return replace(
-        p,
-        manipulator_contacts=tuple(move(c) for c in p.manipulator_contacts),
-        environment_contacts=tuple(move(c) for c in p.environment_contacts),
-        external=ext,
-        task=task,
-    )
-
-
-def scale_problem(p: GraspProblem, k: float) -> GraspProblem:
-    """Scale every force/torque bound, prescribed component and external load
-    by ``k`` > 0; the optimal eta scales by exactly ``k``."""
-    if not (np.isfinite(k) and k > 0):
-        raise ScrewGraspError("scale factor must be positive")
-
-    def scale_manip(c: ManipulatorContact) -> ManipulatorContact:
-        return replace(c, f_n_max=k * c.f_n_max)
-
-    def scale_env(c: EnvironmentContact) -> EnvironmentContact:
-        model = c.model
-        if isinstance(model, FixedSupport) and model.prescribed:
-            model = FixedSupport({key: k * v for key, v in model.prescribed.items()})
-        return replace(
-            c,
-            model=model,
-            f_n_min=None if c.f_n_min is None else k * c.f_n_min,
-            f_n_max=None if c.f_n_max is None else k * c.f_n_max,
-        )
-
-    ext = ExternalWrench(
-        force=k * p.external.force,
-        moment=k * p.external.moment,
-        application_point=p.external.application_point,
-    )
-    tm = p.torque_model
-    if tm is not None:
-        tm = TorqueModel(
-            jacobian=tm.jacobian,
-            tau_g=k * tm.tau_g,
-            tau_min=k * tm.tau_min,
-            tau_max=k * tm.tau_max,
-            dofs=tm.dofs,
-        )
-    return replace(
-        p,
-        manipulator_contacts=tuple(scale_manip(c) for c in p.manipulator_contacts),
-        environment_contacts=tuple(scale_env(c) for c in p.environment_contacts),
-        external=ext,
-        torque_model=tm,
-    )

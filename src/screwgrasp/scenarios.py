@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -192,11 +191,6 @@ def door_handle_scenario(p: DoorHandleParams = DoorHandleParams()) -> Scenario:
     )
 
 
-def make_door_handle(p: DoorHandleParams = DoorHandleParams()) -> GraspProblem:
-    """The lever-handle grasp problem (task: moment about the hinge axis)."""
-    return door_handle_scenario(p).problem()
-
-
 @dataclass(frozen=True)
 class CuboidParams:
     """Box-on-edge task parameters (defaults are the reference setup)."""
@@ -258,13 +252,6 @@ def cuboid_scenario(p: CuboidParams = CuboidParams()) -> Scenario:
         tasks=(("S1", pivot), ("S2", slide)),
         family=FamilyRef("cuboid", dict(vars(p))),
     )
-
-
-def make_cuboid(p: CuboidParams = CuboidParams(), task: str = "pivot") -> GraspProblem:
-    """The box-on-edge grasp problem for task "pivot" (S1) or "slide" (S2)."""
-    if task not in ("pivot", "slide"):
-        raise ScrewGraspError(f"task must be 'pivot' or 'slide', got {task!r}")
-    return cuboid_scenario(p).problem("S1" if task == "pivot" else "S2")
 
 
 @dataclass(frozen=True)
@@ -644,10 +631,3 @@ def load_scenario(path) -> Scenario:
         raise ScenarioParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return scenario_from_dict(doc)
 
-
-def load_bundled(name: str) -> Scenario:
-    """Load one of the golden scenarios shipped with the package."""
-    ref = resources.files("screwgrasp.data").joinpath(f"{name}.scenario")
-    if not ref.is_file():
-        raise ScrewGraspError(f"no bundled scenario {name!r}; available: {sorted(BUILTINS)}")
-    return scenario_from_dict(json.loads(ref.read_text(encoding="utf-8")))

@@ -1,10 +1,9 @@
 """Rigid-body screw/wrench algebra.
 
-Wrenches are 6-vectors split into force (N) and moment (N.m) parts, expressed
-in a named coordinate frame.  A screw is a spatial line (unit direction ``l``
-through point ``q``) with a pitch ``h``; every nonzero wrench decomposes into
-a magnitude along a unique screw (Poinsot decomposition), and every screw maps
-back to a unit wrench.
+Wrenches are 6-vectors split into force (N) and moment (N.m) parts.  A screw
+is a spatial line (unit direction ``l`` through point ``q``) with a pitch
+``h``; every nonzero wrench decomposes into a magnitude along a unique screw
+(Poinsot decomposition), and every screw maps back to a unit wrench.
 
 Conventions:
   * frames are right-handed; rotations are 3x3 matrices with ``R^T R = I``,
@@ -94,11 +93,10 @@ def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Wrench:
-    """Generalized force: ``force`` (N) and ``moment`` (N.m) in frame ``frame``."""
+    """Generalized force: ``force`` (N) and ``moment`` (N.m)."""
 
     force: np.ndarray
     moment: np.ndarray
-    frame: str = "b"
 
     def __post_init__(self):
         object.__setattr__(self, "force", _vec3(self.force))
@@ -111,9 +109,9 @@ class Wrench:
         return np.concatenate([self.force, self.moment])
 
     @staticmethod
-    def from_array(w, frame: str = "b") -> "Wrench":
+    def from_array(w) -> "Wrench":
         w = np.asarray(w, dtype=float).reshape(6)
-        return Wrench(force=w[:3], moment=w[3:], frame=frame)
+        return Wrench(force=w[:3], moment=w[3:])
 
 
 @dataclass(frozen=True)
@@ -144,10 +142,6 @@ class TaskScrew:
     def infinite_pitch(self) -> bool:
         return isinstance(self.pitch, InfinitePitch)
 
-    def negated(self) -> "TaskScrew":
-        """Screw with the opposite direction (same line, same pitch)."""
-        return TaskScrew(l=-self.l, q=self.q, pitch=self.pitch)
-
 
 @dataclass(frozen=True)
 class ScrewCoordinates:
@@ -164,27 +158,15 @@ class ScrewCoordinates:
 def adjoint_matrix(R: np.ndarray, p: np.ndarray) -> np.ndarray:
     """6x6 wrench transport for a contact at pose (R, p) in the target frame.
 
-    Maps a local wrench [f; m] to [R f ; p x (R f) + R m].
+    Maps a local wrench [f; m] to [R f ; p x (R f) + R m].  R is not checked
+    here: a contact's rotation is checked by ``check_rotation`` when the
+    contact is built.
     """
-    return adjoint_matrix_unchecked(check_rotation(R), p)
-
-
-def adjoint_matrix_unchecked(R: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``adjoint_matrix`` for an R already validated by ``check_rotation``
-    (a contact's rotation is checked when the contact is built); R is not
-    checked again."""
     G = np.zeros((6, 6))
     G[:3, :3] = R
     G[3:, :3] = skew(p) @ R
     G[3:, 3:] = R
     return G
-
-
-def adjoint_transform(R: np.ndarray, p: np.ndarray, w: Wrench, to_frame: str = "b") -> Wrench:
-    """Transport wrench ``w`` from its frame to the frame in which (R, p) is expressed."""
-    G = adjoint_matrix(R, p)
-    out = G @ w.as_array()
-    return Wrench(force=out[:3], moment=out[3:], frame=to_frame)
 
 
 def wrench_to_screw(w: Wrench) -> ScrewCoordinates:
@@ -209,12 +191,12 @@ def wrench_to_screw(w: Wrench) -> ScrewCoordinates:
     return ScrewCoordinates(axis=axis, magnitude=float(nf))
 
 
-def screw_to_unit_wrench(s: TaskScrew, frame: str = "b") -> Wrench:
+def screw_to_unit_wrench(s: TaskScrew) -> Wrench:
     """Unit wrench along a screw.
 
     Finite pitch: unit force along l, moment q x l + h l.
     Infinite pitch: zero force, unit moment along l.
     """
     if s.infinite_pitch:
-        return Wrench(force=np.zeros(3), moment=s.l, frame=frame)
-    return Wrench(force=s.l, moment=cross3(s.q, s.l) + s.pitch * s.l, frame=frame)
+        return Wrench(force=np.zeros(3), moment=s.l)
+    return Wrench(force=s.l, moment=cross3(s.q, s.l) + s.pitch * s.l)

@@ -124,10 +124,6 @@ class SolveResult:
     iterations: int
     certificate: str | None = None
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == "Optimal"
-
 
 # ---------------------------------------------------------------------------
 # Cone algebra for K = R^q_+  x  Q^{d_1} x ... x Q^{d_N}
@@ -293,7 +289,7 @@ class _Scaling:
             ns, nz = math.sqrt(st @ st), math.sqrt(zt @ zt)
             rho_s = (s0 - ns) * (s0 + ns)
             rho_z = (z0 - nz) * (z0 + nz)
-            if rho_s <= 0 or rho_z <= 0:
+            if rho_s <= 0 or rho_z <= 0 or s0 <= 0 or z0 <= 0:  # rho > 0 in -int(K) too: test the heads
                 self.bad = True
                 return
             sbar = s[blk] / math.sqrt(rho_s)
@@ -345,7 +341,7 @@ class _BatchScaling(_Scaling):
             ns, nz = np.sqrt(np.vecdot(S[..., 1:], S[..., 1:])), np.sqrt(np.vecdot(Z[..., 1:], Z[..., 1:]))
             rho_s = (S[..., 0] - ns) * (S[..., 0] + ns)
             rho_z = (Z[..., 0] - nz) * (Z[..., 0] + nz)
-            self.bad |= ((rho_s <= 0) | (rho_z <= 0)).any(axis=1)
+            self.bad |= ((rho_s <= 0) | (rho_z <= 0) | (S[..., 0] <= 0) | (Z[..., 0] <= 0)).any(axis=1)
             sbar = S / np.sqrt(rho_s)[..., None]
             zbar = Z / np.sqrt(rho_z)[..., None]
             gamma = np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
@@ -519,7 +515,10 @@ def _take(sf: _StdForm, idx) -> _StdForm:
                     sf.col_scale[idx], basis)
 
 
-def _equilibrate(sf: _StdForm, rounds: int = 8) -> _StdForm:
+_EQUILIBRATION_ROUNDS = 8
+
+
+def _equilibrate(sf: _StdForm) -> _StdForm:
     """Ruiz-style equilibration; SOC row blocks share one scale so cones are
     preserved.  Returns a new _StdForm carrying the column scales needed to
     map the solution back.  Elementwise operations and exact max reductions
@@ -536,7 +535,7 @@ def _equilibrate(sf: _StdForm, rounds: int = 8) -> _StdForm:
                       dtype=np.intp)
     sizes = np.diff(starts, append=M.shape[-2])
     dc = np.ones(sf.c.shape)
-    for _ in range(rounds if n and starts.size else 0):
+    for _ in range(_EQUILIBRATION_ROUNDS if n and starts.size else 0):
         col = np.abs(M).max(axis=-2)
         col[col == 0] = 1.0
         sc = 1.0 / np.sqrt(col)
@@ -691,9 +690,8 @@ def solve_batch(progs, settings: SolveSettings | None = None) -> list[SolveResul
 # The smallest group worth a stacked run, measured on door, pivot and slide
 # programs (2-core machine, numpy 2.4 with OpenBLAS), presolve included: one
 # program run as a stack of one takes 1.8-1.9 times as long as on its own 1-D
-# arrays (2.2-2.4 before the kernels worked on runs; eval_grid run that way
-# dropped from 140 to 56 solves/s), two take 1.1-1.2 times as long as two
-# single solves, three take 0.82-0.95 times as long and four 0.65-0.78.
+# arrays, two take 1.1-1.2 times as long as two single solves, three take
+# 0.82-0.95 times as long and four 0.65-0.78.
 _MIN_BATCH = 3
 
 

@@ -1,6 +1,20 @@
+"""Helpers shared by the test modules: rotations, hand-built programs,
+scenario transforms for the invariance checks, and cone membership."""
+
+from dataclasses import replace
+
 import numpy as np
 
-from screwgrasp.problem import ConicProgram, SocBlock, VariableLayout
+from screwgrasp.contacts import EnvironmentContact, FixedSupport, PcwfParams, SfceParams
+from screwgrasp.problem import (
+    ConicProgram,
+    ExternalWrench,
+    GraspProblem,
+    SocBlock,
+    TorqueModel,
+    VariableLayout,
+)
+from screwgrasp.screws import TaskScrew, check_rotation
 
 
 def rot(axis, angle: float) -> np.ndarray:
@@ -31,3 +45,78 @@ def mkprog(f, F, g, socs=(), lb=None, ub=None) -> ConicProgram:
 def soc(A, b, c, d, tag=None, label="") -> SocBlock:
     return SocBlock(A=np.asarray(A, dtype=float), b=np.asarray(b, dtype=float),
                     c=np.asarray(c, dtype=float), d=float(d), tag=tag, label=label)
+
+
+def transform_problem(p: GraspProblem, R0: np.ndarray, t0: np.ndarray) -> GraspProblem:
+    """Re-express the whole scenario in a rigidly transformed body frame.
+
+    (R0, t0) is the pose of the old frame in the new one; the optimal eta is
+    invariant under this map.
+    """
+    R0 = check_rotation(R0)
+    t0 = np.asarray(t0, dtype=float).reshape(3)
+
+    def move(c):
+        return replace(c, rotation=R0 @ c.rotation, position=R0 @ c.position + t0)
+
+    ext = ExternalWrench(
+        force=R0 @ p.external.force,
+        moment=R0 @ p.external.moment,
+        application_point=R0 @ p.external.application_point + t0,
+    )
+    task = TaskScrew(l=R0 @ p.task.l, q=R0 @ p.task.q + t0, pitch=p.task.pitch)
+    return replace(
+        p,
+        manipulator_contacts=tuple(move(c) for c in p.manipulator_contacts),
+        environment_contacts=tuple(move(c) for c in p.environment_contacts),
+        external=ext,
+        task=task,
+    )
+
+
+def scale_problem(p: GraspProblem, k: float) -> GraspProblem:
+    """Scale every force/torque bound, prescribed component and external load
+    by ``k`` > 0; the optimal eta scales by exactly ``k``."""
+
+    def scale_env(c: EnvironmentContact) -> EnvironmentContact:
+        model = c.model
+        if isinstance(model, FixedSupport) and model.prescribed:
+            model = FixedSupport({key: k * v for key, v in model.prescribed.items()})
+        return replace(
+            c,
+            model=model,
+            f_n_min=None if c.f_n_min is None else k * c.f_n_min,
+            f_n_max=None if c.f_n_max is None else k * c.f_n_max,
+        )
+
+    ext = ExternalWrench(
+        force=k * p.external.force,
+        moment=k * p.external.moment,
+        application_point=p.external.application_point,
+    )
+    tm = p.torque_model
+    if tm is not None:
+        tm = TorqueModel(jacobian=tm.jacobian, tau_g=k * tm.tau_g, tau_min=k * tm.tau_min,
+                         tau_max=k * tm.tau_max, dofs=tm.dofs)
+    return replace(
+        p,
+        manipulator_contacts=tuple(replace(c, f_n_max=k * c.f_n_max) for c in p.manipulator_contacts),
+        environment_contacts=tuple(scale_env(c) for c in p.environment_contacts),
+        external=ext,
+        torque_model=tm,
+    )
+
+
+def sfce_contains(p: SfceParams, w, tol: float = 1e-8):
+    """Membership in the soft-finger elliptic cone of w = (f_t, f_o, f_n, m_n),
+    the rows of ``sfce_rays`` (one bool per column):
+    (1/mu) * sqrt((f_t/e_t)^2 + (f_o/e_o)^2 + (m_n/e_n)^2) <= f_n + tol."""
+    f_t, f_o, f_n, m_n = w
+    return np.hypot(np.hypot(f_t / p.e_t, f_o / p.e_o), m_n / p.e_n) / p.mu <= f_n + tol
+
+
+def pcwf_contains(p: PcwfParams, w, tol: float = 1e-8):
+    """Membership in the point-contact friction cone of w = (f_t, f_o, f_n),
+    the rows of ``pcwf_rays`` (one bool per column)."""
+    f_t, f_o, f_n = w
+    return np.hypot(f_t / p.e_t, f_o / p.e_o) / p.mu <= f_n + tol

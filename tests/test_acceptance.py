@@ -13,15 +13,15 @@ import time
 
 import numpy as np
 
-from conftest import mkprog, rot, soc
+from conftest import mkprog, rot, scale_problem, soc, transform_problem
 from screwgrasp.metric import local_metric, metric_sweep
-from screwgrasp.problem import compile_program, scale_problem, transform_problem
+from screwgrasp.problem import compile_program
 from screwgrasp.scenarios import (
     CuboidParams,
     DoorHandleParams,
     builtin_scenario,
-    make_cuboid,
-    make_door_handle,
+    cuboid_scenario,
+    door_handle_scenario,
 )
 from screwgrasp.solver import SolveSettings, solve, solve_with_oracle
 
@@ -45,7 +45,7 @@ def report(num: int, ok: bool, detail: str) -> bool:
 
 
 def door_family(x_c):
-    return lambda theta: make_door_handle(DoorHandleParams(x_c=x_c, theta=float(theta)))
+    return lambda theta: door_handle_scenario(DoorHandleParams(x_c=x_c, theta=float(theta))).problem()
 
 
 def test_criterion_1_door_handle_turning_limit():
@@ -90,7 +90,7 @@ def test_criterion_3_pivot_trends():
     eta = {}
     for x_E in X_E_GRID:
         for a in ALPHA_GRID:
-            p = make_cuboid(CuboidParams(alpha=float(a), x_E=x_E), "pivot")
+            p = cuboid_scenario(CuboidParams(alpha=float(a), x_E=x_E)).problem("S1")
             for d in (+1, -1):
                 r = local_metric(p, d, SETTINGS)
                 assert r.status == "Optimal"
@@ -111,7 +111,7 @@ def test_criterion_3_pivot_trends():
 
 
 def test_criterion_4_slide_asymmetry():
-    p = make_cuboid(CuboidParams(alpha=np.radians(50.0), x_E=0.12), "slide")
+    p = cuboid_scenario(CuboidParams(alpha=np.radians(50.0), x_E=0.12)).problem("S2")
     plus = local_metric(p, +1, SETTINGS)
     minus = local_metric(p, -1, SETTINGS)
     margin = plus.eta - minus.eta
@@ -207,11 +207,11 @@ def test_criterion_9_per_solve_performance():
     cases = []
     for x_c in X_C_GRID:
         for theta in (0.0, 0.1, 0.3):
-            cases.append(compile_program(make_door_handle(DoorHandleParams(x_c=x_c, theta=theta))))
-    for task in ("pivot", "slide"):
+            cases.append(compile_program(door_handle_scenario(DoorHandleParams(x_c=x_c, theta=theta)).problem()))
+    for task in ("S1", "S2"):  # pivot, slide
         for a in (0.0, 0.5, 1.0):
             for d in (+1, -1):
-                cases.append(compile_program(make_cuboid(CuboidParams(alpha=a, x_E=0.12), task), d))
+                cases.append(compile_program(cuboid_scenario(CuboidParams(alpha=a, x_E=0.12)).problem(task), d))
     for prog in cases:  # warm the BLAS/LAPACK paths once
         solve(prog, SETTINGS)
     worst = 0.0

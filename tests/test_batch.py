@@ -206,6 +206,37 @@ def test_sweep_point_the_solver_rejects_is_its_own_row(monkeypatch):
         assert (rows[i].status, rows[i].eta, rows[i].iterations) == (alone.status, alone.objective, alone.iterations)
 
 
+def failing_second_compile(exc):
+    """``metric.compile_program`` that raises ``exc`` on its second call."""
+    compile_one, calls = metric.compile_program, []
+
+    def compile_program(p, direction):
+        calls.append(p)
+        if len(calls) == 2:
+            raise exc
+        return compile_one(p, direction)
+
+    return compile_program
+
+
+def test_gws_ray_that_fails_to_compile_is_a_row_only_for_a_screw_grasp_error(monkeypatch):
+    pivot = builtin_scenario("cuboid_pivot").problem()
+    monkeypatch.setattr(metric, "compile_program", failing_second_compile(ScrewGraspError("no ray")))
+    rays = gws_sample(pivot, [pivot.task] * 3)
+    assert [(r.status, r.eta is None) for r in rays] == [("Optimal", False), ("error: no ray", True),
+                                                        ("Optimal", False)]
+    monkeypatch.setattr(metric, "compile_program", failing_second_compile(ValueError("defect")))
+    with pytest.raises(ValueError, match="defect"):
+        gws_sample(pivot, [pivot.task] * 3)
+
+
+def test_global_metric_raises_on_a_point_that_fails_to_compile(monkeypatch):
+    path = [PathPoint(float(a), builtin_scenario("cuboid_pivot", alpha=float(a)).problem()) for a in ALPHAS]
+    monkeypatch.setattr(metric, "compile_program", failing_second_compile(ScrewGraspError("no pose")))
+    with pytest.raises(ScrewGraspError, match="no pose"):
+        global_metric(path, +1)
+
+
 def test_batch_defect_is_not_retried_point_by_point(monkeypatch):
     """An error of the batched run surfaces from the job; no job falls back
     to solving its points one by one."""

@@ -375,6 +375,17 @@ class TestStackedAgainstOneProgram:
                 v = rng.normal(size=S.shape[1])
                 assert np.array_equal(scal.apply_Winv(np.tile(v, (self.B, 1)))[i], one.apply_Winv(v))
 
+    def test_scaling_flags_blocks_in_minus_the_cone(self):
+        """A block with a negative head and |head| > |tail| lies in -int(K),
+        where rho > 0 as inside K: both kernels flag its row bad."""
+        cone, batch = _Cone(1, [3]), _BatchCone(1, [3])
+        good, flipped = np.array([1.0, 2.0, 0.5, 0.5]), np.array([1.0, -2.0, 0.5, 0.5])
+        S = np.array([flipped, good, good])
+        Z = np.array([good, flipped, good])
+        with np.errstate(invalid="ignore"):
+            scal = _BatchScaling(batch, S, Z)
+        assert scal.bad.tolist() == [_Scaling(cone, s, z).bad for s, z in zip(S, Z)] == [True, True, False]
+
     def test_dot_and_mv_are_per_row_matmul(self):
         """Stacked products give each row the bits of ``@`` on that row alone,
         with strided vectors and transposed matrices as the solver passes them."""

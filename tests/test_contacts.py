@@ -1,7 +1,7 @@
 """Contact cones: membership, and the inscribed rays of the LP oracle.
 
-``ref_discretize_*`` are the plain per-ray loops that the cached unit tables
-of ``screwgrasp.contacts`` replaced; they stay here as the reference.  The
+``ref_*_rays`` are the plain per-ray loops that the cached unit tables of
+``screwgrasp.contacts`` replaced; they stay here as the reference.  The
 tables evaluate the same scalar expressions and scale them in the same
 order, so the rays must agree byte for byte, signs of zeros included.
 """
@@ -11,20 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pcwf_contains, sfce_contains
 from screwgrasp.contacts import (
     FixedSupport,
-    LocalContactWrench,
     PcwfParams,
     SfceParams,
     _latitudes,
     _pcwf_units,
     _sfce_units,
     _snap,
-    discretize_pcwf,
-    discretize_sfce,
-    pcwf_contains,
     pcwf_rays,
-    sfce_contains,
     sfce_rays,
 )
 from screwgrasp.errors import ScrewGraspError
@@ -33,35 +29,26 @@ TABLE_SFCE = SfceParams(mu=0.2, e_t=1.0, e_o=1.0, e_n=0.03)
 TABLE_PCWF = PcwfParams(mu=0.25)
 
 
-def ref_discretize_sfce(p, f_n, facets):
+def ref_sfce_rays(p, f_n, facets):
     radius = p.mu * f_n
     phis = 2.0 * np.pi * np.arange(facets) / facets
     rays = []
     for theta in _latitudes(facets):
         s, c = _snap(np.sin(theta)), _snap(np.cos(theta))
         if s == 0.0:  # pole: all longitudes coincide
-            rays.append(LocalContactWrench(f_n=f_n, m_n=radius * p.e_n * np.sign(c)))
+            rays.append((0.0, 0.0, f_n, radius * p.e_n * np.sign(c)))
             continue
         for phi in phis:
-            rays.append(LocalContactWrench(
-                f_t=radius * p.e_t * _snap(s * np.cos(phi)),
-                f_o=radius * p.e_o * _snap(s * np.sin(phi)),
-                f_n=f_n,
-                m_n=radius * p.e_n * c,
-            ))
-    return rays
+            rays.append((radius * p.e_t * _snap(s * np.cos(phi)), radius * p.e_o * _snap(s * np.sin(phi)),
+                         f_n, radius * p.e_n * c))
+    return np.array(rays).T
 
 
-def ref_discretize_pcwf(p, f_n, facets):
+def ref_pcwf_rays(p, f_n, facets):
     radius = p.mu * f_n
     phis = 2.0 * np.pi * np.arange(facets) / facets
-    return [LocalContactWrench(f_t=radius * p.e_t * _snap(np.cos(phi)),
-                               f_o=radius * p.e_o * _snap(np.sin(phi)), f_n=f_n)
-            for phi in phis]
-
-
-def ray_bytes(rays) -> bytes:
-    return np.array([w.as_array() for w in rays]).tobytes()
+    return np.array([(radius * p.e_t * _snap(np.cos(phi)), radius * p.e_o * _snap(np.sin(phi)), f_n)
+                     for phi in phis]).T
 
 
 FACET_COUNTS = (4, 5, 7, 8, 12, 16, 32, 33, 64, 128)
@@ -69,20 +56,17 @@ NORMAL_FORCES = (1.0, 7.5, float(np.random.default_rng(11).uniform(0.01, 100.0))
 
 
 class TestRayTables:
-    @pytest.mark.parametrize("maker,ref,params", [
-        (discretize_sfce, ref_discretize_sfce, TABLE_SFCE),
-        (discretize_sfce, ref_discretize_sfce, SfceParams(mu=0.37, e_t=1.3, e_o=0.45, e_n=0.021)),
-        (discretize_pcwf, ref_discretize_pcwf, TABLE_PCWF),
-        (discretize_pcwf, ref_discretize_pcwf, PcwfParams(mu=0.6, e_t=0.7, e_o=1.9)),
+    @pytest.mark.parametrize("rays,ref,params", [
+        (sfce_rays, ref_sfce_rays, TABLE_SFCE),
+        (sfce_rays, ref_sfce_rays, SfceParams(mu=0.37, e_t=1.3, e_o=0.45, e_n=0.021)),
+        (pcwf_rays, ref_pcwf_rays, TABLE_PCWF),
+        (pcwf_rays, ref_pcwf_rays, PcwfParams(mu=0.6, e_t=0.7, e_o=1.9)),
     ])
-    def test_rays_are_the_per_ray_loop_byte_for_byte(self, maker, ref, params):
-        kept, array_form = ((0, 1, 2, 5), sfce_rays) if maker is discretize_sfce else ((0, 1, 2), pcwf_rays)
+    def test_rays_are_the_per_ray_loop_byte_for_byte(self, rays, ref, params):
         for facets in FACET_COUNTS:
             for f_n in NORMAL_FORCES:
-                rays = maker(params, f_n, facets)
-                assert ray_bytes(rays) == ray_bytes(ref(params, f_n, facets)), (facets, f_n)
-                array = np.array([w.as_array() for w in rays])[:, kept].T
-                assert array_form(params, f_n, facets).tobytes() == array.tobytes(), (facets, f_n)
+                got, want = rays(params, f_n, facets), ref(params, f_n, facets)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (facets, f_n)
 
     def test_tables_are_cached_and_read_only(self):
         for units in (_sfce_units, _pcwf_units):
@@ -91,71 +75,57 @@ class TestRayTables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 2.0
 
-    @pytest.mark.parametrize("maker,params", [(discretize_sfce, TABLE_SFCE), (discretize_pcwf, TABLE_PCWF)])
-    def test_facets_must_be_an_integer(self, maker, params):
+    @pytest.mark.parametrize("rays,params", [(sfce_rays, TABLE_SFCE), (pcwf_rays, TABLE_PCWF)])
+    def test_facets_must_be_an_integer(self, rays, params):
         for facets in (32.5, 7.9, "8"):
             with pytest.raises(ValueError, match="integer"):
-                maker(params, 1.0, facets)
-        assert ray_bytes(maker(params, 1.0, np.int64(32))) == ray_bytes(maker(params, 1.0, 32))
+                rays(params, 1.0, facets)
+        assert rays(params, 1.0, np.int64(32)).tobytes() == rays(params, 1.0, 32).tobytes()
 
 
 class TestSfceMembership:
     def test_pure_normal_force(self):
-        assert sfce_contains(TABLE_SFCE, LocalContactWrench(f_n=10.0))
+        assert sfce_contains(TABLE_SFCE, [0.0, 0.0, 10.0, 0.0])
 
     def test_single_component_boundary(self):
-        assert not sfce_contains(TABLE_SFCE, LocalContactWrench(f_t=2.1, f_n=10.0), tol=0.0)
-        assert sfce_contains(TABLE_SFCE, LocalContactWrench(f_t=2.0, f_n=10.0), tol=1e-12)
+        assert not sfce_contains(TABLE_SFCE, [2.1, 0.0, 10.0, 0.0], tol=0.0)
+        assert sfce_contains(TABLE_SFCE, [2.0, 0.0, 10.0, 0.0], tol=1e-12)
 
     def test_torsional_boundary_with_reference_constants(self):
         # 0.06 / (0.2 * 0.03) = 10 = f_n exactly
-        w = LocalContactWrench(f_n=10.0, m_n=0.06)
-        assert sfce_contains(TABLE_SFCE, w, tol=1e-12)
-        assert not sfce_contains(TABLE_SFCE, LocalContactWrench(f_n=10.0, m_n=0.0601), tol=0.0)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            sfce_contains(TABLE_SFCE, LocalContactWrench(f_n=1.0), tol=-1e-9)
-
-    def test_tangential_moment_rejected(self):
-        with pytest.raises(ValueError):
-            sfce_contains(TABLE_SFCE, LocalContactWrench(f_n=1.0, m_t=0.1))
+        assert sfce_contains(TABLE_SFCE, [0.0, 0.0, 10.0, 0.06], tol=1e-12)
+        assert not sfce_contains(TABLE_SFCE, [0.0, 0.0, 10.0, 0.0601], tol=0.0)
 
 
 class TestPcwfMembership:
     def test_pure_normal(self):
-        assert pcwf_contains(TABLE_PCWF, LocalContactWrench(f_n=4.0))
+        assert pcwf_contains(TABLE_PCWF, [0.0, 0.0, 4.0])
 
     def test_boundary(self):
-        assert pcwf_contains(TABLE_PCWF, LocalContactWrench(f_t=1.0, f_n=4.0), tol=1e-12)
+        assert pcwf_contains(TABLE_PCWF, [1.0, 0.0, 4.0], tol=1e-12)
 
     def test_just_outside(self):
-        assert not pcwf_contains(TABLE_PCWF, LocalContactWrench(f_t=1.01, f_n=4.0), tol=0.0)
-
-    def test_moments_rejected(self):
-        with pytest.raises(ValueError):
-            pcwf_contains(TABLE_PCWF, LocalContactWrench(f_n=1.0, m_n=0.1))
+        assert not pcwf_contains(TABLE_PCWF, [1.01, 0.0, 4.0], tol=0.0)
 
 
-class TestDiscretizeSfce:
+class TestSfceRays:
     def test_four_facets_are_axis_aligned_equator_points(self):
         p = SfceParams(mu=0.2, e_t=1.0, e_o=1.0, e_n=1.0)
-        rays = discretize_sfce(p, 1.0, 4)
-        got = sorted((round(w.f_t, 12), round(w.f_o, 12), w.f_n, w.m_n) for w in rays)
+        rays = sfce_rays(p, 1.0, 4)
+        got = sorted((round(t, 12), round(o, 12), n, m) for t, o, n, m in rays.T.tolist())
         assert got == [(-0.2, 0.0, 1.0, 0.0), (0.0, -0.2, 1.0, 0.0),
                        (0.0, 0.2, 1.0, 0.0), (0.2, 0.0, 1.0, 0.0)]
 
     def test_all_rays_are_members(self):
         for facets in (4, 8, 16, 64):
-            for w in discretize_sfce(TABLE_SFCE, 7.5, facets):
-                assert sfce_contains(TABLE_SFCE, w, tol=1e-9)
-                assert sfce_contains(TABLE_SFCE, w, tol=1e-11 * 7.5)  # boundary-exact
+            rays = sfce_rays(TABLE_SFCE, 7.5, facets)
+            assert sfce_contains(TABLE_SFCE, rays, tol=1e-9).all()
+            assert sfce_contains(TABLE_SFCE, rays, tol=1e-11 * 7.5).all()  # boundary-exact
 
     def test_hull_support_along_t_axis(self):
         # closed-form cone boundary support along +t is mu*e_t*f_n
         p = SfceParams(mu=0.2, e_t=1.3, e_o=0.8, e_n=0.03)
-        rays = discretize_sfce(p, 5.0, 64)
-        best = max(w.f_t for w in rays)
+        best = sfce_rays(p, 5.0, 64)[0].max()
         assert best <= p.mu * p.e_t * 5.0 + 1e-12
         assert best >= p.mu * p.e_t * 5.0 * (1.0 - 0.005)
 
@@ -163,8 +133,8 @@ class TestDiscretizeSfce:
         rng = np.random.default_rng(3)
         p = TABLE_SFCE
         f_n = 2.0
-        pts = np.array([(w.f_t / p.e_t, w.f_o / p.e_o, w.m_n / p.e_n)
-                        for w in discretize_sfce(p, f_n, 64)])
+        f_t, f_o, _, m_n = sfce_rays(p, f_n, 64)
+        pts = np.column_stack([f_t / p.e_t, f_o / p.e_o, m_n / p.e_n])
         radius = p.mu * f_n
         for _ in range(50):
             d = rng.normal(size=3)
@@ -176,37 +146,36 @@ class TestDiscretizeSfce:
     def test_ray_sets_nest_under_facet_doubling(self):
         # nesting of the sample sets is what makes the oracle's hulls (and
         # objectives) monotone over 8 -> 16 -> 32 -> 64
-        for maker, params in ((discretize_sfce, TABLE_SFCE), (discretize_pcwf, TABLE_PCWF)):
+        for rays_of, params in ((sfce_rays, TABLE_SFCE), (pcwf_rays, TABLE_PCWF)):
             prev = None
             for facets in (8, 16, 32, 64):
-                rays = {tuple(np.round(w.as_array(), 12)) for w in maker(params, 1.0, facets)}
+                rays = set(map(tuple, np.round(rays_of(params, 1.0, facets).T, 12).tolist()))
                 if prev is not None:
-                    assert prev <= rays, f"{maker.__name__}@{facets} lost rays"
+                    assert prev <= rays, f"{rays_of.__name__}@{facets} lost rays"
                 prev = rays
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):
-            discretize_sfce(TABLE_SFCE, 1.0, 3)
+            sfce_rays(TABLE_SFCE, 1.0, 3)
         with pytest.raises(ScrewGraspError):
-            discretize_sfce(TABLE_SFCE, 0.0, 8)
+            sfce_rays(TABLE_SFCE, 0.0, 8)
 
 
-class TestDiscretizePcwf:
+class TestPcwfRays:
     def test_four_facets(self):
-        rays = discretize_pcwf(TABLE_PCWF, 1.0, 4)
-        got = sorted((round(w.f_t, 12), round(w.f_o, 12), w.f_n) for w in rays)
+        rays = pcwf_rays(TABLE_PCWF, 1.0, 4)
+        assert rays.shape == (3, 4)  # (f_t, f_o, f_n): no moment components
+        got = sorted((round(t, 12), round(o, 12), n) for t, o, n in rays.T.tolist())
         assert got == [(-0.25, 0.0, 1.0), (0.0, -0.25, 1.0), (0.0, 0.25, 1.0), (0.25, 0.0, 1.0)]
-        assert all(w.m_t == w.m_o == w.m_n == 0.0 for w in rays)
 
     def test_all_rays_members(self):
-        for w in discretize_pcwf(TABLE_PCWF, 3.0, 16):
-            assert pcwf_contains(TABLE_PCWF, w, tol=1e-11 * 3.0)
+        assert pcwf_contains(TABLE_PCWF, pcwf_rays(TABLE_PCWF, 3.0, 16), tol=1e-11 * 3.0).all()
 
     def test_inscribed_polygon_support_error(self):
         # regular inscribed n-gon: worst relative support error is 1 - cos(pi/n)
         rng = np.random.default_rng(5)
         for facets in (8, 16, 32):
-            pts = np.array([(w.f_t, w.f_o) for w in discretize_pcwf(TABLE_PCWF, 1.0, facets)])
+            pts = pcwf_rays(TABLE_PCWF, 1.0, facets)[:2].T
             worst = 0.0
             for _ in range(200):
                 ang = rng.uniform(0, 2 * np.pi)
@@ -218,27 +187,25 @@ class TestDiscretizePcwf:
 
 members_sfce = st.tuples(
     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.1, 20.0)
-).map(lambda t: LocalContactWrench(
-    f_t=t[0] * TABLE_SFCE.mu * TABLE_SFCE.e_t * t[3] / np.sqrt(3),
-    f_o=t[1] * TABLE_SFCE.mu * TABLE_SFCE.e_o * t[3] / np.sqrt(3),
-    f_n=t[3],
-    m_n=t[2] * TABLE_SFCE.mu * TABLE_SFCE.e_n * t[3] / np.sqrt(3),
-))
+).map(lambda t: np.array([
+    t[0] * TABLE_SFCE.mu * TABLE_SFCE.e_t * t[3] / np.sqrt(3),
+    t[1] * TABLE_SFCE.mu * TABLE_SFCE.e_o * t[3] / np.sqrt(3),
+    t[3],
+    t[2] * TABLE_SFCE.mu * TABLE_SFCE.e_n * t[3] / np.sqrt(3),
+]))
 
 
 @given(members_sfce, st.floats(0.0, 50.0))
 @settings(max_examples=100, deadline=None)
 def test_cone_closed_under_nonnegative_scaling(w, alpha):
     assert sfce_contains(TABLE_SFCE, w, tol=1e-9)
-    scaled = LocalContactWrench(*(alpha * w.as_array()))
-    assert sfce_contains(TABLE_SFCE, scaled, tol=1e-9 * max(1.0, alpha))
+    assert sfce_contains(TABLE_SFCE, alpha * w, tol=1e-9 * max(1.0, alpha))
 
 
 @given(members_sfce, members_sfce, st.floats(0.0, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_cone_convexity(w1, w2, t):
-    combo = LocalContactWrench(*(t * w1.as_array() + (1 - t) * w2.as_array()))
-    assert sfce_contains(TABLE_SFCE, combo, tol=1e-9)
+    assert sfce_contains(TABLE_SFCE, t * w1 + (1 - t) * w2, tol=1e-9)
 
 
 def test_param_validation():

@@ -11,7 +11,7 @@ from screwgrasp.contacts import (
 )
 from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep
 from screwgrasp.problem import ExternalWrench, GraspProblem, compile_program
-from screwgrasp.scenarios import CuboidParams, DoorHandleParams, make_cuboid, make_door_handle
+from screwgrasp.scenarios import CuboidParams, DoorHandleParams, cuboid_scenario, door_handle_scenario
 from screwgrasp.screws import INFINITE_PITCH, TaskScrew, screw_to_unit_wrench
 from screwgrasp.solver import SolveSettings, solve_with_oracle
 
@@ -38,7 +38,7 @@ class TestLocalMetric:
         assert r.warning is None
 
     def test_door_handle_against_lp_oracle(self):
-        p = make_door_handle(DoorHandleParams(x_c=0.0, theta=0.0))
+        p = door_handle_scenario(DoorHandleParams(x_c=0.0, theta=0.0)).problem()
         r = local_metric(p, +1, TIGHT)
         lp = solve_with_oracle(compile_program(p, +1), 64)
         assert r.status == lp.status == "Optimal"
@@ -48,17 +48,17 @@ class TestLocalMetric:
     def test_door_handle_closed_form(self):
         # two antipodal fingers, lever W/2, tangential budget mu*e_t*f_n_max:
         # eta(theta, 0) = W*mu*f_n_max - k_t*theta
-        r = local_metric(make_door_handle(DoorHandleParams(x_c=0.0, theta=0.15)), +1, TIGHT)
+        r = local_metric(door_handle_scenario(DoorHandleParams(x_c=0.0, theta=0.15)).problem(), +1, TIGHT)
         assert abs(r.eta - (0.12 - 0.6 * 0.15)) <= 1e-6
 
     def test_negative_eta_reported_with_warning(self):
-        r = local_metric(make_door_handle(DoorHandleParams(x_c=0.0, theta=0.4)), +1, TIGHT)
+        r = local_metric(door_handle_scenario(DoorHandleParams(x_c=0.0, theta=0.4)).problem(), +1, TIGHT)
         assert r.status == "Optimal"
         assert r.eta < 0
         assert r.warning is not None
 
     def test_slide_asymmetry(self):
-        p = make_cuboid(CuboidParams(alpha=np.radians(50), x_E=0.12), "slide")
+        p = cuboid_scenario(CuboidParams(alpha=np.radians(50), x_E=0.12)).problem("S2")
         plus = local_metric(p, +1, TIGHT)
         minus = local_metric(p, -1, TIGHT)
         assert plus.eta > minus.eta
@@ -69,7 +69,7 @@ class TestLocalMetric:
         # through the raised edge normals; the weight contributes 0.15 * 9.81.
         # Upper bound 0.27 * 8.25 + 0.15 * 9.81 = 3.699; ignoring the finger
         # own-lever term gives the crude lower bound 2.70.
-        p = make_cuboid(CuboidParams(alpha=0.0, x_E=0.12), "pivot")
+        p = cuboid_scenario(CuboidParams(alpha=0.0, x_E=0.12)).problem("S1")
         r = local_metric(p, +1, TIGHT)
         assert r.status == "Optimal"
         assert 2.70 <= r.eta <= 3.699
@@ -81,12 +81,13 @@ class TestLocalMetric:
 
     def test_direction_flip_equals_negated_screw(self):
         for pitch in (0.0, INFINITE_PITCH):
-            p = make_cuboid(CuboidParams(alpha=0.5, x_E=0.1), "pivot" if pitch is INFINITE_PITCH else "slide")
+            task = "S1" if pitch is INFINITE_PITCH else "S2"  # pivot, slide
+            p = cuboid_scenario(CuboidParams(alpha=0.5, x_E=0.1)).problem(task)
             flipped = GraspProblem(
                 manipulator_contacts=p.manipulator_contacts,
                 environment_contacts=p.environment_contacts,
                 external=p.external,
-                task=p.task.negated(),
+                task=TaskScrew(l=-p.task.l, q=p.task.q, pitch=p.task.pitch),
                 torque_model=p.torque_model,
             )
             a = local_metric(p, -1, TIGHT)
@@ -94,12 +95,12 @@ class TestLocalMetric:
             assert abs(a.eta - b.eta) <= 1e-8 * max(1.0, abs(a.eta))
 
     def test_active_constraints_reported(self):
-        r = local_metric(make_door_handle(DoorHandleParams(x_c=0.1)), +1, TIGHT)
+        r = local_metric(door_handle_scenario(DoorHandleParams(x_c=0.1)).problem(), +1, TIGHT)
         assert any("m0.f_n <= 20" in a for a in r.active_constraints)
         assert any("cone" in a for a in r.active_constraints)
 
     def test_removing_a_contact_never_increases_eta(self):
-        p = make_door_handle(DoorHandleParams(x_c=0.1))
+        p = door_handle_scenario(DoorHandleParams(x_c=0.1)).problem()
         full = local_metric(p, +1, TIGHT)
         reduced = GraspProblem(
             manipulator_contacts=p.manipulator_contacts[:1],
@@ -154,8 +155,8 @@ class TestGlobalMetric:
         # up to the zero crossing eta decreases monotonically, so the global
         # metric sits at the largest angle
         thetas = np.radians(np.arange(0, 12))
-        path = [PathPoint(float(t), make_door_handle(DoorHandleParams(x_c=0.0, theta=float(t))), f"{t:.3f}")
-                for t in thetas]
+        path = [PathPoint(float(t), door_handle_scenario(DoorHandleParams(x_c=0.0, theta=float(t))).problem(),
+                          f"{t:.3f}") for t in thetas]
         g = global_metric(path, +1, TIGHT)
         assert g.eta_star == min(r.eta for r in g.per_point)
         assert g.argmin == f"{thetas[-1]:.3f}"
@@ -201,7 +202,7 @@ class TestGwsSample:
     def test_symmetry_without_gravity(self):
         # door handle at x_c = 0, theta = 0: a half-turn about the handle's
         # x-axis maps the grasp to itself and flips the hinge moment
-        p = make_door_handle(DoorHandleParams(x_c=0.0, theta=0.0))
+        p = door_handle_scenario(DoorHandleParams(x_c=0.0, theta=0.0)).problem()
         moments = gws_sample(p, [
             TaskScrew(l=[0, 0, 1], pitch=INFINITE_PITCH),
             TaskScrew(l=[0, 0, -1], pitch=INFINITE_PITCH),
@@ -222,7 +223,7 @@ class TestGwsSample:
 
     def test_uncapped_support_force_ray_is_unbounded(self):
         # the hinge's free reaction forces span any force task
-        p = make_door_handle(DoorHandleParams())
+        p = door_handle_scenario(DoorHandleParams()).problem()
         out = gws_sample(p, [TaskScrew(l=[1, 0, 0], pitch=0.0)], TIGHT)
         assert out[0].status == "Unbounded"
         assert out[0].eta is None

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mkprog, rot, soc
+from conftest import mkprog, rot, scale_problem, soc, transform_problem
 from screwgrasp.contacts import (
     EnvironmentContact,
     FixedSupport,
@@ -23,38 +23,37 @@ from screwgrasp.problem import (
     TorqueModel,
     compile_program,
     external_wrench_in_b,
-    grasp_map,
-    scale_problem,
-    transform_problem,
 )
 from screwgrasp.scenarios import (
     CuboidParams,
     DoorHandleParams,
     builtin_scenario,
-    make_cuboid,
-    make_door_handle,
+    cuboid_scenario,
+    door_handle_scenario,
 )
-from screwgrasp.screws import INFINITE_PITCH, TaskScrew
+from screwgrasp.screws import INFINITE_PITCH, TaskScrew, adjoint_matrix
 from screwgrasp.solver import SolveSettings, solve, solve_with_oracle
 
 TIGHT = SolveSettings(duality_gap_tol=1e-9)
 
 
 class TestGraspMap:
+    """The body-frame wrench of local contact wrenches: adjoint blocks side by side."""
+
     def test_single_contact_at_origin(self):
-        G = grasp_map([(np.eye(3), np.zeros(3))])
+        G = adjoint_matrix(np.eye(3), np.zeros(3))
         assert G.shape == (6, 6)
         assert np.allclose(G, np.eye(6))
 
     def test_offset_contact_column(self):
-        G = grasp_map([(np.eye(3), np.array([1.0, 0, 0]))])
+        G = adjoint_matrix(np.eye(3), np.array([1.0, 0, 0]))
         # local f_n = +z maps to force +z with moment (0,-1,0)
         col = G @ np.array([0, 0, 1, 0, 0, 0.0])
         assert np.allclose(col, [0, 0, 1, 0, -1, 0])
 
     def test_door_handle_antipodal_normals_cancel(self):
-        p = make_door_handle(DoorHandleParams(x_c=0.07, theta=0.3))
-        G = grasp_map(p.manipulator_contacts)
+        p = door_handle_scenario(DoorHandleParams(x_c=0.07, theta=0.3)).problem()
+        G = np.hstack([adjoint_matrix(c.rotation, c.position) for c in p.manipulator_contacts])
         f = np.zeros(12)
         f[2] = 5.0  # c1 normal force
         f[8] = 5.0  # c2 normal force (opposed normal)
@@ -83,7 +82,7 @@ class TestExternalWrench:
 class TestCompile:
     def test_variable_and_row_counts(self):
         # 2 SFCE (4 vars each) + 2 PCWF (3 each) + eta = 15; 6 equality rows
-        prog = compile_program(make_cuboid(CuboidParams(), "pivot"))
+        prog = compile_program(cuboid_scenario(CuboidParams()).problem("S1"))
         assert prog.n_vars == 2 * 4 + 2 * 3 + 1
         assert prog.F.shape == (6, 15)
         assert len(prog.socs) == 4
@@ -107,7 +106,7 @@ class TestCompile:
                          external=ExternalWrench(), task=TaskScrew(l=[0, 0, 1]))
 
     def test_eta_zero_feasible_without_external_load(self):
-        p = make_door_handle(DoorHandleParams())
+        p = door_handle_scenario(DoorHandleParams()).problem()
         prog = compile_program(p)
         x = np.zeros(prog.n_vars)
         assert np.allclose(prog.F @ x, prog.g)  # all-zero forces satisfy equality at eta = 0
@@ -136,7 +135,7 @@ class TestCompile:
         assert r.objective - lp.objective <= 0.02 * bound
 
     def test_direction_flag(self):
-        p = make_cuboid(CuboidParams(alpha=0.5), "pivot")
+        p = cuboid_scenario(CuboidParams(alpha=0.5)).problem("S1")
         plus = solve(compile_program(p, +1), TIGHT).objective
         minus = solve(compile_program(p, -1), TIGHT).objective
         assert plus != pytest.approx(minus, rel=1e-3)  # gravity breaks the symmetry
@@ -245,21 +244,21 @@ class TestCompile:
 
 class TestProblemTransforms:
     def test_frame_invariance_quick(self):
-        p = make_cuboid(CuboidParams(alpha=0.4, x_E=0.1), "slide")
+        p = cuboid_scenario(CuboidParams(alpha=0.4, x_E=0.1)).problem("S2")
         base = solve(compile_program(p), TIGHT).objective
         moved = transform_problem(p, rot([1, 2, 0.5], 1.1), np.array([0.3, -0.2, 0.7]))
         again = solve(compile_program(moved), TIGHT).objective
         assert abs(again - base) <= 1e-6 * abs(base)
 
     def test_positive_homogeneity_quick(self):
-        p = make_door_handle(DoorHandleParams(x_c=0.05, theta=0.1))
+        p = door_handle_scenario(DoorHandleParams(x_c=0.05, theta=0.1)).problem()
         base = solve(compile_program(p), TIGHT).objective
         doubled = solve(compile_program(scale_problem(p, 2.0)), TIGHT).objective
         assert abs(doubled - 2.0 * base) <= 1e-6 * abs(base)
 
     def test_monotone_in_bounds(self):
-        small = make_door_handle(DoorHandleParams(x_c=0.05, f_n_max=10.0))
-        large = make_door_handle(DoorHandleParams(x_c=0.05, f_n_max=20.0))
+        small = door_handle_scenario(DoorHandleParams(x_c=0.05, f_n_max=10.0)).problem()
+        large = door_handle_scenario(DoorHandleParams(x_c=0.05, f_n_max=20.0)).problem()
         eta_small = solve(compile_program(small), TIGHT).objective
         eta_large = solve(compile_program(large), TIGHT).objective
         assert eta_large >= eta_small - 1e-9
@@ -395,9 +394,9 @@ class TestStructureCache:
 
     @staticmethod
     def problems() -> list:
-        door = [make_door_handle(DoorHandleParams(x_c=0.05, theta=t)) for t in (0.0, 0.3)]
-        pivot = [make_cuboid(CuboidParams(alpha=a), "pivot") for a in (0.2, 0.5)]
-        slide = [make_cuboid(CuboidParams(alpha=a, x_E=0.1), "slide") for a in (0.2, 0.5)]
+        door = [door_handle_scenario(DoorHandleParams(x_c=0.05, theta=t)).problem() for t in (0.0, 0.3)]
+        pivot = [cuboid_scenario(CuboidParams(alpha=a)).problem("S1") for a in (0.2, 0.5)]
+        slide = [cuboid_scenario(CuboidParams(alpha=a, x_E=0.1)).problem("S2") for a in (0.2, 0.5)]
         moved = [transform_problem(p, rot([1, 2, 0.5], 1.1), np.array([0.3, -0.2, 0.7]))
                  for p in (door[0], pivot[0])]
         scaled = [scale_problem(p, 2.5) for p in (slide[0], torque_problem())]
@@ -420,6 +419,6 @@ class TestStructureCache:
             assert program_bytes(compile_program(p, d)) == data
 
     def test_one_structure_shares_its_layout_and_names(self):
-        a, b = (compile_program(make_cuboid(CuboidParams(alpha=t), "slide"), -1) for t in (0.1, 0.4))
+        a, b = (compile_program(cuboid_scenario(CuboidParams(alpha=t)).problem("S2"), -1) for t in (0.1, 0.4))
         assert a.layout is b.layout
         assert a.layout.variable_names() is b.layout.variable_names()

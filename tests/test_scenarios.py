@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import screwgrasp
 from screwgrasp.contacts import FixedSupport, Pcwf
 from screwgrasp.errors import (
     ScenarioParseError,
@@ -13,7 +15,7 @@ from screwgrasp.errors import (
     ScenarioVersionError,
     ScrewGraspError,
 )
-from screwgrasp.problem import compile_program, grasp_map
+from screwgrasp.problem import compile_program
 from screwgrasp.scenarios import (
     BUILTINS,
     CuboidParams,
@@ -22,21 +24,21 @@ from screwgrasp.scenarios import (
     builtin_scenario,
     cuboid_scenario,
     door_handle_scenario,
-    load_bundled,
     load_scenario,
-    make_cuboid,
-    make_door_handle,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
+from screwgrasp.screws import adjoint_matrix
+
+BUNDLED = Path(screwgrasp.__file__).parent / "data"  # the golden scenarios shipped with the package
 
 
 class TestDoorHandleGenerator:
     @given(st.floats(0.0, 0.2), st.floats(0.0, 0.7))
     @settings(max_examples=40, deadline=None)
     def test_generator_invariants(self, x_c, theta):
-        p = make_door_handle(DoorHandleParams(x_c=x_c, theta=theta))
+        p = door_handle_scenario(DoorHandleParams(x_c=x_c, theta=theta)).problem()
         c1, c2 = p.manipulator_contacts
         # antiparallel inward normals (third rotation columns)
         assert np.allclose(c1.rotation[:, 2], -c2.rotation[:, 2], atol=1e-12)
@@ -46,13 +48,13 @@ class TestDoorHandleGenerator:
         assert p.task.infinite_pitch
 
     def test_contact_separation_is_handle_width(self):
-        p = make_door_handle(DoorHandleParams(x_c=0.07, theta=0.3))
+        p = door_handle_scenario(DoorHandleParams(x_c=0.07, theta=0.3)).problem()
         c1, c2 = p.manipulator_contacts
         assert np.isclose(np.linalg.norm(c1.position - c2.position), 0.03)
 
     def test_spring_moment_opposes_turn(self):
         params = DoorHandleParams(theta=0.25)
-        p = make_door_handle(params)
+        p = door_handle_scenario(params).problem()
         (support,) = p.environment_contacts
         assert isinstance(support.model, FixedSupport)
         # +k_t*theta about z = -k_t*theta along the task axis l = -z
@@ -70,7 +72,7 @@ class TestCuboidGenerator:
     @given(st.floats(0.0, 1.4), st.floats(0.01, 0.15))
     @settings(max_examples=40, deadline=None)
     def test_generator_invariants(self, alpha, x_E):
-        p = make_cuboid(CuboidParams(alpha=alpha, x_E=x_E), "pivot")
+        p = cuboid_scenario(CuboidParams(alpha=alpha, x_E=x_E)).problem("S1")
         assert len(p.manipulator_contacts) == 2
         assert len(p.environment_contacts) == 2
         for c in p.environment_contacts:
@@ -81,7 +83,7 @@ class TestCuboidGenerator:
     def test_edge_contacts_lie_on_pivot_axis(self):
         scenario = cuboid_scenario(CuboidParams(alpha=0.6, x_E=0.1))
         axis = scenario.task("S1")
-        G = grasp_map(scenario.environment_contacts)
+        G = np.hstack([adjoint_matrix(c.rotation, c.position) for c in scenario.environment_contacts])
         # force columns of G_e produce zero moment about the edge axis
         for j in range(G.shape[1]):
             if j % 6 >= 3:
@@ -91,12 +93,12 @@ class TestCuboidGenerator:
             assert abs(moment_about_q @ axis.l) < 1e-12
 
     def test_gravity_at_centroid(self):
-        p = make_cuboid(CuboidParams(), "slide")
+        p = cuboid_scenario(CuboidParams()).problem("S2")
         assert np.allclose(p.external.force, [0, 0, -9.81])
         assert np.allclose(p.external.application_point, 0.0)
 
     def test_slide_axis_points_toward_edge(self):
-        p = make_cuboid(CuboidParams(), "slide")
+        p = cuboid_scenario(CuboidParams()).problem("S2")
         assert np.allclose(p.task.l, [-1, 0, 0])
         assert p.task.pitch == 0.0
         assert np.allclose(p.task.q, 0.0)
@@ -200,7 +202,7 @@ class TestFileRoundTrip:
             ("cuboid_pivot", lambda: BUILTINS["cuboid_pivot"].build(CuboidParams())),
             ("cuboid_slide", lambda: BUILTINS["cuboid_slide"].build(CuboidParams())),
         ]:
-            bundled = scenario_to_dict(load_bundled(name))
+            bundled = scenario_to_dict(load_scenario(BUNDLED / f"{name}.scenario"))
             generated = scenario_to_dict(builder())
             assert bundled == generated, f"{name} drifted from its generator"
 

@@ -4,13 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rot
+from screwgrasp.contacts import EnvironmentContact, ManipulatorContact, Pcwf, SfceParams
 from screwgrasp.errors import DegenerateWrenchError, InvalidRotationError, InvalidScrewError
 from screwgrasp.screws import (
     INFINITE_PITCH,
     TaskScrew,
     Wrench,
     adjoint_matrix,
-    adjoint_transform,
     check_rotation,
     cross3,
     screw_to_unit_wrench,
@@ -28,18 +28,22 @@ def rotations():
     return st.builds(rot, axes, angles)
 
 
+def transport(R, p, w: Wrench) -> Wrench:
+    """w carried into the frame in which (R, p) is expressed."""
+    return Wrench.from_array(adjoint_matrix(R, p) @ w.as_array())
+
+
 class TestAdjointTransform:
     def test_identity(self):
-        w = Wrench(force=[1, 2, 3], moment=[4, 5, 6], frame="c")
-        out = adjoint_transform(np.eye(3), np.zeros(3), w)
+        w = Wrench(force=[1, 2, 3], moment=[4, 5, 6])
+        out = transport(np.eye(3), np.zeros(3), w)
         assert np.allclose(out.force, [1, 2, 3])
         assert np.allclose(out.moment, [4, 5, 6])
-        assert out.frame == "b"
 
     def test_pure_translation_cross_product(self):
         # moment picked up by the lever arm: (1,0,0) x (0,0,1) = (0,-1,0)
         w = Wrench(force=[0, 0, 1], moment=[0, 0, 0])
-        out = adjoint_transform(np.eye(3), [1, 0, 0], w)
+        out = transport(np.eye(3), [1, 0, 0], w)
         assert np.allclose(out.force, [0, 0, 1])
         assert np.allclose(out.moment, [0, -1, 0])
 
@@ -54,15 +58,17 @@ class TestAdjointTransform:
         assert np.allclose(G1 @ G2, adjoint_matrix(Rc, pc), atol=1e-12)
 
         w = Wrench(force=[1.0, -2.0, 0.5], moment=[0.2, 0.0, -1.0])
-        stepwise = adjoint_transform(R1, p1, adjoint_transform(R2, p2, w))
-        direct = adjoint_transform(Rc, pc, w)
+        stepwise = transport(R1, p1, transport(R2, p2, w))
+        direct = transport(Rc, pc, w)
         assert np.allclose(stepwise.as_array(), direct.as_array(), atol=1e-12)
 
-    def test_rejects_non_rotation(self):
+    def test_contacts_reject_non_rotation(self):
+        # the adjoint takes a contact's rotation as checked when the contact was built
+        cone = SfceParams(mu=0.5)
         with pytest.raises(InvalidRotationError):
-            adjoint_transform(np.eye(3) * 1.001, np.zeros(3), Wrench(force=[1, 0, 0], moment=[0, 0, 0]))
+            ManipulatorContact(rotation=np.eye(3) * 1.001, position=np.zeros(3), cone=cone)
         with pytest.raises(InvalidRotationError):
-            adjoint_matrix(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # reflection
+            EnvironmentContact(rotation=np.diag([1.0, 1.0, -1.0]), position=np.zeros(3), model=Pcwf(None))
 
     @given(rotations(), vec3, vec3, vec3, finite, finite)
     @settings(max_examples=80, deadline=None)
@@ -70,8 +76,8 @@ class TestAdjointTransform:
         w1 = Wrench(force=f, moment=m)
         w2 = Wrench(force=m, moment=f)
         combo = Wrench(force=a * w1.force + b * w2.force, moment=a * w1.moment + b * w2.moment)
-        lhs = adjoint_transform(R, p, combo).as_array()
-        rhs = a * adjoint_transform(R, p, w1).as_array() + b * adjoint_transform(R, p, w2).as_array()
+        lhs = transport(R, p, combo).as_array()
+        rhs = a * transport(R, p, w1).as_array() + b * transport(R, p, w2).as_array()
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     @given(rotations(), vec3, vec3, vec3)
@@ -82,7 +88,7 @@ class TestAdjointTransform:
             return
         w = Wrench(force=f, moment=m)
         sc = wrench_to_screw(w)
-        sc2 = wrench_to_screw(adjoint_transform(R, p, w))
+        sc2 = wrench_to_screw(transport(R, p, w))
         assert np.isclose(sc2.magnitude, sc.magnitude, rtol=1e-9, atol=1e-12)
         if sc.axis.infinite_pitch:
             assert sc2.axis.infinite_pitch

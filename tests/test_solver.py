@@ -18,7 +18,7 @@ import screwgrasp  # noqa: E402
 from screwgrasp import contacts  # noqa: E402
 from screwgrasp.errors import SolverDataError, UnsupportedProgramError  # noqa: E402
 from screwgrasp.problem import compile_program  # noqa: E402
-from screwgrasp.scenarios import DoorHandleParams, builtin_scenario, make_door_handle  # noqa: E402
+from screwgrasp.scenarios import DoorHandleParams, builtin_scenario, door_handle_scenario  # noqa: E402
 from screwgrasp.solver import Residuals, SolveSettings, solve, solve_with_oracle  # noqa: E402
 
 TIGHT = SolveSettings(feasibility_tol=1e-9, duality_gap_tol=1e-10)
@@ -86,7 +86,7 @@ class TestClosedFormPrograms:
 
 class TestResultContracts:
     def test_optimal_residuals_certified(self):
-        p = make_door_handle(DoorHandleParams(x_c=0.05))
+        p = door_handle_scenario(DoorHandleParams(x_c=0.05)).problem()
         prog = compile_program(p)
         r = solve(prog, SolveSettings())
         assert r.status == "Optimal"
@@ -103,7 +103,7 @@ class TestResultContracts:
         assert r.residuals.gap <= SolveSettings().duality_gap_tol
 
     def test_determinism(self):
-        prog = compile_program(make_door_handle(DoorHandleParams(x_c=0.1, theta=0.2)))
+        prog = compile_program(door_handle_scenario(DoorHandleParams(x_c=0.1, theta=0.2)).problem())
         a = solve(prog, TIGHT)
         b = solve(prog, TIGHT)
         assert a.status == b.status
@@ -169,7 +169,7 @@ class TestResultContracts:
 
 class TestOracle:
     def test_lower_bound_and_monotone_facets(self):
-        prog = compile_program(make_door_handle(DoorHandleParams(x_c=0.05, theta=0.1)))
+        prog = compile_program(door_handle_scenario(DoorHandleParams(x_c=0.05, theta=0.1)).problem())
         socp = solve(prog, TIGHT)
         prev = -np.inf
         for facets in (8, 16, 32, 64):
@@ -181,7 +181,7 @@ class TestOracle:
         assert (socp.objective - prev) / abs(socp.objective) <= 0.02
 
     def test_oracle_solution_is_cone_feasible(self):
-        prog = compile_program(make_door_handle(DoorHandleParams(x_c=0.05)))
+        prog = compile_program(door_handle_scenario(DoorHandleParams(x_c=0.05)).problem())
         lp = solve_with_oracle(prog, 16)
         assert lp.residuals.cone <= 1e-7  # inscribed rays stay inside the true cones
         assert lp.residuals.primal <= 1e-7
