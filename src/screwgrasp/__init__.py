@@ -45,7 +45,6 @@ from .problem import (
     TorqueModel,
     VariableLayout,
     compile_program,
-    external_wrench_in_b,
 )
 from .scenarios import (
     BUILTINS,
@@ -67,8 +66,6 @@ from .screws import (
     ScrewCoordinates,
     TaskScrew,
     Wrench,
-    adjoint_matrix,
-    screw_to_unit_wrench,
     wrench_to_screw,
 )
 from .solver import (

@@ -7,15 +7,16 @@ finite-pitch screw, torque magnitude for an infinite-pitch one).
 ``metric_sweep`` tabulates eta over a parameter grid, tolerating per-point
 failures (a sweep routinely runs past the pose where the task becomes
 infeasible), and ``gws_sample`` probes the grasp wrench space boundary along
-a set of screw directions.  The three multi-point jobs compile every point,
-which costs each point only its numbers (``compile_program`` caches the
-structure the points share), then hand all programs to ``solver.solve_batch``,
-which runs the points of one structure as one stacked interior-point solve
-with the same results as solving each alone; ``local_metric`` calls
-``solver.solve``, the one-program case of the same path.  A program the
-solver could not take (NaN/Inf data, crossed bounds) fails when it is
-compiled, so in a sweep or GWS probe it is that point's error row and every
-compiled program reaches the solver.
+a set of screw directions.  The three multi-point jobs build every point's
+problem in order, compile the points of each structure into one stack
+(``problem.compile_stacks``) and hand the stacks to ``solver.solve_batch``,
+which solves them as stacked interior-point runs with the same results as
+solving each point alone; no point becomes a ConicProgram of its own, except
+that ``global_metric`` reads each point's program as row views for its
+active constraints.  ``local_metric`` calls ``compile_program`` and
+``solver.solve``, the one-program cases of the same paths.  A point the
+solver could not take (NaN/Inf data, crossed bounds) fails when its stack is
+compiled, so in a sweep or GWS probe it is that point's error row.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScrewGraspError
-from .problem import ConicProgram, GraspProblem, compile_program
+from .problem import ConicProgram, GraspProblem, compile_program, compile_stacks
 from .screws import TaskScrew
 from .solver import SolveResult, SolveSettings, solve, solve_batch
 
@@ -42,8 +43,8 @@ class MetricResult:
     is reported as-is with ``warning`` set rather than clamped.
 
     ``wall_ms`` is the compile and solve time of this point; for a point of a
-    ``global_metric`` path, solved in one batch with the others, it is the
-    point's own compile time plus an equal share of the batch's solve time.
+    ``global_metric`` path it is the point's build time plus an equal share
+    of the path's stacked compile and batched solve time.
     """
 
     eta: float | None
@@ -131,26 +132,39 @@ def local_metric(
 
 
 def _solve_points(build, items, direction: int, settings, tolerated=()) -> list[tuple]:
-    """Compile ``build(item)`` along ``direction`` for each item, in order, and
-    solve every program in one batch.  Per item: ``(prog, result, ms)``, ms
-    its build and compile time plus an equal share of the batch's solve time,
-    or ``(None, exc, ms)`` if building or compiling raised ``exc``, one of
-    ``tolerated`` (anything else propagates), ms the time until it failed."""
-    out, progs = [], []
+    """Build ``build(item)`` for each item, in order, compile each structure's
+    problems into one stack and solve the stacks in one batch.  Per item:
+    ``(stack, row, result, ms)``, or ``(None, None, exc, ms)`` if building or
+    compiling raised ``exc``, one of ``tolerated`` (anything else propagates
+    before any solve); ms is its build time plus equal shares of the batch's
+    compile time and, if it was solved, solve time."""
+    built, problems = [], []  # per item: its problem's index or its exception, and its build time
     for item in items:
         t0 = time.perf_counter()
         try:
-            prog = compile_program(build(item), direction=direction)
+            problems.append(build(item))
+            built.append((len(problems) - 1, (time.perf_counter() - t0) * 1e3))
         except tolerated as exc:
-            out.append((None, exc, (time.perf_counter() - t0) * 1e3))
-            continue
-        progs.append(prog)
-        out.append((prog, None, (time.perf_counter() - t0) * 1e3))
+            built.append((exc, (time.perf_counter() - t0) * 1e3))
     t0 = time.perf_counter()
-    results = iter(solve_batch(progs, settings))
-    share = (time.perf_counter() - t0) * 1e3 / max(1, len(progs))
-    return [(prog, next(results), ms + share) if prog is not None else (prog, exc, ms)
-            for prog, exc, ms in out]
+    stacks, placed = compile_stacks(problems, direction)
+    for exc in placed:
+        if isinstance(exc, Exception) and not isinstance(exc, tolerated):
+            raise exc
+    t1 = time.perf_counter()
+    results = solve_batch(stacks, settings)
+    compiled, solved = (t1 - t0) * 1e3 / max(1, len(problems)), (time.perf_counter() - t1) * 1e3 / max(1, len(results))
+    first = np.cumsum([0, *map(len, stacks)]).tolist()  # each stack's first result
+    out = []
+    for where, ms in built:
+        if isinstance(where, int):  # built: compiled into a stack's row, or failed to compile
+            where, ms = placed[where], ms + compiled
+        if isinstance(where, Exception):
+            out.append((None, None, where, ms))
+        else:
+            s, row = where
+            out.append((stacks[s], row, results[first[s] + row], ms + solved))
+    return out
 
 
 def global_metric(
@@ -159,7 +173,7 @@ def global_metric(
     """Minimum local metric over a discretized path (the whole-task metric)."""
     if not path:
         raise ValueError("path must contain at least one point")
-    per_point = tuple(_metric_result(prog, res, direction, ms) for prog, res, ms
+    per_point = tuple(_metric_result(stack.program(row), res, direction, ms) for stack, row, res, ms
                       in _solve_points(lambda pt: pt.problem, path, direction, settings))
     failures = tuple(pt.label or f"#{i}" for i, (pt, r) in enumerate(zip(path, per_point))
                      if r.status != "Optimal")
@@ -176,9 +190,10 @@ def global_metric(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a sweep.  ``wall_ms`` is the point's own compile time
-    plus an equal share of the sweep's batched solve time; for a point that
-    failed to build or compile, the time until it failed."""
+    """One grid point of a sweep.  ``wall_ms`` is the point's build time plus
+    an equal share of the sweep's stacked compile time and, if it was solved,
+    of its batched solve time; for a point that failed to build, the time
+    until it failed."""
 
     parameter: float
     eta: float | None
@@ -204,9 +219,9 @@ def metric_sweep(
         raise ValueError("parameter grid must be nonempty")
     # per-point failures must not kill the sweep
     points = _solve_points(family, grid, direction, settings, tolerated=Exception)
-    return [SweepRow(value, None, f"error: {res}", 0, ms) if prog is None
+    return [SweepRow(value, None, f"error: {res}", 0, ms) if stack is None
             else SweepRow(value, _eta(res), res.status, res.iterations, ms)
-            for value, (prog, res, ms) in zip(grid, points)]
+            for value, (stack, _row, res, ms) in zip(grid, points)]
 
 
 @dataclass(frozen=True)
@@ -227,6 +242,6 @@ def gws_sample(p: GraspProblem, directions, settings: SolveSettings | None = Non
     directions = list(directions)
     points = _solve_points(lambda screw: replace(p, task=screw), directions, +1, settings,
                            tolerated=ScrewGraspError)
-    return [RaySupport(screw=screw, eta=None, status=f"error: {res}") if prog is None
+    return [RaySupport(screw=screw, eta=None, status=f"error: {res}") if stack is None
             else RaySupport(screw=screw, eta=_eta(res), status=res.status)
-            for screw, (prog, res, _ms) in zip(directions, points)]
+            for screw, (stack, _row, res, _ms) in zip(directions, points)]

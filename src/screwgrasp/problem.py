@@ -18,8 +18,10 @@ remains and where.
 
 The structure (layout, column positions, bound and cone patterns) depends
 only on the contact kinds, their kept components and the joint count, so it
-is compiled once per such key and cached; each compile writes only its
-numbers, into arrays the program takes over without a copy.
+is compiled once per such key and cached.  ``compile_stacks`` then writes the
+numbers of all problems of one structure into one ``ProgramStack`` (a
+compiled map from a family's numbers to the program data, as in CVXPYgen)
+and checks the stack once; ``compile_program`` is its one-problem case.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,13 +44,7 @@ from .contacts import (
     SfceParams,
 )
 from .errors import CompileError, ScrewGraspError, SolverDataError
-from .screws import (
-    TaskScrew,
-    Wrench,
-    adjoint_matrix,
-    cross3,
-    screw_to_unit_wrench,
-)
+from .screws import TaskScrew
 
 _SFCE_KEEP = ("f_t", "f_o", "f_n", "m_n")
 _PCWF_KEEP = ("f_t", "f_o", "f_n")
@@ -60,15 +58,13 @@ def _read_only(v) -> np.ndarray:
     return v
 
 
-def _built(cls, **fields):
-    """A ``cls`` that takes over arrays built for it here: they are made
-    read-only and checked, not copied.  Every field must be given."""
-    for v in fields.values():
-        if isinstance(v, np.ndarray):
-            v.setflags(write=False)
+def _built(cls, check: bool, **fields):
+    """A ``cls`` over arrays that are read-only already (views of a compiled
+    stack), not copied; checked if ``check``.  Every field must be given."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
-    obj._check()
+    if check:
+        obj._check()
     return obj
 
 
@@ -90,11 +86,6 @@ class ExternalWrench:
 
     def is_zero(self) -> bool:
         return not (np.any(self.force) or np.any(self.moment))
-
-
-def external_wrench_in_b(e: ExternalWrench) -> Wrench:
-    """Resolve the external load about the body-frame origin."""
-    return Wrench(force=e.force, moment=cross3(e.application_point, e.force) + e.moment)
 
 
 @dataclass(frozen=True)
@@ -302,112 +293,244 @@ class ConicProgram:
             raise SolverDataError("a lower bound of +inf or an upper bound of -inf admits no point")
 
 
-def _kept_components(contact) -> tuple[str, tuple[str, ...]]:
-    """(kind, surviving local components) for a contact."""
+@dataclass(frozen=True)
+class ProgramStack:
+    """B programs of one shape, stacked: ``f``, ``F``, ``g``, ``lb``, ``ub``
+    and per SOC block ``(A, b, c, d)``.  Stacks from ``compile_stacks`` are
+    read-only and checked, and ``program(k)`` is row k as a ConicProgram;
+    ``of`` stacks ConicPrograms for the solver, without layout or tags."""
+
+    f: np.ndarray
+    F: np.ndarray
+    g: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    socs: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    layout: VariableLayout | None = None
+    cones: tuple = ()  # per SOC block: its label, cone kind and var_of map
+    params: tuple = ()  # per SOC block: each row's cone parameters
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+    @classmethod
+    def of(cls, progs: list[ConicProgram]) -> "ProgramStack":
+        """Programs of one shape, stacked (one program as ``[None]`` views)."""
+        stack = (lambda xs: xs[0][None]) if len(progs) == 1 else np.stack
+        return cls(*(stack([getattr(p, name) for p in progs]) for name in ("f", "F", "g", "lb", "ub")),
+                   socs=tuple((*(stack([getattr(p.socs[j], name) for p in progs]) for name in "Abc"),
+                               np.array([p.socs[j].d for p in progs])) for j in range(len(progs[0].socs))))
+
+    def take(self, idx) -> "ProgramStack":
+        """The rows ``idx`` (an index array) as a read-only stack of their own."""
+        arrays = [v[idx] for v in (self.f, self.F, self.g, self.lb, self.ub)]
+        socs = tuple(tuple(v[idx] for v in blk) for blk in self.socs)
+        for v in (*arrays, *(v for blk in socs for v in blk)):
+            v.setflags(write=False)
+        return ProgramStack(*arrays, socs, self.layout, self.cones, tuple([prm[i] for i in idx] for prm in self.params))
+
+    def program(self, k: int, check: bool = False) -> ConicProgram:
+        """Row k as a ConicProgram of views, run through the ConicProgram
+        checks if ``check`` (a compiled stack's rows passed them)."""
+        socs = tuple(_built(SocBlock, check, A=A[k], b=b[k], c=c[k], d=float(d[k]),
+                            tag=ConeTag(kind=kind, params=prm[k], var_of=dict(var_of)), label=label)
+                     for (A, b, c, d), (label, kind, var_of), prm in zip(self.socs, self.cones, self.params))
+        return _built(ConicProgram, check, f=self.f[k], F=self.F[k], g=self.g[k], socs=socs,
+                      lb=self.lb[k], ub=self.ub[k], layout=self.layout)
+
+
+def _kept_components(contact) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """(kind, surviving local components, prescribed ones in the order given)."""
     if isinstance(contact, ManipulatorContact):
         if contact.cone is None:
-            return "frictionless", ("f_n",)
-        return "sfce", _SFCE_KEEP
+            return "frictionless", ("f_n",), ()
+        return "sfce", _SFCE_KEEP, ()
     model = contact.model
     if isinstance(model, Pcwf):
         if model.params is None:
-            return "frictionless", ("f_n",)
-        return "pcwf", _PCWF_KEEP
+            return "frictionless", ("f_n",), ()
+        return "pcwf", _PCWF_KEEP, ()
     if isinstance(model, FixedSupport):
         kept = tuple(c for c in LOCAL_COMPONENTS if c not in model.prescribed)
-        return "fixed", kept
+        return "fixed", kept, tuple(model.prescribed)
     raise CompileError(f"unknown environment contact model {type(model).__name__}")
 
 
-@lru_cache(maxsize=64)  # a job needs one or two; each entry holds about 2 KB
+def _key(p: GraspProblem) -> tuple:
+    """A problem's structure: its contacts' ``_kept_components`` and n_tau."""
+    return (tuple(_kept_components(c) for c in p.manipulator_contacts),
+            tuple(_kept_components(c) for c in p.environment_contacts),
+            p.torque_model.n_joints if p.torque_model is not None else 0)
+
+
+_UPPER = lambda ct: np.inf if ct.f_n_max is None else ct.f_n_max  # noqa: E731
+_F_N_BOUNDS = {  # (lower, upper) getters of an f_n bound from its contact
+    "manipulator": (lambda ct: 0.0, lambda ct: ct.f_n_max),
+    "fixed": (lambda ct: -np.inf if ct.f_n_min is None else ct.f_n_min, _UPPER),  # bilateral: bound only if asked
+    "environment": (lambda ct: max(0.0, ct.f_n_min or 0.0), _UPPER),  # pcwf and frictionless
+}
+
+
+@lru_cache(maxsize=64)  # a job needs one or two; each entry holds about 6 KB
 def _structure(key: tuple) -> tuple:
-    """The structure of every problem with this key, the (kind, kept components)
-    of each manipulator and environment contact and n_tau: the layout, the J^T
-    columns of the manipulator components in x order, and per contact its x
-    positions, the matching adjoint columns, its f_n position and, for a cone,
-    the x positions of its A entries, their scale fields, tag map and label."""
+    """What every problem with this structure ``key`` shares, as ``_write``
+    unpacks it: the layout, the index arrays of its entries (J^T and adjoint
+    columns, bounded f_n, prescribed components, A and c entries), the
+    getters of its numbers from the contacts, and the parts of one buffer."""
     manipulators, environment, n_tau = key
-    slices, contacts, jt_cols = [], [], []
+    slices, cols, jt_cols, prescribed, bounds, cones = [], [], [], [], [], []
     for group, tag, kinds in (("manipulator", "m", manipulators), ("environment", "e", environment)):
-        for idx, (kind, comps) in enumerate(kinds):
-            cs = ContactSlice(group, idx, kind, slices[-1].stop if slices else 0, comps)
-            slices.append(cs)
+        for idx, (kind, comps, fixed) in enumerate(kinds):
+            i, start = len(slices), slices[-1].stop if slices else 0
+            slices.append(ContactSlice(group, idx, kind, start, comps))
+            at = {comp: start + k for k, comp in enumerate(comps)}  # x position of each kept component
             local = [LOCAL_COMPONENTS.index(comp) for comp in comps]
+            cols += [6 * i + k for k in local]
             jt_cols += [6 * idx + k for k in local] if group == "manipulator" else []
-            i_fn = cs.position_of("f_n") if "f_n" in comps else None
-            cone = None
+            prescribed += [(i, LOCAL_COMPONENTS.index(comp)) for comp in fixed]
+            if "f_n" in at:
+                bounds.append((i, *_F_N_BOUNDS["fixed" if kind == "fixed" else group], at["f_n"]))
             if kind in _CONE_SCALES:
-                cone = ([cs.position_of(comp) for comp in comps if comp != "f_n"], _CONE_SCALES[kind],
-                        {comp: cs.position_of(comp) for comp in comps}, f"{tag}{idx}.cone")
-            contacts.append((np.arange(cs.start, cs.stop), np.array(local, dtype=np.intp), i_fn, cone))
+                scales = _CONE_SCALES[kind]
+                cones.append((i, attrgetter("cone" if kind == "sfce" else "model.params"),
+                              (attrgetter(*["mu"] * len(scales)), attrgetter(*scales)),  # mu and e of each A row
+                              [at[comp] for comp in comps if comp != "f_n"], (f"{tag}{idx}.cone", kind, at)))
     start = slices[-1].stop if slices else 0
     layout = VariableLayout(contacts=tuple(slices), torque_start=start, n_torques=n_tau,
                             eta_index=start + n_tau, n_vars=start + n_tau + 1)
-    return layout, np.array(jt_cols, dtype=np.intp), tuple(contacts)
+    # the buffer row of a problem: f, F, g and per cone block A, b, c and d, each
+    # starting 16-byte aligned, as an array of its own does
+    n, m = layout.n_vars, 6 + n_tau
+    shapes = [(n,), (m, n), (m,)] + [s for cone in cones for s in ((len(cone[3]), n), (len(cone[3]),), (n,), ())]
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = list(accumulate([0] + [size + size % 2 for size in sizes]))
+    a_at = [starts[3 + 4 * j] + k * n + x for j, cone in enumerate(cones) for k, x in enumerate(cone[3])]
+    c_at = [starts[5 + 4 * j] + cone[4][2]["f_n"] for j, cone in enumerate(cones)]
+    ints = np.array([*jt_cols, *cols, *(bound[3] for bound in bounds), *a_at, *c_at], dtype=np.intp)
+    ends = list(accumulate([len(jt_cols), len(cols), len(bounds), len(a_at)]))
+    return (layout, ints[: ends[0]], ints[ends[0] : ends[1]], tuple(prescribed),
+            (tuple(bound[:3] for bound in bounds), ints[ends[1] : ends[2]]), tuple(cones),
+            (ints[ends[2] : ends[3]], ints[ends[3] :]), (starts[-1], tuple(zip(starts, sizes, shapes))))
+
+
+_SKEW = np.array([[6, 5, 1], [2, 6, 3], [4, 0, 6]])  # skew(p) as entries of [p, -p, 0]
+_ZERO3 = np.zeros(3)  # the force of an infinite-pitch task's unit wrench
+_ROLLS = np.array([[1, 2, 0], [2, 0, 1]])  # cross3 of a and b: a[1] * b[2] - a[2] * b[1], ...
+
+
+def _write(problems: list[GraspProblem], direction: int, key: tuple) -> tuple[ProgramStack, np.ndarray, np.ndarray]:
+    """The one number writer: problems of one structure ``key`` as a stack,
+    each entry rounded as for one problem (``skew(p) @ R`` a stacked matmul,
+    cross products entry by entry, 1/(mu e)).  Also returns the task and
+    external wrenches (B, 2, 6) and the mask of the rows that fail the
+    ConicProgram checks, from one check of the buffer that holds them all."""
+    layout, jt_cols, cols, prescribed, (getters, at), cones, entries, parts = _structure(key)
+    (a_at, c_at), n_tau, B, n = entries, key[2], len(problems), layout.n_vars
+    buffer = np.zeros((B, parts[0]))
+    f, F, g = (buffer[:, start : start + size].reshape(B, *shape) for start, size, shape in parts[1][:3])
+    bounds = np.empty((2, B, n))
+    bounds[0], bounds[1] = -np.inf, np.inf
+    contacts = [(*p.manipulator_contacts, *p.environment_contacts) for p in problems]
+    with np.errstate(all="ignore"):  # inf and nan as Python floats give them; the checks find them
+        tasks = [p.task for p in problems]
+        X = np.array([(_ZERO3 if t.infinite_pitch else t.l, e.force, t.q, e.application_point, e.moment, t.l)
+                      for t, e in zip(tasks, (p.external for p in problems))])
+        Y = X[:, :4, _ROLLS]  # task force, f, q and p, their entries rolled by one and by two
+        W = np.empty((B, 2, 6))  # the task's unit wrench and the external wrench
+        W[:, :, :3] = X[:, :2]
+        W[:, :, 3:] = Y[:, 2:, 0] * Y[:, :2, 1] - Y[:, 2:, 1] * Y[:, :2, 0]  # q x l, p x f
+        W[:, 0, 3:] += np.array([[0.0 if t.infinite_pitch else t.pitch] for t in tasks]) * X[:, 0]
+        W[:, 1, 3:] += X[:, 4]
+        inf = [k for k, t in enumerate(tasks) if t.infinite_pitch]
+        if inf:  # zero force (written above), unit moment along l
+            inf = slice(None) if len(inf) == B else inf
+            W[inf, 0, 3:] = X[inf, 5]
+        F[:, :6, layout.eta_index] = -direction * W[:, 0]
+        g[:, :6] = -W[:, 1]
+        if layout.contacts:  # the adjoints of all contacts side by side, (B, 6, contact, 6)
+            R = np.array([[ct.rotation for ct in cts] for cts in contacts])
+            P = np.array([[ct.position for ct in cts] for cts in contacts])
+            G = np.zeros((B, 6, R.shape[1], 6))
+            G[:, :3, :, :3] = G[:, 3:, :, 3:] = R.transpose(0, 2, 1, 3)
+            S = np.concatenate([P, -P, np.zeros(P.shape[:-1] + (1,))], axis=-1)[..., _SKEW]
+            G[:, 3:, :, :3] = (S @ R).transpose(0, 2, 1, 3)
+            F[:, :6, : cols.size] = G.reshape(B, 6, -1)[:, :, cols]  # contact components come first in x
+            for i, k in prescribed:
+                value = np.array([[cts[i].model.prescribed[LOCAL_COMPONENTS[k]]] for cts in contacts])
+                g[:, :6] -= G[:, :, i, k] * value
+        if getters:
+            bounds[:, :, at] = np.array([[[low(cts[i]) for i, low, _ in getters] for cts in contacts],
+                                         [[high(cts[i]) for i, _, high in getters] for cts in contacts]])
+        params = [[source(cts[i]) for i, source, *_ in cones] for cts in contacts]
+        if cones:
+            V = np.array([[[v for prm, cone in zip(row, cones) for v in cone[2][s](prm)] for s in (0, 1)]
+                          for row in params])  # (B, mu and e, A row)
+            buffer[:, a_at] = 1.0 / (V[:, 0] * V[:, 1])
+            buffer[:, c_at] = 1.0
+    if n_tau:
+        tms = [p.torque_model for p in problems]
+        ts = layout.torque_start
+        F[:, 6:, : jt_cols.size] = np.array([tm.jacobian for tm in tms]).transpose(0, 2, 1)[:, :, jt_cols]
+        F[:, 6:, ts : ts + n_tau] = np.eye(n_tau)  # manipulator columns come first
+        g[:, 6:] = [tm.tau_g for tm in tms]
+        bounds[:, :, ts : ts + n_tau] = [[tm.tau_min for tm in tms], [tm.tau_max for tm in tms]]
+    f[:, layout.eta_index] = 1.0
+
+    # ub - lb >= 0 fails on NaN, lb > ub, lb = +inf and ub = -inf alike
+    bad = ~(np.isfinite(buffer).all(axis=1) & (bounds[1] - bounds[0] >= 0).all(axis=1))
+    buffer.setflags(write=False)
+    bounds.setflags(write=False)
+    f, F, g, *blocks = (buffer[:, start : start + size].reshape(B, *shape) for start, size, shape in parts[1])
+    socs = tuple(zip(*[iter(blocks)] * 4))  # (A, b, c, d) per cone block
+    return ProgramStack(f, F, g, *bounds, socs, layout, tuple(cone[-1] for cone in cones),
+                        tuple(zip(*params)) if cones else ()), W, bad
+
+
+def _row_error(st: ProgramStack, W: np.ndarray, k: int) -> Exception:
+    """The error compiling row k's problem alone raises: a task or external
+    wrench that is not finite first, as a ``Wrench`` raises it, then the
+    ConicProgram checks, each with its text."""
+    if not np.isfinite(W[k]).all():
+        return ValueError("wrench components must be finite")
+    try:
+        st.program(k, check=True)
+    except ScrewGraspError as exc:
+        return exc
 
 
 def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
-    """Compile a grasp scenario into a conic program.
-
-    ``direction`` (+1/-1) selects the sense of the task screw; the paired
-    curves of a task (CW/CCW, +X/-X) are two compilations of one scenario.
-    """
+    """Compile a grasp scenario into a conic program: the one-problem case of
+    ``compile_stacks``.  ``direction`` (+1/-1) selects the sense of the task
+    screw; the paired curves of a task (CW/CCW, +X/-X) are two compilations."""
     if direction not in (+1, -1):
         raise CompileError("direction must be +1 or -1")
-    n_tau = p.torque_model.n_joints if p.torque_model is not None else 0
-    layout, jt_cols, structure = _structure((tuple(_kept_components(c) for c in p.manipulator_contacts),
-                                             tuple(_kept_components(c) for c in p.environment_contacts), n_tau))
-    n = layout.n_vars
+    stack, W, bad = _write([p], direction, _key(p))
+    if bad[0]:
+        raise _row_error(stack, W, 0)
+    return stack.program(0)
 
-    w_task = direction * screw_to_unit_wrench(p.task).as_array()
-    F = np.zeros((6 + n_tau, n))
-    g = np.zeros(6 + n_tau)
-    g[:6] = -external_wrench_in_b(p.external).as_array()
-    F[:6, layout.eta_index] = -w_task
-    lb, ub = np.full(n, -np.inf), np.full(n, np.inf)
-    socs: list[SocBlock] = []
 
-    contacts = (*p.manipulator_contacts, *p.environment_contacts)
-    for cs, (pos, local, i_fn, cone), contact in zip(layout.contacts, structure, contacts):
-        G6 = adjoint_matrix(contact.rotation, contact.position)  # checked when built
-        F[:6, pos] = G6[:, local]
-        if cs.kind == "fixed":
-            for comp, value in contact.model.prescribed.items():
-                g[:6] -= G6[:, LOCAL_COMPONENTS.index(comp)] * value
-        if i_fn is not None:
-            if cs.group == "manipulator":
-                lb[i_fn] = 0.0
-                ub[i_fn] = contact.f_n_max
-            elif cs.kind in ("pcwf", "frictionless"):
-                lb[i_fn] = max(0.0, contact.f_n_min or 0.0)
-                if contact.f_n_max is not None:
-                    ub[i_fn] = contact.f_n_max
-            else:  # bilateral fixed support: bound only if asked
-                if contact.f_n_min is not None:
-                    lb[i_fn] = contact.f_n_min
-                if contact.f_n_max is not None:
-                    ub[i_fn] = contact.f_n_max
-        if cone is None:
-            continue
-        cols, scales, var_of, label = cone
-        params: SfceParams | PcwfParams = contact.cone if cs.kind == "sfce" else contact.model.params
-        A = np.zeros((len(cols), n))
-        A[range(len(cols)), cols] = [1.0 / (params.mu * getattr(params, e)) for e in scales]
-        c = np.zeros(n)
-        c[i_fn] = 1.0
-        socs.append(_built(SocBlock, A=A, b=np.zeros(len(cols)), c=c, d=0.0,
-                           tag=ConeTag(kind=cs.kind, params=params, var_of=dict(var_of)), label=label))
-
-    if p.torque_model is not None:
-        tm = p.torque_model
-        ts = layout.torque_start
-        F[6:, : jt_cols.size] = tm.jacobian.T[:, jt_cols]  # manipulator columns come first
-        F[6:, ts : ts + n_tau] = np.eye(n_tau)
-        g[6:] = tm.tau_g
-        lb[ts : ts + n_tau] = tm.tau_min
-        ub[ts : ts + n_tau] = tm.tau_max
-
-    f = np.zeros(n)
-    f[layout.eta_index] = 1.0
-    return _built(ConicProgram, f=f, F=F, g=g, socs=tuple(socs), lb=lb, ub=ub, layout=layout)
-
+def compile_stacks(problems: list[GraspProblem], direction: int = +1) -> tuple[list[ProgramStack], list]:
+    """One ProgramStack per structure, in the order of each structure's first
+    problem, and per problem its ``(stack index, row)`` or the error that
+    ``compile_program`` raises for it."""
+    if direction not in (+1, -1):
+        raise CompileError("direction must be +1 or -1")
+    placed: list = [None] * len(problems)
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(problems):
+        try:
+            groups.setdefault(_key(p), []).append(i)
+        except Exception as exc:  # noqa: BLE001  (the caller decides which errors a job tolerates)
+            placed[i] = exc
+    stacks = []
+    for key, members in groups.items():
+        stack, W, bad = _write([problems[i] for i in members], direction, key)
+        for k in np.flatnonzero(bad):
+            placed[members[k]] = _row_error(stack, W, k)
+        good = np.flatnonzero(~bad)
+        for row, k in enumerate(good):
+            placed[members[k]] = (len(stacks), row)
+        if good.size:
+            stacks.append(stack if good.size == len(members) else stack.take(good))
+    return stacks, placed

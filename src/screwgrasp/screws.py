@@ -53,12 +53,6 @@ def _vec3(v) -> np.ndarray:
     return a
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    """3x3 cross-product matrix: skew(v) @ u == v x u."""
-    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b of two 3-vectors, rounded as ``np.cross`` rounds it (each entry
     one multiply-then-subtract) without its axis handling."""
@@ -155,20 +149,6 @@ class ScrewCoordinates:
             raise InvalidScrewError("screw magnitude must be nonnegative")
 
 
-def adjoint_matrix(R: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """6x6 wrench transport for a contact at pose (R, p) in the target frame.
-
-    Maps a local wrench [f; m] to [R f ; p x (R f) + R m].  R is not checked
-    here: a contact's rotation is checked by ``check_rotation`` when the
-    contact is built.
-    """
-    G = np.zeros((6, 6))
-    G[:3, :3] = R
-    G[3:, :3] = skew(p) @ R
-    G[3:, 3:] = R
-    return G
-
-
 def wrench_to_screw(w: Wrench) -> ScrewCoordinates:
     """Poinsot decomposition of a nonzero wrench.
 
@@ -189,14 +169,3 @@ def wrench_to_screw(w: Wrench) -> ScrewCoordinates:
     q = cross3(f, m) / nf**2
     axis = TaskScrew(l=f / nf, q=q, pitch=pitch)
     return ScrewCoordinates(axis=axis, magnitude=float(nf))
-
-
-def screw_to_unit_wrench(s: TaskScrew) -> Wrench:
-    """Unit wrench along a screw.
-
-    Finite pitch: unit force along l, moment q x l + h l.
-    Infinite pitch: zero force, unit moment along l.
-    """
-    if s.infinite_pitch:
-        return Wrench(force=np.zeros(3), moment=s.l)
-    return Wrench(force=s.l, moment=cross3(s.q, s.l) + s.pitch * s.l)

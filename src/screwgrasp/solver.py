@@ -19,14 +19,16 @@ equilibration conditions the data (contact problems mix N and N.m scales);
 convergence is always measured against the *original* data.
 
 ``solve`` is the one-program case of ``solve_batch``, and both take one path:
-programs are grouped by structure, each group is written straight into one
-stacked standard form (a single program as views of its own arrays) and
-presolved as one stack (equilibration and two SVD reductions), the presolve
-exits (degenerate, inconsistent equalities, free ray) are settled in one
-place, and the rest run through the one HSD loop ``_ipm``: one program at a
-time on its own 1-D arrays, or, from ``_MIN_BATCH`` programs of one reduced
-shape on, as one stack whose residual check stacks the group's data once and
-whose cone kernels work on runs of SOC blocks of one dimension at a time.
+the unit of work is a ``ProgramStack`` of one structure (a compiled stack's
+rows of one finite-bound pattern, or a group of ConicPrograms stacked once),
+filled into one stacked standard form with array assignments and presolved
+as one stack (equilibration and two SVD reductions); the presolve exits
+(degenerate, inconsistent equalities, free ray) are settled in one place,
+and the rest run through the one HSD loop ``_ipm``: one program at a time on
+its own 1-D arrays, or, from ``_MIN_BATCH`` programs of one reduced shape
+on, as one stack whose residual check reads the stack's arrays, whose cone
+kernels work on runs of SOC blocks of one dimension, and which takes the s-
+and z-side step lengths and scalings as one stack [s; z].
 The loop rounds each instance of a stack as that program alone, so a result
 does not depend on its batch.  Program data need no check here: a
 ``ConicProgram`` is valid once it is built.
@@ -51,7 +53,7 @@ import scipy.linalg as sla
 
 from .contacts import check_facets, pcwf_rays, sfce_rays
 from .errors import UnsupportedProgramError
-from .problem import ConicProgram
+from .problem import ConicProgram, ProgramStack
 
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-13
@@ -255,11 +257,13 @@ class _BatchCone(_Cone):
         return out
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
-        alpha = np.full(len(u), math.inf)
+        """Each row's step.  The orthant ratios and the blocks' roots of a row
+        are reduced by one min: a masked root is >= 0 or inf, never NaN, so
+        the min is the Python min fold of the one-program kernel."""
+        parts = []
         if self.q:
             neg = du[:, : self.q] < 0
-            alpha = np.divide(-u[:, : self.q], du[:, : self.q],
-                              out=np.full(neg.shape, math.inf), where=neg).min(axis=1)
+            parts.append(np.divide(-u[:, : self.q], du[:, : self.q], out=np.full(neg.shape, math.inf), where=neg))
         for U, D in zip(self.split(u), self.split(du)):
             u0, u1, d0, d1 = U[..., 0], U[..., 1:], D[..., 0], D[..., 1:]
             a = d0 * d0 - np.vecdot(d1, d1)
@@ -268,9 +272,13 @@ class _BatchCone(_Cone):
             disc = b * b - 4.0 * a * c
             skip = (a >= 0) & ((b >= 0) | (disc < 0))
             root = 2.0 * c / (-b + np.sqrt(_pymax(disc, 0.0)))
-            for r in np.where(~skip & (root >= 0), root, math.inf).T:  # inf: the block sets no bound
-                alpha = _pymin(alpha, r)
-        return alpha
+            parts.append(np.where(~skip & (root >= 0), root, math.inf))  # inf: the block sets no bound
+        return np.concatenate(parts, axis=1).min(axis=1) if parts else np.full(len(u), math.inf)
+
+    def max_step_both(self, s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """Each row's min(max_step(s, ds), max_step(z, dz)), from one stack of 2B rows."""
+        alpha = self.max_step(np.concatenate([s, z]), np.concatenate([ds, dz]))
+        return _pymin(alpha[: len(s)], alpha[len(s) :])
 
 
 class _Scaling:
@@ -327,23 +335,23 @@ class _Scaling:
 
 
 class _BatchScaling(_Scaling):
-    """_Scaling of stacked iterates (B, dim), run by run of a _BatchCone: W
-    and W^-1 of a run are (B, k, d, d).  ``bad`` marks the instances whose
+    """_Scaling of stacked iterates (B, dim), run by run of a _BatchCone, with
+    s and z taken as one stack [s; z] of 2B rows: W and W^-1 of a run are the
+    halves of one (2B, k, d, d) array.  ``bad`` marks the instances whose
     iterate left the cone interior; their rows are meaningless."""
 
     def __init__(self, cone: _BatchCone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
-        q = cone.q
+        B, q = len(s), cone.q
         self.w_lp = np.sqrt(s[:, :q] / z[:, :q])
-        self.soc_W, self.soc_Winv = [], []
-        self.bad = np.zeros(len(s), dtype=bool)
-        for (_, _, _, J), S, Z in zip(cone.runs, cone.split(s), cone.split(z)):
-            ns, nz = np.sqrt(np.vecdot(S[..., 1:], S[..., 1:])), np.sqrt(np.vecdot(Z[..., 1:], Z[..., 1:]))
-            rho_s = (S[..., 0] - ns) * (S[..., 0] + ns)
-            rho_z = (Z[..., 0] - nz) * (Z[..., 0] + nz)
-            self.bad |= ((rho_s <= 0) | (rho_z <= 0) | (S[..., 0] <= 0) | (Z[..., 0] <= 0)).any(axis=1)
-            sbar = S / np.sqrt(rho_s)[..., None]
-            zbar = Z / np.sqrt(rho_z)[..., None]
+        self.soc_W, self.soc_Winv, self._WW = [], [], []
+        bad = np.zeros(2 * B, dtype=bool)
+        for (_, _, _, J), SZ in zip(cone.runs, cone.split(np.concatenate([s, z]))):
+            norm = np.sqrt(np.vecdot(SZ[..., 1:], SZ[..., 1:]))
+            rho = (SZ[..., 0] - norm) * (SZ[..., 0] + norm)
+            bad |= ((rho <= 0) | (SZ[..., 0] <= 0)).any(axis=1)  # rho > 0 in -int(K) too: test the heads
+            bar = SZ / np.sqrt(rho)[..., None]
+            sbar, zbar = bar[:B], bar[B:]
             gamma = np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
             jz = -zbar
             jz[..., 0] = zbar[..., 0]
@@ -352,11 +360,16 @@ class _BatchScaling(_Scaling):
             v[..., 0] += 1.0
             v /= np.sqrt(2.0 * (wbar[..., 0] + 1.0))[..., None]
             # a scalar power per block: numpy's array ** rounds differently
-            beta = np.reshape([np.float64(r) ** 0.25 for r in (rho_s / rho_z).ravel().tolist()], rho_s.shape + (1, 1))
+            beta = np.reshape([np.float64(r) ** 0.25 for r in (rho[:B] / rho[B:]).ravel().tolist()],
+                              (B, -1, 1, 1))
             jv = -v
             jv[..., 0] = v[..., 0]
-            self.soc_W.append(beta * (2.0 * (v[..., :, None] * v[..., None, :]) - J))
-            self.soc_Winv.append((1.0 / beta) * (2.0 * (jv[..., :, None] * jv[..., None, :]) - J))
+            V = np.concatenate([v, jv])
+            WW = np.concatenate([beta, 1.0 / beta]) * (2.0 * (V[..., :, None] * V[..., None, :]) - J)
+            self.soc_W.append(WW[:B])
+            self.soc_Winv.append(WW[B:])
+            self._WW.append(WW)
+        self.bad = bad[:B] | bad[B:]
         self.lam = self.apply_W(z)
 
     def _blockwise(self, v: np.ndarray, lp: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
@@ -365,6 +378,11 @@ class _BatchScaling(_Scaling):
         for M, V, O in zip(mats, self.cone.split(v), self.cone.split(out)):
             np.matvec(M, V, out=O)
         return out
+
+    def apply_Winv_W(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W^-1 a, W b) from one matvec per run over [b; a]."""
+        out = self._blockwise(np.concatenate([b, a]), np.concatenate([self.w_lp, 1.0 / self.w_lp]), self._WW)
+        return out[len(b) :], out[: len(b)]
 
 
 class _KKT:
@@ -449,6 +467,8 @@ class _KKT:
         refine = ~out & ~failed
         bound = 1e-13 * (1.0 + np.abs(rhs).max(axis=1))
         for _ in range(2):
+            if not refine.any():  # no residual to take
+                break
             r = rhs - _mv(self.K, x)
             refine &= ~(np.abs(r).max(axis=1) <= bound)
             for i in np.flatnonzero(refine):
@@ -477,32 +497,30 @@ class _StdForm:
     basis: np.ndarray | None = None  # original (scaled) vars = basis @ reduced vars
 
 
-def _standardize(progs: list[ConicProgram]) -> _StdForm:
-    """Programs of one structure in conic standard form, written straight into
-    stacked (B, ...) arrays (a single program's F and g as ``[None]`` views).
-    The programs were checked when built: every entry is finite, lb <= ub."""
-    p0, B, n = progs[0], len(progs), progs[0].n_vars
+def _standardize(st: ProgramStack) -> _StdForm:
+    """A stack of programs of one shape and finite-bound pattern in conic
+    standard form, filled with array assignments (a single program's F and g
+    stay ``[None]`` views).  The programs were checked: every entry is
+    finite, lb <= ub."""
+    B, n = st.f.shape
     # rows: -x_j <= -lb_j, then x_j <= ub_j per finite bound, then one block per SOC
-    lbi, ubi = np.flatnonzero(np.isfinite(p0.lb)), np.flatnonzero(np.isfinite(p0.ub))
+    lbi, ubi = np.flatnonzero(np.isfinite(st.lb[0])), np.flatnonzero(np.isfinite(st.ub[0]))
     q = lbi.size + ubi.size
-    soc_dims = [1 + blk.A.shape[0] for blk in p0.socs]
+    soc_dims = [1 + A.shape[1] for A, _, _, _ in st.socs]
     G = np.zeros((B, q + sum(soc_dims), n))
     h = np.empty((B, q + sum(soc_dims)))
     G[:, np.arange(lbi.size), lbi] = -1.0
     G[:, np.arange(lbi.size, q), ubi] = 1.0
-    for k, prog in enumerate(progs):
-        h[k, : lbi.size] = -prog.lb[lbi]
-        h[k, lbi.size : q] = prog.ub[ubi]
-        at = q
-        for blk, d in zip(prog.socs, soc_dims):
-            G[k, at] = -blk.c
-            G[k, at + 1 : at + d] = -blk.A
-            h[k, at] = blk.d
-            h[k, at + 1 : at + d] = blk.b
-            at += d
-    stack = (lambda xs: xs[0][None]) if B == 1 else np.stack
-    return _StdForm(c=-stack([prog.f for prog in progs]), A=stack([prog.F for prog in progs]),
-                    b=stack([prog.g for prog in progs]), G=G, h=h, cone=_Cone(q, soc_dims))
+    h[:, : lbi.size] = -st.lb[:, lbi]
+    h[:, lbi.size : q] = st.ub[:, ubi]
+    at = q
+    for (A, b, c, d), dim in zip(st.socs, soc_dims):
+        G[:, at] = -c
+        G[:, at + 1 : at + dim] = -A
+        h[:, at] = d
+        h[:, at + 1 : at + dim] = b
+        at += dim
+    return _StdForm(c=-st.f, A=st.F, b=st.g, G=G, h=h, cone=_Cone(q, soc_dims))
 
 
 def _take(sf: _StdForm, idx) -> _StdForm:
@@ -605,21 +623,17 @@ def _reduce_null_columns(sf: _StdForm):
 
 class _ResidualCheck:
     """x -> (relative equality residual, worst absolute cone/box violation)
-    of x against the original programs of one structure, their data stacked
-    and norms taken once: x of shape (B, n) gives two arrays of shape (B,),
+    of x against the original programs of one stack, read from its arrays
+    with norms taken once: x of shape (B, n) gives two arrays of shape (B,),
     each entry as the program alone gives it.  ``take(k)`` is program k's own
     check (x of shape (n,), two floats back), ``take(index array)`` a sub-stack's."""
 
-    def __init__(self, progs: list[ConicProgram]):
-        stack = (lambda xs: xs[0][None]) if len(progs) == 1 else np.stack
-        p0 = progs[0]
-        self.lbi, self.ubi = np.flatnonzero(np.isfinite(p0.lb)), np.flatnonzero(np.isfinite(p0.ub))
-        self.F, self.g = stack([p.F for p in progs]), stack([p.g for p in progs])
+    def __init__(self, st: ProgramStack):
+        self.lbi, self.ubi = np.flatnonzero(np.isfinite(st.lb[0])), np.flatnonzero(np.isfinite(st.ub[0]))
+        self.F, self.g = st.F, st.g
         self.g_scale = 1.0 + np.abs(self.g).max(axis=-1, initial=0.0)
-        self.lb = stack([p.lb[self.lbi] for p in progs])
-        self.ub = stack([p.ub[self.ubi] for p in progs])
-        self.socs = [(*(stack([getattr(p.socs[k], f) for p in progs]) for f in "Abc"),
-                      np.array([p.socs[k].d for p in progs])) for k in range(len(p0.socs))]
+        self.lb, self.ub = st.lb[:, self.lbi], st.ub[:, self.ubi]
+        self.socs = st.socs
 
     def take(self, idx) -> "_ResidualCheck":
         sub = object.__new__(_ResidualCheck)
@@ -672,17 +686,20 @@ def solve(
 
 
 def solve_batch(progs, settings: SolveSettings | None = None) -> list[SolveResult]:
-    """Solve many conic programs; each result equals ``solve(prog, settings)``
-    byte for byte (status, iterations, objective, certificate, residuals and
-    primal).
+    """Solve many conic programs, each a ``ConicProgram`` or a
+    ``ProgramStack`` (standing for its rows, in order); each result equals
+    ``solve(prog, settings)`` on that program byte for byte (status,
+    iterations, objective, certificate, residuals and primal).
 
-    Programs of one structure (variable count, equality shape, finite-bound
-    pattern, cone dimensions and, after presolve, reduced shapes) are
-    presolved as one stack, and from ``_MIN_BATCH`` programs on they run
-    through one interior-point loop over stacked arrays, so numpy's call
-    overhead is paid once per iteration for the group rather than once per
-    program.  Each instance keeps its own termination, certificates, best
-    iterate and failure exits, and leaves the stack when it finishes.
+    ConicPrograms of one structure (variable count, equality shape,
+    finite-bound pattern and cone dimensions) are stacked once; the rows of a
+    stack are split by finite-bound pattern, without a copy when they share
+    one.  Each group is presolved as one stack, and its members of one
+    reduced shape run through one interior-point loop over stacked arrays
+    from ``_MIN_BATCH`` members on, so numpy's call overhead is paid once per
+    iteration for the group rather than once per program.  Each instance
+    keeps its own termination, certificates, best iterate and failure exits,
+    and leaves the stack when it finishes.
     """
     return _solve_all(list(progs), settings)
 
@@ -695,42 +712,57 @@ def solve_batch(progs, settings: SolveSettings | None = None) -> list[SolveResul
 _MIN_BATCH = 3
 
 
-def _solve_all(progs: list[ConicProgram], settings: SolveSettings | None, trace=None) -> list[SolveResult]:
-    """The one solve path of ``solve`` and ``solve_batch``: group the programs
-    by structure and solve each group.  ``trace`` reaches the programs that
-    run on their own."""
+def _solve_all(items: list, settings: SolveSettings | None, trace=None) -> list[SolveResult]:
+    """The one solve path of ``solve`` and ``solve_batch``: group the
+    programs (ConicPrograms, and the rows of each ProgramStack) by structure,
+    stack each group once and solve it; one result per program, in order.
+    ``trace`` reaches the programs that run on their own."""
     settings = settings or SolveSettings()
-    groups: dict[tuple, list[int]] = {}
-    for i, prog in enumerate(progs):
-        key = (prog.n_vars, prog.F.shape, np.isfinite(prog.lb).tobytes(),
-               np.isfinite(prog.ub).tobytes(), tuple(blk.A.shape[0] for blk in prog.socs))
-        groups.setdefault(key, []).append(i)
-    results: list = [None] * len(progs)
-    for members in groups.values():
-        while members:
-            members = _solve_group(progs, members, settings, trace, results)
+    groups: dict[tuple, tuple] = {}  # key -> (stack or None, slots, its rows or the programs)
+    slot = 0
+    for item in items:
+        if isinstance(item, ConicProgram):
+            entries = [((item.F.shape, np.isfinite(item.lb).tobytes(), np.isfinite(item.ub).tobytes(),
+                         tuple(blk.A.shape[0] for blk in item.socs)), None, item)]
+        else:  # a stack's rows are grouped among themselves
+            finite = np.concatenate([np.isfinite(item.lb), np.isfinite(item.ub)], axis=1)
+            entries = [((id(item), finite[k].tobytes()), item, k) for k in range(len(item))]
+        for key, stack, member in entries:
+            _, slots, members = groups.setdefault(key, (stack, [], []))
+            slots.append(slot)
+            members.append(member)
+            slot += 1
+    results: list = [None] * slot
+    for stack, slots, members in groups.values():
+        if stack is None:
+            stack = ProgramStack.of(members)
+        elif members != list(range(len(stack))):
+            stack = stack.take(members)
+        while slots:
+            stack, slots = _solve_group(stack, slots, settings, trace, results)
     return results
 
 
-def _solve_group(progs, members: list[int], settings: SolveSettings, trace, results: list) -> list[int]:
-    """Presolve programs of one structure as a stack and settle the members
-    whose reduced shapes match the first one's: a presolve exit (degenerate,
+def _solve_group(st: ProgramStack, slots: list[int], settings: SolveSettings, trace, results: list):
+    """Presolve a stack of one structure and settle the members whose
+    reduced shapes match the first one's: a presolve exit (degenerate,
     inconsistent, free ray) here, the rest through ``_ipm``, as one stack
-    from ``_MIN_BATCH`` members on and one by one below.  Returns the other
-    members, to be presolved again as a stack of their own."""
-    sf0 = _standardize([progs[i] for i in members])
+    from ``_MIN_BATCH`` members on and one by one below.  ``slots`` are the
+    members' places in ``results``.  Returns the other members and their
+    slots, to be presolved again as a stack of their own."""
+    sf0 = _standardize(st)
     if sf0.A.shape[-2] == 0 and sf0.G.shape[-2] == 0:  # degenerate: nothing but the objective
-        for i, c in zip(members, sf0.c):
+        for i, c in zip(slots, sf0.c):
             if np.any(c):
                 results[i] = SolveResult("Unbounded", None, None, Residuals(0.0, 0.0, math.nan), 0,
                                          "objective is a free ray (no constraints)")
             else:
-                results[i] = SolveResult("Optimal", 0.0, np.zeros(progs[i].n_vars), Residuals(0.0, 0.0, 0.0), 0)
-        return []
+                results[i] = SolveResult("Optimal", 0.0, np.zeros(c.size), Residuals(0.0, 0.0, 0.0), 0)
+        return None, []
     sf, inconsistent, same = _reduce_equalities(_equilibrate(sf0))
     infeasible = same & inconsistent
     for k in np.flatnonzero(infeasible):
-        results[members[k]] = SolveResult(
+        results[slots[k]] = SolveResult(
             "Infeasible", None, None, Residuals(math.inf, 0.0, math.nan), 0,
             "equality system F x = g is rank-deficient and inconsistent")
     live = same & ~inconsistent
@@ -739,24 +771,26 @@ def _solve_group(progs, members: list[int], settings: SolveSettings, trace, resu
         sf, free_ray, same_null = _reduce_null_columns(sf)
         live &= same_null
     # a free ray proves unboundedness only if the program is feasible at all
-    free = [members[k] for k in np.flatnonzero(live & free_ray)]
-    feasibility = _solve_all([replace(progs[i], f=np.zeros(progs[i].n_vars)) for i in free], settings, trace)
-    for i, feas in zip(free, feasibility):
-        if feas.status != "Optimal":
-            results[i] = replace(feas, objective=None)
-        else:
-            results[i] = SolveResult(
-                "Unbounded", None, None, Residuals(math.nan, math.nan, math.nan), feas.iterations,
-                "feasible, and the objective improves along a direction no "
-                "constraint sees (uncapped free reaction aligned with the task?)")
+    free = np.flatnonzero(live & free_ray)
+    if free.size:
+        feasibility = _solve_all([replace(st.take(free), f=np.zeros((free.size, st.f.shape[1])))], settings, trace)
+        for k, feas in zip(free, feasibility):
+            if feas.status != "Optimal":
+                results[slots[k]] = replace(feas, objective=None)
+            else:
+                results[slots[k]] = SolveResult(
+                    "Unbounded", None, None, Residuals(math.nan, math.nan, math.nan), feas.iterations,
+                    "feasible, and the objective improves along a direction no "
+                    "constraint sees (uncapped free reaction aligned with the task?)")
     run = np.flatnonzero(live & ~free_ray)
     if len(run) >= _MIN_BATCH:
-        for k, res in zip(run, _ipm([progs[members[k]] for k in run], _take(sf, run), settings)):
-            results[members[k]] = res
+        for k, res in zip(run, _ipm(st if run.size == len(st) else st.take(run), _take(sf, run), settings)):
+            results[slots[k]] = res
     else:
         for k in run:
-            results[members[k]] = _ipm([progs[members[k]]], _take(sf, int(k)), settings, trace)[0]
-    return [i for i, done in zip(members, infeasible | live) if not done]
+            results[slots[k]] = _ipm(st if len(st) == 1 else st.take([k]), _take(sf, int(k)), settings, trace)[0]
+    rest = np.flatnonzero(~(infeasible | live))
+    return (st.take(rest) if rest.size else None), [slots[k] for k in rest]
 
 
 class _Stop(Exception):
@@ -772,11 +806,12 @@ def _amax(v: np.ndarray):
     return np.abs(v).max(axis=-1, initial=0.0)
 
 
-def _ipm(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings, trace=None) -> list[SolveResult]:
+def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) -> list[SolveResult]:
     """The HSD primal-dual interior-point loop over presolved programs of one
-    structure: one program's own form (1-D arrays, as ``_take(sf, k)`` gives
-    it) or a stack of them (a leading instance axis), every instance rounded
-    exactly as that program alone.
+    structure (the rows of ``st``, presolved in ``sf``): one program's own
+    form (1-D arrays, as ``_take(sf, k)`` gives it) or a stack of them (a
+    leading instance axis), every instance rounded exactly as that program
+    alone.
 
     One program's per-instance numbers (tau, kappa, step lengths, norms) are
     Python or numpy scalars; a stack's are arrays.  The few operations that
@@ -793,11 +828,14 @@ def _ipm(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings, trace
     one = sf.c.ndim == 1
     if one:  # Python's operators and builtins on the program's numbers
         cone, scaling, dot = sf.cone, _Scaling, operator.matmul
+        max_steps = lambda s, ds, z, dz: min(cone.max_step(s, ds), cone.max_step(z, dz))  # noqa: E731
+        winv_w = lambda scal, a, b: (scal.apply_Winv(a), scal.apply_W(b))  # noqa: E731
         mv, vmin, vmax, any_, col, where = dot, min, max, bool, (lambda v: v), (lambda m, a, b: a if m else b)
         sq, sigma_of, choose = (lambda t: t ** 2), _sigma, where
         hits, row = (lambda m: (0,) if m else ()), (lambda v, i: v)  # the one instance, if m marks it
     else:  # arrays of per-instance numbers, broadcast against vectors as columns
         cone, scaling = _BatchCone(sf.cone.q, sf.cone.soc_dims), _BatchScaling
+        max_steps, winv_w = cone.max_step_both, _BatchScaling.apply_Winv_W  # s and z as one stack
         dot, mv, vmin, vmax, any_, col, where = _dot, _mv, _pymin, _pymax, np.any, (lambda v: v[:, None]), np.where
         hits, row = (lambda m: np.flatnonzero(m & ~out)), (lambda v, i: v[i])  # the running instances m marks
         # a scalar power per instance: numpy's array ** rounds differently
@@ -811,7 +849,7 @@ def _ipm(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings, trace
     nu, e = cone.degree, cone.identity()
     ftol, gtol = settings.feasibility_tol, settings.duality_gap_tol
     results: list = [None] * B
-    check = _ResidualCheck(progs)  # stacked once; rows are taken from it as instances stop
+    check = _ResidualCheck(st)  # norms taken once; rows are taken from it as instances stop
     measure = check.take(0) if one else check
     kkt = _KKT(sf.A, sf.G, cone)
     ids = np.arange(B)
@@ -828,7 +866,7 @@ def _ipm(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings, trace
             basis = None if sf.basis is None else row(sf.basis, i)
             xo = _unscale(row(sf.col_scale, i), basis, row(x, i), row(tau, i))
             resid = Residuals(*(measure if one else check.take(k))(xo), row(gap, i))
-            obj = float(progs[k].f @ xo) if status in ("Optimal", "IterationLimit") else None
+            obj = float(st.f[k] @ xo) if status in ("Optimal", "IterationLimit") else None
         results[k] = SolveResult(status, obj, xo, resid, iters, cert)
         if not one:
             out[i] = True
@@ -869,7 +907,7 @@ def _ipm(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings, trace
         return dx, dy, dz, dtau, ds, dkappa
 
     def max_alpha(ds, dz, dtau, dkappa):
-        alpha = vmin(cone.max_step(s, ds), cone.max_step(z, dz))
+        alpha = max_steps(s, ds, z, dz)
         if any_(dtau < 0):
             alpha = where(dtau < 0, vmin(alpha, -tau / dtau), alpha)
         if any_(dkappa < 0):
@@ -970,7 +1008,7 @@ def _ipm(progs: list[ConicProgram], sf: _StdForm, settings: SolveSettings, trace
                 sigma = sigma_of(gap_aff / (sz + tau * kappa))
 
                 # -- corrector ----------------------------------------------
-                corr = cone.prod(scal.apply_Winv(dsa), scal.apply_W(dza))
+                corr = cone.prod(*winv_w(scal, dsa, dza))
                 d_s = col(sigma * mu) * e - lam2 - corr
                 d_kt = sigma * mu - tau * kappa - dta * dka
                 om = 1.0 - sigma
@@ -1044,7 +1082,7 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     res = linprog(c_lp, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 0:
         x = res.x[:n]
-        eq, viol = _ResidualCheck([prog]).take(0)(x)
+        eq, viol = _ResidualCheck(ProgramStack.of([prog])).take(0)(x)
         return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), int(res.nit))
     status = {2: "Infeasible", 3: "Unbounded"}.get(res.status, "NumericalFailure")
     return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan),

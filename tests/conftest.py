@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: rotations, hand-built programs,
-scenario transforms for the invariance checks, and cone membership."""
+scenario transforms for the invariance checks, cone membership, and the
+one-problem screw algebra that ``compile_program`` writes entry by entry."""
 
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from screwgrasp.problem import (
     TorqueModel,
     VariableLayout,
 )
-from screwgrasp.screws import TaskScrew, check_rotation
+from screwgrasp.screws import TaskScrew, Wrench, check_rotation, cross3
 
 
 def rot(axis, angle: float) -> np.ndarray:
@@ -27,6 +28,35 @@ def rot(axis, angle: float) -> np.ndarray:
         [-axis[1], axis[0], 0.0],
     ])
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def skew(v: np.ndarray) -> np.ndarray:
+    """3x3 cross-product matrix: skew(v) @ u == v x u."""
+    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def adjoint_matrix(R: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """6x6 wrench transport for a contact at pose (R, p) in the target frame:
+    maps a local wrench [f; m] to [R f ; p x (R f) + R m]."""
+    G = np.zeros((6, 6))
+    G[:3, :3] = R
+    G[3:, :3] = skew(p) @ R
+    G[3:, 3:] = R
+    return G
+
+
+def screw_to_unit_wrench(s: TaskScrew) -> Wrench:
+    """Unit wrench along a screw.  Finite pitch: unit force along l, moment
+    q x l + h l.  Infinite pitch: zero force, unit moment along l."""
+    if s.infinite_pitch:
+        return Wrench(force=np.zeros(3), moment=s.l)
+    return Wrench(force=s.l, moment=cross3(s.q, s.l) + s.pitch * s.l)
+
+
+def external_wrench_in_b(e: ExternalWrench) -> Wrench:
+    """The external load resolved about the body-frame origin."""
+    return Wrench(force=e.force, moment=cross3(e.application_point, e.force) + e.moment)
 
 
 def mkprog(f, F, g, socs=(), lb=None, ub=None) -> ConicProgram:

@@ -13,14 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import mkprog, soc
+from conftest import mkprog, rot, soc
 from test_random_scenarios import random_problem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from solve_digest import result_bytes  # noqa: E402
-from screwgrasp import metric, solver  # noqa: E402
+from screwgrasp import problem, solver  # noqa: E402
 from screwgrasp.cli import _subspace_directions  # noqa: E402
+from screwgrasp.contacts import EnvironmentContact, FixedSupport  # noqa: E402
 from screwgrasp.errors import ScrewGraspError, SolverDataError  # noqa: E402
 from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep  # noqa: E402
 from screwgrasp.problem import compile_program  # noqa: E402
@@ -185,20 +186,27 @@ def test_sweep_records_failing_points_in_grid_order():
     assert sum(r.status.startswith("error: ") for r in rows) == 11
 
 
-def test_sweep_point_the_solver_rejects_is_its_own_row(monkeypatch):
+def pinned(p, moments: float):
+    """``p`` with one more environment contact: a support with every component
+    prescribed, 0 but for m_t = m_o = ``moments``, turned 45 degrees about z,
+    so that both moments load the rhs entry of the body's y moment."""
+    values = dict.fromkeys(("f_t", "f_o", "f_n", "m_t", "m_o", "m_n"), 0.0) | {"m_t": moments, "m_o": moments}
+    pin = EnvironmentContact(rotation=rot([0, 0, 1], np.pi / 4), position=np.zeros(3),
+                             model=FixedSupport(prescribed=values))
+    return replace(p, environment_contacts=(*p.environment_contacts, pin))
+
+
+def test_sweep_point_the_solver_rejects_is_its_own_row():
     """A point whose program has NaN/Inf data fails when it is compiled;
-    only that row records it, and the other points are solved as usual."""
-    compile_one, compiled = metric.compile_program, []
+    only that row records it, and the other points are solved as usual.
+    The third point's pinned moments overflow its rhs; the points share one
+    structure, so the failing row is a row of the sweep's stack."""
+    def family(v):
+        return pinned(builtin_scenario("cuboid_pivot", alpha=float(v)).problem(), 1.7e308 if v == ALPHAS[2] else 0.0)
 
-    def poison_third(p, direction):
-        prog = compile_one(p, direction)
-        compiled.append(prog)
-        if len(compiled) == 3:
-            prog = replace(prog, g=np.full_like(prog.g, np.inf))
-        return prog
-
-    monkeypatch.setattr(metric, "compile_program", poison_third)
-    family = lambda v: builtin_scenario("cuboid_pivot", alpha=float(v)).problem()  # noqa: E731
+    compiled = [None if i == 2 else compile_program(family(v), +1) for i, v in enumerate(ALPHAS)]
+    with pytest.raises(SolverDataError, match="program rhs contains NaN/Inf"):
+        compile_program(family(ALPHAS[2]), +1)
     rows = metric_sweep(family, ALPHAS, +1)
     assert rows[2].status == "error: program rhs contains NaN/Inf"
     for i in (0, 1, 3, 4, 5, 6):
@@ -206,33 +214,33 @@ def test_sweep_point_the_solver_rejects_is_its_own_row(monkeypatch):
         assert (rows[i].status, rows[i].eta, rows[i].iterations) == (alone.status, alone.objective, alone.iterations)
 
 
-def failing_second_compile(exc):
-    """``metric.compile_program`` that raises ``exc`` on its second call."""
-    compile_one, calls = metric.compile_program, []
+def failing_second_compile(monkeypatch, exc):
+    """Compiling the second problem a job compiles raises ``exc``."""
+    key, calls = problem._key, []
 
-    def compile_program(p, direction):
+    def failing(p):
         calls.append(p)
         if len(calls) == 2:
             raise exc
-        return compile_one(p, direction)
+        return key(p)
 
-    return compile_program
+    monkeypatch.setattr(problem, "_key", failing)
 
 
 def test_gws_ray_that_fails_to_compile_is_a_row_only_for_a_screw_grasp_error(monkeypatch):
     pivot = builtin_scenario("cuboid_pivot").problem()
-    monkeypatch.setattr(metric, "compile_program", failing_second_compile(ScrewGraspError("no ray")))
+    failing_second_compile(monkeypatch, ScrewGraspError("no ray"))
     rays = gws_sample(pivot, [pivot.task] * 3)
     assert [(r.status, r.eta is None) for r in rays] == [("Optimal", False), ("error: no ray", True),
                                                         ("Optimal", False)]
-    monkeypatch.setattr(metric, "compile_program", failing_second_compile(ValueError("defect")))
+    failing_second_compile(monkeypatch, ValueError("defect"))
     with pytest.raises(ValueError, match="defect"):
         gws_sample(pivot, [pivot.task] * 3)
 
 
 def test_global_metric_raises_on_a_point_that_fails_to_compile(monkeypatch):
     path = [PathPoint(float(a), builtin_scenario("cuboid_pivot", alpha=float(a)).problem()) for a in ALPHAS]
-    monkeypatch.setattr(metric, "compile_program", failing_second_compile(ScrewGraspError("no pose")))
+    failing_second_compile(monkeypatch, ScrewGraspError("no pose"))
     with pytest.raises(ScrewGraspError, match="no pose"):
         global_metric(path, +1)
 
@@ -253,6 +261,26 @@ def test_batch_defect_is_not_retried_point_by_point(monkeypatch):
         metric_sweep(family, ALPHAS, +1)
     with pytest.raises(IndexError, match="defect in the batched loop"):
         gws_sample(family(0.0), [builtin_scenario("cuboid_pivot").problem().task] * solver._MIN_BATCH)
+
+
+def test_sweep_and_gws_build_no_program_per_point(monkeypatch):
+    """A sweep or GWS probe compiles each structure's points into one stack
+    and hands the stacks to the solver: no ConicProgram or SocBlock is built
+    for a point.  A path builds its points' programs as row views of the
+    stack, for their active constraints."""
+    built = []
+    make = problem._built
+    monkeypatch.setattr(problem, "_built", lambda cls, check, **fields: built.append(cls) or make(cls, check, **fields))
+    for cls in (problem.ConicProgram, problem.SocBlock):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, cls=cls: built.append(cls))
+    family = lambda v: builtin_scenario("door_handle", theta=float(v)).problem()  # noqa: E731
+    rows = metric_sweep(family, THETAS, +1)
+    slide = builtin_scenario("cuboid_slide").problem()
+    rays = gws_sample(slide, [wrench_to_screw(Wrench.from_array(np.eye(6)[k])).axis for k in (0, 2, 4)])
+    assert {r.status for r in rows} == {r.status for r in rays} == {"Optimal"}
+    assert built == []
+    global_metric([PathPoint(float(t), family(t)) for t in THETAS[:4]], +1)
+    assert built.count(problem.ConicProgram) == 4
 
 
 def test_global_metric_per_point_matches_local_metric():

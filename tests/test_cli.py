@@ -313,6 +313,36 @@ class TestGws:
         assert run(capsys, "gws", "--builtin", "door_handle", "--subspace", "fx,zz")[0] == EXIT_INPUT
 
 
+# mu * e_t underflows to 0, or is subnormal so that 1 / (mu e_t) overflows
+UNDERFLOWING_FRICTION = [("mu_c=1e-200", "e_t=1e-200"), ("mu_c=1e-300", "e_t=1e-10")]
+
+
+@pytest.mark.parametrize("mu, e_t", UNDERFLOWING_FRICTION)
+class TestUnderflowingFriction:
+    """A friction cone whose coefficient 1 / (mu e) is not finite is a solver
+    data error: ``eval`` exits 5, and ``sweep`` and ``gws`` write error rows."""
+
+    def test_eval_exits_with_solver_data_error(self, capsys, mu, e_t):
+        code, _, err = run(capsys, "eval", "--builtin", "door_handle", "--set", mu, "--set", e_t)
+        assert code == 5
+        assert err == "error: SOC block 'm0.cone' contains NaN/Inf\n"
+
+    def test_sweep_rows_are_errors(self, capsys, tmp_path, mu, e_t):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--builtin", "door_handle", "--set", mu, "--set", e_t,
+                         "--sweep", "theta=0deg:10deg:3", "--out", str(out))
+        assert code == EXIT_OK
+        assert [r["status"] for r in rows_of(out)] == ["error: SOC block 'm0.cone' contains NaN/Inf"] * 3
+
+    def test_gws_rows_are_errors(self, capsys, tmp_path, mu, e_t):
+        out = tmp_path / "gws.csv"
+        code, _, _ = run(capsys, "gws", "--builtin", "door_handle", "--set", mu, "--set", e_t,
+                         "--subspace", "fx,fz,ty", "--rays", "4", "--out", str(out))
+        assert code == EXIT_OK
+        rows = rows_of(out)
+        assert len(rows) == 6 and {r["status"] for r in rows} == {"error: SOC block 'm0.cone' contains NaN/Inf"}
+
+
 def test_console_entry_point_smoke():
     # the child process imports the same screwgrasp as this suite
     src = str(Path(screwgrasp.__file__).resolve().parents[1])

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import mkprog
 from test_random_scenarios import random_problem
-from screwgrasp.problem import compile_program
+from screwgrasp.problem import ProgramStack, compile_program
 from screwgrasp.solver import (
     _BatchCone,
     _BatchScaling,
@@ -40,7 +40,7 @@ DRAWS = 50
 
 def standard_form(prog) -> _StdForm:
     """One program's standard form, unstacked."""
-    sf = _standardize([prog])
+    sf = _standardize(ProgramStack.of([prog]))
     return _StdForm(*(getattr(sf, k)[0] for k in "cAbGh"), cone=sf.cone)
 
 
@@ -269,7 +269,7 @@ class TestAgainstLoopReference:
             if prob is None:
                 continue
             prog = compile_program(prob, -1 if rng.random() < 0.5 else +1)
-            measure = _ResidualCheck([prog]).take(0)
+            measure = _ResidualCheck(ProgramStack.of([prog])).take(0)
             seen_bounds += bool(np.isfinite(prog.lb).any() or np.isfinite(prog.ub).any())
             seen_socs += bool(prog.socs)
             for scale in (1e-3, 1.0, 1e3):
@@ -296,7 +296,7 @@ class TestAgainstLoopReference:
         groups.append([mkprog(bare.normal(size=3), bare.normal(size=(2, 3)), bare.normal(size=2))
                        for _ in range(3)])
         for progs in groups:
-            stacked, check = _standardize(progs), _ResidualCheck(progs)
+            stacked, check = _standardize(ProgramStack.of(progs)), _ResidualCheck(ProgramStack.of(progs))
             X = rng.normal(size=(len(progs), progs[0].n_vars))
             eq, viol = check(X)
             assert eq.shape == viol.shape == (len(progs),)
@@ -350,6 +350,53 @@ class TestStackedAgainstOneProgram:
             assert batch.max_step(U, D).tolist() == want_step
             assert np.array_equal(batch.div(U, V), want_div, equal_nan=True)
         assert not np.isfinite(want_div[0, 1:]).all()
+
+    def test_paired_kernels(self):
+        """``max_step_both`` runs (s, ds) and (z, dz) as one stack of 2B rows
+        and reduces each row by one min; ``apply_Winv_W`` applies W^-1 and W
+        in one matvec per run.  Each row is the one-program kernels' and the
+        per-block reference fold's."""
+        for rng, q, dims, cone, batch in self.stacked_cases(24):
+            S = np.array([interior(rng, q, dims) for _ in range(self.B)])
+            Z = np.array([interior(rng, q, dims) for _ in range(self.B)])
+            DS = rng.normal(size=S.shape) * 10.0 ** rng.uniform(-2, 2, size=(self.B, 1))
+            for DZ in (-Z, rng.normal(size=Z.shape), np.array([interior(rng, q, dims) for _ in range(self.B)])):
+                got = batch.max_step_both(S, DS, Z, DZ).tolist()
+                assert got == [min(cone.max_step(s, ds), cone.max_step(z, dz)) for s, ds, z, dz in zip(S, DS, Z, DZ)]
+                assert got == [min(ref_max_step(q, dims, s, ds), ref_max_step(q, dims, z, dz))
+                               for s, ds, z, dz in zip(S, DS, Z, DZ)]
+            scal = _BatchScaling(batch, S, Z)
+            a, b = rng.normal(size=S.shape), rng.normal(size=S.shape)
+            Wa, Wb = scal.apply_Winv_W(a, b)
+            for i, (s, z) in enumerate(zip(S, Z)):
+                one = _Scaling(cone, s, z)
+                assert np.array_equal(Wa[i], one.apply_Winv(a[i])) and np.array_equal(Wb[i], one.apply_W(b[i]))
+
+    def test_paired_step_on_special_rows(self):
+        """Rows whose step is -0.0 (a root that underflows), rows on the
+        boundary, where a root divides by zero, and rows with NaN and inf
+        entries: the paired stack gives each the one-program step, the sign
+        of a zero step included."""
+        cone, batch = _Cone(1, [3]), _BatchCone(1, [3])
+        neg_zero = ([1.0, -1.547212728748363e-162, -8.991741862857903e-163, 1.1701782156649257e-162],
+                    [1.0, -3.8099158088267684, 40.503554911863354, -19.717138119913177])
+        boundary = ([1.0, 1.0, 1.0, 0.0], [1.0, -1.0, -2.0, 0.0])
+        inside = ([2.0, 3.0, 1.0, 0.5], [-1.0, -1.0, 0.5, 0.0])
+        nan_orthant = ([np.nan, 3.0, 1.0, 0.5], [-1.0, -1.0, 0.5, 0.0])
+        nan_block = ([1.0, np.nan, 1.0, 0.5], [1.0, -1.0, 0.5, 0.0])
+        inf_block = ([1.0, np.inf, 1.0, 0.5], [1.0, -1.0, np.inf, 0.0])
+        rows = [neg_zero, boundary, inside, nan_orthant, nan_block, inf_block]
+        pairs = [(s, z) for s in rows for z in rows]
+        S, DS, Z, DZ = (np.array([pair[i][j] for pair in pairs]) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        with np.errstate(all="ignore"):
+            got = batch.max_step_both(S, DS, Z, DZ)
+            want = np.array([min(cone.max_step(s, ds), cone.max_step(z, dz)) for s, ds, z, dz in zip(S, DS, Z, DZ)])
+            ref = np.array([min(ref_max_step(1, [3], s, ds), ref_max_step(1, [3], z, dz))
+                            for s, ds, z, dz in zip(S, DS, Z, DZ)])
+        assert np.array_equal(got, want, equal_nan=True) and np.array_equal(want, ref, equal_nan=True)
+        numbers = ~np.isnan(got)  # a NaN step's sign bit is not part of its value
+        assert np.signbit(got[numbers]).tolist() == np.signbit(want[numbers]).tolist()
+        assert got[0] == 0.0 and np.signbit(got[0]) and np.isnan(got).any() and (got == np.inf).any()
 
     def test_scaling(self):
         for rng, q, dims, cone, batch in self.stacked_cases(22):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import screw_to_unit_wrench
 from screwgrasp.contacts import (
     EnvironmentContact,
     FixedSupport,
@@ -12,7 +13,7 @@ from screwgrasp.contacts import (
 from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep
 from screwgrasp.problem import ExternalWrench, GraspProblem, compile_program
 from screwgrasp.scenarios import CuboidParams, DoorHandleParams, cuboid_scenario, door_handle_scenario
-from screwgrasp.screws import INFINITE_PITCH, TaskScrew, screw_to_unit_wrench
+from screwgrasp.screws import INFINITE_PITCH, TaskScrew
 from screwgrasp.solver import SolveSettings, solve_with_oracle
 
 TIGHT = SolveSettings(duality_gap_tol=1e-9)

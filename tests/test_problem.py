@@ -4,8 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mkprog, rot, scale_problem, soc, transform_problem
+from conftest import (
+    adjoint_matrix,
+    external_wrench_in_b,
+    mkprog,
+    rot,
+    scale_problem,
+    screw_to_unit_wrench,
+    soc,
+    transform_problem,
+)
 from screwgrasp.contacts import (
+    LOCAL_COMPONENTS,
     EnvironmentContact,
     FixedSupport,
     ManipulatorContact,
@@ -22,7 +32,7 @@ from screwgrasp.problem import (
     SocBlock,
     TorqueModel,
     compile_program,
-    external_wrench_in_b,
+    compile_stacks,
 )
 from screwgrasp.scenarios import (
     CuboidParams,
@@ -31,8 +41,9 @@ from screwgrasp.scenarios import (
     cuboid_scenario,
     door_handle_scenario,
 )
-from screwgrasp.screws import INFINITE_PITCH, TaskScrew, adjoint_matrix
+from screwgrasp.screws import INFINITE_PITCH, TaskScrew
 from screwgrasp.solver import SolveSettings, solve, solve_with_oracle
+from test_random_scenarios import random_problem
 
 TIGHT = SolveSettings(duality_gap_tol=1e-9)
 
@@ -422,3 +433,157 @@ class TestStructureCache:
         a, b = (compile_program(cuboid_scenario(CuboidParams(alpha=t)).problem("S2"), -1) for t in (0.1, 0.4))
         assert a.layout is b.layout
         assert a.layout.variable_names() is b.layout.variable_names()
+
+
+def fuzz_problems() -> list:
+    """(problem, direction) of the 2000 draws of the fuzz corpus: the random
+    battery's generator with default_rng(seed) for seeds 1-8, 250 draws each."""
+    out = []
+    for seed in range(1, 9):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            problem = random_problem(rng)
+            if problem is not None:
+                out.append((problem, +1 if rng.random() < 0.5 else -1))
+    return out
+
+
+def compiled_alone(p, direction):
+    """``compile_program``'s program bytes, or its error as (type, text)."""
+    try:
+        return program_bytes(compile_program(p, direction))
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+def stacked(problems, direction) -> list:
+    """What ``compile_stacks`` gives each problem, as ``compiled_alone`` gives it."""
+    stacks, placed = compile_stacks(problems, direction)
+    for st in stacks:
+        for arr in (st.f, st.F, st.g, st.lb, st.ub, *(v for blk in st.socs for v in blk)):
+            assert not arr.flags.writeable
+    assert sum(map(len, stacks)) == sum(not isinstance(where, Exception) for where in placed)
+    return [(type(where), str(where)) if isinstance(where, Exception)
+            else program_bytes(stacks[where[0]].program(where[1])) for where in placed]
+
+
+def pinned_moments(p, moments: float) -> GraspProblem:
+    """``p`` with a support pinned in every component, 0 but for m_t = m_o =
+    ``moments``, turned so that both load the body's y moment."""
+    values = dict.fromkeys(("f_t", "f_o", "f_n", "m_t", "m_o", "m_n"), 0.0) | {"m_t": moments, "m_o": moments}
+    pin = EnvironmentContact(rotation=rot([0, 0, 1], np.pi / 4), position=np.zeros(3),
+                             model=FixedSupport(prescribed=values))
+    return replace(p, environment_contacts=(*p.environment_contacts, pin))
+
+
+class TestCompileStacks:
+    """``compile_stacks`` writes the problems of one structure into one stack;
+    every row is byte for byte ``compile_program``'s program (arrays with
+    their signed zeros, labels, tags and layout), and every problem that
+    fails has the error ``compile_program`` raises for it."""
+
+    @pytest.mark.parametrize("direction", [+1, -1])
+    def test_door_pivot_and_slide_grids(self, direction):
+        door = [door_handle_scenario(DoorHandleParams(x_c=x, theta=t)).problem()
+                for x in (0.0, 0.1) for t in np.radians(np.linspace(0.0, 40.0, 41))]
+        pivot = [cuboid_scenario(CuboidParams(alpha=a, x_E=x)).problem("S1")
+                 for x in (0.06, 0.12) for a in np.radians(np.linspace(0.0, 60.0, 17))]
+        slide = [cuboid_scenario(CuboidParams(alpha=a, x_E=x)).problem("S2")
+                 for x in (0.06, 0.12) for a in np.radians(np.linspace(0.0, 60.0, 17))]
+        problems = [p for trio in zip(door, pivot + slide) for p in trio] + door[len(pivot + slide):]
+        assert len(compile_stacks(problems, direction)[0]) == 2  # door, and the cuboids
+        assert stacked(problems, direction) == [compiled_alone(p, direction) for p in problems]
+
+    def test_infinite_and_finite_pitch_tasks_in_one_stack(self):
+        p = builtin_scenario("cuboid_slide").problem()
+        rng = np.random.default_rng(3)
+        tasks = []
+        for k in range(12):
+            l = rng.normal(size=3)
+            l /= np.linalg.norm(l)
+            pitch = INFINITE_PITCH if k % 3 == 0 else float(rng.normal()) * (k % 2)
+            tasks.append(TaskScrew(l=l, q=rng.normal(size=3) * 0.1, pitch=pitch))
+        problems = [replace(p, task=t) for t in tasks]
+        for direction in (+1, -1):
+            stacks, _ = compile_stacks(problems, direction)
+            assert len(stacks) == 1 and len(stacks[0]) == 12
+            assert stacked(problems, direction) == [compiled_alone(q, direction) for q in problems]
+
+    def test_torque_model_problems(self):
+        problems = [torque_problem(prescribed=(("m_t", 0.0), ("m_o", -0.0), ("m_n", v))) for v in (0.1, 0.0, -0.3)]
+        problems += [replace(problems[0], torque_model=replace(problems[0].torque_model, tau_g=np.array([g])))
+                     for g in (-1.0, 0.5)]
+        # the same components prescribed in another order: another stack, each written in its own order
+        problems.append(torque_problem(prescribed=(("m_n", 0.1), ("m_o", 0.0), ("m_t", 0.0))))
+        for direction in (+1, -1):
+            assert len(compile_stacks(problems, direction)[0]) == 2
+            assert stacked(problems, direction) == [compiled_alone(q, direction) for q in problems]
+
+    def test_fuzz_corpus(self):
+        draws = fuzz_problems()
+        assert len(draws) == 2000
+        for direction in (+1, -1):
+            problems = [p for p, d in draws if d == direction]
+            assert stacked(problems, direction) == [compiled_alone(p, direction) for p in problems]
+
+    def test_rows_match_the_one_problem_references(self):
+        """The writer's arithmetic against the one-problem references in
+        conftest, byte for byte with signed zeros: the adjoint columns, the
+        task's unit wrench, the external wrench less each prescribed
+        component in its order (by 0.0 too, as at the door's theta = 0), and
+        1 / (mu e) per cone row."""
+        door = [door_handle_scenario(DoorHandleParams(theta=t)).problem() for t in (0.0, 0.2)]
+        # no external load and zeros prescribed on a turned support: -0.0 - (-s * 0.0) is +0.0
+        for p in door + [pinned_moments(door[0], 0.0), torque_problem()] + [q for q, _ in fuzz_problems()[:300]]:
+            for direction in (+1, -1):
+                prog = compile_program(p, direction)
+                F, g = np.zeros((6, prog.n_vars)), -external_wrench_in_b(p.external).as_array()
+                for cs, ct in zip(prog.layout.contacts, (*p.manipulator_contacts, *p.environment_contacts)):
+                    G6 = adjoint_matrix(ct.rotation, ct.position)
+                    F[:, cs.start : cs.stop] = G6[:, [LOCAL_COMPONENTS.index(comp) for comp in cs.components]]
+                    for comp, value in (ct.model.prescribed.items() if cs.kind == "fixed" else ()):
+                        g -= G6[:, LOCAL_COMPONENTS.index(comp)] * value
+                F[:, prog.layout.eta_index] = -(direction * screw_to_unit_wrench(p.task).as_array())
+                assert (F.tobytes(), g.tobytes()) == (prog.F[:6].tobytes(), prog.g[:6].tobytes())
+                for blk in prog.socs:
+                    prm, comps = blk.tag.params, [comp for comp in blk.tag.var_of if comp != "f_n"]
+                    scales = ("e_t", "e_o", "e_n")[: len(comps)]
+                    assert [blk.A[k, blk.tag.var_of[comp]] for k, comp in enumerate(comps)] == [
+                        1.0 / (prm.mu * getattr(prm, e)) for e in scales]
+
+    def test_failing_rows_keep_the_error_of_their_problem(self):
+        """Rows that fail in a stack of good ones: a friction coefficient whose
+        1 / (mu e) is not finite, pinned moments that overflow the rhs, a task
+        screw whose unit wrench overflows, and an unknown contact model."""
+        base = builtin_scenario("cuboid_pivot").problem()
+        grid = [pinned_moments(builtin_scenario("cuboid_pivot", alpha=a).problem(), 0.0) for a in (0.1, 0.2, 0.3)]
+        grid[1] = pinned_moments(base, 1.7e308)
+        contact = base.manipulator_contacts[0]
+        under = replace(contact, cone=SfceParams(mu=1e-200, e_t=1e-200))
+        grid.append(replace(grid[0], manipulator_contacts=(under, *base.manipulator_contacts[1:])))
+        s = np.sqrt(0.5)  # q x l = (2 s 1.7e308, 0, 0) overflows
+        grid.append(replace(grid[0], task=TaskScrew(l=[0.0, -s, s], q=[0.0, 1.7e308, 1.7e308], pitch=0.0)))
+        other = replace(base.environment_contacts[0], model=object())
+        grid.append(replace(base, environment_contacts=(other,)))
+        got = stacked(grid, +1)
+        assert got == [compiled_alone(p, +1) for p in grid]
+        assert got[1:] == [(SolverDataError, "program rhs contains NaN/Inf"), got[2],
+                           (SolverDataError, "SOC block 'm0.cone' contains NaN/Inf"),
+                           (ValueError, "wrench components must be finite"),
+                           (CompileError, "unknown environment contact model object")]
+        assert isinstance(got[0], bytes) and isinstance(got[2], bytes)
+
+    @pytest.mark.parametrize("mu, e_t", [(1e-200, 1e-200), (1e-300, 1e-10)])
+    def test_underflowing_friction_is_a_solver_data_error(self, mu, e_t):
+        """mu e_t underflows to 0 (a bare ZeroDivisionError before), or is
+        subnormal, so that 1 / (mu e_t) overflows."""
+        p = builtin_scenario("door_handle").problem()
+        contact = replace(p.manipulator_contacts[0], cone=SfceParams(mu=mu, e_t=e_t))
+        p = replace(p, manipulator_contacts=(contact, *p.manipulator_contacts[1:]))
+        with pytest.raises(SolverDataError, match=re.escape("SOC block 'm0.cone' contains NaN/Inf")):
+            compile_program(p)
+        assert stacked([p], +1) == [(SolverDataError, "SOC block 'm0.cone' contains NaN/Inf")]
+
+    def test_direction_is_checked(self):
+        with pytest.raises(CompileError, match="direction"):
+            compile_stacks([builtin_scenario("door_handle").problem()], 0)

@@ -29,7 +29,7 @@ from screwgrasp.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from screwgrasp.screws import adjoint_matrix
+from conftest import adjoint_matrix
 
 BUNDLED = Path(screwgrasp.__file__).parent / "data"  # the golden scenarios shipped with the package
 

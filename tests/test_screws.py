@@ -3,18 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rot
+from conftest import adjoint_matrix, rot, screw_to_unit_wrench, skew
 from screwgrasp.contacts import EnvironmentContact, ManipulatorContact, Pcwf, SfceParams
 from screwgrasp.errors import DegenerateWrenchError, InvalidRotationError, InvalidScrewError
 from screwgrasp.screws import (
     INFINITE_PITCH,
     TaskScrew,
     Wrench,
-    adjoint_matrix,
     check_rotation,
     cross3,
-    screw_to_unit_wrench,
-    skew,
     wrench_to_screw,
 )
 

@@ -1,40 +1,47 @@
-"""Interleaved in-process A/B timing of this checkout's solver against another's.
+"""Interleaved in-process A/B timing of this checkout against another.
 
-    python3 tools/ab_solve.py OTHER_CHECKOUT [--calls N] [--batch-calls M]
+    python3 tools/ab_solve.py OTHER_CHECKOUT [--calls N] [--batch-calls M] [--only TEXT ...]
 
-Loads ``OTHER_CHECKOUT/src/screwgrasp/solver.py`` and the ``contacts.py``
-beside it next to this checkout's modules.  The other solver imports its own
-``contacts``, so each side builds the oracle's rays with its own code, and
-this checkout's ``problem``.  The tool compiles the programs once with this
-checkout and calls the two solvers in turn, alternating which goes first, so
-that both see the same machine state:
+Loads ``OTHER_CHECKOUT/src/screwgrasp`` as a package of its own
+(``screwgrasp_ab_other``) beside this checkout's ``screwgrasp``, so each side
+runs only its own code, and calls the two sides in turn, alternating which
+goes first, so that both see the same machine state:
 
 * ``solve`` on the bundled door, pivot and slide programs (N calls each side);
 * ``solve_with_oracle`` at 64 facets on the same three programs (N calls);
 * ``solve_batch`` on the door, pivot and slide sweeps of the ``batch_cli``
-  workload (41, 17 and 17 points) and on the programs its ``gws_slide`` job
-  hands to ``solve_batch`` (M calls each side);
+  workload (41, 17 and 17 points, as lists of programs) and on what the
+  ``gws_slide`` job hands to ``solve_batch`` (M calls each side);
 * ``solve_with_oracle`` at 32 facets on each of the first 200 draws of the
-  ``fuzz_oracle`` corpus, one call of the case being all 200 (M calls).
+  ``fuzz_oracle`` corpus, one call of the case being all 200 (M calls);
+* each of the five ``batch_cli`` jobs, run whole through the side's own
+  ``cli.main`` (build, compile, solve, CSV; M calls).
 
-Each result of one solver must equal the other's byte for byte.  Times are
-process CPU time, which other processes on a shared machine disturb less
-than wall time.  For every case it prints the p10 and p50 time per call of
-both sides, their ratios this / other, and the median of the per-pair
-ratios (each call of this side over the other side's call next to it), so
-a ratio above 1 means this checkout is slower.  Run it from
-the root of a checkout, with another checkout (for example a ``git archive``
-of the parent commit) as the argument.
+Each side compiles its own programs from its own scenarios, outside the
+timed calls; the fuzz corpus, drawn with this checkout's generator, is
+compiled once by this checkout and handed to both oracles.  Each result of
+one side must equal the other's byte for byte, and each job's CSV the other
+side's with the ``wall_ms`` column left out.  Times are process CPU time,
+which other processes on a shared machine disturb less than wall time.  For
+every case it prints the p10 and p50 time per call of both sides, their
+ratios this / other, and the median of the per-pair ratios (each call of
+this side over the other side's call next to it), so a ratio above 1 means
+this checkout is slower.  ``--only TEXT`` (repeatable) times only the cases
+whose name contains one of the texts, for example ``--only job`` to skip the
+slow oracle case.  Run it from the root of a checkout, with another checkout
+(for example a ``git archive`` of the parent commit) as the argument.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import importlib.util
-import os
+import io
 import sys
+import tempfile
 import time
-import types
 from pathlib import Path
 from unittest import mock
 
@@ -44,77 +51,101 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tools"))
 
-from screwgrasp import cli, metric, solver  # noqa: E402
-from screwgrasp.problem import compile_program  # noqa: E402
-from screwgrasp.scenarios import builtin_scenario  # noqa: E402
+import screwgrasp  # noqa: E402
+from screwgrasp import cli, metric, problem, scenarios, solver  # noqa: E402, F401  (the package's modules, loaded)
 from solve_digest import result_bytes  # noqa: E402  (puts this checkout's root on sys.path)
 from perfbench import workloads  # noqa: E402
 
+OTHER = "screwgrasp_ab_other"
+
 
 def load_other(checkout: Path):
-    """The other checkout's solver module, as a sibling of this checkout's.
-
-    It lives in a package of its own whose ``contacts`` is the other
-    checkout's and whose ``errors``, ``screws`` and ``problem`` are this
-    checkout's, so both sides read the same compiled programs."""
-    package = "screwgrasp_ab_other"
-    pkg = types.ModuleType(package)
-    pkg.__path__ = [str(checkout / "src" / "screwgrasp")]
-    sys.modules[package] = pkg
-    for name in ("errors", "screws", "problem"):
-        sys.modules[f"{package}.{name}"] = sys.modules[f"screwgrasp.{name}"]
-    for name in ("contacts", "solver"):
-        path = checkout / "src" / "screwgrasp" / f"{name}.py"
-        spec = importlib.util.spec_from_file_location(f"{package}.{name}", path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses look their module up there
-        spec.loader.exec_module(module)
-    return module
+    """The other checkout's ``screwgrasp`` package, imported as ``OTHER``
+    with every module of its own."""
+    src = checkout / "src" / "screwgrasp"
+    spec = importlib.util.spec_from_file_location(OTHER, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[OTHER] = package  # dataclasses look their module up there
+    spec.loader.exec_module(package)
+    for name in ("cli", "metric", "problem", "scenarios", "solver"):
+        importlib.import_module(f"{OTHER}.{name}")
+    return package
 
 
-def job_programs(name: str) -> list:
-    """The programs the ``batch_cli`` job ``name`` hands to ``solve_batch``,
-    recorded while the job runs with its output sent to the null device."""
+def job_inputs(pkg, name: str) -> list:
+    """What the ``batch_cli`` job ``name`` hands to ``solve_batch`` when run by ``pkg``."""
     seen = []
 
     def record(progs, settings=None):
         seen.extend(progs)
-        return solver.solve_batch(progs, settings)
+        return pkg.solver.solve_batch(progs, settings)
 
-    with mock.patch.object(metric, "solve_batch", record):
-        cli.main([*dict(workloads.BATCH_JOBS)[name], "--out", os.devnull])
+    with mock.patch.object(pkg.metric, "solve_batch", record):
+        run_job(pkg, name)
     return seen
 
 
+def run_job(pkg, name: str) -> str:
+    """The CSV the ``batch_cli`` job ``name`` writes when run by ``pkg``, without its wall_ms column."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = pkg.cli.main([*dict(workloads.BATCH_JOBS)[name], "--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"job {name} exited {code}")
+        return workloads.csv_without_wall_ms(out.read_text(encoding="utf-8"))
+
+
+def sweep(pkg, name: str, param: str, values, **fixed) -> list:
+    scenarios = [pkg.scenarios.builtin_scenario(name, **fixed, **{param: float(v)}) for v in values]
+    return [pkg.problem.compile_program(s.problem(), +1) for s in scenarios]
+
+
 def cases() -> list[tuple[str, bool, object]]:
-    """(name, whether it is a batch case, call on a solver module) of every timed case."""
+    """(name, whether it is a batch case, prepare) of every timed case;
+    ``prepare(pkg)`` returns the call that is timed for that side."""
     alphas = np.radians(np.linspace(0.0, 60.0, 17))
-    door = [compile_program(builtin_scenario("door_handle", x_c=0.0, theta=float(t)).problem(), +1)
-            for t in np.radians(np.linspace(0.0, 40.0, 41))]
-    pivot = [compile_program(builtin_scenario("cuboid_pivot", alpha=float(a)).problem(), +1) for a in alphas]
-    slide = [compile_program(builtin_scenario("cuboid_slide", alpha=float(a)).problem(), +1) for a in alphas]
-    gws = job_programs("gws_slide")
-    bundled = {name: compile_program(builtin_scenario(name).problem(), +1)
-               for name in ("door_handle", "cuboid_pivot", "cuboid_slide")}
-    corpus = [compile_program(prob, direction) for gen_seed in workloads.FUZZ_GENERATOR_SEEDS
+    thetas = np.radians(np.linspace(0.0, 40.0, 41))
+    corpus = [problem.compile_program(prob, direction) for gen_seed in workloads.FUZZ_GENERATOR_SEEDS
               for prob, direction, _trial in workloads.FuzzOracle(seed=0)._draws(gen_seed)][:200]
-    return ([(f"solve {name}", False, lambda mod, p=prog: mod.solve(p)) for name, prog in bundled.items()]
-            + [(f"oracle@64 {name}", False, lambda mod, p=prog: mod.solve_with_oracle(p, 64))
-               for name, prog in bundled.items()]
-            + [(f"solve_batch {name} sweep ({len(progs)})", True, lambda mod, ps=progs: mod.solve_batch(ps))
-               for name, progs in (("door", door), ("pivot", pivot), ("slide", slide))]
-            + [(f"solve_batch gws_slide ({len(gws)})", True, lambda mod: mod.solve_batch(gws))]
+
+    def bundled(pkg, name):
+        return pkg.problem.compile_program(pkg.scenarios.builtin_scenario(name).problem(), +1)
+
+    def sweep_case(name, param, values, **fixed):
+        def prepare(pkg):
+            progs = sweep(pkg, name, param, values, **fixed)
+            return lambda: pkg.solver.solve_batch(progs)
+        return prepare
+
+    def gws_case(pkg):
+        inputs = job_inputs(pkg, "gws_slide")
+        return lambda: pkg.solver.solve_batch(inputs)
+
+    names = ("door_handle", "cuboid_pivot", "cuboid_slide")
+    return ([(f"solve {name}", False, lambda pkg, n=name: (lambda p=bundled(pkg, n): pkg.solver.solve(p)))
+             for name in names]
+            + [(f"oracle@64 {name}", False,
+                lambda pkg, n=name: (lambda p=bundled(pkg, n): pkg.solver.solve_with_oracle(p, 64))) for name in names]
+            + [("solve_batch door sweep (41)", True, sweep_case("door_handle", "theta", thetas, x_c=0.0)),
+               ("solve_batch pivot sweep (17)", True, sweep_case("cuboid_pivot", "alpha", alphas)),
+               ("solve_batch slide sweep (17)", True, sweep_case("cuboid_slide", "alpha", alphas)),
+               ("solve_batch gws_slide", True, gws_case)]
             + [(f"oracle@{workloads.FUZZ_FACETS} fuzz corpus ({len(corpus)})", True,
-                lambda mod: [mod.solve_with_oracle(p, workloads.FUZZ_FACETS) for p in corpus])])
+                lambda pkg: (lambda: [pkg.solver.solve_with_oracle(p, workloads.FUZZ_FACETS) for p in corpus]))]
+            + [(f"job {name}", True, lambda pkg, n=name: (lambda: run_job(pkg, n)))
+               for name, _ in workloads.BATCH_JOBS])
 
 
 def as_bytes(res) -> bytes:
+    if isinstance(res, str):
+        return res.encode()
     return b"".join(map(result_bytes, res)) if isinstance(res, list) else result_bytes(res)
 
 
-def timed(call, module) -> float:
+def timed(call) -> float:
     t0 = time.process_time()
-    call(module)
+    call()
     return time.process_time() - t0
 
 
@@ -122,24 +153,29 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("other", type=Path, help="root of the other checkout")
     ap.add_argument("--calls", type=int, default=300, help="single-solve calls per side and case")
-    ap.add_argument("--batch-calls", type=int, default=60, help="solve_batch calls per side and case")
+    ap.add_argument("--batch-calls", type=int, default=60, help="batch and job calls per side and case")
+    ap.add_argument("--only", action="append", default=[], metavar="TEXT",
+                    help="time only the cases whose name contains TEXT (repeatable)")
     args = ap.parse_args(argv)
     other = load_other(args.other.resolve())
     print(f"this: {ROOT}\nother: {args.other.resolve()}")
     print(f"{'case':30s} {'this p10':>9s} {'other p10':>9s} {'ratio':>6s} "
           f"{'this p50':>9s} {'other p50':>9s} {'ratio':>6s} {'paired':>6s}   (ms)")
-    for name, batch, call in cases():
-        if as_bytes(call(solver)) != as_bytes(call(other)):
+    for name, batch, prepare in cases():
+        if args.only and not any(text in name for text in args.only):
+            continue
+        mine, theirs = prepare(screwgrasp), prepare(other)
+        if as_bytes(mine()) != as_bytes(theirs()):
             print(f"{name}: results differ")
             return 1
         t_mine, t_theirs = [], []
         for k in range(args.batch_calls if batch else args.calls):
             if k % 2:
-                t_theirs.append(timed(call, other))
-                t_mine.append(timed(call, solver))
+                t_theirs.append(timed(theirs))
+                t_mine.append(timed(mine))
             else:
-                t_mine.append(timed(call, solver))
-                t_theirs.append(timed(call, other))
+                t_mine.append(timed(mine))
+                t_theirs.append(timed(theirs))
         a10, a50 = np.percentile(t_mine, [10, 50]) * 1e3
         b10, b50 = np.percentile(t_theirs, [10, 50]) * 1e3
         paired = np.median(np.array(t_mine) / np.array(t_theirs))
