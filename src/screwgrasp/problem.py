@@ -488,10 +488,10 @@ def _write(problems: list[GraspProblem], direction: int, key: tuple) -> tuple[Pr
 
 def _row_error(st: ProgramStack, W: np.ndarray, k: int) -> Exception:
     """The error compiling row k's problem alone raises: a task or external
-    wrench that is not finite first, as a ``Wrench`` raises it, then the
-    ConicProgram checks, each with its text."""
+    wrench that overflows first, with a ``Wrench``'s text, then the
+    ConicProgram checks, each with its text; all are SolverDataErrors."""
     if not np.isfinite(W[k]).all():
-        return ValueError("wrench components must be finite")
+        return SolverDataError("wrench components must be finite")
     try:
         st.program(k, check=True)
     except ScrewGraspError as exc:

@@ -36,9 +36,11 @@ does not depend on its batch.  Program data need no check here: a
 ``solve_with_oracle`` is the independent validation path: every contact cone
 is replaced by its inscribed polyhedral approximation and the resulting LP is
 handed to scipy's HiGHS solver, giving a lower bound on the true optimum that
-tightens as the facet count grows.  HiGHS (``scipy.optimize``) is imported on
-the first oracle solve, so a process that never calls the oracle never loads
-it; ``scipy.linalg`` is imported with this module, as every solve needs it.
+tightens as the facet count grows.  It passes one CSC model to scipy's
+bundled HiGHS with a fresh solver per call; ``linprog`` is the tests'
+reference.  HiGHS (``scipy.optimize``) is imported on the first oracle solve,
+so a process that never calls the oracle never loads it; ``scipy.linalg`` is
+imported with this module, as every solve needs it.
 """
 
 from __future__ import annotations
@@ -1033,57 +1035,80 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
 # Polyhedral LP oracle
 # ---------------------------------------------------------------------------
 
-def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
-    """Lower-bound the optimum by replacing each contact cone with its
-    inscribed polyhedral approximation and solving the LP with HiGHS.
+_ORACLE_RAYS = {"sfce": (("f_t", "f_o", "f_n", "m_n"), sfce_rays), "pcwf": (("f_t", "f_o", "f_n"), pcwf_rays)}
 
-    The LP is built from arrays: the columns of ``sfce_rays``/``pcwf_rays``
-    and one (n, 2) bounds array with +-inf where absent.  Every SOC block
-    must carry a contact-cone tag; arbitrary cone blocks are rejected.  The
-    oracle shares no code with the interior-point path beyond the program
-    data itself.  HiGHS is imported on the first call, not with this module.
-    """
-    facets = check_facets(facets)
-    for blk in prog.socs:
-        if blk.tag is None:
-            raise UnsupportedProgramError(
-                f"SOC block {blk.label!r} is not a contact cone; the LP oracle cannot replace it"
-            )
 
+def _oracle_lp(prog: ConicProgram, facets: int) -> tuple[np.ndarray, ...]:
+    """The LP of ``solve_with_oracle``: minimize c'x s.t. A_eq x = b_eq,
+    lower <= x <= upper, as (c, A_eq, b_eq, lower, upper), with x the
+    program's variables and then each cone's ray weights.  Every SOC block
+    must carry a contact-cone tag; arbitrary cone blocks are rejected."""
     n, m = prog.n_vars, prog.F.shape[0]
     blocks = []
     for blk in prog.socs:
-        tag = blk.tag
-        if tag.kind == "sfce":
-            comps, R = ("f_t", "f_o", "f_n", "m_n"), sfce_rays(tag.params, 1.0, facets)
-        else:
-            comps, R = ("f_t", "f_o", "f_n"), pcwf_rays(tag.params, 1.0, facets)
-        blocks.append(([tag.var_of[comp] for comp in comps], R))
+        if blk.tag is None:
+            raise UnsupportedProgramError(
+                f"SOC block {blk.label!r} is not a contact cone; the LP oracle cannot replace it")
+        comps, rays = _ORACLE_RAYS[blk.tag.kind]
+        blocks.append(([blk.tag.var_of[comp] for comp in comps], rays(blk.tag.params, 1.0, facets)))
     total = n + sum(R.shape[1] for _, R in blocks)
     A_eq = np.zeros((m + sum(R.shape[0] for _, R in blocks), total))
     b_eq = np.zeros(A_eq.shape[0])
-    A_eq[:m, :n] = prog.F
-    b_eq[:m] = prog.g
+    A_eq[:m, :n], b_eq[:m] = prog.F, prog.g
     row, col = m, n
     for idx, R in blocks:
         k, r = R.shape
         A_eq[range(row, row + k), idx] = 1.0
         A_eq[row : row + k, col : col + r] = -R
         row, col = row + k, col + r
+    c_lp, lower, upper = np.zeros(total), np.zeros(total), np.full(total, np.inf)  # kHighsInf is IEEE inf
+    c_lp[:n], lower[:n], upper[:n] = -prog.f, prog.lb, prog.ub
+    return c_lp, A_eq, b_eq, lower, upper
 
-    c_lp = np.zeros(total)
-    c_lp[:n] = -prog.f
-    bounds = np.empty((total, 2))
-    bounds[:n, 0], bounds[:n, 1] = prog.lb, prog.ub
-    bounds[n:] = (0.0, np.inf)
 
-    from scipy.optimize import linprog
+def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
+    """Lower-bound the optimum by replacing each contact cone with its
+    inscribed polyhedral approximation and solving the LP with HiGHS.
 
-    res = linprog(c_lp, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status == 0:
-        x = res.x[:n]
+    The LP (``_oracle_lp``) is built from arrays: the columns of
+    ``sfce_rays``/``pcwf_rays`` and bounds with +-inf where absent.  The
+    oracle shares no code with the interior-point path beyond the program
+    data itself.  One CSC model goes to scipy's bundled HiGHS with a fresh
+    solver per call and ``linprog``'s options, and is read back as
+    ``linprog(method="highs")`` reads it, the tests' reference.  HiGHS is
+    imported on the first call, not with this module.
+    """
+    c_lp, A_eq, b_eq, lower, upper = _oracle_lp(prog, check_facets(facets))
+    (m, total), n = A_eq.shape, prog.n_vars
+
+    from scipy.optimize._highspy import _core as hs
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+    cols, rows = np.nonzero(A_eq.T)  # csc_array(A_eq)'s entries; lists convert to HiGHS fastest
+    lp = hs.HighsLp()  # its matrix is column-wise by default
+    lp.num_col_ = lp.a_matrix_.num_col_ = total
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.start_ = [0, *np.cumsum(np.bincount(cols, minlength=total)).tolist()]
+    lp.a_matrix_.index_, lp.a_matrix_.value_ = rows.tolist(), A_eq.T[cols, rows].tolist()
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c_lp.tolist(), lower.tolist(), upper.tolist()
+    lp.row_lower_ = lp.row_upper_ = b_eq.tolist()
+    highs = hs._Highs()  # fresh per call: no options, basis or solution is shared between calls or threads
+    for name, value in (("output_flag", False), ("log_to_console", False), ("presolve", "on"),
+                        ("highs_debug_level", hs.kHighsDebugLevelNone),
+                        ("simplex_strategy", hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)):
+        highs.setOptionValue(name, value)  # linprog's options, output off first
+    # as linprog reads HiGHS: a model it rejects is kModelError, a failed run has no counts
+    loaded = highs.passModel(lp) != hs.HighsStatus.kError
+    ran = loaded and highs.run() != hs.HighsStatus.kError
+    status, info = highs.getModelStatus() if loaded else hs.HighsModelStatus.kModelError, highs.getInfo()
+    nit = (info.simplex_iteration_count or info.ipm_iteration_count) if ran else 0
+    if ran and status == hs.HighsModelStatus.kOptimal:
+        x = np.array(highs.getSolution().col_value[:n])
         eq, viol = _ResidualCheck(ProgramStack.of([prog])).take(0)(x)
-        return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), int(res.nit))
-    status = {2: "Infeasible", 3: "Unbounded"}.get(res.status, "NumericalFailure")
-    return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan),
-                       int(getattr(res, "nit", 0) or 0), res.message)
+        return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), nit)
+    text = highs.modelStatusToString(status)
+    if ran:
+        text = f"model_status is {text}; primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
+    code, message = _highs_to_scipy_status_message(status, text)
+    return SolveResult({2: "Infeasible", 3: "Unbounded"}.get(code, "NumericalFailure"), None, None,
+                       Residuals(math.nan, math.nan, math.nan), nit, message)

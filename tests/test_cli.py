@@ -343,6 +343,42 @@ class TestUnderflowingFriction:
         assert len(rows) == 6 and {r["status"] for r in rows} == {"error: SOC block 'm0.cone' contains NaN/Inf"}
 
 
+# s (q x l) = (2 s 1.7e308, 0, 0) and p x f = (0, 0, -3.4e308) overflow
+_S = np.sqrt(0.5)
+OVERFLOWING_TASK = TaskScrew(l=[0.0, -_S, _S], q=[0.0, 1.7e308, 1.7e308], pitch=0.0)
+OVERFLOWING_LOAD = ExternalWrench(force=[1.0, -1.0, 0.0], application_point=[1.7e308, 1.7e308, 0.0])
+
+
+class TestOverflowingWrench:
+    """A task screw or external wrench whose components overflow is a solver
+    data error: ``eval`` exits 5 and ``gws`` writes error rows."""
+
+    @staticmethod
+    def scenario_file(tmp_path, **change):
+        from dataclasses import replace
+
+        from screwgrasp.scenarios import builtin_scenario
+
+        path = tmp_path / "overflow.scenario"
+        save_scenario(replace(builtin_scenario("door_handle"), family=None, **change), path)
+        return str(path)
+
+    @pytest.mark.parametrize("change", [{"tasks": (("S", OVERFLOWING_TASK),)}, {"external": OVERFLOWING_LOAD}],
+                             ids=["task", "external"])
+    def test_eval_exits_with_solver_data_error(self, capsys, tmp_path, change):
+        code, out, err = run(capsys, "eval", "--scenario", self.scenario_file(tmp_path, **change))
+        assert code == 5
+        assert (out, err) == ("", "error: wrench components must be finite\n")
+
+    def test_gws_rows_are_errors(self, capsys, tmp_path):
+        out = tmp_path / "gws.csv"
+        code, _, _ = run(capsys, "gws", "--scenario", self.scenario_file(tmp_path, external=OVERFLOWING_LOAD),
+                         "--subspace", "fx,fz,ty", "--rays", "4", "--out", str(out))
+        assert code == EXIT_OK
+        rows = rows_of(out)
+        assert len(rows) == 6 and {r["status"] for r in rows} == {"error: wrench components must be finite"}
+
+
 def test_console_entry_point_smoke():
     # the child process imports the same screwgrasp as this suite
     src = str(Path(screwgrasp.__file__).resolve().parents[1])

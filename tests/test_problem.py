@@ -569,7 +569,7 @@ class TestCompileStacks:
         assert got == [compiled_alone(p, +1) for p in grid]
         assert got[1:] == [(SolverDataError, "program rhs contains NaN/Inf"), got[2],
                            (SolverDataError, "SOC block 'm0.cone' contains NaN/Inf"),
-                           (ValueError, "wrench components must be finite"),
+                           (SolverDataError, "wrench components must be finite"),
                            (CompileError, "unknown environment contact model object")]
         assert isinstance(got[0], bytes) and isinstance(got[2], bytes)
 
@@ -583,6 +583,21 @@ class TestCompileStacks:
         with pytest.raises(SolverDataError, match=re.escape("SOC block 'm0.cone' contains NaN/Inf")):
             compile_program(p)
         assert stacked([p], +1) == [(SolverDataError, "SOC block 'm0.cone' contains NaN/Inf")]
+
+    @pytest.mark.parametrize("task, external", [
+        # q x l = (2 s 1.7e308, 0, 0) overflows
+        (TaskScrew(l=[0.0, -np.sqrt(0.5), np.sqrt(0.5)], q=[0.0, 1.7e308, 1.7e308], pitch=0.0), ExternalWrench()),
+        # p x f = (0, 0, -3.4e308) overflows
+        (None, ExternalWrench(force=[1.0, -1.0, 0.0], application_point=[1.7e308, 1.7e308, 0.0])),
+    ], ids=["task", "external"])
+    def test_overflowing_wrench_is_a_solver_data_error(self, task, external):
+        """A ScrewGraspError, so that a sweep or GWS probe tolerates it as an error row."""
+        p = builtin_scenario("door_handle").problem()
+        p = replace(p, task=task or p.task, external=external)
+        with pytest.raises(SolverDataError, match="wrench components must be finite"):
+            compile_program(p, -1)
+        good = builtin_scenario("door_handle").problem()
+        assert stacked([good, p], -1)[1:] == [(SolverDataError, "wrench components must be finite")]
 
     def test_direction_is_checked(self):
         with pytest.raises(CompileError, match="direction"):

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +17,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from solve_digest import result_bytes  # noqa: E402
 import screwgrasp  # noqa: E402
-from screwgrasp import contacts  # noqa: E402
+from screwgrasp import contacts, solver  # noqa: E402
 from screwgrasp.errors import SolverDataError, UnsupportedProgramError  # noqa: E402
-from screwgrasp.problem import compile_program  # noqa: E402
+from screwgrasp.problem import ProgramStack, compile_program  # noqa: E402
 from screwgrasp.scenarios import DoorHandleParams, builtin_scenario, door_handle_scenario  # noqa: E402
-from screwgrasp.solver import Residuals, SolveSettings, solve, solve_with_oracle  # noqa: E402
+from screwgrasp.solver import Residuals, SolveResult, SolveSettings, solve, solve_with_oracle  # noqa: E402
 
 TIGHT = SolveSettings(feasibility_tol=1e-9, duality_gap_tol=1e-10)
 
@@ -285,11 +287,98 @@ def fuzz_draw(seed: int, trial: int):
 
 # two FixedSupport contacts whose free reactions align with the task: the
 # objective improves along a ray no constraint sees, yet the program is infeasible
-@pytest.mark.parametrize("seed,trial", [(1, 187), (1, 189), (3, 94), (3, 116), (3, 197),
-                                        (6, 41), (8, 52), (8, 198)])
+FREE_RAY_DRAWS = [(1, 187), (1, 189), (3, 94), (3, 116), (3, 197), (6, 41), (8, 52), (8, 198)]
+
+
+@pytest.mark.parametrize("seed,trial", FREE_RAY_DRAWS)
 def test_free_ray_on_infeasible_draw(seed, trial):
     prog = fuzz_draw(seed, trial)
     res = solve(prog, SolveSettings(duality_gap_tol=1e-9))
     assert res.status == "Infeasible", res.certificate
     assert "Farkas" in res.certificate
     assert solve_with_oracle(prog, 32).status == "Infeasible"
+
+
+def linprog_oracle(prog, facets: int) -> SolveResult:
+    """The oracle's LP solved by ``scipy.optimize.linprog(method="highs")`` and
+    read as the oracle read it before it called HiGHS itself: the reference
+    of ``solve_with_oracle``, which must give the same bytes."""
+    from scipy.optimize import linprog
+
+    c, A_eq, b_eq, lower, upper = solver._oracle_lp(prog, facets)
+    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=np.column_stack([lower, upper]), method="highs")
+    if res.status == 0:
+        x = res.x[: prog.n_vars]
+        eq, viol = solver._ResidualCheck(ProgramStack.of([prog])).take(0)(x)
+        return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), int(res.nit))
+    status = {2: "Infeasible", 3: "Unbounded"}.get(res.status, "NumericalFailure")
+    return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan),
+                       int(getattr(res, "nit", 0) or 0), res.message)
+
+
+def fuzz_slice(size: int, seed: int) -> list:
+    """``size`` draws picked with ``default_rng(seed)`` from the fuzz corpus:
+    trials 0-249 of the random battery loop run with ``default_rng(g)``,
+    g = 1..8, each problem compiled in its drawn direction."""
+    corpus = []
+    for g in range(1, 9):
+        rng = np.random.default_rng(g)
+        for _trial in range(250):
+            problem = random_problem(rng)
+            if problem is not None:
+                corpus.append((problem, +1 if rng.random() < 0.5 else -1))
+    picked = np.random.default_rng(seed).choice(len(corpus), size, replace=False)
+    return [compile_program(*corpus[i]) for i in sorted(picked)]
+
+
+BUNDLED = ("door_handle", "cuboid_pivot", "cuboid_slide")
+
+
+class TestOracleAgainstLinprog:
+    """``solve_with_oracle`` hands its LP straight to scipy's bundled HiGHS;
+    every result must equal ``linprog``'s on the same arrays, byte for byte.
+    A scipy release that changes the private binding fails here."""
+
+    @pytest.mark.parametrize("facets", [8, 16, 32, 64])
+    @pytest.mark.parametrize("direction", [+1, -1])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled(self, name, direction, facets):
+        prog = compile_program(builtin_scenario(name).problem(), direction)
+        assert result_bytes(solve_with_oracle(prog, facets)) == result_bytes(linprog_oracle(prog, facets))
+
+    def test_infeasible(self):
+        res = solve_with_oracle(unsupported_load(), 8)
+        assert res.status == "Infeasible"
+        assert result_bytes(res) == result_bytes(linprog_oracle(unsupported_load(), 8))
+
+    @pytest.mark.parametrize("seed,trial", FREE_RAY_DRAWS)
+    def test_free_ray_draws(self, seed, trial):
+        prog = fuzz_draw(seed, trial)
+        assert result_bytes(solve_with_oracle(prog, 32)) == result_bytes(linprog_oracle(prog, 32))
+
+    def test_fuzz_corpus_slice(self):
+        progs = fuzz_slice(200, seed=14)
+        got = [solve_with_oracle(prog, 32) for prog in progs]
+        assert [result_bytes(r) for r in got] == [result_bytes(linprog_oracle(prog, 32)) for prog in progs]
+        assert {r.status for r in got} >= {"Optimal", "Infeasible"}
+
+    def test_model_highs_rejects(self):
+        # HiGHS refuses a matrix entry of 1e15 or more; linprog reads that as kModelError
+        prog = mkprog([0.0, 1.0], [[1e16, 0.0]], [-5.0], lb=[0.0, -np.inf], ub=[np.inf, 3.0])
+        res = solve_with_oracle(prog, 8)
+        assert (res.status, res.iterations, res.certificate) == ("Infeasible", 0, "(HiGHS Status 2: Model error)")
+        assert result_bytes(res) == result_bytes(linprog_oracle(prog, 8))
+
+    def test_highs_infinity_is_ieee_infinity(self):
+        # so the bounds reach HiGHS as they are, with no conversion
+        from scipy.optimize._highspy._core import kHighsInf
+
+        assert kHighsInf == np.inf
+
+    def test_no_warnings(self):
+        progs = [compile_program(builtin_scenario(name).problem(), d) for name in BUNDLED for d in (+1, -1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for prog in [*progs, unsupported_load(), free_ray()]:
+                for facets in (8, 64):
+                    solve_with_oracle(prog, facets)

@@ -14,14 +14,20 @@ goes first, so that both see the same machine state:
   ``gws_slide`` job hands to ``solve_batch`` (M calls each side);
 * ``solve_with_oracle`` at 32 facets on each of the first 200 draws of the
   ``fuzz_oracle`` corpus, one call of the case being all 200 (M calls);
+* the ``fuzz_oracle`` operation on the same 200 draws: per draw, the three
+  calls of ``FuzzOracle.run`` (``compile_program``, ``solve`` at
+  ``FUZZ_SETTINGS`` and ``solve_with_oracle`` at 32 facets), one call of the
+  case being all 200 (M calls);
 * each of the five ``batch_cli`` jobs, run whole through the side's own
   ``cli.main`` (build, compile, solve, CSV; M calls).
 
 Each side compiles its own programs from its own scenarios, outside the
 timed calls; the fuzz corpus, drawn with this checkout's generator, is
-compiled once by this checkout and handed to both oracles.  Each result of
-one side must equal the other's byte for byte, and each job's CSV the other
-side's with the ``wall_ms`` column left out.  Times are process CPU time,
+compiled once by this checkout and handed to both oracles, while the ``fuzz
+op`` case hands each side the drawn problems rebuilt from its own classes
+and times its own compile.  Each result of one side must equal the other's
+byte for byte, and each job's CSV the other side's with the ``wall_ms``
+column left out.  Times are process CPU time,
 which other processes on a shared machine disturb less than wall time.  For
 every case it prints the p10 and p50 time per call of both sides, their
 ratios this / other, and the median of the per-pair ratios (each call of
@@ -39,6 +45,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import pickle
 import sys
 import tempfile
 import time
@@ -70,6 +77,20 @@ def load_other(checkout: Path):
     for name in ("cli", "metric", "problem", "scenarios", "solver"):
         importlib.import_module(f"{OTHER}.{name}")
     return package
+
+
+class _Remap(pickle.Unpickler):
+    """Unpickles this checkout's ``screwgrasp`` objects as ``OTHER``'s."""
+
+    def find_class(self, module, name):
+        if module.split(".")[0] == "screwgrasp":
+            module = OTHER + module[len("screwgrasp"):]
+        return super().find_class(module, name)
+
+
+def in_package(pkg, obj):
+    """``obj``, built from this checkout's classes, as built from ``pkg``'s."""
+    return obj if pkg is screwgrasp else _Remap(io.BytesIO(pickle.dumps(obj))).load()
 
 
 def job_inputs(pkg, name: str) -> list:
@@ -106,8 +127,9 @@ def cases() -> list[tuple[str, bool, object]]:
     ``prepare(pkg)`` returns the call that is timed for that side."""
     alphas = np.radians(np.linspace(0.0, 60.0, 17))
     thetas = np.radians(np.linspace(0.0, 40.0, 41))
-    corpus = [problem.compile_program(prob, direction) for gen_seed in workloads.FUZZ_GENERATOR_SEEDS
-              for prob, direction, _trial in workloads.FuzzOracle(seed=0)._draws(gen_seed)][:200]
+    draws = [(prob, direction) for gen_seed in workloads.FUZZ_GENERATOR_SEEDS
+             for prob, direction, _trial in workloads.FuzzOracle(seed=0)._draws(gen_seed)][:200]
+    corpus = [problem.compile_program(prob, direction) for prob, direction in draws]
 
     def bundled(pkg, name):
         return pkg.problem.compile_program(pkg.scenarios.builtin_scenario(name).problem(), +1)
@@ -117,6 +139,18 @@ def cases() -> list[tuple[str, bool, object]]:
             progs = sweep(pkg, name, param, values, **fixed)
             return lambda: pkg.solver.solve_batch(progs)
         return prepare
+
+    def fuzz_op(pkg):
+        """FuzzOracle.run's three calls on each draw, with ``pkg``'s own code."""
+        mine, settings = in_package(pkg, (draws, workloads.FUZZ_SETTINGS))
+
+        def call():
+            out = []
+            for prob, direction in mine:
+                prog = pkg.problem.compile_program(prob, direction)
+                out += [pkg.solver.solve(prog, settings), pkg.solver.solve_with_oracle(prog, workloads.FUZZ_FACETS)]
+            return out
+        return call
 
     def gws_case(pkg):
         inputs = job_inputs(pkg, "gws_slide")
@@ -132,7 +166,8 @@ def cases() -> list[tuple[str, bool, object]]:
                ("solve_batch slide sweep (17)", True, sweep_case("cuboid_slide", "alpha", alphas)),
                ("solve_batch gws_slide", True, gws_case)]
             + [(f"oracle@{workloads.FUZZ_FACETS} fuzz corpus ({len(corpus)})", True,
-                lambda pkg: (lambda: [pkg.solver.solve_with_oracle(p, workloads.FUZZ_FACETS) for p in corpus]))]
+                lambda pkg: (lambda: [pkg.solver.solve_with_oracle(p, workloads.FUZZ_FACETS) for p in corpus])),
+               (f"fuzz op ({len(draws)})", True, fuzz_op)]
             + [(f"job {name}", True, lambda pkg, n=name: (lambda: run_job(pkg, n)))
                for name, _ in workloads.BATCH_JOBS])
 
