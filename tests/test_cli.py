@@ -343,7 +343,7 @@ class TestUnderflowingFriction:
         assert len(rows) == 6 and {r["status"] for r in rows} == {"error: SOC block 'm0.cone' contains NaN/Inf"}
 
 
-# s (q x l) = (2 s 1.7e308, 0, 0) and p x f = (0, 0, -3.4e308) overflow
+# with s = sqrt(1/2), q x l = (2 s 1.7e308, 0, 0) and p x f = (0, 0, -3.4e308) overflow
 _S = np.sqrt(0.5)
 OVERFLOWING_TASK = TaskScrew(l=[0.0, -_S, _S], q=[0.0, 1.7e308, 1.7e308], pitch=0.0)
 OVERFLOWING_LOAD = ExternalWrench(force=[1.0, -1.0, 0.0], application_point=[1.7e308, 1.7e308, 0.0])
