@@ -32,7 +32,7 @@ from functools import cache
 
 import numpy as np
 
-from .contacts import _snap, check_facets
+from .contacts import _pcwf_units, _snap, check_facets
 from .errors import ScenarioError, ScrewGraspError
 from .metric import gws_sample, local_metric, metric_sweep
 from .problem import compile_program
@@ -298,9 +298,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 def _subspace_directions(k: int, rays: int) -> np.ndarray:
     """Deterministic unit directions in R^k (k = 2 or 3); includes the
     coordinate axes whenever rays is a multiple of 4."""
-    if k == 2:
-        ang = 2.0 * np.pi * np.arange(rays) / rays
-        return np.array([[_snap(np.cos(a)), _snap(np.sin(a))] for a in ang])
+    if k == 2:  # the regular rays-gon of the PCWF rays
+        return _pcwf_units(rays).T
     n_lat = max(2, rays // 4)
     dirs = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
     for i in range(1, n_lat):

@@ -183,9 +183,6 @@ class ContactSlice:
     def stop(self) -> int:
         return self.start + len(self.components)
 
-    def position_of(self, component: str) -> int:
-        return self.start + self.components.index(component)
-
 
 @dataclass(frozen=True)
 class VariableLayout:

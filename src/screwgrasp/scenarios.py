@@ -4,7 +4,11 @@ A scenario file is a JSON document (versioned, SI units throughout: m, rad,
 N, N.m; rotation matrices row-major) describing contacts, external load,
 optional torque model and one or more labeled task screws.  Files written by
 ``save_scenario`` are canonical: loading and re-saving reproduces them byte
-for byte.
+for byte.  Every malformed file is a ``ScenarioError`` that names its field:
+the reader checks JSON shapes and types (``$.tasks[0].pitch: expected a
+finite number ...``), and each physical rule is the built type's own, its
+message prefixed by the object's path (``$.manipulator_contacts[1].cone: mu
+must be strictly positive, got 0.0``).
 
 Three builtin generators reproduce the bundled golden scenarios:
 
@@ -38,13 +42,13 @@ files):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .contacts import (
-    LOCAL_COMPONENTS,
     EnvironmentContact,
     FixedSupport,
     ManipulatorContact,
@@ -258,7 +262,6 @@ def cuboid_scenario(p: CuboidParams = CuboidParams()) -> Scenario:
 class Builtin:
     """Registry entry for a generator-backed scenario family."""
 
-    name: str
     params_cls: type
     build: object  # callable(params) -> Scenario
 
@@ -272,9 +275,9 @@ def _cuboid_task(name: str, k: int):
 
 
 BUILTINS: dict[str, Builtin] = {
-    "door_handle": Builtin("door_handle", DoorHandleParams, door_handle_scenario),
-    "cuboid_pivot": Builtin("cuboid_pivot", CuboidParams, _cuboid_task("cuboid_pivot", 0)),
-    "cuboid_slide": Builtin("cuboid_slide", CuboidParams, _cuboid_task("cuboid_slide", 1)),
+    "door_handle": Builtin(DoorHandleParams, door_handle_scenario),
+    "cuboid_pivot": Builtin(CuboidParams, _cuboid_task("cuboid_pivot", 0)),
+    "cuboid_slide": Builtin(CuboidParams, _cuboid_task("cuboid_slide", 1)),
 }
 
 
@@ -349,9 +352,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         {
             "rotation": _mat_list(c.rotation),
             "position": _vec_list(c.position),
-            "cone": None if c.cone is None else {
-                "mu": c.cone.mu, "e_t": c.cone.e_t, "e_o": c.cone.e_o, "e_n": c.cone.e_n,
-            },
+            "cone": None if c.cone is None else asdict(c.cone),
             "f_n_max": float(c.f_n_max),
         }
         for c in s.manipulator_contacts
@@ -359,11 +360,8 @@ def scenario_to_dict(s: Scenario) -> dict:
     env = []
     for c in s.environment_contacts:
         if isinstance(c.model, Pcwf):
-            if c.model.params is None:
-                model = {"type": "pcwf", "frictionless": True}
-            else:
-                model = {"type": "pcwf", "mu": c.model.params.mu,
-                         "e_t": c.model.params.e_t, "e_o": c.model.params.e_o}
+            params = c.model.params
+            model = {"type": "pcwf", **({"frictionless": True} if params is None else asdict(params))}
         else:
             model = {"type": "fixed_support",
                      "prescribed": {k: float(v) for k, v in c.model.prescribed.items()}}
@@ -407,44 +405,75 @@ def save_scenario(s: Scenario, path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n", encoding="utf-8")
 
 
-class _Reader:
-    """Walks the parsed document, raising schema errors that name the field."""
+_KINDS = {float: "a finite number", int: "an integer", bool: "a boolean", str: "a string",
+          list: "a list", dict: "an object", type(None): "null"}
 
-    def __init__(self, doc):
-        self.doc = doc
 
-    def get(self, container, key, kind, path, required=True, default=None):
-        if key not in container:
-            if required:
-                raise ScenarioSchemaError(f"{path}.{key}: missing required field")
-            return default
-        value = container[key]
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ScenarioSchemaError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-            return float(value)
-        if not isinstance(value, kind):
-            raise ScenarioSchemaError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-        return value
+def _at(path: str, key) -> str:
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
 
-    def vec3(self, container, key, path):
-        raw = self.get(container, key, list, path)
-        if len(raw) != 3 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
-            raise ScenarioSchemaError(f"{path}.{key}: expected a list of 3 numbers")
-        v = np.asarray(raw, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ScenarioSchemaError(f"{path}.{key}: entries must be finite")
-        return v
 
-    def mat3(self, container, key, path):
-        raw = self.get(container, key, list, path)
-        try:
-            M = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
-            raise ScenarioSchemaError(f"{path}.{key}: expected a 3x3 matrix") from None
-        if M.shape != (3, 3) or not np.all(np.isfinite(M)):
-            raise ScenarioSchemaError(f"{path}.{key}: expected a finite 3x3 matrix")
-        return M
+def _is(value, kind) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:  # NaN, +-inf and integers beyond the float range fail the bound
+        return isinstance(value, int | float) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _get(container, key, kind, path, required=True, default=None):
+    """``container[key]`` checked to be of ``kind``: ``float`` is a finite
+    JSON number, ``int`` an integer, neither ever a bool; any other kind is a
+    JSON type, or a tuple of them such as ``(dict, type(None))`` for "object
+    or null".  ``key`` is an object's field or a list's index."""
+    if isinstance(key, str) and key not in container:
+        if required:
+            raise ScenarioSchemaError(f"{_at(path, key)}: missing required field")
+        return default
+    value = container[key]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if _is(value, k):
+            return float(value) if k is float else value
+    got = type(value).__name__ if isinstance(value, list | dict) else json.dumps(value)
+    raise ScenarioSchemaError(f"{_at(path, key)}: expected {' or '.join(_KINDS[k] for k in kinds)}, got {got}")
+
+
+def _objects(container, key, path):
+    """Each object of the list ``container[key]``, with its path."""
+    items = _get(container, key, list, path)
+    for i in range(len(items)):
+        yield _get(items, i, dict, f"{path}.{key}"), f"{path}.{key}[{i}]"
+
+
+def _array(container, key, path, shape) -> np.ndarray:
+    """``container[key]`` as a float array of ``shape``, nested lists of
+    finite numbers; a ``None`` length is free, but equal across rows."""
+    items = _get(container, key, list, path)
+    where = _at(path, key)
+    if shape[0] is not None and len(items) != shape[0]:
+        raise ScenarioSchemaError(f"{where}: expected {shape[0]} entries, got {len(items)}")
+    if len(shape) == 1:
+        return np.array([_get(items, i, float, where) for i in range(len(items))])
+    rows, inner = [], shape[1:]
+    for i in range(len(items)):
+        rows.append(_array(items, i, where, inner))
+        inner = rows[0].shape  # every row as long as the first
+    return np.array(rows) if rows else np.zeros((0, 0))
+
+
+def _build(cls, path, **values):
+    """``cls(**values)``, the type's own rules failing as a physics error
+    prefixed by the path of the object."""
+    try:
+        return cls(**values)
+    except ScrewGraspError as exc:
+        raise ScenarioPhysicsError(f"{path}: {exc}") from None
+
+
+def _cone(cls, raw, path):
+    """An ``SfceParams``/``PcwfParams`` from its fields in ``raw``."""
+    return _build(cls, path, **{f.name: _get(raw, f.name, float, path) for f in fields(cls)})
 
 
 def _orthonormalize(M: np.ndarray, path: str) -> np.ndarray:
@@ -467,149 +496,88 @@ def _unit(v: np.ndarray, path: str) -> np.ndarray:
     return v / n
 
 
-def _positive_field(value: float, path: str) -> float:
-    if not value > 0:
-        raise ScenarioPhysicsError(f"{path}: must be strictly positive, got {value}")
-    return value
+def _pose(raw, path) -> dict:
+    """The ``rotation`` and ``position`` of a contact entry."""
+    return {"rotation": _orthonormalize(_array(raw, "rotation", path, (3, 3)), f"{path}.rotation"),
+            "position": _array(raw, "position", path, (3,))}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    rd = _Reader(doc)
     if not isinstance(doc, dict):
         raise ScenarioSchemaError("top level: expected an object")
-    version = rd.get(doc, "schema_version", int, "$")
+    version = _get(doc, "schema_version", int, "$")
     if version != SCHEMA_VERSION:
         raise ScenarioVersionError(
             f"$.schema_version: file declares version {version}, this reader supports {SCHEMA_VERSION}"
         )
-    units = rd.get(doc, "units", str, "$")
+    units = _get(doc, "units", str, "$")
     if units != "SI":
         raise ScenarioSchemaError(f"$.units: only 'SI' is supported, got {units!r}")
-    name = rd.get(doc, "name", str, "$")
+    optional = (dict, type(None))
 
     manips = []
-    raw_list = rd.get(doc, "manipulator_contacts", list, "$")
-    for i, raw in enumerate(raw_list):
-        path = f"$.manipulator_contacts[{i}]"
-        R = _orthonormalize(rd.mat3(raw, "rotation", path), f"{path}.rotation")
-        pos = rd.vec3(raw, "position", path)
-        if "cone" not in raw:
-            raise ScenarioSchemaError(f"{path}.cone: missing required field (null = frictionless)")
-        cone_raw = raw["cone"]
-        if cone_raw is not None and not isinstance(cone_raw, dict):
-            raise ScenarioSchemaError(f"{path}.cone: expected an object or null")
-        cone = None
-        if cone_raw is not None:
-            cone = SfceParams(
-                mu=_positive_field(rd.get(cone_raw, "mu", float, f"{path}.cone"), f"{path}.cone.mu"),
-                e_t=_positive_field(rd.get(cone_raw, "e_t", float, f"{path}.cone"), f"{path}.cone.e_t"),
-                e_o=_positive_field(rd.get(cone_raw, "e_o", float, f"{path}.cone"), f"{path}.cone.e_o"),
-                e_n=_positive_field(rd.get(cone_raw, "e_n", float, f"{path}.cone"), f"{path}.cone.e_n"),
-            )
-        f_n_max = _positive_field(rd.get(raw, "f_n_max", float, path), f"{path}.f_n_max")
-        manips.append(ManipulatorContact(rotation=R, position=pos, cone=cone, f_n_max=f_n_max))
+    for raw, path in _objects(doc, "manipulator_contacts", "$"):
+        cone = _get(raw, "cone", optional, path)  # null = frictionless
+        manips.append(_build(ManipulatorContact, path, **_pose(raw, path),
+                             cone=None if cone is None else _cone(SfceParams, cone, f"{path}.cone"),
+                             f_n_max=_get(raw, "f_n_max", float, path)))
 
     envs = []
-    raw_list = rd.get(doc, "environment_contacts", list, "$")
-    for j, raw in enumerate(raw_list):
-        path = f"$.environment_contacts[{j}]"
-        R = _orthonormalize(rd.mat3(raw, "rotation", path), f"{path}.rotation")
-        pos = rd.vec3(raw, "position", path)
-        model_raw = rd.get(raw, "model", dict, path)
-        mtype = rd.get(model_raw, "type", str, f"{path}.model")
+    for raw, path in _objects(doc, "environment_contacts", "$"):
+        model_raw = _get(raw, "model", dict, path)
+        mpath = f"{path}.model"
+        mtype = _get(model_raw, "type", str, mpath)
         if mtype == "pcwf":
-            if model_raw.get("frictionless"):
-                model = Pcwf(None)
-            else:
-                model = Pcwf(PcwfParams(
-                    mu=_positive_field(rd.get(model_raw, "mu", float, f"{path}.model"), f"{path}.model.mu"),
-                    e_t=_positive_field(rd.get(model_raw, "e_t", float, f"{path}.model"), f"{path}.model.e_t"),
-                    e_o=_positive_field(rd.get(model_raw, "e_o", float, f"{path}.model"), f"{path}.model.e_o"),
-                ))
+            frictionless = _get(model_raw, "frictionless", bool, mpath, required=False, default=False)
+            model = Pcwf(None if frictionless else _cone(PcwfParams, model_raw, mpath))
         elif mtype == "fixed_support":
-            prescribed_raw = rd.get(model_raw, "prescribed", dict, f"{path}.model", required=False, default={})
-            for key in prescribed_raw:
-                if key not in LOCAL_COMPONENTS:
-                    raise ScenarioSchemaError(
-                        f"{path}.model.prescribed.{key}: unknown wrench component"
-                    )
-            model = FixedSupport({k: rd.get(prescribed_raw, k, float, f"{path}.model.prescribed")
-                                  for k in prescribed_raw})
+            prescribed = _get(model_raw, "prescribed", dict, mpath, required=False, default={})
+            model = _build(FixedSupport, mpath, prescribed={
+                k: _get(prescribed, k, float, f"{mpath}.prescribed") for k in prescribed})
         else:
-            raise ScenarioSchemaError(f"{path}.model.type: unknown contact model {mtype!r}")
-        f_n_min = rd.get(raw, "f_n_min", float, path, required=False)
-        f_n_max = rd.get(raw, "f_n_max", float, path, required=False)
-        if f_n_min is not None and f_n_min < 0:
-            raise ScenarioPhysicsError(f"{path}.f_n_min: must be >= 0")
-        if f_n_max is not None:
-            _positive_field(f_n_max, f"{path}.f_n_max")
-        if f_n_min is not None and f_n_max is not None and f_n_min > f_n_max:
-            raise ScenarioPhysicsError(f"{path}: f_n_min exceeds f_n_max")
-        envs.append(EnvironmentContact(rotation=R, position=pos, model=model,
-                                       f_n_min=f_n_min, f_n_max=f_n_max))
+            raise ScenarioSchemaError(f"{mpath}.type: unknown contact model {mtype!r}")
+        envs.append(_build(EnvironmentContact, path, **_pose(raw, path), model=model,
+                           f_n_min=_get(raw, "f_n_min", float, path, required=False),
+                           f_n_max=_get(raw, "f_n_max", float, path, required=False)))
 
-    ext_raw = rd.get(doc, "external_wrench", dict, "$")
-    external = ExternalWrench(
-        force=rd.vec3(ext_raw, "force", "$.external_wrench"),
-        moment=rd.vec3(ext_raw, "moment", "$.external_wrench"),
-        application_point=rd.vec3(ext_raw, "application_point", "$.external_wrench"),
-    )
+    ext = _get(doc, "external_wrench", dict, "$")
+    external = _build(ExternalWrench, "$.external_wrench", **{
+        k: _array(ext, k, "$.external_wrench", (3,)) for k in ("force", "moment", "application_point")})
 
     torque_model = None
-    if doc.get("torque_model") is not None:
-        tm_raw = rd.get(doc, "torque_model", dict, "$")
+    if (tm := _get(doc, "torque_model", optional, "$", required=False)) is not None:
         path = "$.torque_model"
-        J_raw = rd.get(tm_raw, "jacobian", list, path)
-        try:
-            J = np.asarray(J_raw, dtype=float)
-        except (TypeError, ValueError):
-            raise ScenarioSchemaError(f"{path}.jacobian: expected a numeric matrix") from None
-        if J.ndim != 2 or not np.all(np.isfinite(J)):
-            raise ScenarioSchemaError(f"{path}.jacobian: expected a finite 2-D matrix")
-        l = J.shape[1]
+        J = _array(tm, "jacobian", path, (None, None))
+        dofs = _get(tm, "dofs", (list, type(None)), path, required=False)
+        torque_model = _build(
+            TorqueModel, path, jacobian=J,
+            **{k: _array(tm, k, path, (J.shape[1],)) for k in ("tau_g", "tau_min", "tau_max")},
+            dofs=None if dofs is None else tuple(_get(dofs, i, int, f"{path}.dofs") for i in range(len(dofs))))
 
-        def tvec(key):
-            raw = rd.get(tm_raw, key, list, path)
-            if len(raw) != l:
-                raise ScenarioSchemaError(f"{path}.{key}: expected {l} entries")
-            return np.asarray(raw, dtype=float)
-
-        dofs = tm_raw.get("dofs")
-        try:
-            torque_model = TorqueModel(jacobian=J, tau_g=tvec("tau_g"), tau_min=tvec("tau_min"),
-                                       tau_max=tvec("tau_max"),
-                                       dofs=None if dofs is None else tuple(dofs))
-        except ScrewGraspError as exc:
-            raise ScenarioPhysicsError(f"{path}: {exc}") from None
-
-    tasks = []
-    raw_list = rd.get(doc, "tasks", list, "$")
-    if not raw_list:
+    tasks, first = [], {}  # first: the path of each label's task
+    for raw, path in _objects(doc, "tasks", "$"):
+        label = _get(raw, "label", str, path)
+        if label in first:
+            raise ScenarioSchemaError(f"{path}.label: {label!r} repeats {first[label]}.label")
+        first[label] = path
+        pitch = _get(raw, "pitch", (float, str), path, required=False, default=0.0)
+        if isinstance(pitch, str) and pitch != "infinite":
+            raise ScenarioSchemaError(f"{path}.pitch: expected a finite number or 'infinite', got {pitch!r}")
+        tasks.append((label, _build(TaskScrew, path, l=_unit(_array(raw, "axis", path, (3,)), f"{path}.axis"),
+                                    q=_array(raw, "point", path, (3,)),
+                                    pitch=INFINITE_PITCH if pitch == "infinite" else pitch)))
+    if not tasks:
         raise ScenarioSchemaError("$.tasks: at least one task is required")
-    for k, raw in enumerate(raw_list):
-        path = f"$.tasks[{k}]"
-        label = rd.get(raw, "label", str, path)
-        axis = _unit(rd.vec3(raw, "axis", path), f"{path}.axis")
-        point = rd.vec3(raw, "point", path)
-        pitch_raw = raw.get("pitch", 0.0)
-        if pitch_raw == "infinite":
-            pitch = INFINITE_PITCH
-        elif isinstance(pitch_raw, (int, float)) and not isinstance(pitch_raw, bool):
-            pitch = float(pitch_raw)
-        else:
-            raise ScenarioSchemaError(f"{path}.pitch: expected a number or 'infinite'")
-        tasks.append((label, TaskScrew(l=axis, q=point, pitch=pitch)))
 
     family = None
-    if doc.get("family") is not None:
-        fam_raw = rd.get(doc, "family", dict, "$")
-        generator = rd.get(fam_raw, "generator", str, "$.family")
-        params_raw = rd.get(fam_raw, "params", dict, "$.family")
-        family = FamilyRef(generator, {k: float(v) for k, v in params_raw.items()})
+    if (fam := _get(doc, "family", optional, "$", required=False)) is not None:
+        params = _get(fam, "params", dict, "$.family")
+        family = FamilyRef(_get(fam, "generator", str, "$.family"),
+                           {k: _get(params, k, float, "$.family.params") for k in params})
 
     return Scenario(
-        name=name,
-        description=doc.get("description", ""),
+        name=_get(doc, "name", str, "$"),
+        description=_get(doc, "description", str, "$", required=False, default=""),
         manipulator_contacts=tuple(manips),
         environment_contacts=tuple(envs),
         external=external,
@@ -623,7 +591,7 @@ def load_scenario(path) -> Scenario:
     """Load and fully validate a scenario file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)

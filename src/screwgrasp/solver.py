@@ -59,6 +59,7 @@ from .problem import ConicProgram, ProgramStack
 
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-13
+_UNBOUNDEDNESS_THRESHOLD = 1e10
 
 
 # Helpers that run on one program's arrays or on stacks of them (a leading
@@ -93,17 +94,16 @@ class SolveSettings:
 
     ``feasibility_tol`` bounds equality residuals (relative) and cone/box
     violations (absolute) of the returned primal; ``duality_gap_tol`` is
-    relative.  Objectives beyond ``unboundedness_threshold`` are classified
-    as Unbounded even without a clean certificate.
+    relative.  An objective beyond ``_UNBOUNDEDNESS_THRESHOLD`` (1e10) in
+    magnitude is classified as Unbounded even without a clean certificate.
     """
 
     feasibility_tol: float = 1e-8
     duality_gap_tol: float = 1e-6
     max_iterations: int = 200
-    unboundedness_threshold: float = 1e10
 
     def __post_init__(self):
-        for name in ("feasibility_tol", "duality_gap_tol", "unboundedness_threshold"):
+        for name in ("feasibility_tol", "duality_gap_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.max_iterations <= 0:
@@ -969,7 +969,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 conv = (eq_res <= ftol) & (cone_viol <= ftol) & (dres <= ftol) & (relgap <= gtol)
                 for i in hits(conv):
                     eta = -row(pobj, i)  # program maximizes f'x, standard form minimizes
-                    if abs(eta) > settings.unboundedness_threshold:
+                    if abs(eta) > _UNBOUNDEDNESS_THRESHOLD:
                         done(i, "Unbounded", iters=it, cert=f"objective magnitude {abs(eta):.3e} exceeds threshold")
                     else:
                         done(i, "Optimal", x, tau, relgap, it)
@@ -1075,8 +1075,9 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     oracle shares no code with the interior-point path beyond the program
     data itself.  One CSC model goes to scipy's bundled HiGHS with a fresh
     solver per call and ``linprog``'s options, and is read back as
-    ``linprog(method="highs")`` reads it, the tests' reference.  HiGHS is
-    imported on the first call, not with this module.
+    ``linprog(method="highs")`` reads it, the tests' reference, except that a
+    model HiGHS refuses to load is a NumericalFailure, not Infeasible.  HiGHS
+    is imported on the first call, not with this module.
     """
     c_lp, A_eq, b_eq, lower, upper = _oracle_lp(prog, check_facets(facets))
     (m, total), n = A_eq.shape, prog.n_vars
@@ -1097,7 +1098,7 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
                         ("highs_debug_level", hs.kHighsDebugLevelNone),
                         ("simplex_strategy", hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)):
         highs.setOptionValue(name, value)  # linprog's options, output off first
-    # as linprog reads HiGHS: a model it rejects is kModelError, a failed run has no counts
+    # as linprog reads HiGHS: a model it refuses is kModelError, a failed run has no counts
     loaded = highs.passModel(lp) != hs.HighsStatus.kError
     ran = loaded and highs.run() != hs.HighsStatus.kError
     status, info = highs.getModelStatus() if loaded else hs.HighsModelStatus.kModelError, highs.getInfo()
@@ -1110,5 +1111,5 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     if ran:
         text = f"model_status is {text}; primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
     code, message = _highs_to_scipy_status_message(status, text)
-    return SolveResult({2: "Infeasible", 3: "Unbounded"}.get(code, "NumericalFailure"), None, None,
-                       Residuals(math.nan, math.nan, math.nan), nit, message)
+    named = {2: "Infeasible", 3: "Unbounded"}.get(code) if loaded else None  # a refused model was never solved
+    return SolveResult(named or "NumericalFailure", None, None, Residuals(math.nan, math.nan, math.nan), nit, message)

@@ -1,4 +1,6 @@
 import csv
+import json
+import math
 import os
 import re
 import shlex
@@ -464,3 +466,92 @@ def test_readme_commands_parse():
             cli._build_parser().parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def _torque_document() -> dict:
+    """The door handle with a joint-torque model: one joint per finger, along its normal."""
+    from dataclasses import replace
+
+    from screwgrasp.problem import TorqueModel
+    from screwgrasp.scenarios import builtin_scenario, scenario_to_dict
+
+    J = np.zeros((12, 2))
+    J[2, 0] = J[8, 1] = 1.0
+    tm = TorqueModel(jacobian=J, tau_g=[0.0, 0.0], tau_min=[-5.0, -5.0], tau_max=[5.0, 5.0], dofs=(1, 1))
+    return scenario_to_dict(replace(builtin_scenario("door_handle"), torque_model=tm))
+
+
+def _set(*keys_and_value):
+    """An edit of the document: the node at ``keys`` becomes ``value``."""
+    *keys, last, value = keys_and_value
+
+    def edit(doc):
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    return edit
+
+
+BUNDLED = Path(screwgrasp.__file__).parent / "data"  # the golden scenarios shipped with the package
+
+
+def _document(base: str) -> dict:
+    return _torque_document() if base == "torque" else json.loads((BUNDLED / f"{base}.scenario").read_text())
+
+
+# one edit of a base document, and the path the error must name
+MALFORMED = [pytest.param(base, edit, field, id=name) for name, base, edit, field in [
+    ("contact_not_an_object", "door_handle", _set("manipulator_contacts", 0, 5), "$.manipulator_contacts[0]:"),
+    ("family_param_string", "door_handle", _set("family", "params", "theta", "x"), "$.family.params.theta:"),
+    ("tau_g_entry_string", "torque", _set("torque_model", "tau_g", 1, "x"), "$.torque_model.tau_g[1]:"),
+    ("dofs_strings", "torque", _set("torque_model", "dofs", ["1", "1"]), "$.torque_model.dofs[0]:"),
+    ("dofs_bare_integer", "torque", _set("torque_model", "dofs", 2), "$.torque_model.dofs:"),
+    ("finger_f_n_max_infinity", "door_handle", _set("manipulator_contacts", 1, "f_n_max", math.inf),
+     "$.manipulator_contacts[1].f_n_max:"),
+    ("environment_f_n_max_infinity", "cuboid_pivot", _set("environment_contacts", 0, "f_n_max", math.inf),
+     "$.environment_contacts[0].f_n_max:"),
+    ("f_n_min_nan", "cuboid_pivot", _set("environment_contacts", 1, "f_n_min", math.nan),
+     "$.environment_contacts[1].f_n_min:"),
+    ("prescribed_nan", "door_handle", _set("environment_contacts", 0, "model", "prescribed", "m_n", math.nan),
+     "$.environment_contacts[0].model.prescribed.m_n:"),
+    ("pitch_nan", "door_handle", _set("tasks", 0, "pitch", math.nan), "$.tasks[0].pitch:"),
+    ("schema_version_true", "door_handle", _set("schema_version", True), "$.schema_version:"),
+    ("jacobian_booleans", "torque", _set("torque_model", "jacobian", [[True] * 2] * 12),
+     "$.torque_model.jacobian[0][0]:"),
+    ("description_number", "door_handle", _set("description", 5), "$.description:"),
+    ("family_param_1e400", "door_handle", _set("family", "params", "theta", "1e400"), "$.family.params.theta:"),
+    ("repeated_label", "cuboid_slide", lambda doc: doc["tasks"].append(dict(doc["tasks"][0])),
+     "$.tasks[1].label: 'S2' repeats $.tasks[0].label"),
+]]
+
+
+class TestMalformedScenario:
+    """Every malformed scenario file exits 4 ("input error") and names the
+    offending field, with no traceback."""
+
+    @staticmethod
+    def write(tmp_path, doc) -> str:
+        # the string "1e400" is written as that bare number, which json.dumps never writes
+        path = tmp_path / "malformed.scenario"
+        path.write_text(json.dumps(doc, indent=2).replace('"1e400"', "1e400"), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("base", ["door_handle", "cuboid_pivot", "cuboid_slide", "torque"])
+    def test_unedited_documents_evaluate(self, capsys, tmp_path, base):
+        assert run(capsys, "eval", "--scenario", self.write(tmp_path, _document(base)))[0] == EXIT_OK
+
+    @pytest.mark.parametrize("base,edit,field", MALFORMED)
+    def test_exits_4_naming_the_field(self, capsys, tmp_path, base, edit, field):
+        doc = _document(base)
+        edit(doc)
+        code, out, err = run(capsys, "eval", "--scenario", self.write(tmp_path, doc))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: {field}") and "Traceback" not in err
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.scenario"
+        path.write_bytes((BUNDLED / "door_handle.scenario").read_bytes().replace(b"door_handle", b"t\xfcr", 1))
+        code, out, err = run(capsys, "eval", "--scenario", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode") and "Traceback" not in err

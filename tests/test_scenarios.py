@@ -1,4 +1,8 @@
+import copy
+import functools
 import json
+import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 import screwgrasp
 from screwgrasp.contacts import FixedSupport, Pcwf
 from screwgrasp.errors import (
+    ScenarioError,
     ScenarioParseError,
     ScenarioPhysicsError,
     ScenarioSchemaError,
@@ -233,7 +238,7 @@ class TestFileErrors:
     def test_zero_mu_names_contact(self):
         doc = scenario_to_dict(door_handle_scenario())
         doc["manipulator_contacts"][1]["cone"]["mu"] = 0.0
-        with pytest.raises(ScenarioPhysicsError, match=r"manipulator_contacts\[1\].cone.mu"):
+        with pytest.raises(ScenarioPhysicsError, match=r"^\$\.manipulator_contacts\[1\]\.cone: mu must be strictly positive"):
             scenario_from_dict(doc)
 
     def test_bad_rotation_rejected(self):
@@ -266,3 +271,34 @@ class TestFileErrors:
         path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(ScenarioSchemaError):
             load_scenario(path)
+
+
+def _node_paths(node, prefix=()):
+    """The keys and indices that lead to each node below ``node``."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield (*prefix, key)
+        yield from _node_paths(child, (*prefix, key))
+
+
+BUNDLED_DOCS = {name: json.loads((BUNDLED / f"{name}.scenario").read_text()) for name in BUILTINS}
+DELETE = object()
+
+
+@given(st.sampled_from([(name, path) for name, doc in BUNDLED_DOCS.items() for path in _node_paths(doc)]),
+       st.sampled_from([DELETE, None, True, "x", 5, -1.0, math.nan, math.inf, [], {}]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_one_edited_node_gives_a_scenario_or_a_scenario_error(node, value):
+    """Replacing or deleting any one node of a bundled document either loads
+    or raises a ScenarioError, never another exception."""
+    name, (*parents, last) = node
+    doc = copy.deepcopy(BUNDLED_DOCS[name])
+    container = functools.reduce(operator.getitem, parents, doc)
+    if value is DELETE:
+        del container[last]
+    else:
+        container[last] = copy.deepcopy(value)
+    try:
+        assert isinstance(scenario_from_dict(doc), Scenario)
+    except ScenarioError:
+        pass
