@@ -294,16 +294,19 @@ def builtin_scenario(name: str, **overrides) -> Scenario:
     return spec.build(spec.params_cls(**overrides))
 
 
-def rebuild_scenario(scenario: Scenario, params: dict, task: str | None = None) -> Scenario:
-    """Regenerate a family-carrying scenario from its generator at ``params``.
+def _family_builtin(generator: str, task: str) -> str:
+    """The ``BUILTINS`` name that regenerates a family's scenario for ``task``:
+    the two-task ``cuboid`` family is ``cuboid_pivot`` for S1 and
+    ``cuboid_slide`` otherwise."""
+    if generator == "cuboid":
+        return "cuboid_pivot" if task == "S1" else "cuboid_slide"
+    return generator
 
-    The two-task ``cuboid`` family is regenerated as ``cuboid_pivot`` when the
-    selected task (default: the first) is S1 and as ``cuboid_slide`` otherwise.
-    """
-    gen = scenario.family.generator
-    if gen == "cuboid":
-        gen = "cuboid_pivot" if (task or scenario.tasks[0][0]) == "S1" else "cuboid_slide"
-    return builtin_scenario(gen, **params)
+
+def rebuild_scenario(scenario: Scenario, params: dict, task: str | None = None) -> Scenario:
+    """Regenerate a family-carrying scenario from its generator at ``params``,
+    for the selected task (default: the first)."""
+    return builtin_scenario(_family_builtin(scenario.family.generator, task or scenario.tasks[0][0]), **params)
 
 
 def scenario_family(scenario: Scenario, parameter: str, task: str | None = None):
@@ -571,11 +574,23 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     family = None
     if (fam := _get(doc, "family", optional, "$", required=False)) is not None:
-        params = _get(fam, "params", dict, "$.family")
-        family = FamilyRef(_get(fam, "generator", str, "$.family"),
-                           {k: _get(params, k, float, "$.family.params") for k in params})
+        generator = _get(fam, "generator", str, "$.family")
+        # every task regenerates from the same parameter type, so the first task stands for all
+        builtin = BUILTINS.get(_family_builtin(generator, tasks[0][0]))
+        if builtin is None:
+            raise ScenarioSchemaError(f"$.family.generator: unknown generator {generator!r}; "
+                                      f"available: {sorted({*BUILTINS, 'cuboid'})}")
+        raw = _get(fam, "params", dict, "$.family")
+        valid = {f.name for f in fields(builtin.params_cls)}
+        for k in raw:
+            if k not in valid:
+                raise ScenarioSchemaError(f"$.family.params.{k}: unknown parameter of {generator!r}; "
+                                          f"valid: {sorted(valid)}")
+        params = {k: _get(raw, k, float, "$.family.params") for k in raw}
+        _build(builtin.params_cls, "$.family.params", **params)
+        family = FamilyRef(generator, params)
 
-    return Scenario(
+    scenario = Scenario(
         name=_get(doc, "name", str, "$"),
         description=_get(doc, "description", str, "$", required=False, default=""),
         manipulator_contacts=tuple(manips),
@@ -585,6 +600,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         torque_model=torque_model,
         family=family,
     )
+    for label in scenario.task_labels():  # the rules that tie the document's parts together
+        _build(scenario.problem, "$", task=label)
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

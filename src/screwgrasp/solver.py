@@ -38,20 +38,28 @@ is replaced by its inscribed polyhedral approximation and the resulting LP is
 handed to scipy's HiGHS solver, giving a lower bound on the true optimum that
 tightens as the facet count grows.  It passes one CSC model to scipy's
 bundled HiGHS with a fresh solver per call; ``linprog`` is the tests'
-reference.  HiGHS (``scipy.optimize``) is imported on the first oracle solve,
-so a process that never calls the oracle never loads it; ``scipy.linalg`` is
-imported with this module, as every solve needs it.
+reference.  Neither ``scipy.linalg`` nor ``scipy.optimize`` is imported: their
+package imports cost about 0.25 and 0.6 s, and the solver needs one compiled
+module of each.  ``_scipy_extension`` loads LAPACK (``dsytrf``/``dsytrs``)
+with this module and the HiGHS binding on the first oracle solve, each from
+its file in a few milliseconds, and registers it under its own name, so a
+later import of either package reuses it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import sys
+import threading
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
 
 from .contacts import check_facets, pcwf_rays, sfce_rays
 from .errors import UnsupportedProgramError
@@ -60,6 +68,48 @@ from .problem import ConicProgram, ProgramStack
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-13
 _UNBOUNDEDNESS_THRESHOLD = 1e10
+
+_EXTENSION_LOCK = threading.Lock()  # one load per extension, whichever thread asks first
+
+
+def _extension_file(name: str) -> Path | None:
+    """The file of scipy's compiled module ``name``, found without importing
+    scipy; None if scipy's layout has no such file."""
+    base = Path(importlib.util.find_spec("scipy").origin).parent.joinpath(*name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = base.with_name(base.name + suffix)
+        if path.is_file():
+            return path
+    return None
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``name``, loaded from its file without
+    importing the packages around it, and registered in ``sys.modules`` under
+    its own name, so a later ``import scipy.linalg`` or ``scipy.optimize``
+    reuses it (the same function objects).  A scipy whose layout has no such
+    file imports it through the package."""
+    with _EXTENSION_LOCK:
+        if name in sys.modules:
+            return sys.modules[name]
+        path = _extension_file(name)
+        if path is None:
+            return importlib.import_module(name)
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+        return module
+
+
+# the Bunch-Kaufman pair of every KKT solve: the functions scipy.linalg.lapack
+# exports, without importing scipy.linalg
+_flapack = _scipy_extension("scipy.linalg._flapack")
+_sytrf, _sytrs = _flapack.dsytrf, _flapack.dsytrs
 
 
 # Helpers that run on one program's arrays or on stacks of them (a leading
@@ -407,7 +457,6 @@ class _KKT:
         self.K[..., :n, n : n + p] = np.swapaxes(A, -1, -2)
         self.K[..., n + p :, :n] = G
         self.K[..., :n, n + p :] = np.swapaxes(G, -1, -2)
-        self._sytrf, self._sytrs = sla.get_lapack_funcs(("sytrf", "sytrs"), (self.K,))
         # the -W'W block: orthant diagonal and SOC squares (a stack's run by run); the rest stays 0
         self._lp_diag = np.arange(n + p, n + p + cone.q)
         if A.ndim == 2:
@@ -427,7 +476,7 @@ class _KKT:
                 di = np.arange(K.shape[0])
                 Kreg[di[:n], di[:n]] += delta
                 Kreg[di[n:], di[n:]] -= delta
-            ldu, ipiv, info = self._sytrf(Kreg, lower=1)
+            ldu, ipiv, info = _sytrf(Kreg, lower=1)
             if info == 0:
                 return ldu, ipiv
         return None
@@ -448,14 +497,14 @@ class _KKT:
         """(x, failure mask) for K x = rhs, with up to two refinement steps;
         as ``factor``, for one program or a stack."""
         if rhs.ndim == 1:
-            x, info = self._sytrs(*self._factors, rhs, lower=1)
+            x, info = _sytrs(*self._factors, rhs, lower=1)
             if info != 0:
                 return x, True
             for _ in range(2):
                 r = rhs - self.K @ x
                 if np.abs(r).max() <= 1e-13 * (1.0 + np.abs(rhs).max()):
                     break
-                dx, info = self._sytrs(*self._factors, r, lower=1)
+                dx, info = _sytrs(*self._factors, r, lower=1)
                 if info != 0:
                     break
                 x = x + dx
@@ -464,7 +513,7 @@ class _KKT:
         x = np.zeros(rhs.shape)
         failed = np.zeros(len(rhs), dtype=bool)
         for i in np.flatnonzero(~out):
-            x[i], info = self._sytrs(*self._factors[i], rhs[i], lower=1)
+            x[i], info = _sytrs(*self._factors[i], rhs[i], lower=1)
             failed[i] = info != 0
         refine = ~out & ~failed
         bound = 1e-13 * (1.0 + np.abs(rhs).max(axis=1))
@@ -474,7 +523,7 @@ class _KKT:
             r = rhs - _mv(self.K, x)
             refine &= ~(np.abs(r).max(axis=1) <= bound)
             for i in np.flatnonzero(refine):
-                dx, info = self._sytrs(*self._factors[i], r[i], lower=1)
+                dx, info = _sytrs(*self._factors[i], r[i], lower=1)
                 if info != 0:
                     refine[i] = False
                     continue
@@ -1066,6 +1115,29 @@ def _oracle_lp(prog: ConicProgram, facets: int) -> tuple[np.ndarray, ...]:
     return c_lp, A_eq, b_eq, lower, upper
 
 
+# HighsModelStatus by name -> linprog's (status, message), as scipy's
+# _highs_to_scipy_status_message gives them; the members its table lacks
+# (kUnknown, kSolutionLimit, kInterrupt, kMemoryLimit, kHighsInterrupt) are "not recognized"
+_HIGHS_STATUS = {
+    **dict.fromkeys(("kNotset", "kLoadError", "kPresolveError", "kSolveError", "kPostsolveError",
+                     "kModelEmpty", "kObjectiveBound", "kObjectiveTarget"), (4, "")),
+    "kModelError": (2, ""),
+    "kOptimal": (0, "Optimization terminated successfully. "),
+    "kTimeLimit": (1, "Time limit reached. "),
+    "kIterationLimit": (1, "Iteration limit reached. "),
+    "kInfeasible": (2, "The problem is infeasible. "),
+    "kUnbounded": (3, "The problem is unbounded. "),
+    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
+}
+
+
+def _highs_status_message(status, text: str) -> tuple[int, str]:
+    """linprog's (status, message) for a HighsModelStatus and HiGHS's text,
+    byte for byte as scipy's ``_highs_to_scipy_status_message``."""
+    code, message = _HIGHS_STATUS.get(status.name, (4, "The HiGHS status code was not recognized. "))
+    return code, f"{message}(HiGHS Status {int(status)}: {text})"
+
+
 def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     """Lower-bound the optimum by replacing each contact cone with its
     inscribed polyhedral approximation and solving the LP with HiGHS.
@@ -1076,15 +1148,14 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     data itself.  One CSC model goes to scipy's bundled HiGHS with a fresh
     solver per call and ``linprog``'s options, and is read back as
     ``linprog(method="highs")`` reads it, the tests' reference, except that a
-    model HiGHS refuses to load is a NumericalFailure, not Infeasible.  HiGHS
-    is imported on the first call, not with this module.
+    model HiGHS refuses to load is a NumericalFailure, not Infeasible.  The
+    HiGHS binding is loaded on the first call, not with this module, and
+    without ``scipy.optimize``.
     """
     c_lp, A_eq, b_eq, lower, upper = _oracle_lp(prog, check_facets(facets))
     (m, total), n = A_eq.shape, prog.n_vars
 
-    from scipy.optimize._highspy import _core as hs
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
-
+    hs = _scipy_extension("scipy.optimize._highspy._core")
     cols, rows = np.nonzero(A_eq.T)  # csc_array(A_eq)'s entries; lists convert to HiGHS fastest
     lp = hs.HighsLp()  # its matrix is column-wise by default
     lp.num_col_ = lp.a_matrix_.num_col_ = total
@@ -1110,6 +1181,6 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     text = highs.modelStatusToString(status)
     if ran:
         text = f"model_status is {text}; primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
-    code, message = _highs_to_scipy_status_message(status, text)
+    code, message = _highs_status_message(status, text)
     named = {2: "Infeasible", 3: "Unbounded"}.get(code) if loaded else None  # a refused model was never solved
     return SolveResult(named or "NumericalFailure", None, None, Residuals(math.nan, math.nan, math.nan), nit, message)

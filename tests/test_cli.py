@@ -523,6 +523,16 @@ MALFORMED = [pytest.param(base, edit, field, id=name) for name, base, edit, fiel
     ("family_param_1e400", "door_handle", _set("family", "params", "theta", "1e400"), "$.family.params.theta:"),
     ("repeated_label", "cuboid_slide", lambda doc: doc["tasks"].append(dict(doc["tasks"][0])),
      "$.tasks[1].label: 'S2' repeats $.tasks[0].label"),
+    ("family_generator_unknown", "door_handle", _set("family", "generator", "door"),
+     "$.family.generator: unknown generator 'door'"),
+    ("family_param_unknown", "door_handle", _set("family", "params", "bogus", 1.0),
+     "$.family.params.bogus: unknown parameter of 'door_handle'"),
+    ("family_param_out_of_range", "door_handle", _set("family", "params", "L", -0.2),
+     "$.family.params: L must be positive"),
+    # two fingers need 12 jacobian rows; without dofs only the problem checks the count
+    ("jacobian_six_rows", "torque", lambda doc: doc["torque_model"].update(
+        jacobian=doc["torque_model"]["jacobian"][:6], dofs=None),
+     "$: jacobian has 6 rows, expected 6 x 2 manipulator contacts"),
 ]]
 
 
@@ -548,6 +558,14 @@ class TestMalformedScenario:
         code, out, err = run(capsys, "eval", "--scenario", self.write(tmp_path, doc))
         assert (code, out) == (EXIT_INPUT, "")
         assert err.startswith(f"error: {field}") and "Traceback" not in err
+
+    def test_sweep_exits_4_naming_the_generator(self, capsys, tmp_path):
+        doc = _document("door_handle")
+        doc["family"]["generator"] = "door"
+        code, out, err = run(capsys, "sweep", "--scenario", self.write(tmp_path, doc),
+                             "--sweep", "theta=0deg:40deg:3", "--out", str(tmp_path / "sweep.csv"))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: $.family.generator: unknown generator 'door'") and "Traceback" not in err
 
     def test_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "latin1.scenario"

@@ -218,9 +218,10 @@ class TestOracle:
             assert first == again, name
 
 
-# Run in a fresh interpreter: the CLI jobs that never call the oracle, then one
-# oracle solve, reporting the exit codes, whether scipy.optimize was loaded
-# before and after the oracle solve, and the pickled oracle result.
+# Run in a fresh interpreter: the CLI jobs, then one oracle solve, reporting the
+# exit codes, which of scipy.linalg and scipy.optimize were loaded by then, and
+# the pickled oracle result; then import both packages and report whether
+# they reuse the solver's LAPACK and HiGHS modules and whether linprog solves.
 _FRESH_PROCESS = """
 import json, pickle, sys
 from pathlib import Path
@@ -232,19 +233,29 @@ codes = [
     cli.main(["sweep", "--builtin", "door_handle", "--sweep", "theta=0deg:40deg:3", "--out", str(out / "sweep.csv")]),
     cli.main(["gws", "--builtin", "door_handle", "--rays", "4", "--out", str(out / "gws.csv")]),
 ]
-before = "scipy.optimize" in sys.modules
+from screwgrasp import solver
 from screwgrasp.problem import compile_program
 from screwgrasp.scenarios import builtin_scenario
-from screwgrasp.solver import solve_with_oracle
-res = solve_with_oracle(compile_program(builtin_scenario("door_handle").problem()), 16)
+res = solver.solve_with_oracle(compile_program(builtin_scenario("door_handle").problem()), 16)
 (out / "oracle.pickle").write_bytes(pickle.dumps(res))
-print(json.dumps({"codes": codes, "before": before, "after": "scipy.optimize" in sys.modules}))
+loaded = [name for name in ("scipy.linalg", "scipy.optimize") if name in sys.modules]
+highs = sys.modules["scipy.optimize._highspy._core"]
+import scipy.linalg, scipy.optimize
+from scipy.optimize._highspy import _core
+lp = scipy.optimize.linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+print(json.dumps({
+    "codes": codes, "loaded": loaded,
+    "same_lapack": [solver._sytrf is scipy.linalg.lapack.dsytrf, solver._sytrs is scipy.linalg.lapack.dsytrs],
+    "same_highs": _core is highs, "linprog": [lp.status, lp.fun],
+}))
 """
 
 
 class TestOracleImport:
-    """HiGHS (``scipy.optimize``) is imported on the first oracle solve, so the
-    jobs that never call the oracle do not pay for loading it."""
+    """The solver loads scipy's compiled LAPACK module with itself and the
+    HiGHS binding on the first oracle solve, each from its file, so no job
+    imports ``scipy.linalg`` or ``scipy.optimize``, and a later import of
+    either package reuses the same modules."""
 
     @pytest.fixture(scope="class")
     def fresh(self, tmp_path_factory):
@@ -258,18 +269,47 @@ class TestOracleImport:
         report = json.loads(proc.stdout.splitlines()[-1])
         return report, pickle.loads((out / "oracle.pickle").read_bytes()), out
 
-    def test_cli_jobs_do_not_load_scipy_optimize(self, fresh):
+    def test_jobs_and_oracle_load_neither_package(self, fresh):
         report, res, out = fresh
         assert report["codes"] == [0, 0, 0]
         assert (out / "sweep.csv").is_file() and (out / "gws.csv").is_file()
-        assert report["before"] is False
         assert res.status == "Optimal"
-        assert report["after"] is True
+        assert report["loaded"] == []
 
     def test_deferred_import_gives_the_same_oracle_result(self, fresh):
         _, res, _ = fresh
         prog = compile_program(builtin_scenario("door_handle").problem())
         assert result_bytes(res) == result_bytes(solve_with_oracle(prog, 16))
+
+    def test_later_package_imports_reuse_the_modules(self, fresh):
+        report, _, _ = fresh
+        assert report["same_lapack"] == [True, True]
+        assert report["same_highs"] is True
+        assert report["linprog"] == [0, 1.0]
+
+
+class TestScipyExtensions:
+    """The inline HiGHS status texts, and ``_scipy_extension``'s fallback
+    through the package."""
+
+    def test_status_messages_match_scipy(self):
+        from scipy.optimize._highspy._core import HighsModelStatus
+        from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+        for status in HighsModelStatus.__members__.values():
+            text = f"model_status is {status.name}"
+            assert solver._highs_status_message(status, text) == _highs_to_scipy_status_message(status, text)
+
+    def test_fallback_imports_through_the_package(self, monkeypatch):
+        # a scipy with another layout: no extension file is found, so the module
+        # comes from importing it through scipy.linalg; CPython keeps one copy of
+        # a single-phase extension's state, so its functions are the same objects
+        name = "scipy.linalg._flapack"
+        monkeypatch.setattr(solver, "_extension_file", lambda _name: None)
+        monkeypatch.delitem(sys.modules, name)
+        module = solver._scipy_extension(name)
+        assert sys.modules[name] is module
+        assert module.dsytrf is solver._sytrf and module.dsytrs is solver._sytrs
 
 
 def fuzz_draw(seed: int, trial: int):
