@@ -16,7 +16,9 @@ PATH`` if given, else to stdout.
 
 Exit codes: 0 success/Optimal, 2 Infeasible, 3 Unbounded, 4 input error
 (including a bad flag value or a truncated flag), 5 solver failure.
-``SCREW_GRASP_LOG`` (debug|info|warning) selects log verbosity.  CSV output
+``SCREW_GRASP_LOG`` (debug|info|warning) selects log verbosity; debug traces
+the solver's iterations in ``eval`` and ``oracle-check`` only, as sweeps and
+GWS probes solve stacked programs, which take no trace.  CSV output
 uses 9 significant digits, '.' decimals and LF line endings; apart from the
 wall-clock column it is deterministic for fixed inputs and settings.
 """
@@ -190,8 +192,10 @@ def _settings(args: argparse.Namespace, **defaults) -> SolveSettings:
     return SolveSettings(**defaults)
 
 
-def _trace_logger(payload: dict) -> None:
-    log.debug("solver %s", payload)
+def _trace():
+    """The solver's trace hook, one debug line per iteration, when debug
+    logging is on; else None, so no payload is built for nobody to read."""
+    return (lambda payload: log.debug("solver %s", payload)) if log.isEnabledFor(logging.DEBUG) else None
 
 
 def _problem_for(scenario: Scenario, task: str | None):
@@ -226,8 +230,7 @@ def _row(param: str, r) -> list[str]:
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     problem = _problem_for(scenario, args.task)
-    trace = _trace_logger if log.isEnabledFor(logging.DEBUG) else None
-    result = local_metric(problem, args.dir, _settings(args), trace=trace)
+    result = local_metric(problem, args.dir, _settings(args), trace=_trace())
     if args.format == "csv":
         lines = _csv(_ROW_HEADER, [_row("", result)])
     else:
@@ -275,7 +278,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     # the oracle is exact for the LP relaxation, so compare against a tightly
     # solved SOCP or the comparison is dominated by our own gap tolerance
     settings = _settings(args, duality_gap_tol=1e-9)
-    socp = solve(prog, settings, trace=_trace_logger)
+    socp = solve(prog, settings, trace=_trace())
     lp = solve_with_oracle(prog, args.facets)
     lines = [f"{name}: {r.status}" + ("" if r.objective is None else f" eta={_fmt(r.objective)}")
              for name, r in (("socp", socp), (f"lp[{args.facets}]", lp))]
@@ -285,8 +288,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         lines.append(f"gap: {_fmt(gap)}  relative: {_fmt(rel)}")
         ok = lp.objective <= socp.objective + settings.feasibility_tol and rel <= args.max_rel_gap
         code = EXIT_OK if ok else EXIT_SOLVER
-    elif socp.status == lp.status == "Infeasible":
-        lines.append("gap: both paths report infeasible")
+    elif socp.status == lp.status in ("Infeasible", "Unbounded"):
+        lines.append(f"gap: both paths report {socp.status.lower()}")
         code = EXIT_OK
     else:
         lines.append("gap: status mismatch")

@@ -14,10 +14,12 @@ normal, pointing *into* the object (this convention is used for manipulator
 and environment contacts alike).  A rigid environment attachment is modeled
 as a FixedSupport whose wrench components are free unless prescribed.
 
-``sfce_rays``/``pcwf_rays`` give the extreme rays of an inscribed polyhedral
-cone as one array, one column per ray, by scaling one read-only unit table per
-cone kind and facet count, computed once; they exist to support the
-independent LP validation path, not the main solve.
+``_pcwf_units``/``_sfce_units`` are the unit ray tables of the independent LP
+validation path, not the main solve: one read-only table per dimension (2
+and 3) and facet count, computed once, with one unit vector per column.  The
+oracle inscribes a compiled cone block ||A x + b|| <= c'x + d by A x + b =
+U lambda and c'x + d = 1'lambda, lambda >= 0; the 1/(mu e) rows of a compiled
+block are what turn these unit rays into the rays of an SFCE or PCWF cone.
 """
 
 from __future__ import annotations
@@ -201,8 +203,9 @@ def _table(rows: list[tuple[float, ...]]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _sfce_units(facets: int) -> np.ndarray:
-    """Unit SFCE rays, rows (f_t/e_t, f_o/e_o, m_n/e_n) per unit radius: a
-    latitude/longitude grid of the unit sphere, one ray per pole."""
+    """Unit rays of a 3-row cone block, (f_t/(mu e_t), f_o/(mu e_o),
+    m_n/(mu e_n)) at f_n = 1 for an SFCE block: a latitude/longitude grid of
+    the unit sphere, one ray per pole."""
     phis = 2.0 * np.pi * np.arange(facets) / facets
     rows = []
     for theta in _latitudes(facets):
@@ -216,34 +219,7 @@ def _sfce_units(facets: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _pcwf_units(facets: int) -> np.ndarray:
-    """Unit PCWF rays, rows (f_t/e_t, f_o/e_o): the regular facets-gon."""
+    """Unit rays of a 2-row cone block, (f_t/(mu e_t), f_o/(mu e_o)) at
+    f_n = 1 for a PCWF block: the regular facets-gon."""
     phis = 2.0 * np.pi * np.arange(facets) / facets
     return _table([(_snap(np.cos(phi)), _snap(np.sin(phi))) for phi in phis])
-
-
-def sfce_rays(p: SfceParams, f_n: float, facets) -> np.ndarray:
-    """Extreme rays of an inscribed polyhedral approximation of the SFCE cone,
-    as rows (f_t, f_o, f_n, m_n), one column per ray.
-
-    Samples the boundary ellipsoid at normal force ``f_n`` on a nested
-    latitude/longitude grid of the (f_t/e_t, f_o/e_o, m_n/e_n) sphere; every
-    ray lies exactly on the cone boundary, so the convex hull of the rays is
-    inscribed in the true cone.
-    """
-    facets = check_facets(facets)
-    f_n = _positive("f_n", f_n)
-    radius = p.mu * f_n
-    U = _sfce_units(facets)
-    return np.stack([(radius * p.e_t) * U[0], (radius * p.e_o) * U[1],
-                     np.full(U.shape[1], f_n), (radius * p.e_n) * U[2]])
-
-
-def pcwf_rays(p: PcwfParams, f_n: float, facets) -> np.ndarray:
-    """Extreme rays of the inscribed regular-polygon approximation of PCWF,
-    as rows (f_t, f_o, f_n), one column per ray."""
-    facets = check_facets(facets)
-    f_n = _positive("f_n", f_n)
-    radius = p.mu * f_n
-    U = _pcwf_units(facets)
-    return np.stack([(radius * p.e_t) * U[0], (radius * p.e_o) * U[1], np.full(U.shape[1], f_n)])
-

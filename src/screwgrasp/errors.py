@@ -28,7 +28,7 @@ class SolverDataError(ScrewGraspError):
 
 
 class UnsupportedProgramError(ScrewGraspError):
-    """The LP oracle cannot handle this program (non-contact cone blocks)."""
+    """The LP oracle cannot inscribe this program: an SOC block has neither 2 nor 3 rows."""
 
 
 class ScenarioError(ScrewGraspError):

@@ -80,18 +80,18 @@ class GlobalMetricResult:
     failures: tuple[str, ...]
 
 
-def active_constraints(prog: ConicProgram, x, tol: float = ACTIVE_TOL) -> tuple[str, ...]:
-    """Names of the bounds and cones that are tight at the primal point x."""
+def active_constraints(prog: ConicProgram, x) -> tuple[str, ...]:
+    """Names of the bounds and cones tight at the primal point x (``ACTIVE_TOL``)."""
     names = prog.layout.variable_names()
     active: list[str] = []
     for j in range(prog.n_vars):
-        if np.isfinite(prog.lb[j]) and x[j] - prog.lb[j] <= tol * max(1.0, abs(prog.lb[j])):
+        if np.isfinite(prog.lb[j]) and x[j] - prog.lb[j] <= ACTIVE_TOL * max(1.0, abs(prog.lb[j])):
             active.append(f"{names[j]} >= {prog.lb[j]:g}")
-        if np.isfinite(prog.ub[j]) and prog.ub[j] - x[j] <= tol * max(1.0, abs(prog.ub[j])):
+        if np.isfinite(prog.ub[j]) and prog.ub[j] - x[j] <= ACTIVE_TOL * max(1.0, abs(prog.ub[j])):
             active.append(f"{names[j]} <= {prog.ub[j]:g}")
     for blk in prog.socs:
         slack = (blk.c @ x + blk.d) - np.linalg.norm(blk.A @ x + blk.b)
-        if slack <= tol * max(1.0, abs(blk.c @ x + blk.d)):
+        if slack <= ACTIVE_TOL * max(1.0, abs(blk.c @ x + blk.d)):
             active.append(blk.label or "cone")
     return tuple(active)
 

@@ -40,8 +40,6 @@ from .contacts import (
     FixedSupport,
     ManipulatorContact,
     Pcwf,
-    PcwfParams,
-    SfceParams,
 )
 from .errors import CompileError, ScrewGraspError, SolverDataError
 from .screws import TaskScrew
@@ -210,16 +208,6 @@ class VariableLayout:
 
 
 @dataclass(frozen=True)
-class ConeTag:
-    """Links a SOC block back to the contact cone it encodes (used by the
-    polyhedral LP oracle)."""
-
-    kind: str  # "sfce" | "pcwf"
-    params: SfceParams | PcwfParams
-    var_of: dict[str, int]  # local component name -> index in x
-
-
-@dataclass(frozen=True)
 class SocBlock:
     """One second-order cone constraint ||A x + b|| <= c'x + d.  Its arrays
     are stored as read-only copies (taken once) and must be finite."""
@@ -228,7 +216,6 @@ class SocBlock:
     b: np.ndarray
     c: np.ndarray
     d: float
-    tag: ConeTag | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -293,9 +280,10 @@ class ConicProgram:
 @dataclass(frozen=True)
 class ProgramStack:
     """B programs of one shape, stacked: ``f``, ``F``, ``g``, ``lb``, ``ub``
-    and per SOC block ``(A, b, c, d)``.  Stacks from ``compile_stacks`` are
-    read-only and checked, and ``program(k)`` is row k as a ConicProgram;
-    ``of`` stacks ConicPrograms for the solver, without layout or tags."""
+    and per SOC block ``(A, b, c, d)``, with the blocks' labels.  Stacks from
+    ``compile_stacks`` are read-only and checked, and ``program(k)`` is row k
+    as a ConicProgram; ``of`` stacks ConicPrograms for the solver, without
+    layout or labels."""
 
     f: np.ndarray
     F: np.ndarray
@@ -304,8 +292,7 @@ class ProgramStack:
     ub: np.ndarray
     socs: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     layout: VariableLayout | None = None
-    cones: tuple = ()  # per SOC block: its label, cone kind and var_of map
-    params: tuple = ()  # per SOC block: each row's cone parameters
+    labels: tuple[str, ...] = ()  # per SOC block
 
     def __len__(self) -> int:
         return len(self.f)
@@ -324,14 +311,13 @@ class ProgramStack:
         socs = tuple(tuple(v[idx] for v in blk) for blk in self.socs)
         for v in (*arrays, *(v for blk in socs for v in blk)):
             v.setflags(write=False)
-        return ProgramStack(*arrays, socs, self.layout, self.cones, tuple([prm[i] for i in idx] for prm in self.params))
+        return ProgramStack(*arrays, socs, self.layout, self.labels)
 
     def program(self, k: int, check: bool = False) -> ConicProgram:
         """Row k as a ConicProgram of views, run through the ConicProgram
         checks if ``check`` (a compiled stack's rows passed them)."""
-        socs = tuple(_built(SocBlock, check, A=A[k], b=b[k], c=c[k], d=float(d[k]),
-                            tag=ConeTag(kind=kind, params=prm[k], var_of=dict(var_of)), label=label)
-                     for (A, b, c, d), (label, kind, var_of), prm in zip(self.socs, self.cones, self.params))
+        socs = tuple(_built(SocBlock, check, A=A[k], b=b[k], c=c[k], d=float(d[k]), label=label)
+                     for (A, b, c, d), label in zip(self.socs, self.labels))
         return _built(ConicProgram, check, f=self.f[k], F=self.F[k], g=self.g[k], socs=socs,
                       lb=self.lb[k], ub=self.ub[k], layout=self.layout)
 
@@ -391,7 +377,7 @@ def _structure(key: tuple) -> tuple:
                 scales = _CONE_SCALES[kind]
                 cones.append((i, attrgetter("cone" if kind == "sfce" else "model.params"),
                               (attrgetter(*["mu"] * len(scales)), attrgetter(*scales)),  # mu and e of each A row
-                              [at[comp] for comp in comps if comp != "f_n"], (f"{tag}{idx}.cone", kind, at)))
+                              [at[comp] for comp in comps if comp != "f_n"], at["f_n"], f"{tag}{idx}.cone"))
     start = slices[-1].stop if slices else 0
     layout = VariableLayout(contacts=tuple(slices), torque_start=start, n_torques=n_tau,
                             eta_index=start + n_tau, n_vars=start + n_tau + 1)
@@ -402,7 +388,7 @@ def _structure(key: tuple) -> tuple:
     sizes = [math.prod(shape) for shape in shapes]
     starts = list(accumulate([0] + [size + size % 2 for size in sizes]))
     a_at = [starts[3 + 4 * j] + k * n + x for j, cone in enumerate(cones) for k, x in enumerate(cone[3])]
-    c_at = [starts[5 + 4 * j] + cone[4][2]["f_n"] for j, cone in enumerate(cones)]
+    c_at = [starts[5 + 4 * j] + cone[4] for j, cone in enumerate(cones)]
     ints = np.array([*jt_cols, *cols, *(bound[3] for bound in bounds), *a_at, *c_at], dtype=np.intp)
     ends = list(accumulate([len(jt_cols), len(cols), len(bounds), len(a_at)]))
     return (layout, ints[: ends[0]], ints[ends[0] : ends[1]], tuple(prescribed),
@@ -458,8 +444,8 @@ def _write(problems: list[GraspProblem], direction: int, key: tuple) -> tuple[Pr
         if getters:
             bounds[:, :, at] = np.array([[[low(cts[i]) for i, low, _ in getters] for cts in contacts],
                                          [[high(cts[i]) for i, _, high in getters] for cts in contacts]])
-        params = [[source(cts[i]) for i, source, *_ in cones] for cts in contacts]
         if cones:
+            params = [[source(cts[i]) for i, source, *_ in cones] for cts in contacts]
             V = np.array([[[v for prm, cone in zip(row, cones) for v in cone[2][s](prm)] for s in (0, 1)]
                           for row in params])  # (B, mu and e, A row)
             buffer[:, a_at] = 1.0 / (V[:, 0] * V[:, 1])
@@ -479,8 +465,7 @@ def _write(problems: list[GraspProblem], direction: int, key: tuple) -> tuple[Pr
     bounds.setflags(write=False)
     f, F, g, *blocks = (buffer[:, start : start + size].reshape(B, *shape) for start, size, shape in parts[1])
     socs = tuple(zip(*[iter(blocks)] * 4))  # (A, b, c, d) per cone block
-    return ProgramStack(f, F, g, *bounds, socs, layout, tuple(cone[-1] for cone in cones),
-                        tuple(zip(*params)) if cones else ()), W, bad
+    return ProgramStack(f, F, g, *bounds, socs, layout, tuple(cone[-1] for cone in cones)), W, bad
 
 
 def _row_error(st: ProgramStack, W: np.ndarray, k: int) -> Exception:

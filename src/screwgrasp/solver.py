@@ -33,10 +33,10 @@ The loop rounds each instance of a stack as that program alone, so a result
 does not depend on its batch.  Program data need no check here: a
 ``ConicProgram`` is valid once it is built.
 
-``solve_with_oracle`` is the independent validation path: every contact cone
-is replaced by its inscribed polyhedral approximation and the resulting LP is
-handed to scipy's HiGHS solver, giving a lower bound on the true optimum that
-tightens as the facet count grows.  It passes one CSC model to scipy's
+``solve_with_oracle`` is the independent validation path: every SOC block is
+replaced by an inscribed polyhedral cone read from the block alone, and the
+resulting LP goes to scipy's HiGHS solver, giving a lower bound on the true
+optimum that tightens as the facet count grows.  It passes one CSC model to scipy's
 bundled HiGHS with a fresh solver per call; ``linprog`` is the tests'
 reference.  Neither ``scipy.linalg`` nor ``scipy.optimize`` is imported: their
 package imports cost about 0.25 and 0.6 s, and the solver needs one compiled
@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contacts import check_facets, pcwf_rays, sfce_rays
+from .contacts import _pcwf_units, _sfce_units, check_facets
 from .errors import UnsupportedProgramError
 from .problem import ConicProgram, ProgramStack
 
@@ -1084,73 +1084,54 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
 # Polyhedral LP oracle
 # ---------------------------------------------------------------------------
 
-_ORACLE_RAYS = {"sfce": (("f_t", "f_o", "f_n", "m_n"), sfce_rays), "pcwf": (("f_t", "f_o", "f_n"), pcwf_rays)}
-
-
 def _oracle_lp(prog: ConicProgram, facets: int) -> tuple[np.ndarray, ...]:
     """The LP of ``solve_with_oracle``: minimize c'x s.t. A_eq x = b_eq,
     lower <= x <= upper, as (c, A_eq, b_eq, lower, upper), with x the
-    program's variables and then each cone's ray weights.  Every SOC block
-    must carry a contact-cone tag; arbitrary cone blocks are rejected."""
-    n, m = prog.n_vars, prog.F.shape[0]
-    blocks = []
+    program's variables and then each block's ray weights lambda >= 0.  A
+    block ||A x + b|| <= c'x + d whose A has k rows becomes A x - U lambda =
+    -b and c'x - 1'lambda = -d, with U the unit table of dimension k
+    (``_pcwf_units`` for k = 2, ``_sfce_units`` for k = 3), whose columns
+    have norm 1; any other k raises UnsupportedProgramError."""
+    units = []
     for blk in prog.socs:
-        if blk.tag is None:
+        k = blk.A.shape[0]
+        if k not in (2, 3):
             raise UnsupportedProgramError(
-                f"SOC block {blk.label!r} is not a contact cone; the LP oracle cannot replace it")
-        comps, rays = _ORACLE_RAYS[blk.tag.kind]
-        blocks.append(([blk.tag.var_of[comp] for comp in comps], rays(blk.tag.params, 1.0, facets)))
-    total = n + sum(R.shape[1] for _, R in blocks)
-    A_eq = np.zeros((m + sum(R.shape[0] for _, R in blocks), total))
+                f"SOC block {blk.label!r} has {k} rows; the LP oracle inscribes blocks of 2 or 3 rows only")
+        units.append((_pcwf_units if k == 2 else _sfce_units)(facets))
+    n, m = prog.n_vars, prog.F.shape[0]
+    total = n + sum(U.shape[1] for U in units)
+    A_eq = np.zeros((m + sum(U.shape[0] + 1 for U in units), total))
     b_eq = np.zeros(A_eq.shape[0])
     A_eq[:m, :n], b_eq[:m] = prog.F, prog.g
     row, col = m, n
-    for idx, R in blocks:
-        k, r = R.shape
-        A_eq[range(row, row + k), idx] = 1.0
-        A_eq[row : row + k, col : col + r] = -R
-        row, col = row + k, col + r
+    for blk, U in zip(prog.socs, units):
+        k, r = U.shape
+        A_eq[row : row + k, :n], A_eq[row : row + k, col : col + r], b_eq[row : row + k] = blk.A, -U, -blk.b
+        A_eq[row + k, :n], A_eq[row + k, col : col + r], b_eq[row + k] = blk.c, -1.0, -blk.d
+        row, col = row + k + 1, col + r
     c_lp, lower, upper = np.zeros(total), np.zeros(total), np.full(total, np.inf)  # kHighsInf is IEEE inf
     c_lp[:n], lower[:n], upper[:n] = -prog.f, prog.lb, prog.ub
     return c_lp, A_eq, b_eq, lower, upper
 
 
-# HighsModelStatus by name -> linprog's (status, message), as scipy's
-# _highs_to_scipy_status_message gives them; the members its table lacks
-# (kUnknown, kSolutionLimit, kInterrupt, kMemoryLimit, kHighsInterrupt) are "not recognized"
-_HIGHS_STATUS = {
-    **dict.fromkeys(("kNotset", "kLoadError", "kPresolveError", "kSolveError", "kPostsolveError",
-                     "kModelEmpty", "kObjectiveBound", "kObjectiveTarget"), (4, "")),
-    "kModelError": (2, ""),
-    "kOptimal": (0, "Optimization terminated successfully. "),
-    "kTimeLimit": (1, "Time limit reached. "),
-    "kIterationLimit": (1, "Iteration limit reached. "),
-    "kInfeasible": (2, "The problem is infeasible. "),
-    "kUnbounded": (3, "The problem is unbounded. "),
-    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
-}
-
-
-def _highs_status_message(status, text: str) -> tuple[int, str]:
-    """linprog's (status, message) for a HighsModelStatus and HiGHS's text,
-    byte for byte as scipy's ``_highs_to_scipy_status_message``."""
-    code, message = _HIGHS_STATUS.get(status.name, (4, "The HiGHS status code was not recognized. "))
-    return code, f"{message}(HiGHS Status {int(status)}: {text})"
+# the HighsModelStatus names the oracle reports as such; any other, a refused model included, is a NumericalFailure
+_ORACLE_STATUS = {"kInfeasible": "Infeasible", "kUnbounded": "Unbounded"}
 
 
 def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
-    """Lower-bound the optimum by replacing each contact cone with its
-    inscribed polyhedral approximation and solving the LP with HiGHS.
+    """Lower-bound the optimum by replacing each SOC block with an inscribed
+    polyhedral cone and solving the LP with HiGHS.
 
-    The LP (``_oracle_lp``) is built from arrays: the columns of
-    ``sfce_rays``/``pcwf_rays`` and bounds with +-inf where absent.  The
-    oracle shares no code with the interior-point path beyond the program
-    data itself.  One CSC model goes to scipy's bundled HiGHS with a fresh
-    solver per call and ``linprog``'s options, and is read back as
-    ``linprog(method="highs")`` reads it, the tests' reference, except that a
-    model HiGHS refuses to load is a NumericalFailure, not Infeasible.  The
-    HiGHS binding is loaded on the first call, not with this module, and
-    without ``scipy.optimize``.
+    The LP (``_oracle_lp``) is built from each block's own rows and the unit
+    ray table of its dimension, with bounds +-inf where absent, so the oracle
+    shares no code with the interior-point path beyond the program data
+    itself.  One CSC model goes to scipy's bundled HiGHS with a fresh solver
+    per call and ``linprog``'s options.  HiGHS's kInfeasible and kUnbounded
+    are reported as Infeasible and Unbounded, with HiGHS's own status text as
+    the certificate; any other non-optimal status, a model HiGHS refuses to
+    load included, is a NumericalFailure.  The HiGHS binding is loaded on the
+    first call, not with this module, and without ``scipy.optimize``.
     """
     c_lp, A_eq, b_eq, lower, upper = _oracle_lp(prog, check_facets(facets))
     (m, total), n = A_eq.shape, prog.n_vars
@@ -1178,9 +1159,8 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
         x = np.array(highs.getSolution().col_value[:n])
         eq, viol = _ResidualCheck(ProgramStack.of([prog])).take(0)(x)
         return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), nit)
-    text = highs.modelStatusToString(status)
+    text = f"model_status is {highs.modelStatusToString(status)}"
     if ran:
-        text = f"model_status is {text}; primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
-    code, message = _highs_status_message(status, text)
-    named = {2: "Infeasible", 3: "Unbounded"}.get(code) if loaded else None  # a refused model was never solved
-    return SolveResult(named or "NumericalFailure", None, None, Residuals(math.nan, math.nan, math.nan), nit, message)
+        text += f"; primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
+    return SolveResult(_ORACLE_STATUS.get(status.name, "NumericalFailure"), None, None,
+                       Residuals(math.nan, math.nan, math.nan), nit, text)

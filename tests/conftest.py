@@ -72,9 +72,18 @@ def mkprog(f, F, g, socs=(), lb=None, ub=None) -> ConicProgram:
     return ConicProgram(f=f, F=F, g=g, socs=tuple(socs), lb=lb, ub=ub, layout=layout)
 
 
-def soc(A, b, c, d, tag=None, label="") -> SocBlock:
+def soc(A, b, c, d, label="") -> SocBlock:
     return SocBlock(A=np.asarray(A, dtype=float), b=np.asarray(b, dtype=float),
-                    c=np.asarray(c, dtype=float), d=float(d), tag=tag, label=label)
+                    c=np.asarray(c, dtype=float), d=float(d), label=label)
+
+
+def cone_blocks(p: GraspProblem, prog: ConicProgram):
+    """Each SOC block of ``prog`` (compiled from ``p``) with the ContactSlice
+    and the cone parameters of its contact, found by the block's label."""
+    for blk in prog.socs:
+        cs = next(cs for cs in prog.layout.contacts if f"{cs.group[0]}{cs.index}.cone" == blk.label)
+        contact = (p.manipulator_contacts if cs.group == "manipulator" else p.environment_contacts)[cs.index]
+        yield blk, cs, contact.cone if cs.kind == "sfce" else contact.model.params
 
 
 def transform_problem(p: GraspProblem, R0: np.ndarray, t0: np.ndarray) -> GraspProblem:
@@ -138,15 +147,15 @@ def scale_problem(p: GraspProblem, k: float) -> GraspProblem:
 
 
 def sfce_contains(p: SfceParams, w, tol: float = 1e-8):
-    """Membership in the soft-finger elliptic cone of w = (f_t, f_o, f_n, m_n),
-    the rows of ``sfce_rays`` (one bool per column):
+    """Membership in the soft-finger elliptic cone of w = (f_t, f_o, f_n, m_n)
+    (one bool per column of a 2-D w):
     (1/mu) * sqrt((f_t/e_t)^2 + (f_o/e_o)^2 + (m_n/e_n)^2) <= f_n + tol."""
     f_t, f_o, f_n, m_n = w
     return np.hypot(np.hypot(f_t / p.e_t, f_o / p.e_o), m_n / p.e_n) / p.mu <= f_n + tol
 
 
 def pcwf_contains(p: PcwfParams, w, tol: float = 1e-8):
-    """Membership in the point-contact friction cone of w = (f_t, f_o, f_n),
-    the rows of ``pcwf_rays`` (one bool per column)."""
+    """Membership in the point-contact friction cone of w = (f_t, f_o, f_n)
+    (one bool per column of a 2-D w)."""
     f_t, f_o, f_n = w
     return np.hypot(f_t / p.e_t, f_o / p.e_o) / p.mu <= f_n + tol

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import os
 import re
@@ -236,6 +237,30 @@ class TestOracleCheck:
         code, out, _ = run(capsys, "oracle-check", "--scenario", infeasible_file)
         assert code == EXIT_OK
         assert "both paths report infeasible" in out
+
+    def test_agreement_on_unbounded(self, capsys, tmp_path):
+        # the door's support with no component prescribed: its free m_n supplies the task's moment without bound
+        data = json.loads((BUNDLED / "door_handle.scenario").read_text())
+        data["environment_contacts"][0]["model"]["prescribed"] = {}
+        del data["family"]
+        path = tmp_path / "free_support.scenario"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "oracle-check", "--scenario", str(path), "--facets", "8")
+        assert (code, out) == (EXIT_OK, "socp: Unbounded\nlp[8]: Unbounded\ngap: both paths report unbounded\n")
+
+    @pytest.mark.parametrize("command, entry", [("eval", "local_metric"), ("oracle-check", "solve")])
+    def test_solver_trace_only_under_debug_logging(self, capsys, caplog, monkeypatch, command, entry):
+        # eval and oracle-check solve one program each; the trace hook is built only when it will be logged
+        from screwgrasp import cli
+
+        traces, original = [], getattr(cli, entry)
+        monkeypatch.setattr(cli, entry, lambda *args, trace=None, **kw: traces.append(trace) or original(
+            *args, trace=trace, **kw))
+        for level in (logging.INFO, logging.DEBUG):
+            with caplog.at_level(level, logger="screwgrasp"):
+                assert run(capsys, command, "--builtin", "door_handle")[0] == EXIT_OK
+        assert traces[0] is None and callable(traces[1])
+        assert any(r.levelno == logging.DEBUG and r.getMessage().startswith("solver {") for r in caplog.records)
 
     @pytest.mark.parametrize("gap", ["nan", "-1", "-inf", "x"])
     def test_bad_max_rel_gap_is_input_error(self, capsys, gap):

@@ -1,9 +1,12 @@
-"""Contact cones: membership, and the inscribed rays of the LP oracle.
+"""Contact cones: membership, and the unit ray tables of the LP oracle.
 
-``ref_*_rays`` are the plain per-ray loops that the cached unit tables of
-``screwgrasp.contacts`` replaced; they stay here as the reference.  The
-tables evaluate the same scalar expressions and scale them in the same
-order, so the rays must agree byte for byte, signs of zeros included.
+``ref_*_rays`` are the plain per-ray loops of an inscribed SFCE or PCWF cone
+at normal force f_n, rows (f_t, f_o, f_n, m_n) or (f_t, f_o, f_n).  The
+oracle builds no such rays: it inscribes each compiled block ||A x + b|| <=
+c'x + d with the unit table of its row count, and the block's 1/(mu e) rows
+make the table's columns these rays.  The tables evaluate the loops' scalar
+expressions, so at mu = e = f_n = 1 they agree byte for byte, signs of zeros
+included.
 """
 
 import numpy as np
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pcwf_contains, sfce_contains
+from conftest import cone_blocks, pcwf_contains, sfce_contains
+from test_random_scenarios import random_problem
 from screwgrasp.contacts import (
     FixedSupport,
     PcwfParams,
@@ -20,10 +24,11 @@ from screwgrasp.contacts import (
     _pcwf_units,
     _sfce_units,
     _snap,
-    pcwf_rays,
-    sfce_rays,
+    check_facets,
 )
 from screwgrasp.errors import ScrewGraspError
+from screwgrasp.problem import compile_program
+from screwgrasp.scenarios import builtin_scenario
 
 TABLE_SFCE = SfceParams(mu=0.2, e_t=1.0, e_o=1.0, e_n=0.03)
 TABLE_PCWF = PcwfParams(mu=0.25)
@@ -52,21 +57,28 @@ def ref_pcwf_rays(p, f_n, facets):
 
 
 FACET_COUNTS = (4, 5, 7, 8, 12, 16, 32, 33, 64, 128)
-NORMAL_FORCES = (1.0, 7.5, float(np.random.default_rng(11).uniform(0.01, 100.0)))
+UNITS = {"sfce": (_sfce_units, ref_sfce_rays, [0, 1, 3]), "pcwf": (_pcwf_units, ref_pcwf_rays, [0, 1])}
 
 
-class TestRayTables:
-    @pytest.mark.parametrize("rays,ref,params", [
-        (sfce_rays, ref_sfce_rays, TABLE_SFCE),
-        (sfce_rays, ref_sfce_rays, SfceParams(mu=0.37, e_t=1.3, e_o=0.45, e_n=0.021)),
-        (pcwf_rays, ref_pcwf_rays, TABLE_PCWF),
-        (pcwf_rays, ref_pcwf_rays, PcwfParams(mu=0.6, e_t=0.7, e_o=1.9)),
-    ])
-    def test_rays_are_the_per_ray_loop_byte_for_byte(self, rays, ref, params):
+def fuzz_slice_problems(seed: int = 4, trials: int = 250) -> list:
+    """The problems of the random battery loop run with default_rng(seed)."""
+    rng, out = np.random.default_rng(seed), []
+    for _ in range(trials):
+        problem = random_problem(rng)
+        if problem is not None:
+            out.append(problem)
+            rng.random()  # the draw's direction, as in the fuzz corpus
+    return out
+
+
+class TestUnitTables:
+    @pytest.mark.parametrize("kind", ["sfce", "pcwf"])
+    def test_tables_are_the_per_ray_loop_byte_for_byte(self, kind):
+        units, ref, rows = UNITS[kind]
+        unit = SfceParams(mu=1.0) if kind == "sfce" else PcwfParams(mu=1.0)
         for facets in FACET_COUNTS:
-            for f_n in NORMAL_FORCES:
-                got, want = rays(params, f_n, facets), ref(params, f_n, facets)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (facets, f_n)
+            got, want = units(facets), ref(unit, 1.0, facets)[rows]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), facets
 
     def test_tables_are_cached_and_read_only(self):
         for units in (_sfce_units, _pcwf_units):
@@ -75,12 +87,76 @@ class TestRayTables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 2.0
 
-    @pytest.mark.parametrize("rays,params", [(sfce_rays, TABLE_SFCE), (pcwf_rays, TABLE_PCWF)])
-    def test_facets_must_be_an_integer(self, rays, params):
+    @pytest.mark.parametrize("units", [_sfce_units, _pcwf_units])
+    def test_every_ray_is_on_the_boundary(self, units):
+        # unit columns: the rays lie on the cone boundary, so their hull is inscribed
+        for facets in FACET_COUNTS:
+            np.testing.assert_allclose(np.linalg.norm(units(facets), axis=0), 1.0, rtol=0.0, atol=4e-16)
+
+    def test_four_facets_are_axis_aligned_equator_points(self):
+        want = [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+        assert sorted(map(tuple, _pcwf_units(4).T.tolist())) == want
+        assert sorted(map(tuple, _sfce_units(4).T.tolist())) == [(*w, 0.0) for w in want]
+
+    def test_sfce_hull_support_in_random_directions_inscribed(self):
+        rng = np.random.default_rng(3)
+        U = _sfce_units(64)
+        assert U[0].max() == 1.0  # the support along +t reaches the boundary
+        for _ in range(50):
+            d = rng.normal(size=3)
+            support = (U.T @ (d / np.linalg.norm(d))).max()
+            assert support <= 1.0 + 1e-12  # inscribed
+            assert support >= np.cos(np.pi / 16) * np.cos(np.pi / 64) - 1e-12
+
+    def test_pcwf_inscribed_polygon_support_error(self):
+        # regular inscribed n-gon: worst relative support error is 1 - cos(pi/n)
+        rng = np.random.default_rng(5)
+        for facets in (8, 16, 32):
+            U = _pcwf_units(facets)
+            angles = rng.uniform(0, 2 * np.pi, 200)
+            support = (np.column_stack([np.cos(angles), np.sin(angles)]) @ U).max(axis=1)
+            assert (1.0 - support).max() <= (1.0 - np.cos(np.pi / facets)) + 1e-12
+
+    @pytest.mark.parametrize("units", [_sfce_units, _pcwf_units])
+    def test_ray_sets_nest_under_facet_doubling(self, units):
+        # nesting of the sample sets is what makes the oracle's hulls (and
+        # objectives) monotone over 8 -> 16 -> 32 -> 64
+        prev = None
+        for facets in (8, 16, 32, 64):
+            rays = set(map(tuple, np.round(units(facets).T, 12).tolist()))
+            assert prev is None or prev <= rays, f"{units.__name__}@{facets} lost rays"
+            prev = rays
+
+    def test_facet_floor_and_integer_facets(self):
         for facets in (32.5, 7.9, "8"):
             with pytest.raises(ValueError, match="integer"):
-                rays(params, 1.0, facets)
-        assert rays(params, 1.0, np.int64(32)).tobytes() == rays(params, 1.0, 32).tobytes()
+                check_facets(facets)
+        for facets in (3, 0, -8):
+            with pytest.raises(ValueError, match=">= 4"):
+                check_facets(facets)
+        assert type(check_facets(np.int64(32))) is int and check_facets(np.int64(32)) == 32
+
+
+class TestCompiledBlocks:
+    """Each ray of the reference loops at f_n = 1, placed in x at its
+    contact's components, is the matching column of the unit table as seen
+    through the compiled block: A x + b = U[:, j] and c'x + d = 1."""
+
+    @pytest.mark.parametrize("facets", [8, 32])
+    def test_reference_rays_map_onto_the_unit_table(self, facets):
+        bundled = [builtin_scenario(name).problem() for name in ("door_handle", "cuboid_pivot", "cuboid_slide")]
+        blocks = 0
+        for p in bundled + fuzz_slice_problems():
+            prog = compile_program(p)
+            for blk, cs, params in cone_blocks(p, prog):
+                units, ref, _ = UNITS[cs.kind]
+                U, R = units(facets), ref(params, 1.0, facets)
+                X = np.zeros((prog.n_vars, R.shape[1]))
+                X[cs.start : cs.stop] = R  # the rows of the reference loops are the contact's kept components
+                np.testing.assert_allclose(blk.A @ X + blk.b[:, None], U, rtol=0.0, atol=1e-15)
+                np.testing.assert_allclose(blk.c @ X + blk.d, 1.0, rtol=0.0, atol=1e-15)
+                blocks += 1
+        assert blocks > 300
 
 
 class TestSfceMembership:
@@ -106,83 +182,6 @@ class TestPcwfMembership:
 
     def test_just_outside(self):
         assert not pcwf_contains(TABLE_PCWF, [1.01, 0.0, 4.0], tol=0.0)
-
-
-class TestSfceRays:
-    def test_four_facets_are_axis_aligned_equator_points(self):
-        p = SfceParams(mu=0.2, e_t=1.0, e_o=1.0, e_n=1.0)
-        rays = sfce_rays(p, 1.0, 4)
-        got = sorted((round(t, 12), round(o, 12), n, m) for t, o, n, m in rays.T.tolist())
-        assert got == [(-0.2, 0.0, 1.0, 0.0), (0.0, -0.2, 1.0, 0.0),
-                       (0.0, 0.2, 1.0, 0.0), (0.2, 0.0, 1.0, 0.0)]
-
-    def test_all_rays_are_members(self):
-        for facets in (4, 8, 16, 64):
-            rays = sfce_rays(TABLE_SFCE, 7.5, facets)
-            assert sfce_contains(TABLE_SFCE, rays, tol=1e-9).all()
-            assert sfce_contains(TABLE_SFCE, rays, tol=1e-11 * 7.5).all()  # boundary-exact
-
-    def test_hull_support_along_t_axis(self):
-        # closed-form cone boundary support along +t is mu*e_t*f_n
-        p = SfceParams(mu=0.2, e_t=1.3, e_o=0.8, e_n=0.03)
-        best = sfce_rays(p, 5.0, 64)[0].max()
-        assert best <= p.mu * p.e_t * 5.0 + 1e-12
-        assert best >= p.mu * p.e_t * 5.0 * (1.0 - 0.005)
-
-    def test_hull_support_in_random_directions_inscribed(self):
-        rng = np.random.default_rng(3)
-        p = TABLE_SFCE
-        f_n = 2.0
-        f_t, f_o, _, m_n = sfce_rays(p, f_n, 64)
-        pts = np.column_stack([f_t / p.e_t, f_o / p.e_o, m_n / p.e_n])
-        radius = p.mu * f_n
-        for _ in range(50):
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            support = pts @ d
-            assert support.max() <= radius + 1e-12  # inscribed
-            assert support.max() >= radius * np.cos(np.pi / 16) * np.cos(np.pi / 64) - 1e-12
-
-    def test_ray_sets_nest_under_facet_doubling(self):
-        # nesting of the sample sets is what makes the oracle's hulls (and
-        # objectives) monotone over 8 -> 16 -> 32 -> 64
-        for rays_of, params in ((sfce_rays, TABLE_SFCE), (pcwf_rays, TABLE_PCWF)):
-            prev = None
-            for facets in (8, 16, 32, 64):
-                rays = set(map(tuple, np.round(rays_of(params, 1.0, facets).T, 12).tolist()))
-                if prev is not None:
-                    assert prev <= rays, f"{rays_of.__name__}@{facets} lost rays"
-                prev = rays
-
-    def test_argument_errors(self):
-        with pytest.raises(ValueError):
-            sfce_rays(TABLE_SFCE, 1.0, 3)
-        with pytest.raises(ScrewGraspError):
-            sfce_rays(TABLE_SFCE, 0.0, 8)
-
-
-class TestPcwfRays:
-    def test_four_facets(self):
-        rays = pcwf_rays(TABLE_PCWF, 1.0, 4)
-        assert rays.shape == (3, 4)  # (f_t, f_o, f_n): no moment components
-        got = sorted((round(t, 12), round(o, 12), n) for t, o, n in rays.T.tolist())
-        assert got == [(-0.25, 0.0, 1.0), (0.0, -0.25, 1.0), (0.0, 0.25, 1.0), (0.25, 0.0, 1.0)]
-
-    def test_all_rays_members(self):
-        assert pcwf_contains(TABLE_PCWF, pcwf_rays(TABLE_PCWF, 3.0, 16), tol=1e-11 * 3.0).all()
-
-    def test_inscribed_polygon_support_error(self):
-        # regular inscribed n-gon: worst relative support error is 1 - cos(pi/n)
-        rng = np.random.default_rng(5)
-        for facets in (8, 16, 32):
-            pts = pcwf_rays(TABLE_PCWF, 1.0, facets)[:2].T
-            worst = 0.0
-            for _ in range(200):
-                ang = rng.uniform(0, 2 * np.pi)
-                d = np.array([np.cos(ang), np.sin(ang)])
-                support = (pts @ d).max()
-                worst = max(worst, 1.0 - support / TABLE_PCWF.mu)
-            assert worst <= (1.0 - np.cos(np.pi / facets)) + 1e-12
 
 
 members_sfce = st.tuples(

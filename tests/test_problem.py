@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     adjoint_matrix,
+    cone_blocks,
     external_wrench_in_b,
     mkprog,
     rot,
@@ -361,7 +362,6 @@ class TestConicProgramValidation:
         for x, y in zip((a.f, a.F, a.g, a.lb, a.ub, a.socs[0].A, a.socs[0].b, a.socs[0].c),
                         (b.f, b.F, b.g, b.lb, b.ub, b.socs[0].A, b.socs[0].b, b.socs[0].c)):
             assert not np.shares_memory(x, y)
-        assert a.socs[0].tag.var_of is not b.socs[0].tag.var_of  # the cached structure keeps its own
 
     def test_non_finite_compiled_cone_raises_when_built(self):
         # mu * e_t is subnormal, so the cone coefficient 1 / (mu e_t) overflows to inf
@@ -374,14 +374,12 @@ class TestConicProgramValidation:
 
 
 def program_bytes(prog) -> bytes:
-    """Every array, label, tag and layout entry of a compiled program, as bytes."""
+    """Every array, label and layout entry of a compiled program, as bytes."""
     parts = [prog.f, prog.F, prog.g, prog.lb, prog.ub]
-    tags = []
     for blk in prog.socs:
         parts += [blk.A, blk.b, blk.c, np.array([blk.d])]
-        tags.append((blk.label, blk.tag.kind, blk.tag.params, sorted(blk.tag.var_of.items())))
     data = b"".join(f"{arr.shape}".encode() + arr.astype("<f8").tobytes() for arr in parts)
-    return data + repr((tags, prog.layout, prog.layout.variable_names())).encode()
+    return data + repr(([blk.label for blk in prog.socs], prog.layout, prog.layout.variable_names())).encode()
 
 
 def torque_problem(prescribed=(("m_t", 0.0), ("m_o", 0.0), ("m_n", 0.1))) -> GraspProblem:
@@ -479,7 +477,7 @@ def pinned_moments(p, moments: float) -> GraspProblem:
 class TestCompileStacks:
     """``compile_stacks`` writes the problems of one structure into one stack;
     every row is byte for byte ``compile_program``'s program (arrays with
-    their signed zeros, labels, tags and layout), and every problem that
+    their signed zeros, labels and layout), and every problem that
     fails has the error ``compile_program`` raises for it."""
 
     @pytest.mark.parametrize("direction", [+1, -1])
@@ -545,11 +543,14 @@ class TestCompileStacks:
                         g -= G6[:, LOCAL_COMPONENTS.index(comp)] * value
                 F[:, prog.layout.eta_index] = -(direction * screw_to_unit_wrench(p.task).as_array())
                 assert (F.tobytes(), g.tobytes()) == (prog.F[:6].tobytes(), prog.g[:6].tobytes())
-                for blk in prog.socs:
-                    prm, comps = blk.tag.params, [comp for comp in blk.tag.var_of if comp != "f_n"]
-                    scales = ("e_t", "e_o", "e_n")[: len(comps)]
-                    assert [blk.A[k, blk.tag.var_of[comp]] for k, comp in enumerate(comps)] == [
-                        1.0 / (prm.mu * getattr(prm, e)) for e in scales]
+                for blk, cs, prm in cone_blocks(p, prog):  # ||A x|| <= f_n, A row k: 1 / (mu e_k)
+                    comps = [comp for comp in cs.components if comp != "f_n"]
+                    A, c = np.zeros((len(comps), prog.n_vars)), np.zeros(prog.n_vars)
+                    for k, (comp, e) in enumerate(zip(comps, ("e_t", "e_o", "e_n"))):
+                        A[k, cs.start + cs.components.index(comp)] = 1.0 / (prm.mu * getattr(prm, e))
+                    c[cs.start + cs.components.index("f_n")] = 1.0
+                    assert (blk.A.tobytes(), blk.c.tobytes()) == (A.tobytes(), c.tobytes())
+                    assert blk.b.tobytes() == np.zeros(len(comps)).tobytes() and blk.d == 0.0
 
     def test_failing_rows_keep_the_error_of_their_problem(self):
         """Rows that fail in a stack of good ones: a friction coefficient whose

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -188,9 +189,36 @@ class TestOracle:
         assert lp.residuals.cone <= 1e-7  # inscribed rays stay inside the true cones
         assert lp.residuals.primal <= 1e-7
 
-    def test_untagged_cone_rejected(self):
-        with pytest.raises(UnsupportedProgramError):
-            solve_with_oracle(disk(), 8)
+    def test_any_two_row_block_is_inscribed(self):
+        # the octagon has a vertex at 45 degrees, where x + y is largest on the disk
+        lp = solve_with_oracle(disk(), 8)
+        assert lp.status == "Optimal"
+        assert lp.objective == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["door_handle", "cuboid_pivot", "cuboid_slide"])
+    def test_lp_rows_are_each_block_and_its_unit_table(self, name):
+        # ||A x + b|| <= c'x + d becomes A x - U lambda = -b and c'x - 1'lambda = -d, lambda >= 0
+        prog = compile_program(builtin_scenario(name).problem())
+        _, A_eq, b_eq, lower, upper = solver._oracle_lp(prog, 16)
+        n = prog.n_vars
+        row, col = prog.F.shape[0], n
+        assert A_eq[:row, :n].tobytes() == prog.F.tobytes() and not A_eq[:row, n:].any()
+        for blk in prog.socs:
+            U = {2: contacts._pcwf_units, 3: contacts._sfce_units}[blk.A.shape[0]](16)
+            k, r = U.shape
+            want = np.zeros((k + 1, A_eq.shape[1]))
+            want[:k, :n], want[:k, col : col + r] = blk.A, -U
+            want[k, :n], want[k, col : col + r] = blk.c, -1.0
+            assert A_eq[row : row + k + 1].tobytes() == want.tobytes()
+            assert b_eq[row : row + k + 1].tobytes() == np.append(-blk.b, -blk.d).tobytes()
+            row, col = row + k + 1, col + r
+        assert (row, col) == A_eq.shape
+        assert (lower[n:] == 0.0).all() and (upper[n:] == np.inf).all()
+
+    def test_five_row_block_rejected(self):
+        prog = mkprog(np.ones(5), np.zeros((0, 5)), [], socs=[soc(np.eye(5), np.zeros(5), np.zeros(5), 1.0, "ball")])
+        with pytest.raises(UnsupportedProgramError, match="SOC block 'ball' has 5 rows"):
+            solve_with_oracle(prog, 8)
 
     def test_agreement_on_infeasible(self):
         prog = unsupported_load()
@@ -289,16 +317,20 @@ class TestOracleImport:
 
 
 class TestScipyExtensions:
-    """The inline HiGHS status texts, and ``_scipy_extension``'s fallback
-    through the package."""
+    """The oracle's reading of HiGHS's statuses, and ``_scipy_extension``'s
+    fallback through the package."""
 
-    def test_status_messages_match_scipy(self):
+    def test_statuses_match_linprog_codes(self):
+        # linprog names HiGHS's statuses by its codes 2 (Infeasible) and 3 (Unbounded)
         from scipy.optimize._highspy._core import HighsModelStatus
         from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
         for status in HighsModelStatus.__members__.values():
-            text = f"model_status is {status.name}"
-            assert solver._highs_status_message(status, text) == _highs_to_scipy_status_message(status, text)
+            code, _ = _highs_to_scipy_status_message(status, "")
+            want = {2: "Infeasible", 3: "Unbounded"}.get(code, "NumericalFailure")
+            if status.name == "kModelError":
+                want = "NumericalFailure"  # linprog's code 2, but a model HiGHS refuses was never solved
+            assert solver._ORACLE_STATUS.get(status.name, "NumericalFailure") == want, status
 
     def test_fallback_imports_through_the_package(self, monkeypatch):
         # a scipy with another layout: no extension file is found, so the module
@@ -341,8 +373,8 @@ def test_free_ray_on_infeasible_draw(seed, trial):
 
 def linprog_oracle(prog, facets: int) -> SolveResult:
     """The oracle's LP solved by ``scipy.optimize.linprog(method="highs")`` and
-    read as the oracle read it before it called HiGHS itself: the reference
-    of ``solve_with_oracle``, which must give the same bytes."""
+    read as the oracle reads HiGHS, without a certificate: the reference of
+    ``solve_with_oracle``, which must give the same ``lp_bytes``."""
     from scipy.optimize import linprog
 
     c, A_eq, b_eq, lower, upper = solver._oracle_lp(prog, facets)
@@ -352,8 +384,13 @@ def linprog_oracle(prog, facets: int) -> SolveResult:
         eq, viol = solver._ResidualCheck(ProgramStack.of([prog])).take(0)(x)
         return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), int(res.nit))
     status = {2: "Infeasible", 3: "Unbounded"}.get(res.status, "NumericalFailure")
-    return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan),
-                       int(getattr(res, "nit", 0) or 0), res.message)
+    return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan), int(getattr(res, "nit", 0) or 0))
+
+
+def lp_bytes(res: SolveResult) -> bytes:
+    """``result_bytes`` of an oracle result but for its certificate, which is
+    HiGHS's own status text, not linprog's message."""
+    return result_bytes(replace(res, certificate=None))
 
 
 def fuzz_slice(size: int, seed: int) -> list:
@@ -376,30 +413,31 @@ BUNDLED = ("door_handle", "cuboid_pivot", "cuboid_slide")
 
 class TestOracleAgainstLinprog:
     """``solve_with_oracle`` hands its LP straight to scipy's bundled HiGHS;
-    every result must equal ``linprog``'s on the same arrays, byte for byte.
-    A scipy release that changes the private binding fails here."""
+    every result must equal ``linprog``'s on the same arrays, byte for byte
+    (status, objective, primal, residuals and iterations).  A scipy release
+    that changes the private binding fails here."""
 
     @pytest.mark.parametrize("facets", [8, 16, 32, 64])
     @pytest.mark.parametrize("direction", [+1, -1])
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled(self, name, direction, facets):
         prog = compile_program(builtin_scenario(name).problem(), direction)
-        assert result_bytes(solve_with_oracle(prog, facets)) == result_bytes(linprog_oracle(prog, facets))
+        assert lp_bytes(solve_with_oracle(prog, facets)) == lp_bytes(linprog_oracle(prog, facets))
 
     def test_infeasible(self):
         res = solve_with_oracle(unsupported_load(), 8)
-        assert res.status == "Infeasible"
-        assert result_bytes(res) == result_bytes(linprog_oracle(unsupported_load(), 8))
+        assert (res.status, res.certificate) == ("Infeasible", "model_status is Infeasible; primal_status is None")
+        assert lp_bytes(res) == lp_bytes(linprog_oracle(unsupported_load(), 8))
 
     @pytest.mark.parametrize("seed,trial", FREE_RAY_DRAWS)
     def test_free_ray_draws(self, seed, trial):
         prog = fuzz_draw(seed, trial)
-        assert result_bytes(solve_with_oracle(prog, 32)) == result_bytes(linprog_oracle(prog, 32))
+        assert lp_bytes(solve_with_oracle(prog, 32)) == lp_bytes(linprog_oracle(prog, 32))
 
     def test_fuzz_corpus_slice(self):
         progs = fuzz_slice(200, seed=14)
         got = [solve_with_oracle(prog, 32) for prog in progs]
-        assert [result_bytes(r) for r in got] == [result_bytes(linprog_oracle(prog, 32)) for prog in progs]
+        assert [lp_bytes(r) for r in got] == [lp_bytes(linprog_oracle(prog, 32)) for prog in progs]
         assert {r.status for r in got} >= {"Optimal", "Infeasible"}
 
     def test_model_highs_rejects(self):
@@ -408,7 +446,7 @@ class TestOracleAgainstLinprog:
         prog = mkprog([0.0, 1.0], [[1e16, 0.0]], [-5.0], lb=[0.0, -np.inf], ub=[np.inf, 3.0])
         res = solve_with_oracle(prog, 8)
         assert (res.status, res.iterations, res.certificate) == (
-            "NumericalFailure", 0, "(HiGHS Status 2: Model error)")
+            "NumericalFailure", 0, "model_status is Model error")
 
     def test_highs_infinity_is_ieee_infinity(self):
         # so the bounds reach HiGHS as they are, with no conversion

@@ -1,26 +1,31 @@
 """Print SHA-256 digests over the solver's results on the benchmark's inputs.
 
 A change meant to speed the solver up without changing its arithmetic must
-leave all three digests unchanged.  Run it at the parent commit and at the change,
-from the root of each checkout, and compare the outputs:
+leave all four digests unchanged; a change to the LP oracle alone leaves the
+interior-point, sweep and batch digests unchanged and moves only the oracle
+digest.  Run it at the parent commit and at the change, from the root of each
+checkout, and compare the outputs:
 
     python3 tools/solve_digest.py
 
-The first digest (second line) covers the inputs of ``perfbench/workloads.py``:
-every ``eval_grid`` point (compiled and solved alone with the default
-settings), and every draw of the 2000-draw ``fuzz_oracle`` corpus, solved by
-the interior-point method and by the LP oracle with the benchmark's settings.
-Each result contributes its status, iteration count, objective, certificate,
-residuals and primal bytes.
+The interior-point digest (second line) covers the inputs of
+``perfbench/workloads.py``: every ``eval_grid`` point (compiled and solved
+alone with the default settings), and every draw of the 2000-draw
+``fuzz_oracle`` corpus, solved by the interior-point method with the
+benchmark's settings.  Each result contributes its status, iteration count,
+objective, certificate, residuals and primal bytes.
 
-The sweep digest (third line) covers the multi-point jobs: the
+The oracle digest (third line) covers the same 2000 draws solved by the LP
+oracle at the benchmark's facet count, each result's bytes as above.
+
+The sweep digest (fourth line) covers the multi-point jobs: the
 ``metric_sweep`` rows of the four ``batch_cli`` sweep jobs (run through the
 CLI) and of the door acceptance sweeps (x_c in 0, 0.05, 0.10, 0.15; 41 angles;
 both directions), each row's status, iteration count and eta bytes, and the
 ``gws_sample`` rays of ``gws --builtin cuboid_slide --rays 64``, each ray's
 status and eta bytes.
 
-The batch digest (fourth line) covers what the sweep digest leaves out of
+The batch digest (fifth line) covers what the sweep digest leaves out of
 the multi-point jobs: every ``solve_batch`` result, all of its bytes as in the
 first digest, of the five ``batch_cli`` jobs (four sweeps and one GWS probe,
 run through the CLI) and of the door acceptance sweeps.  Takes about a
@@ -128,7 +133,7 @@ def batch_digest() -> str:
 
 
 def main() -> int:
-    digest = hashlib.sha256()
+    digest, oracle = hashlib.sha256(), hashlib.sha256()
     counts = {"eval_grid": 0, "fuzz_socp": 0, "fuzz_oracle": 0}
     for name, params, direction in workloads.eval_grid_points():
         prob = scenarios.builtin_scenario(name, **params).problem()
@@ -139,11 +144,12 @@ def main() -> int:
         for prob, direction, _trial in corpus._draws(gen_seed):
             prog = problem.compile_program(prob, direction)
             digest.update(result_bytes(solver.solve(prog, workloads.FUZZ_SETTINGS)))
-            digest.update(result_bytes(solver.solve_with_oracle(prog, workloads.FUZZ_FACETS)))
+            oracle.update(result_bytes(solver.solve_with_oracle(prog, workloads.FUZZ_FACETS)))
             counts["fuzz_socp"] += 1
             counts["fuzz_oracle"] += 1
     print(" ".join(f"{k}={v}" for k, v in counts.items()), f"results={sum(counts.values())}")
     print(digest.hexdigest())
+    print(f"oracle_digest={oracle.hexdigest()}")
     print(sweep_digest())
     print(batch_digest())
     return 0
