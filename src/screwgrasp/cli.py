@@ -7,18 +7,18 @@
     screw-grasp gws          sample the grasp wrench space boundary (CSV;
                              --subspace, --rays)
 
-Scenarios come from ``--builtin NAME`` (door_handle, cuboid_pivot,
-cuboid_slide) or ``--scenario PATH``.  ``--set key=value`` overrides family
-parameters; values take the unit suffixes ``deg``, ``rad``, ``N``, ``Nm``,
-``m`` or ``L`` (fractions of the family's length parameter L).  Unknown keys
-are errors, not warnings.  Every subcommand writes its report to ``--out
+Scenarios come from exactly one of ``--builtin NAME`` (door_handle,
+cuboid_pivot, cuboid_slide) or ``--scenario PATH``.  ``--set key=value``
+overrides family parameters; values are finite numbers with an optional unit
+suffix ``deg``, ``rad``, ``N``, ``Nm``, ``m`` or ``L`` (fractions of the
+family's length parameter L).  Every subcommand writes its report to ``--out
 PATH`` if given, else to stdout.
 
-Exit codes: 0 success/Optimal, 2 Infeasible, 3 Unbounded, 4 input error
-(including a bad flag value or a truncated flag), 5 solver failure.
-``SCREW_GRASP_LOG`` (debug|info|warning) selects log verbosity; debug traces
-the solver's iterations in ``eval`` and ``oracle-check`` only, as sweeps and
-GWS probes solve stacked programs, which take no trace.  CSV output
+Exit codes: 0 success/Optimal, 2 Infeasible, 3 Unbounded, 4 input error (a
+bad or truncated flag, an unwritable ``--out``, or a ``ScenarioError``, bad
+scenario input of any source), 5 solver failure.  ``SCREW_GRASP_LOG=debug``
+traces the solver's iterations in ``eval`` and ``oracle-check`` only, as
+sweeps and GWS probes solve stacked programs, which take no trace.  CSV output
 uses 9 significant digits, '.' decimals and LF line endings; apart from the
 wall-clock column it is deterministic for fixed inputs and settings.
 """
@@ -56,7 +56,7 @@ _WRENCH_COMPONENTS = {"fx": 0, "fy": 1, "fz": 2, "tx": 3, "ty": 4, "tz": 5}
 
 
 class CliError(Exception):
-    """Bad invocation or bad input; maps to exit code 4."""
+    """A bad quantity or ``--out`` path; maps to exit code 4."""
 
 
 # argparse ``type=`` converters; an ArgumentTypeError is an input error (exit 4)
@@ -138,49 +138,34 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _parse_quantity(text: str, length_unit: float | None) -> float:
-    """Number with an optional unit suffix; lengths may be fractions of L."""
+def _parse_quantity(text: str, scenario: Scenario) -> float:
+    """A finite number with an optional unit suffix; lengths may be fractions
+    of the L parameter of the scenario's family."""
     text = text.strip()
     suffix = next((s for s in ("deg", "rad", "Nm", "N", "L", "m") if text.endswith(s)), "")
     try:
         value = float(text[: len(text) - len(suffix)])
     except ValueError:
-        raise CliError(f"cannot parse quantity {text!r}") from None
+        value = math.nan
     if suffix == "deg":
-        return math.radians(value)
-    if suffix == "L":
-        if length_unit is None:
+        value = math.radians(value)
+    elif suffix == "L":
+        length = None if scenario.family is None else scenario.family.params.get("L")
+        if length is None:
             raise CliError("the 'L' suffix needs a scenario family with an L parameter")
-        return value * length_unit
+        value *= length
+    if not math.isfinite(value):
+        raise CliError(f"cannot parse quantity {text!r}")
     return value
 
 
 def _resolve_scenario(args: argparse.Namespace) -> Scenario:
-    if (args.builtin is None) == (args.scenario is None):
-        raise CliError("exactly one of --builtin or --scenario is required")
-    if args.builtin is None:
-        base = load_scenario(args.scenario)
-    else:
-        try:
-            base = builtin_scenario(args.builtin)
-        except ScrewGraspError as exc:  # unknown name
-            raise CliError(str(exc)) from None
-
-    overrides = dict(args.set)
+    base = builtin_scenario(args.builtin) if args.scenario is None else load_scenario(args.scenario)
+    overrides = dict(args.set)  # the last value of a key wins; the others are never parsed
     if not overrides:
         return base
-    if base.family is None:
-        raise CliError("--set requires a scenario with generator family information")
-    params = dict(base.family.params)
-    length = params.get("L")
-    for key, raw in overrides.items():
-        if key not in params:
-            raise CliError(f"unknown parameter {key!r}; valid: {sorted(params)}")
-        params[key] = _parse_quantity(raw, length)
-    try:
-        return rebuild_scenario(base, params, args.task)
-    except ScrewGraspError as exc:
-        raise CliError(str(exc)) from None
+    changes = {key: _parse_quantity(raw, base) for key, raw in overrides.items()}
+    return rebuild_scenario(base, changes, args.task)
 
 
 def _settings(args: argparse.Namespace, **defaults) -> SolveSettings:
@@ -198,19 +183,15 @@ def _trace():
     return (lambda payload: log.debug("solver %s", payload)) if log.isEnabledFor(logging.DEBUG) else None
 
 
-def _problem_for(scenario: Scenario, task: str | None):
-    try:
-        return scenario.problem(task)
-    except ScrewGraspError as exc:  # unknown task label is an input error
-        raise CliError(str(exc)) from None
-
-
 def _write(lines: list[str], out: str | None) -> None:
     """One report, one line per entry with LF endings, to ``out`` or stdout."""
     text = "".join(line + "\n" for line in lines)
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -229,7 +210,7 @@ def _row(param: str, r) -> list[str]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
-    problem = _problem_for(scenario, args.task)
+    problem = scenario.problem(args.task)
     result = local_metric(problem, args.dir, _settings(args), trace=_trace())
     if args.format == "csv":
         lines = _csv(_ROW_HEADER, [_row("", result)])
@@ -251,13 +232,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     param, start_s, stop_s, count = args.sweep
-    # the bounds may carry unit suffixes that need the family's L
-    length = None if scenario.family is None else scenario.family.params.get("L")
-    start, stop = _parse_quantity(start_s, length), _parse_quantity(stop_s, length)
-    try:
-        family = scenario_family(scenario, param, args.task)
-    except ScrewGraspError as exc:
-        raise CliError(str(exc)) from None
+    start, stop = _parse_quantity(start_s, scenario), _parse_quantity(stop_s, scenario)
+    family = scenario_family(scenario, param, args.task)
     grid = np.linspace(start, stop, count)
     rows = metric_sweep(family, grid, args.dir, _settings(args))
     _write(_csv(_ROW_HEADER, [_row(_fmt(r.parameter), r) for r in rows]), args.out)
@@ -273,7 +249,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
-    problem = _problem_for(scenario, args.task)
+    problem = scenario.problem(args.task)
     prog = compile_program(problem, args.dir)
     # the oracle is exact for the LP relaxation, so compare against a tightly
     # solved SOCP or the comparison is dominated by our own gap tolerance
@@ -317,7 +293,7 @@ def _subspace_directions(k: int, rays: int) -> np.ndarray:
 def cmd_gws(args: argparse.Namespace) -> int:
     comps = args.subspace
     scenario = _resolve_scenario(args)
-    problem = _problem_for(scenario, args.task)
+    problem = scenario.problem(args.task)
     dirs = _subspace_directions(len(comps), args.rays)
     coords = []
     for d in dirs:
@@ -344,8 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, run, summary):
         sp = sub.add_parser(name, help=summary, allow_abbrev=False)
         sp.set_defaults(run=run)
-        sp.add_argument("--builtin", help="builtin scenario name")
-        sp.add_argument("--scenario", help="scenario file path")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--builtin", help="builtin scenario name")
+        source.add_argument("--scenario", help="scenario file path")
         sp.add_argument("--task", help="task label (default: first task)")
         sp.add_argument("--dir", default="+", type=_direction, metavar="{+,-}", help="task direction")
         sp.add_argument("--set", action="append", default=[], type=_key_value, metavar="K=V",
@@ -370,9 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}.get(
-        os.environ.get("SCREW_GRASP_LOG", "").lower(), logging.WARNING
-    )
+    level = logging.DEBUG if os.environ.get("SCREW_GRASP_LOG", "").lower() == "debug" else logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _build_parser().parse_args(argv)

@@ -32,7 +32,8 @@ class UnsupportedProgramError(ScrewGraspError):
 
 
 class ScenarioError(ScrewGraspError):
-    """Base class for scenario-file problems."""
+    """Bad scenario input, from any source: a scenario file, a builtin name,
+    a task label, or a family parameter's name or value."""
 
 
 class ScenarioParseError(ScenarioError):

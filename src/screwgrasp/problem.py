@@ -280,10 +280,10 @@ class ConicProgram:
 @dataclass(frozen=True)
 class ProgramStack:
     """B programs of one shape, stacked: ``f``, ``F``, ``g``, ``lb``, ``ub``
-    and per SOC block ``(A, b, c, d)``, with the blocks' labels.  Stacks from
-    ``compile_stacks`` are read-only and checked, and ``program(k)`` is row k
-    as a ConicProgram; ``of`` stacks ConicPrograms for the solver, without
-    layout or labels."""
+    and per SOC block ``(A, b, c, d)``, with the layout and blocks' labels.
+    Stacks from ``compile_stacks`` are read-only and checked, and
+    ``program(k)`` is row k as a ConicProgram; ``of`` stacks ConicPrograms,
+    taking the first one's layout and labels."""
 
     f: np.ndarray
     F: np.ndarray
@@ -291,8 +291,8 @@ class ProgramStack:
     lb: np.ndarray
     ub: np.ndarray
     socs: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-    layout: VariableLayout | None = None
-    labels: tuple[str, ...] = ()  # per SOC block
+    layout: VariableLayout
+    labels: tuple[str, ...]  # per SOC block
 
     def __len__(self) -> int:
         return len(self.f)
@@ -303,7 +303,8 @@ class ProgramStack:
         stack = (lambda xs: xs[0][None]) if len(progs) == 1 else np.stack
         return cls(*(stack([getattr(p, name) for p in progs]) for name in ("f", "F", "g", "lb", "ub")),
                    socs=tuple((*(stack([getattr(p.socs[j], name) for p in progs]) for name in "Abc"),
-                               np.array([p.socs[j].d for p in progs])) for j in range(len(progs[0].socs))))
+                               np.array([p.socs[j].d for p in progs])) for j in range(len(progs[0].socs))),
+                   layout=progs[0].layout, labels=tuple(blk.label for blk in progs[0].socs))
 
     def take(self, idx) -> "ProgramStack":
         """The rows ``idx`` (an index array) as a read-only stack of their own."""
@@ -317,7 +318,7 @@ class ProgramStack:
         """Row k as a ConicProgram of views, run through the ConicProgram
         checks if ``check`` (a compiled stack's rows passed them)."""
         socs = tuple(_built(SocBlock, check, A=A[k], b=b[k], c=c[k], d=float(d[k]), label=label)
-                     for (A, b, c, d), label in zip(self.socs, self.labels))
+                     for (A, b, c, d), label in zip(self.socs, self.labels, strict=True))
         return _built(ConicProgram, check, f=self.f[k], F=self.F[k], g=self.g[k], socs=socs,
                       lb=self.lb[k], ub=self.ub[k], layout=self.layout)
 

@@ -57,6 +57,7 @@ from .contacts import (
     SfceParams,
 )
 from .errors import (
+    ScenarioError,
     ScenarioParseError,
     ScenarioPhysicsError,
     ScenarioSchemaError,
@@ -104,7 +105,7 @@ class Scenario:
         for name, screw in self.tasks:
             if name == label:
                 return screw
-        raise ScrewGraspError(f"unknown task {label!r}; available: {self.task_labels()}")
+        raise ScenarioError(f"unknown task {label!r}; available: {self.task_labels()}")
 
     def problem(self, task: str | None = None) -> GraspProblem:
         return GraspProblem(
@@ -282,16 +283,22 @@ BUILTINS: dict[str, Builtin] = {
 
 
 def builtin_scenario(name: str, **overrides) -> Scenario:
-    """Instantiate a builtin scenario with parameter overrides."""
+    """Instantiate a builtin scenario with parameter overrides; a
+    ``ScenarioError`` for an unknown name or parameter, and a
+    ``ScenarioPhysicsError`` with the parameter type's own message for one
+    out of range."""
     if name not in BUILTINS:
-        raise ScrewGraspError(f"unknown builtin scenario {name!r}; available: {sorted(BUILTINS)}")
+        raise ScenarioError(f"unknown builtin scenario {name!r}; available: {sorted(BUILTINS)}")
     spec = BUILTINS[name]
     valid = {f.name for f in fields(spec.params_cls)}
     unknown = set(overrides) - valid
     if unknown:
-        raise ScrewGraspError(f"unknown parameter(s) {sorted(unknown)} for {name}; "
-                              f"valid: {sorted(valid)}")
-    return spec.build(spec.params_cls(**overrides))
+        raise ScenarioError(f"unknown parameter(s) {sorted(unknown)} for {name}; "
+                            f"valid: {sorted(valid)}")
+    try:
+        return spec.build(spec.params_cls(**overrides))
+    except ScrewGraspError as exc:
+        raise ScenarioPhysicsError(str(exc)) from None
 
 
 def _family_builtin(generator: str, task: str) -> str:
@@ -303,28 +310,26 @@ def _family_builtin(generator: str, task: str) -> str:
     return generator
 
 
-def rebuild_scenario(scenario: Scenario, params: dict, task: str | None = None) -> Scenario:
-    """Regenerate a family-carrying scenario from its generator at ``params``,
-    for the selected task (default: the first)."""
-    return builtin_scenario(_family_builtin(scenario.family.generator, task or scenario.tasks[0][0]), **params)
+def rebuild_scenario(scenario: Scenario, changes: dict, task: str | None = None) -> Scenario:
+    """Regenerate a scenario from its family with the parameter ``changes``,
+    for the selected task (default: the first); a ``ScenarioError`` without a
+    family, or for whatever ``builtin_scenario`` rejects."""
+    if scenario.family is None:
+        raise ScenarioError("scenario has no generator family; cannot change its parameters")
+    return builtin_scenario(_family_builtin(scenario.family.generator, task or scenario.tasks[0][0]),
+                            **{**scenario.family.params, **changes})
 
 
 def scenario_family(scenario: Scenario, parameter: str, task: str | None = None):
-    """Callable mapping a parameter value to a GraspProblem, for sweeps.
-
-    Requires the scenario to carry family information (builtin-generated or
-    loaded from a file with a family block).
-    """
-    if scenario.family is None:
-        raise ScrewGraspError("scenario has no generator family; cannot sweep a parameter")
-    base = dict(scenario.family.params)
-    if parameter not in base:
-        raise ScrewGraspError(f"unknown parameter {parameter!r}; valid: {sorted(base)}")
-
+    """Callable mapping a parameter value to a GraspProblem, for sweeps, of a
+    scenario with family information (builtin-generated or loaded from a file
+    with a family block).  A scenario without one, or an unknown parameter or
+    task, is a ``ScenarioError`` here, before any point is built."""
     def build(value: float) -> GraspProblem:
-        return rebuild_scenario(scenario, {**base, parameter: value}, task).problem(task)
+        return rebuild_scenario(scenario, {parameter: value}, task).problem(task)
 
-    build(base[parameter])  # fail fast on an invalid base scenario or task
+    # at the scenario's value; an unknown name gets None, rejected by its name
+    build(rebuild_scenario(scenario, {}, task).family.params.get(parameter))
     return build
 
 

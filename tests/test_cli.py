@@ -88,6 +88,15 @@ class TestEval:
         assert code == EXIT_INPUT
         assert "bogus" in err
 
+    def test_out_of_range_set_names_the_parameter(self, capsys):
+        code, out, err = run(capsys, "eval", "--builtin", "door_handle", "--set", "x_c=5")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: x_c must lie on the handle: 0 <= 5.0 <= 0.2\n"
+
+    def test_last_set_value_wins_and_dropped_values_are_not_parsed(self, capsys):
+        code, out, _ = run(capsys, "eval", "--builtin", "door_handle", "--set", "x_c=abc", "--set", "x_c=0.1")
+        assert code == EXIT_OK and "status: Optimal" in out
+
     def test_requires_exactly_one_source(self, capsys):
         assert run(capsys, "eval")[0] == EXIT_INPUT
         assert run(capsys, "eval", "--builtin", "door_handle", "--scenario", "x")[0] == EXIT_INPUT
@@ -455,6 +464,49 @@ def test_bad_tolerance_is_input_error(capsys, argv):
     assert code == EXIT_INPUT
     assert "tolerance must be positive" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("sweep", "--builtin", "door_handle", "--sweep", "theta=0:nan:3"), "nan"),
+    (("sweep", "--builtin", "door_handle", "--sweep", "theta=0:inf:3"), "inf"),
+    (("sweep", "--builtin", "door_handle", "--sweep", "theta=-infdeg:0:3"), "-infdeg"),
+    (("sweep", "--builtin", "door_handle", "--sweep", "theta=0:1e400:3"), "1e400"),
+    (("eval", "--builtin", "door_handle", "--set", "theta=inf"), "inf"),
+])
+def test_non_finite_quantity_is_input_error(capsys, tmp_path, argv, text):
+    """A sweep bound or ``--set`` value that is not a finite number exits 4
+    before anything is solved or written."""
+    out = tmp_path / "out.csv"
+    code, printed, err = run(capsys, *argv, "--out", str(out))
+    assert (code, printed, err) == (EXIT_INPUT, "", f"error: cannot parse quantity {text!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--builtin", "door_handle"),
+    ("sweep", "--builtin", "door_handle", "--sweep", "theta=0deg:5deg:2"),
+    ("oracle-check", "--builtin", "door_handle", "--facets", "8"),
+    ("gws", "--builtin", "door_handle", "--subspace", "fx,tz", "--rays", "4"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unwritable_out_is_input_error(capsys, tmp_path, argv, where):
+    path = tmp_path / "missing" / "report.csv" if where == "missing_directory" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, level", [("debug", logging.DEBUG), ("DEBUG", logging.DEBUG),
+                                          ("info", logging.WARNING), ("warning", logging.WARNING),
+                                          ("", logging.WARNING)])
+def test_debug_is_the_one_log_setting(capsys, monkeypatch, value, level):
+    """``SCREW_GRASP_LOG=debug`` turns debug logging on; any other value
+    leaves the default, as the package logs at debug only."""
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    monkeypatch.setenv("SCREW_GRASP_LOG", value)
+    run(capsys, "nonsense")
+    assert levels == [level]
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,6 +30,7 @@ from screwgrasp.problem import (
     ConicProgram,
     ExternalWrench,
     GraspProblem,
+    ProgramStack,
     SocBlock,
     TorqueModel,
     compile_program,
@@ -603,3 +604,13 @@ class TestCompileStacks:
     def test_direction_is_checked(self):
         with pytest.raises(CompileError, match="direction"):
             compile_stacks([builtin_scenario("door_handle").problem()], 0)
+
+    def test_stacked_programs_keep_their_cones_and_layout(self):
+        """A stack of ConicPrograms gives back each program, its cone blocks,
+        their labels and its layout included."""
+        progs = [compile_program(builtin_scenario("door_handle", theta=t).problem()) for t in (0.0, 0.2)]
+        assert len(progs[0].socs) == 2
+        for group in ([progs[0]], progs):
+            stack = ProgramStack.of(group)
+            assert [program_bytes(stack.program(k, check=True)) for k in range(len(group))] == list(
+                map(program_bytes, group))

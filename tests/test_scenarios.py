@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -30,7 +31,9 @@ from screwgrasp.scenarios import (
     cuboid_scenario,
     door_handle_scenario,
     load_scenario,
+    rebuild_scenario,
     save_scenario,
+    scenario_family,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -115,6 +118,9 @@ class TestCuboidGenerator:
             CuboidParams(x_E=0.0)
 
 
+FAMILY_LESS = dataclasses.replace(door_handle_scenario(), family=None)
+
+
 class TestBuiltins:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ScrewGraspError):
@@ -123,6 +129,27 @@ class TestBuiltins:
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ScrewGraspError):
             builtin_scenario("door_knob")
+
+    @pytest.mark.parametrize("bad_input, kind, message", [
+        (lambda: builtin_scenario("bogus"), ScenarioError, "unknown builtin scenario 'bogus'"),
+        (lambda: builtin_scenario("door_handle", bogus=1), ScenarioError, "unknown parameter(s) ['bogus']"),
+        (lambda: builtin_scenario("door_handle", x_c=5), ScenarioPhysicsError,
+         "x_c must lie on the handle: 0 <= 5 <= 0.2"),
+        (lambda: builtin_scenario("door_handle").task("S9"), ScenarioError, "unknown task 'S9'"),
+        (lambda: scenario_family(builtin_scenario("door_handle"), "zeta"), ScenarioError,
+         "unknown parameter(s) ['zeta']"),
+        (lambda: scenario_family(builtin_scenario("door_handle"), "theta", "S9"), ScenarioError, "unknown task 'S9'"),
+        (lambda: scenario_family(FAMILY_LESS, "theta"), ScenarioError, "scenario has no generator family"),
+        (lambda: rebuild_scenario(FAMILY_LESS, {"theta": 0.1}), ScenarioError, "scenario has no generator family"),
+    ], ids=["builtin", "parameter", "out_of_range", "task", "sweep_parameter", "sweep_task",
+            "sweep_without_family", "rebuild_without_family"])
+    def test_bad_input_is_a_scenario_error(self, bad_input, kind, message):
+        """Every bad scenario input is a ScenarioError (a ScrewGraspError too);
+        an out-of-range parameter keeps its type's own message, unprefixed."""
+        with pytest.raises(kind) as info:
+            bad_input()
+        assert isinstance(info.value, ScrewGraspError)
+        assert str(info.value).startswith(message)
 
     def test_each_builtin_has_one_task(self):
         for name in BUILTINS:
