@@ -29,6 +29,14 @@ its own 1-D arrays, or, from ``_MIN_BATCH`` programs of one reduced shape
 on, as one stack whose residual check reads the stack's arrays, whose cone
 kernels work on runs of SOC blocks of one dimension, and which takes the s-
 and z-side step lengths and scalings as one stack [s; z].
+An iteration computes its cone-block numbers once, in the NT scaling
+(``_Scaling``, ``_BatchScaling``).  Beside W and W^-1 it keeps, for s and for
+z, each block's head, tail and head^2 - ||tail||^2, which the one step search
+of both step lengths reads; lambda = W z with each block's head a, tail b
+and det a^2 - b'b, which the lambda-division reads; and lambda o lambda, the
+predictor's right-hand side.  The corrector reuses the predictor's W dz.
+A result reports the point in original
+variables and the residuals that its iteration's termination test took.
 The loop rounds each instance of a stack as that program alone, so a result
 does not depend on its batch.  Program data need no check here: a
 ``ConicProgram`` is valid once it is built.
@@ -156,6 +164,8 @@ class SolveSettings:
         for name in ("feasibility_tol", "duality_gap_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
+            raise ValueError("max_iterations must be an int")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -193,12 +203,15 @@ class _Cone:
         self.soc_dims = list(soc_dims)
         self.dim = q + sum(soc_dims)
         self.degree = q + len(soc_dims)
-        # per SOC block: head index, tail slice, block slice and J = diag(1, -1, ..., -1)
+        # per SOC block: head index, tail slice, block slice and J = diag(j) for
+        # j = (1, -1, ..., -1); and its sign matrix j j', with J P J = (j j') * P
         self.blocks: list[tuple[int, slice, slice, np.ndarray]] = []
+        self.signs: list[np.ndarray] = []
         at = q
         for d in soc_dims:
-            J = np.diag(np.concatenate([[1.0], -np.ones(d - 1)]))
-            self.blocks.append((at, slice(at + 1, at + d), slice(at, at + d), J))
+            j = np.concatenate([[1.0], -np.ones(d - 1)])
+            self.blocks.append((at, slice(at + 1, at + d), slice(at, at + d), np.diag(j)))
+            self.signs.append(np.outer(j, j))
             at += d
 
     def identity(self) -> np.ndarray:
@@ -224,42 +237,6 @@ class _Cone:
             out[h] = u0 * v0 + u1 @ v1
             out[t] = u0 * v1 + v0 * u1
         return out
-
-    def div(self, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Solve lam o x = v for x (lam interior)."""
-        out = np.empty(self.dim)
-        out[: self.q] = v[: self.q] / lam[: self.q]
-        for h, t, _, _ in self.blocks:
-            a, b = lam.item(h), lam[t]
-            v0, v1 = v.item(h), v[t]
-            x0 = (a * v0 - b @ v1) / (a * a - b @ b)  # numpy scalar division: det 0 gives inf/nan
-            out[h] = x0
-            out[t] = (v1 - x0 * b) / a
-        return out
-
-    def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
-        """sup {alpha : u + alpha du in K} for interior u."""
-        alpha = math.inf
-        if self.q:
-            neg = du[: self.q] < 0
-            if neg.any():
-                alpha = float((-u[: self.q][neg] / du[: self.q][neg]).min())
-        for h, t, _, _ in self.blocks:
-            u0, u1 = u.item(h), u[t]
-            d0, d1 = du.item(h), du[t]
-            a = d0 * d0 - float(d1 @ d1)
-            b = 2.0 * (u0 * d0 - float(u1 @ d1))
-            c = u0 * u0 - float(u1 @ u1)
-            if a >= 0 and b >= 0:
-                continue
-            disc = b * b - 4.0 * a * c
-            if a >= 0 and disc < 0:
-                continue
-            den = -b + math.sqrt(max(disc, 0.0))
-            root = 2.0 * c / den if den else np.float64(2.0 * c) / den  # +-inf or nan, as numpy
-            if root >= 0:
-                alpha = min(alpha, float(root))
-        return alpha
 
 
 class _BatchCone(_Cone):
@@ -298,44 +275,15 @@ class _BatchCone(_Cone):
             O[..., 1:] = U[..., :1] * V[..., 1:] + V[..., :1] * U[..., 1:]
         return out
 
-    def div(self, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.empty(v.shape)
-        out[:, : self.q] = v[:, : self.q] / lam[:, : self.q]
-        for L, V, O in zip(self.split(lam), self.split(v), self.split(out)):
-            a, b = L[..., 0], L[..., 1:]
-            x0 = (a * V[..., 0] - np.vecdot(b, V[..., 1:])) / (a * a - np.vecdot(b, b))
-            O[..., 0] = x0
-            O[..., 1:] = (V[..., 1:] - x0[..., None] * b) / a[..., None]
-        return out
-
-    def max_step(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
-        """Each row's step.  The orthant ratios and the blocks' roots of a row
-        are reduced by one min: a masked root is >= 0 or inf, never NaN, so
-        the min is the Python min fold of the one-program kernel."""
-        parts = []
-        if self.q:
-            neg = du[:, : self.q] < 0
-            parts.append(np.divide(-u[:, : self.q], du[:, : self.q], out=np.full(neg.shape, math.inf), where=neg))
-        for U, D in zip(self.split(u), self.split(du)):
-            u0, u1, d0, d1 = U[..., 0], U[..., 1:], D[..., 0], D[..., 1:]
-            a = d0 * d0 - np.vecdot(d1, d1)
-            b = 2.0 * (u0 * d0 - np.vecdot(u1, d1))
-            c = u0 * u0 - np.vecdot(u1, u1)
-            disc = b * b - 4.0 * a * c
-            skip = (a >= 0) & ((b >= 0) | (disc < 0))
-            root = 2.0 * c / (-b + np.sqrt(_pymax(disc, 0.0)))
-            parts.append(np.where(~skip & (root >= 0), root, math.inf))  # inf: the block sets no bound
-        return np.concatenate(parts, axis=1).min(axis=1) if parts else np.full(len(u), math.inf)
-
-    def max_step_both(self, s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray) -> np.ndarray:
-        """Each row's min(max_step(s, ds), max_step(z, dz)), from one stack of 2B rows."""
-        alpha = self.max_step(np.concatenate([s, z]), np.concatenate([ds, dz]))
-        return _pymin(alpha[: len(s)], alpha[len(s) :])
-
 
 class _Scaling:
-    """Nesterov-Todd scaling W with W z = W^{-1} s = lambda (W symmetric).
-    If the iterate left the cone interior, ``bad`` is set and W is not built."""
+    """Nesterov-Todd scaling W with W z = W^{-1} s = lambda (W symmetric) at
+    an iterate (s, z), and the one place where an iteration's per-block
+    numbers are computed: for s and for z each block's head, tail view and
+    head^2 - ||tail||^2, read by the step search ``max_step``; lambda's head
+    a, tail b and det a^2 - b'b, read by the lambda-division ``div``; and
+    lambda o lambda (``lam2``).  If the iterate left the cone interior,
+    ``bad`` is set and nothing else is built."""
 
     def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
@@ -344,30 +292,48 @@ class _Scaling:
         self.w_lp = np.sqrt(s[:q] / z[:q]) if q else np.zeros(0)
         self.soc_W: list[np.ndarray] = []
         self.soc_Winv: list[np.ndarray] = []
-        for h, t, blk, J in cone.blocks:
+        # per SOC block (head index, tail slice, head, tail, head^2 - tail'tail) of s, z and lambda
+        self._s, self._z, self._lam = [], [], []
+        self._sz_lp = -np.concatenate([s[:q], z[:q]])  # the step ratios' numerators
+        lam, lam2 = np.empty(cone.dim), np.empty(cone.dim)
+        lam[:q] = self.w_lp * z[:q]
+        lam2[:q] = lam[:q] * lam[:q]
+        for (h, t, blk, J), S in zip(cone.blocks, cone.signs):
             s0, st, z0, zt = s.item(h), s[t], z.item(h), z[t]
-            ns, nz = math.sqrt(st @ st), math.sqrt(zt @ zt)
+            ss, zz = float(st @ st), float(zt @ zt)
+            ns, nz = math.sqrt(ss), math.sqrt(zz)
             rho_s = (s0 - ns) * (s0 + ns)
             rho_z = (z0 - nz) * (z0 + nz)
             if rho_s <= 0 or rho_z <= 0 or s0 <= 0 or z0 <= 0:  # rho > 0 in -int(K) too: test the heads
                 self.bad = True
                 return
+            self._s.append((h, t, s0, st, s0 * s0 - ss))
+            self._z.append((h, t, z0, zt, z0 * z0 - zz))
             sbar = s[blk] / math.sqrt(rho_s)
             zbar = z[blk] / math.sqrt(rho_z)
             gamma = math.sqrt((1.0 + sbar @ zbar) / 2.0)
-            # NT point wbar with wbar' J wbar = 1; v is its Jordan square root
-            jz = -zbar
-            jz[0] = zbar[0]
-            wbar = (sbar + jz) / (2.0 * gamma)
-            v = wbar.copy()
-            v[0] += 1.0
-            v /= math.sqrt(2.0 * (wbar.item(0) + 1.0))
+            # NT point wbar = (sbar + J zbar) / (2 gamma) with wbar' J wbar = 1;
+            # v is its Jordan square root (wbar + e) / sqrt(2 (wbar_0 + 1))
+            wbar = sbar - zbar
+            wbar[0] = sbar.item(0) + zbar.item(0)
+            wbar /= 2.0 * gamma
+            w0 = wbar.item(0) + 1.0
+            root = math.sqrt(2.0 * w0)
+            v = wbar / root
+            v[0] = w0 / root
             beta = np.float64(rho_s / rho_z) ** 0.25  # W^2 = sqrt(rho_s/rho_z) * P(wbar); 1/beta may be inf
-            jv = -v
-            jv[0] = v[0]
-            self.soc_W.append(beta * (2.0 * np.outer(v, v) - J))
-            self.soc_Winv.append((1.0 / beta) * (2.0 * np.outer(jv, jv) - J))  # J W J / beta^2
-        self.lam = self.apply_W(z)
+            P = 2.0 * (v[:, None] * v) - J
+            W = beta * P
+            self.soc_W.append(W)
+            self.soc_Winv.append(P * (S / beta))  # J W J / beta^2
+            lam[blk] = W @ z[blk]
+            a, b = lam.item(h), lam[t]
+            bb = b @ b
+            self._lam.append((h, t, a, b, a * a - bb))
+            ab = a * b
+            lam2[h] = a * a + bb
+            lam2[t] = ab + ab
+        self.lam, self.lam2 = lam, lam2
 
     def _blockwise(self, v: np.ndarray, lp: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
         out = np.empty(v.shape)
@@ -385,32 +351,78 @@ class _Scaling:
     def w_squared_blocks(self) -> tuple[np.ndarray, list[np.ndarray]]:
         return self.w_lp**2, [W @ W for W in self.soc_W]
 
+    def div(self, v: np.ndarray) -> np.ndarray:
+        """Solve lambda o x = v for x (numpy scalar division: a det of 0 gives inf/nan)."""
+        q = self.cone.q
+        out = np.empty(self.cone.dim)
+        out[:q] = v[:q] / self.lam[:q]
+        for h, t, a, b, det in self._lam:
+            v1 = v[t]
+            x0 = (a * v.item(h) - b @ v1) / det
+            out[h] = x0
+            out[t] = (v1 - x0 * b) / a
+        return out
+
+    def max_step(self, ds: np.ndarray, dz: np.ndarray) -> float:
+        """min(sup {alpha : s + alpha ds in K}, sup {alpha : z + alpha dz in K}),
+        each a Python min fold over the orthant's ratios and then the blocks'
+        roots, in block order."""
+        q, steps = self.cone.q, []
+        alphas = [math.inf, math.inf]  # the orthant's: the least ratio -u_i / du_i over du_i < 0
+        if q:
+            du = np.concatenate([ds[:q], dz[:q]])
+            ratios = np.divide(self._sz_lp, du, out=np.full(2 * q, math.inf), where=du < 0)
+            alphas = np.minimum.reduce(ratios.reshape(2, q), axis=1).tolist()
+        for alpha, blocks, du in zip(alphas, (self._s, self._z), (ds, dz)):
+            for h, t, u0, u1, c in blocks:
+                d0, d1 = du.item(h), du[t]
+                a = d0 * d0 - float(d1 @ d1)
+                b = 2.0 * (u0 * d0 - float(u1 @ d1))
+                if a >= 0 and b >= 0:
+                    continue
+                disc = b * b - 4.0 * a * c
+                if a >= 0 and disc < 0:
+                    continue
+                den = -b + math.sqrt(max(disc, 0.0))
+                root = 2.0 * c / den if den else np.float64(2.0 * c) / den  # +-inf or nan, as numpy
+                if root >= 0:
+                    alpha = min(alpha, float(root))
+            steps.append(alpha)
+        return min(steps[0], steps[1])
+
 
 class _BatchScaling(_Scaling):
     """_Scaling of stacked iterates (B, dim), run by run of a _BatchCone, with
     s and z taken as one stack [s; z] of 2B rows: W and W^-1 of a run are the
-    halves of one (2B, k, d, d) array.  ``bad`` marks the instances whose
-    iterate left the cone interior; their rows are meaningless."""
+    halves of one (2B, k, d, d) array, and one step search covers both.
+    ``bad`` marks the instances whose iterate left the cone interior; their
+    rows are meaningless."""
 
     def __init__(self, cone: _BatchCone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
         B, q = len(s), cone.q
         self.w_lp = np.sqrt(s[:, :q] / z[:, :q])
-        self.soc_W, self.soc_Winv, self._WW = [], [], []
+        self.soc_W, self.soc_Winv = [], []
+        self._sz = np.concatenate([s, z])
+        self._runs = []  # per run of [s; z]: heads, tails and head^2 - tail'tail
         bad = np.zeros(2 * B, dtype=bool)
-        for (_, _, _, J), SZ in zip(cone.runs, cone.split(np.concatenate([s, z]))):
-            norm = np.sqrt(np.vecdot(SZ[..., 1:], SZ[..., 1:]))
-            rho = (SZ[..., 0] - norm) * (SZ[..., 0] + norm)
-            bad |= ((rho <= 0) | (SZ[..., 0] <= 0)).any(axis=1)  # rho > 0 in -int(K) too: test the heads
+        for (_, _, _, J), SZ in zip(cone.runs, cone.split(self._sz)):
+            head, tail = SZ[..., 0], SZ[..., 1:]
+            tt = np.vecdot(tail, tail)
+            norm = np.sqrt(tt)
+            rho = (head - norm) * (head + norm)
+            bad |= ((rho <= 0) | (head <= 0)).any(axis=1)  # rho > 0 in -int(K) too: test the heads
+            self._runs.append((head, tail, head * head - tt))
             bar = SZ / np.sqrt(rho)[..., None]
             sbar, zbar = bar[:B], bar[B:]
             gamma = np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
-            jz = -zbar
-            jz[..., 0] = zbar[..., 0]
-            wbar = (sbar + jz) / (2.0 * gamma)[..., None]
-            v = wbar.copy()
-            v[..., 0] += 1.0
-            v /= np.sqrt(2.0 * (wbar[..., 0] + 1.0))[..., None]
+            wbar = sbar - zbar
+            wbar[..., 0] = sbar[..., 0] + zbar[..., 0]
+            wbar /= (2.0 * gamma)[..., None]
+            w0 = wbar[..., 0] + 1.0
+            root = np.sqrt(2.0 * w0)
+            v = wbar / root[..., None]
+            v[..., 0] = w0 / root
             # a scalar power per block: numpy's array ** rounds differently
             beta = np.reshape([np.float64(r) ** 0.25 for r in (rho[:B] / rho[B:]).ravel().tolist()],
                               (B, -1, 1, 1))
@@ -420,9 +432,17 @@ class _BatchScaling(_Scaling):
             WW = np.concatenate([beta, 1.0 / beta]) * (2.0 * (V[..., :, None] * V[..., None, :]) - J)
             self.soc_W.append(WW[:B])
             self.soc_Winv.append(WW[B:])
-            self._WW.append(WW)
         self.bad = bad[:B] | bad[B:]
         self.lam = self.apply_W(z)
+        self.lam2 = np.empty(self.lam.shape)
+        self.lam2[:, :q] = self.lam[:, :q] * self.lam[:, :q]
+        self._lam = []  # per run of lambda: a, b and det a^2 - b'b
+        for L, O in zip(cone.split(self.lam), cone.split(self.lam2)):
+            a, b = L[..., 0], L[..., 1:]
+            aa, bb = a * a, np.vecdot(b, b)
+            self._lam.append((a, b, aa - bb))
+            O[..., 0] = aa + bb
+            O[..., 1:] = L[..., :1] * b + L[..., :1] * b
 
     def _blockwise(self, v: np.ndarray, lp: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
         out = np.empty(v.shape)
@@ -431,10 +451,35 @@ class _BatchScaling(_Scaling):
             np.matvec(M, V, out=O)
         return out
 
-    def apply_Winv_W(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(W^-1 a, W b) from one matvec per run over [b; a]."""
-        out = self._blockwise(np.concatenate([b, a]), np.concatenate([self.w_lp, 1.0 / self.w_lp]), self._WW)
-        return out[len(b) :], out[: len(b)]
+    def div(self, v: np.ndarray) -> np.ndarray:
+        out = np.empty(v.shape)
+        out[:, : self.cone.q] = v[:, : self.cone.q] / self.lam[:, : self.cone.q]
+        for (a, b, det), V, O in zip(self._lam, self.cone.split(v), self.cone.split(out)):
+            x0 = (a * V[..., 0] - np.vecdot(b, V[..., 1:])) / det
+            O[..., 0] = x0
+            O[..., 1:] = (V[..., 1:] - x0[..., None] * b) / a[..., None]
+        return out
+
+    def max_step(self, ds: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """Each row's min of its s and z steps, from one stack [ds; dz] of 2B
+        rows.  The orthant ratios and the blocks' roots of a row are reduced
+        by one min: a masked root is >= 0 or inf, never NaN, so the min is the
+        Python min fold of the one-program search."""
+        q, du = self.cone.q, np.concatenate([ds, dz])
+        parts = []
+        if q:
+            neg = du[:, :q] < 0
+            parts.append(np.divide(-self._sz[:, :q], du[:, :q], out=np.full(neg.shape, math.inf), where=neg))
+        for (u0, u1, c), D in zip(self._runs, self.cone.split(du)):
+            d0, d1 = D[..., 0], D[..., 1:]
+            a = d0 * d0 - np.vecdot(d1, d1)
+            b = 2.0 * (u0 * d0 - np.vecdot(u1, d1))
+            disc = b * b - 4.0 * a * c
+            skip = (a >= 0) & ((b >= 0) | (disc < 0))
+            root = 2.0 * c / (-b + np.sqrt(_pymax(disc, 0.0)))
+            parts.append(np.where(~skip & (root >= 0), root, math.inf))  # inf: the block sets no bound
+        alpha = np.concatenate(parts, axis=1).min(axis=1) if parts else np.full(len(du), math.inf)
+        return _pymin(alpha[: len(ds)], alpha[len(ds) :])
 
 
 class _KKT:
@@ -500,9 +545,10 @@ class _KKT:
             x, info = _sytrs(*self._factors, rhs, lower=1)
             if info != 0:
                 return x, True
+            bound = 1e-13 * (1.0 + np.maximum.reduce(np.abs(rhs)))
             for _ in range(2):
                 r = rhs - self.K @ x
-                if np.abs(r).max() <= 1e-13 * (1.0 + np.abs(rhs).max()):
+                if np.maximum.reduce(np.abs(r)) <= bound:
                     break
                 dx, info = _sytrs(*self._factors, r, lower=1)
                 if info != 0:
@@ -516,12 +562,12 @@ class _KKT:
             x[i], info = _sytrs(*self._factors[i], rhs[i], lower=1)
             failed[i] = info != 0
         refine = ~out & ~failed
-        bound = 1e-13 * (1.0 + np.abs(rhs).max(axis=1))
+        bound = 1e-13 * (1.0 + np.maximum.reduce(np.abs(rhs), axis=1))
         for _ in range(2):
             if not refine.any():  # no residual to take
                 break
             r = rhs - _mv(self.K, x)
-            refine &= ~(np.abs(r).max(axis=1) <= bound)
+            refine &= ~(np.maximum.reduce(np.abs(r), axis=1) <= bound)
             for i in np.flatnonzero(refine):
                 dx, info = _sytrs(*self._factors[i], r[i], lower=1)
                 if info != 0:
@@ -697,12 +743,12 @@ class _ResidualCheck:
     def __call__(self, x: np.ndarray):
         one = x.ndim == 1
         vmax = max if one else _pymax
-        eq = np.abs(_mv(self.F, x) - self.g).max(axis=-1, initial=0.0) / self.g_scale
+        eq = _amax(_mv(self.F, x) - self.g) / self.g_scale
         viol = 0.0 if one else np.zeros(eq.shape)
         if self.lbi.size:
-            viol = vmax(viol, (self.lb - x[..., self.lbi]).max(axis=-1, initial=0.0))
+            viol = vmax(viol, np.maximum.reduce(self.lb - x[..., self.lbi], axis=-1, initial=0.0))
         if self.ubi.size:
-            viol = vmax(viol, (x[..., self.ubi] - self.ub).max(axis=-1, initial=0.0))
+            viol = vmax(viol, np.maximum.reduce(x[..., self.ubi] - self.ub, axis=-1, initial=0.0))
         for A, b, c, d in self.socs:
             r = _mv(A, x) + b
             viol = vmax(viol, np.sqrt(_dot(r, r)) - (_dot(c, x) + d))
@@ -854,7 +900,7 @@ def _sigma(g):
 
 
 def _amax(v: np.ndarray):
-    return np.abs(v).max(axis=-1, initial=0.0)
+    return np.maximum.reduce(np.abs(v), axis=-1, initial=0.0)
 
 
 def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) -> list[SolveResult]:
@@ -879,14 +925,11 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
     one = sf.c.ndim == 1
     if one:  # Python's operators and builtins on the program's numbers
         cone, scaling, dot = sf.cone, _Scaling, operator.matmul
-        max_steps = lambda s, ds, z, dz: min(cone.max_step(s, ds), cone.max_step(z, dz))  # noqa: E731
-        winv_w = lambda scal, a, b: (scal.apply_Winv(a), scal.apply_W(b))  # noqa: E731
         mv, vmin, vmax, any_, col, where = dot, min, max, bool, (lambda v: v), (lambda m, a, b: a if m else b)
         sq, sigma_of, choose = (lambda t: t ** 2), _sigma, where
         hits, row = (lambda m: (0,) if m else ()), (lambda v, i: v)  # the one instance, if m marks it
     else:  # arrays of per-instance numbers, broadcast against vectors as columns
         cone, scaling = _BatchCone(sf.cone.q, sf.cone.soc_dims), _BatchScaling
-        max_steps, winv_w = cone.max_step_both, _BatchScaling.apply_Winv_W  # s and z as one stack
         dot, mv, vmin, vmax, any_, col, where = _dot, _mv, _pymin, _pymax, np.any, (lambda v: v[:, None]), np.where
         hits, row = (lambda m: np.flatnonzero(m & ~out)), (lambda v, i: v[i])  # the running instances m marks
         # a scalar power per instance: numpy's array ** rounds differently
@@ -905,18 +948,20 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
     kkt = _KKT(sf.A, sf.G, cone)
     ids = np.arange(B)
     out = None if one else np.zeros(B, dtype=bool)  # stopped during this iteration
-    best = ((math.inf, None, 1.0, math.nan, 0) if one  # merit, x, tau, relgap, iteration
-            else (np.full(B, math.inf), np.zeros((B, n)), np.ones(B), np.full(B, math.nan), np.zeros(B, dtype=int)))
+    # merit and point (x in original variables, its residuals and gap) of the best iterate, and its iteration
+    best = ((math.inf, None, math.nan, math.nan, math.nan, 0) if one
+            else (np.full(B, math.inf), np.zeros((B, st.f.shape[1])), *np.full((3, B), math.nan),
+                  np.zeros(B, dtype=int)))
 
-    def done(i, status, x=None, tau=1.0, gap=math.nan, iters=0, cert=None):
-        """Record instance i's result; x, tau and gap are the whole state, of
-        which row i (x reduced, scaled, with embedding tau) is reported in
-        original variables, checked against the original program."""
+    def done(i, status, iters, cert=None, point=None):
+        """Record instance i's result.  ``point`` is (x, eq, cone, gap) of the
+        whole state as the termination test took them (x in original
+        variables, checked against the original program); row i is reported."""
         k, xo, obj, resid = ids[i], None, None, Residuals(math.nan, math.nan, math.nan)
-        if x is not None:
-            basis = None if sf.basis is None else row(sf.basis, i)
-            xo = _unscale(row(sf.col_scale, i), basis, row(x, i), row(tau, i))
-            resid = Residuals(*(measure if one else check.take(k))(xo), row(gap, i))
+        if point is not None:
+            xs, eq, viol, gap = point
+            xo = xs if one else xs[i].copy()
+            resid = Residuals(float(row(eq, i)), float(row(viol, i)), row(gap, i))
             obj = float(st.f[k] @ xo) if status in ("Optimal", "IterationLimit") else None
         results[k] = SolveResult(status, obj, xo, resid, iters, cert)
         if not one:
@@ -929,13 +974,10 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         iterate, if any, and certificate ``why`` (None: iteration limit)."""
         if one and not mask:  # the common case, without a call of hits
             return
-        merit, x, tau, gap, it = best
+        merit, *point, it = best
         for i in hits(mask):
             iters = int(row(it, i)) if why else settings.max_iterations
-            if row(merit, i) < math.inf:
-                done(i, status, x, tau, gap, iters, why)
-            else:
-                done(i, status, iters=iters, cert=why)
+            done(i, status, iters, why, point if row(merit, i) < math.inf else None)
 
     def split(u):
         return u[..., :n], u[..., n : n + p], u[..., n + p :]
@@ -946,19 +988,20 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         return where(col(a <= 0), v + col(1.0 - a) * e, v)
 
     def direction(w1, w2, w3, w4, d_s, d_kt):
-        lam_ds = cone.div(lam, d_s)
+        lam_ds = scal.div(d_s)
         u2, bad = kkt.solve(np.concatenate([-w1, w2, w3 - scal.apply_W(lam_ds)], axis=-1), out)
         give_up(bad, "KKT solve failed")
         x2, y2, z2 = split(u2)
         dtau = (w4 + d_kt / tau + (dot(c, x2) + dot(b, y2) + dot(h, z2))) / denom0
         dt = col(dtau)
         dx, dy, dz = x2 + dt * x1, y2 + dt * y1, z2 + dt * z1
-        ds = scal.apply_W(lam_ds - scal.apply_W(dz))
+        wdz = scal.apply_W(dz)
+        ds = scal.apply_W(lam_ds - wdz)
         dkappa = (d_kt - kappa * dtau) / tau
-        return dx, dy, dz, dtau, ds, dkappa
+        return dx, dy, dz, dtau, ds, dkappa, wdz
 
     def max_alpha(ds, dz, dtau, dkappa):
-        alpha = max_steps(s, ds, z, dz)
+        alpha = scal.max_step(ds, dz)
         if any_(dtau < 0):
             alpha = where(dtau < 0, vmin(alpha, -tau / dtau), alpha)
         if any_(dkappa < 0):
@@ -967,9 +1010,9 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
 
     c, A, b, G, h = sf.c, sf.A, sf.b, sf.G, sf.h
     try:
-        # a stack's stopped rows may hold inf/nan; the errstate would slow one program's numpy calls
-        with contextlib.nullcontext() if one else np.errstate(all="ignore"):
-            # -- initialization (W = I) -------------------------------------
+        # -- initialization (W = I) -----------------------------------------
+        # finite but huge data may overflow here: an instance whose point is not finite stops at once
+        with np.errstate(all="ignore"):
             dims = cone.soc_dims if one else [d for _, _, d, _ in cone.runs]  # a W = I block per block or run
             give_up(kkt.factor(np.ones(cone.q), [np.eye(d) for d in dims], out), "KKT factorization failed")
             u, bad = kkt.solve(np.concatenate([np.zeros(c.shape), b, h], axis=-1), out)
@@ -980,6 +1023,9 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
             give_up(bad, "KKT solve failed")
             _, y, z = split(u)
             z = lift(z)
+            give_up(~(np.isfinite(s).all(axis=-1) & np.isfinite(z).all(axis=-1)), "initial point is not finite")
+        # a stack's stopped rows may hold inf/nan; the errstate would slow one program's numpy calls
+        with contextlib.nullcontext() if one else np.errstate(all="ignore"):
             tau, kappa = (1.0, 1.0) if one else (np.ones(B), np.ones(B))
             c_norm, b_norm, h_norm = 1.0 + _amax(c), 1.0 + _amax(b), 1.0 + _amax(h)
             rhs_tau = np.concatenate([-c, b, h], axis=-1)
@@ -1004,13 +1050,14 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 mu = (sz + tau * kappa) / (nu + 1)
 
                 # -- termination, measured on the original program ----------
-                eq_res, cone_viol = measure(_unscale(sf.col_scale, sf.basis, x, tc))
+                xo = _unscale(sf.col_scale, sf.basis, x, tc)
+                eq_res, cone_viol = measure(xo)
                 dres = _amax(rx) / (tau * c_norm)
                 pobj = cx / tau
                 dobj = -(by + hz) / tau
                 relgap = sz / sq(tau) / vmax(1.0, 0.5 * (abs(pobj) + abs(dobj)))
                 merit = vmax(vmax(vmax(eq_res, cone_viol), dres), relgap)
-                best = choose(merit < best[0], (merit, x, tau, relgap, it), best)
+                best = choose(merit < best[0], (merit, xo, eq_res, cone_viol, relgap, it), best)
                 if trace:
                     trace({"iteration": it, "mu": float(mu), "eq": eq_res, "cone": cone_viol, "dual": float(dres),
                            "relgap": float(relgap), "tau": float(tau), "kappa": float(kappa)})
@@ -1019,29 +1066,28 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 for i in hits(conv):
                     eta = -row(pobj, i)  # program maximizes f'x, standard form minimizes
                     if abs(eta) > _UNBOUNDEDNESS_THRESHOLD:
-                        done(i, "Unbounded", iters=it, cert=f"objective magnitude {abs(eta):.3e} exceeds threshold")
+                        done(i, "Unbounded", it, f"objective magnitude {abs(eta):.3e} exceeds threshold")
                     else:
-                        done(i, "Optimal", x, tau, relgap, it)
+                        done(i, "Optimal", it, point=(xo, eq_res, cone_viol, relgap))
 
                 # certificates
                 bhz = by + hz
                 if any_(bhz < 0):
                     farkas = _amax(mv(At, y / col(-bhz)) + mv(Gt, z / col(-bhz)))
                     for i in hits((bhz < 0) & (farkas <= ftol * c_norm)):
-                        done(i, "Infeasible", iters=it,
-                             cert=f"Farkas ray with b'y + h'z = -1: ||A'y + G'z||_inf = {row(farkas, i):.3e}")
+                        done(i, "Infeasible", it,
+                             f"Farkas ray with b'y + h'z = -1: ||A'y + G'z||_inf = {row(farkas, i):.3e}")
                 if any_(cx < 0):
                     xc, sc_ = x / col(-cx), s / col(-cx)
                     ray_eq, ray_cone = _amax(mv(A, xc)), _amax(mv(G, xc) + sc_)
                     for i in hits((cx < 0) & (ray_eq <= ftol * b_norm) & (ray_cone <= ftol * h_norm)):
-                        done(i, "Unbounded", iters=it,
-                             cert=f"improving ray with c'x = -1: ||A x||_inf = {row(ray_eq, i):.3e}, "
-                                  f"||G x + s||_inf = {row(ray_cone, i):.3e}, s in K")
+                        done(i, "Unbounded", it,
+                             f"improving ray with c'x = -1: ||A x||_inf = {row(ray_eq, i):.3e}, "
+                             f"||G x + s||_inf = {row(ray_cone, i):.3e}, s in K")
 
                 # -- NT scaling and KKT factorization -----------------------
                 scal = scaling(cone, s, z)
                 give_up(scal.bad, "iterate left the cone interior")
-                lam = scal.lam
                 give_up(kkt.factor(*scal.w_squared_blocks(), out), "KKT factorization failed")
                 u1, bad = kkt.solve(rhs_tau, out)
                 give_up(bad, "KKT solve failed")
@@ -1050,8 +1096,8 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 give_up(abs(denom0) < 1e-300, "degenerate tau step")
 
                 # -- predictor (affine) --------------------------------------
-                lam2 = cone.prod(lam, lam)
-                dxa, dya, dza, dta, dsa, dka = direction(rx, ry, rz, rt, -lam2, -tau * kappa)
+                lam2 = scal.lam2
+                dxa, dya, dza, dta, dsa, dka, wdza = direction(rx, ry, rz, rt, -lam2, -tau * kappa)
                 alpha_aff = vmin(1.0, max_alpha(dsa, dza, dta, dka))
                 ac = col(alpha_aff)
                 gap_aff = (dot(s + ac * dsa, z + ac * dza)
@@ -1059,12 +1105,12 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 sigma = sigma_of(gap_aff / (sz + tau * kappa))
 
                 # -- corrector ----------------------------------------------
-                corr = cone.prod(*winv_w(scal, dsa, dza))
+                corr = cone.prod(scal.apply_Winv(dsa), wdza)
                 d_s = col(sigma * mu) * e - lam2 - corr
                 d_kt = sigma * mu - tau * kappa - dta * dka
                 om = 1.0 - sigma
                 oc = col(om)
-                dx, dy, dz, dtau, ds, dkappa = direction(oc * rx, oc * ry, oc * rz, om * rt, d_s, d_kt)
+                dx, dy, dz, dtau, ds, dkappa, _ = direction(oc * rx, oc * ry, oc * rz, om * rt, d_s, d_kt)
                 alpha = vmin(1.0, _STEP_FRACTION * max_alpha(ds, dz, dtau, dkappa))
                 give_up(alpha < _MIN_STEP, "step length collapsed")  # alpha is never nan or +inf
 

@@ -7,6 +7,7 @@ status, iterations, objective, certificate, residuals and primal bytes.
 """
 
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,6 +87,69 @@ def test_iteration_limit_for_every_instance():
     settings = SolveSettings(max_iterations=3)
     batch = assert_same_as_alone(door_progs(0.05, +1), settings)
     assert {(r.status, r.iterations) for r in batch} == {("IterationLimit", 3)}
+
+
+def unscaled_iterates(monkeypatch) -> list:
+    """(col_scale, basis, x, tau, point) of each ``solver._unscale`` call, as made:
+    one per iteration of an interior-point run, for its termination test."""
+    calls, unscale = [], solver._unscale
+
+    def record(col_scale, basis, x, tau):
+        calls.append((col_scale, basis, x, tau, unscale(col_scale, basis, x, tau)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(solver, "_unscale", record)
+    return calls
+
+
+def assert_point_of(res, prog, iterate):
+    """``res`` reports a row of ``iterate`` (the call of its last iteration):
+    the row whose fresh one-program ``_unscale`` is its primal byte for byte,
+    with the residuals a fresh ``_ResidualCheck`` of that point gives."""
+    col_scale, basis, x, tau, point = iterate
+    if x.ndim == 1:
+        rows, alone = [point], [solver._unscale(col_scale, basis, x, tau)]
+    else:
+        rows = list(point)
+        alone = [solver._unscale(col_scale[r], None if basis is None else basis[r], x[r], tau[r, 0])
+                 for r in range(len(x))]
+    assert [p.tobytes() for p in rows] == [p.tobytes() for p in alone]
+    assert res.primal.tobytes() in [p.tobytes() for p in alone]
+    check = solver._ResidualCheck(problem.ProgramStack.of([prog])).take(0)
+    assert np.array(check(res.primal)).tobytes() == np.array([res.residuals.primal, res.residuals.cone]).tobytes()
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_optimal_result_is_the_checked_point_of_its_last_iterate(monkeypatch, stacked):
+    """An Optimal result reports the point and residuals that its last
+    iteration's termination test took, and they are those of the program
+    alone: a stack's rows are each a fresh one-program ``_unscale`` and
+    ``_ResidualCheck``."""
+    calls = unscaled_iterates(monkeypatch)
+    for progs in (door_progs(0.05, +1)[::4], cuboid_progs("cuboid_pivot", -1)[::3]):
+        if stacked:
+            calls.clear()
+            results = solve_batch(progs)
+            assert calls[0][2].ndim == 2  # one stacked run, one call per iteration
+        for k, prog in enumerate(progs):
+            if not stacked:
+                calls.clear()
+                results = {k: solve(prog)}
+            assert results[k].status == "Optimal"
+            assert_point_of(results[k], prog, calls[results[k].iterations])
+
+
+def test_initial_point_that_is_not_finite_stops_without_warnings():
+    """Finite data so huge that the initial point overflows: each program,
+    alone or in a stack, is a NumericalFailure at 0 iterations that says so,
+    and no numpy warning is raised on the way."""
+    progs = [compile_program(builtin_scenario("door_handle", L=1e308, x_c=1e308, theta=t).problem(), +1)
+             for t in (1e300, 2e300, 3e300)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = assert_same_as_alone(progs)
+    assert {(r.status, r.iterations, r.certificate) for r in batch} == {
+        ("NumericalFailure", 0, "initial point is not finite")}
 
 
 def test_two_structures_keep_input_order():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import screwgrasp
-from screwgrasp.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from screwgrasp.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from screwgrasp.contacts import EnvironmentContact, Pcwf, PcwfParams
 from screwgrasp.problem import ExternalWrench
 from screwgrasp.scenarios import BUILTINS, Scenario, save_scenario
@@ -415,16 +415,27 @@ class TestOverflowingWrench:
         assert len(rows) == 6 and {r["status"] for r in rows} == {"error: wrench components must be finite"}
 
 
-def test_console_entry_point_smoke():
-    # the child process imports the same screwgrasp as this suite
+def run_child(*argv):
+    """``python -m screwgrasp.cli argv`` in a child process that imports the same screwgrasp as this suite."""
     src = str(Path(screwgrasp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "screwgrasp.cli", "eval", "--builtin", "door_handle"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "screwgrasp.cli", *argv], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point_smoke():
+    proc = run_child("eval", "--builtin", "door_handle")
     assert proc.returncode == 0
     assert "status: Optimal" in proc.stdout
+
+
+def test_huge_finite_data_fails_without_warnings():
+    """Parameters that pass every check but overflow the solver's initial
+    point give a NumericalFailure at 0 iterations, with nothing on stderr
+    (no numpy RuntimeWarning)."""
+    proc = run_child("eval", "--builtin", "door_handle", "--set", "L=1e308", "--set", "x_c=1e308",
+                     "--set", "theta=1e300")
+    assert (proc.returncode, proc.stderr) == (EXIT_SOLVER, "")
+    assert "status: NumericalFailure" in proc.stdout and "iterations: 0 " in proc.stdout
 
 
 @pytest.mark.parametrize("argv", [

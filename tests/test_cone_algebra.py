@@ -4,7 +4,12 @@ The ``ref_*`` functions are the plain per-block loops the solver's flattened
 versions replaced; they stay here as the reference.  The flattened versions
 perform the same floating-point operations in the same order, so they must
 agree bit for bit (``np.array_equal`` / ``==``), not to a tolerance: a
-reordered sum fails these tests.  The stacked kernels (``_BatchCone``,
+reordered sum fails these tests.  The step search, the lambda-division and
+lambda o lambda are held by the scaling, which computes the per-block
+numbers they read once per iterate; they are held to ``ref_max_step``,
+``ref_div`` and ``ref_prod`` at the scaling's own s, z and lambda, next to
+the cone boundary too, where lambda's determinant and a step root's
+denominator can round to zero.  The stacked kernels (``_BatchCone``,
 ``_BatchScaling``, stacked ``_dot``/``_mv``), which work on runs of equal SOC
 blocks, are held row by row to the one-program ones the same way.  The
 behaviour tests check the algebra itself against bisection and the
@@ -79,7 +84,9 @@ def ref_div(q, dims, lam, v):
     return out
 
 
-def ref_max_step(q, dims, u, du):
+def ref_max_step(q, dims, u, du, seen=None):
+    """sup {alpha : u + alpha du in K}; ``seen`` collects the branches taken."""
+    seen = set() if seen is None else seen
     alpha = math.inf
     if q:
         neg = du[:q] < 0
@@ -92,14 +99,36 @@ def ref_max_step(q, dims, u, du):
         b = 2.0 * (u0 * d0 - u1 @ d1)
         c = u0 * u0 - u1 @ u1
         if a >= 0 and b >= 0:
+            seen.add("skip: a >= 0, b >= 0")
             continue
         disc = b * b - 4.0 * a * c
         if a >= 0 and disc < 0:
+            seen.add("skip: a >= 0, disc < 0")
             continue
-        root = 2.0 * c / (-b + math.sqrt(max(disc, 0.0)))
+        den = -b + math.sqrt(max(disc, 0.0))
+        if den == 0:
+            seen.add("zero denominator")
+        root = 2.0 * c / den
         if root >= 0:
             alpha = min(alpha, float(root))
     return alpha
+
+
+def ref_step_both(q, dims, s, ds, z, dz, seen=None):
+    """The step search's min of the s and z steps."""
+    return min(ref_max_step(q, dims, s, ds, seen), ref_max_step(q, dims, z, dz, seen))
+
+
+def ref_dets(q, dims, lam):
+    """a^2 - b'b of each SOC block of lam, as ``ref_div`` divides by it."""
+    return [lam[at] * lam[at] - lam[at + 1 : at + d] @ lam[at + 1 : at + d] for at, d in zip(starts(q, dims), dims)]
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays or numbers, the sign of a zero included; a NaN equals a NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b)))
 
 
 def ref_scaling(q, dims, s, z):
@@ -188,6 +217,27 @@ def interior(rng, q, dims, margin=0.1):
     return u
 
 
+def near_boundary(rng, q, dims):
+    """A point whose SOC blocks lie one to three ulps inside the boundary:
+    each head is the tail's norm stepped up by ``nextafter``."""
+    u = interior(rng, q, dims)
+    for at, d in zip(starts(q, dims), dims):
+        head = math.sqrt(u[at + 1 : at + d] @ u[at + 1 : at + d])
+        for _ in range(rng.integers(1, 4)):
+            head = math.nextafter(head, math.inf)
+        u[at] = head
+    return u
+
+
+def near_boundary_directions(rng, q, dims, u):
+    """Step directions that, from a point u next to the boundary, take each
+    branch of the step search: into the cone (a >= 0, b >= 0), back along u
+    (a >= 0 and b < 0, where disc is 0 up to rounding, so disc < 0 too), and
+    random (a < 0 < b, where 4ac is lost in b^2: a zero denominator)."""
+    k = 10.0 ** rng.uniform(-2, 2)
+    return [interior(rng, q, dims), -k * u, rng.normal(size=u.size) * np.abs(u).max()]
+
+
 def cases(seed=0):
     rng = np.random.default_rng(seed)
     for q, dims in CONES:
@@ -197,31 +247,51 @@ def cases(seed=0):
 
 class TestAgainstLoopReference:
     def test_min_eig_prod_div(self):
+        """min_eig and prod, and the scaling-held lambda-division and lambda o lambda."""
         for rng, q, dims, cone in cases(1):
             u, v = interior(rng, q, dims), rng.normal(size=q + sum(dims))
             assert cone.min_eig(u) == ref_min_eig(q, dims, u)
             assert cone.min_eig(v) == ref_min_eig(q, dims, v)
             assert np.array_equal(cone.prod(u, v), ref_prod(q, dims, u, v))
-            assert np.array_equal(cone.div(u, v), ref_div(q, dims, u, v))
+            scal = _Scaling(cone, u, interior(rng, q, dims))
+            assert same_bits(scal.div(v), ref_div(q, dims, scal.lam, v))
+            assert same_bits(scal.lam2, ref_prod(q, dims, scal.lam, scal.lam))
 
     def test_max_step(self):
+        """The scaling-held step search is the min of the reference's s and z
+        steps, and either one alone when the other direction is 0."""
         for rng, q, dims, cone in cases(2):
-            u = interior(rng, q, dims)
-            for du in (rng.normal(size=u.size) * 10.0 ** rng.uniform(-2, 2), -u, interior(rng, q, dims)):
-                assert cone.max_step(u, du) == ref_max_step(q, dims, u, du)
+            s, z = interior(rng, q, dims), interior(rng, q, dims)
+            scal, zero = _Scaling(cone, s, z), np.zeros(s.size)
+            for ds in (rng.normal(size=s.size) * 10.0 ** rng.uniform(-2, 2), -s, interior(rng, q, dims)):
+                assert same_bits(scal.max_step(ds, zero), ref_max_step(q, dims, s, ds))
+                assert same_bits(scal.max_step(zero, ds), ref_max_step(q, dims, z, ds))
+                for dz in (-z, rng.normal(size=z.size), interior(rng, q, dims)):
+                    assert same_bits(scal.max_step(ds, dz), ref_step_both(q, dims, s, ds, z, dz))
 
     def test_zero_denominators_as_numpy(self):
-        """On the cone boundary max_step's root and div's determinant divide
-        by zero; both give inf/nan as numpy scalars do and never raise."""
-        cone = _Cone(1, [3, 2])
-        u = np.array([1.0, 1.0, 1.0, 0.0, 2.0, 2.0])  # both SOC blocks on the boundary
-        du = np.array([1.0, -1.0, -2.0, 0.0, -1.0, -3.0])
-        v = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        """Next to the cone boundary lambda's determinant can round to 0, and
+        a step root's denominator too; the scaling-held div and step search
+        give the reference's inf/nan there, as numpy scalars do, never raise,
+        and take both of the step search's skip branches as the reference does."""
+        rng, seen, zero_dets = np.random.default_rng(5), set(), 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert cone.max_step(u, du) == ref_max_step(1, [3, 2], u, du)
-            got, want = cone.div(u, v), ref_div(1, [3, 2], u, v)
-        assert not np.isfinite(got[1:]).all()
-        assert np.array_equal(got, want, equal_nan=True)
+            for q, dims in CONES:
+                cone = _Cone(q, dims)
+                for _ in range(200):
+                    s, z = near_boundary(rng, q, dims), near_boundary(rng, q, dims)
+                    scal = _Scaling(cone, s, z)
+                    if scal.bad:  # rho rounded to 0: the loop stops there
+                        continue
+                    v = rng.normal(size=s.size)
+                    zero_dets += 0 in ref_dets(q, dims, scal.lam)
+                    assert same_bits(scal.div(v), ref_div(q, dims, scal.lam, v))
+                    assert same_bits(scal.lam2, ref_prod(q, dims, scal.lam, scal.lam))
+                    for ds, dz in zip(near_boundary_directions(rng, q, dims, s),
+                                      near_boundary_directions(rng, q, dims, z)):
+                        assert same_bits(scal.max_step(ds, dz), ref_step_both(q, dims, s, ds, z, dz, seen))
+        assert zero_dets
+        assert seen == {"skip: a >= 0, b >= 0", "skip: a >= 0, disc < 0", "zero denominator"}
 
     def test_scaling(self):
         for rng, q, dims, cone in cases(3):
@@ -326,6 +396,8 @@ class TestStackedAgainstOneProgram:
         assert _BatchCone(2, []).runs == []
 
     def test_min_eig_prod_div_max_step(self):
+        """min_eig and prod; and the scaling-held div, lambda o lambda and
+        step search (one side at a time: the other direction is 0)."""
         for rng, q, dims, cone, batch in self.stacked_cases(21):
             U = np.array([interior(rng, q, dims) for _ in range(self.B)])
             V = rng.normal(size=U.shape) * 10.0 ** rng.uniform(-2, 2, size=(self.B, 1))
@@ -333,41 +405,58 @@ class TestStackedAgainstOneProgram:
             for X in (U, V):
                 assert batch.min_eig(X).tolist() == [cone.min_eig(x) for x in X]
             assert np.array_equal(batch.prod(U, V), np.array([cone.prod(u, v) for u, v in zip(U, V)]))
-            assert np.array_equal(batch.div(U, V), np.array([cone.div(u, v) for u, v in zip(U, V)]))
+            scal, alone = _BatchScaling(batch, U, W), [_Scaling(cone, u, w) for u, w in zip(U, W)]
+            assert same_bits(scal.div(V), [one.div(v) for one, v in zip(alone, V)])
+            assert same_bits(scal.lam2, [one.lam2 for one in alone])
+            zero = np.zeros(U.shape)
             for D in (V, -U, W):
-                assert batch.max_step(U, D).tolist() == [cone.max_step(u, d) for u, d in zip(U, D)]
+                with np.errstate(divide="ignore"):  # a zero direction's root is 2c / 0 = inf, masked
+                    steps = scal.max_step(D, zero), scal.max_step(zero, D)
+                assert same_bits(steps[0], [one.max_step(d, z) for one, d, z in zip(alone, D, zero)])
+                assert same_bits(steps[1], [one.max_step(z, d) for one, d, z in zip(alone, D, zero)])
 
     def test_boundary_rows_as_numpy(self):
-        """Rows on the cone boundary divide by zero in div and max_step; a
-        stack gives them the inf/nan that one program gives them."""
-        cone, batch = _Cone(1, [3, 2]), _BatchCone(1, [3, 2])
-        U = np.array([[1.0, 1.0, 1.0, 0.0, 2.0, 2.0], [1.0, 2.0, 0.0, 0.0, 3.0, 1.0]])
-        D = np.array([[1.0, -1.0, -2.0, 0.0, -1.0, -3.0], [-1.0, -1.0, 1.0, 0.0, 0.0, -1.0]])
-        V = np.arange(12.0).reshape(2, 6)
+        """Stacks of points next to the cone boundary, where lambda's
+        determinant and step roots' denominators round to 0: each row's div,
+        lambda o lambda and step is the one-program scaling's and the
+        reference's, inf and nan included."""
+        rng, zero_dets = np.random.default_rng(25), 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            want_step = [cone.max_step(u, d) for u, d in zip(U, D)]
-            want_div = np.array([cone.div(u, v) for u, v in zip(U, V)])
-            assert batch.max_step(U, D).tolist() == want_step
-            assert np.array_equal(batch.div(U, V), want_div, equal_nan=True)
-        assert not np.isfinite(want_div[0, 1:]).all()
+            for q, dims in CONES:
+                cone, batch = _Cone(q, dims), _BatchCone(q, dims)
+                for _ in range(20):
+                    S = np.array([near_boundary(rng, q, dims) for _ in range(self.B)])
+                    Z = np.array([near_boundary(rng, q, dims) for _ in range(self.B)])
+                    V = rng.normal(size=S.shape)
+                    scal, alone = _BatchScaling(batch, S, Z), [_Scaling(cone, s, z) for s, z in zip(S, Z)]
+                    assert not scal.bad.any()
+                    zero_dets += sum(0 in ref_dets(q, dims, one.lam) for one in alone)
+                    assert same_bits(scal.div(V), [ref_div(q, dims, one.lam, v) for one, v in zip(alone, V)])
+                    assert same_bits(scal.lam2, [ref_prod(q, dims, one.lam, one.lam) for one in alone])
+                    steps = [near_boundary_directions(rng, q, dims, u) for u in (*S, *Z)]
+                    for k in range(3):
+                        DS, DZ = np.array([d[k] for d in steps[: self.B]]), np.array([d[k] for d in steps[self.B :]])
+                        got = scal.max_step(DS, DZ)
+                        assert same_bits(got, [one.max_step(ds, dz) for one, ds, dz in zip(alone, DS, DZ)])
+                        assert same_bits(got, [ref_step_both(q, dims, *row) for row in zip(S, DS, Z, DZ)])
+        assert zero_dets
 
     def test_paired_kernels(self):
-        """``max_step_both`` runs (s, ds) and (z, dz) as one stack of 2B rows
-        and reduces each row by one min; ``apply_Winv_W`` applies W^-1 and W
-        in one matvec per run.  Each row is the one-program kernels' and the
-        per-block reference fold's."""
+        """The step search runs (s, ds) and (z, dz) as one stack of 2B rows
+        and reduces each row by one min; W and W^-1, the halves of one array
+        per run, are applied by one matvec per run.  Each row is the
+        one-program kernels' and the per-block reference fold's."""
         for rng, q, dims, cone, batch in self.stacked_cases(24):
             S = np.array([interior(rng, q, dims) for _ in range(self.B)])
             Z = np.array([interior(rng, q, dims) for _ in range(self.B)])
             DS = rng.normal(size=S.shape) * 10.0 ** rng.uniform(-2, 2, size=(self.B, 1))
-            for DZ in (-Z, rng.normal(size=Z.shape), np.array([interior(rng, q, dims) for _ in range(self.B)])):
-                got = batch.max_step_both(S, DS, Z, DZ).tolist()
-                assert got == [min(cone.max_step(s, ds), cone.max_step(z, dz)) for s, ds, z, dz in zip(S, DS, Z, DZ)]
-                assert got == [min(ref_max_step(q, dims, s, ds), ref_max_step(q, dims, z, dz))
-                               for s, ds, z, dz in zip(S, DS, Z, DZ)]
             scal = _BatchScaling(batch, S, Z)
+            for DZ in (-Z, rng.normal(size=Z.shape), np.array([interior(rng, q, dims) for _ in range(self.B)])):
+                got = scal.max_step(DS, DZ).tolist()
+                assert got == [_Scaling(cone, s, z).max_step(ds, dz) for s, ds, z, dz in zip(S, DS, Z, DZ)]
+                assert got == [ref_step_both(q, dims, *row) for row in zip(S, DS, Z, DZ)]
             a, b = rng.normal(size=S.shape), rng.normal(size=S.shape)
-            Wa, Wb = scal.apply_Winv_W(a, b)
+            Wa, Wb = scal.apply_Winv(a), scal.apply_W(b)
             for i, (s, z) in enumerate(zip(S, Z)):
                 one = _Scaling(cone, s, z)
                 assert np.array_equal(Wa[i], one.apply_Winv(a[i])) and np.array_equal(Wb[i], one.apply_W(b[i]))
@@ -375,8 +464,9 @@ class TestStackedAgainstOneProgram:
     def test_paired_step_on_special_rows(self):
         """Rows whose step is -0.0 (a root that underflows), rows on the
         boundary, where a root divides by zero, and rows with NaN and inf
-        entries: the paired stack gives each the one-program step, the sign
-        of a zero step included."""
+        entries: the paired stack gives each the reference's step, the sign
+        of a zero step included, and the one-program step where that row's
+        scaling is not bad (one program never steps from a bad scaling)."""
         cone, batch = _Cone(1, [3]), _BatchCone(1, [3])
         neg_zero = ([1.0, -1.547212728748363e-162, -8.991741862857903e-163, 1.1701782156649257e-162],
                     [1.0, -3.8099158088267684, 40.503554911863354, -19.717138119913177])
@@ -389,14 +479,14 @@ class TestStackedAgainstOneProgram:
         pairs = [(s, z) for s in rows for z in rows]
         S, DS, Z, DZ = (np.array([pair[i][j] for pair in pairs]) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
         with np.errstate(all="ignore"):
-            got = batch.max_step_both(S, DS, Z, DZ)
-            want = np.array([min(cone.max_step(s, ds), cone.max_step(z, dz)) for s, ds, z, dz in zip(S, DS, Z, DZ)])
-            ref = np.array([min(ref_max_step(1, [3], s, ds), ref_max_step(1, [3], z, dz))
-                            for s, ds, z, dz in zip(S, DS, Z, DZ)])
-        assert np.array_equal(got, want, equal_nan=True) and np.array_equal(want, ref, equal_nan=True)
-        numbers = ~np.isnan(got)  # a NaN step's sign bit is not part of its value
-        assert np.signbit(got[numbers]).tolist() == np.signbit(want[numbers]).tolist()
+            scal = _BatchScaling(batch, S, Z)
+            got = scal.max_step(DS, DZ)
+            want = [ref_step_both(1, [3], *row) for row in zip(S, DS, Z, DZ)]
+            alone = [_Scaling(cone, s, z) for s, z in zip(S, Z)]
+        assert same_bits(got, want)
         assert got[0] == 0.0 and np.signbit(got[0]) and np.isnan(got).any() and (got == np.inf).any()
+        good = [i for i, one in enumerate(alone) if not one.bad]
+        assert good and same_bits(got[good], [alone[i].max_step(DS[i], DZ[i]) for i in good])
 
     def test_scaling(self):
         for rng, q, dims, cone, batch in self.stacked_cases(22):
@@ -470,7 +560,7 @@ class TestConeBehaviour:
         for rng, q, dims, cone in cases(8):
             u = interior(rng, q, dims, margin=0.5)
             du = rng.normal(size=u.size) * u.max()
-            alpha = cone.max_step(u, du)
+            alpha = _Scaling(cone, u, u).max_step(du, np.zeros(u.size))
             want = bisect_step(cone, u, du)
             if math.isinf(want):
                 assert math.isinf(alpha)
@@ -481,9 +571,9 @@ class TestConeBehaviour:
 
     def test_max_step_inf_for_directions_inside_the_cone(self):
         for rng, q, dims, cone in cases(9):
-            u = interior(rng, q, dims)
-            assert cone.max_step(u, interior(rng, q, dims)) == math.inf
-            assert cone.max_step(u, np.zeros(u.size)) == math.inf
+            scal = _Scaling(cone, interior(rng, q, dims), interior(rng, q, dims))
+            assert scal.max_step(interior(rng, q, dims), interior(rng, q, dims)) == math.inf
+            assert scal.max_step(np.zeros(cone.dim), np.zeros(cone.dim)) == math.inf
 
     def test_nesterov_todd_identities(self):
         for rng, q, dims, cone in cases(10):

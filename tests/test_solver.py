@@ -132,6 +132,11 @@ class TestResultContracts:
         with pytest.raises(ValueError, match=name):
             SolveSettings(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "200", None])
+    def test_max_iterations_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolveSettings(max_iterations=value)
+
     def test_trace_callback(self):
         seen = []
         res = solve(disk(), SolveSettings(), trace=seen.append)

@@ -9,6 +9,8 @@ goes first, so that both see the same machine state:
 
 * ``solve`` on the bundled door, pivot and slide programs (N calls each side);
 * ``solve_with_oracle`` at 64 facets on the same three programs (N calls);
+* the ``eval_grid`` workload's operation: ``local_metric`` on each of its 412
+  grid points, one call of the case being all 412 (M calls);
 * ``solve_batch`` on the door, pivot and slide sweeps of the ``batch_cli``
   workload (41, 17 and 17 points, as lists of programs) and on what the
   ``gws_slide`` job hands to ``solve_batch`` (M calls each side);
@@ -22,10 +24,11 @@ goes first, so that both see the same machine state:
   ``cli.main`` (build, compile, solve, CSV; M calls).
 
 Each side compiles its own programs from its own scenarios, outside the
-timed calls; the fuzz corpus, drawn with this checkout's generator, is
-compiled once by this checkout and handed to both oracles, while the ``fuzz
-op`` case hands each side the drawn problems rebuilt from its own classes
-and times its own compile.  Each result of one side must equal the other's
+timed calls (the ``eval_grid`` case builds each side's problems outside
+them and compiles inside, as the workload does); the fuzz corpus, drawn
+with this checkout's generator, is compiled once by this checkout and
+handed to both oracles, while the ``fuzz op`` case hands each side the
+drawn problems rebuilt from its own classes and times its own compile.  Each result of one side must equal the other's
 byte for byte, and each job's CSV the other side's with the ``wall_ms``
 column left out.  Times are process CPU time,
 which other processes on a shared machine disturb less than wall time.  For
@@ -127,6 +130,7 @@ def cases() -> list[tuple[str, bool, object]]:
     ``prepare(pkg)`` returns the call that is timed for that side."""
     alphas = np.radians(np.linspace(0.0, 60.0, 17))
     thetas = np.radians(np.linspace(0.0, 40.0, 41))
+    points = workloads.eval_grid_points()
     draws = [(prob, direction) for gen_seed in workloads.FUZZ_GENERATOR_SEEDS
              for prob, direction, _trial in workloads.FuzzOracle(seed=0)._draws(gen_seed)][:200]
     corpus = [problem.compile_program(prob, direction) for prob, direction in draws]
@@ -152,6 +156,12 @@ def cases() -> list[tuple[str, bool, object]]:
             return out
         return call
 
+    def eval_case(pkg):
+        """``local_metric`` on every ``eval_grid`` point, as the workload calls it."""
+        probs = [(pkg.scenarios.builtin_scenario(name, **params).problem(), direction)
+                 for name, params, direction in points]
+        return lambda: [pkg.metric.local_metric(prob, direction).solve_result for prob, direction in probs]
+
     def gws_case(pkg):
         inputs = job_inputs(pkg, "gws_slide")
         return lambda: pkg.solver.solve_batch(inputs)
@@ -161,7 +171,8 @@ def cases() -> list[tuple[str, bool, object]]:
              for name in names]
             + [(f"oracle@64 {name}", False,
                 lambda pkg, n=name: (lambda p=bundled(pkg, n): pkg.solver.solve_with_oracle(p, 64))) for name in names]
-            + [("solve_batch door sweep (41)", True, sweep_case("door_handle", "theta", thetas, x_c=0.0)),
+            + [(f"eval_grid local_metric ({len(points)})", True, eval_case),
+               ("solve_batch door sweep (41)", True, sweep_case("door_handle", "theta", thetas, x_c=0.0)),
                ("solve_batch pivot sweep (17)", True, sweep_case("cuboid_pivot", "alpha", alphas)),
                ("solve_batch slide sweep (17)", True, sweep_case("cuboid_slide", "alpha", alphas)),
                ("solve_batch gws_slide", True, gws_case)]
