@@ -8,8 +8,8 @@ finite-pitch screw, torque magnitude for an infinite-pitch one).
 failures (a sweep routinely runs past the pose where the task becomes
 infeasible), and ``gws_sample`` probes the grasp wrench space boundary along
 a set of screw directions.  The three multi-point jobs build every point's
-problem in order, compile the points of each structure into one stack
-(``problem.compile_stacks``) and hand the stacks to ``solver.solve_batch``,
+problem in order, compile them into stacks (``problem.compile_stacks``, one
+per structure and finite-bound pattern) and hand those to ``solver.solve_batch``,
 which solves them as stacked interior-point runs with the same results as
 solving each point alone; no point becomes a ConicProgram of its own, except
 that ``global_metric`` reads each point's program as row views for its
@@ -132,8 +132,8 @@ def local_metric(
 
 
 def _solve_points(build, items, direction: int, settings, tolerated=()) -> list[tuple]:
-    """Build ``build(item)`` for each item, in order, compile each structure's
-    problems into one stack and solve the stacks in one batch.  Per item:
+    """Build ``build(item)`` for each item, in order, compile the problems
+    into ``compile_stacks``' stacks and solve them in one batch.  Per item:
     ``(stack, row, result, ms)``, or ``(None, None, exc, ms)`` if building or
     compiling raised ``exc``, one of ``tolerated`` (anything else propagates
     before any solve); ms is its build time plus equal shares of the batch's

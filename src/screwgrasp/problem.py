@@ -18,10 +18,10 @@ remains and where.
 
 The structure (layout, column positions, bound and cone patterns) depends
 only on the contact kinds, their kept components and the joint count, so it
-is compiled once per such key and cached.  ``compile_stacks`` then writes the
-numbers of all problems of one structure into one ``ProgramStack`` (a
-compiled map from a family's numbers to the program data, as in CVXPYgen)
-and checks the stack once; ``compile_program`` is its one-problem case.
+is compiled once per such key and cached.  ``compile_stacks`` alone decides
+which problems share a ``ProgramStack`` (one structure and finite-bound
+pattern), writes their numbers into it, a compiled map from numbers to program
+data as in CVXPYgen, and checks it once; ``compile_program`` is its one-problem case.
 """
 
 from __future__ import annotations
@@ -279,11 +279,11 @@ class ConicProgram:
 
 @dataclass(frozen=True)
 class ProgramStack:
-    """B programs of one shape, stacked: ``f``, ``F``, ``g``, ``lb``, ``ub``
-    and per SOC block ``(A, b, c, d)``, with the layout and blocks' labels.
-    Stacks from ``compile_stacks`` are read-only and checked, and
-    ``program(k)`` is row k as a ConicProgram; ``of`` stacks ConicPrograms,
-    taking the first one's layout and labels."""
+    """B programs of one shape and finite-bound pattern, stacked (``f``, ``F``,
+    ``g``, ``lb``, ``ub``, per SOC block ``(A, b, c, d)``, the layout and the
+    blocks' labels): the solver's unit of work.  Stacks from ``compile_stacks``
+    are read-only and checked; ``program(k)`` is row k as a ConicProgram, and
+    ``of`` is the one way other ConicPrograms get into a stack."""
 
     f: np.ndarray
     F: np.ndarray
@@ -299,7 +299,10 @@ class ProgramStack:
 
     @classmethod
     def of(cls, progs: list[ConicProgram]) -> "ProgramStack":
-        """Programs of one shape, stacked (one program as ``[None]`` views)."""
+        """Programs of one shape and finite-bound pattern, stacked (one as
+        ``[None]`` views) with the first one's layout and labels; else CompileError."""
+        if len({(p.F.shape, *(b.A.shape for b in p.socs), np.isfinite([p.lb, p.ub]).tobytes()) for p in progs}) > 1:
+            raise CompileError("the programs of a stack must share their shapes and finite-bound pattern")
         stack = (lambda xs: xs[0][None]) if len(progs) == 1 else np.stack
         return cls(*(stack([getattr(p, name) for p in progs]) for name in ("f", "F", "g", "lb", "ub")),
                    socs=tuple((*(stack([getattr(p.socs[j], name) for p in progs]) for name in "Abc"),
@@ -341,10 +344,12 @@ def _kept_components(contact) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
 
 
 def _key(p: GraspProblem) -> tuple:
-    """A problem's structure: its contacts' ``_kept_components`` and n_tau."""
+    """A problem's stack: ``_structure``'s key (its contacts' ``_kept_components``
+    and n_tau) and whether each environment contact gives f_n_min and f_n_max."""
     return (tuple(_kept_components(c) for c in p.manipulator_contacts),
             tuple(_kept_components(c) for c in p.environment_contacts),
-            p.torque_model.n_joints if p.torque_model is not None else 0)
+            p.torque_model.n_joints if p.torque_model is not None else 0,
+            tuple((c.f_n_min is not None, c.f_n_max is not None) for c in p.environment_contacts))
 
 
 _UPPER = lambda ct: np.inf if ct.f_n_max is None else ct.f_n_max  # noqa: E731
@@ -403,12 +408,12 @@ _ROLLS = np.array([[1, 2, 0], [2, 0, 1]])  # cross3 of a and b: a[1] * b[2] - a[
 
 
 def _write(problems: list[GraspProblem], direction: int, key: tuple) -> tuple[ProgramStack, np.ndarray, np.ndarray]:
-    """The one number writer: problems of one structure ``key`` as a stack,
+    """The one number writer: problems of one stack ``key`` as a stack,
     each entry rounded as for one problem (``skew(p) @ R`` a stacked matmul,
     cross products entry by entry, 1/(mu e)).  Also returns the task and
     external wrenches (B, 2, 6) and the mask of the rows that fail the
     ConicProgram checks, from one check of the buffer that holds them all."""
-    layout, jt_cols, cols, prescribed, (getters, at), cones, entries, parts = _structure(key)
+    layout, jt_cols, cols, prescribed, (getters, at), cones, entries, parts = _structure(key[:3])
     (a_at, c_at), n_tau, B, n = entries, key[2], len(problems), layout.n_vars
     buffer = np.zeros((B, parts[0]))
     f, F, g = (buffer[:, start : start + size].reshape(B, *shape) for start, size, shape in parts[1][:3])
@@ -482,21 +487,20 @@ def _row_error(st: ProgramStack, W: np.ndarray, k: int) -> Exception:
 
 
 def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
-    """Compile a grasp scenario into a conic program: the one-problem case of
-    ``compile_stacks``.  ``direction`` (+1/-1) selects the sense of the task
-    screw; the paired curves of a task (CW/CCW, +X/-X) are two compilations."""
-    if direction not in (+1, -1):
-        raise CompileError("direction must be +1 or -1")
-    stack, W, bad = _write([p], direction, _key(p))
-    if bad[0]:
-        raise _row_error(stack, W, 0)
-    return stack.program(0)
+    """Compile a grasp scenario into a conic program: ``compile_stacks`` of
+    the one problem, raising the error it places or returning its row.
+    ``direction`` (+1/-1) selects the sense of the task screw; the paired
+    curves of a task (CW/CCW, +X/-X) are two compilations."""
+    stacks, (placed,) = compile_stacks([p], direction)
+    if isinstance(placed, Exception):
+        raise placed
+    return stacks[0].program(0)
 
 
 def compile_stacks(problems: list[GraspProblem], direction: int = +1) -> tuple[list[ProgramStack], list]:
-    """One ProgramStack per structure, in the order of each structure's first
-    problem, and per problem its ``(stack index, row)`` or the error that
-    ``compile_program`` raises for it."""
+    """One ProgramStack per stack key (structure and finite-bound pattern,
+    ``_key``), in the order of each key's first problem, and per problem its
+    ``(stack index, row)`` or the error that ``compile_program`` raises for it."""
     if direction not in (+1, -1):
         raise CompileError("direction must be +1 or -1")
     placed: list = [None] * len(problems)
@@ -509,11 +513,13 @@ def compile_stacks(problems: list[GraspProblem], direction: int = +1) -> tuple[l
     stacks = []
     for key, members in groups.items():
         stack, W, bad = _write([problems[i] for i in members], direction, key)
-        for k in np.flatnonzero(bad):
-            placed[members[k]] = _row_error(stack, W, k)
-        good = np.flatnonzero(~bad)
-        for row, k in enumerate(good):
-            placed[members[k]] = (len(stacks), row)
-        if good.size:
-            stacks.append(stack if good.size == len(members) else stack.take(good))
+        good = []
+        for k, failed in enumerate(bad.tolist()):  # no np.flatnonzero: it would cost a one-problem compile 2%
+            if failed:
+                placed[members[k]] = _row_error(stack, W, k)
+            else:
+                placed[members[k]] = (len(stacks), len(good))
+                good.append(k)
+        if good:
+            stacks.append(stack if len(good) == len(members) else stack.take(good))
     return stacks, placed

@@ -60,11 +60,11 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+def check_rotation(R: np.ndarray) -> np.ndarray:
     """Validate R in SO(3); returns R as a float array.
 
     Raises InvalidRotationError if ``R^T R`` deviates from identity by more
-    than ``tol`` (max abs entry) or ``det R`` is not +1 within ``tol``.
+    than ``ROTATION_TOL`` (max abs entry) or ``det R`` is not +1 within it.
     """
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
@@ -78,7 +78,7 @@ def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
               abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     # orthonormality error of order eps enters det at the same order
-    if err > tol or abs(det - 1.0) > max(tol, 10.0 * err + 1e-12):
+    if err > ROTATION_TOL or abs(det - 1.0) > max(ROTATION_TOL, 10.0 * err + 1e-12):
         raise InvalidRotationError(
             f"matrix is not a rotation: |R'R - I| = {err:.3e}, det = {det:.12f}"
         )

@@ -19,10 +19,10 @@ equilibration conditions the data (contact problems mix N and N.m scales);
 convergence is always measured against the *original* data.
 
 ``solve`` is the one-program case of ``solve_batch``, and both take one path:
-the unit of work is a ``ProgramStack`` of one structure (a compiled stack's
-rows of one finite-bound pattern, or a group of ConicPrograms stacked once),
-filled into one stacked standard form with array assignments and presolved
-as one stack (equilibration and two SVD reductions); the presolve exits
+the unit of work is a ``ProgramStack``, solved as it comes (``compile_stacks``
+or ``ProgramStack.of`` decided which programs share it; a program alone is a
+stack of one), filled into one stacked standard form with array assignments
+and presolved as one stack (equilibration and two SVD reductions); the presolve exits
 (degenerate, inconsistent equalities, free ray) are settled in one place,
 and the rest run through the one HSD loop ``_ipm``: one program at a time on
 its own 1-D arrays, or, from ``_MIN_BATCH`` programs of one reduced shape
@@ -282,8 +282,8 @@ class _Scaling:
     numbers are computed: for s and for z each block's head, tail view and
     head^2 - ||tail||^2, read by the step search ``max_step``; lambda's head
     a, tail b and det a^2 - b'b, read by the lambda-division ``div``; and
-    lambda o lambda (``lam2``).  If the iterate left the cone interior,
-    ``bad`` is set and nothing else is built."""
+    lambda o lambda (``lam2``).  If s, z or lambda left the cone interior (a
+    head or det <= 0 as rounded), ``bad`` is set and nothing else is built."""
 
     def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
@@ -329,7 +329,11 @@ class _Scaling:
             lam[blk] = W @ z[blk]
             a, b = lam.item(h), lam[t]
             bb = b @ b
-            self._lam.append((h, t, a, b, a * a - bb))
+            det = a * a - bb
+            if a <= 0 or det <= 0:  # div would divide by 0
+                self.bad = True
+                return
+            self._lam.append((h, t, a, b, det))
             ab = a * b
             lam2[h] = a * a + bb
             lam2[t] = ab + ab
@@ -352,7 +356,7 @@ class _Scaling:
         return self.w_lp**2, [W @ W for W in self.soc_W]
 
     def div(self, v: np.ndarray) -> np.ndarray:
-        """Solve lambda o x = v for x (numpy scalar division: a det of 0 gives inf/nan)."""
+        """Solve lambda o x = v for x (every det and head of lambda is > 0)."""
         q = self.cone.q
         out = np.empty(self.cone.dim)
         out[:q] = v[:q] / self.lam[:q]
@@ -395,8 +399,8 @@ class _BatchScaling(_Scaling):
     """_Scaling of stacked iterates (B, dim), run by run of a _BatchCone, with
     s and z taken as one stack [s; z] of 2B rows: W and W^-1 of a run are the
     halves of one (2B, k, d, d) array, and one step search covers both.
-    ``bad`` marks the instances whose iterate left the cone interior; their
-    rows are meaningless."""
+    ``bad`` marks the instances whose s, z or lambda left the cone interior,
+    as for one program; their rows are meaningless."""
 
     def __init__(self, cone: _BatchCone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
@@ -440,7 +444,9 @@ class _BatchScaling(_Scaling):
         for L, O in zip(cone.split(self.lam), cone.split(self.lam2)):
             a, b = L[..., 0], L[..., 1:]
             aa, bb = a * a, np.vecdot(b, b)
-            self._lam.append((a, b, aa - bb))
+            det = aa - bb
+            self.bad |= ((a <= 0) | (det <= 0)).any(axis=1)
+            self._lam.append((a, b, det))
             O[..., 0] = aa + bb
             O[..., 1:] = L[..., :1] * b + L[..., :1] * b
 
@@ -762,14 +768,9 @@ def _unscale(col_scale: np.ndarray, basis: np.ndarray | None, x: np.ndarray, tau
     return col_scale * full / tau
 
 
-def solve(
-    prog: ConicProgram,
-    settings: SolveSettings | None = None,
-    trace=None,
-    backend=None,
-) -> SolveResult:
+def solve(prog: ConicProgram, settings: SolveSettings | None = None, trace=None, backend=None) -> SolveResult:
     """Solve a conic program to optimality or an infeasibility/unboundedness
-    certificate: the one-program case of ``solve_batch``, with the same result.
+    certificate: ``solve_batch`` of ``ProgramStack.of([prog])``.
 
     ``trace``, if given, is called once per iteration with a dict of the
     iteration number (an int), residuals, gap and embedding variables (plain
@@ -779,26 +780,24 @@ def solve(
     """
     if backend is not None:
         return backend(prog, settings, trace)
-    return _solve_all([prog], settings, trace)[0]
+    return _solve_all([ProgramStack.of([prog])], settings, trace)[0]
 
 
-def solve_batch(progs, settings: SolveSettings | None = None) -> list[SolveResult]:
-    """Solve many conic programs, each a ``ConicProgram`` or a
-    ``ProgramStack`` (standing for its rows, in order); each result equals
-    ``solve(prog, settings)`` on that program byte for byte (status,
-    iterations, objective, certificate, residuals and primal).
+def solve_batch(stacks, settings: SolveSettings | None = None) -> list[SolveResult]:
+    """Solve the rows of ``ProgramStack``s (from ``compile_stacks``, or
+    ``ProgramStack.of`` for other programs of one structure), one result per
+    row, in order; each equals ``solve(stack.program(k), settings)`` byte for
+    byte (status, iterations, objective, certificate, residuals and primal).
+    Anything but a stack is a TypeError before any solve.
 
-    ConicPrograms of one structure (variable count, equality shape,
-    finite-bound pattern and cone dimensions) are stacked once; the rows of a
-    stack are split by finite-bound pattern, without a copy when they share
-    one.  Each group is presolved as one stack, and its members of one
-    reduced shape run through one interior-point loop over stacked arrays
-    from ``_MIN_BATCH`` members on, so numpy's call overhead is paid once per
-    iteration for the group rather than once per program.  Each instance
-    keeps its own termination, certificates, best iterate and failure exits,
-    and leaves the stack when it finishes.
+    Each stack is presolved as one, and its members of one reduced shape run
+    through one interior-point loop over stacked arrays from ``_MIN_BATCH``
+    members on, so numpy's call overhead is paid once per iteration for the
+    stack rather than once per program.  Each instance keeps its own
+    termination, certificates, best iterate and failure exits, and leaves
+    the stack when it finishes.
     """
-    return _solve_all(list(progs), settings)
+    return _solve_all(list(stacks), settings)
 
 
 # The smallest group worth a stacked run, measured on door, pivot and slide
@@ -809,34 +808,17 @@ def solve_batch(progs, settings: SolveSettings | None = None) -> list[SolveResul
 _MIN_BATCH = 3
 
 
-def _solve_all(items: list, settings: SolveSettings | None, trace=None) -> list[SolveResult]:
-    """The one solve path of ``solve`` and ``solve_batch``: group the
-    programs (ConicPrograms, and the rows of each ProgramStack) by structure,
-    stack each group once and solve it; one result per program, in order.
-    ``trace`` reaches the programs that run on their own."""
+def _solve_all(stacks: list[ProgramStack], settings: SolveSettings | None, trace=None) -> list[SolveResult]:
+    """The one solve path of ``solve`` and ``solve_batch``: each stack as it
+    comes, one result per row, in order.  ``trace`` reaches the programs that
+    run on their own."""
     settings = settings or SolveSettings()
-    groups: dict[tuple, tuple] = {}  # key -> (stack or None, slots, its rows or the programs)
-    slot = 0
-    for item in items:
-        if isinstance(item, ConicProgram):
-            entries = [((item.F.shape, np.isfinite(item.lb).tobytes(), np.isfinite(item.ub).tobytes(),
-                         tuple(blk.A.shape[0] for blk in item.socs)), None, item)]
-        else:  # a stack's rows are grouped among themselves
-            finite = np.concatenate([np.isfinite(item.lb), np.isfinite(item.ub)], axis=1)
-            entries = [((id(item), finite[k].tobytes()), item, k) for k in range(len(item))]
-        for key, stack, member in entries:
-            _, slots, members = groups.setdefault(key, (stack, [], []))
-            slots.append(slot)
-            members.append(member)
-            slot += 1
-    results: list = [None] * slot
-    for stack, slots, members in groups.values():
-        if stack is None:
-            stack = ProgramStack.of(members)
-        elif members != list(range(len(stack))):
-            stack = stack.take(members)
+    results: list = [None] * sum(len(st) for st in stacks)  # len: a TypeError for a non-stack, before any solve
+    start = 0
+    for st in stacks:
+        slots, start = list(range(start, start + len(st))), start + len(st)
         while slots:
-            stack, slots = _solve_group(stack, slots, settings, trace, results)
+            st, slots = _solve_group(st, slots, settings, trace, results)
     return results
 
 

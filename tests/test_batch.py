@@ -1,9 +1,11 @@
 """Batched solves give the bytes of solving each program alone.
 
-``solver.solve_batch`` runs programs of one structure as one stacked
-interior-point loop.  Every result here is compared with ``solver.solve`` of
-the same program through ``result_bytes`` of ``tools/solve_digest.py``:
-status, iterations, objective, certificate, residuals and primal bytes.
+``solver.solve_batch`` runs each ``ProgramStack`` it is given as one stacked
+interior-point loop; the stacks come from ``problem.compile_stacks``, or from
+``ProgramStack.of`` for hand-built programs of one structure.  Every result
+here is compared with ``solver.solve`` of the same row through
+``result_bytes`` of ``tools/solve_digest.py``: status, iterations, objective,
+certificate, residuals and primal bytes.
 """
 
 import sys
@@ -23,9 +25,9 @@ from solve_digest import result_bytes  # noqa: E402
 from screwgrasp import problem, solver  # noqa: E402
 from screwgrasp.cli import _subspace_directions  # noqa: E402
 from screwgrasp.contacts import EnvironmentContact, FixedSupport  # noqa: E402
-from screwgrasp.errors import ScrewGraspError, SolverDataError  # noqa: E402
+from screwgrasp.errors import CompileError, ScrewGraspError, SolverDataError  # noqa: E402
 from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep  # noqa: E402
-from screwgrasp.problem import compile_program  # noqa: E402
+from screwgrasp.problem import ProgramStack, compile_program, compile_stacks  # noqa: E402
 from screwgrasp.scenarios import builtin_scenario  # noqa: E402
 from screwgrasp.screws import Wrench, wrench_to_screw  # noqa: E402
 from screwgrasp.solver import SolveSettings, solve, solve_batch  # noqa: E402
@@ -34,18 +36,28 @@ THETAS = np.radians(np.linspace(0.0, 40.0, 41))
 ALPHAS = np.radians(np.arange(0, 61, 10))
 
 
-def door_progs(x_c: float, direction: int) -> list:
-    return [compile_program(builtin_scenario("door_handle", x_c=x_c, theta=float(t)).problem(), direction)
-            for t in THETAS]
+def door_problems(x_c: float) -> list:
+    return [builtin_scenario("door_handle", x_c=x_c, theta=float(t)).problem() for t in THETAS]
 
 
-def cuboid_progs(name: str, direction: int) -> list:
-    return [compile_program(builtin_scenario(name, alpha=float(a), x_E=x_E).problem(), direction)
-            for x_E in (0.06, 0.09, 0.12) for a in ALPHAS]
+def cuboid_problems(name: str) -> list:
+    return [builtin_scenario(name, alpha=float(a), x_E=x_E).problem() for x_E in (0.06, 0.09, 0.12) for a in ALPHAS]
 
 
-def assert_same_as_alone(progs, settings=None):
-    batch = solve_batch(progs, settings)
+def stacks_of(problems, direction: int) -> list:
+    """``compile_stacks`` of problems that all compile."""
+    stacks, placed = compile_stacks(problems, direction)
+    assert not any(isinstance(where, Exception) for where in placed)
+    return stacks
+
+
+def rows(stacks) -> list:
+    return [st.program(k) for st in stacks for k in range(len(st))]
+
+
+def assert_same_as_alone(stacks, settings=None):
+    batch = solve_batch(stacks, settings)
+    progs = rows(stacks)
     assert len(batch) == len(progs)
     for i, (prog, res) in enumerate(zip(progs, batch)):
         assert result_bytes(res) == result_bytes(solve(prog, settings)), f"program {i}"
@@ -55,14 +67,16 @@ def assert_same_as_alone(progs, settings=None):
 @pytest.mark.parametrize("direction", [+1, -1])
 @pytest.mark.parametrize("x_c", [0.0, 0.05, 0.10, 0.15])
 def test_door_acceptance_sweeps(x_c, direction):
-    batch = assert_same_as_alone(door_progs(x_c, direction))
+    stacks = stacks_of(door_problems(x_c), direction)
+    assert [len(st) for st in stacks] == [len(THETAS)]
+    batch = assert_same_as_alone(stacks)
     assert {r.status for r in batch} == {"Optimal"}
 
 
 @pytest.mark.parametrize("direction", [+1, -1])
 @pytest.mark.parametrize("name", ["cuboid_pivot", "cuboid_slide"])
 def test_pivot_and_slide_grids(name, direction):
-    batch = assert_same_as_alone(cuboid_progs(name, direction))
+    batch = assert_same_as_alone(stacks_of(cuboid_problems(name), direction))
     # instances stop at different iterations and leave the stack one by one
     assert len({r.iterations for r in batch}) > 1
 
@@ -75,9 +89,9 @@ def test_gws_cuboid_slide_64_rays():
         w6 = np.zeros(6)
         w6[[0, 2, 4]] = d  # fx, fz, ty
         screws.append(wrench_to_screw(Wrench.from_array(w6)).axis)
-    progs = [compile_program(replace(p, task=s), +1) for s in screws]
-    assert len(progs) == 962
-    batch = assert_same_as_alone(progs)
+    stacks = stacks_of([replace(p, task=s) for s in screws], +1)
+    assert [len(st) for st in stacks] == [962]
+    batch = assert_same_as_alone(stacks)
     rays = gws_sample(p, screws)
     assert [(r.status, r.eta) for r in rays] == [
         (b.status, b.objective if b.status == "Optimal" else None) for b in batch]
@@ -85,7 +99,7 @@ def test_gws_cuboid_slide_64_rays():
 
 def test_iteration_limit_for_every_instance():
     settings = SolveSettings(max_iterations=3)
-    batch = assert_same_as_alone(door_progs(0.05, +1), settings)
+    batch = assert_same_as_alone(stacks_of(door_problems(0.05), +1), settings)
     assert {(r.status, r.iterations) for r in batch} == {("IterationLimit", 3)}
 
 
@@ -126,12 +140,12 @@ def test_optimal_result_is_the_checked_point_of_its_last_iterate(monkeypatch, st
     alone: a stack's rows are each a fresh one-program ``_unscale`` and
     ``_ResidualCheck``."""
     calls = unscaled_iterates(monkeypatch)
-    for progs in (door_progs(0.05, +1)[::4], cuboid_progs("cuboid_pivot", -1)[::3]):
+    for stack in (stacks_of(door_problems(0.05)[::4], +1)[0], stacks_of(cuboid_problems("cuboid_pivot")[::3], -1)[0]):
         if stacked:
             calls.clear()
-            results = solve_batch(progs)
+            results = solve_batch([stack])
             assert calls[0][2].ndim == 2  # one stacked run, one call per iteration
-        for k, prog in enumerate(progs):
+        for k, prog in enumerate(rows([stack])):
             if not stacked:
                 calls.clear()
                 results = {k: solve(prog)}
@@ -143,20 +157,84 @@ def test_initial_point_that_is_not_finite_stops_without_warnings():
     """Finite data so huge that the initial point overflows: each program,
     alone or in a stack, is a NumericalFailure at 0 iterations that says so,
     and no numpy warning is raised on the way."""
-    progs = [compile_program(builtin_scenario("door_handle", L=1e308, x_c=1e308, theta=t).problem(), +1)
-             for t in (1e300, 2e300, 3e300)]
+    stacks = stacks_of([builtin_scenario("door_handle", L=1e308, x_c=1e308, theta=t).problem()
+                        for t in (1e300, 2e300, 3e300)], +1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = assert_same_as_alone(progs)
+        batch = assert_same_as_alone(stacks)
     assert {(r.status, r.iterations, r.certificate) for r in batch} == {
         ("NumericalFailure", 0, "initial point is not finite")}
 
 
 def test_two_structures_keep_input_order():
-    door, pivot = door_progs(0.0, +1)[:6], cuboid_progs("cuboid_pivot", +1)[:6]
-    mixed = [prog for pair in zip(door, pivot) for prog in pair] + door[6:7]
-    batch = assert_same_as_alone(mixed)
-    assert len({r.iterations for r in batch[0::2]} & {r.iterations for r in batch[1::2]}) == 0
+    """Interleaved problems of two structures compile into two stacks; the
+    results come back stack by stack in the order given, row by row."""
+    door, pivot = door_problems(0.0)[:6], cuboid_problems("cuboid_pivot")[:7]
+    stacks, placed = compile_stacks([p for pair in zip(door, pivot) for p in pair] + pivot[6:], +1)
+    assert [len(st) for st in stacks] == [6, 7]
+    assert placed == [(k % 2, k // 2) for k in range(12)] + [(1, 6)]
+    batch = assert_same_as_alone(stacks[::-1])
+    assert len({r.iterations for r in batch[:7]} & {r.iterations for r in batch[7:]}) == 0
+
+
+def with_edge_cap(p, cap):
+    """``p`` with f_n_max = ``cap`` at its first environment contact."""
+    first, *rest = p.environment_contacts
+    return replace(p, environment_contacts=(replace(first, f_n_max=cap), *rest))
+
+
+def test_environment_bound_presence_makes_a_stack_of_its_own():
+    """Problems that differ only in whether an environment contact gives
+    f_n_max compile into one stack per finite-bound pattern, and each row
+    solves as that program alone."""
+    problems = [with_edge_cap(p, None if k % 2 else 40.0) for k, p in enumerate(cuboid_problems("cuboid_slide")[:13])]
+    stacks, placed = compile_stacks(problems, -1)
+    assert [len(st) for st in stacks] == [7, 6]
+    assert placed == [(k % 2, k // 2) for k in range(13)]
+    assert np.isfinite(stacks[0].ub[0]).sum() == np.isfinite(stacks[1].ub[0]).sum() + 1  # the capped stack
+    assert_same_as_alone(stacks)
+
+
+def test_programs_of_other_finite_bounds_are_no_stack():
+    capped, free = (compile_program(with_edge_cap(builtin_scenario("cuboid_slide").problem(), cap), -1)
+                    for cap in (40.0, None))
+    assert len(ProgramStack.of([capped, capped])) == 2
+    with pytest.raises(CompileError, match="finite-bound pattern"):
+        ProgramStack.of([capped, free])
+    with pytest.raises(CompileError, match="finite-bound pattern"):
+        ProgramStack.of([mkprog([1.0], np.zeros((0, 1)), [], ub=[1.0]), mkprog([1.0], np.zeros((0, 1)), [])])
+
+
+def test_a_program_is_no_stack(monkeypatch):
+    """``solve_batch`` takes stacks only: a ConicProgram among them is a
+    TypeError before any stack is solved."""
+    stack = stacks_of(door_problems(0.0)[:3], +1)[0]
+    seen, standardize = [], solver._standardize
+    monkeypatch.setattr(solver, "_standardize", lambda st: seen.append(st) or standardize(st))
+    for items in ([stack.program(0)], [stack, stack.program(0)]):
+        with pytest.raises(TypeError):
+            solve_batch(items)
+    assert seen == []
+
+
+def test_lambda_on_the_cone_boundary_is_a_numerical_failure_without_warnings(monkeypatch):
+    """At cuboid_slide alpha = 20 deg, x_E = 0.06, direction -1 and
+    tolerances of 1e-10, an iterate's lambda = W z has a block whose det
+    a^2 - b'b rounds to 0.  The scaling marks the iterate, and the solve
+    stops there as a NumericalFailure with its best iterate, alone and as a
+    row of a stacked run alike, without dividing by 0 (no numpy warning)."""
+    runs = stacked_runs(monkeypatch)
+    settings = SolveSettings(feasibility_tol=1e-10, duality_gap_tol=1e-10)
+    problems = [builtin_scenario("cuboid_slide", alpha=float(a), x_E=0.06).problem() for a in ALPHAS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = solve(compile_program(problems[2], -1), settings)
+        batch = assert_same_as_alone(stacks_of(problems, -1), settings)
+    assert (alone.status, alone.iterations, alone.certificate) == (
+        "NumericalFailure", 15, "iterate left the cone interior")
+    assert alone.primal is not None
+    assert result_bytes(batch[2]) == result_bytes(alone)
+    assert [len(r) for r in runs] == [len(ALPHAS)] and len(ALPHAS) >= solver._MIN_BATCH
 
 
 def stacked_runs(monkeypatch) -> list:
@@ -175,8 +253,8 @@ def stacked_runs(monkeypatch) -> list:
 
 def test_groups_below_min_batch_are_solved_alone(monkeypatch):
     runs = stacked_runs(monkeypatch)
-    pivot = cuboid_progs("cuboid_pivot", +1)[:solver._MIN_BATCH]
-    assert_same_as_alone(door_progs(0.0, +1)[: solver._MIN_BATCH - 1] + pivot)
+    problems = door_problems(0.0)[: solver._MIN_BATCH - 1] + cuboid_problems("cuboid_pivot")[: solver._MIN_BATCH]
+    assert_same_as_alone(stacks_of(problems, +1))
     assert [len(r) for r in runs] == [solver._MIN_BATCH]
 
 
@@ -200,7 +278,7 @@ def presolve_group() -> list:
 
 def test_presolve_exits_and_reduced_shapes_within_a_group(monkeypatch):
     runs = stacked_runs(monkeypatch)
-    batch = assert_same_as_alone(presolve_group())
+    batch = assert_same_as_alone([ProgramStack.of(presolve_group())])
     assert [r.status for r in batch] == ["Optimal", "Optimal", "Optimal", "Infeasible",
                                          "Optimal", "Optimal", "Unbounded", "Optimal",
                                          "Optimal", "Optimal"]
@@ -217,19 +295,21 @@ def test_each_program_is_presolved_once(monkeypatch):
     calls = []
     equilibrate = solver._equilibrate
     monkeypatch.setattr(solver, "_equilibrate", lambda sf: calls.append(sf.c.shape[:-1]) or equilibrate(sf))
-    solve(door_progs(0.05, +1)[0])
+    solve(compile_program(door_problems(0.05)[0], +1))
     assert len(calls) == 1
     calls.clear()
-    solve_batch(presolve_group())
+    solve_batch([ProgramStack.of(presolve_group())])
     assert calls == [(10,), (6,), (1,)]
 
 
 def test_rejected_program_raises_before_solving():
-    progs = door_progs(0.0, +1)[:3]
+    """A program with NaN data is refused when it is built, so no stack
+    holds one and no solve sees it."""
+    progs = rows(stacks_of(door_problems(0.0)[:3], +1))
     g = progs[1].g.copy()
     g[0] = np.nan
-    with pytest.raises(SolverDataError):
-        solve_batch([progs[0], replace(progs[1], g=g), progs[2]])
+    with pytest.raises(SolverDataError, match="program rhs contains NaN/Inf"):
+        replace(progs[1], g=g)
 
 
 def test_sweep_records_failing_points_in_grid_order():
@@ -357,14 +437,19 @@ def test_global_metric_per_point_matches_local_metric():
         assert (r.eta, r.active_constraints, r.warning) == (alone.eta, alone.active_constraints, alone.warning)
 
 
-def fuzz_programs(seed: int, draws: int) -> list:
-    """The programs of the random battery loop run with default_rng(seed)."""
-    rng, progs = np.random.default_rng(seed), []
+def fuzz_problems(seed: int, draws: int) -> list:
+    """(problem, direction) of the random battery loop run with default_rng(seed)."""
+    rng, problems = np.random.default_rng(seed), []
     for _ in range(draws):
         problem = random_problem(rng)
         if problem is not None:
-            progs.append(compile_program(problem, +1 if rng.random() < 0.5 else -1))
-    return progs
+            problems.append((problem, +1 if rng.random() < 0.5 else -1))
+    return problems
+
+
+def direction_stacks(problems) -> list:
+    """The stacks of each direction's problems."""
+    return [st for d in (+1, -1) for st in stacks_of([p for p, pd in problems if pd == d], d)]
 
 
 def loop_exit(res) -> str:
@@ -384,13 +469,13 @@ def test_every_loop_exit_is_the_same_from_a_stack(monkeypatch):
     numerical failure reporting its best iterate, and the iteration limit."""
     runs = stacked_runs(monkeypatch)
     fuzz = SolveSettings(duality_gap_tol=1e-9)  # the benchmark's fuzz settings
-    draws = fuzz_programs(2, 250)
-    assert_same_as_alone(draws, fuzz)
-    assert_same_as_alone(draws[:40], replace(fuzz, max_iterations=4))
+    draws = fuzz_problems(2, 250)
+    assert_same_as_alone(direction_stacks(draws), fuzz)
+    assert_same_as_alone(direction_stacks(draws[:40]), replace(fuzz, max_iterations=4))
     # maximize x2 with x1 = a x2 + g, x1 >= 0: every direction is constrained, the objective improves along (a, 1)
     rays = [mkprog([0.0, 1.0], [[1.0, -a]], [g], lb=[0.0, -np.inf]) for a, g in ((1, 0), (2, 1), (0.5, 3), (3, -1))]
     huge = [mkprog([1.0], np.zeros((0, 1)), [], ub=[u]) for u in (2e10, 5e11, 1e12, 3e13)]
-    assert_same_as_alone(rays + huge)
+    assert_same_as_alone([ProgramStack.of(rays), ProgramStack.of(huge)])
     assert min(map(len, runs)) >= solver._MIN_BATCH
     assert {loop_exit(res) for results in runs for res in results} == {
         "Optimal", "Infeasible", "improving ray", "objective threshold", "NumericalFailure, best iterate",

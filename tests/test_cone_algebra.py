@@ -124,6 +124,13 @@ def ref_dets(q, dims, lam):
     return [lam[at] * lam[at] - lam[at + 1 : at + d] @ lam[at + 1 : at + d] for at, d in zip(starts(q, dims), dims)]
 
 
+def ref_interior(q, dims, u) -> bool:
+    """Whether every SOC block of u has head > 0 and head^2 - ||tail||^2 > 0,
+    as rounded by the scaling's test."""
+    norms = [math.sqrt(u[at + 1 : at + d] @ u[at + 1 : at + d]) for at, d in zip(starts(q, dims), dims)]
+    return all(u[at] > 0 and (u[at] - n) * (u[at] + n) > 0 for at, n in zip(starts(q, dims), norms))
+
+
 def same_bits(a, b) -> bool:
     """Equal arrays or numbers, the sign of a zero included; a NaN equals a NaN."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -271,9 +278,12 @@ class TestAgainstLoopReference:
 
     def test_zero_denominators_as_numpy(self):
         """Next to the cone boundary lambda's determinant can round to 0, and
-        a step root's denominator too; the scaling-held div and step search
-        give the reference's inf/nan there, as numpy scalars do, never raise,
-        and take both of the step search's skip branches as the reference does."""
+        a step root's denominator too.  The scaling marks an iterate whose
+        lambda has a head or det <= 0 ``bad`` (the loop stops there), so div
+        never divides by 0; elsewhere the scaling-held div and step search
+        give the reference's bits, the step search's inf/nan as numpy scalars
+        give them, never raise, and take both of the step search's skip
+        branches as the reference does."""
         rng, seen, zero_dets = np.random.default_rng(5), set(), 0
         with np.errstate(divide="ignore", invalid="ignore"):
             for q, dims in CONES:
@@ -281,10 +291,17 @@ class TestAgainstLoopReference:
                 for _ in range(200):
                     s, z = near_boundary(rng, q, dims), near_boundary(rng, q, dims)
                     scal = _Scaling(cone, s, z)
-                    if scal.bad:  # rho rounded to 0: the loop stops there
+                    if not (ref_interior(q, dims, s) and ref_interior(q, dims, z)):  # rho rounded to 0
+                        assert scal.bad
+                        continue
+                    lam = ref_scaling(q, dims, s, z)[3]
+                    on_boundary = any(lam[at] <= 0 or det <= 0
+                                      for at, det in zip(starts(q, dims), ref_dets(q, dims, lam)))
+                    assert scal.bad == on_boundary
+                    if on_boundary:
+                        zero_dets += 1
                         continue
                     v = rng.normal(size=s.size)
-                    zero_dets += 0 in ref_dets(q, dims, scal.lam)
                     assert same_bits(scal.div(v), ref_div(q, dims, scal.lam, v))
                     assert same_bits(scal.lam2, ref_prod(q, dims, scal.lam, scal.lam))
                     for ds, dz in zip(near_boundary_directions(rng, q, dims, s),
@@ -417,8 +434,9 @@ class TestStackedAgainstOneProgram:
 
     def test_boundary_rows_as_numpy(self):
         """Stacks of points next to the cone boundary, where lambda's
-        determinant and step roots' denominators round to 0: each row's div,
-        lambda o lambda and step is the one-program scaling's and the
+        determinant and step roots' denominators round to 0: each row is
+        ``bad`` as the one-program scaling marks it, and each other row's
+        div, lambda o lambda and step is the one-program scaling's and the
         reference's, inf and nan included."""
         rng, zero_dets = np.random.default_rng(25), 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -429,16 +447,21 @@ class TestStackedAgainstOneProgram:
                     Z = np.array([near_boundary(rng, q, dims) for _ in range(self.B)])
                     V = rng.normal(size=S.shape)
                     scal, alone = _BatchScaling(batch, S, Z), [_Scaling(cone, s, z) for s, z in zip(S, Z)]
-                    assert not scal.bad.any()
-                    zero_dets += sum(0 in ref_dets(q, dims, one.lam) for one in alone)
-                    assert same_bits(scal.div(V), [ref_div(q, dims, one.lam, v) for one, v in zip(alone, V)])
-                    assert same_bits(scal.lam2, [ref_prod(q, dims, one.lam, one.lam) for one in alone])
+                    assert all(ref_interior(q, dims, u) for u in (*S, *Z))  # a bad row's lambda is on the boundary
+                    assert scal.bad.tolist() == [one.bad for one in alone]
+                    ok, kept = ~scal.bad, [one for one in alone if not one.bad]
+                    zero_dets += int(scal.bad.sum())
+                    assert same_bits(scal.div(V)[ok], np.reshape([ref_div(q, dims, one.lam, v)
+                                                                  for one, v in zip(kept, V[ok])], (-1, S.shape[1])))
+                    assert same_bits(scal.lam2[ok], np.reshape([ref_prod(q, dims, one.lam, one.lam) for one in kept],
+                                                               (-1, S.shape[1])))
                     steps = [near_boundary_directions(rng, q, dims, u) for u in (*S, *Z)]
                     for k in range(3):
                         DS, DZ = np.array([d[k] for d in steps[: self.B]]), np.array([d[k] for d in steps[self.B :]])
-                        got = scal.max_step(DS, DZ)
-                        assert same_bits(got, [one.max_step(ds, dz) for one, ds, dz in zip(alone, DS, DZ)])
-                        assert same_bits(got, [ref_step_both(q, dims, *row) for row in zip(S, DS, Z, DZ)])
+                        got = scal.max_step(DS, DZ)[ok]
+                        assert same_bits(got, [one.max_step(ds, dz) for one, ds, dz in zip(kept, DS[ok], DZ[ok])])
+                        assert same_bits(got, [ref_step_both(q, dims, *row)
+                                               for row in zip(S[ok], DS[ok], Z[ok], DZ[ok])])
         assert zero_dets
 
     def test_paired_kernels(self):

@@ -7,13 +7,16 @@ Loads ``OTHER_CHECKOUT/src/screwgrasp`` as a package of its own
 runs only its own code, and calls the two sides in turn, alternating which
 goes first, so that both see the same machine state:
 
+* ``compile_program`` on the bundled door, pivot and slide problems (N calls
+  each side);
 * ``solve`` on the bundled door, pivot and slide programs (N calls each side);
 * ``solve_with_oracle`` at 64 facets on the same three programs (N calls);
 * the ``eval_grid`` workload's operation: ``local_metric`` on each of its 412
   grid points, one call of the case being all 412 (M calls);
-* ``solve_batch`` on the door, pivot and slide sweeps of the ``batch_cli``
-  workload (41, 17 and 17 points, as lists of programs) and on what the
-  ``gws_slide`` job hands to ``solve_batch`` (M calls each side);
+* ``solve_batch`` on the stacks that ``compile_stacks`` writes for the door,
+  pivot and slide sweeps of the ``batch_cli`` workload (41, 17 and 17
+  points) and on what the ``gws_slide`` job hands to ``solve_batch`` (M
+  calls each side);
 * ``solve_with_oracle`` at 32 facets on each of the first 200 draws of the
   ``fuzz_oracle`` corpus, one call of the case being all 200 (M calls);
 * the ``fuzz_oracle`` operation on the same 200 draws: per draw, the three
@@ -24,8 +27,8 @@ goes first, so that both see the same machine state:
   ``cli.main`` (build, compile, solve, CSV; M calls).
 
 Each side compiles its own programs from its own scenarios, outside the
-timed calls (the ``eval_grid`` case builds each side's problems outside
-them and compiles inside, as the workload does); the fuzz corpus, drawn
+timed calls (the ``compile`` and ``eval_grid`` cases build each side's
+problems outside them and compile inside); the fuzz corpus, drawn
 with this checkout's generator, is compiled once by this checkout and
 handed to both oracles, while the ``fuzz op`` case hands each side the
 drawn problems rebuilt from its own classes and times its own compile.  Each result of one side must equal the other's
@@ -121,8 +124,9 @@ def run_job(pkg, name: str) -> str:
 
 
 def sweep(pkg, name: str, param: str, values, **fixed) -> list:
+    """The stacks ``pkg`` compiles for a sweep of ``name`` over ``param``."""
     scenarios = [pkg.scenarios.builtin_scenario(name, **fixed, **{param: float(v)}) for v in values]
-    return [pkg.problem.compile_program(s.problem(), +1) for s in scenarios]
+    return pkg.problem.compile_stacks([s.problem() for s in scenarios], +1)[0]
 
 
 def cases() -> list[tuple[str, bool, object]]:
@@ -140,9 +144,13 @@ def cases() -> list[tuple[str, bool, object]]:
 
     def sweep_case(name, param, values, **fixed):
         def prepare(pkg):
-            progs = sweep(pkg, name, param, values, **fixed)
-            return lambda: pkg.solver.solve_batch(progs)
+            stacks = sweep(pkg, name, param, values, **fixed)
+            return lambda: pkg.solver.solve_batch(stacks)
         return prepare
+
+    def compile_case(pkg, name):
+        prob = pkg.scenarios.builtin_scenario(name).problem()
+        return lambda: pkg.problem.compile_program(prob, +1)
 
     def fuzz_op(pkg):
         """FuzzOracle.run's three calls on each draw, with ``pkg``'s own code."""
@@ -167,7 +175,8 @@ def cases() -> list[tuple[str, bool, object]]:
         return lambda: pkg.solver.solve_batch(inputs)
 
     names = ("door_handle", "cuboid_pivot", "cuboid_slide")
-    return ([(f"solve {name}", False, lambda pkg, n=name: (lambda p=bundled(pkg, n): pkg.solver.solve(p)))
+    return ([(f"compile {name}", False, lambda pkg, n=name: compile_case(pkg, n)) for name in names]
+            + [(f"solve {name}", False, lambda pkg, n=name: (lambda p=bundled(pkg, n): pkg.solver.solve(p)))
              for name in names]
             + [(f"oracle@64 {name}", False,
                 lambda pkg, n=name: (lambda p=bundled(pkg, n): pkg.solver.solve_with_oracle(p, 64))) for name in names]
@@ -186,6 +195,9 @@ def cases() -> list[tuple[str, bool, object]]:
 def as_bytes(res) -> bytes:
     if isinstance(res, str):
         return res.encode()
+    if hasattr(res, "socs"):  # a compiled program: its arrays, in order
+        parts = [res.f, res.F, res.g, res.lb, res.ub, *(v for blk in res.socs for v in (blk.A, blk.b, blk.c))]
+        return b"".join(v.tobytes() for v in parts) + repr([blk.d for blk in res.socs]).encode()
     return b"".join(map(result_bytes, res)) if isinstance(res, list) else result_bytes(res)
 
 
