@@ -56,13 +56,11 @@ def _read_only(v) -> np.ndarray:
     return v
 
 
-def _built(cls, check: bool, **fields):
+def _built(cls, **fields):
     """A ``cls`` over arrays that are read-only already (views of a compiled
-    stack), not copied; checked if ``check``.  Every field must be given."""
+    stack), neither copied nor checked.  Every field must be given."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
-    if check:
-        obj._check()
     return obj
 
 
@@ -317,12 +315,12 @@ class ProgramStack:
             v.setflags(write=False)
         return ProgramStack(*arrays, socs, self.layout, self.labels)
 
-    def program(self, k: int, check: bool = False) -> ConicProgram:
-        """Row k as a ConicProgram of views, run through the ConicProgram
-        checks if ``check`` (a compiled stack's rows passed them)."""
-        socs = tuple(_built(SocBlock, check, A=A[k], b=b[k], c=c[k], d=float(d[k]), label=label)
+    def program(self, k: int) -> ConicProgram:
+        """Row k as a ConicProgram of views, not checked again (a compiled
+        stack's rows passed the checks)."""
+        socs = tuple(_built(SocBlock, A=A[k], b=b[k], c=c[k], d=float(d[k]), label=label)
                      for (A, b, c, d), label in zip(self.socs, self.labels, strict=True))
-        return _built(ConicProgram, check, f=self.f[k], F=self.F[k], g=self.g[k], socs=socs,
+        return _built(ConicProgram, f=self.f[k], F=self.F[k], g=self.g[k], socs=socs,
                       lb=self.lb[k], ub=self.ub[k], layout=self.layout)
 
 
@@ -481,7 +479,9 @@ def _row_error(st: ProgramStack, W: np.ndarray, k: int) -> Exception:
     if not np.isfinite(W[k]).all():
         return SolverDataError("wrench components must be finite")
     try:
-        st.program(k, check=True)
+        row = st.program(k)
+        for obj in (*row.socs, row):  # each SocBlock's checks, then the program's
+            obj._check()
     except ScrewGraspError as exc:
         return exc
 

@@ -166,7 +166,7 @@ class DoorHandleParams:
         for name in ("L", "H", "W", "mu_c", "e_t", "e_o", "e_n", "f_n_max"):
             if not getattr(self, name) > 0:
                 raise ScrewGraspError(f"{name} must be positive")
-        if self.k_t < 0:
+        if not self.k_t >= 0:
             raise ScrewGraspError("k_t must be nonnegative")
         if not 0.0 <= self.x_c <= self.L:
             raise ScrewGraspError(f"x_c must lie on the handle: 0 <= {self.x_c} <= {self.L}")

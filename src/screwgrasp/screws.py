@@ -124,8 +124,10 @@ class TaskScrew:
         object.__setattr__(self, "l", _vec3(self.l))
         object.__setattr__(self, "q", _vec3(self.q))
         n = np.linalg.norm(self.l)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # False for a NaN entry too
             raise InvalidScrewError(f"screw direction must be unit length, |l| = {n:.12f}")
+        if not np.isfinite(self.q).all():
+            raise InvalidScrewError("screw point q must be finite")
         if not isinstance(self.pitch, InfinitePitch):
             p = float(self.pitch)
             if not np.isfinite(p):
@@ -145,7 +147,7 @@ class ScrewCoordinates:
     magnitude: float
 
     def __post_init__(self):
-        if self.magnitude < 0:
+        if not self.magnitude >= 0:
             raise InvalidScrewError("screw magnitude must be nonnegative")
 
 

@@ -495,7 +495,10 @@ class _KKT:
         [ A   0    0   ]
         [ G   0  -W'W  ]
 
-    with static regularization on singular retry and iterative refinement.
+    with iterative refinement.  A factorization can fail (``?sytrf`` finds
+    an exactly singular pivot): it is retried with static regularization,
+    and an instance whose every attempt fails stops as a NumericalFailure.
+    A solve with the factors cannot fail.
     """
 
     def __init__(self, A: np.ndarray, G: np.ndarray, cone: _Cone):
@@ -545,29 +548,24 @@ class _KKT:
         return ~out & np.array([f is None for f in self._factors])
 
     def solve(self, rhs: np.ndarray, out=None):
-        """(x, failure mask) for K x = rhs, with up to two refinement steps;
-        as ``factor``, for one program or a stack."""
+        """x with K x = rhs, from the factors and up to two refinement steps;
+        as ``factor``, for one program or a stack (rows marked in ``out`` stay 0).
+        A solve cannot fail: ``?sytrs`` reports only an illegal argument, and
+        f2py derives and checks every size from the arrays before the call."""
         if rhs.ndim == 1:
-            x, info = _sytrs(*self._factors, rhs, lower=1)
-            if info != 0:
-                return x, True
+            x = _sytrs(*self._factors, rhs, lower=1)[0]
             bound = 1e-13 * (1.0 + np.maximum.reduce(np.abs(rhs)))
             for _ in range(2):
                 r = rhs - self.K @ x
                 if np.maximum.reduce(np.abs(r)) <= bound:
                     break
-                dx, info = _sytrs(*self._factors, r, lower=1)
-                if info != 0:
-                    break
-                x = x + dx
-            return x, False
+                x = x + _sytrs(*self._factors, r, lower=1)[0]
+            return x
         # the refinement residuals are stacks, the LAPACK solves per instance
         x = np.zeros(rhs.shape)
-        failed = np.zeros(len(rhs), dtype=bool)
         for i in np.flatnonzero(~out):
-            x[i], info = _sytrs(*self._factors[i], rhs[i], lower=1)
-            failed[i] = info != 0
-        refine = ~out & ~failed
+            x[i] = _sytrs(*self._factors[i], rhs[i], lower=1)[0]
+        refine = ~out
         bound = 1e-13 * (1.0 + np.maximum.reduce(np.abs(rhs), axis=1))
         for _ in range(2):
             if not refine.any():  # no residual to take
@@ -575,12 +573,8 @@ class _KKT:
             r = rhs - _mv(self.K, x)
             refine &= ~(np.maximum.reduce(np.abs(r), axis=1) <= bound)
             for i in np.flatnonzero(refine):
-                dx, info = _sytrs(*self._factors[i], r[i], lower=1)
-                if info != 0:
-                    refine[i] = False
-                    continue
-                x[i] = x[i] + dx
-        return x, failed
+                x[i] = x[i] + _sytrs(*self._factors[i], r[i], lower=1)[0]
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -971,9 +965,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
 
     def direction(w1, w2, w3, w4, d_s, d_kt):
         lam_ds = scal.div(d_s)
-        u2, bad = kkt.solve(np.concatenate([-w1, w2, w3 - scal.apply_W(lam_ds)], axis=-1), out)
-        give_up(bad, "KKT solve failed")
-        x2, y2, z2 = split(u2)
+        x2, y2, z2 = split(kkt.solve(np.concatenate([-w1, w2, w3 - scal.apply_W(lam_ds)], axis=-1), out))
         dtau = (w4 + d_kt / tau + (dot(c, x2) + dot(b, y2) + dot(h, z2))) / denom0
         dt = col(dtau)
         dx, dy, dz = x2 + dt * x1, y2 + dt * y1, z2 + dt * z1
@@ -997,13 +989,9 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         with np.errstate(all="ignore"):
             dims = cone.soc_dims if one else [d for _, _, d, _ in cone.runs]  # a W = I block per block or run
             give_up(kkt.factor(np.ones(cone.q), [np.eye(d) for d in dims], out), "KKT factorization failed")
-            u, bad = kkt.solve(np.concatenate([np.zeros(c.shape), b, h], axis=-1), out)
-            give_up(bad, "KKT solve failed")
-            x, _, w = split(u)
+            x, _, w = split(kkt.solve(np.concatenate([np.zeros(c.shape), b, h], axis=-1), out))
             s = lift(-w)
-            u, bad = kkt.solve(np.concatenate([-c, np.zeros(c.shape[:-1] + (p + m,))], axis=-1), out)
-            give_up(bad, "KKT solve failed")
-            _, y, z = split(u)
+            _, y, z = split(kkt.solve(np.concatenate([-c, np.zeros(c.shape[:-1] + (p + m,))], axis=-1), out))
             z = lift(z)
             give_up(~(np.isfinite(s).all(axis=-1) & np.isfinite(z).all(axis=-1)), "initial point is not finite")
         # a stack's stopped rows may hold inf/nan; the errstate would slow one program's numpy calls
@@ -1071,9 +1059,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 scal = scaling(cone, s, z)
                 give_up(scal.bad, "iterate left the cone interior")
                 give_up(kkt.factor(*scal.w_squared_blocks(), out), "KKT factorization failed")
-                u1, bad = kkt.solve(rhs_tau, out)
-                give_up(bad, "KKT solve failed")
-                x1, y1, z1 = split(u1)
+                x1, y1, z1 = split(kkt.solve(rhs_tau, out))
                 denom0 = kappa / tau - (dot(c, x1) + dot(b, y1) + dot(h, z1))
                 give_up(abs(denom0) < 1e-300, "degenerate tau step")
 

@@ -414,7 +414,7 @@ def test_sweep_and_gws_build_no_program_per_point(monkeypatch):
     stack, for their active constraints."""
     built = []
     make = problem._built
-    monkeypatch.setattr(problem, "_built", lambda cls, check, **fields: built.append(cls) or make(cls, check, **fields))
+    monkeypatch.setattr(problem, "_built", lambda cls, **fields: built.append(cls) or make(cls, **fields))
     for cls in (problem.ConicProgram, problem.SocBlock):
         monkeypatch.setattr(cls, "__post_init__", lambda self, cls=cls: built.append(cls))
     family = lambda v: builtin_scenario("door_handle", theta=float(v)).problem()  # noqa: E731
@@ -480,3 +480,20 @@ def test_every_loop_exit_is_the_same_from_a_stack(monkeypatch):
     assert {loop_exit(res) for results in runs for res in results} == {
         "Optimal", "Infeasible", "improving ray", "objective threshold", "NumericalFailure, best iterate",
         "IterationLimit"}
+
+
+def test_program_with_nothing_but_its_objective_exits_in_presolve(monkeypatch):
+    """No equality row, no finite bound and no cone: a nonzero objective is a
+    free ray, a zero one is Optimal at 0, alone and as rows of a stack of
+    ``_MIN_BATCH`` programs, each row the bytes of its solve alone, and
+    ``_ipm`` is never run."""
+    monkeypatch.setattr(solver, "_ipm", lambda *args, **kwargs: pytest.fail("the loop ran"))
+    progs = [mkprog(f, np.zeros((0, 2)), []) for f in ([1.0, 0.0], [0.0, 0.0], [0.0, -2.5])]
+    assert len(progs) == solver._MIN_BATCH
+    alone = [solve(prog) for prog in progs]
+    assert [(r.status, r.objective, r.certificate) for r in alone] == [
+        ("Unbounded", None, "objective is a free ray (no constraints)"), ("Optimal", 0.0, None),
+        ("Unbounded", None, "objective is a free ray (no constraints)")]
+    assert alone[1].primal.tolist() == [0.0, 0.0]
+    batch = solve_batch([ProgramStack.of(progs)])
+    assert list(map(result_bytes, batch)) == list(map(result_bytes, alone))

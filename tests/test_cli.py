@@ -463,6 +463,30 @@ def test_parser_built_once_per_process(capsys):
     assert run(capsys, "nonsense")[0] == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--builtin", "door_handle", "--set", "x_c"),
+     "screw-grasp eval: error: argument --set: --set expects K=V, got 'x_c'"),
+    (("sweep", "--builtin", "door_handle", "--sweep", "theta=0:1:0"),
+     "screw-grasp sweep: error: argument --sweep: sweep count must be >= 1"),
+    (("eval", "--builtin", "door_handle", "--dir", "x"),
+     "screw-grasp eval: error: argument --dir: invalid choice: 'x' (choose from '+', '-')"),
+    (("gws", "--builtin", "cuboid_slide", "--rays", "3"),
+     "screw-grasp gws: error: argument --rays: --rays must be >= 4"),
+    (("oracle-check", "--builtin", "door_handle", "--facets", "3"),
+     "screw-grasp oracle-check: error: argument --facets: facets must be >= 4"),
+    (("sweep", "--scenario", None, "--sweep", "theta=0:0.5L:3"),
+     "error: the 'L' suffix needs a scenario family with an L parameter"),
+], ids=["set-without-value", "sweep-count-0", "dir", "rays", "facets", "L-without-family"])
+def test_input_rule_exits_4_with_its_message(capsys, tmp_path, infeasible_file, argv, message):
+    """Each flag rule README's exit codes promise: exit 4, nothing on stdout
+    or in ``--out``, and one message as the last line on stderr (None in
+    ``argv`` is a scenario file without a generator family)."""
+    out = tmp_path / "out.csv"
+    code, printed, err = run(capsys, *(infeasible_file if a is None else a for a in argv), "--out", str(out))
+    assert (code, printed, err.splitlines()[-1]) == (EXIT_INPUT, "", message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--builtin", "door_handle", "--tol-feas", "-1"),
     ("eval", "--builtin", "door_handle", "--tol-gap", "0"),

@@ -255,6 +255,64 @@ class TestCompile:
         assert len(prog.socs) == 0
 
 
+    def test_frictionless_environment_contact_keeps_only_f_n(self):
+        """A ``Pcwf(None)`` support transmits f_n alone: no cone block, and
+        with its normal capped at 7 N it lifts a 1 N load by eta = 6."""
+        floor = EnvironmentContact(rotation=np.eye(3), position=np.zeros(3), model=Pcwf(None), f_n_max=7.0)
+        p = GraspProblem(manipulator_contacts=(), environment_contacts=(floor,),
+                         external=ExternalWrench(force=[0, 0, -1.0]), task=TaskScrew(l=[0, 0, 1]))
+        prog = compile_program(p)
+        (cs,) = prog.layout.contacts
+        assert (cs.group, cs.kind, cs.components) == ("environment", "frictionless", ("f_n",))
+        assert prog.n_vars == 2 and prog.socs == ()
+        r = solve(prog, TIGHT)
+        assert r.status == "Optimal"
+        assert abs(r.objective - 6.0) <= 1e-7
+
+
+_EYE, _AT = np.eye(3), np.zeros(3)
+
+
+def _torque_model(**change):
+    """One finger, one joint along its normal, with ``change`` applied."""
+    J = np.zeros((6, 1))
+    J[2, 0] = 1.0
+    return TorqueModel(**{"jacobian": J, "tau_g": [0.0], "tau_min": [-1.0], "tau_max": [1.0], **change})
+
+
+def _env_contact(model=None, **change):
+    return EnvironmentContact(**{"rotation": _EYE, "position": _AT, "model": model or Pcwf(PcwfParams(mu=0.4)),
+                                 **change})
+
+
+TYPE_RULES = [
+    (lambda: ExternalWrench(force=[np.nan, 0, 0]), "external wrench force must be finite"),
+    (lambda: _torque_model(jacobian=np.zeros(6)), "jacobian must be a 2-D matrix"),
+    (lambda: _torque_model(tau_g=[np.inf]), "torque model tau_g must be finite"),
+    (lambda: _torque_model(tau_min=[2.0]), "tau_min must not exceed tau_max componentwise"),
+    (lambda: _torque_model(jacobian=np.full((6, 1), np.nan)), "jacobian must be finite"),
+    (lambda: _torque_model(dofs=(2,)), "dofs must sum to the jacobian column count"),
+    (lambda: _torque_model(jacobian=np.zeros((12, 1)), dofs=(1,)), "jacobian row count must be 6 per manipulator"),
+    (lambda: _torque_model(jacobian=np.ones((12, 2)), dofs=(1, 1), tau_g=[0.0, 0.0], tau_min=[-1.0, -1.0],
+                           tau_max=[1.0, 1.0]), "jacobian is not block-diagonal per manipulator"),
+    (lambda: _env_contact(position=[0, np.nan, 0]), "contact position must be finite"),
+    (lambda: _env_contact(FixedSupport(prescribed={"m_n": np.inf})), "prescribed component m_n must be finite"),
+    (lambda: _env_contact(f_n_min=-1.0), "f_n_min must be finite and >= 0"),
+    (lambda: _env_contact(f_n_min=5.0, f_n_max=4.0), "f_n_min must not exceed f_n_max"),
+    (lambda: DoorHandleParams(k_t=-0.1), "k_t must be nonnegative"),
+    (lambda: DoorHandleParams(theta=np.inf), "theta must be finite"),
+    (lambda: CuboidParams(weight=0.0), "weight must be positive"),
+    (lambda: CuboidParams(alpha=2.0), "alpha must lie in [0, pi/2]"),
+]
+
+
+@pytest.mark.parametrize("build, message", TYPE_RULES, ids=[message for _, message in TYPE_RULES])
+def test_type_rule_raises_its_message(build, message):
+    with pytest.raises(ScrewGraspError) as info:
+        build()
+    assert str(info.value) == message
+
+
 class TestProblemTransforms:
     def test_frame_invariance_quick(self):
         p = cuboid_scenario(CuboidParams(alpha=0.4, x_E=0.1)).problem("S2")
@@ -612,5 +670,8 @@ class TestCompileStacks:
         assert len(progs[0].socs) == 2
         for group in ([progs[0]], progs):
             stack = ProgramStack.of(group)
-            assert [program_bytes(stack.program(k, check=True)) for k in range(len(group))] == list(
-                map(program_bytes, group))
+            rows = [stack.program(k) for k in range(len(group))]
+            for row in rows:  # each row passes the SocBlock and ConicProgram checks
+                for obj in (*row.socs, row):
+                    obj._check()
+            assert list(map(program_bytes, rows)) == list(map(program_bytes, group))

@@ -75,6 +75,10 @@ class TestDoorHandleGenerator:
         with pytest.raises(ScrewGraspError):
             DoorHandleParams(mu_c=0.0)
 
+    def test_nan_spring_constant_rejected(self):
+        with pytest.raises(ScrewGraspError, match="k_t must be nonnegative"):
+            DoorHandleParams(k_t=math.nan)
+
 
 class TestCuboidGenerator:
     @given(st.floats(0.0, 1.4), st.floats(0.01, 0.15))
@@ -227,6 +231,21 @@ class TestFileRoundTrip:
         s2 = load_scenario(path)
         assert s2.manipulator_contacts[0].cone is None
         assert s2.environment_contacts[0].model.params is None
+
+    def test_environment_normal_bounds_round_trip(self, tmp_path):
+        """f_n_min and f_n_max of environment contacts are written, read back
+        and written again to the same bytes."""
+        slide = builtin_scenario("cuboid_slide")
+        first, second = slide.environment_contacts
+        s = dataclasses.replace(slide, environment_contacts=(
+            dataclasses.replace(first, f_n_min=0.5, f_n_max=40.0), dataclasses.replace(second, f_n_max=12.5)))
+        path, again = tmp_path / "bounded.scenario", tmp_path / "again.scenario"
+        save_scenario(s, path)
+        loaded = load_scenario(path)
+        assert [(c.f_n_min, c.f_n_max) for c in loaded.environment_contacts] == [(0.5, 40.0), (None, 12.5)]
+        save_scenario(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert '"f_n_min": 0.5' in path.read_text()
 
     def test_bundled_matches_generator_defaults(self):
         for name, builder in [

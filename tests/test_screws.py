@@ -8,6 +8,7 @@ from screwgrasp.contacts import EnvironmentContact, ManipulatorContact, Pcwf, Sf
 from screwgrasp.errors import DegenerateWrenchError, InvalidRotationError, InvalidScrewError
 from screwgrasp.screws import (
     INFINITE_PITCH,
+    ScrewCoordinates,
     TaskScrew,
     Wrench,
     check_rotation,
@@ -150,6 +151,19 @@ class TestScrewToUnitWrench:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(InvalidScrewError):
             TaskScrew(l=[1, 1, 0], pitch=0.0)
+
+    def test_nan_direction_rejected(self):
+        with pytest.raises(InvalidScrewError, match="unit length"):
+            TaskScrew(l=[np.nan, 0, 0], pitch=0.0)
+
+    @pytest.mark.parametrize("q", [[np.nan, 0, 0], [0, np.inf, 0]])
+    def test_non_finite_point_rejected(self, q):
+        with pytest.raises(InvalidScrewError, match="screw point q must be finite"):
+            TaskScrew(l=[1, 0, 0], q=q)
+
+    def test_nan_magnitude_rejected(self):
+        with pytest.raises(InvalidScrewError, match="nonnegative"):
+            ScrewCoordinates(axis=TaskScrew(l=[1, 0, 0]), magnitude=np.nan)
 
     def test_infinite_pitch_tag_is_not_a_float(self):
         s = TaskScrew(l=[0, 0, 1], pitch=INFINITE_PITCH)

@@ -175,6 +175,25 @@ class TestResultContracts:
         assert "ray" in unbounded.certificate
 
 
+def test_singular_kkt_matrix_is_factored_regularized():
+    """An exactly singular KKT matrix (a repeated equality row) fails the
+    first factorization; the retry factors it with the static
+    regularization, and its factors solve the regularized system."""
+    kkt = solver._KKT(np.ones((2, 2)), np.zeros((0, 2)), solver._Cone(0, []))
+    K = kkt.K.copy()
+    assert solver._sytrf(K, lower=1)[2] > 0
+    Kreg = K + np.diag([1e-12, 1e-12, -1e-12, -1e-12])  # +delta on the x block, -delta on the rest
+    ldu, ipiv = kkt._factor_one(K)
+    ref_ldu, ref_ipiv, info = solver._sytrf(Kreg, lower=1)
+    assert info == 0 and np.array_equal(ldu, ref_ldu) and np.array_equal(ipiv, ref_ipiv)
+    rhs = np.array([1.0, -2.0, 0.5, 3.0])
+    x = solver._sytrs(ldu, ipiv, rhs, lower=1)[0]
+    assert np.abs(Kreg @ x - rhs).max() <= 1e-13 * np.abs(Kreg).max() * np.abs(x).max()  # backward stable
+    assert np.allclose(x, np.linalg.solve(Kreg, rhs), rtol=1e-9, atol=0.0)
+    assert np.array_equal(K, kkt.K)  # the retry factored a copy
+    assert not kkt.factor(np.ones(0), [])  # and factor reports no failure
+
+
 class TestOracle:
     def test_lower_bound_and_monotone_facets(self):
         prog = compile_program(door_handle_scenario(DoorHandleParams(x_c=0.05, theta=0.1)).problem())
