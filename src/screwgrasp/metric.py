@@ -7,27 +7,30 @@ finite-pitch screw, torque magnitude for an infinite-pitch one).
 ``metric_sweep`` tabulates eta over a parameter grid, tolerating per-point
 failures (a sweep routinely runs past the pose where the task becomes
 infeasible), and ``gws_sample`` probes the grasp wrench space boundary along
-a set of screw directions.  The three multi-point jobs build every point's
-problem in order, compile them into stacks (``problem.compile_stacks``, one
-per structure and finite-bound pattern) and hand those to ``solver.solve_batch``,
-which solves them as stacked interior-point runs with the same results as
-solving each point alone; no point becomes a ConicProgram of its own, except
-that ``global_metric`` reads each point's program as row views for its
-active constraints.  ``local_metric`` calls ``compile_program`` and
-``solver.solve``, the one-program cases of the same paths.  A point the
-solver could not take (NaN/Inf data, crossed bounds) fails when its stack is
-compiled, so in a sweep or GWS probe it is that point's error row.
+a set of screw directions.  The three multi-point jobs compile their points
+into stacks, one per structure and finite-bound pattern, and hand those to
+``solver.solve_batch``, which solves them as stacked interior-point runs
+with the same results as solving each point alone.  A sweep of a builtin
+family (``Family.stacks``) or a GWS probe builds no object per point; a path
+or a sweep of another callable builds each point's problem in order for
+``compile_stacks``.  Only ``global_metric`` reads each point's program, as
+row views, for its active constraints.  ``local_metric`` calls
+``compile_program`` and ``solver.solve``, the one-program cases of the same
+paths.  A point the solver could not take (NaN/Inf data, crossed bounds)
+fails when its stack is compiled, so in a sweep or GWS probe it is that
+point's error row.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ScrewGraspError
-from .problem import ConicProgram, GraspProblem, compile_program, compile_stacks
+from .problem import (ConicProgram, GraspProblem, _built, _stacked, compile_columns, compile_program,
+                      compile_stacks)
 from .screws import TaskScrew
 from .solver import SolveResult, SolveSettings, solve, solve_batch
 
@@ -43,8 +46,8 @@ class MetricResult:
     is reported as-is with ``warning`` set rather than clamped.
 
     ``wall_ms`` is the compile and solve time of this point; for a point of a
-    ``global_metric`` path it is the point's build time plus an equal share
-    of the path's stacked compile and batched solve time.
+    ``global_metric`` path it is an equal share of the path's build, stacked
+    compile and batched solve time.
     """
 
     eta: float | None
@@ -131,40 +134,38 @@ def local_metric(
     return _metric_result(prog, res, direction, (time.perf_counter() - t0) * 1e3)
 
 
-def _solve_points(build, items, direction: int, settings, tolerated=()) -> list[tuple]:
-    """Build ``build(item)`` for each item, in order, compile the problems
-    into ``compile_stacks``' stacks and solve them in one batch.  Per item:
-    ``(stack, row, result, ms)``, or ``(None, None, exc, ms)`` if building or
-    compiling raised ``exc``, one of ``tolerated`` (anything else propagates
-    before any solve); ms is its build time plus equal shares of the batch's
-    compile time and, if it was solved, solve time."""
-    built, problems = [], []  # per item: its problem's index or its exception, and its build time
+def _compile_each(build, items, direction: int, tolerated=()) -> tuple[list, list]:
+    """``compile_stacks`` of ``build(item)`` for each item, in order; an item
+    whose build raised one of ``tolerated`` is placed as that error."""
+    problems, placed = [], []
     for item in items:
-        t0 = time.perf_counter()
         try:
             problems.append(build(item))
-            built.append((len(problems) - 1, (time.perf_counter() - t0) * 1e3))
+            placed.append(len(problems) - 1)
         except tolerated as exc:
-            built.append((exc, (time.perf_counter() - t0) * 1e3))
+            placed.append(exc)
+    stacks, where = compile_stacks(problems, direction)
+    return stacks, [p if isinstance(p, Exception) else where[p] for p in placed]
+
+
+def _solve_points(compile, settings, tolerated=()) -> list[tuple]:
+    """Solve the stacks of ``compile()``, which gives them and per item its
+    ``(stack, row)`` or error, in one batch.  Per item: ``(stack, row,
+    result, ms)``, or ``(None, None, exc, ms)`` for an error ``exc``, one of
+    ``tolerated`` (anything else propagates before any solve); ms is an
+    equal share of the build and compile time and, if it was solved, of the
+    solve time."""
     t0 = time.perf_counter()
-    stacks, placed = compile_stacks(problems, direction)
+    stacks, placed = compile()
     for exc in placed:
         if isinstance(exc, Exception) and not isinstance(exc, tolerated):
             raise exc
     t1 = time.perf_counter()
     results = solve_batch(stacks, settings)
-    compiled, solved = (t1 - t0) * 1e3 / max(1, len(problems)), (time.perf_counter() - t1) * 1e3 / max(1, len(results))
+    built, solved = (t1 - t0) * 1e3 / max(1, len(placed)), (time.perf_counter() - t1) * 1e3 / max(1, len(results))
     first = np.cumsum([0, *map(len, stacks)]).tolist()  # each stack's first result
-    out = []
-    for where, ms in built:
-        if isinstance(where, int):  # built: compiled into a stack's row, or failed to compile
-            where, ms = placed[where], ms + compiled
-        if isinstance(where, Exception):
-            out.append((None, None, where, ms))
-        else:
-            s, row = where
-            out.append((stacks[s], row, results[first[s] + row], ms + solved))
-    return out
+    return [(None, None, where, built) if isinstance(where, Exception)
+            else (stacks[where[0]], where[1], results[first[where[0]] + where[1]], built + solved) for where in placed]
 
 
 def global_metric(
@@ -174,7 +175,7 @@ def global_metric(
     if not path:
         raise ValueError("path must contain at least one point")
     per_point = tuple(_metric_result(stack.program(row), res, direction, ms) for stack, row, res, ms
-                      in _solve_points(lambda pt: pt.problem, path, direction, settings))
+                      in _solve_points(lambda: _compile_each(lambda pt: pt.problem, path, direction), settings))
     failures = tuple(pt.label or f"#{i}" for i, (pt, r) in enumerate(zip(path, per_point))
                      if r.status != "Optimal")
     if failures:
@@ -190,10 +191,9 @@ def global_metric(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a sweep.  ``wall_ms`` is the point's build time plus
-    an equal share of the sweep's stacked compile time and, if it was solved,
-    of its batched solve time; for a point that failed to build, the time
-    until it failed."""
+    """One grid point of a sweep.  ``wall_ms`` is an equal share of the
+    sweep's build and stacked compile time and, if the point was solved, of
+    its batched solve time."""
 
     parameter: float
     eta: float | None
@@ -210,15 +210,18 @@ def metric_sweep(
 ) -> list[SweepRow]:
     """Evaluate ``family(value)`` at every grid value, in grid order.
 
-    ``family`` maps a parameter value to a GraspProblem.  A point that fails
-    to build or compile is an ``error: ...`` row, one that fails to solve
-    has its solver status; neither is fatal.
+    ``family`` maps a parameter value to a GraspProblem; one with a
+    ``stacks(grid, direction)`` method (``scenarios.Family``) compiles the
+    grid itself.  A point that fails to build or compile is an ``error: ...``
+    row, one that fails to solve has its solver status; neither is fatal.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid must be nonempty")
     # per-point failures must not kill the sweep
-    points = _solve_points(family, grid, direction, settings, tolerated=Exception)
+    stacks = getattr(family, "stacks", None)
+    points = _solve_points((lambda: stacks(grid, direction)) if stacks else
+                           lambda: _compile_each(family, grid, direction, Exception), settings, Exception)
     return [SweepRow(value, None, f"error: {res}", 0, ms) if stack is None
             else SweepRow(value, _eta(res), res.status, res.iterations, ms)
             for value, (stack, _row, res, ms) in zip(grid, points)]
@@ -233,6 +236,20 @@ class RaySupport:
     status: str
 
 
+def _compile_rays(p: GraspProblem, screws: list) -> tuple[list, list]:
+    """``compile_stacks`` of ``p`` with each screw as its task, from one problem
+    whose task and load are arrays over the rays (an error of its structure
+    is every ray's)."""
+    if not screws:
+        return [], []
+    n = len(screws)
+    rays = _built(GraspProblem, **{**vars(p), "task": _stacked(screws), "external": _stacked([p.external] * n)})
+    try:
+        return compile_columns(rays, n)
+    except ScrewGraspError as exc:
+        return [], [exc] * n
+
+
 def gws_sample(p: GraspProblem, directions, settings: SolveSettings | None = None) -> list[RaySupport]:
     """Boundary of the grasp wrench space along a set of screw directions.
 
@@ -240,8 +257,7 @@ def gws_sample(p: GraspProblem, directions, settings: SolveSettings | None = Non
     are tagged with their solver status instead of aborting the sweep.
     """
     directions = list(directions)
-    points = _solve_points(lambda screw: replace(p, task=screw), directions, +1, settings,
-                           tolerated=ScrewGraspError)
+    points = _solve_points(lambda: _compile_rays(p, directions), settings, ScrewGraspError)
     return [RaySupport(screw=screw, eta=None, status=f"error: {res}") if stack is None
             else RaySupport(screw=screw, eta=_eta(res), status=res.status)
             for screw, (stack, _row, res, _ms) in zip(directions, points)]

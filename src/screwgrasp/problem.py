@@ -20,8 +20,12 @@ The structure (layout, column positions, bound and cone patterns) depends
 only on the contact kinds, their kept components and the joint count, so it
 is compiled once per such key and cached.  ``compile_stacks`` alone decides
 which problems share a ``ProgramStack`` (one structure and finite-bound
-pattern), writes their numbers into it, a compiled map from numbers to program
-data as in CVXPYgen, and checks it once; ``compile_program`` is its one-problem case.
+pattern).  ``_write``, a compiled map from numbers to program data as in
+CVXPYgen, writes the numbers of a stack's problems into it and checks it
+once; it takes them as one problem whose numbers are arrays over the
+problems (``_stacked`` gathers them from GraspProblems; a builtin family's
+generator and a GWS probe hand them over as such, see ``compile_columns``).
+``compile_program`` writes one problem as a stack of one.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .contacts import (
     Pcwf,
 )
 from .errors import CompileError, ScrewGraspError, SolverDataError
-from .screws import TaskScrew
+from .screws import InfinitePitch, TaskScrew
 
 _SFCE_KEEP = ("f_t", "f_o", "f_n", "m_n")
 _PCWF_KEEP = ("f_t", "f_o", "f_n")
@@ -132,7 +136,7 @@ class TorqueModel:
 
     @property
     def n_joints(self) -> int:
-        return self.jacobian.shape[1]
+        return self.jacobian.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -351,10 +355,10 @@ def _key(p: GraspProblem) -> tuple:
 
 
 _UPPER = lambda ct: np.inf if ct.f_n_max is None else ct.f_n_max  # noqa: E731
-_F_N_BOUNDS = {  # (lower, upper) getters of an f_n bound from its contact
+_F_N_BOUNDS = {  # (lower, upper) getters of an f_n bound from its contact, floats or arrays over problems
     "manipulator": (lambda ct: 0.0, lambda ct: ct.f_n_max),
     "fixed": (lambda ct: -np.inf if ct.f_n_min is None else ct.f_n_min, _UPPER),  # bilateral: bound only if asked
-    "environment": (lambda ct: max(0.0, ct.f_n_min or 0.0), _UPPER),  # pcwf and frictionless
+    "environment": (lambda ct: 0.0 if ct.f_n_min is None else np.maximum(0.0, ct.f_n_min), _UPPER),  # pcwf, no mu
 }
 
 
@@ -401,66 +405,82 @@ def _structure(key: tuple) -> tuple:
 
 
 _SKEW = np.array([[6, 5, 1], [2, 6, 3], [4, 0, 6]])  # skew(p) as entries of [p, -p, 0]
-_ZERO3 = np.zeros(3)  # the force of an infinite-pitch task's unit wrench
 _ROLLS = np.array([[1, 2, 0], [2, 0, 1]])  # cross3 of a and b: a[1] * b[2] - a[2] * b[1], ...
 
 
-def _write(problems: list[GraspProblem], direction: int, key: tuple) -> tuple[ProgramStack, np.ndarray, np.ndarray]:
-    """The one number writer: problems of one stack ``key`` as a stack,
-    each entry rounded as for one problem (``skew(p) @ R`` a stacked matmul,
-    cross products entry by entry, 1/(mu e)).  Also returns the task and
-    external wrenches (B, 2, 6) and the mask of the rows that fail the
-    ConicProgram checks, from one check of the buffer that holds them all."""
+def _stacked(objs: list):
+    """Problems of one stack key, or their parts, as one object of the
+    first one's type, built unchecked, whose numbers have a leading axis over
+    the objects; an infinite pitch is NaN."""
+    first = objs[0]
+    if first is None:
+        return None
+    if isinstance(first, tuple):
+        return tuple(_stacked(list(parts)) for parts in zip(*objs))
+    if isinstance(first, dict):
+        return {name: _stacked([o[name] for o in objs]) for name in first}
+    if hasattr(first, "__dataclass_fields__"):
+        return _built(type(first), **{name: _stacked([getattr(o, name) for o in objs]) for name in vars(first)})
+    return np.array([math.nan if isinstance(o, InfinitePitch) else o for o in objs], dtype=float)
+
+
+def _write(p: GraspProblem, B: int, direction: int, key=None) -> tuple[ProgramStack, np.ndarray, np.ndarray]:
+    """The one number writer: the B problems of one stack ``key`` held by
+    ``p``, each number with a leading axis over them (a contact, the task and
+    load together, or the torque model without it is every problem's; a
+    GraspProblem is one problem), as a stack, each entry rounded as for one
+    problem (``skew(p) @ R`` a stacked matmul, cross products entry by entry,
+    1/(mu e)).  Also returns the task and external wrenches (2, B, 6) and the
+    mask of the rows that fail the ConicProgram checks, from one check of the
+    buffer that holds them all."""
+    if direction not in (+1, -1):
+        raise CompileError("direction must be +1 or -1")
+    key = key or _key(p)
     layout, jt_cols, cols, prescribed, (getters, at), cones, entries, parts = _structure(key[:3])
-    (a_at, c_at), n_tau, B, n = entries, key[2], len(problems), layout.n_vars
+    (a_at, c_at), n_tau, n = entries, key[2], layout.n_vars
     buffer = np.zeros((B, parts[0]))
     f, F, g = (buffer[:, start : start + size].reshape(B, *shape) for start, size, shape in parts[1][:3])
     bounds = np.empty((2, B, n))
     bounds[0], bounds[1] = -np.inf, np.inf
-    contacts = [(*p.manipulator_contacts, *p.environment_contacts) for p in problems]
+    contacts, t, e = (*p.manipulator_contacts, *p.environment_contacts), p.task, p.external
     with np.errstate(all="ignore"):  # inf and nan as Python floats give them; the checks find them
-        tasks = [p.task for p in problems]
-        X = np.array([(_ZERO3 if t.infinite_pitch else t.l, e.force, t.q, e.application_point, e.moment, t.l)
-                      for t, e in zip(tasks, (p.external for p in problems))])
-        Y = X[:, :4, _ROLLS]  # task force, f, q and p, their entries rolled by one and by two
-        W = np.empty((B, 2, 6))  # the task's unit wrench and the external wrench
-        W[:, :, :3] = X[:, :2]
-        W[:, :, 3:] = Y[:, 2:, 0] * Y[:, :2, 1] - Y[:, 2:, 1] * Y[:, :2, 0]  # q x l, p x f
-        W[:, 0, 3:] += np.array([[0.0 if t.infinite_pitch else t.pitch] for t in tasks]) * X[:, 0]
-        W[:, 1, 3:] += X[:, 4]
-        inf = [k for k, t in enumerate(tasks) if t.infinite_pitch]
-        if inf:  # zero force (written above), unit moment along l
-            inf = slice(None) if len(inf) == B else inf
-            W[inf, 0, 3:] = X[inf, 5]
-        F[:, :6, layout.eta_index] = -direction * W[:, 0]
-        g[:, :6] = -W[:, 1]
-        if layout.contacts:  # the adjoints of all contacts side by side, (B, 6, contact, 6)
-            R = np.array([[ct.rotation for ct in cts] for cts in contacts])
-            P = np.array([[ct.position for ct in cts] for cts in contacts])
-            G = np.zeros((B, 6, R.shape[1], 6))
-            G[:, :3, :, :3] = G[:, 3:, :, 3:] = R.transpose(0, 2, 1, 3)
+        h = np.asarray(np.nan if t.infinite_pitch else t.pitch, dtype=float)[..., None]  # NaN if infinite
+        infinite = np.isnan(h)
+        X = np.array([np.where(infinite, 0.0, t.l), e.force, t.q, e.application_point]).reshape(4, -1, 3)
+        Y = X[..., _ROLLS]  # task force, f, q and p, their entries rolled by one and by two
+        W = np.empty((2, B, 6))  # the task's unit wrench and the external wrench
+        W[:, :, :3] = X[:2]
+        W[:, :, 3:] = Y[2:, ..., 0, :] * Y[:2, ..., 1, :] - Y[2:, ..., 1, :] * Y[:2, ..., 0, :]  # q x l, p x f
+        W[0, :, 3:] += np.where(infinite, 0.0, h) * X[0]
+        W[1, :, 3:] += e.moment
+        W[0, :, 3:] = np.where(infinite, t.l, W[0, :, 3:])  # zero force, unit moment along l
+        F[:, :6, layout.eta_index] = -direction * W[0]
+        g[:, :6] = -W[1]
+        if contacts:  # the adjoints of all contacts side by side, (B, 6, contact, 6)
+            R = np.array([ct.rotation for ct in contacts])  # (contact, ..., 3, 3)
+            P = np.array([ct.position for ct in contacts])
+            rows_first = (*range(1, R.ndim - 2), R.ndim - 2, 0, R.ndim - 1)  # to (..., 3, contact, 3)
+            G = np.zeros((B, 6, len(contacts), 6))
+            G[:, :3, :, :3] = G[:, 3:, :, 3:] = R.transpose(rows_first)
             S = np.concatenate([P, -P, np.zeros(P.shape[:-1] + (1,))], axis=-1)[..., _SKEW]
-            G[:, 3:, :, :3] = (S @ R).transpose(0, 2, 1, 3)
+            G[:, 3:, :, :3] = (S @ R).transpose(rows_first)
             F[:, :6, : cols.size] = G.reshape(B, 6, -1)[:, :, cols]  # contact components come first in x
             for i, k in prescribed:
-                value = np.array([[cts[i].model.prescribed[LOCAL_COMPONENTS[k]]] for cts in contacts])
-                g[:, :6] -= G[:, :, i, k] * value
-        if getters:
-            bounds[:, :, at] = np.array([[[low(cts[i]) for i, low, _ in getters] for cts in contacts],
-                                         [[high(cts[i]) for i, _, high in getters] for cts in contacts]])
+                value = contacts[i].model.prescribed[LOCAL_COMPONENTS[k]]
+                g[:, :6] -= G[:, :, i, k] * np.reshape(value, (-1, 1))
+        for (i, low, high), x in zip(getters, at.tolist()):
+            bounds[0, :, x], bounds[1, :, x] = low(contacts[i]), high(contacts[i])
         if cones:
-            params = [[source(cts[i]) for i, source, *_ in cones] for cts in contacts]
-            V = np.array([[[v for prm, cone in zip(row, cones) for v in cone[2][s](prm)] for s in (0, 1)]
-                          for row in params])  # (B, mu and e, A row)
-            buffer[:, a_at] = 1.0 / (V[:, 0] * V[:, 1])
+            params = [(cone[2], cone[1](contacts[cone[0]])) for cone in cones]
+            mu, scale = (np.array([v for get, prm in params for v in get[s](prm)]) for s in (0, 1))
+            buffer[:, a_at] = (1.0 / (mu * scale)).T
             buffer[:, c_at] = 1.0
     if n_tau:
-        tms = [p.torque_model for p in problems]
-        ts = layout.torque_start
-        F[:, 6:, : jt_cols.size] = np.array([tm.jacobian for tm in tms]).transpose(0, 2, 1)[:, :, jt_cols]
+        tm, ts = p.torque_model, layout.torque_start
+        F[:, 6:, : jt_cols.size] = np.swapaxes(tm.jacobian, -1, -2)[..., jt_cols]
         F[:, 6:, ts : ts + n_tau] = np.eye(n_tau)  # manipulator columns come first
-        g[:, 6:] = [tm.tau_g for tm in tms]
-        bounds[:, :, ts : ts + n_tau] = [[tm.tau_min for tm in tms], [tm.tau_max for tm in tms]]
+        g[:, 6:] = tm.tau_g
+        bounds[:, :, ts : ts + n_tau] = np.array([tm.tau_min, tm.tau_max]).reshape(2, -1, n_tau)
     f[:, layout.eta_index] = 1.0
 
     # ub - lb >= 0 fails on NaN, lb > ub, lb = +inf and ub = -inf alike
@@ -476,7 +496,7 @@ def _row_error(st: ProgramStack, W: np.ndarray, k: int) -> Exception:
     """The error compiling row k's problem alone raises: a task or external
     wrench that overflows first, with a ``Wrench``'s text, then the
     ConicProgram checks, each with its text; all are SolverDataErrors."""
-    if not np.isfinite(W[k]).all():
+    if not np.isfinite(W[:, k]).all():
         return SolverDataError("wrench components must be finite")
     try:
         row = st.program(k)
@@ -487,14 +507,14 @@ def _row_error(st: ProgramStack, W: np.ndarray, k: int) -> Exception:
 
 
 def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
-    """Compile a grasp scenario into a conic program: ``compile_stacks`` of
-    the one problem, raising the error it places or returning its row.
+    """Compile a grasp scenario into a conic program: the one row that
+    ``_write`` writes for it, or the error that ``_row_error`` gives.
     ``direction`` (+1/-1) selects the sense of the task screw; the paired
     curves of a task (CW/CCW, +X/-X) are two compilations."""
-    stacks, (placed,) = compile_stacks([p], direction)
-    if isinstance(placed, Exception):
-        raise placed
-    return stacks[0].program(0)
+    stack, W, bad = _write(p, 1, direction)
+    if bad[0]:
+        raise _row_error(stack, W, 0)
+    return stack.program(0)
 
 
 def compile_stacks(problems: list[GraspProblem], direction: int = +1) -> tuple[list[ProgramStack], list]:
@@ -512,14 +532,23 @@ def compile_stacks(problems: list[GraspProblem], direction: int = +1) -> tuple[l
             placed[i] = exc
     stacks = []
     for key, members in groups.items():
-        stack, W, bad = _write([problems[i] for i in members], direction, key)
-        good = []
-        for k, failed in enumerate(bad.tolist()):  # no np.flatnonzero: it would cost a one-problem compile 2%
-            if failed:
-                placed[members[k]] = _row_error(stack, W, k)
-            else:
-                placed[members[k]] = (len(stacks), len(good))
-                good.append(k)
-        if good:
-            stacks.append(stack if len(good) == len(members) else stack.take(good))
+        group, rows = compile_columns(_stacked([problems[i] for i in members]), len(members), direction, key=key)
+        for i, where in zip(members, rows):
+            placed[i] = where if isinstance(where, Exception) else (len(stacks), where[1])
+        stacks += group
     return stacks, placed
+
+
+def compile_columns(p: GraspProblem, n: int, direction: int = +1, check=None, key=None) -> tuple[list, list]:
+    """``compile_stacks`` of the n problems of one stack key that ``p`` holds
+    as ``_write`` takes them: at most one stack, and per problem ``(0, row)``
+    or its error.  ``check(bad)``, given the mask of the rows that fail the
+    program checks, gives per row None or an error that comes first."""
+    stack, W, bad = _write(p, n, direction, key)
+    placed, good = [], []
+    for k, (failed, exc) in enumerate(zip(bad.tolist(), check(bad) if check else [None] * n)):
+        exc = exc or (_row_error(stack, W, k) if failed else None)  # no np.flatnonzero: it costs a compile 2%
+        placed.append(exc or (0, len(good)))
+        if exc is None:
+            good.append(k)
+    return ([stack if len(good) == n else stack.take(good)] if good else []), placed

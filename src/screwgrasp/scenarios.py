@@ -10,7 +10,9 @@ finite number ...``), and each physical rule is the built type's own, its
 message prefixed by the object's path (``$.manipulator_contacts[1].cone: mu
 must be strictly positive, got 0.0``).
 
-Three builtin generators reproduce the bundled golden scenarios:
+Three builtin generators reproduce the bundled golden scenarios; each is
+also the grid builder of its family's sweeps (``Family``), run on
+parameters that are arrays over the grid, its objects built unchecked:
 
   * ``door_handle`` — a two-finger antipodal grasp turning a lever handle
     against a torsion spring at its hinge;
@@ -44,6 +46,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +67,8 @@ from .errors import (
     ScenarioVersionError,
     ScrewGraspError,
 )
-from .problem import ExternalWrench, GraspProblem, TorqueModel
-from .screws import INFINITE_PITCH, TaskScrew
+from .problem import ExternalWrench, GraspProblem, TorqueModel, _built, _stacked, compile_columns
+from .screws import INFINITE_PITCH, TaskScrew, rotations_pass
 
 SCHEMA_VERSION = 1
 
@@ -121,15 +124,37 @@ class Scenario:
 # Built-in generators
 # ---------------------------------------------------------------------------
 
-def _rot_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+# ``make`` of the generators: ``make(cls)(**fields)`` is ``cls(**fields)``, checked, for one scenario;
+# with ``_columns``, the object built unchecked, whose numbers are arrays over a grid
+_checked = lambda cls: cls  # noqa: E731
+_columns = partial(partial, _built)
 
 
-def _rot_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _rot(angle, i: int, j: int) -> np.ndarray:
+    """The rotation by ``angle`` taking axis i toward axis j, or one per angle of an array."""
+    c, s, k = np.cos(angle), np.sin(angle), 3 - i - j
+    R = np.zeros(c.shape + (3, 3))
+    R[..., i, i], R[..., j, j], R[..., i, j], R[..., j, i], R[..., k, k] = c, c, -s, s, 1.0
+    return R
 
+
+def _vec(*xyz) -> np.ndarray:
+    """The 3-vector xyz, or one per point of a grid where an entry is an array."""
+    grid = any(isinstance(v, np.ndarray) for v in xyz)
+    return np.stack(np.broadcast_arrays(*xyz), axis=-1) if grid else np.array(xyz)
+
+
+def _rotate(R: np.ndarray, *xyz) -> np.ndarray:
+    """``R @ xyz``, or one 3x3 product per point of a grid, as one point's rounds."""
+    return R @ np.array(xyz) if R.ndim == 2 else (R @ _vec(*xyz)[..., None])[..., 0]
+
+
+def _fill(value, like):
+    """``value`` at every point of the grid of ``like`` (a float: one point)."""
+    return np.broadcast_to(value, like.shape + np.shape(value)) if isinstance(like, np.ndarray) else value
+
+
+_EYE, _ZERO = np.eye(3), np.zeros(3)  # copied by the objects that take them
 
 # contact frame axes (t, o, n) as columns, for a pinch along -+y:
 # the face at +y gets inward normal -y, the face at -y gets +y.
@@ -137,11 +162,11 @@ _PINCH_PLUS_Y_FACE = np.column_stack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1
 _PINCH_MINUS_Y_FACE = np.column_stack([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
 
-def _pinch(R: np.ndarray, x: float, W: float, cone: SfceParams, f_n_max: tuple[float, float]):
+def _pinch(R: np.ndarray, x, W, cone: SfceParams, f_n_max: tuple, make):
     """The two finger contacts pinching the faces y = +W/2 and y = -W/2 at
     offset x along the body x axis, the body rotated by R."""
-    return tuple(ManipulatorContact(rotation=R @ face, position=R @ np.array([x, sy * W / 2, 0.0]),
-                                    cone=cone, f_n_max=f_max)
+    return tuple(make(ManipulatorContact)(rotation=R @ face, position=_rotate(R, x, sy * W / 2, 0.0), cone=cone,
+                                          f_n_max=f_max)
                  for face, sy, f_max in ((_PINCH_PLUS_Y_FACE, 1.0, f_n_max[0]),
                                          (_PINCH_MINUS_Y_FACE, -1.0, f_n_max[1])))
 
@@ -174,23 +199,22 @@ class DoorHandleParams:
             raise ScrewGraspError("theta must be finite")
 
 
-def door_handle_scenario(p: DoorHandleParams = DoorHandleParams()) -> Scenario:
-    """Antipodal two-finger grasp on a spring-loaded lever handle."""
-    Rh = _rot_z(-p.theta)  # handle has turned theta about the task axis -z
-    cone = SfceParams(mu=p.mu_c, e_t=p.e_t, e_o=p.e_o, e_n=p.e_n)
+def door_handle_scenario(p: DoorHandleParams = DoorHandleParams(), make=_checked) -> Scenario:
+    """Antipodal two-finger grasp on a spring-loaded lever handle.  Given
+    parameters whose fields are arrays over a grid and ``make=_columns``, it
+    is the grid builder: one Scenario whose numbers are arrays over the grid."""
+    Rh, zero = _rot(-p.theta, 0, 1), _fill(_ZERO, p.theta)  # handle has turned theta about the task axis -z
+    cone = make(SfceParams)(mu=p.mu_c, e_t=p.e_t, e_o=p.e_o, e_n=p.e_n)
     # hinge: free reaction except the spring moment about z opposing the turn
-    support = EnvironmentContact(
-        rotation=np.eye(3),
-        position=np.zeros(3),
-        model=FixedSupport(prescribed={"m_n": p.k_t * p.theta}),
-    )
-    task = TaskScrew(l=np.array([0.0, 0.0, -1.0]), q=np.zeros(3), pitch=INFINITE_PITCH)
+    support = make(EnvironmentContact)(rotation=_fill(_EYE, p.theta), position=zero, f_n_min=None, f_n_max=None,
+                                       model=make(FixedSupport)(prescribed={"m_n": p.k_t * p.theta}))
+    task = make(TaskScrew)(l=_fill([0.0, 0.0, -1.0], p.theta), q=zero, pitch=INFINITE_PITCH)
     return Scenario(
         name="door_handle",
         description="turn a spring-loaded lever handle with an antipodal pinch",
-        manipulator_contacts=_pinch(Rh, p.x_c, p.W, cone, (p.f_n_max, p.f_n_max)),
+        manipulator_contacts=_pinch(Rh, p.x_c, p.W, cone, (p.f_n_max, p.f_n_max), make),
         environment_contacts=(support,),
-        external=ExternalWrench(),
+        external=make(ExternalWrench)(force=zero, moment=zero, application_point=zero),
         tasks=(("S", task),),
         family=FamilyRef("door_handle", dict(vars(p))),  # a shallow copy: the values are numbers
     )
@@ -225,33 +249,30 @@ class CuboidParams:
             raise ScrewGraspError("alpha must lie in [0, pi/2]")
 
 
-def cuboid_scenario(p: CuboidParams = CuboidParams()) -> Scenario:
-    """Two fingers pinching a box resting on a support edge.
+def cuboid_scenario(p: CuboidParams = CuboidParams(), make=_checked) -> Scenario:
+    """Two fingers pinching a box resting on a support edge; a grid builder
+    as ``door_handle_scenario`` is.
 
     Carries both tasks: "S1" pivots about the edge (infinite pitch), "S2"
     slides along the surface (zero pitch through the centroid).
     """
-    Robj = _rot_y(-p.alpha)  # lifts the +x side, edge at x = -L/2 stays down
-    cone = SfceParams(mu=p.mu_c, e_t=p.e_t, e_o=p.e_o, e_n=p.e_cn)
-    pcwf = PcwfParams(mu=p.mu_e, e_t=p.e_t, e_o=p.e_o)
+    Robj = _rot(-p.alpha, 2, 0)  # lifts the +x side, edge at x = -L/2 stays down
+    cone = make(SfceParams)(mu=p.mu_c, e_t=p.e_t, e_o=p.e_o, e_n=p.e_cn)
+    pcwf = make(PcwfParams)(mu=p.mu_e, e_t=p.e_t, e_o=p.e_o)
     # edge contact = two point contacts at the edge vertices; support normal
     # is world +z (into the object)
-    edge = [
-        EnvironmentContact(
-            rotation=np.eye(3),
-            position=Robj @ np.array([-p.L / 2, sy * p.W / 2, -p.H / 2]),
-            model=Pcwf(pcwf),
-        )
-        for sy in (+1.0, -1.0)
-    ]
-    gravity = ExternalWrench(force=np.array([0.0, 0.0, -p.weight]))
-    edge_mid = Robj @ np.array([-p.L / 2, 0.0, -p.H / 2])
-    pivot = TaskScrew(l=np.array([0.0, 1.0, 0.0]), q=edge_mid, pitch=INFINITE_PITCH)
-    slide = TaskScrew(l=np.array([-1.0, 0.0, 0.0]), q=np.zeros(3), pitch=0.0)
+    edge = [make(EnvironmentContact)(rotation=_fill(_EYE, p.alpha), model=Pcwf(pcwf), f_n_min=None, f_n_max=None,
+                                     position=_rotate(Robj, -p.L / 2, sy * p.W / 2, -p.H / 2))
+            for sy in (+1.0, -1.0)]
+    zero = _fill(_ZERO, p.alpha)
+    gravity = make(ExternalWrench)(force=_vec(0.0, 0.0, -p.weight), moment=zero, application_point=zero)
+    edge_mid = _rotate(Robj, -p.L / 2, 0.0, -p.H / 2)
+    pivot = make(TaskScrew)(l=_fill([0.0, 1.0, 0.0], p.alpha), q=edge_mid, pitch=INFINITE_PITCH)
+    slide = make(TaskScrew)(l=_fill([-1.0, 0.0, 0.0], p.alpha), q=zero, pitch=0.0)
     return Scenario(
         name="cuboid",
         description="pivot or slide a box resting on a support edge",
-        manipulator_contacts=_pinch(Robj, p.x_E, p.W, cone, (p.f_n_max_1, p.f_n_max_2)),
+        manipulator_contacts=_pinch(Robj, p.x_E, p.W, cone, (p.f_n_max_1, p.f_n_max_2), make),
         environment_contacts=tuple(edge),
         external=gravity,
         tasks=(("S1", pivot), ("S2", slide)),
@@ -264,22 +285,32 @@ class Builtin:
     """Registry entry for a generator-backed scenario family."""
 
     params_cls: type
-    build: object  # callable(params) -> Scenario
+    build: object  # callable(params, make=_checked) -> Scenario, a grid builder as door_handle_scenario is
 
 
-def _cuboid_task(name: str, k: int):
-    """The generator of the one-task family ``name``: task k of the cuboid."""
-    def build(p: CuboidParams) -> Scenario:
-        s = cuboid_scenario(p)
-        return replace(s, name=name, tasks=(s.tasks[k],), family=FamilyRef(name, dict(vars(p))))
-    return build
+def _cuboid_task(name: str, k: int, p: CuboidParams, make=_checked) -> Scenario:
+    """Task k of the cuboid as the one-task family ``name``; with ``name`` and
+    ``k`` bound, that family's generator."""
+    s = cuboid_scenario(p, make)
+    return replace(s, name=name, tasks=(s.tasks[k],), family=FamilyRef(name, dict(vars(p))))
 
 
 BUILTINS: dict[str, Builtin] = {
     "door_handle": Builtin(DoorHandleParams, door_handle_scenario),
-    "cuboid_pivot": Builtin(CuboidParams, _cuboid_task("cuboid_pivot", 0)),
-    "cuboid_slide": Builtin(CuboidParams, _cuboid_task("cuboid_slide", 1)),
+    "cuboid_pivot": Builtin(CuboidParams, partial(_cuboid_task, "cuboid_pivot", 0)),
+    "cuboid_slide": Builtin(CuboidParams, partial(_cuboid_task, "cuboid_slide", 1)),
 }
+
+
+def _builtin(name: str, keys) -> Builtin:
+    """The ``BUILTINS`` entry ``name``; a ``ScenarioError`` for an unknown name
+    or for a key of ``keys`` that names none of its parameters."""
+    if name not in BUILTINS:
+        raise ScenarioError(f"unknown builtin scenario {name!r}; available: {sorted(BUILTINS)}")
+    valid = BUILTINS[name].params_cls.__dataclass_fields__.keys()
+    if unknown := keys - valid:
+        raise ScenarioError(f"unknown parameter(s) {sorted(unknown)} for {name}; valid: {sorted(valid)}")
+    return BUILTINS[name]
 
 
 def builtin_scenario(name: str, **overrides) -> Scenario:
@@ -287,14 +318,7 @@ def builtin_scenario(name: str, **overrides) -> Scenario:
     ``ScenarioError`` for an unknown name or parameter, and a
     ``ScenarioPhysicsError`` with the parameter type's own message for one
     out of range."""
-    if name not in BUILTINS:
-        raise ScenarioError(f"unknown builtin scenario {name!r}; available: {sorted(BUILTINS)}")
-    spec = BUILTINS[name]
-    valid = {f.name for f in fields(spec.params_cls)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise ScenarioError(f"unknown parameter(s) {sorted(unknown)} for {name}; "
-                            f"valid: {sorted(valid)}")
+    spec = _builtin(name, overrides.keys())
     try:
         return spec.build(spec.params_cls(**overrides))
     except ScrewGraspError as exc:
@@ -320,17 +344,61 @@ def rebuild_scenario(scenario: Scenario, changes: dict, task: str | None = None)
                             **{**scenario.family.params, **changes})
 
 
-def scenario_family(scenario: Scenario, parameter: str, task: str | None = None):
-    """Callable mapping a parameter value to a GraspProblem, for sweeps, of a
-    scenario with family information (builtin-generated or loaded from a file
-    with a family block).  A scenario without one, or an unknown parameter or
-    task, is a ``ScenarioError`` here, before any point is built."""
-    def build(value: float) -> GraspProblem:
-        return rebuild_scenario(scenario, {parameter: value}, task).problem(task)
+@dataclass(frozen=True)
+class Family:
+    """A builtin family at parameter values ``params`` but one, ``parameter``,
+    which a sweep varies (see ``scenario_family``): ``family(value)`` is the
+    problem of ``task`` at one value, ``stacks(grid, direction)`` compiles a
+    whole grid at once."""
 
-    # at the scenario's value; an unknown name gets None, rejected by its name
-    build(rebuild_scenario(scenario, {}, task).family.params.get(parameter))
-    return build
+    builtin: str
+    params: dict
+    parameter: str
+    task: str | None = None
+
+    def __call__(self, value: float) -> GraspProblem:
+        return builtin_scenario(self.builtin, **{**self.params, self.parameter: value}).problem(self.task)
+
+    def _error(self, value: float) -> Exception | None:
+        """What building the problem at ``value`` alone raises, if anything."""
+        try:
+            self(value)
+        except Exception as exc:  # noqa: BLE001  (a sweep records any failure of a point)
+            return exc
+
+    def stacks(self, grid: list, direction: int = +1) -> tuple[list, list]:
+        """``compile_stacks`` of the problems at the grid values, each row or
+        error the same, from one problem whose numbers are arrays over the grid
+        (of the parameters as their type checked them per value).  A value
+        whose parameters the type rejects or are not all finite, whose contact
+        frames fail the rotation test or whose row fails the program checks is
+        built alone, for its error (if none, it stays a row)."""
+        spec, params, rejected = BUILTINS[self.builtin], [], []
+        for value in grid:
+            try:
+                params.append(spec.params_cls(**{**self.params, self.parameter: value}))
+            except Exception:  # noqa: BLE001  (built alone below, for its error)
+                rejected.append(len(params))
+                params.append(spec.params_cls(**self.params))
+        values = _stacked(params)  # each parameter an array over the grid
+        with np.errstate(all="ignore"):  # the checks below find inf and nan
+            p = spec.build(values, _columns).problem(self.task)
+            frames = np.array([ct.rotation for ct in (*p.manipulator_contacts, *p.environment_contacts)])
+            suspect = ~(np.isfinite(list(vars(values).values())).all(axis=0) & rotations_pass(frames).all(axis=0))
+        suspect[rejected] = True
+        return compile_columns(p, len(grid), direction, lambda bad: [
+            self._error(value) if flag else None for value, flag in zip(grid, (bad | suspect).tolist())])
+
+
+def scenario_family(scenario: Scenario, parameter: str, task: str | None = None) -> Family:
+    """The ``Family`` of a scenario with family information (builtin-generated
+    or loaded from a file with a family block) that varies ``parameter``, for
+    sweeps.  A scenario without one, or an unknown parameter or task, is a
+    ``ScenarioError`` here, before any point is built."""
+    base = rebuild_scenario(scenario, {}, task)  # the builtin it rebuilds as, at its values
+    _builtin(base.family.generator, {parameter})
+    base.task(task)
+    return Family(base.family.generator, base.family.params, parameter, task)
 
 
 # ---------------------------------------------------------------------------

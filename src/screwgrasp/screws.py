@@ -85,6 +85,18 @@ def check_rotation(R: np.ndarray) -> np.ndarray:
     return R
 
 
+def rotations_pass(R: np.ndarray) -> np.ndarray:
+    """Where ``check_rotation`` passes, over a stack ``(..., 3, 3)``: its test
+    entry by entry, each number rounded as for one R; False where an entry is
+    not finite."""
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(R, (-2, -1), (0, 1))
+    err = np.maximum.reduce([abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+                             abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+                             abs(a * c + d * f + g * i), abs(b * c + e * f + h * i)])
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return (err <= ROTATION_TOL) & (abs(det - 1.0) <= np.maximum(ROTATION_TOL, 10.0 * err + 1e-12))
+
+
 @dataclass(frozen=True)
 class Wrench:
     """Generalized force: ``force`` (N) and ``moment`` (N.m)."""

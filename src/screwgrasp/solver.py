@@ -530,7 +530,7 @@ class _KKT:
                 di = np.arange(K.shape[0])
                 Kreg[di[:n], di[:n]] += delta
                 Kreg[di[n:], di[n:]] -= delta
-            ldu, ipiv, info = _sytrf(Kreg, lower=1)
+            ldu, ipiv, info = _sytrf(Kreg, 1)  # lower=1 by position: f2py parses keywords slowly
             if info == 0:
                 return ldu, ipiv
         return None
@@ -553,18 +553,19 @@ class _KKT:
         A solve cannot fail: ``?sytrs`` reports only an illegal argument, and
         f2py derives and checks every size from the arrays before the call."""
         if rhs.ndim == 1:
-            x = _sytrs(*self._factors, rhs, lower=1)[0]
+            x = _sytrs(*self._factors, rhs, 1)[0]
             bound = 1e-13 * (1.0 + np.maximum.reduce(np.abs(rhs)))
             for _ in range(2):
                 r = rhs - self.K @ x
                 if np.maximum.reduce(np.abs(r)) <= bound:
                     break
-                x = x + _sytrs(*self._factors, r, lower=1)[0]
+                x = x + _sytrs(*self._factors, r, 1, 1)[0]  # r is overwritten
             return x
         # the refinement residuals are stacks, the LAPACK solves per instance
-        x = np.zeros(rhs.shape)
-        for i in np.flatnonzero(~out):
-            x[i] = _sytrs(*self._factors[i], rhs[i], lower=1)[0]
+        x, live = np.zeros(rhs.shape), np.flatnonzero(~out)
+        x[live] = rhs[live]
+        for i in live:  # f2py solves each contiguous row of x in place (a test pins it)
+            _sytrs(*self._factors[i], x[i], 1, 1)
         refine = ~out
         bound = 1e-13 * (1.0 + np.maximum.reduce(np.abs(rhs), axis=1))
         for _ in range(2):
@@ -573,7 +574,7 @@ class _KKT:
             r = rhs - _mv(self.K, x)
             refine &= ~(np.maximum.reduce(np.abs(r), axis=1) <= bound)
             for i in np.flatnonzero(refine):
-                x[i] = x[i] + _sytrs(*self._factors[i], r[i], lower=1)[0]
+                x[i] += _sytrs(*self._factors[i], r[i], 1, 1)[0]
         return x
 
 

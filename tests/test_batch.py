@@ -10,6 +10,7 @@ certificate, residuals and primal bytes.
 
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,15 +22,16 @@ from test_random_scenarios import random_problem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from solve_digest import result_bytes  # noqa: E402
+from solve_digest import eta_bytes, result_bytes  # noqa: E402
 from screwgrasp import problem, solver  # noqa: E402
-from screwgrasp.cli import _subspace_directions  # noqa: E402
-from screwgrasp.contacts import EnvironmentContact, FixedSupport  # noqa: E402
+from screwgrasp.cli import _subspace_directions, main  # noqa: E402
+from screwgrasp.contacts import EnvironmentContact, FixedSupport, ManipulatorContact  # noqa: E402
 from screwgrasp.errors import CompileError, ScrewGraspError, SolverDataError  # noqa: E402
 from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep  # noqa: E402
 from screwgrasp.problem import ProgramStack, compile_program, compile_stacks  # noqa: E402
-from screwgrasp.scenarios import builtin_scenario  # noqa: E402
-from screwgrasp.screws import Wrench, wrench_to_screw  # noqa: E402
+from screwgrasp.scenarios import (  # noqa: E402
+    Scenario, builtin_scenario, cuboid_scenario, load_scenario, save_scenario, scenario_family)
+from screwgrasp.screws import TaskScrew, Wrench, wrench_to_screw  # noqa: E402
 from screwgrasp.solver import SolveSettings, solve, solve_batch  # noqa: E402
 
 THETAS = np.radians(np.linspace(0.0, 40.0, 41))
@@ -372,14 +374,23 @@ def failing_second_compile(monkeypatch, exc):
 
 
 def test_gws_ray_that_fails_to_compile_is_a_row_only_for_a_screw_grasp_error(monkeypatch):
+    """A GWS probe compiles its rays from one problem whose task is an array
+    over them.  A ray whose wrench overflows is that ray's error row; an
+    error of the problem's structure is every ray's; an error that is not a
+    ScrewGraspError propagates."""
     pivot = builtin_scenario("cuboid_pivot").problem()
-    failing_second_compile(monkeypatch, ScrewGraspError("no ray"))
-    rays = gws_sample(pivot, [pivot.task] * 3)
-    assert [(r.status, r.eta is None) for r in rays] == [("Optimal", False), ("error: no ray", True),
-                                                        ("Optimal", False)]
-    failing_second_compile(monkeypatch, ValueError("defect"))
+    far = TaskScrew(l=[0.0, -np.sqrt(0.5), np.sqrt(0.5)], q=[0.0, 1.7e308, 1.7e308])  # q x l overflows
+    rays = gws_sample(pivot, [pivot.task, far, pivot.task])
+    assert [(r.status, r.eta is None) for r in rays] == [
+        ("Optimal", False), ("error: wrench components must be finite", True), ("Optimal", False)]
+    monkeypatch.setattr(problem, "_row_error", lambda st, W, k: ValueError("defect"))
     with pytest.raises(ValueError, match="defect"):
-        gws_sample(pivot, [pivot.task] * 3)
+        gws_sample(pivot, [pivot.task, far, pivot.task])
+    def no_structure(p):
+        raise ScrewGraspError("no structure")
+
+    monkeypatch.setattr(problem, "_key", no_structure)
+    assert [r.status for r in gws_sample(pivot, [pivot.task] * 3)] == ["error: no structure"] * 3
 
 
 def test_global_metric_raises_on_a_point_that_fails_to_compile(monkeypatch):
@@ -407,24 +418,116 @@ def test_batch_defect_is_not_retried_point_by_point(monkeypatch):
         gws_sample(family(0.0), [builtin_scenario("cuboid_pivot").problem().task] * solver._MIN_BATCH)
 
 
-def test_sweep_and_gws_build_no_program_per_point(monkeypatch):
+def constructions(monkeypatch) -> Counter:
+    """The count of each of these classes' objects built from now on (each
+    ``__init__`` call; ``replace`` is one too)."""
+    counts = Counter()
+    for cls in (Scenario, ManipulatorContact, EnvironmentContact, problem.GraspProblem):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, __init=init, **kwargs: (
+            counts.update([type(self).__name__]), __init(self, *args, **kwargs))[1])
+    return counts
+
+
+def test_sweep_and_gws_build_no_program_per_point(monkeypatch, tmp_path, capsys):
     """A sweep or GWS probe compiles each structure's points into one stack
     and hands the stacks to the solver: no ConicProgram or SocBlock is built
-    for a point.  A path builds its points' programs as row views of the
-    stack, for their active constraints."""
+    for a point.  A ``scenario_family`` sweep (of a builtin, or of a file
+    with a family block) and a CLI-style GWS probe build no Scenario,
+    contact or GraspProblem per point either: their counts do not grow with
+    the grid.  A path builds its points' programs as row views of the stack,
+    for their active constraints."""
     built = []
     make = problem._built
     monkeypatch.setattr(problem, "_built", lambda cls, **fields: built.append(cls) or make(cls, **fields))
     for cls in (problem.ConicProgram, problem.SocBlock):
         monkeypatch.setattr(cls, "__post_init__", lambda self, cls=cls: built.append(cls))
+    programs = lambda: [cls for cls in built if cls in (problem.ConicProgram, problem.SocBlock)]  # noqa: E731
     family = lambda v: builtin_scenario("door_handle", theta=float(v)).problem()  # noqa: E731
     rows = metric_sweep(family, THETAS, +1)
     slide = builtin_scenario("cuboid_slide").problem()
     rays = gws_sample(slide, [wrench_to_screw(Wrench.from_array(np.eye(6)[k])).axis for k in (0, 2, 4)])
     assert {r.status for r in rows} == {r.status for r in rays} == {"Optimal"}
-    assert built == []
+    assert programs() == []
+
+    save_scenario(cuboid_scenario(), tmp_path / "cuboid.scenario")
+    door = scenario_family(builtin_scenario("door_handle"), "theta")
+    pivot = scenario_family(load_scenario(tmp_path / "cuboid.scenario"), "alpha", "S1")
+    counts, seen = constructions(monkeypatch), []
+    for points in (5, 41):
+        counts.clear()
+        rows = metric_sweep(door, THETAS[:points], +1) + metric_sweep(pivot, THETAS[:points], -1)
+        assert len(rows) == 2 * points and {r.status for r in rows} == {"Optimal"}
+        assert main(["gws", "--builtin", "cuboid_slide", "--rays", str(points - 1)]) == 0
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] and seen[0]["Scenario"] > 0
+    assert programs() == []
+    capsys.readouterr()
+
     global_metric([PathPoint(float(t), family(t)) for t in THETAS[:4]], +1)
     assert built.count(problem.ConicProgram) == 4
+
+
+@pytest.mark.parametrize("name, parameter, grid, rejected", [
+    ("door_handle", "x_c", [0.0, 0.1, 0.2, 0.25, 0.3], "x_c must lie on the handle: 0 <= 0.25 <= 0.2"),
+    ("cuboid_pivot", "alpha", np.radians([0.0, 45.0, 90.0, 100.0, 120.0]), "alpha must lie in [0, pi/2]"),
+    ("cuboid_slide", "x_E", [-0.05, 0.0, 0.06, 0.15, 0.2], "x_E must satisfy 0 < x_E <= L/2, got 0.2"),
+])
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_sweep_across_a_parameter_bound(name, parameter, grid, rejected, direction):
+    """A sweep whose grid crosses a bound of its parameter: each value out of
+    range is an error row with the parameter type's text, as building that
+    point alone raises it, and each row in range is its ``local_metric``
+    solve, byte for byte."""
+    family = scenario_family(builtin_scenario(name), parameter)
+    rows = metric_sweep(family, grid, direction)
+    errors = []
+    for value, row in zip(grid, rows):
+        try:
+            alone = local_metric(family(value), direction)
+        except ScrewGraspError as exc:
+            errors.append(row.status)
+            assert (row.status, row.eta, row.iterations) == (f"error: {exc}", None, 0)
+        else:
+            assert (row.status, row.iterations) == (alone.status, alone.iterations)
+            assert eta_bytes(row.eta) == eta_bytes(alone.eta)
+    assert f"error: {rejected}" in errors and 0 < len(errors) < len(grid)
+
+
+def test_stacked_kkt_rows_are_solved_in_place(monkeypatch):
+    """The stacked KKT solve hands each live row of its solution array to
+    ``dsytrs`` to be overwritten and keeps no returned copy, so f2py must
+    write the row in place: the returned array is that row."""
+    seen, sytrs = [], solver._sytrs
+
+    def spy(a, ipiv, b, lower, overwrite_b):
+        x, info = sytrs(a, ipiv, b, lower, overwrite_b)
+        seen.append(b.ndim == 1 and np.shares_memory(x, b) and b.base is not None)
+        return x, info
+
+    monkeypatch.setattr(solver, "_sytrs", spy)
+    solve_batch(stacks_of(door_problems(0.05)[: solver._MIN_BATCH], +1))
+    assert len(seen) > 10 * solver._MIN_BATCH and all(seen)
+
+
+def test_kkt_factorization_failure_alone_and_in_a_stack(monkeypatch):
+    """When every ``dsytrf`` attempt reports INFO > 0 (the unregularized one
+    and both regularized retries), a solve stops at its first factorization
+    as a NumericalFailure "KKT factorization failed", alone and as a row of
+    a stack of ``_MIN_BATCH`` programs alike, byte for byte."""
+    calls = []
+
+    def singular(a, lower):
+        calls.append(lower)
+        return a, np.zeros(len(a), dtype=np.int32), 1
+
+    monkeypatch.setattr(solver, "_sytrf", singular)
+    runs = stacked_runs(monkeypatch)
+    batch = assert_same_as_alone(stacks_of(door_problems(0.05)[: solver._MIN_BATCH], +1))
+    assert [len(r) for r in runs] == [solver._MIN_BATCH]
+    assert {(r.status, r.iterations, r.certificate, r.primal is None) for r in batch} == {
+        ("NumericalFailure", 0, "KKT factorization failed", True)}
+    assert calls == [1] * (2 * 3 * solver._MIN_BATCH)  # three attempts per program, stacked and alone
 
 
 def test_global_metric_per_point_matches_local_metric():

@@ -7,12 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import screwgrasp
+from screwgrasp import cli
 from screwgrasp.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from screwgrasp.contacts import EnvironmentContact, Pcwf, PcwfParams
 from screwgrasp.problem import ExternalWrench
@@ -271,6 +273,30 @@ class TestOracleCheck:
         assert traces[0] is None and callable(traces[1])
         assert any(r.levelno == logging.DEBUG and r.getMessage().startswith("solver {") for r in caplog.records)
 
+    @pytest.mark.parametrize("source", ["door", "ceiling"])
+    def test_status_mismatch(self, capsys, monkeypatch, infeasible_file, source):
+        """When the LP oracle's status differs from the SOCP's and they are not
+        both Optimal, the report ends "gap: status mismatch" and the exit is
+        the SOCP's: 5 for an Optimal SOCP, else its status's code."""
+        oracle = cli.solve_with_oracle
+
+        def flipped(prog, facets):
+            res = oracle(prog, facets)
+            if res.status == "Optimal":
+                return replace(res, status="Infeasible", objective=None, primal=None)
+            return replace(res, status="Optimal", objective=1.5)
+
+        monkeypatch.setattr(cli, "solve_with_oracle", flipped)
+        argv = ("--builtin", "door_handle") if source == "door" else ("--scenario", infeasible_file)
+        code, out, err = run(capsys, "oracle-check", *argv, "--facets", "8")
+        socp, lp, gap = out.splitlines()
+        assert (lp, gap, err) == (("lp[8]: Infeasible" if source == "door" else "lp[8]: Optimal eta=1.5"),
+                                  "gap: status mismatch", "")
+        if source == "door":
+            assert socp.startswith("socp: Optimal eta=") and code == EXIT_SOLVER
+        else:
+            assert (socp, code) == ("socp: Infeasible", EXIT_INFEASIBLE)
+
     @pytest.mark.parametrize("gap", ["nan", "-1", "-inf", "x"])
     def test_bad_max_rel_gap_is_input_error(self, capsys, gap):
         """A gap bound no relative gap can be checked against is a bad flag
@@ -515,6 +541,24 @@ def test_non_finite_quantity_is_input_error(capsys, tmp_path, argv, text):
     code, printed, err = run(capsys, *argv, "--out", str(out))
     assert (code, printed, err) == (EXIT_INPUT, "", f"error: cannot parse quantity {text!r}\n")
     assert not out.exists()
+
+
+def test_non_numeric_quantity_is_input_error(capsys, tmp_path):
+    """A sweep bound that is no number at all exits 4, as a non-finite one does."""
+    out = tmp_path / "out.csv"
+    code, printed, err = run(capsys, "sweep", "--builtin", "door_handle", "--sweep", "theta=0:abc:3", "--out", str(out))
+    assert (code, printed, err) == (EXIT_INPUT, "", "error: cannot parse quantity 'abc'\n")
+    assert not out.exists()
+
+
+def test_eval_reports_a_negative_eta_with_a_warning(capsys):
+    """A spring stiffer than the pinch can turn: eta < 0 is reported as is,
+    with a warning line, and eval exits 0."""
+    code, out, err = run(capsys, "eval", "--builtin", "door_handle", "--set", "k_t=100", "--set", "theta=0.5")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1:4] == [
+        "status: Optimal", "eta: -49.8800003",
+        "warning: eta < 0: the grasp cannot null the external wrench along the task screw"]
 
 
 @pytest.mark.parametrize("argv", [

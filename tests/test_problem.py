@@ -343,6 +343,19 @@ class TestConicProgramValidation:
     def program(f=(0.0, 1.0), F=((1.0, 0.0),), g=(0.5,), lb=(0.0, -np.inf), ub=(np.inf, 3.0), socs=()):
         return mkprog(list(f), [list(r) for r in F], list(g), socs=socs, lb=list(lb), ub=list(ub))
 
+    def test_inconsistent_dimensions(self):
+        """Each dimension check is a CompileError with its own text."""
+        prog = compile_program(builtin_scenario("door_handle").problem())
+        blk = prog.socs[0]
+        cases = [({"g": prog.g[:-1]}, "inconsistent conic program dimensions"),
+                 ({"socs": (replace(blk, A=blk.A[:, :-1]), *prog.socs[1:])},
+                  "inconsistent SOC block dimensions (m0.cone)"),
+                 ({"layout": replace(prog.layout, n_vars=prog.n_vars + 1)},
+                  "layout does not cover the variable vector")]
+        for change, message in cases:
+            with pytest.raises(CompileError, match=f"^{re.escape(message)}$"):
+                replace(prog, **change)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field,message", [
         ("f", "program objective contains NaN/Inf"),

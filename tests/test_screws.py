@@ -13,6 +13,7 @@ from screwgrasp.screws import (
     Wrench,
     check_rotation,
     cross3,
+    rotations_pass,
     wrench_to_screw,
 )
 
@@ -220,3 +221,32 @@ class TestCheckRotation:
         with pytest.raises(InvalidRotationError) as err:
             check_rotation(R)
         assert str(err.value) == message
+
+
+class TestRotationsPass:
+    """``rotations_pass`` is ``check_rotation``'s test, entry by entry over a stack."""
+
+    def test_agrees_with_check_rotation_per_matrix(self):
+        rng = np.random.default_rng(3)
+        good = np.array([rot(rng.normal(size=3), a) for a in rng.uniform(-10.0, 10.0, 40)])
+        stack = np.concatenate([good, good * (1.0 + 1e-8), good * (1.0 + 1e-10), -good,
+                                [np.eye(3) * 1.001, np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan),
+                                 np.diag([1.0, 1.0, np.inf])]])
+        expected = []
+        for R in stack:
+            try:
+                check_rotation(R)
+                expected.append(True)
+            except InvalidRotationError:
+                expected.append(False)
+        with np.errstate(all="ignore"):
+            assert rotations_pass(stack).tolist() == expected
+            assert rotations_pass(stack.reshape(2, -1, 3, 3)).tolist() == np.reshape(expected, (2, -1)).tolist()
+        assert 0 < sum(expected) < len(expected)
+
+
+@pytest.mark.parametrize("force, moment", [([np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                                           ([0.0, 0.0, 0.0], [0.0, np.nan, 0.0])])
+def test_wrench_with_a_non_finite_component_is_rejected(force, moment):
+    with pytest.raises(ValueError, match="^wrench components must be finite$"):
+        Wrench(force=force, moment=moment)

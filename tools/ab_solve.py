@@ -7,12 +7,18 @@ Loads ``OTHER_CHECKOUT/src/screwgrasp`` as a package of its own
 runs only its own code, and calls the two sides in turn, alternating which
 goes first, so that both see the same machine state:
 
+* ``builtin_scenario`` of the bundled door, pivot and slide scenarios (N calls
+  each side);
 * ``compile_program`` on the bundled door, pivot and slide problems (N calls
   each side);
 * ``solve`` on the bundled door, pivot and slide programs (N calls each side);
 * ``solve_with_oracle`` at 64 facets on the same three programs (N calls);
 * the ``eval_grid`` workload's operation: ``local_metric`` on each of its 412
   grid points, one call of the case being all 412 (M calls);
+* ``grid`` on the door, pivot and slide sweeps of the ``batch_cli`` workload
+  (41, 17 and 17 points): ``metric_sweep`` of the side's ``scenario_family``
+  from the grid values up to the stacks it hands to ``solve_batch`` (building
+  and compiling every point; M calls each side);
 * ``solve_batch`` on the stacks that ``compile_stacks`` writes for the door,
   pivot and slide sweeps of the ``batch_cli`` workload (41, 17 and 17
   points) and on what the ``gws_slide`` job hands to ``solve_batch`` (M
@@ -51,6 +57,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import pickle
 import sys
 import tempfile
@@ -129,6 +136,29 @@ def sweep(pkg, name: str, param: str, values, **fixed) -> list:
     return pkg.problem.compile_stacks([s.problem() for s in scenarios], +1)[0]
 
 
+class _Stacks(Exception):
+    """Raised in place of ``solve_batch`` with the stacks it was handed."""
+
+
+def sweep_stacks(pkg, name: str, param: str, values, **fixed):
+    """The call that runs ``pkg``'s ``metric_sweep`` of ``name`` over ``param``
+    up to ``solve_batch`` and returns the stacks it would hand to it."""
+    family = pkg.scenarios.scenario_family(pkg.scenarios.builtin_scenario(name, **fixed), param)
+
+    def stop(stacks, settings=None):
+        raise _Stacks(stacks)
+
+    def call():
+        original, pkg.metric.solve_batch = pkg.metric.solve_batch, stop
+        try:
+            pkg.metric.metric_sweep(family, values)
+        except _Stacks as exc:
+            return exc.args[0]
+        finally:
+            pkg.metric.solve_batch = original
+    return call
+
+
 def cases() -> list[tuple[str, bool, object]]:
     """(name, whether it is a batch case, prepare) of every timed case;
     ``prepare(pkg)`` returns the call that is timed for that side."""
@@ -175,12 +205,17 @@ def cases() -> list[tuple[str, bool, object]]:
         return lambda: pkg.solver.solve_batch(inputs)
 
     names = ("door_handle", "cuboid_pivot", "cuboid_slide")
-    return ([(f"compile {name}", False, lambda pkg, n=name: compile_case(pkg, n)) for name in names]
+    return ([(f"builtin {name}", False, lambda pkg, n=name: lambda: pkg.scenarios.builtin_scenario(n))
+             for name in names]
+            + [(f"compile {name}", False, lambda pkg, n=name: compile_case(pkg, n)) for name in names]
             + [(f"solve {name}", False, lambda pkg, n=name: (lambda p=bundled(pkg, n): pkg.solver.solve(p)))
              for name in names]
             + [(f"oracle@64 {name}", False,
                 lambda pkg, n=name: (lambda p=bundled(pkg, n): pkg.solver.solve_with_oracle(p, 64))) for name in names]
             + [(f"eval_grid local_metric ({len(points)})", True, eval_case),
+               ("grid door sweep (41)", True, lambda pkg: sweep_stacks(pkg, "door_handle", "theta", thetas, x_c=0.0)),
+               ("grid pivot sweep (17)", True, lambda pkg: sweep_stacks(pkg, "cuboid_pivot", "alpha", alphas)),
+               ("grid slide sweep (17)", True, lambda pkg: sweep_stacks(pkg, "cuboid_slide", "alpha", alphas)),
                ("solve_batch door sweep (41)", True, sweep_case("door_handle", "theta", thetas, x_c=0.0)),
                ("solve_batch pivot sweep (17)", True, sweep_case("cuboid_pivot", "alpha", alphas)),
                ("solve_batch slide sweep (17)", True, sweep_case("cuboid_slide", "alpha", alphas)),
@@ -195,6 +230,10 @@ def cases() -> list[tuple[str, bool, object]]:
 def as_bytes(res) -> bytes:
     if isinstance(res, str):
         return res.encode()
+    if isinstance(res, list) and res and hasattr(res[0], "labels"):  # program stacks: their arrays, in order
+        return b"".join(v.tobytes() for st in res for v in (st.f, st.F, st.g, st.lb, st.ub, *sum(st.socs, ())))
+    if hasattr(res, "tasks"):  # a scenario: its file
+        return json.dumps(sys.modules[type(res).__module__].scenario_to_dict(res)).encode()
     if hasattr(res, "socs"):  # a compiled program: its arrays, in order
         parts = [res.f, res.F, res.g, res.lb, res.ub, *(v for blk in res.socs for v in (blk.A, blk.b, blk.c))]
         return b"".join(v.tobytes() for v in parts) + repr([blk.d for blk in res.socs]).encode()
