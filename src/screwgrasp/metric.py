@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -134,15 +135,15 @@ def local_metric(
     return _metric_result(prog, res, direction, (time.perf_counter() - t0) * 1e3)
 
 
-def _compile_each(build, items, direction: int, tolerated=()) -> tuple[list, list]:
+def _compile_each(build, items: list, direction: int) -> tuple[list, list]:
     """``compile_stacks`` of ``build(item)`` for each item, in order; an item
-    whose build raised one of ``tolerated`` is placed as that error."""
+    whose build raised is placed as that error."""
     problems, placed = [], []
     for item in items:
         try:
             problems.append(build(item))
             placed.append(len(problems) - 1)
-        except tolerated as exc:
+        except Exception as exc:  # noqa: BLE001  (a sweep records any failure of a point)
             placed.append(exc)
     stacks, where = compile_stacks(problems, direction)
     return stacks, [p if isinstance(p, Exception) else where[p] for p in placed]
@@ -175,7 +176,7 @@ def global_metric(
     if not path:
         raise ValueError("path must contain at least one point")
     per_point = tuple(_metric_result(stack.program(row), res, direction, ms) for stack, row, res, ms
-                      in _solve_points(lambda: _compile_each(lambda pt: pt.problem, path, direction), settings))
+                      in _solve_points(lambda: compile_stacks([pt.problem for pt in path], direction), settings))
     failures = tuple(pt.label or f"#{i}" for i, (pt, r) in enumerate(zip(path, per_point))
                      if r.status != "Optimal")
     if failures:
@@ -218,10 +219,8 @@ def metric_sweep(
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid must be nonempty")
-    # per-point failures must not kill the sweep
-    stacks = getattr(family, "stacks", None)
-    points = _solve_points((lambda: stacks(grid, direction)) if stacks else
-                           lambda: _compile_each(family, grid, direction, Exception), settings, Exception)
+    stacks = getattr(family, "stacks", None) or partial(_compile_each, family)
+    points = _solve_points(lambda: stacks(grid, direction), settings, Exception)  # no point fails the sweep
     return [SweepRow(value, None, f"error: {res}", 0, ms) if stack is None
             else SweepRow(value, _eta(res), res.status, res.iterations, ms)
             for value, (stack, _row, res, ms) in zip(grid, points)]

@@ -411,9 +411,11 @@ _ROLLS = np.array([[1, 2, 0], [2, 0, 1]])  # cross3 of a and b: a[1] * b[2] - a[
 def _stacked(objs: list):
     """Problems of one stack key, or their parts, as one object of the
     first one's type, built unchecked, whose numbers have a leading axis over
-    the objects; an infinite pitch is NaN."""
+    the objects; an infinite pitch is NaN.  A part that is None in any of
+    them is None: the key fixes every such part ``_write`` reads (a
+    TorqueModel's ``dofs`` it does not read)."""
     first = objs[0]
-    if first is None:
+    if any(o is None for o in objs):
         return None
     if isinstance(first, tuple):
         return tuple(_stacked(list(parts)) for parts in zip(*objs))
@@ -532,23 +534,25 @@ def compile_stacks(problems: list[GraspProblem], direction: int = +1) -> tuple[l
             placed[i] = exc
     stacks = []
     for key, members in groups.items():
-        group, rows = compile_columns(_stacked([problems[i] for i in members]), len(members), direction, key=key)
+        group, rows = compile_columns(_stacked([problems[i] for i in members]), len(members), direction, key)
         for i, where in zip(members, rows):
             placed[i] = where if isinstance(where, Exception) else (len(stacks), where[1])
         stacks += group
     return stacks, placed
 
 
-def compile_columns(p: GraspProblem, n: int, direction: int = +1, check=None, key=None) -> tuple[list, list]:
+def _placed(stack: ProgramStack, errors: list) -> tuple[list, list]:
+    """The rows of ``stack`` whose entry in ``errors`` is None, as at most one
+    stack, and per row ``(0, its row there)`` or its error."""
+    good = [k for k, exc in enumerate(errors) if exc is None]
+    at = iter(range(len(good)))
+    stacks = [stack if len(good) == len(stack) else stack.take(good)] if good else []
+    return stacks, [exc or (0, next(at)) for exc in errors]
+
+
+def compile_columns(p: GraspProblem, n: int, direction: int = +1, key=None) -> tuple[list, list]:
     """``compile_stacks`` of the n problems of one stack key that ``p`` holds
     as ``_write`` takes them: at most one stack, and per problem ``(0, row)``
-    or its error.  ``check(bad)``, given the mask of the rows that fail the
-    program checks, gives per row None or an error that comes first."""
+    or its error."""
     stack, W, bad = _write(p, n, direction, key)
-    placed, good = [], []
-    for k, (failed, exc) in enumerate(zip(bad.tolist(), check(bad) if check else [None] * n)):
-        exc = exc or (_row_error(stack, W, k) if failed else None)  # no np.flatnonzero: it costs a compile 2%
-        placed.append(exc or (0, len(good)))
-        if exc is None:
-            good.append(k)
-    return ([stack if len(good) == n else stack.take(good)] if good else []), placed
+    return _placed(stack, [_row_error(stack, W, k) if failed else None for k, failed in enumerate(bad.tolist())])

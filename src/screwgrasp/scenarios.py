@@ -67,7 +67,7 @@ from .errors import (
     ScenarioVersionError,
     ScrewGraspError,
 )
-from .problem import ExternalWrench, GraspProblem, TorqueModel, _built, _stacked, compile_columns
+from .problem import ExternalWrench, GraspProblem, TorqueModel, _built, _placed, _stacked, _write, compile_program
 from .screws import INFINITE_PITCH, TaskScrew, rotations_pass
 
 SCHEMA_VERSION = 1
@@ -359,25 +359,18 @@ class Family:
     def __call__(self, value: float) -> GraspProblem:
         return builtin_scenario(self.builtin, **{**self.params, self.parameter: value}).problem(self.task)
 
-    def _error(self, value: float) -> Exception | None:
-        """What building the problem at ``value`` alone raises, if anything."""
-        try:
-            self(value)
-        except Exception as exc:  # noqa: BLE001  (a sweep records any failure of a point)
-            return exc
-
     def stacks(self, grid: list, direction: int = +1) -> tuple[list, list]:
         """``compile_stacks`` of the problems at the grid values, each row or
         error the same, from one problem whose numbers are arrays over the grid
         (of the parameters as their type checked them per value).  A value
         whose parameters the type rejects or are not all finite, whose contact
         frames fail the rotation test or whose row fails the program checks is
-        built alone, for its error (if none, it stays a row)."""
+        compiled alone, for its error (if none, it stays a row)."""
         spec, params, rejected = BUILTINS[self.builtin], [], []
         for value in grid:
             try:
                 params.append(spec.params_cls(**{**self.params, self.parameter: value}))
-            except Exception:  # noqa: BLE001  (built alone below, for its error)
+            except Exception:  # noqa: BLE001  (compiled alone below, for its error)
                 rejected.append(len(params))
                 params.append(spec.params_cls(**self.params))
         values = _stacked(params)  # each parameter an array over the grid
@@ -385,9 +378,17 @@ class Family:
             p = spec.build(values, _columns).problem(self.task)
             frames = np.array([ct.rotation for ct in (*p.manipulator_contacts, *p.environment_contacts)])
             suspect = ~(np.isfinite(list(vars(values).values())).all(axis=0) & rotations_pass(frames).all(axis=0))
+        stack, _, bad = _write(p, len(grid), direction)
         suspect[rejected] = True
-        return compile_columns(p, len(grid), direction, lambda bad: [
-            self._error(value) if flag else None for value, flag in zip(grid, (bad | suspect).tolist())])
+        return _placed(stack, [self._error(value, direction) if flag else None
+                               for value, flag in zip(grid, (bad | suspect).tolist())])
+
+    def _error(self, value: float, direction: int) -> Exception | None:
+        """What compiling the problem at ``value`` alone raises, if anything."""
+        try:
+            compile_program(self(value), direction)
+        except Exception as exc:  # noqa: BLE001  (a sweep records any failure of a point)
+            return exc
 
 
 def scenario_family(scenario: Scenario, parameter: str, task: str | None = None) -> Family:

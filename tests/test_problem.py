@@ -688,3 +688,20 @@ class TestCompileStacks:
                 for obj in (*row.socs, row):
                     obj._check()
             assert list(map(program_bytes, rows)) == list(map(program_bytes, group))
+
+    @pytest.mark.parametrize("direction", [+1, -1])
+    def test_problems_that_differ_in_a_part_the_writer_does_not_read(self, direction):
+        """Two torque models of one stack key, one with ``dofs`` and one
+        without, in either order (and a torque model of no joints beside
+        none): one stack, each row ``compile_program``'s program."""
+        J = np.zeros((12, 2))
+        J[2, 0] = J[8, 1] = 1.0
+        base = builtin_scenario("door_handle").problem()
+        limits = dict(jacobian=J, tau_g=[0.0, 0.0], tau_min=[-5.0, -5.0], tau_max=[5.0, 5.0])
+        with_dofs = replace(base, torque_model=TorqueModel(**limits, dofs=(1, 1)))
+        without = replace(base, torque_model=TorqueModel(**limits))
+        jointless = replace(base, torque_model=TorqueModel(np.zeros((12, 0)), [], [], []))
+        for problems in ([with_dofs, without], [without, with_dofs], [jointless, base], [base, jointless]):
+            stacks, placed = compile_stacks(problems, direction)
+            assert [len(st) for st in stacks] == [2] and placed == [(0, 0), (0, 1)]
+            assert stacked(problems, direction) == [compiled_alone(p, direction) for p in problems]
