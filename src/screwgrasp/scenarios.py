@@ -189,10 +189,10 @@ class DoorHandleParams:
 
     def __post_init__(self):
         for name in ("L", "H", "W", "mu_c", "e_t", "e_o", "e_n", "f_n_max"):
-            if not getattr(self, name) > 0:
-                raise ScrewGraspError(f"{name} must be positive")
-        if not self.k_t >= 0:
-            raise ScrewGraspError("k_t must be nonnegative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ScrewGraspError(f"{name} must be positive and finite")
+        if not 0 <= self.k_t < np.inf:
+            raise ScrewGraspError("k_t must be nonnegative and finite")
         if not 0.0 <= self.x_c <= self.L:
             raise ScrewGraspError(f"x_c must lie on the handle: 0 <= {self.x_c} <= {self.L}")
         if not np.isfinite(self.theta):
@@ -241,8 +241,8 @@ class CuboidParams:
     def __post_init__(self):
         for name in ("weight", "L", "W", "H", "mu_e", "mu_c", "e_cn", "e_t", "e_o",
                      "f_n_max_1", "f_n_max_2"):
-            if not getattr(self, name) > 0:
-                raise ScrewGraspError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ScrewGraspError(f"{name} must be positive and finite")
         if not 0.0 < self.x_E <= self.L / 2:
             raise ScrewGraspError(f"x_E must satisfy 0 < x_E <= L/2, got {self.x_E}")
         if not 0.0 <= self.alpha <= np.pi / 2:

@@ -51,7 +51,9 @@ package imports cost about 0.25 and 0.6 s, and the solver needs one compiled
 module of each.  ``_scipy_extension`` loads LAPACK (``dsytrf``/``dsytrs``)
 with this module and the HiGHS binding on the first oracle solve, each from
 its file in a few milliseconds, and registers it under its own name, so a
-later import of either package reuses it.
+later import of either package reuses it.  Unless the caller set a BLAS thread
+count, it loads them with ``OPENBLAS_NUM_THREADS=1``: scipy's OpenBLAS then starts
+no worker thread, which LAPACK calls on KKT matrices of tens of rows never use.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ import importlib.machinery
 import importlib.util
 import math
 import operator
+import os
 import sys
 import threading
 from dataclasses import dataclass, field, replace
@@ -100,17 +103,23 @@ def _scipy_extension(name: str):
     with _EXTENSION_LOCK:
         if name in sys.modules:
             return sys.modules[name]
-        path = _extension_file(name)
-        if path is None:
-            return importlib.import_module(name)
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
+        # scipy's OpenBLAS reads its thread count as module_from_spec loads it
+        one_thread = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+        if one_thread:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
         try:
+            if (path := _extension_file(name)) is None:
+                return importlib.import_module(name)
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
             spec.loader.exec_module(module)
         except BaseException:
-            del sys.modules[name]
+            sys.modules.pop(name, None)
             raise
+        finally:
+            if one_thread:
+                del os.environ["OPENBLAS_NUM_THREADS"]
         return module
 
 

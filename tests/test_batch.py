@@ -472,6 +472,7 @@ def test_sweep_and_gws_build_no_program_per_point(monkeypatch, tmp_path, capsys)
     ("door_handle", "x_c", [0.0, 0.1, 0.2, 0.25, 0.3], "x_c must lie on the handle: 0 <= 0.25 <= 0.2"),
     ("cuboid_pivot", "alpha", np.radians([0.0, 45.0, 90.0, 100.0, 120.0]), "alpha must lie in [0, pi/2]"),
     ("cuboid_slide", "x_E", [-0.05, 0.0, 0.06, 0.15, 0.2], "x_E must satisfy 0 < x_E <= L/2, got 0.2"),
+    ("door_handle", "W", [0.02, 0.03, np.inf], "W must be positive and finite"),
 ])
 @pytest.mark.parametrize("direction", [+1, -1])
 def test_sweep_across_a_parameter_bound(name, parameter, grid, rejected, direction):

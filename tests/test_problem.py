@@ -299,9 +299,9 @@ TYPE_RULES = [
     (lambda: _env_contact(FixedSupport(prescribed={"m_n": np.inf})), "prescribed component m_n must be finite"),
     (lambda: _env_contact(f_n_min=-1.0), "f_n_min must be finite and >= 0"),
     (lambda: _env_contact(f_n_min=5.0, f_n_max=4.0), "f_n_min must not exceed f_n_max"),
-    (lambda: DoorHandleParams(k_t=-0.1), "k_t must be nonnegative"),
+    (lambda: DoorHandleParams(k_t=-0.1), "k_t must be nonnegative and finite"),
     (lambda: DoorHandleParams(theta=np.inf), "theta must be finite"),
-    (lambda: CuboidParams(weight=0.0), "weight must be positive"),
+    (lambda: CuboidParams(weight=0.0), "weight must be positive and finite"),
     (lambda: CuboidParams(alpha=2.0), "alpha must lie in [0, pi/2]"),
 ]
 

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import operator
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,24 @@ class TestBuiltins:
             bad_input()
         assert isinstance(info.value, ScrewGraspError)
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("name, field, message", [
+        ("door_handle", "H", "H must be positive and finite"),
+        ("door_handle", "mu_c", "mu_c must be positive and finite"),
+        ("door_handle", "W", "W must be positive and finite"),
+        ("door_handle", "k_t", "k_t must be nonnegative and finite"),
+        ("cuboid_pivot", "weight", "weight must be positive and finite"),
+    ], ids=["H", "mu_c", "W", "k_t", "weight"])
+    def test_infinite_parameter_is_its_own_error(self, name, field, message):
+        """An infinite length, friction coefficient, spring constant or load
+        is rejected by the parameter type, naming the field and without a
+        warning: not accepted (the door does not use H), nor left to fail
+        later in another object with that object's words."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioPhysicsError) as info:
+                builtin_scenario(name, **{field: math.inf})
+        assert str(info.value) == message
 
     def test_each_builtin_has_one_task(self):
         for name in BUILTINS:

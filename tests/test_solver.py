@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -303,6 +304,12 @@ print(json.dumps({
 """
 
 
+def _child_env() -> dict:
+    """This process's environment, for a child that imports the same screwgrasp as this suite."""
+    src = str(Path(screwgrasp.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestOracleImport:
     """The solver loads scipy's compiled LAPACK module with itself and the
     HiGHS binding on the first oracle solve, each from its file, so no job
@@ -312,11 +319,8 @@ class TestOracleImport:
     @pytest.fixture(scope="class")
     def fresh(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("fresh")
-        # the child process imports the same screwgrasp as this suite
-        src = str(Path(screwgrasp.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, str(out)],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
         return report, pickle.loads((out / "oracle.pickle").read_bytes()), out
@@ -340,9 +344,22 @@ class TestOracleImport:
         assert report["linprog"] == [0, 1.0]
 
 
+# Run in a fresh interpreter: the native threads after numpy, and after the
+# solver has loaded scipy's LAPACK, and the OpenBLAS setting left behind.
+_THREAD_COUNT = """
+import json, os
+threads = lambda: len(os.listdir("/proc/self/task"))
+import numpy
+before = threads()
+import screwgrasp.solver
+print(json.dumps([before, threads(), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 class TestScipyExtensions:
     """The oracle's reading of HiGHS's statuses, and ``_scipy_extension``'s
-    fallback through the package."""
+    fallback through the package, its BLAS thread setting and its clean-up."""
 
     def test_statuses_match_linprog_codes(self):
         # linprog names HiGHS's statuses by its codes 2 (Infeasible) and 3 (Unbounded)
@@ -366,6 +383,45 @@ class TestScipyExtensions:
         module = solver._scipy_extension(name)
         assert sys.modules[name] is module
         assert module.dsytrf is solver._sytrf and module.dsytrs is solver._sytrs
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+    def test_loading_lapack_starts_no_thread(self):
+        """Without a BLAS thread setting, importing the solver loads scipy's
+        OpenBLAS with one thread, so it starts no worker beside numpy's, and
+        leaves the environment as it was; a caller's setting is kept."""
+        env = {k: v for k, v in _child_env().items() if k not in _BLAS_THREADS}
+        for setting in (None, "2"):
+            proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT], capture_output=True, text=True,
+                                  env=env if setting is None else {**env, "OPENBLAS_NUM_THREADS": setting})
+            assert proc.returncode == 0, proc.stderr
+            before, after, left = json.loads(proc.stdout)
+            assert left == setting
+            if setting is None:
+                assert after == before
+
+    @pytest.mark.parametrize("setting", [None, "3"])
+    def test_failed_load_leaves_no_trace(self, monkeypatch, setting):
+        """A load that fails re-raises its error, with the module's name left
+        out of ``sys.modules`` and the environment as it was; the one-thread
+        setting is in place when the file is loaded, unless the caller set one."""
+        name = "scipy.linalg._flapack"
+        for var in _BLAS_THREADS:
+            monkeypatch.delenv(var, raising=False)
+        if setting is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+        environ, seen = dict(os.environ), []
+
+        def fail(spec):
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            raise ImportError(f"cannot load {spec.name}")
+
+        monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(importlib.util, "module_from_spec", fail)
+        with pytest.raises(ImportError, match=f"cannot load {name}"):
+            solver._scipy_extension(name)
+        assert seen == [setting or "1"]
+        assert name not in sys.modules
+        assert dict(os.environ) == environ
 
 
 def fuzz_draw(seed: int, trial: int):

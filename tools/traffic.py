@@ -15,11 +15,10 @@ and the whole 2000-draw ``fuzz_oracle`` corpus (each draw solved and checked
 against the LP oracle).
 
 Each report is traced in a fresh interpreter of its own (the two run side by
-side), so that both see the package imported; ``sys.settrace`` and
-``threading.settrace`` record the lines run in ``src/``, in the sweep pool's
-threads too.  A statement counts as run if any of its own lines ran: a
-compound statement's own lines are its header, its body is statements of its
-own.  Lines that compile to no bytecode (docstrings, ``else:``) are never
+side), so that both see the package imported; ``sys.settrace`` records the
+lines run in ``src/`` (nothing there starts a thread).  A statement counts as
+run if any of its own lines ran: a compound statement's own lines are its
+header, its body is statements of its own.  Lines that compile to no bytecode (docstrings, ``else:``) are never
 reported.  What runs only in a child process (the tests that start the
 console script) is not seen.  A run takes about 80 s on a 2-core machine.
 Uses the standard library and pytest only.
@@ -32,7 +31,6 @@ import json
 import subprocess
 import sys
 import tempfile
-import threading
 from collections import defaultdict
 from pathlib import Path
 
@@ -53,7 +51,6 @@ def record(phase: str, out: Path) -> None:
     def tracer(frame, _event, _arg):
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         if phase == "tier1":
@@ -67,7 +64,6 @@ def record(phase: str, out: Path) -> None:
             run_workloads()
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     out.write_text(json.dumps({f: sorted(lines) for f, lines in hits.items()}))
 
 
