@@ -23,6 +23,7 @@ point's error row.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -85,17 +86,17 @@ class GlobalMetricResult:
 
 
 def active_constraints(prog: ConicProgram, x) -> tuple[str, ...]:
-    """Names of the bounds and cones tight at the primal point x (``ACTIVE_TOL``)."""
-    names = prog.layout.variable_names()
-    active: list[str] = []
-    for j in range(prog.n_vars):
-        if np.isfinite(prog.lb[j]) and x[j] - prog.lb[j] <= ACTIVE_TOL * max(1.0, abs(prog.lb[j])):
-            active.append(f"{names[j]} >= {prog.lb[j]:g}")
-        if np.isfinite(prog.ub[j]) and prog.ub[j] - x[j] <= ACTIVE_TOL * max(1.0, abs(prog.ub[j])):
-            active.append(f"{names[j]} <= {prog.ub[j]:g}")
+    """Names of the bounds and cones tight at the primal point x (``ACTIVE_TOL``):
+    each variable's lower, then upper bound, in variable order; then the cones."""
+    names, lb, ub = prog.layout.variable_names(), prog.lb, prog.ub
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite x and bound: masked, as a NaN x is
+        low = np.isfinite(lb) & (x - lb <= ACTIVE_TOL * np.maximum(1.0, np.abs(lb)))
+        high = np.isfinite(ub) & (ub - x <= ACTIVE_TOL * np.maximum(1.0, np.abs(ub)))
+    active = [f"{names[j]} {op} {bound[j]:g}" for j in np.flatnonzero(low | high).tolist()
+              for op, bound, tight in ((">=", lb, low), ("<=", ub, high)) if tight[j]]
     for blk in prog.socs:
-        slack = (blk.c @ x + blk.d) - np.linalg.norm(blk.A @ x + blk.b)
-        if slack <= ACTIVE_TOL * max(1.0, abs(blk.c @ x + blk.d)):
+        r, head = blk.A @ x + blk.b, blk.c @ x + blk.d
+        if head - math.sqrt(r @ r) <= ACTIVE_TOL * max(1.0, abs(head)):
             active.append(blk.label or "cone")
     return tuple(active)
 

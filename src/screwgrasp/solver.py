@@ -22,21 +22,24 @@ convergence is always measured against the *original* data.
 the unit of work is a ``ProgramStack``, solved as it comes (``compile_stacks``
 or ``ProgramStack.of`` decided which programs share it; a program alone is a
 stack of one), filled into one stacked standard form with array assignments
-and presolved as one stack (equilibration and two SVD reductions); the presolve exits
-(degenerate, inconsistent equalities, free ray) are settled in one place,
-and the rest run through the one HSD loop ``_ipm``: one program at a time on
-its own 1-D arrays, or, from ``_MIN_BATCH`` programs of one reduced shape
-on, as one stack whose residual check reads the stack's arrays, whose cone
-kernels work on runs of SOC blocks of one dimension, and which takes the s-
-and z-side step lengths and scalings as one stack [s; z].
+and presolved as one stack (equilibration and two SVD reductions, each with
+a full SVD only where singular values alone do not show full rank); the
+presolve exits (degenerate, inconsistent equalities, free ray) are settled
+in one place, and the rest run through the one HSD loop ``_ipm``: one
+program at a time on its own 1-D arrays, or, from ``_MIN_BATCH`` programs of
+one reduced shape on, as one stack whose residual check reads the stack's
+arrays, whose cone kernels work on runs of SOC blocks of one dimension, and
+which takes the s- and z-side step lengths and scalings as one stack [s; z].
+The iterate u = [x; y; z] is one array in the KKT system's order (s apart):
+the residual is one right-hand side, a direction and a step one operation.
 An iteration computes its cone-block numbers once, in the NT scaling
 (``_Scaling``, ``_BatchScaling``).  Beside W and W^-1 it keeps, for s and for
 z, each block's head, tail and head^2 - ||tail||^2, which the one step search
 of both step lengths reads; lambda = W z with each block's head a, tail b
 and det a^2 - b'b, which the lambda-division reads; and lambda o lambda, the
-predictor's right-hand side.  The corrector reuses the predictor's W dz.
-A result reports the point in original
-variables and the residuals that its iteration's termination test took.
+predictor's right-hand side.  The corrector reuses the predictor's W dz.  A
+result reports the point in original variables and the residuals that its
+iteration's termination test took.
 The loop rounds each instance of a stack as that program alone, so a result
 does not depend on its batch.  Program data need no check here: a
 ``ConicProgram`` is valid once it is built.
@@ -63,7 +66,6 @@ import importlib
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 import threading
@@ -131,9 +133,10 @@ _sytrf, _sytrs = _flapack.dsytrf, _flapack.dsytrs
 
 # Helpers that run on one program's arrays or on stacks of them (a leading
 # instance axis).  A stacked product is ``np.vecdot`` or ``np.matvec``, which
-# give each instance the same bits as ``u @ v`` or ``M @ v`` on that instance
-# alone, strided and transposed operands included; ``einsum`` or ``.sum()``
-# would round differently.
+# give each instance the bits of ``u @ v`` or ``M @ v`` on that instance alone,
+# strided and transposed operands included (``einsum`` or ``.sum()`` round
+# otherwise); one program's kernels call ``u.dot(v)``, the BLAS call of ``@`` at
+# half its cost on C- or F-contiguous operands, as a program's arrays are.
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M @ v, instance by instance for stacks."""
@@ -203,7 +206,7 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 class _Cone:
-    # Per-block dot products stay ``u1 @ v1`` (BLAS ddot) rather than a segment
+    # Per-block dot products stay ``u1.dot(v1)`` (BLAS ddot) rather than a segment
     # sum over all blocks: the two round differently, and that difference has
     # flipped solve statuses on the fuzz corpus.  Scalar work is on Python
     # floats, which round exactly as numpy scalars do and cost less.
@@ -234,7 +237,7 @@ class _Cone:
         vals = [u[: self.q].min()] if self.q else []
         for h, t, _, _ in self.blocks:
             ut = u[t]
-            vals.append(u.item(h) - math.sqrt(ut @ ut))
+            vals.append(u.item(h) - math.sqrt(ut.dot(ut)))
         return min(vals) if vals else math.inf
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -243,7 +246,7 @@ class _Cone:
         for h, t, _, _ in self.blocks:
             u0, u1 = u.item(h), u[t]
             v0, v1 = v.item(h), v[t]
-            out[h] = u0 * v0 + u1 @ v1
+            out[h] = u0 * v0 + u1.dot(v1)
             out[t] = u0 * v1 + v0 * u1
         return out
 
@@ -295,21 +298,18 @@ class _Scaling:
     head or det <= 0 as rounded), ``bad`` is set and nothing else is built."""
 
     def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
-        self.cone = cone
-        self.bad = False
-        q = cone.q
+        self.cone, self.bad, q = cone, False, cone.q
         self.w_lp = np.sqrt(s[:q] / z[:q]) if q else np.zeros(0)
-        self.soc_W: list[np.ndarray] = []
-        self.soc_Winv: list[np.ndarray] = []
+        self.soc_W, self.soc_Winv = [], []
         # per SOC block (head index, tail slice, head, tail, head^2 - tail'tail) of s, z and lambda
         self._s, self._z, self._lam = [], [], []
         self._sz_lp = -np.concatenate([s[:q], z[:q]])  # the step ratios' numerators
         lam, lam2 = np.empty(cone.dim), np.empty(cone.dim)
-        lam[:q] = self.w_lp * z[:q]
-        lam2[:q] = lam[:q] * lam[:q]
+        np.multiply(self.w_lp, z[:q], out=lam[:q])
+        np.multiply(lam[:q], lam[:q], out=lam2[:q])
         for (h, t, blk, J), S in zip(cone.blocks, cone.signs):
             s0, st, z0, zt = s.item(h), s[t], z.item(h), z[t]
-            ss, zz = float(st @ st), float(zt @ zt)
+            ss, zz = float(st.dot(st)), float(zt.dot(zt))
             ns, nz = math.sqrt(ss), math.sqrt(zz)
             rho_s = (s0 - ns) * (s0 + ns)
             rho_z = (z0 - nz) * (z0 + nz)
@@ -318,26 +318,25 @@ class _Scaling:
                 return
             self._s.append((h, t, s0, st, s0 * s0 - ss))
             self._z.append((h, t, z0, zt, z0 * z0 - zz))
-            sbar = s[blk] / math.sqrt(rho_s)
-            zbar = z[blk] / math.sqrt(rho_z)
-            gamma = math.sqrt((1.0 + sbar @ zbar) / 2.0)
+            sbar, zbar = s[blk] / math.sqrt(rho_s), z[blk] / math.sqrt(rho_z)
+            gamma = math.sqrt((1.0 + float(sbar.dot(zbar))) / 2.0)
             # NT point wbar = (sbar + J zbar) / (2 gamma) with wbar' J wbar = 1;
             # v is its Jordan square root (wbar + e) / sqrt(2 (wbar_0 + 1))
-            wbar = sbar - zbar
-            wbar[0] = sbar.item(0) + zbar.item(0)
+            wbar = zbar * S[0]  # S[0] = j, the diagonal of J
+            wbar += sbar
             wbar /= 2.0 * gamma
             w0 = wbar.item(0) + 1.0
             root = math.sqrt(2.0 * w0)
+            wbar[0] = w0
             v = wbar / root
-            v[0] = w0 / root
             beta = np.float64(rho_s / rho_z) ** 0.25  # W^2 = sqrt(rho_s/rho_z) * P(wbar); 1/beta may be inf
-            P = 2.0 * (v[:, None] * v) - J
+            P = 2.0 * np.multiply.outer(v, v) - J
             W = beta * P
             self.soc_W.append(W)
             self.soc_Winv.append(P * (S / beta))  # J W J / beta^2
-            lam[blk] = W @ z[blk]
+            W.dot(z[blk], lam[blk])
             a, b = lam.item(h), lam[t]
-            bb = b @ b
+            bb = float(b.dot(b))
             det = a * a - bb
             if a <= 0 or det <= 0:  # div would divide by 0
                 self.bad = True
@@ -350,9 +349,9 @@ class _Scaling:
 
     def _blockwise(self, v: np.ndarray, lp: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
         out = np.empty(v.shape)
-        out[: self.cone.q] = lp * v[: self.cone.q]
+        np.multiply(lp, v[: self.cone.q], out=out[: self.cone.q])
         for M, (_, _, blk, _) in zip(mats, self.cone.blocks):
-            out[blk] = M @ v[blk]
+            M.dot(v[blk], out[blk])
         return out
 
     def apply_W(self, v: np.ndarray) -> np.ndarray:
@@ -368,10 +367,10 @@ class _Scaling:
         """Solve lambda o x = v for x (every det and head of lambda is > 0)."""
         q = self.cone.q
         out = np.empty(self.cone.dim)
-        out[:q] = v[:q] / self.lam[:q]
+        np.divide(v[:q], self.lam[:q], out=out[:q])
         for h, t, a, b, det in self._lam:
             v1 = v[t]
-            x0 = (a * v.item(h) - b @ v1) / det
+            x0 = (a * v.item(h) - float(b.dot(v1))) / det
             out[h] = x0
             out[t] = (v1 - x0 * b) / a
         return out
@@ -389,8 +388,8 @@ class _Scaling:
         for alpha, blocks, du in zip(alphas, (self._s, self._z), (ds, dz)):
             for h, t, u0, u1, c in blocks:
                 d0, d1 = du.item(h), du[t]
-                a = d0 * d0 - float(d1 @ d1)
-                b = 2.0 * (u0 * d0 - float(u1 @ d1))
+                a = d0 * d0 - float(d1.dot(d1))
+                b = 2.0 * (u0 * d0 - float(u1.dot(d1)))
                 if a >= 0 and b >= 0:
                     continue
                 disc = b * b - 4.0 * a * c
@@ -565,7 +564,7 @@ class _KKT:
             x = _sytrs(*self._factors, rhs, 1)[0]
             bound = 1e-13 * (1.0 + np.maximum.reduce(np.abs(rhs)))
             for _ in range(2):
-                r = rhs - self.K @ x
+                r = rhs - self.K.dot(x)
                 if np.maximum.reduce(np.abs(r)) <= bound:
                     break
                 x = x + _sytrs(*self._factors, r, 1, 1)[0]  # r is overwritten
@@ -675,20 +674,24 @@ def _equilibrate(sf: _StdForm) -> _StdForm:
                     cone=sf.cone, col_scale=dc)
 
 
-def _rank(sv: np.ndarray, shape: tuple[int, int], empty: float) -> np.ndarray:
-    """Numerical rank from singular values, per instance."""
-    tol = max(shape) * np.finfo(float).eps * (sv[..., 0] if sv.shape[-1] else empty)
-    return np.sum(sv > np.expand_dims(tol, -1), axis=-1)
+def _rank(sv: np.ndarray, shape: tuple[int, int], empty: float, slack: float = 1.0) -> np.ndarray:
+    """Numerical rank from singular values, per instance; ``slack`` scales the tolerance."""
+    tol = slack * max(shape) * np.finfo(float).eps * (sv[..., :1] if sv.shape[-1] else empty)
+    return (sv > tol).sum(axis=-1)
 
 
 # The two reductions take one program or a stack.  A stack is reduced with the
 # rank of its first instance; the returned mask marks the instances of that
-# rank, whose reduced rows are then exactly their own reduction.
+# rank, whose reduced rows are then exactly their own reduction.  A full SVD
+# runs only if an instance fails a full-rank test on singular values alone at
+# twice the tolerance.  That this margin covers the full SVD's last bits is
+# measured, not proven: they differed by at most 2e-15 tolerances on 12 000
+# random matrices (numpy 2.4's OpenBLAS 0.3.31 LAPACK, x86-64 Haswell).
 
 def _reduce_equalities(sf: _StdForm):
     """Drop linearly dependent equality rows; flag inconsistency."""
     p, n = sf.A.shape[-2:]
-    if p == 0:
+    if p == 0 or (_rank(np.linalg.svd(sf.A, compute_uv=False), (p, n), 0.0, 2.0) == p).all():
         return sf, np.zeros(sf.A.shape[:-2], dtype=bool), np.ones(sf.A.shape[:-2], dtype=bool)
     U, sv, _ = np.linalg.svd(sf.A, full_matrices=True)
     rank = _rank(sv, (p, n), 0.0)
@@ -713,6 +716,8 @@ def _reduce_null_columns(sf: _StdForm):
     """
     n = sf.c.shape[-1]
     M = np.concatenate([sf.A, sf.G], axis=-2)
+    if (_rank(np.linalg.svd(M, compute_uv=False), M.shape[-2:], 1.0, 2.0) == n).all():
+        return sf, np.zeros(M.shape[:-2], dtype=bool), np.ones(M.shape[:-2], dtype=bool)
     _, sv, Vt = np.linalg.svd(M, full_matrices=True)
     rank = _rank(sv, M.shape[-2:], 1.0)
     r = int(np.ravel(rank)[0])
@@ -730,38 +735,29 @@ def _reduce_null_columns(sf: _StdForm):
 
 class _ResidualCheck:
     """x -> (relative equality residual, worst absolute cone/box violation)
-    of x against the original programs of one stack, read from its arrays
-    with norms taken once: x of shape (B, n) gives two arrays of shape (B,),
-    each entry as the program alone gives it.  ``take(k)`` is program k's own
-    check (x of shape (n,), two floats back), ``take(index array)`` a sub-stack's."""
+    of x against the original programs ``k`` of a stack, read from its arrays
+    with norms taken once.  For a slice or an index array k, x of shape
+    (B, n) gives two arrays of shape (B,), each entry as the program alone
+    gives it; for an int k, x of shape (n,) gives two floats."""
 
-    def __init__(self, st: ProgramStack):
+    def __init__(self, st: ProgramStack, k=slice(None)):
         self.lbi, self.ubi = np.flatnonzero(np.isfinite(st.lb[0])), np.flatnonzero(np.isfinite(st.ub[0]))
-        self.F, self.g = st.F, st.g
+        self.F, self.g, self.socs = st.F[k], st.g[k], [tuple(v[k] for v in blk) for blk in st.socs]
         self.g_scale = 1.0 + np.abs(self.g).max(axis=-1, initial=0.0)
-        self.lb, self.ub = st.lb[:, self.lbi], st.ub[:, self.ubi]
-        self.socs = st.socs
-
-    def take(self, idx) -> "_ResidualCheck":
-        sub = object.__new__(_ResidualCheck)
-        sub.lbi, sub.ubi = self.lbi, self.ubi
-        for name in ("F", "g", "g_scale", "lb", "ub"):
-            setattr(sub, name, getattr(self, name)[idx])
-        sub.socs = [tuple(v[idx] for v in blk) for blk in self.socs]
-        return sub
+        self.lb, self.ub = st.lb[k][..., self.lbi], st.ub[k][..., self.ubi]
 
     def __call__(self, x: np.ndarray):
         one = x.ndim == 1
-        vmax = max if one else _pymax
-        eq = _amax(_mv(self.F, x) - self.g) / self.g_scale
+        vmax, sqrt, mv, dot = (max, math.sqrt, np.ndarray.dot, np.ndarray.dot) if one else (_pymax, np.sqrt, _mv, _dot)
+        eq = _amax(mv(self.F, x) - self.g) / self.g_scale
         viol = 0.0 if one else np.zeros(eq.shape)
         if self.lbi.size:
-            viol = vmax(viol, np.maximum.reduce(self.lb - x[..., self.lbi], axis=-1, initial=0.0))
+            viol = vmax(viol, np.maximum.reduce(self.lb - x.take(self.lbi, axis=-1), axis=-1, initial=0.0))
         if self.ubi.size:
-            viol = vmax(viol, np.maximum.reduce(x[..., self.ubi] - self.ub, axis=-1, initial=0.0))
+            viol = vmax(viol, np.maximum.reduce(x.take(self.ubi, axis=-1) - self.ub, axis=-1, initial=0.0))
         for A, b, c, d in self.socs:
-            r = _mv(A, x) + b
-            viol = vmax(viol, np.sqrt(_dot(r, r)) - (_dot(c, x) + d))
+            r = mv(A, x) + b
+            viol = vmax(viol, sqrt(dot(r, r)) - (dot(c, x) + d))
         viol = vmax(0.0, viol)
         return (float(eq), float(viol)) if one else (eq, viol)
 
@@ -806,9 +802,9 @@ def solve_batch(stacks, settings: SolveSettings | None = None) -> list[SolveResu
 
 # The smallest group worth a stacked run, measured on door, pivot and slide
 # programs (2-core machine, numpy 2.4 with OpenBLAS), presolve included: one
-# program run as a stack of one takes 1.8-1.9 times as long as on its own 1-D
-# arrays, two take 1.1-1.2 times as long as two single solves, three take
-# 0.82-0.95 times as long and four 0.65-0.78.
+# program run as a stack of one takes 2.1-2.2 times as long as on its own 1-D
+# arrays, two take 1.1-1.3 times as long as two single solves, three take
+# 0.81-0.94 times as long and four 0.65-0.73.
 _MIN_BATCH = 3
 
 
@@ -898,7 +894,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
 
     One program's per-instance numbers (tau, kappa, step lengths, norms) are
     Python or numpy scalars; a stack's are arrays.  The few operations that
-    differ are bound once per run: a dot or matvec is ``u @ v`` or
+    differ are bound once per run: a dot or matvec is ``ndarray.dot`` or
     ``np.vecdot``/``np.matvec`` (the same bits per instance), the cone
     kernels are ``_BatchCone``/``_BatchScaling`` (run by run of equal SOC
     blocks), Python's min/max/if become np.where, the powers (tau**2,
@@ -910,7 +906,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
     """
     one = sf.c.ndim == 1
     if one:  # Python's operators and builtins on the program's numbers
-        cone, scaling, dot = sf.cone, _Scaling, operator.matmul
+        cone, scaling, dot = sf.cone, _Scaling, np.ndarray.dot
         mv, vmin, vmax, any_, col, where = dot, min, max, bool, (lambda v: v), (lambda m, a, b: a if m else b)
         sq, sigma_of, choose = (lambda t: t ** 2), _sigma, where
         hits, row = (lambda m: (0,) if m else ()), (lambda v, i: v)  # the one instance, if m marks it
@@ -929,8 +925,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
     nu, e = cone.degree, cone.identity()
     ftol, gtol = settings.feasibility_tol, settings.duality_gap_tol
     results: list = [None] * B
-    check = _ResidualCheck(st)  # norms taken once; rows are taken from it as instances stop
-    measure = check.take(0) if one else check
+    measure = _ResidualCheck(st, 0 if one else slice(None))  # norms taken once, and again as instances stop
     kkt = _KKT(sf.A, sf.G, cone)
     ids = np.arange(B)
     out = None if one else np.zeros(B, dtype=bool)  # stopped during this iteration
@@ -973,16 +968,17 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         a = cone.min_eig(v)
         return where(col(a <= 0), v + col(1.0 - a) * e, v)
 
-    def direction(w1, w2, w3, w4, d_s, d_kt):
+    def direction(w, w4, d_s, d_kt):
+        """(d = [dx; dy; dz], dz, dtau, ds, dkappa, W dz) for w = [-rx; ry; rz], overwritten."""
         lam_ds = scal.div(d_s)
-        x2, y2, z2 = split(kkt.solve(np.concatenate([-w1, w2, w3 - scal.apply_W(lam_ds)], axis=-1), out))
+        w[..., n + p :] -= scal.apply_W(lam_ds)
+        x2, y2, z2 = split(d := kkt.solve(w, out))
         dtau = (w4 + d_kt / tau + (dot(c, x2) + dot(b, y2) + dot(h, z2))) / denom0
-        dt = col(dtau)
-        dx, dy, dz = x2 + dt * x1, y2 + dt * y1, z2 + dt * z1
-        wdz = scal.apply_W(dz)
+        d += col(dtau) * d1
+        wdz = scal.apply_W(d[..., n + p :])
         ds = scal.apply_W(lam_ds - wdz)
         dkappa = (d_kt - kappa * dtau) / tau
-        return dx, dy, dz, dtau, ds, dkappa, wdz
+        return d, d[..., n + p :], dtau, ds, dkappa, wdz
 
     def max_alpha(ds, dz, dtau, dkappa):
         alpha = scal.max_step(ds, dz)
@@ -1001,8 +997,8 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
             give_up(kkt.factor(np.ones(cone.q), [np.eye(d) for d in dims], out), "KKT factorization failed")
             x, _, w = split(kkt.solve(np.concatenate([np.zeros(c.shape), b, h], axis=-1), out))
             s = lift(-w)
-            _, y, z = split(kkt.solve(np.concatenate([-c, np.zeros(c.shape[:-1] + (p + m,))], axis=-1), out))
-            z = lift(z)
+            _, y, z = split(u := kkt.solve(np.concatenate([-c, np.zeros(c.shape[:-1] + (p + m,))], axis=-1), out))
+            u[..., :n], z[...] = x, lift(z)  # the iterate u = [x; y; z], one array in KKT order
             give_up(~(np.isfinite(s).all(axis=-1) & np.isfinite(z).all(axis=-1)), "initial point is not finite")
         # a stack's stopped rows may hold inf/nan; the errstate would slow one program's numpy calls
         with contextlib.nullcontext() if one else np.errstate(all="ignore"):
@@ -1017,22 +1013,23 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                     sf = _take(sf, keep)
                     c, A, b, G, h = sf.c, sf.A, sf.b, sf.G, sf.h
                     At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
-                    x, y, z, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, ids, kkt.K, *best = (
-                        v[keep] for v in (x, y, z, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, ids, kkt.K, *best))
+                    u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, ids, kkt.K, *best = (
+                        v[keep] for v in (u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, ids, kkt.K, *best))
                     out = out[keep]
-                    measure = check.take(ids)
+                    measure = _ResidualCheck(st, ids)
+                x, y, z = split(u)
                 cx, by, hz, sz = dot(c, x), dot(b, y), dot(h, z), dot(s, z)
                 tc = col(tau)
-                rx = mv(At, y) + mv(Gt, z) + c * tc
-                ry = b * tc - mv(A, x)
-                rz = h * tc - mv(G, x) - s
+                # the residual as the KKT right-hand side [-rx; ry; rz]
+                r = np.concatenate([mv(At, y) + mv(Gt, z) + c * tc, b * tc - mv(A, x), h * tc - mv(G, x) - s], axis=-1)
+                neg_rx = np.negative(r[..., :n], out=r[..., :n])
                 rt = kappa + cx + by + hz
                 mu = (sz + tau * kappa) / (nu + 1)
 
                 # -- termination, measured on the original program ----------
                 xo = _unscale(sf.col_scale, sf.basis, x, tc)
                 eq_res, cone_viol = measure(xo)
-                dres = _amax(rx) / (tau * c_norm)
+                dres = _amax(neg_rx) / (tau * c_norm)
                 pobj = cx / tau
                 dobj = -(by + hz) / tau
                 relgap = sz / sq(tau) / vmax(1.0, 0.5 * (abs(pobj) + abs(dobj)))
@@ -1058,24 +1055,26 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                         done(i, "Infeasible", it,
                              f"Farkas ray with b'y + h'z = -1: ||A'y + G'z||_inf = {row(farkas, i):.3e}")
                 if any_(cx < 0):
-                    xc, sc_ = x / col(-cx), s / col(-cx)
-                    ray_eq, ray_cone = _amax(mv(A, xc)), _amax(mv(G, xc) + sc_)
-                    for i in hits((cx < 0) & (ray_eq <= ftol * b_norm) & (ray_cone <= ftol * h_norm)):
-                        done(i, "Unbounded", it,
-                             f"improving ray with c'x = -1: ||A x||_inf = {row(ray_eq, i):.3e}, "
-                             f"||G x + s||_inf = {row(ray_cone, i):.3e}, s in K")
+                    ray_eq = _amax(mv(A, xc := x / col(-cx)))
+                    ray = (cx < 0) & (ray_eq <= ftol * b_norm)
+                    if any_(ray):  # the second norm only where the first passes
+                        ray_cone = _amax(mv(G, xc) + s / col(-cx))
+                        for i in hits(ray & (ray_cone <= ftol * h_norm)):
+                            done(i, "Unbounded", it,
+                                 f"improving ray with c'x = -1: ||A x||_inf = {row(ray_eq, i):.3e}, "
+                                 f"||G x + s||_inf = {row(ray_cone, i):.3e}, s in K")
 
                 # -- NT scaling and KKT factorization -----------------------
                 scal = scaling(cone, s, z)
                 give_up(scal.bad, "iterate left the cone interior")
                 give_up(kkt.factor(*scal.w_squared_blocks(), out), "KKT factorization failed")
-                x1, y1, z1 = split(kkt.solve(rhs_tau, out))
+                x1, y1, z1 = split(d1 := kkt.solve(rhs_tau, out))
                 denom0 = kappa / tau - (dot(c, x1) + dot(b, y1) + dot(h, z1))
                 give_up(abs(denom0) < 1e-300, "degenerate tau step")
 
                 # -- predictor (affine) --------------------------------------
                 lam2 = scal.lam2
-                dxa, dya, dza, dta, dsa, dka, wdza = direction(rx, ry, rz, rt, -lam2, -tau * kappa)
+                _, dza, dta, dsa, dka, wdza = direction(r.copy(), rt, -lam2, -tau * kappa)
                 alpha_aff = vmin(1.0, max_alpha(dsa, dza, dta, dka))
                 ac = col(alpha_aff)
                 gap_aff = (dot(s + ac * dsa, z + ac * dza)
@@ -1087,13 +1086,12 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 d_s = col(sigma * mu) * e - lam2 - corr
                 d_kt = sigma * mu - tau * kappa - dta * dka
                 om = 1.0 - sigma
-                oc = col(om)
-                dx, dy, dz, dtau, ds, dkappa, _ = direction(oc * rx, oc * ry, oc * rz, om * rt, d_s, d_kt)
+                d, dz, dtau, ds, dkappa, _ = direction(col(om) * r, om * rt, d_s, d_kt)
                 alpha = vmin(1.0, _STEP_FRACTION * max_alpha(ds, dz, dtau, dkappa))
                 give_up(alpha < _MIN_STEP, "step length collapsed")  # alpha is never nan or +inf
 
                 ac = col(alpha)
-                x, y, z, s = x + ac * dx, y + ac * dy, z + ac * dz, s + ac * ds
+                u, s = u + ac * d, s + ac * ds
                 tau, kappa = tau + alpha * dtau, kappa + alpha * dkappa
                 # tau is a numpy number or array here; not 0 < tau < inf also catches nan
                 give_up(~((0 < tau) & (tau < math.inf)) | (kappa < 0), "embedding variables left the cone")
@@ -1181,7 +1179,7 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     nit = (info.simplex_iteration_count or info.ipm_iteration_count) if ran else 0
     if ran and status == hs.HighsModelStatus.kOptimal:
         x = np.array(highs.getSolution().col_value[:n])
-        eq, viol = _ResidualCheck(ProgramStack.of([prog])).take(0)(x)
+        eq, viol = _ResidualCheck(ProgramStack.of([prog]), 0)(x)
         return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), nit)
     text = f"model_status is {highs.modelStatusToString(status)}"
     if ran:

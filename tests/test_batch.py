@@ -131,7 +131,7 @@ def assert_point_of(res, prog, iterate):
                  for r in range(len(x))]
     assert [p.tobytes() for p in rows] == [p.tobytes() for p in alone]
     assert res.primal.tobytes() in [p.tobytes() for p in alone]
-    check = solver._ResidualCheck(problem.ProgramStack.of([prog])).take(0)
+    check = solver._ResidualCheck(problem.ProgramStack.of([prog]), 0)
     assert np.array(check(res.primal)).tobytes() == np.array([res.residuals.primal, res.residuals.cone]).tobytes()
 
 

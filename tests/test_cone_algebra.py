@@ -276,6 +276,29 @@ class TestAgainstLoopReference:
                 for dz in (-z, rng.normal(size=z.size), interior(rng, q, dims)):
                     assert same_bits(scal.max_step(ds, dz), ref_step_both(q, dims, s, ds, z, dz))
 
+    def test_blocks_and_lambda_written_in_place(self):
+        """W v, W^-1 v and lambda = W z are written block by block into one
+        array (through ``out``): each block is ``M @ v`` of that block alone,
+        for v a view into a longer array, as the loop's dz is, and with NaN
+        and infinite entries."""
+        for rng, q, dims, cone in cases(32):
+            z = interior(rng, q, dims)
+            scal = _Scaling(cone, interior(rng, q, dims), z)
+            w_lp, Ws, Winvs = scal.w_lp, scal.soc_W, scal.soc_Winv  # test_scaling holds these to ref_scaling
+            longer = rng.normal(size=3 * cone.dim)
+            v = longer[cone.dim + 1 : 2 * cone.dim + 1]
+            v[rng.random(v.size) < 0.1] = rng.choice([math.nan, math.inf, -math.inf])
+            with np.errstate(invalid="ignore"):  # inf * 0
+                applied = scal.apply_W(v), scal.apply_Winv(v)
+            for got, lp, mats, u in ((applied[0], w_lp, Ws, v), (applied[1], 1.0 / w_lp, Winvs, v),
+                                     (scal.lam, w_lp, Ws, z)):
+                want = np.empty(cone.dim)
+                with np.errstate(invalid="ignore"):
+                    want[:q] = lp * u[:q]
+                    for M, at, d in zip(mats, starts(q, dims), dims):
+                        want[at : at + d] = M @ u[at : at + d]
+                assert same_bits(got, want)
+
     def test_zero_denominators_as_numpy(self):
         """Next to the cone boundary lambda's determinant can round to 0, and
         a step root's denominator too.  The scaling marks an iterate whose
@@ -356,7 +379,7 @@ class TestAgainstLoopReference:
             if prob is None:
                 continue
             prog = compile_program(prob, -1 if rng.random() < 0.5 else +1)
-            measure = _ResidualCheck(ProgramStack.of([prog])).take(0)
+            measure = _ResidualCheck(ProgramStack.of([prog]), 0)
             seen_bounds += bool(np.isfinite(prog.lb).any() or np.isfinite(prog.ub).any())
             seen_socs += bool(prog.socs)
             for scale in (1e-3, 1.0, 1e3):
@@ -391,7 +414,10 @@ class TestAgainstLoopReference:
                 alone = standard_form(prog)
                 for name in "cAbGh":
                     assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name))
-                assert (eq[k], viol[k]) == ref_measure(prog, X[k]) == check.take(k)(X[k])
+                assert (eq[k], viol[k]) == ref_measure(prog, X[k]) == _ResidualCheck(ProgramStack.of(progs), k)(X[k])
+            rows = np.arange(len(progs))[1::2]  # a sub-stack, as a stacked run keeps its running instances
+            sub_eq, sub_viol = _ResidualCheck(ProgramStack.of(progs), rows)(X[rows])
+            assert sub_eq.tolist() == eq[rows].tolist() and sub_viol.tolist() == viol[rows].tolist()
 
 
 def per_block(mats):

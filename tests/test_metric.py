@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from screwgrasp.contacts import (
     PcwfParams,
     SfceParams,
 )
-from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep
+from screwgrasp.metric import (ACTIVE_TOL, PathPoint, active_constraints, global_metric, gws_sample, local_metric,
+                               metric_sweep)
 from screwgrasp.problem import ExternalWrench, GraspProblem, compile_program
-from screwgrasp.scenarios import CuboidParams, DoorHandleParams, cuboid_scenario, door_handle_scenario
+from screwgrasp.scenarios import (BUILTINS, CuboidParams, DoorHandleParams, builtin_scenario, cuboid_scenario,
+                                  door_handle_scenario)
 from screwgrasp.screws import INFINITE_PITCH, TaskScrew
-from screwgrasp.solver import SolveSettings, solve_with_oracle
+from screwgrasp.solver import SolveSettings, solve, solve_with_oracle
 
 TIGHT = SolveSettings(duality_gap_tol=1e-9)
 
@@ -131,6 +135,75 @@ class TestLocalMetric:
             external=ExternalWrench(force=[0, 0, 5.0]), task=task,
         )
         assert local_metric(without, +1, TIGHT).status == "Infeasible"
+
+
+def ref_active_constraints(prog, x) -> tuple[str, ...]:
+    """The variable-by-variable loop that ``active_constraints`` replaced, kept as its reference."""
+    names = prog.layout.variable_names()
+    active = []
+    for j in range(prog.n_vars):
+        if np.isfinite(prog.lb[j]) and x[j] - prog.lb[j] <= ACTIVE_TOL * max(1.0, abs(prog.lb[j])):
+            active.append(f"{names[j]} >= {prog.lb[j]:g}")
+        if np.isfinite(prog.ub[j]) and prog.ub[j] - x[j] <= ACTIVE_TOL * max(1.0, abs(prog.ub[j])):
+            active.append(f"{names[j]} <= {prog.ub[j]:g}")
+    for blk in prog.socs:
+        slack = (blk.c @ x + blk.d) - np.linalg.norm(blk.A @ x + blk.b)
+        if slack <= ACTIVE_TOL * max(1.0, abs(blk.c @ x + blk.d)):
+            active.append(blk.label or "cone")
+    return tuple(active)
+
+
+class TestActiveConstraints:
+    # what the three bundled scenarios report at their default parameters
+    BUNDLED = {
+        ("door_handle", +1): ("m0.cone", "m1.cone"),
+        ("door_handle", -1): ("m0.cone", "m1.cone"),
+        ("cuboid_pivot", +1): ("m0.f_n <= 25", "m0.cone", "m1.cone", "e1.cone"),
+        ("cuboid_pivot", -1): ("m0.f_n <= 25", "m0.cone", "m1.cone", "e0.cone"),
+        ("cuboid_slide", +1): ("m0.f_n <= 25", "m0.cone", "m1.cone", "e0.cone", "e1.cone"),
+        ("cuboid_slide", -1): ("m0.f_n <= 25", "m0.cone", "m1.cone", "e0.cone", "e1.cone"),
+    }
+
+    def test_every_bundled_scenario_is_pinned(self):
+        assert {name for name, _ in self.BUNDLED} == set(BUILTINS)
+
+    @pytest.mark.parametrize("name, direction", list(BUNDLED))
+    def test_bundled_scenarios(self, name, direction):
+        prog = compile_program(builtin_scenario(name).problem(), direction)
+        x = solve(prog).primal
+        assert active_constraints(prog, x) == self.BUNDLED[name, direction] == ref_active_constraints(prog, x)
+        reported = local_metric(builtin_scenario(name).problem(), direction).active_constraints
+        assert reported == self.BUNDLED[name, direction]
+
+    def test_infinite_bounds_and_non_finite_primals_as_the_loop(self):
+        """Points on, inside and outside finite and infinite bounds, with NaN
+        and infinite entries: the same names in the same order as the loop.
+        A NaN entry raises no warning, as in the loop (an infinite one makes
+        the cones' products warn, in both)."""
+        rng = np.random.default_rng(3)
+        seen = set()
+        for name in BUILTINS:
+            for direction in (+1, -1):
+                prog = compile_program(builtin_scenario(name).problem(), direction)
+                x0 = solve(prog).primal
+                bounds = np.concatenate([prog.lb, prog.ub])
+                assert np.isinf(bounds).any() and np.isfinite(bounds).any()
+                for trial in range(40):
+                    x = x0.copy()
+                    pick = rng.random(x.size) if trial else np.full(x.size, 0.5)  # first x0 itself
+                    x[pick < 0.2] = prog.lb[pick < 0.2]  # some of them infinite
+                    x[pick > 0.8] = prog.ub[pick > 0.8]
+                    x[(rng.random(x.size) < 0.1) & (trial > 0)] = rng.choice([np.nan, 0.0, 1e-300, 5e-324])
+                    if trial % 2:
+                        x[~np.isfinite(x)] = np.nan
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            assert active_constraints(prog, x) == ref_active_constraints(prog, x)
+                    with np.errstate(all="ignore"):
+                        got = active_constraints(prog, x)
+                        assert got == ref_active_constraints(prog, x)
+                    seen.update(a.split()[1] if " " in a else "cone" for a in got)
+        assert seen == {">=", "<=", "cone"}
 
 
 class TestGlobalMetric:

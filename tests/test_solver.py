@@ -461,7 +461,7 @@ def linprog_oracle(prog, facets: int) -> SolveResult:
     res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=np.column_stack([lower, upper]), method="highs")
     if res.status == 0:
         x = res.x[: prog.n_vars]
-        eq, viol = solver._ResidualCheck(ProgramStack.of([prog])).take(0)(x)
+        eq, viol = solver._ResidualCheck(ProgramStack.of([prog]), 0)(x)
         return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), int(res.nit))
     status = {2: "Infeasible", 3: "Unbounded"}.get(res.status, "NumericalFailure")
     return SolveResult(status, None, None, Residuals(math.nan, math.nan, math.nan), int(getattr(res, "nit", 0) or 0))
@@ -541,3 +541,163 @@ class TestOracleAgainstLinprog:
             for prog in [*progs, unsupported_load(), free_ray()]:
                 for facets in (8, 64):
                     solve_with_oracle(prog, facets)
+
+
+# ---------------------------------------------------------------------------
+# Presolve's rank tests: singular values alone, a full SVD where they fail
+# ---------------------------------------------------------------------------
+
+def ref_reduce_equalities(sf):
+    """``_reduce_equalities`` with its rank from a full SVD every time, as it
+    was before the singular-values-alone test: the reference."""
+    p, n = sf.A.shape[-2:]
+    if p == 0:
+        return sf, np.zeros(sf.A.shape[:-2], dtype=bool), np.ones(sf.A.shape[:-2], dtype=bool)
+    U, sv, _ = np.linalg.svd(sf.A, full_matrices=True)
+    rank = solver._rank(sv, (p, n), 0.0)
+    r = int(np.ravel(rank)[0])
+    if r == p:
+        return sf, np.zeros(rank.shape, dtype=bool), rank == r
+    UrT = np.swapaxes(U[..., :r], -1, -2)
+    b = solver._mv(UrT, sf.b)
+    resid = sf.b - solver._mv(U[..., :r], b)
+    inconsistent = np.abs(resid).max(axis=-1, initial=0.0) > 1e-9 * (1.0 + np.abs(sf.b).max(axis=-1, initial=0.0))
+    return replace(sf, A=UrT @ sf.A, b=b), inconsistent, rank == r
+
+
+def ref_reduce_null_columns(sf):
+    """``_reduce_null_columns`` with its rank from a full SVD every time: the reference."""
+    n = sf.c.shape[-1]
+    M = np.concatenate([sf.A, sf.G], axis=-2)
+    _, sv, Vt = np.linalg.svd(M, full_matrices=True)
+    rank = solver._rank(sv, M.shape[-2:], 1.0)
+    r = int(np.ravel(rank)[0])
+    if r == n:
+        return sf, np.zeros(rank.shape, dtype=bool), rank == r
+    free = np.abs(solver._mv(Vt[..., r:, :], sf.c)).max(axis=-1, initial=0.0) > 1e-10 * (
+        1.0 + np.abs(sf.c).max(axis=-1, initial=0.0))
+    basis = np.swapaxes(Vt[..., :r, :], -1, -2)
+    return replace(sf, c=solver._mv(Vt[..., :r, :], sf.c), A=sf.A @ basis, G=sf.G @ basis, basis=basis), free, rank == r
+
+
+def same_reduction(got, want) -> bool:
+    """Equal reduced forms (every array, bit for bit) and equal masks."""
+    (a, *masks_a), (b, *masks_b) = got, want
+    arrays = [(getattr(a, k), getattr(b, k)) for k in ("c", "A", "b", "G", "h", "col_scale", "basis")]
+    return (all((u is None and v is None) or (u is not None and v is not None and u.shape == v.shape
+                                             and np.array_equal(u, v)) for u, v in arrays)
+            and all(np.array_equal(u, v) for u, v in zip(masks_a, masks_b)))
+
+
+def svd_ranks(M, empty, slack=1.0):
+    """(rank from singular values alone at ``slack`` tolerances, rank from a
+    full SVD's at one), per instance."""
+    alone = solver._rank(np.linalg.svd(M, compute_uv=False), M.shape[-2:], empty, slack)
+    return alone, solver._rank(np.linalg.svd(M, full_matrices=True)[1], M.shape[-2:], empty)
+
+
+class TestPresolveRanks:
+    """Both reductions test full rank from singular values alone and take a
+    full SVD only where that test fails at twice the tolerance.  That test
+    never shows full rank where the full SVD does not; the rank from singular
+    values alone equals the full SVD's on every program here but matrices
+    built to sit near the tolerance; and each reduction gives the bits of the
+    reference that takes a full SVD every time."""
+
+    def check(self, sf):
+        """The ranks agree and both reductions equal their references; returns
+        whether each reduction was needed (a member not of full rank)."""
+        eq_alone, eq_full = svd_ranks(sf.A, 0.0)
+        assert np.array_equal(eq_alone, eq_full)
+        assert ((svd_ranks(sf.A, 0.0, 2.0)[0] < sf.A.shape[-2]) | (eq_full == sf.A.shape[-2])).all()
+        got = solver._reduce_equalities(sf)
+        assert same_reduction(got, ref_reduce_equalities(sf))
+        reduced = got[0]
+        M = np.concatenate([reduced.A, reduced.G], axis=-2)
+        null_alone, null_full = svd_ranks(M, 1.0)
+        assert np.array_equal(null_alone, null_full)
+        assert ((svd_ranks(M, 1.0, 2.0)[0] < M.shape[-1]) | (null_full == M.shape[-1])).all()
+        assert same_reduction(solver._reduce_null_columns(reduced), ref_reduce_null_columns(reduced))
+        return bool((eq_full < sf.A.shape[-2]).any()), bool((null_full < sf.c.shape[-1]).any())
+
+    def presolved(self, stack):
+        return solver._equilibrate(solver._standardize(stack))
+
+    def test_eval_grid_programs(self):
+        """Every program of the ``eval_grid`` benchmark grid: neither reduction fires."""
+        from test_batch import cuboid_problems, door_problems, stacks_of
+
+        count = 0
+        for problems in [door_problems(x_c) for x_c in (0.0, 0.05, 0.10, 0.15)] + [
+                cuboid_problems(name) for name in ("cuboid_pivot", "cuboid_slide")]:
+            for direction in (+1, -1):
+                for stack in stacks_of(problems, direction):
+                    assert self.check(self.presolved(stack)) == (False, False)
+                    count += len(stack)
+        assert count == 412
+
+    def test_fuzz_corpus_slice(self):
+        progs = fuzz_slice(300, 17)
+        needed = [self.check(self.presolved(ProgramStack.of([prog]))) for prog in progs]
+        assert any(eq for eq, _ in needed) and any(null for _, null in needed)
+
+    def test_rank_deficient_stacks(self):
+        """The presolve group of the batch tests, whole and its deficient members alone."""
+        from test_batch import presolve_group
+
+        stack = ProgramStack.of(presolve_group())
+        assert self.check(self.presolved(stack)) == (True, True)
+        assert self.check(self.presolved(stack.take([1, 3, 4, 6, 7, 9]))) == (True, True)
+
+    @pytest.mark.parametrize("factor", [0.3, 0.9, 0.99, 1.01, 1.1, 1.5, 2.5, 10.0])
+    def test_smallest_singular_value_near_the_tolerance(self, factor, monkeypatch):
+        """Matrices whose smallest singular value is ``factor`` times the rank
+        tolerance (as designed; as computed it moves by a few eps times the
+        largest): each reduction is its reference, and the singular values
+        alone never show full rank at two tolerances where the full SVD does
+        not, which is what the reductions rely on.  Where the singular values
+        alone put the smallest between one and two tolerances, the full SVD
+        decides.  The two ranks at one tolerance must agree only for factors
+        well away from 1; near it they may split on last bits, which depend
+        on the LAPACK build."""
+        full_svds, svd = [], np.linalg.svd
+
+        def spy(M, **kw):
+            if kw.get("compute_uv", True):
+                full_svds.append(M.shape)
+            return svd(M, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rng, eps = np.random.default_rng(int(factor * 100)), np.finfo(float).eps
+
+        def designed(rows, cols):
+            k = min(rows, cols)
+            U = np.linalg.qr(rng.normal(size=(rows, rows)))[0][:, :k]
+            V = np.linalg.qr(rng.normal(size=(cols, cols)))[0][:k]
+            sv = np.sort(rng.uniform(0.1, 1.0, k))[::-1]
+            sv[0], sv[-1] = 1.0, factor * max(rows, cols) * eps
+            return (U * sv) @ V
+
+        decided = 0
+        for p, m, n in ((3, 4, 5), (5, 8, 6), (6, 12, 14)):
+            for _ in range(20):
+                A, M = designed(p, n), designed(p + m, n)
+                for sf, X, full, empty, reduce, ref in (
+                        (solver._StdForm(c=rng.normal(size=n), A=A, b=A @ rng.normal(size=n), G=rng.normal(size=(m, n)),
+                                         h=rng.normal(size=m), cone=solver._Cone(m, [])),
+                         A, p, 0.0, solver._reduce_equalities, ref_reduce_equalities),
+                        (solver._StdForm(c=rng.normal(size=n), A=M[:p], b=rng.normal(size=p), G=M[p:],
+                                         h=rng.normal(size=m), cone=solver._Cone(m, [])),
+                         M, n, 1.0, solver._reduce_null_columns, ref_reduce_null_columns)):
+                    (alone, rank), alone2 = svd_ranks(X, empty), svd_ranks(X, empty, 2.0)[0]
+                    assert alone2 < full or rank == full
+                    if not 0.5 < factor < 2.0:
+                        assert alone == rank
+                    full_svds.clear()
+                    got, calls = reduce(sf), list(full_svds)
+                    assert same_reduction(got, ref(sf))
+                    assert calls == ([] if alone2 == full else [X.shape])
+                    if rank == full and alone2 < full:
+                        assert got[0] is sf  # the full SVD decided: full rank
+                        decided += 1
+        assert decided or not 1.0 < factor < 2.0
