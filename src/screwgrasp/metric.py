@@ -16,9 +16,10 @@ or a sweep of another callable builds each point's problem in order for
 ``compile_stacks``.  Only ``global_metric`` reads each point's program, as
 row views, for its active constraints.  ``local_metric`` calls
 ``compile_program`` and ``solver.solve``, the one-program cases of the same
-paths.  A point the solver could not take (NaN/Inf data, crossed bounds)
-fails when its stack is compiled, so in a sweep or GWS probe it is that
-point's error row.
+paths; the solver reads the stack of one that ``compile_program`` wrote the
+program into, with no second copy.  A point the solver could not take
+(NaN/Inf data, crossed bounds) fails when its stack is compiled, so in a
+sweep or GWS probe it is that point's error row.
 """
 
 from __future__ import annotations
@@ -89,15 +90,17 @@ def active_constraints(prog: ConicProgram, x) -> tuple[str, ...]:
     """Names of the bounds and cones tight at the primal point x (``ACTIVE_TOL``):
     each variable's lower, then upper bound, in variable order; then the cones."""
     names, lb, ub = prog.layout.variable_names(), prog.lb, prog.ub
-    with np.errstate(invalid="ignore"):  # inf - inf at an infinite x and bound: masked, as a NaN x is
+    # an infinite x makes NaNs, which no test takes as tight: inf - inf at an
+    # infinite bound, and 0 * inf in a cone's products, as a NaN x does
+    with np.errstate(invalid="ignore"):
         low = np.isfinite(lb) & (x - lb <= ACTIVE_TOL * np.maximum(1.0, np.abs(lb)))
         high = np.isfinite(ub) & (ub - x <= ACTIVE_TOL * np.maximum(1.0, np.abs(ub)))
-    active = [f"{names[j]} {op} {bound[j]:g}" for j in np.flatnonzero(low | high).tolist()
-              for op, bound, tight in ((">=", lb, low), ("<=", ub, high)) if tight[j]]
-    for blk in prog.socs:
-        r, head = blk.A @ x + blk.b, blk.c @ x + blk.d
-        if head - math.sqrt(r @ r) <= ACTIVE_TOL * max(1.0, abs(head)):
-            active.append(blk.label or "cone")
+        active = [f"{names[j]} {op} {bound[j]:g}" for j in np.flatnonzero(low | high).tolist()
+                  for op, bound, tight in ((">=", lb, low), ("<=", ub, high)) if tight[j]]
+        for blk in prog.socs:
+            r, head = blk.A @ x + blk.b, blk.c @ x + blk.d
+            if head - math.sqrt(r @ r) <= ACTIVE_TOL * max(1.0, abs(head)):
+                active.append(blk.label or "cone")
     return tuple(active)
 
 

@@ -302,8 +302,12 @@ class ProgramStack:
     @classmethod
     def of(cls, progs: list[ConicProgram]) -> "ProgramStack":
         """Programs of one shape and finite-bound pattern, stacked (one as
-        ``[None]`` views) with the first one's layout and labels; else CompileError."""
-        if len({(p.F.shape, *(b.A.shape for b in p.socs), np.isfinite([p.lb, p.ub]).tobytes()) for p in progs}) > 1:
+        ``[None]`` views, or as the stack ``compile_program`` wrote it into)
+        with the first one's layout and labels; else CompileError."""
+        if len(progs) == 1 and (stack := getattr(progs[0], "_stack", None)) is not None:
+            return stack
+        if len(progs) > 1 and len({(p.F.shape, *(b.A.shape for b in p.socs), np.isfinite([p.lb, p.ub]).tobytes())
+                                   for p in progs}) > 1:
             raise CompileError("the programs of a stack must share their shapes and finite-bound pattern")
         stack = (lambda xs: xs[0][None]) if len(progs) == 1 else np.stack
         return cls(*(stack([getattr(p, name) for p in progs]) for name in ("f", "F", "g", "lb", "ub")),
@@ -512,11 +516,15 @@ def compile_program(p: GraspProblem, direction: int = +1) -> ConicProgram:
     """Compile a grasp scenario into a conic program: the one row that
     ``_write`` writes for it, or the error that ``_row_error`` gives.
     ``direction`` (+1/-1) selects the sense of the task screw; the paired
-    curves of a task (CW/CCW, +X/-X) are two compilations."""
+    curves of a task (CW/CCW, +X/-X) are two compilations.  The program keeps
+    that stack of one, which ``ProgramStack.of([prog])`` hands to the solver;
+    ``dataclasses.replace`` gives a program without it."""
     stack, W, bad = _write(p, 1, direction)
     if bad[0]:
         raise _row_error(stack, W, 0)
-    return stack.program(0)
+    prog = stack.program(0)
+    prog.__dict__["_stack"] = stack
+    return prog
 
 
 def compile_stacks(problems: list[GraspProblem], direction: int = +1) -> tuple[list[ProgramStack], list]:

@@ -40,6 +40,12 @@ and det a^2 - b'b, which the lambda-division reads; and lambda o lambda, the
 predictor's right-hand side.  The corrector reuses the predictor's W dz.  A
 result reports the point in original variables and the residuals that its
 iteration's termination test took.
+What programs of one structure share (their cone with its identity and W = I
+blocks, G's bound rows, the equilibration's row groups, the KKT matrix's
+cone places and the residual check's bound indices) is one read-only
+``_Plan``, built once per structure (the shapes, finite-bound pattern and
+SOC row counts that ``ProgramStack.of`` checks) and cached as
+``problem._structure`` is, so a solve computes only its numbers.
 The loop rounds each instance of a stack as that program alone, so a result
 does not depend on its batch.  Program data need no check here: a
 ``ConicProgram`` is valid once it is built.
@@ -70,6 +76,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +165,30 @@ def _pymin(a, b):
     return np.where(b < a, b, a)
 
 
+def _read_only(*arrays: np.ndarray):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+# Per-instance powers are Python float powers: ``v ** k`` on a Python float
+# calls the C library's pow, as ``np.float64(v) ** k`` does, and gives its bits
+# (a test pins it), where numpy's array power rounds differently.  Python
+# raises where pow overflows, and gives a complex power of a negative base, so
+# the callers clip what they pass.
+_SQUARE_OVERFLOWS = 2.0 ** 512  # from here on a square is inf
+
+
+def _squares(t: np.ndarray) -> np.ndarray:
+    """``np.float64(v) ** 2`` of each entry of t."""
+    return np.array([v ** 2 for v in np.where(t >= _SQUARE_OVERFLOWS, math.inf, t).tolist()])
+
+
+def _sigmas(g: np.ndarray) -> np.ndarray:
+    """``_sigma`` of each entry of g: clipped to [0, 1] as Python's max and min clip it (NaN to 0), cubed."""
+    g = np.where(g > 0.0, g, 0.0)
+    return np.array([v ** 3 for v in np.where(g < 1.0, g, 1.0).tolist()])
+
+
 @dataclass(frozen=True)
 class SolveSettings:
     """Solver tolerances and limits.
@@ -205,33 +236,46 @@ class SolveResult:
 # Cone algebra for K = R^q_+  x  Q^{d_1} x ... x Q^{d_N}
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _soc_matrices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J = diag(j) for j = (1, -1, ..., -1), the sign matrix j j' (J P J =
+    (j j') * P) and the identity of SOC dimension d, shared by every cone."""
+    j = np.concatenate([[1.0], -np.ones(d - 1)])
+    mats = np.diag(j), np.outer(j, j), np.eye(d)
+    _read_only(*mats)
+    return mats
+
+
 class _Cone:
     # Per-block dot products stay ``u1.dot(v1)`` (BLAS ddot) rather than a segment
     # sum over all blocks: the two round differently, and that difference has
     # flipped solve statuses on the fuzz corpus.  Scalar work is on Python
-    # floats, which round exactly as numpy scalars do and cost less.
+    # floats, which round exactly as numpy scalars do and cost less.  A cone
+    # is part of a _Plan and shared by its solves: every array it holds is read-only.
     def __init__(self, q: int, soc_dims: list[int]):
         self.q = q
         self.soc_dims = list(soc_dims)
         self.dim = q + sum(soc_dims)
         self.degree = q + len(soc_dims)
-        # per SOC block: head index, tail slice, block slice and J = diag(j) for
-        # j = (1, -1, ..., -1); and its sign matrix j j', with J P J = (j j') * P
+        # per SOC block: head index, tail slice, block slice and J; and its sign matrix
         self.blocks: list[tuple[int, slice, slice, np.ndarray]] = []
         self.signs: list[np.ndarray] = []
+        self.e = np.zeros(self.dim)  # the identity
+        self.e[:q] = 1.0
         at = q
         for d in soc_dims:
-            j = np.concatenate([[1.0], -np.ones(d - 1)])
-            self.blocks.append((at, slice(at + 1, at + d), slice(at, at + d), np.diag(j)))
-            self.signs.append(np.outer(j, j))
+            J, S, _ = _soc_matrices(d)
+            self.blocks.append((at, slice(at + 1, at + d), slice(at, at + d), J))
+            self.signs.append(S)
+            self.e[at] = 1.0
             at += d
-
-    def identity(self) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[: self.q] = 1.0
-        for h, _, _, _ in self.blocks:
-            e[h] = 1.0
-        return e
+        # the scaling W = I as W'W blocks (orthant diagonal, SOC blocks); the
+        # KKT matrix's -W'W entries, relative to its cone block; and the step
+        # search's ratios where none bounds the step
+        self.unit = (np.ones(q), [_soc_matrices(d)[2] for d in soc_dims])
+        self.diag, self.places = np.arange(q), [(blk, blk) for _, _, blk, _ in self.blocks]
+        self.infs = np.full(2 * q, math.inf)
+        _read_only(self.e, self.unit[0], self.diag, self.infs)
 
     def min_eig(self, u: np.ndarray) -> float:
         vals = [u[: self.q].min()] if self.q else []
@@ -256,13 +300,18 @@ class _BatchCone(_Cone):
     instance, each row rounded exactly as the _Cone method rounds it.  They
     work on runs: maximal sequences of consecutive SOC blocks of one dimension
     d, stored as (start, count k, d, J), each viewed as (B, k, d) by ``split``.
-    Python's min folds keep their block order, column by column of a run."""
+    Python's min folds keep their block order, column by column of a run.
+    ``unit`` and ``places`` hold one W = I block and one index triple per run."""
 
     def __init__(self, q: int, soc_dims: list[int]):
         super().__init__(q, soc_dims)
         firsts = [i for i, d in enumerate(soc_dims) if i == 0 or d != soc_dims[i - 1]]
         self.runs = [(self.blocks[i][0], j - i, soc_dims[i], self.blocks[i][3])
                      for i, j in zip(firsts, firsts[1:] + [len(soc_dims)])]
+        self.unit = (self.unit[0], [_soc_matrices(d)[2] for _, _, d, _ in self.runs])
+        idx = [at + np.arange(k * d).reshape(k, d) for at, k, d, _ in self.runs]
+        _read_only(*idx)  # before the views are taken, which keep the flag they see
+        self.places = [(slice(None), i[:, :, None], i[:, None, :]) for i in idx]
 
     def split(self, v: np.ndarray) -> list[np.ndarray]:
         """Each run of v (B, dim) as a (B, k, d) view (of a fresh array: writable in place)."""
@@ -329,7 +378,7 @@ class _Scaling:
             root = math.sqrt(2.0 * w0)
             wbar[0] = w0
             v = wbar / root
-            beta = np.float64(rho_s / rho_z) ** 0.25  # W^2 = sqrt(rho_s/rho_z) * P(wbar); 1/beta may be inf
+            beta = (rho_s / rho_z) ** 0.25  # W^2 = sqrt(rho_s/rho_z) * P(wbar); 1/beta may be inf
             P = 2.0 * np.multiply.outer(v, v) - J
             W = beta * P
             self.soc_W.append(W)
@@ -383,7 +432,7 @@ class _Scaling:
         alphas = [math.inf, math.inf]  # the orthant's: the least ratio -u_i / du_i over du_i < 0
         if q:
             du = np.concatenate([ds[:q], dz[:q]])
-            ratios = np.divide(self._sz_lp, du, out=np.full(2 * q, math.inf), where=du < 0)
+            ratios = np.divide(self._sz_lp, du, out=self.cone.infs.copy(), where=du < 0)
             alphas = np.minimum.reduce(ratios.reshape(2, q), axis=1).tolist()
         for alpha, blocks, du in zip(alphas, (self._s, self._z), (ds, dz)):
             for h, t, u0, u1, c in blocks:
@@ -435,9 +484,9 @@ class _BatchScaling(_Scaling):
             root = np.sqrt(2.0 * w0)
             v = wbar / root[..., None]
             v[..., 0] = w0 / root
-            # a scalar power per block: numpy's array ** rounds differently
-            beta = np.reshape([np.float64(r) ** 0.25 for r in (rho[:B] / rho[B:]).ravel().tolist()],
-                              (B, -1, 1, 1))
+            # a Python power per block; a bad row's negative ratio is NaN, as numpy gives it
+            r = rho[:B] / rho[B:]
+            beta = np.reshape([v ** 0.25 for v in np.where(r >= 0.0, r, math.nan).ravel().tolist()], (B, -1, 1, 1))
             jv = -v
             jv[..., 0] = v[..., 0]
             V = np.concatenate([v, jv])
@@ -496,6 +545,11 @@ class _BatchScaling(_Scaling):
         return _pymin(alpha[: len(ds)], alpha[len(ds) :])
 
 
+def _refinement_bound(rhs: np.ndarray):
+    """The residual a KKT solve refines down to, per instance."""
+    return 1e-13 * (1.0 + _amax(rhs))
+
+
 class _KKT:
     """Dense symmetric indefinite factorization of the reduced KKT matrix
 
@@ -510,22 +564,16 @@ class _KKT:
     """
 
     def __init__(self, A: np.ndarray, G: np.ndarray, cone: _Cone):
-        # A and G of one program, or stacks of them (a leading instance axis)
+        # A and G of one program and its _Cone, or stacks of them (a leading
+        # instance axis) and a _BatchCone
         p, n = A.shape[-2:]
         m = G.shape[-2]
-        self.n = n
+        self.n, self.o, self.cone = n, n + p, cone
         self.K = np.zeros(A.shape[:-2] + (n + p + m, n + p + m))
         self.K[..., n : n + p, :n] = A
         self.K[..., :n, n : n + p] = np.swapaxes(A, -1, -2)
         self.K[..., n + p :, :n] = G
         self.K[..., :n, n + p :] = np.swapaxes(G, -1, -2)
-        # the -W'W block: orthant diagonal and SOC squares (a stack's run by run); the rest stays 0
-        self._lp_diag = np.arange(n + p, n + p + cone.q)
-        if A.ndim == 2:
-            self._soc = [(slice(n + p + blk.start, n + p + blk.stop),) * 2 for _, _, blk, _ in cone.blocks]
-        else:
-            idx = [n + p + at + np.arange(k * d).reshape(k, d) for at, k, d, _ in cone.runs]
-            self._soc = [(slice(None), i[:, :, None], i[:, None, :]) for i in idx]
 
     def _factor_one(self, K: np.ndarray):
         """(ldu, ipiv) of one KKT matrix, regularized on retry; None if every attempt fails."""
@@ -546,23 +594,27 @@ class _KKT:
     def factor(self, w2_lp, w2_soc, out=None):
         """Factor K with the scaling blocks W'W; return the failure mask (a
         bool for one program).  Stacked instances marked in ``out`` are skipped."""
-        self.K[..., self._lp_diag, self._lp_diag] = -w2_lp
-        for M, at in zip(w2_soc, self._soc):
-            self.K[at] = -M
+        # the -W'W block: orthant diagonal and SOC squares (a stack's run by run); the rest stays 0
+        W = self.K[..., self.o :, self.o :]
+        W[..., self.cone.diag, self.cone.diag] = -w2_lp
+        for M, at in zip(w2_soc, self.cone.places):
+            W[at] = -M
         if self.K.ndim == 2:
             self._factors = self._factor_one(self.K)
             return self._factors is None
         self._factors = [None if stop else self._factor_one(K) for K, stop in zip(self.K, out)]
         return ~out & np.array([f is None for f in self._factors])
 
-    def solve(self, rhs: np.ndarray, out=None):
+    def solve(self, rhs: np.ndarray, out=None, bound=None):
         """x with K x = rhs, from the factors and up to two refinement steps;
         as ``factor``, for one program or a stack (rows marked in ``out`` stay 0).
-        A solve cannot fail: ``?sytrs`` reports only an illegal argument, and
-        f2py derives and checks every size from the arrays before the call."""
+        ``bound``, the refinement's target, is ``_refinement_bound(rhs)`` if not
+        given.  A solve cannot fail: ``?sytrs`` reports only an illegal argument,
+        and f2py derives and checks every size from the arrays before the call."""
+        if bound is None:
+            bound = _refinement_bound(rhs)
         if rhs.ndim == 1:
             x = _sytrs(*self._factors, rhs, 1)[0]
-            bound = 1e-13 * (1.0 + np.maximum.reduce(np.abs(rhs)))
             for _ in range(2):
                 r = rhs - self.K.dot(x)
                 if np.maximum.reduce(np.abs(r)) <= bound:
@@ -575,7 +627,6 @@ class _KKT:
         for i in live:  # f2py solves each contiguous row of x in place (a test pins it)
             _sytrs(*self._factors[i], x[i], 1, 1)
         refine = ~out
-        bound = 1e-13 * (1.0 + np.maximum.reduce(np.abs(rhs), axis=1))
         for _ in range(2):
             if not refine.any():  # no residual to take
                 break
@@ -590,6 +641,44 @@ class _KKT:
 # Standard-form conversion and equilibration
 # ---------------------------------------------------------------------------
 
+class _Plan:
+    """What the solver shares between the programs of one structure, built
+    once per structure by ``_plan``: p equalities over n variables, finite
+    lower and upper bounds where the bool masks ``lb`` and ``ub`` (as bytes)
+    are set, and SOC blocks of ``soc_rows`` rows each, which is what
+    ``ProgramStack.of`` requires its programs to share.  It holds the
+    orthant's rows (``lbi``, ``ubi``: the finite bounds), the cone of the
+    standard form (``cone``, and ``batch``, its stacked kernels), the rows of
+    G that the bounds give (``bounds``, as a stack of one), and the
+    equilibration's row groups of [A; G] (``starts`` of each group, ``group``
+    of each row: each equality and orthant row alone, each SOC block one
+    group).  Read-only."""
+
+    def __init__(self, p: int, n: int, lb: bytes, ub: bytes, soc_rows: tuple[int, ...]):
+        self.lbi, self.ubi = (np.flatnonzero(np.frombuffer(mask, dtype=bool)) for mask in (lb, ub))
+        q = self.lbi.size + self.ubi.size
+        self.cone = _Cone(q, [1 + k for k in soc_rows])
+        self.bounds = np.zeros((1, q, n))  # -x_j <= -lb_j, then x_j <= ub_j
+        self.bounds[0, np.arange(self.lbi.size), self.lbi] = -1.0
+        self.bounds[0, np.arange(self.lbi.size, q), self.ubi] = 1.0
+        self.starts = np.array([*range(p + q), *(p + blk.start for _, _, blk, _ in self.cone.blocks)], dtype=np.intp)
+        self.group = np.repeat(np.arange(self.starts.size), np.diff(self.starts, append=p + self.cone.dim))
+        _read_only(self.lbi, self.ubi, self.bounds, self.starts, self.group)
+
+    @cached_property
+    def batch(self) -> _BatchCone:
+        return _BatchCone(self.cone.q, self.cone.soc_dims)
+
+
+_plan = lru_cache(maxsize=64)(_Plan)  # as problem._structure: a job needs one or two plans
+
+
+def _plan_of(st: ProgramStack) -> _Plan:
+    """The plan of the programs of ``st``."""
+    return _plan(*st.F.shape[1:], np.isfinite(st.lb[0]).tobytes(), np.isfinite(st.ub[0]).tobytes(),
+                 tuple(A.shape[1] for A, _, _, _ in st.socs))
+
+
 @dataclass
 class _StdForm:
     # one program, or programs of one structure stacked along a leading axis
@@ -598,35 +687,25 @@ class _StdForm:
     b: np.ndarray
     G: np.ndarray
     h: np.ndarray
-    cone: _Cone
+    plan: _Plan
     col_scale: np.ndarray = field(default_factory=lambda: np.ones(0))
     basis: np.ndarray | None = None  # original (scaled) vars = basis @ reduced vars
 
 
 def _standardize(st: ProgramStack) -> _StdForm:
     """A stack of programs of one shape and finite-bound pattern in conic
-    standard form, filled with array assignments (a single program's F and g
-    stay ``[None]`` views).  The programs were checked: every entry is
-    finite, lb <= ub."""
-    B, n = st.f.shape
-    # rows: -x_j <= -lb_j, then x_j <= ub_j per finite bound, then one block per SOC
-    lbi, ubi = np.flatnonzero(np.isfinite(st.lb[0])), np.flatnonzero(np.isfinite(st.ub[0]))
-    q = lbi.size + ubi.size
-    soc_dims = [1 + A.shape[1] for A, _, _, _ in st.socs]
-    G = np.zeros((B, q + sum(soc_dims), n))
-    h = np.empty((B, q + sum(soc_dims)))
-    G[:, np.arange(lbi.size), lbi] = -1.0
-    G[:, np.arange(lbi.size, q), ubi] = 1.0
-    h[:, : lbi.size] = -st.lb[:, lbi]
-    h[:, lbi.size : q] = st.ub[:, ubi]
-    at = q
-    for (A, b, c, d), dim in zip(st.socs, soc_dims):
-        G[:, at] = -c
-        G[:, at + 1 : at + dim] = -A
-        h[:, at] = d
-        h[:, at + 1 : at + dim] = b
-        at += dim
-    return _StdForm(c=-st.f, A=st.F, b=st.g, G=G, h=h, cone=_Cone(q, soc_dims))
+    standard form: G is the plan's bound rows and then one block [-c'; -A] per
+    SOC, h the finite bounds (-lb, ub) and then [d; b] per SOC (a single
+    program's F and g stay ``[None]`` views).  The programs were checked:
+    every entry is finite, lb <= ub."""
+    plan = _plan_of(st)
+    q = plan.cone.q
+    G = np.concatenate([plan.bounds.repeat(len(st), axis=0),
+                        *(v for A, _, c, _ in st.socs for v in (c[:, None], A))], axis=1)
+    np.negative(G[:, q:], out=G[:, q:])
+    h = np.concatenate([-st.lb[:, plan.lbi], st.ub[:, plan.ubi],
+                        *(v for _, b, _, d in st.socs for v in (d[:, None], b))], axis=1)
+    return _StdForm(c=-st.f, A=st.F, b=st.g, G=G, h=h, plan=plan)
 
 
 def _take(sf: _StdForm, idx) -> _StdForm:
@@ -635,7 +714,7 @@ def _take(sf: _StdForm, idx) -> _StdForm:
     per-instance memory layout (the basis is a transposed view), so BLAS is
     called alike."""
     basis = None if sf.basis is None else np.swapaxes(np.swapaxes(sf.basis, -1, -2)[idx], -1, -2)
-    return _StdForm(sf.c[idx], sf.A[idx], sf.b[idx], sf.G[idx], sf.h[idx], sf.cone,
+    return _StdForm(sf.c[idx], sf.A[idx], sf.b[idx], sf.G[idx], sf.h[idx], sf.plan,
                     sf.col_scale[idx], basis)
 
 
@@ -649,29 +728,33 @@ def _equilibrate(sf: _StdForm) -> _StdForm:
     only, so a stacked form is scaled instance by instance as each alone.
 
     A is scaled over G as one matrix [A; G] (and b over h as [b; h]): each
-    round takes one column max over all rows and one row max per row group,
-    where each equality row and each orthant row is a group alone and each
-    SOC block one group.  A, b, G and h come back as views of the result."""
+    round takes one column max over all rows and one row max per row group
+    of the plan.  The rounds scale |[A; G]|, whose products are exactly the
+    magnitudes of the signed ones (the scales are positive), and the signs
+    come back once at the end.  A, b, G and h come back as views of the result."""
     p, n = sf.A.shape[-2:]
+    plan = sf.plan
     M = np.concatenate([sf.A, sf.G], axis=-2)
     rhs = np.concatenate([sf.b, sf.h], axis=-1)
-    starts = np.array([*range(p + sf.cone.q), *(p + blk.start for _, _, blk, _ in sf.cone.blocks)],
-                      dtype=np.intp)
-    sizes = np.diff(starts, append=M.shape[-2])
     dc = np.ones(sf.c.shape)
-    for _ in range(_EQUILIBRATION_ROUNDS if n and starts.size else 0):
-        col = np.abs(M).max(axis=-2)
-        col[col == 0] = 1.0
-        sc = 1.0 / np.sqrt(col)
-        M *= sc[..., None, :]
-        dc *= sc
-        rows = np.maximum.reduceat(np.abs(M).max(axis=-1), starts, axis=-1)
-        rows[rows == 0] = 1.0  # an all-zero row or block keeps scale 1
-        s = np.repeat(1.0 / np.sqrt(rows), sizes, axis=-1)
-        M *= s[..., None]
-        rhs *= s
+    if n and plan.starts.size:
+        S = np.abs(M)
+        for _ in range(_EQUILIBRATION_ROUNDS):
+            col = np.maximum.reduce(S, axis=-2)
+            if np.count_nonzero(col) < col.size:
+                col[col == 0] = 1.0
+            sc = 1.0 / np.sqrt(col)
+            S *= sc[..., None, :]
+            dc *= sc
+            rows = np.maximum.reduceat(np.maximum.reduce(S, axis=-1), plan.starts, axis=-1)
+            if np.count_nonzero(rows) < rows.size:
+                rows[rows == 0] = 1.0  # an all-zero row or block keeps scale 1
+            s = (1.0 / np.sqrt(rows)).take(plan.group, axis=-1)
+            S *= s[..., None]
+            rhs *= s
+        np.copysign(S, M, out=M)
     return _StdForm(c=sf.c * dc, A=M[..., :p, :], b=rhs[..., :p], G=M[..., p:, :], h=rhs[..., p:],
-                    cone=sf.cone, col_scale=dc)
+                    plan=plan, col_scale=dc)
 
 
 def _rank(sv: np.ndarray, shape: tuple[int, int], empty: float, slack: float = 1.0) -> np.ndarray:
@@ -738,10 +821,12 @@ class _ResidualCheck:
     of x against the original programs ``k`` of a stack, read from its arrays
     with norms taken once.  For a slice or an index array k, x of shape
     (B, n) gives two arrays of shape (B,), each entry as the program alone
-    gives it; for an int k, x of shape (n,) gives two floats."""
+    gives it; for an int k, x of shape (n,) gives two floats.  ``plan`` is the
+    stack's, if the caller has it."""
 
-    def __init__(self, st: ProgramStack, k=slice(None)):
-        self.lbi, self.ubi = np.flatnonzero(np.isfinite(st.lb[0])), np.flatnonzero(np.isfinite(st.ub[0]))
+    def __init__(self, st: ProgramStack, k=slice(None), plan: _Plan | None = None):
+        plan = plan or _plan_of(st)
+        self.lbi, self.ubi = plan.lbi, plan.ubi
         self.F, self.g, self.socs = st.F[k], st.g[k], [tuple(v[k] for v in blk) for blk in st.socs]
         self.g_scale = 1.0 + np.abs(self.g).max(axis=-1, initial=0.0)
         self.lb, self.ub = st.lb[k][..., self.lbi], st.ub[k][..., self.ubi]
@@ -898,34 +983,32 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
     ``np.vecdot``/``np.matvec`` (the same bits per instance), the cone
     kernels are ``_BatchCone``/``_BatchScaling`` (run by run of equal SOC
     blocks), Python's min/max/if become np.where, the powers (tau**2,
-    sigma**3, beta in the scaling) stay scalars per instance, and LAPACK
-    runs per instance.  An instance that stops is recorded at once; in a
+    sigma**3, beta in the scaling) are Python float powers per instance, and
+    LAPACK runs per instance.  The cone, its W = I blocks and its identity
+    come from the programs' plan.  An instance that stops is recorded at once; in a
     stack its row runs on (skipped by LAPACK) until the next iteration drops
     it, and the run ends when every instance has stopped.  ``trace`` (one program only) is called once per
     iteration with plain ints and floats.
     """
     one = sf.c.ndim == 1
     if one:  # Python's operators and builtins on the program's numbers
-        cone, scaling, dot = sf.cone, _Scaling, np.ndarray.dot
+        cone, scaling, dot = sf.plan.cone, _Scaling, np.ndarray.dot
         mv, vmin, vmax, any_, col, where = dot, min, max, bool, (lambda v: v), (lambda m, a, b: a if m else b)
         sq, sigma_of, choose = (lambda t: t ** 2), _sigma, where
         hits, row = (lambda m: (0,) if m else ()), (lambda v, i: v)  # the one instance, if m marks it
     else:  # arrays of per-instance numbers, broadcast against vectors as columns
-        cone, scaling = _BatchCone(sf.cone.q, sf.cone.soc_dims), _BatchScaling
+        cone, scaling, sq, sigma_of = sf.plan.batch, _BatchScaling, _squares, _sigmas
         dot, mv, vmin, vmax, any_, col, where = _dot, _mv, _pymin, _pymax, np.any, (lambda v: v[:, None]), np.where
         hits, row = (lambda m: np.flatnonzero(m & ~out)), (lambda v, i: v[i])  # the running instances m marks
-        # a scalar power per instance: numpy's array ** rounds differently
-        sq, sigma_of = (lambda t: np.array([np.float64(v) ** 2 for v in t.tolist()])), \
-            (lambda g: np.array([_sigma(v) for v in g]))
 
         def choose(m, a, b):  # np.where over tuples of per-instance numbers and vectors
             return tuple(np.where(m[:, None] if np.ndim(u) == 2 else m, u, v) for u, v in zip(a, b))
     n, p, m = sf.c.shape[-1], sf.A.shape[-2], sf.G.shape[-2]
     B = 1 if one else len(sf.c)
-    nu, e = cone.degree, cone.identity()
+    nu, e = cone.degree, cone.e
     ftol, gtol = settings.feasibility_tol, settings.duality_gap_tol
     results: list = [None] * B
-    measure = _ResidualCheck(st, 0 if one else slice(None))  # norms taken once, and again as instances stop
+    measure = _ResidualCheck(st, 0 if one else slice(None), sf.plan)  # norms taken once, and again as instances stop
     kkt = _KKT(sf.A, sf.G, cone)
     ids = np.arange(B)
     out = None if one else np.zeros(B, dtype=bool)  # stopped during this iteration
@@ -993,8 +1076,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         # -- initialization (W = I) -----------------------------------------
         # finite but huge data may overflow here: an instance whose point is not finite stops at once
         with np.errstate(all="ignore"):
-            dims = cone.soc_dims if one else [d for _, _, d, _ in cone.runs]  # a W = I block per block or run
-            give_up(kkt.factor(np.ones(cone.q), [np.eye(d) for d in dims], out), "KKT factorization failed")
+            give_up(kkt.factor(*cone.unit, out), "KKT factorization failed")
             x, _, w = split(kkt.solve(np.concatenate([np.zeros(c.shape), b, h], axis=-1), out))
             s = lift(-w)
             _, y, z = split(u := kkt.solve(np.concatenate([-c, np.zeros(c.shape[:-1] + (p + m,))], axis=-1), out))
@@ -1005,6 +1087,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
             tau, kappa = (1.0, 1.0) if one else (np.ones(B), np.ones(B))
             c_norm, b_norm, h_norm = 1.0 + _amax(c), 1.0 + _amax(b), 1.0 + _amax(h)
             rhs_tau = np.concatenate([-c, b, h], axis=-1)
+            tau_bound = _refinement_bound(rhs_tau)
             At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
 
             for it in range(settings.max_iterations):
@@ -1013,10 +1096,11 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                     sf = _take(sf, keep)
                     c, A, b, G, h = sf.c, sf.A, sf.b, sf.G, sf.h
                     At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
-                    u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, ids, kkt.K, *best = (
-                        v[keep] for v in (u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, ids, kkt.K, *best))
+                    u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, tau_bound, ids, kkt.K, *best = (
+                        v[keep] for v in (u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, tau_bound, ids, kkt.K,
+                                          *best))
                     out = out[keep]
-                    measure = _ResidualCheck(st, ids)
+                    measure = _ResidualCheck(st, ids, sf.plan)
                 x, y, z = split(u)
                 cx, by, hz, sz = dot(c, x), dot(b, y), dot(h, z), dot(s, z)
                 tc = col(tau)
@@ -1068,7 +1152,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 scal = scaling(cone, s, z)
                 give_up(scal.bad, "iterate left the cone interior")
                 give_up(kkt.factor(*scal.w_squared_blocks(), out), "KKT factorization failed")
-                x1, y1, z1 = split(d1 := kkt.solve(rhs_tau, out))
+                x1, y1, z1 = split(d1 := kkt.solve(rhs_tau, out, tau_bound))
                 denom0 = kappa / tau - (dot(c, x1) + dot(b, y1) + dot(h, z1))
                 give_up(abs(denom0) < 1e-300, "degenerate tau step")
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from screwgrasp import solver
 from screwgrasp.contacts import EnvironmentContact, FixedSupport, PcwfParams, SfceParams
 from screwgrasp.problem import (
     ConicProgram,
@@ -159,3 +160,11 @@ def pcwf_contains(p: PcwfParams, w, tol: float = 1e-8):
     (one bool per column of a 2-D w)."""
     f_t, f_o, f_n = w
     return np.hypot(f_t / p.e_t, f_o / p.e_o) / p.mu <= f_n + tol
+
+
+def plan_for(p: int, n: int, q: int, soc_dims) -> "solver._Plan":
+    """The solver's plan of programs with p equalities over n variables, q
+    finite bounds (lower bounds first; q <= 2n) and SOC blocks of the given
+    dimensions, for standard forms built by hand."""
+    lb, ub = np.arange(n) < q, np.arange(n) < q - n
+    return solver._plan(p, n, lb.tobytes(), ub.tobytes(), tuple(d - 1 for d in soc_dims))

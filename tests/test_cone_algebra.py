@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mkprog
+from conftest import mkprog, plan_for
 from test_random_scenarios import random_problem
 from screwgrasp.problem import ProgramStack, compile_program
 from screwgrasp.solver import (
@@ -33,6 +33,9 @@ from screwgrasp.solver import (
     _mv,
     _ResidualCheck,
     _Scaling,
+    _sigma,
+    _sigmas,
+    _squares,
     _standardize,
     _StdForm,
 )
@@ -46,7 +49,7 @@ DRAWS = 50
 def standard_form(prog) -> _StdForm:
     """One program's standard form, unstacked."""
     sf = _standardize(ProgramStack.of([prog]))
-    return _StdForm(*(getattr(sf, k)[0] for k in "cAbGh"), cone=sf.cone)
+    return _StdForm(*(getattr(sf, k)[0] for k in "cAbGh"), plan=sf.plan)
 
 
 def starts(q, dims):
@@ -167,7 +170,7 @@ def ref_scaling(q, dims, s, z):
 def ref_equilibrate(sf, rounds=8):
     p, n = sf.A.shape
     A, G, b, h, c = sf.A.copy(), sf.G.copy(), sf.b.copy(), sf.h.copy(), sf.c.copy()
-    cone = sf.cone
+    cone = sf.plan.cone
     groups = [np.array([i]) for i in range(cone.q)]
     for at, d in zip(starts(cone.q, cone.soc_dims), cone.soc_dims):
         groups.append(np.arange(at, at + d))
@@ -353,7 +356,7 @@ class TestAgainstLoopReference:
             G[rng.random(m) < 0.2] = 0.0  # all-zero rows, and so some all-zero groups
             A = rng.normal(size=(p, n)) * 10.0 ** rng.uniform(-4, 4, size=(p, 1))
             sf = _StdForm(c=rng.normal(size=n), A=A, b=rng.normal(size=p), G=G,
-                          h=rng.normal(size=m), cone=_Cone(q, dims))
+                          h=rng.normal(size=m), plan=plan_for(p, n, q, dims))
             got = _equilibrate(sf)
             want = ref_equilibrate(sf)
             for a, b in zip((got.A, got.G, got.b, got.h, got.c, got.col_scale), want):
@@ -588,6 +591,42 @@ class TestStackedAgainstOneProgram:
                 assert got.shape == (B, m)
                 assert all(np.array_equal(got[i], mat[i] @ v[i]) for i in range(B))
             assert _dot(u, v).tolist() == [u[i] @ v[i] for i in range(B)]
+
+
+class TestPythonPowers:
+    """The per-instance powers are Python float powers: beta = ratio ** 0.25
+    in both scalings, and a stack's tau ** 2 (``_squares``) and sigma ** 3
+    (``_sigmas``).  Each gives the bits of numpy's scalar power, which the
+    one-program loop takes (numpy's array power rounds otherwise), on random
+    values over the whole range and on the edges: subnormals, 0, 1, the
+    largest floats, inf, and where a square starts to overflow, which Python
+    raises on and ``_squares`` gives as inf."""
+
+    EDGES = [0.0, -0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-160, 1e-105, 1.0, 1e154,
+             math.nextafter(2.0 ** 512, 0.0), 2.0 ** 512, 1e308, np.finfo(float).max, math.inf]
+
+    def values(self, seed):
+        rng = np.random.default_rng(seed)
+        return self.EDGES + rng.integers(1, 0x7FF0000000000000, 20000).view(np.float64).tolist()  # finite, > 0
+
+    def test_quarter_powers(self):
+        values = self.values(31)
+        with np.errstate(all="ignore"):
+            assert same_bits([v ** 0.25 for v in values], [np.float64(v) ** 0.25 for v in values])
+
+    def test_squares(self):
+        values = self.values(32)
+        with np.errstate(all="ignore"):
+            want = [np.float64(v) ** 2 for v in values]
+        assert math.isinf(want[self.EDGES.index(2.0 ** 512)]) and not math.isinf(want[9])
+        assert same_bits(_squares(np.array(values)), want)
+
+    def test_sigmas(self):
+        rng = np.random.default_rng(33)
+        values = self.values(34)
+        g = np.array([*values, *(-v for v in values), math.nan, *rng.uniform(0.0, 1.0, 20000)])
+        with np.errstate(all="ignore"):
+            assert same_bits(_sigmas(g), [_sigma(v) for v in g])
 
 
 def bisect_step(cone, u, du, hi=1e6):

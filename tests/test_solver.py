@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import mkprog, soc
+from conftest import mkprog, plan_for, soc
 from test_random_scenarios import random_problem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -684,10 +684,10 @@ class TestPresolveRanks:
                 A, M = designed(p, n), designed(p + m, n)
                 for sf, X, full, empty, reduce, ref in (
                         (solver._StdForm(c=rng.normal(size=n), A=A, b=A @ rng.normal(size=n), G=rng.normal(size=(m, n)),
-                                         h=rng.normal(size=m), cone=solver._Cone(m, [])),
+                                         h=rng.normal(size=m), plan=plan_for(p, n, m, [])),
                          A, p, 0.0, solver._reduce_equalities, ref_reduce_equalities),
                         (solver._StdForm(c=rng.normal(size=n), A=M[:p], b=rng.normal(size=p), G=M[p:],
-                                         h=rng.normal(size=m), cone=solver._Cone(m, [])),
+                                         h=rng.normal(size=m), plan=plan_for(p, n, m, [])),
                          M, n, 1.0, solver._reduce_null_columns, ref_reduce_null_columns)):
                     (alone, rank), alone2 = svd_ranks(X, empty), svd_ranks(X, empty, 2.0)[0]
                     assert alone2 < full or rank == full

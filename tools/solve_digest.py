@@ -1,10 +1,10 @@
 """Print SHA-256 digests over the solver's results on the benchmark's inputs.
 
 A change meant to speed the solver up without changing its arithmetic must
-leave all four digests unchanged; a change to the LP oracle alone leaves the
-interior-point, sweep and batch digests unchanged and moves only the oracle
-digest.  Run it at the parent commit and at the change, from the root of each
-checkout, and compare the outputs:
+leave all five digests unchanged; a change to the LP oracle alone leaves the
+interior-point, sweep, batch and presolve digests unchanged and moves only
+the oracle digest.  Run it at the parent commit and at the change, from the
+root of each checkout, and compare the outputs:
 
     python3 tools/solve_digest.py
 
@@ -28,8 +28,15 @@ status and eta bytes.
 The batch digest (fifth line) covers what the sweep digest leaves out of
 the multi-point jobs: every ``solve_batch`` result, all of its bytes as in the
 first digest, of the five ``batch_cli`` jobs (four sweeps and one GWS probe,
-run through the CLI) and of the door acceptance sweeps.  Takes about a
-minute.
+run through the CLI) and of the door acceptance sweeps.
+
+The presolve digest (sixth line) covers the programs of the second: each
+one's presolved form as the solver computes it before its interior-point
+run (standard form, equilibration and the two reductions): c, A, b, G, h,
+the column scales and the basis, with their shapes, and the masks of the
+presolve exits.  It pins the presolve's arithmetic directly, not only
+through the results it leads to.  The whole run takes about 15 s on a
+2-core x86-64 machine.
 """
 
 from __future__ import annotations
@@ -56,6 +63,22 @@ def result_bytes(res: solver.SolveResult) -> bytes:
     primal = b"none" if res.primal is None else res.primal.astype("<f8").tobytes()
     text = f"{res.status}|{res.iterations}|{res.certificate}|".encode()
     return text + objective + resid + primal
+
+
+def presolved_bytes(prog: problem.ConicProgram) -> bytes:
+    """One program's presolved form and exit masks, as ``solver._solve_group``
+    computes them, as bytes."""
+    sf = solver._standardize(problem.ProgramStack.of([prog]))
+    masks = []
+    if sf.A.shape[-2] or sf.G.shape[-2]:  # else the degenerate exit, before any scaling
+        sf, inconsistent, same = solver._reduce_equalities(solver._equilibrate(sf))
+        masks += [inconsistent, same]
+        if (same & ~inconsistent).any():
+            sf, free, same_null = solver._reduce_null_columns(sf)
+            masks += [free, same_null]
+    arrays = [getattr(sf, name) for name in ("c", "A", "b", "G", "h", "col_scale", "basis")]
+    return b"|".join([b"none" if v is None else f"{v.shape}".encode() + v.astype("<f8").tobytes() for v in arrays]
+                     + [np.asarray(m).tobytes() for m in masks])
 
 
 def eta_bytes(eta: float | None) -> bytes:
@@ -133,17 +156,19 @@ def batch_digest() -> str:
 
 
 def main() -> int:
-    digest, oracle = hashlib.sha256(), hashlib.sha256()
+    digest, oracle, presolved = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = {"eval_grid": 0, "fuzz_socp": 0, "fuzz_oracle": 0}
     for name, params, direction in workloads.eval_grid_points():
-        prob = scenarios.builtin_scenario(name, **params).problem()
-        digest.update(result_bytes(solver.solve(problem.compile_program(prob, direction))))
+        prog = problem.compile_program(scenarios.builtin_scenario(name, **params).problem(), direction)
+        digest.update(result_bytes(solver.solve(prog)))
+        presolved.update(presolved_bytes(prog))
         counts["eval_grid"] += 1
     corpus = workloads.FuzzOracle(seed=0)
     for gen_seed in workloads.FUZZ_GENERATOR_SEEDS:
         for prob, direction, _trial in corpus._draws(gen_seed):
             prog = problem.compile_program(prob, direction)
             digest.update(result_bytes(solver.solve(prog, workloads.FUZZ_SETTINGS)))
+            presolved.update(presolved_bytes(prog))
             oracle.update(result_bytes(solver.solve_with_oracle(prog, workloads.FUZZ_FACETS)))
             counts["fuzz_socp"] += 1
             counts["fuzz_oracle"] += 1
@@ -152,6 +177,7 @@ def main() -> int:
     print(f"oracle_digest={oracle.hexdigest()}")
     print(sweep_digest())
     print(batch_digest())
+    print(f"presolved={counts['eval_grid'] + counts['fuzz_socp']} presolve_digest={presolved.hexdigest()}")
     return 0
 
 
