@@ -223,3 +223,17 @@ def _pcwf_units(facets: int) -> np.ndarray:
     f_n = 1 for a PCWF block: the regular facets-gon."""
     phis = 2.0 * np.pi * np.arange(facets) / facets
     return _table([(_snap(np.cos(phi)), _snap(np.sin(phi))) for phi in phis])
+
+
+@functools.lru_cache(maxsize=32)
+def _ray_columns(rows: int, facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's ray columns [-U; -1'] of a block of ``rows`` (2 or 3) rows
+    as CSC nonzeros from row 0: each column's count, then their row indices
+    (int32) and values; read-only, as the unit table U is."""
+    U = (_pcwf_units if rows == 2 else _sfce_units)(facets)
+    table = np.vstack([-U, np.full(U.shape[1], -1.0)]).T
+    cols, index = np.nonzero(table)
+    arrays = np.bincount(cols, minlength=len(table)), index.astype(np.int32), table[cols, index]
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays

@@ -53,9 +53,11 @@ does not depend on its batch.  Program data need no check here: a
 ``solve_with_oracle`` is the independent validation path: every SOC block is
 replaced by an inscribed polyhedral cone read from the block alone, and the
 resulting LP goes to scipy's HiGHS solver, giving a lower bound on the true
-optimum that tightens as the facet count grows.  It passes one CSC model to scipy's
-bundled HiGHS with a fresh solver per call; ``linprog`` is the tests'
-reference.  Neither ``scipy.linalg`` nor ``scipy.optimize`` is imported: their
+optimum that tightens as the facet count grows.  Its CSC arrays are written
+block by block, each block's ray columns copied from a cached pattern, and
+go to scipy's bundled HiGHS through the binding's array ``passModel``, into
+one HiGHS per thread that is cleared before each model; ``linprog`` is the
+tests' reference.  Neither ``scipy.linalg`` nor ``scipy.optimize`` is imported: their
 package imports cost about 0.25 and 0.6 s, and the solver needs one compiled
 module of each.  ``_scipy_extension`` loads LAPACK (``dsytrf``/``dsytrs``)
 with this module and the HiGHS binding on the first oracle solve, each from
@@ -81,7 +83,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contacts import _pcwf_units, _sfce_units, check_facets
+from .contacts import _ray_columns, check_facets
 from .errors import UnsupportedProgramError
 from .problem import ConicProgram, ProgramStack
 
@@ -1190,35 +1192,42 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
 # Polyhedral LP oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_lp(prog: ConicProgram, facets: int) -> tuple[np.ndarray, ...]:
-    """The LP of ``solve_with_oracle``: minimize c'x s.t. A_eq x = b_eq,
-    lower <= x <= upper, as (c, A_eq, b_eq, lower, upper), with x the
-    program's variables and then each block's ray weights lambda >= 0.  A
-    block ||A x + b|| <= c'x + d whose A has k rows becomes A x - U lambda =
-    -b and c'x - 1'lambda = -d, with U the unit table of dimension k
-    (``_pcwf_units`` for k = 2, ``_sfce_units`` for k = 3), whose columns
-    have norm 1; any other k raises UnsupportedProgramError."""
-    units = []
+_THREAD_HIGHS = threading.local()  # each thread's HiGHS, made with linprog's options on its first oracle solve
+
+
+def _oracle_model(prog: ConicProgram, facets: int) -> tuple:
+    """The LP of ``solve_with_oracle``, minimize c'x s.t. A_eq x = b_eq,
+    lower <= x <= upper, as the arguments of HiGHS's array ``passModel``,
+    with x the program's variables and then each block's ray weights lambda
+    >= 0.  A block ||A x + b|| <= c'x + d whose A has k rows becomes A x - U
+    lambda = -b and c'x - 1'lambda = -d, with U the unit table of dimension k
+    (``_pcwf_units`` for k = 2, ``_sfce_units`` for k = 3); any other k
+    raises UnsupportedProgramError.  A_eq is written as CSC, never dense: the
+    program's columns are the nonzeros of [F; A_1; c_1'; ...], each block's
+    ray columns the cached nonzeros of [-U; -1'] moved to its first row."""
+    rays = []
     for blk in prog.socs:
         k = blk.A.shape[0]
         if k not in (2, 3):
             raise UnsupportedProgramError(
                 f"SOC block {blk.label!r} has {k} rows; the LP oracle inscribes blocks of 2 or 3 rows only")
-        units.append((_pcwf_units if k == 2 else _sfce_units)(facets))
-    n, m = prog.n_vars, prog.F.shape[0]
-    total = n + sum(U.shape[1] for U in units)
-    A_eq = np.zeros((m + sum(U.shape[0] + 1 for U in units), total))
-    b_eq = np.zeros(A_eq.shape[0])
-    A_eq[:m, :n], b_eq[:m] = prog.F, prog.g
-    row, col = m, n
-    for blk, U in zip(prog.socs, units):
-        k, r = U.shape
-        A_eq[row : row + k, :n], A_eq[row : row + k, col : col + r], b_eq[row : row + k] = blk.A, -U, -blk.b
-        A_eq[row + k, :n], A_eq[row + k, col : col + r], b_eq[row + k] = blk.c, -1.0, -blk.d
-        row, col = row + k + 1, col + r
-    c_lp, lower, upper = np.zeros(total), np.zeros(total), np.full(total, np.inf)  # kHighsInf is IEEE inf
-    c_lp[:n], lower[:n], upper[:n] = -prog.f, prog.lb, prog.ub
-    return c_lp, A_eq, b_eq, lower, upper
+        rays.append(_ray_columns(k, facets))
+    own = np.vstack([prog.F, *(rows for blk in prog.socs for rows in (blk.A, blk.c))]).T
+    cols, rows = np.nonzero(own)
+    (n, m), first = own.shape, prog.F.shape[0]
+    parts = [(np.bincount(cols, minlength=n), rows, own[cols, rows])]
+    for blk, (count, index, value) in zip(prog.socs, rays):
+        parts.append((count, index + first, value))
+        first += blk.A.shape[0] + 1
+    counts, indices, values = (np.concatenate(arrays) for arrays in zip(*parts))
+    start, pad = np.zeros(len(counts) + 1, np.int32), len(counts) - n
+    np.cumsum(counts, out=start[1:])
+    b_eq = np.hstack([prog.g, *(rhs for blk in prog.socs for rhs in (-blk.b, -blk.d))])
+    # column-wise (MatrixFormat.kColwise = 1), minimize (ObjSense.kMinimize = 1), offset 0; kHighsInf is IEEE inf
+    return (len(counts), m, start[-1], 1, 1, 0.0, np.concatenate([-prog.f, np.zeros(pad)]),
+            np.concatenate([prog.lb, np.zeros(pad)]), np.concatenate([prog.ub, np.full(pad, np.inf)]), b_eq, b_eq,
+            start, indices.astype(np.int32), values,
+            np.zeros(len(counts), np.int32))  # all continuous (kContinuous = 0): an empty integrality is a model error
 
 
 # the HighsModelStatus names the oracle reports as such; any other, a refused model included, is a NumericalFailure
@@ -1229,44 +1238,40 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     """Lower-bound the optimum by replacing each SOC block with an inscribed
     polyhedral cone and solving the LP with HiGHS.
 
-    The LP (``_oracle_lp``) is built from each block's own rows and the unit
-    ray table of its dimension, with bounds +-inf where absent, so the oracle
-    shares no code with the interior-point path beyond the program data
-    itself.  One CSC model goes to scipy's bundled HiGHS with a fresh solver
-    per call and ``linprog``'s options.  HiGHS's kInfeasible and kUnbounded
-    are reported as Infeasible and Unbounded, with HiGHS's own status text as
-    the certificate; any other non-optimal status, a model HiGHS refuses to
-    load included, is a NumericalFailure.  The HiGHS binding is loaded on the
-    first call, not with this module, and without ``scipy.optimize``.
+    The LP (``_oracle_model``) is built from each block's own rows and the
+    unit ray table of its dimension, with bounds +-inf where absent, so the
+    oracle shares no code with the interior-point path beyond the program
+    data itself.  Its CSC arrays go to scipy's bundled HiGHS through the
+    binding's array ``passModel``.  Each thread keeps one HiGHS, made with
+    ``linprog``'s options on its first call and cleared before each model,
+    so no model, basis or solution crosses calls or threads.  HiGHS's
+    kInfeasible and kUnbounded are reported as Infeasible and Unbounded,
+    with HiGHS's own status text as the certificate; any other non-optimal
+    status, a model HiGHS refuses to load included, is a NumericalFailure.
+    The HiGHS binding is loaded on the first call, not with this module, and
+    without ``scipy.optimize``.
     """
-    c_lp, A_eq, b_eq, lower, upper = _oracle_lp(prog, check_facets(facets))
-    (m, total), n = A_eq.shape, prog.n_vars
+    model, n = _oracle_model(prog, check_facets(facets)), prog.n_vars
 
     hs = _scipy_extension("scipy.optimize._highspy._core")
-    cols, rows = np.nonzero(A_eq.T)  # csc_array(A_eq)'s entries; lists convert to HiGHS fastest
-    lp = hs.HighsLp()  # its matrix is column-wise by default
-    lp.num_col_ = lp.a_matrix_.num_col_ = total
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.start_ = [0, *np.cumsum(np.bincount(cols, minlength=total)).tolist()]
-    lp.a_matrix_.index_, lp.a_matrix_.value_ = rows.tolist(), A_eq.T[cols, rows].tolist()
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c_lp.tolist(), lower.tolist(), upper.tolist()
-    lp.row_lower_ = lp.row_upper_ = b_eq.tolist()
-    highs = hs._Highs()  # fresh per call: no options, basis or solution is shared between calls or threads
-    for name, value in (("output_flag", False), ("log_to_console", False), ("presolve", "on"),
-                        ("highs_debug_level", hs.kHighsDebugLevelNone),
-                        ("simplex_strategy", hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)):
-        highs.setOptionValue(name, value)  # linprog's options, output off first
+    if (highs := getattr(_THREAD_HIGHS, "highs", None)) is None:
+        highs = _THREAD_HIGHS.highs = hs._Highs()
+        for name, value in (("output_flag", False), ("log_to_console", False), ("presolve", "on"),
+                            ("highs_debug_level", hs.kHighsDebugLevelNone),
+                            ("simplex_strategy", hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)):
+            highs.setOptionValue(name, value)  # linprog's options, output off first
+    highs.clearModel()
     # as linprog reads HiGHS: a model it refuses is kModelError, a failed run has no counts
-    loaded = highs.passModel(lp) != hs.HighsStatus.kError
+    loaded = highs.passModel(*model) != hs.HighsStatus.kError
     ran = loaded and highs.run() != hs.HighsStatus.kError
-    status, info = highs.getModelStatus() if loaded else hs.HighsModelStatus.kModelError, highs.getInfo()
-    nit = (info.simplex_iteration_count or info.ipm_iteration_count) if ran else 0
+    status, info = highs.getModelStatus() if loaded else hs.HighsModelStatus.kModelError, highs.getInfoValue
+    nit = (info("simplex_iteration_count")[1] or info("ipm_iteration_count")[1]) if ran else 0  # no HighsInfo copy
     if ran and status == hs.HighsModelStatus.kOptimal:
         x = np.array(highs.getSolution().col_value[:n])
         eq, viol = _ResidualCheck(ProgramStack.of([prog]), 0)(x)
         return SolveResult("Optimal", float(prog.f @ x), x, Residuals(eq, viol, math.nan), nit)
     text = f"model_status is {highs.modelStatusToString(status)}"
     if ran:
-        text += f"; primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
+        text += f"; primal_status is {highs.solutionStatusToString(info('primal_solution_status')[1])}"
     return SolveResult(_ORACLE_STATUS.get(status.name, "NumericalFailure"), None, None,
                        Residuals(math.nan, math.nan, math.nan), nit, text)

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -195,6 +196,30 @@ def test_singular_kkt_matrix_is_factored_regularized():
     assert not kkt.factor(np.ones(0), [])  # and factor reports no failure
 
 
+def oracle_lp(prog, facets: int) -> tuple[np.ndarray, ...]:
+    """The oracle's LP as dense arrays (c, A_eq, b_eq, lower, upper), built as
+    ``solver._oracle_model`` documents it: minimize c'x s.t. A_eq x = b_eq,
+    lower <= x <= upper, with x the program's variables and then each block's
+    ray weights lambda >= 0, a block ||A x + b|| <= c'x + d of k rows giving
+    A x - U lambda = -b and c'x - 1'lambda = -d.  The reference of the CSC
+    arrays that the oracle hands to HiGHS, and the LP of ``linprog_oracle``."""
+    units = [{2: contacts._pcwf_units, 3: contacts._sfce_units}[blk.A.shape[0]](facets) for blk in prog.socs]
+    n, m = prog.n_vars, prog.F.shape[0]
+    total = n + sum(U.shape[1] for U in units)
+    A_eq = np.zeros((m + sum(U.shape[0] + 1 for U in units), total))
+    b_eq = np.zeros(A_eq.shape[0])
+    A_eq[:m, :n], b_eq[:m] = prog.F, prog.g
+    row, col = m, n
+    for blk, U in zip(prog.socs, units):
+        k, r = U.shape
+        A_eq[row : row + k, :n], A_eq[row : row + k, col : col + r], b_eq[row : row + k] = blk.A, -U, -blk.b
+        A_eq[row + k, :n], A_eq[row + k, col : col + r], b_eq[row + k] = blk.c, -1.0, -blk.d
+        row, col = row + k + 1, col + r
+    c_lp, lower, upper = np.zeros(total), np.zeros(total), np.full(total, np.inf)
+    c_lp[:n], lower[:n], upper[:n] = -prog.f, prog.lb, prog.ub
+    return c_lp, A_eq, b_eq, lower, upper
+
+
 class TestOracle:
     def test_lower_bound_and_monotone_facets(self):
         prog = compile_program(door_handle_scenario(DoorHandleParams(x_c=0.05, theta=0.1)).problem())
@@ -224,7 +249,7 @@ class TestOracle:
     def test_lp_rows_are_each_block_and_its_unit_table(self, name):
         # ||A x + b|| <= c'x + d becomes A x - U lambda = -b and c'x - 1'lambda = -d, lambda >= 0
         prog = compile_program(builtin_scenario(name).problem())
-        _, A_eq, b_eq, lower, upper = solver._oracle_lp(prog, 16)
+        _, A_eq, b_eq, lower, upper = oracle_lp(prog, 16)
         n = prog.n_vars
         row, col = prog.F.shape[0], n
         assert A_eq[:row, :n].tobytes() == prog.F.tobytes() and not A_eq[:row, n:].any()
@@ -265,6 +290,7 @@ class TestOracle:
         # cold tables at 64 and 32, then 64 again from the cache
         contacts._sfce_units.cache_clear()
         contacts._pcwf_units.cache_clear()
+        contacts._ray_columns.cache_clear()
         for name in ("door_handle", "cuboid_pivot", "cuboid_slide"):
             prog = compile_program(builtin_scenario(name).problem())
             first, _, again = (result_bytes(solve_with_oracle(prog, k)) for k in (64, 32, 64))
@@ -457,7 +483,7 @@ def linprog_oracle(prog, facets: int) -> SolveResult:
     ``solve_with_oracle``, which must give the same ``lp_bytes``."""
     from scipy.optimize import linprog
 
-    c, A_eq, b_eq, lower, upper = solver._oracle_lp(prog, facets)
+    c, A_eq, b_eq, lower, upper = oracle_lp(prog, facets)
     res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=np.column_stack([lower, upper]), method="highs")
     if res.status == 0:
         x = res.x[: prog.n_vars]
@@ -541,6 +567,84 @@ class TestOracleAgainstLinprog:
             for prog in [*progs, unsupported_load(), free_ray()]:
                 for facets in (8, 64):
                     solve_with_oracle(prog, facets)
+
+
+def highs_refuses():
+    """``test_model_highs_rejects``'s program: a matrix entry HiGHS refuses to load."""
+    return mkprog([0.0, 1.0], [[1e16, 0.0]], [-5.0], lb=[0.0, -np.inf], ub=[np.inf, 3.0])
+
+
+def bytes_of(arrays) -> list:
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestOracleHandOver:
+    """What ``solve_with_oracle`` hands to HiGHS: the CSC arrays written block
+    by block must be the dense reference LP's, bit for bit, and the HiGHS
+    each thread keeps must carry nothing from one call to the next."""
+
+    def assert_model_is_reference(self, prog, facets):
+        from scipy.optimize._highspy import _core as hs
+
+        (num_col, num_row, num_nz, fmt, sense, offset, cost, lower, upper, row_lower, row_upper,
+         start, index, value, integrality) = solver._oracle_model(prog, facets)
+        c, A_eq, b_eq, lo, up = oracle_lp(prog, facets)
+        cols, rows = np.nonzero(A_eq.T)  # A_eq's nonzeros, column by column
+        want_start = np.append(0, np.cumsum(np.bincount(cols, minlength=A_eq.shape[1]))).astype(np.int32)
+        assert (num_col, num_row, num_nz) == (A_eq.shape[1], A_eq.shape[0], len(rows))
+        assert (fmt, sense, offset) == (int(hs.MatrixFormat.kColwise), int(hs.ObjSense.kMinimize), 0.0)
+        assert bytes_of([start, index, value]) == bytes_of([want_start, rows.astype(np.int32), A_eq.T[cols, rows]])
+        assert bytes_of([cost, lower, upper, row_lower, row_upper]) == bytes_of([c, lo, up, b_eq, b_eq])
+        assert bytes_of([integrality]) == bytes_of([np.full(num_col, int(hs.HighsVarType.kContinuous), np.int32)])
+        return cost, row_lower
+
+    @pytest.mark.parametrize("facets", [8, 16, 32, 64])
+    @pytest.mark.parametrize("direction", [+1, -1])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_model_is_the_dense_reference(self, name, direction, facets):
+        prog = compile_program(builtin_scenario(name).problem(), direction)
+        cost, _ = self.assert_model_is_reference(prog, facets)
+        assert np.signbit(cost[: prog.n_vars][prog.f == 0.0]).all()  # -f's signed zeros reach HiGHS
+
+    def test_fuzz_model_is_the_dense_reference(self):
+        signed_rhs = 0
+        for prog in fuzz_slice(200, seed=14):
+            _, rhs = self.assert_model_is_reference(prog, 32)
+            signed_rhs += np.signbit(rhs[rhs == 0.0]).any()
+        assert signed_rhs  # some -b and -d are -0.0, and they reach HiGHS so
+
+    def test_refused_model_leaves_nothing_behind(self):
+        for name in BUNDLED:
+            for direction in (+1, -1):
+                prog = compile_program(builtin_scenario(name).problem(), direction)
+                assert solve_with_oracle(highs_refuses(), 8).status == "NumericalFailure"
+                assert lp_bytes(solve_with_oracle(prog, 64)) == lp_bytes(linprog_oracle(prog, 64)), (name, direction)
+
+    def test_order_of_calls_does_not_matter(self):
+        progs = fuzz_slice(60, seed=15)
+        forward = [result_bytes(solve_with_oracle(prog, 32)) for prog in progs]
+        backward = [result_bytes(solve_with_oracle(prog, 32)) for prog in reversed(progs)]
+        assert backward[::-1] == forward
+
+    def test_each_thread_solves_alone(self):
+        progs = fuzz_slice(60, seed=16)
+        serial = [result_bytes(solve_with_oracle(prog, 32)) for prog in progs]
+        halves, got, highs = (progs[:30], progs[30:]), [None, None], [None, None]
+        barrier = threading.Barrier(2)
+
+        def run(i):
+            barrier.wait(timeout=60)
+            got[i] = [result_bytes(solve_with_oracle(prog, 32)) for prog in halves[i]]
+            highs[i] = solver._THREAD_HIGHS.highs
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert got[0] + got[1] == serial
+        assert len({id(h) for h in [*highs, solver._THREAD_HIGHS.highs]}) == 3
 
 
 # ---------------------------------------------------------------------------

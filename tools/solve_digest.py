@@ -1,10 +1,10 @@
 """Print SHA-256 digests over the solver's results on the benchmark's inputs.
 
 A change meant to speed the solver up without changing its arithmetic must
-leave all five digests unchanged; a change to the LP oracle alone leaves the
-interior-point, sweep, batch and presolve digests unchanged and moves only
-the oracle digest.  Run it at the parent commit and at the change, from the
-root of each checkout, and compare the outputs:
+leave all six digests unchanged; a change to the LP oracle's results alone
+leaves the interior-point, sweep, batch and presolve digests unchanged and
+moves only the two oracle digests.  Run it at the parent commit and at the
+change, from the root of each checkout, and compare the outputs:
 
     python3 tools/solve_digest.py
 
@@ -35,8 +35,13 @@ one's presolved form as the solver computes it before its interior-point
 run (standard form, equilibration and the two reductions): c, A, b, G, h,
 the column scales and the basis, with their shapes, and the masks of the
 presolve exits.  It pins the presolve's arithmetic directly, not only
-through the results it leads to.  The whole run takes about 15 s on a
-2-core x86-64 machine.
+through the results it leads to.
+
+The 64-facet oracle digest (seventh line) covers the LP oracle at 64
+facets, the facet count of ``oracle-check`` in the README: the six bundled
+programs (door, pivot and slide, both directions) and the first 200 draws
+of the corpus, each result's bytes as above.  The whole run takes about
+15 s on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
@@ -155,9 +160,20 @@ def batch_digest() -> str:
     return f"batch_results={count} batch_digest={digest.hexdigest()}"
 
 
+def oracle64_digest(draws: list) -> str:
+    """The 64-facet oracle digest line: the six bundled programs, then ``draws``."""
+    digest = hashlib.sha256()
+    bundled = [problem.compile_program(scenarios.builtin_scenario(name).problem(), direction)
+               for name in ("door_handle", "cuboid_pivot", "cuboid_slide") for direction in (+1, -1)]
+    for prog in bundled + draws:
+        digest.update(result_bytes(solver.solve_with_oracle(prog, 64)))
+    return f"oracle64={len(bundled) + len(draws)} oracle64_digest={digest.hexdigest()}"
+
+
 def main() -> int:
     digest, oracle, presolved = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = {"eval_grid": 0, "fuzz_socp": 0, "fuzz_oracle": 0}
+    first_draws = []
     for name, params, direction in workloads.eval_grid_points():
         prog = problem.compile_program(scenarios.builtin_scenario(name, **params).problem(), direction)
         digest.update(result_bytes(solver.solve(prog)))
@@ -172,12 +188,15 @@ def main() -> int:
             oracle.update(result_bytes(solver.solve_with_oracle(prog, workloads.FUZZ_FACETS)))
             counts["fuzz_socp"] += 1
             counts["fuzz_oracle"] += 1
+            if len(first_draws) < 200:
+                first_draws.append(prog)
     print(" ".join(f"{k}={v}" for k, v in counts.items()), f"results={sum(counts.values())}")
     print(digest.hexdigest())
     print(f"oracle_digest={oracle.hexdigest()}")
     print(sweep_digest())
     print(batch_digest())
     print(f"presolved={counts['eval_grid'] + counts['fuzz_socp']} presolve_digest={presolved.hexdigest()}")
+    print(oracle64_digest(first_draws))
     return 0
 
 
