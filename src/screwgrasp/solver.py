@@ -37,9 +37,12 @@ An iteration computes its cone-block numbers once, in the NT scaling
 z, each block's head, tail and head^2 - ||tail||^2, which the one step search
 of both step lengths reads; lambda = W z with each block's head a, tail b
 and det a^2 - b'b, which the lambda-division reads; and lambda o lambda, the
-predictor's right-hand side.  The corrector reuses the predictor's W dz.  A
-result reports the point in original variables and the residuals that its
-iteration's termination test took.
+predictor's right-hand side.  The corrector reuses the predictor's W dz.
+The termination test unscales x and checks it against the original program
+only on a pass where some instance can stop (its dual residual and gap
+within tolerance), or on every pass of a traced solve, which gives the same
+results; a result reports the point and residuals that test took.  A
+failure exit replays the history of its passes for its best iterate.
 What programs of one structure share (their cone with its identity and W = I
 blocks, G's bound rows, the equilibration's row groups, the KKT matrix's
 cone places and the residual check's bound indices) is one read-only
@@ -861,7 +864,8 @@ def solve(prog: ConicProgram, settings: SolveSettings | None = None, trace=None,
 
     ``trace``, if given, is called once per iteration with a dict of the
     iteration number (an int), residuals, gap and embedding variables (plain
-    floats).  ``backend`` swaps in an external conic solver with the same
+    floats); a traced solve checks every iteration against the original
+    program, not only those that can stop, and gives the same result.  ``backend`` swaps in an external conic solver with the same
     ``(prog, settings, trace) -> SolveResult`` contract; the default is the
     in-house interior-point method, which the whole acceptance suite runs on.
     """
@@ -990,44 +994,40 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
     come from the programs' plan.  An instance that stops is recorded at once; in a
     stack its row runs on (skipped by LAPACK) until the next iteration drops
     it, and the run ends when every instance has stopped.  ``trace`` (one program only) is called once per
-    iteration with plain ints and floats.
+    iteration with plain ints and floats.  A pass is checked against the
+    original programs only where an instance can stop (dual residual and gap
+    within tolerance) or a trace is set; a failure exit replays the recorded
+    passes (x, tau, dual residual, gap) for its best iterate.
     """
     one = sf.c.ndim == 1
     if one:  # Python's operators and builtins on the program's numbers
         cone, scaling, dot = sf.plan.cone, _Scaling, np.ndarray.dot
         mv, vmin, vmax, any_, col, where = dot, min, max, bool, (lambda v: v), (lambda m, a, b: a if m else b)
-        sq, sigma_of, choose = (lambda t: t ** 2), _sigma, where
+        sq, sigma_of = (lambda t: t ** 2), _sigma
         hits, row = (lambda m: (0,) if m else ()), (lambda v, i: v)  # the one instance, if m marks it
     else:  # arrays of per-instance numbers, broadcast against vectors as columns
         cone, scaling, sq, sigma_of = sf.plan.batch, _BatchScaling, _squares, _sigmas
         dot, mv, vmin, vmax, any_, col, where = _dot, _mv, _pymin, _pymax, np.any, (lambda v: v[:, None]), np.where
         hits, row = (lambda m: np.flatnonzero(m & ~out)), (lambda v, i: v[i])  # the running instances m marks
-
-        def choose(m, a, b):  # np.where over tuples of per-instance numbers and vectors
-            return tuple(np.where(m[:, None] if np.ndim(u) == 2 else m, u, v) for u, v in zip(a, b))
     n, p, m = sf.c.shape[-1], sf.A.shape[-2], sf.G.shape[-2]
     B = 1 if one else len(sf.c)
     nu, e = cone.degree, cone.e
     ftol, gtol = settings.feasibility_tol, settings.duality_gap_tol
     results: list = [None] * B
-    measure = _ResidualCheck(st, 0 if one else slice(None), sf.plan)  # norms taken once, and again as instances stop
+    measure = None  # the original programs' residual check: built on first use, and again as instances stop
     kkt = _KKT(sf.A, sf.G, cone)
     ids = np.arange(B)
     out = None if one else np.zeros(B, dtype=bool)  # stopped during this iteration
-    # merit and point (x in original variables, its residuals and gap) of the best iterate, and its iteration
-    best = ((math.inf, None, math.nan, math.nan, math.nan, 0) if one
-            else (np.full(B, math.inf), np.zeros((B, st.f.shape[1])), *np.full((3, B), math.nan),
-                  np.zeros(B, dtype=int)))
+    history = []  # each pass's x (a copy), tau, dual residual, gap, iteration and running ids
 
     def done(i, status, iters, cert=None, point=None):
-        """Record instance i's result.  ``point`` is (x, eq, cone, gap) of the
-        whole state as the termination test took them (x in original
-        variables, checked against the original program); row i is reported."""
+        """Record instance i's result.  ``point`` is its own (x, eq, cone, gap)
+        as a termination test takes them (x in original variables, an array
+        of its own, checked against the original program)."""
         k, xo, obj, resid = ids[i], None, None, Residuals(math.nan, math.nan, math.nan)
         if point is not None:
-            xs, eq, viol, gap = point
-            xo = xs if one else xs[i].copy()
-            resid = Residuals(float(row(eq, i)), float(row(viol, i)), row(gap, i))
+            xo, eq, viol, gap = point
+            resid = Residuals(float(eq), float(viol), gap)
             obj = float(st.f[k] @ xo) if status in ("Optimal", "IterationLimit") else None
         results[k] = SolveResult(status, obj, xo, resid, iters, cert)
         if not one:
@@ -1036,14 +1036,22 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
             raise _Stop
 
     def give_up(mask, why, status="NumericalFailure"):
-        """Stop the marked running instances as ``status`` with their best
-        iterate, if any, and certificate ``why`` (None: iteration limit)."""
+        """Stop the marked running instances as ``status`` with certificate
+        ``why`` (None: iteration limit) and each one's best iterate: the first
+        pass of least merit max(eq, cone, dual, gap) in the history, unscaled
+        and checked as a pass that can stop is (none if no merit is finite)."""
         if one and not mask:  # the common case, without a call of hits
             return
-        merit, *point, it = best
         for i in hits(mask):
-            iters = int(row(it, i)) if why else settings.max_iterations
-            done(i, status, iters, why, point if row(merit, i) < math.inf else None)
+            own, check = sf if one else _take(sf, int(i)), _ResidualCheck(st, int(ids[i]), sf.plan)
+            merit, point, iters = math.inf, None, 0
+            for xh, th, dres_h, gap_h, it_h, ids_h in history:
+                j = ids_h.searchsorted(ids[i])
+                xo = _unscale(own.col_scale, own.basis, row(xh, j), row(th, j))
+                eq, viol = check(xo)
+                if (m := max(max(max(eq, viol), row(dres_h, j)), row(gap_h, j))) < merit:
+                    merit, point, iters = m, (xo, eq, viol, row(gap_h, j)), it_h
+            done(i, status, iters if why else settings.max_iterations, why, point)
 
     def split(u):
         return u[..., :n], u[..., n : n + p], u[..., n + p :]
@@ -1098,11 +1106,9 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                     sf = _take(sf, keep)
                     c, A, b, G, h = sf.c, sf.A, sf.b, sf.G, sf.h
                     At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
-                    u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, tau_bound, ids, kkt.K, *best = (
-                        v[keep] for v in (u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, tau_bound, ids, kkt.K,
-                                          *best))
-                    out = out[keep]
-                    measure = _ResidualCheck(st, ids, sf.plan)
+                    u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, tau_bound, ids, kkt.K = (
+                        v[keep] for v in (u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, tau_bound, ids, kkt.K))
+                    out, measure = out[keep], None
                 x, y, z = split(u)
                 cx, by, hz, sz = dot(c, x), dot(b, y), dot(h, z), dot(s, z)
                 tc = col(tau)
@@ -1112,26 +1118,26 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 rt = kappa + cx + by + hz
                 mu = (sz + tau * kappa) / (nu + 1)
 
-                # -- termination, measured on the original program ----------
-                xo = _unscale(sf.col_scale, sf.basis, x, tc)
-                eq_res, cone_viol = measure(xo)
+                # -- termination, measured on the original program where an instance may stop
                 dres = _amax(neg_rx) / (tau * c_norm)
                 pobj = cx / tau
                 dobj = -(by + hz) / tau
                 relgap = sz / sq(tau) / vmax(1.0, 0.5 * (abs(pobj) + abs(dobj)))
-                merit = vmax(vmax(vmax(eq_res, cone_viol), dres), relgap)
-                best = choose(merit < best[0], (merit, xo, eq_res, cone_viol, relgap, it), best)
-                if trace:
-                    trace({"iteration": it, "mu": float(mu), "eq": eq_res, "cone": cone_viol, "dual": float(dres),
-                           "relgap": float(relgap), "tau": float(tau), "kappa": float(kappa)})
-
-                conv = (eq_res <= ftol) & (cone_viol <= ftol) & (dres <= ftol) & (relgap <= gtol)
-                for i in hits(conv):
-                    eta = -row(pobj, i)  # program maximizes f'x, standard form minimizes
-                    if abs(eta) > _UNBOUNDEDNESS_THRESHOLD:
-                        done(i, "Unbounded", it, f"objective magnitude {abs(eta):.3e} exceeds threshold")
-                    else:
-                        done(i, "Optimal", it, point=(xo, eq_res, cone_viol, relgap))
+                history.append((x.copy(), tau, dres, relgap, it, ids))
+                can = (dres <= ftol) & (relgap <= gtol)
+                if trace or any_(can):  # a traced run checks every pass
+                    measure = measure or _ResidualCheck(st, 0 if one else ids, sf.plan)
+                    eq_res, cone_viol = measure(xo := _unscale(sf.col_scale, sf.basis, x, tc))
+                    if trace:
+                        trace({"iteration": it, "mu": float(mu), "eq": eq_res, "cone": cone_viol,
+                               "dual": float(dres), "relgap": float(relgap), "tau": float(tau), "kappa": float(kappa)})
+                    for i in hits(can & (eq_res <= ftol) & (cone_viol <= ftol)):
+                        eta = -row(pobj, i)  # program maximizes f'x, standard form minimizes
+                        if abs(eta) > _UNBOUNDEDNESS_THRESHOLD:
+                            done(i, "Unbounded", it, f"objective magnitude {abs(eta):.3e} exceeds threshold")
+                        else:
+                            done(i, "Optimal", it, point=(xo if one else xo[i].copy(), row(eq_res, i),
+                                                          row(cone_viol, i), row(relgap, i)))
 
                 # certificates
                 bhz = by + hz

@@ -107,7 +107,8 @@ def test_iteration_limit_for_every_instance():
 
 def unscaled_iterates(monkeypatch) -> list:
     """(col_scale, basis, x, tau, point) of each ``solver._unscale`` call, as made:
-    one per iteration of an interior-point run, for its termination test."""
+    one per pass that an interior-point run checks against the original
+    program, and one per pass that a failure exit replays."""
     calls, unscale = [], solver._unscale
 
     def record(col_scale, basis, x, tau):
@@ -118,10 +119,10 @@ def unscaled_iterates(monkeypatch) -> list:
     return calls
 
 
-def assert_point_of(res, prog, iterate):
-    """``res`` reports a row of ``iterate`` (the call of its last iteration):
-    the row whose fresh one-program ``_unscale`` is its primal byte for byte,
-    with the residuals a fresh ``_ResidualCheck`` of that point gives."""
+def assert_point_of(res, prog, iterate, row):
+    """``res`` reports row ``row`` of ``iterate`` (one ``_unscale`` call), and
+    each row of the call is its fresh one-program ``_unscale`` byte for byte;
+    the residuals are those a fresh ``_ResidualCheck`` of that point gives."""
     col_scale, basis, x, tau, point = iterate
     if x.ndim == 1:
         rows, alone = [point], [solver._unscale(col_scale, basis, x, tau)]
@@ -130,29 +131,109 @@ def assert_point_of(res, prog, iterate):
         alone = [solver._unscale(col_scale[r], None if basis is None else basis[r], x[r], tau[r, 0])
                  for r in range(len(x))]
     assert [p.tobytes() for p in rows] == [p.tobytes() for p in alone]
-    assert res.primal.tobytes() in [p.tobytes() for p in alone]
+    assert res.primal.tobytes() == alone[row].tobytes()
     check = solver._ResidualCheck(problem.ProgramStack.of([prog]), 0)
     assert np.array(check(res.primal)).tobytes() == np.array([res.residuals.primal, res.residuals.cone]).tobytes()
 
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_optimal_result_is_the_checked_point_of_its_last_iterate(monkeypatch, stacked):
-    """An Optimal result reports the point and residuals that its last
-    iteration's termination test took, and they are those of the program
-    alone: a stack's rows are each a fresh one-program ``_unscale`` and
-    ``_ResidualCheck``."""
+    """An Optimal result reports the point and residuals of the last pass
+    that its run checked against the original program, and they are those
+    of the program alone: a stack's rows are each a fresh one-program
+    ``_unscale`` and ``_ResidualCheck``.  An instance leaves a stack after
+    the pass it stops at, so the call of row k's last pass is the last one
+    over the instances that stopped no earlier than k, and k is its place
+    among them."""
     calls = unscaled_iterates(monkeypatch)
     for stack in (stacks_of(door_problems(0.05)[::4], +1)[0], stacks_of(cuboid_problems("cuboid_pivot")[::3], -1)[0]):
         if stacked:
             calls.clear()
             results = solve_batch([stack])
-            assert calls[0][2].ndim == 2  # one stacked run, one call per iteration
+            assert {call[2].ndim for call in calls} == {2}  # one stacked run, no replay
         for k, prog in enumerate(rows([stack])):
             if not stacked:
                 calls.clear()
                 results = {k: solve(prog)}
+                running, call = [k], calls[-1]
+            else:
+                running = [j for j, res in enumerate(results) if res.iterations >= results[k].iterations]
+                call = [c for c in calls if len(c[2]) == len(running)][-1]
             assert results[k].status == "Optimal"
-            assert_point_of(results[k], prog, calls[results[k].iterations])
+            assert_point_of(results[k], prog, call, running.index(k))
+
+
+def bundled_programs() -> list:
+    """The door, pivot and slide programs of the bundled scenarios, both directions."""
+    return [compile_program(builtin_scenario(name).problem(), direction)
+            for name in ("door_handle", "cuboid_pivot", "cuboid_slide") for direction in (+1, -1)]
+
+
+def test_untraced_run_checks_only_the_passes_that_can_stop(monkeypatch):
+    """A traced run checks every pass against the original program; an
+    untraced one only the passes whose dual residual and gap are within
+    their tolerances, the only ones where it can stop (Optimal runs: no
+    failure exit replays the history)."""
+    calls, settings = unscaled_iterates(monkeypatch), SolveSettings()
+    for prog in bundled_programs():
+        calls.clear()
+        passes = []
+        res = solve(prog, settings, passes.append)
+        assert res.status == "Optimal" and len(calls) == len(passes) == res.iterations + 1
+        calls.clear()
+        solve(prog, settings)
+        can = [p for p in passes if p["dual"] <= settings.feasibility_tol and p["relgap"] <= settings.duality_gap_tol]
+        assert 1 <= len(calls) == len(can) < len(passes)
+
+
+def every_exit_cases() -> list:
+    """(program, settings) that reach every exit of the loop at the default
+    iteration limit: the six bundled programs, the first ten draws of the
+    fuzz corpus's generator seed 2 at the benchmark's fuzz settings (Optimal,
+    Farkas rays, and its trial 9, defect 2: a NumericalFailure that reports
+    its best iterate), an improving ray and an objective beyond the
+    unboundedness threshold."""
+    fuzz = SolveSettings(duality_gap_tol=1e-9)
+    return ([(prog, SolveSettings()) for prog in bundled_programs()]
+            + [(compile_program(p, d), fuzz) for p, d in fuzz_problems(2, 10)]
+            + [(mkprog([0.0, 1.0], [[1.0, -2.0]], [1.0], lb=[0.0, -np.inf]), SolveSettings()),
+               (mkprog([1.0], np.zeros((0, 1)), [], ub=[1e12]), SolveSettings())])
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2, 3, 4])
+def test_traced_and_untraced_runs_give_the_same_bytes(limit):
+    """Whether a run checks every pass (traced) or only those that can stop,
+    its result is the same, byte for byte, alone and as each row of a stack
+    of three copies, for every exit of the loop, at the default iteration
+    limit and at ``max_iterations`` 1-4 (IterationLimit)."""
+    exits = set()
+    for prog, settings in every_exit_cases():
+        settings = replace(settings, max_iterations=limit or settings.max_iterations)
+        res = solve(prog, settings)
+        assert result_bytes(solve(prog, settings, lambda _: None)) == result_bytes(res)
+        assert list(map(result_bytes, solve_batch([ProgramStack.of([prog] * 3)], settings))) == [result_bytes(res)] * 3
+        exits.add(loop_exit(res))
+    assert exits >= ({"IterationLimit"} if limit else {
+        "Optimal", "Infeasible", "improving ray", "objective threshold", "NumericalFailure, best iterate"})
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2, 3, 4])
+def test_failure_exit_reports_the_first_pass_of_least_merit(limit):
+    """A failure exit reports the first pass of least merit max(eq, cone,
+    dual, relgap), computed from the numbers a traced run gives its trace:
+    that pass's residuals and gap, and its iteration unless the run hit the
+    iteration limit."""
+    failures = []
+    for prog, settings in every_exit_cases():
+        passes = []
+        res = solve(prog, replace(settings, max_iterations=limit or settings.max_iterations), passes.append)
+        if res.status in ("IterationLimit", "NumericalFailure"):
+            best = min(passes, key=lambda p: max(max(max(p["eq"], p["cone"]), p["dual"]), p["relgap"]))
+            assert (res.residuals.primal, res.residuals.cone, res.residuals.gap) == (
+                best["eq"], best["cone"], best["relgap"])
+            assert res.iterations == (best["iteration"] if res.status == "NumericalFailure" else limit)
+            failures.append(res.status)
+    assert set(failures) == ({"IterationLimit"} if limit else {"NumericalFailure"})
 
 
 def test_initial_point_that_is_not_finite_stops_without_warnings():

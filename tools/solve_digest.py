@@ -1,12 +1,14 @@
 """Print SHA-256 digests over the solver's results on the benchmark's inputs.
 
 A change meant to speed the solver up without changing its arithmetic must
-leave all six digests unchanged; a change to the LP oracle's results alone
-leaves the interior-point, sweep, batch and presolve digests unchanged and
-moves only the two oracle digests.  Run it at the parent commit and at the
-change, from the root of each checkout, and compare the outputs:
+leave all seven digests unchanged; a change to the LP oracle's results alone
+leaves the interior-point, sweep, batch, presolve and limit digests unchanged
+and moves only the two oracle digests.  Run it on the change and on the
+parent commit (another checkout, for example a ``git archive`` of it, digested
+by this file's lines through ``--root``), and compare the outputs:
 
     python3 tools/solve_digest.py
+    python3 tools/solve_digest.py --root ../parent
 
 The interior-point digest (second line) covers the inputs of
 ``perfbench/workloads.py``: every ``eval_grid`` point (compiled and solved
@@ -40,19 +42,33 @@ through the results it leads to.
 The 64-facet oracle digest (seventh line) covers the LP oracle at 64
 facets, the facet count of ``oracle-check`` in the README: the six bundled
 programs (door, pivot and slide, both directions) and the first 200 draws
-of the corpus, each result's bytes as above.  The whole run takes about
-15 s on a 2-core x86-64 machine.
+of the corpus, each result's bytes as above.
+
+The limit digest (eighth line) covers the failure exits that report a best
+iterate: every ``eval_grid`` program and the first 500 draws of the corpus,
+each solved alone, and the stacks that the five ``batch_cli`` jobs hand to
+``solve_batch``, each solved as one stack, all at ``max_iterations`` 1, 2 and
+3 (the benchmark's settings otherwise), each result's bytes as above.  The
+whole run takes about 30 s on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
 import struct
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+if __name__ == "__main__":  # the checkout to digest, read before its packages are imported
+    _parser = argparse.ArgumentParser(description="Digest the solver's results on the benchmark's inputs.")
+    _parser.add_argument("--root", type=Path, default=ROOT,
+                         help="root of the checkout to digest (default: the one holding this file)")
+    ROOT = _parser.parse_args().root.resolve()
 sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
@@ -129,35 +145,67 @@ def sweep_digest() -> str:
     return f"sweep_rows={len(rows)} gws_rays={len(rays)} sweep_digest={digest.hexdigest()}"
 
 
+@contextlib.contextmanager
+def batches():
+    """Record each ``solve_batch`` call of ``metric`` in the block, as its
+    (stacks, settings, results), in the list it gives."""
+    calls, original = [], metric.solve_batch
+
+    def record(stacks, settings=None):
+        calls.append((stacks, settings or solver.SolveSettings(), original(stacks, settings)))
+        return calls[-1][2]
+
+    metric.solve_batch = record
+    try:
+        yield calls
+    finally:
+        metric.solve_batch = original
+
+
+def batch_cli_jobs() -> None:
+    """Run the five ``batch_cli`` jobs through the CLI, writing to a temporary directory."""
+    for _name, argv in workloads.BATCH_JOBS:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _ = workloads.run_cli_job(list(argv), Path(tmp) / "out.csv")
+        if code != 0:
+            raise RuntimeError(f"{argv} exited {code}")
+
+
 def batch_digest() -> str:
     """The batch digest line: every ``solve_batch`` result of the ``batch_cli``
     jobs and the door acceptance sweeps, recorded where ``metric`` calls it."""
     digest = hashlib.sha256()
-    original, count = metric.solve_batch, 0
-
-    def record(progs, settings=None):
-        nonlocal count
-        results = original(progs, settings)
-        for res in results:
-            digest.update(result_bytes(res))
-        count += len(results)
-        return results
-
-    metric.solve_batch = record
-    try:
-        for _name, argv in workloads.BATCH_JOBS:
-            with tempfile.TemporaryDirectory() as tmp:
-                code, _ = workloads.run_cli_job(list(argv), Path(tmp) / "out.csv")
-            if code != 0:
-                raise RuntimeError(f"{argv} exited {code}")
+    with batches() as calls:
+        batch_cli_jobs()
         thetas = np.radians(np.linspace(0.0, 40.0, 41))
         for x_c in (0.0, 0.05, 0.10, 0.15):
             family = scenarios.scenario_family(scenarios.builtin_scenario("door_handle", x_c=x_c), "theta")
             for direction in (+1, -1):
                 metric.metric_sweep(family, thetas, direction)
-    finally:
-        metric.solve_batch = original
-    return f"batch_results={count} batch_digest={digest.hexdigest()}"
+    results = [res for _stacks, _settings, found in calls for res in found]
+    for res in results:
+        digest.update(result_bytes(res))
+    return f"batch_results={len(results)} batch_digest={digest.hexdigest()}"
+
+
+def limit_digest(progs: list, draws: list) -> str:
+    """The limit digest line: ``progs`` (at the default settings) and
+    ``draws`` (at the benchmark's fuzz settings) solved alone, then the
+    ``batch_cli`` jobs' stacks as stacks (at their jobs' settings), all at
+    ``max_iterations`` 1, 2 and 3."""
+    digest, count = hashlib.sha256(), 0
+    with batches() as calls:
+        batch_cli_jobs()
+    for limit in (1, 2, 3):
+        settings = solver.SolveSettings(max_iterations=limit)
+        fuzz = replace(workloads.FUZZ_SETTINGS, max_iterations=limit)
+        results = [solver.solve(prog, settings) for prog in progs] + [solver.solve(prog, fuzz) for prog in draws]
+        for stacks, job_settings, _found in calls:
+            results += solver.solve_batch(stacks, replace(job_settings, max_iterations=limit))
+        for res in results:
+            digest.update(result_bytes(res))
+        count += len(results)
+    return f"limited={count} limit_digest={digest.hexdigest()}"
 
 
 def oracle64_digest(draws: list) -> str:
@@ -173,9 +221,9 @@ def oracle64_digest(draws: list) -> str:
 def main() -> int:
     digest, oracle, presolved = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = {"eval_grid": 0, "fuzz_socp": 0, "fuzz_oracle": 0}
-    first_draws = []
+    grid, first_draws = [], []
     for name, params, direction in workloads.eval_grid_points():
-        prog = problem.compile_program(scenarios.builtin_scenario(name, **params).problem(), direction)
+        grid.append(prog := problem.compile_program(scenarios.builtin_scenario(name, **params).problem(), direction))
         digest.update(result_bytes(solver.solve(prog)))
         presolved.update(presolved_bytes(prog))
         counts["eval_grid"] += 1
@@ -188,7 +236,7 @@ def main() -> int:
             oracle.update(result_bytes(solver.solve_with_oracle(prog, workloads.FUZZ_FACETS)))
             counts["fuzz_socp"] += 1
             counts["fuzz_oracle"] += 1
-            if len(first_draws) < 200:
+            if len(first_draws) < 500:
                 first_draws.append(prog)
     print(" ".join(f"{k}={v}" for k, v in counts.items()), f"results={sum(counts.values())}")
     print(digest.hexdigest())
@@ -196,7 +244,8 @@ def main() -> int:
     print(sweep_digest())
     print(batch_digest())
     print(f"presolved={counts['eval_grid'] + counts['fuzz_socp']} presolve_digest={presolved.hexdigest()}")
-    print(oracle64_digest(first_draws))
+    print(oracle64_digest(first_draws[:200]))
+    print(limit_digest(grid, first_draws))
     return 0
 
 
