@@ -553,21 +553,23 @@ def _cone(cls, raw, path):
     return _build(cls, path, **{f.name: _get(raw, f.name, float, path) for f in fields(cls)})
 
 
+# No rotation or unit vector has an entry above 1 + 1e-6 in size.  One above
+# _HUGE fails without the arithmetic, whose squares could overflow, and reads inf.
+_HUGE = 1e150
+
+
 def _orthonormalize(M: np.ndarray, path: str) -> np.ndarray:
-    err = np.max(np.abs(M.T @ M - np.eye(3)))
+    err = np.max(np.abs(M.T @ M - np.eye(3))) if np.abs(M).max() <= _HUGE else np.inf
     if err > 1e-6 or np.linalg.det(M) < 0:
         raise ScenarioPhysicsError(f"{path}: not a rotation matrix (|R'R - I| = {err:.2e})")
     if err <= 1e-12:  # already exact; keep bytes stable across save/load
         return M
     U, _, Vt = np.linalg.svd(M)
-    R = U @ Vt
-    if np.linalg.det(R) < 0:
-        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    return R
+    return U @ Vt  # det(M) > 0, so the polar factor is a rotation
 
 
 def _unit(v: np.ndarray, path: str) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = np.linalg.norm(v) if np.abs(v).max() <= _HUGE else np.inf
     if abs(n - 1.0) > 1e-6:
         raise ScenarioPhysicsError(f"{path}: expected a unit vector, |v| = {n:.8f}")
     return v / n

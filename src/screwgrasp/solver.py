@@ -4,10 +4,10 @@ The reference solver is a primal-dual path-following interior-point method on
 the homogeneous self-dual embedding, so primal infeasibility and
 unboundedness fall out as certificate rays instead of diverging iterates.
 Second-order cone blocks use Nesterov-Todd scaling; the reduced KKT system is
-factored densely (LAPACK Bunch-Kaufman) with static regularization on retry
-and iterative refinement.  Problems here are tens of variables, so dense
-linear algebra is both the simplest and the fastest option, and the whole
-pipeline is deterministic.
+factored densely (LAPACK Bunch-Kaufman), once per iteration, with iterative
+refinement.  Problems here are tens of variables, so dense linear algebra is
+both the simplest and the fastest option, and the whole pipeline is
+deterministic.
 
 Internally a program is brought to the conic standard form
 
@@ -562,9 +562,8 @@ class _KKT:
         [ A   0    0   ]
         [ G   0  -W'W  ]
 
-    with iterative refinement.  A factorization can fail (``?sytrf`` finds
-    an exactly singular pivot): it is retried with static regularization,
-    and an instance whose every attempt fails stops as a NumericalFailure.
+    with iterative refinement.  Each matrix is factored once: an instance
+    whose ``?sytrf`` finds an exactly zero pivot stops as a NumericalFailure.
     A solve with the factors cannot fail.
     """
 
@@ -573,7 +572,7 @@ class _KKT:
         # instance axis) and a _BatchCone
         p, n = A.shape[-2:]
         m = G.shape[-2]
-        self.n, self.o, self.cone = n, n + p, cone
+        self.o, self.cone = n + p, cone
         self.K = np.zeros(A.shape[:-2] + (n + p + m, n + p + m))
         self.K[..., n : n + p, :n] = A
         self.K[..., :n, n : n + p] = np.swapaxes(A, -1, -2)
@@ -581,20 +580,10 @@ class _KKT:
         self.K[..., :n, n + p :] = np.swapaxes(G, -1, -2)
 
     def _factor_one(self, K: np.ndarray):
-        """(ldu, ipiv) of one KKT matrix, regularized on retry; None if every attempt fails."""
-        n = self.n
-        for reg in (0.0, 1e-12, 1e-8):
-            Kreg = K  # sytrf factors a copy; K itself is kept for refinement
-            if reg:  # the scale is needed only on retry
-                delta = reg * max(1.0, float(np.abs(K).max()))
-                Kreg = K.copy()
-                di = np.arange(K.shape[0])
-                Kreg[di[:n], di[:n]] += delta
-                Kreg[di[n:], di[n:]] -= delta
-            ldu, ipiv, info = _sytrf(Kreg, 1)  # lower=1 by position: f2py parses keywords slowly
-            if info == 0:
-                return ldu, ipiv
-        return None
+        """(ldu, ipiv) of one KKT matrix; None if a pivot is exactly zero."""
+        # sytrf factors a copy (K is kept for refinement); lower=1 by position: f2py parses keywords slowly
+        ldu, ipiv, info = _sytrf(K, 1)
+        return (ldu, ipiv) if info == 0 else None
 
     def factor(self, w2_lp, w2_soc, out=None):
         """Factor K with the scaling blocks W'W; return the failure mask (a
@@ -768,29 +757,33 @@ def _rank(sv: np.ndarray, shape: tuple[int, int], empty: float, slack: float = 1
     return (sv > tol).sum(axis=-1)
 
 
-# The two reductions take one program or a stack.  A stack is reduced with the
-# rank of its first instance; the returned mask marks the instances of that
-# rank, whose reduced rows are then exactly their own reduction.  A full SVD
-# runs only if an instance fails a full-rank test on singular values alone at
-# twice the tolerance.  That this margin covers the full SVD's last bits is
-# measured, not proven: they differed by at most 2e-15 tolerances on 12 000
-# random matrices (numpy 2.4's OpenBLAS 0.3.31 LAPACK, x86-64 Haswell).
+def _svd_rank(M: np.ndarray, full: int, empty: float):
+    """Both reductions' rank test, of one program's M or a stack: (U, Vt, r,
+    same), M's full SVD, the rank r of its first instance, by which a stack is
+    reduced, and the instances of rank r, whose reduction is then their own.
+    It is (None, None, ``full``, all True), with no full SVD, if every instance
+    shows full rank by its singular values alone at twice the tolerance, a
+    margin measured to cover the full SVD's last bits (at most 2e-15 tolerances
+    apart on 12 000 random matrices; OpenBLAS 0.3.31, x86-64 Haswell)."""
+    if (_rank(np.linalg.svd(M, compute_uv=False), M.shape[-2:], empty, 2.0) == full).all():
+        return None, None, full, np.ones(M.shape[:-2], dtype=bool)
+    U, sv, Vt = np.linalg.svd(M, full_matrices=True)
+    rank = _rank(sv, M.shape[-2:], empty)
+    r = int(np.ravel(rank)[0])
+    return U, Vt, r, rank == r
+
 
 def _reduce_equalities(sf: _StdForm):
     """Drop linearly dependent equality rows; flag inconsistency."""
-    p, n = sf.A.shape[-2:]
-    if p == 0 or (_rank(np.linalg.svd(sf.A, compute_uv=False), (p, n), 0.0, 2.0) == p).all():
-        return sf, np.zeros(sf.A.shape[:-2], dtype=bool), np.ones(sf.A.shape[:-2], dtype=bool)
-    U, sv, _ = np.linalg.svd(sf.A, full_matrices=True)
-    rank = _rank(sv, (p, n), 0.0)
-    r = int(np.ravel(rank)[0])
+    p = sf.A.shape[-2]
+    U, _, r, same = _svd_rank(sf.A, p, 0.0)
     if r == p:
-        return sf, np.zeros(rank.shape, dtype=bool), rank == r
+        return sf, np.zeros(same.shape, dtype=bool), same
     UrT = np.swapaxes(U[..., :r], -1, -2)
     b = _mv(UrT, sf.b)
     resid = sf.b - _mv(U[..., :r], b)
     inconsistent = np.abs(resid).max(axis=-1, initial=0.0) > 1e-9 * (1.0 + np.abs(sf.b).max(axis=-1, initial=0.0))
-    return replace(sf, A=UrT @ sf.A, b=b), inconsistent, rank == r
+    return replace(sf, A=UrT @ sf.A, b=b), inconsistent, same
 
 
 def _reduce_null_columns(sf: _StdForm):
@@ -803,18 +796,13 @@ def _reduce_null_columns(sf: _StdForm):
     nonsingular.
     """
     n = sf.c.shape[-1]
-    M = np.concatenate([sf.A, sf.G], axis=-2)
-    if (_rank(np.linalg.svd(M, compute_uv=False), M.shape[-2:], 1.0, 2.0) == n).all():
-        return sf, np.zeros(M.shape[:-2], dtype=bool), np.ones(M.shape[:-2], dtype=bool)
-    _, sv, Vt = np.linalg.svd(M, full_matrices=True)
-    rank = _rank(sv, M.shape[-2:], 1.0)
-    r = int(np.ravel(rank)[0])
+    _, Vt, r, same = _svd_rank(np.concatenate([sf.A, sf.G], axis=-2), n, 1.0)
     if r == n:
-        return sf, np.zeros(rank.shape, dtype=bool), rank == r
+        return sf, np.zeros(same.shape, dtype=bool), same
     # unbounded where the objective has a free ray
     free = np.abs(_mv(Vt[..., r:, :], sf.c)).max(axis=-1, initial=0.0) > 1e-10 * (1.0 + np.abs(sf.c).max(axis=-1, initial=0.0))
     basis = np.swapaxes(Vt[..., :r, :], -1, -2)
-    return replace(sf, c=_mv(Vt[..., :r, :], sf.c), A=sf.A @ basis, G=sf.G @ basis, basis=basis), free, rank == r
+    return replace(sf, c=_mv(Vt[..., :r, :], sf.c), A=sf.A @ basis, G=sf.G @ basis, basis=basis), free, same
 
 
 # ---------------------------------------------------------------------------

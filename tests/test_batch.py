@@ -593,10 +593,10 @@ def test_stacked_kkt_rows_are_solved_in_place(monkeypatch):
 
 
 def test_kkt_factorization_failure_alone_and_in_a_stack(monkeypatch):
-    """When every ``dsytrf`` attempt reports INFO > 0 (the unregularized one
-    and both regularized retries), a solve stops at its first factorization
-    as a NumericalFailure "KKT factorization failed", alone and as a row of
-    a stack of ``_MIN_BATCH`` programs alike, byte for byte."""
+    """When ``dsytrf`` reports INFO > 0 (an exactly zero pivot), a solve
+    stops at its first factorization, the one call for that matrix, as a
+    NumericalFailure "KKT factorization failed", alone and as a row of a
+    stack of ``_MIN_BATCH`` programs alike, byte for byte."""
     calls = []
 
     def singular(a, lower):
@@ -609,7 +609,7 @@ def test_kkt_factorization_failure_alone_and_in_a_stack(monkeypatch):
     assert [len(r) for r in runs] == [solver._MIN_BATCH]
     assert {(r.status, r.iterations, r.certificate, r.primal is None) for r in batch} == {
         ("NumericalFailure", 0, "KKT factorization failed", True)}
-    assert calls == [1] * (2 * 3 * solver._MIN_BATCH)  # three attempts per program, stacked and alone
+    assert calls == [1] * (2 * solver._MIN_BATCH)  # one attempt per program, stacked and alone
 
 
 def test_global_metric_per_point_matches_local_metric():

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -689,6 +690,12 @@ MALFORMED = [pytest.param(base, edit, field, id=name) for name, base, edit, fiel
     ("jacobian_six_rows", "torque", lambda doc: doc["torque_model"].update(
         jacobian=doc["torque_model"]["jacobian"][:6], dofs=None),
      "$: jacobian has 6 rows, expected 6 x 2 manipulator contacts"),
+    ("tasks_empty", "door_handle", _set("tasks", []), "$.tasks: at least one task is required"),
+    # entries whose squares overflow: rejected before the arithmetic, without a RuntimeWarning
+    ("rotation_entry_1e200", "door_handle", _set("manipulator_contacts", 0, "rotation", 0, 1, 1e200),
+     "$.manipulator_contacts[0].rotation: not a rotation matrix"),
+    ("task_axis_entry_1e200", "door_handle", _set("tasks", 0, "axis", 0, 1e200),
+     "$.tasks[0].axis: expected a unit vector"),
 ]]
 
 
@@ -711,7 +718,9 @@ class TestMalformedScenario:
     def test_exits_4_naming_the_field(self, capsys, tmp_path, base, edit, field):
         doc = _document(base)
         edit(doc)
-        code, out, err = run(capsys, "eval", "--scenario", self.write(tmp_path, doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a rejection writes no warning first
+            code, out, err = run(capsys, "eval", "--scenario", self.write(tmp_path, doc))
         assert (code, out) == (EXIT_INPUT, "")
         assert err.startswith(f"error: {field}") and "Traceback" not in err
 

@@ -168,8 +168,14 @@ class TestScrewToUnitWrench:
 
     def test_infinite_pitch_tag_is_not_a_float(self):
         s = TaskScrew(l=[0, 0, 1], pitch=INFINITE_PITCH)
+        assert repr(s.pitch) == "INFINITE_PITCH"
         with pytest.raises(TypeError):
             s.pitch + 1.0  # noqa: B018 - the error is the point
+
+    @pytest.mark.parametrize("pitch", [np.inf, -np.inf, np.nan])
+    def test_non_finite_pitch_rejected(self, pitch):
+        with pytest.raises(InvalidScrewError, match="use INFINITE_PITCH"):
+            TaskScrew(l=[0, 0, 1], pitch=pitch)
 
 
 @given(vec3, vec3)
