@@ -68,7 +68,7 @@ from .errors import (
     ScrewGraspError,
 )
 from .problem import ExternalWrench, GraspProblem, TorqueModel, _built, _placed, _stacked, _write, compile_program
-from .screws import INFINITE_PITCH, TaskScrew, rotations_pass
+from .screws import INFINITE_PITCH, TaskScrew
 
 SCHEMA_VERSION = 1
 
@@ -363,9 +363,9 @@ class Family:
         """``compile_stacks`` of the problems at the grid values, each row or
         error the same, from one problem whose numbers are arrays over the grid
         (of the parameters as their type checked them per value).  A value
-        whose parameters the type rejects or are not all finite, whose contact
-        frames fail the rotation test or whose row fails the program checks is
-        compiled alone, for its error (if none, it stays a row)."""
+        whose parameters the type rejects or whose row fails the program checks
+        is compiled alone, for its error (if none, it stays a row).  Accepted
+        parameters are finite, so every contact frame is a rotation."""
         spec, params, rejected = BUILTINS[self.builtin], [], []
         for value in grid:
             try:
@@ -373,15 +373,12 @@ class Family:
             except Exception:  # noqa: BLE001  (compiled alone below, for its error)
                 rejected.append(len(params))
                 params.append(spec.params_cls(**self.params))
-        values = _stacked(params)  # each parameter an array over the grid
-        with np.errstate(all="ignore"):  # the checks below find inf and nan
-            p = spec.build(values, _columns).problem(self.task)
-            frames = np.array([ct.rotation for ct in (*p.manipulator_contacts, *p.environment_contacts)])
-            suspect = ~(np.isfinite(list(vars(values).values())).all(axis=0) & rotations_pass(frames).all(axis=0))
+        with np.errstate(all="ignore"):  # products such as k_t * theta may overflow; _write's checks find them
+            p = spec.build(_stacked(params), _columns).problem(self.task)  # each parameter an array over the grid
         stack, _, bad = _write(p, len(grid), direction)
-        suspect[rejected] = True
+        bad[rejected] = True
         return _placed(stack, [self._error(value, direction) if flag else None
-                               for value, flag in zip(grid, (bad | suspect).tolist())])
+                               for value, flag in zip(grid, bad.tolist())])
 
     def _error(self, value: float, direction: int) -> Exception | None:
         """What compiling the problem at ``value`` alone raises, if anything."""

@@ -60,42 +60,26 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def _so3_test(rows, top=max):
-    """``check_rotation``'s test of R from its rows (a, b, c), (d, e, f),
-    (g, h, i), floats or arrays over a stack alike (``top``: the largest of a
-    list): whether R passes, |R'R - I| (the largest of R'R - I's six distinct
-    entries) and its cofactor determinant, each rounded as for one R."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    err = top([abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
-               abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
-               abs(a * c + d * f + g * i), abs(b * c + e * f + h * i)])
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    off = abs(det - 1.0)  # orthonormality error of order eps enters det at the same order
-    return (err <= ROTATION_TOL) & ((off <= ROTATION_TOL) | (off <= 10.0 * err + 1e-12)), err, det
-
-
 def check_rotation(R: np.ndarray) -> np.ndarray:
     """Validate R in SO(3); returns R as a float array.
 
-    Raises InvalidRotationError if ``R^T R`` deviates from identity by more
-    than ``ROTATION_TOL`` (max abs entry) or ``det R`` is not +1 within it.
+    Raises InvalidRotationError on a non-finite entry, or if ``R^T R`` is off
+    I by more than ``ROTATION_TOL`` (largest entry) or ``det R`` off +1 by it.
     """
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise InvalidRotationError(f"rotation must be 3x3, got shape {R.shape}")
-    rows = R.tolist()
+    (a, b, c), (d, e, f), (g, h, i) = rows = R.tolist()
     if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
         raise InvalidRotationError("rotation contains non-finite entries")
-    ok, err, det = _so3_test(rows)
-    if not ok:
+    err = max([abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+               abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+               abs(a * c + d * f + g * i), abs(b * c + e * f + h * i)])
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    off = abs(det - 1.0)  # orthonormality error of order eps enters det at the same order
+    if not (err <= ROTATION_TOL and (off <= ROTATION_TOL or off <= 10.0 * err + 1e-12)):
         raise InvalidRotationError(f"matrix is not a rotation: |R'R - I| = {err:.3e}, det = {det:.12f}")
     return R
-
-
-def rotations_pass(R: np.ndarray) -> np.ndarray:
-    """Where ``check_rotation`` passes, over a stack ``(..., 3, 3)``; False
-    where an entry is not finite."""
-    return _so3_test(np.moveaxis(R, (-2, -1), (0, 1)), np.maximum.reduce)[0]
 
 
 @dataclass(frozen=True)

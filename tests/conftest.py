@@ -147,6 +147,17 @@ def scale_problem(p: GraspProblem, k: float) -> GraspProblem:
     )
 
 
+def scale_f_n_max(p: GraspProblem, k: float) -> GraspProblem:
+    """Scale every finite ``f_n_max`` by ``k`` > 0: a relaxation for k > 1
+    (the optimal eta does not fall), a tightening for k < 1."""
+
+    def scale(c):
+        return c if c.f_n_max is None or not np.isfinite(c.f_n_max) else replace(c, f_n_max=k * c.f_n_max)
+
+    return replace(p, manipulator_contacts=tuple(map(scale, p.manipulator_contacts)),
+                   environment_contacts=tuple(map(scale, p.environment_contacts)))
+
+
 def sfce_contains(p: SfceParams, w, tol: float = 1e-8):
     """Membership in the soft-finger elliptic cone of w = (f_t, f_o, f_n, m_n)
     (one bool per column of a 2-D w):

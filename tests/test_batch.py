@@ -30,7 +30,7 @@ from screwgrasp.errors import CompileError, ScrewGraspError, SolverDataError  # 
 from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep  # noqa: E402
 from screwgrasp.problem import ProgramStack, compile_program, compile_stacks  # noqa: E402
 from screwgrasp.scenarios import (  # noqa: E402
-    Scenario, builtin_scenario, cuboid_scenario, load_scenario, save_scenario, scenario_family)
+    BUILTINS, Scenario, builtin_scenario, cuboid_scenario, load_scenario, save_scenario, scenario_family)
 from screwgrasp.screws import TaskScrew, Wrench, wrench_to_screw  # noqa: E402
 from screwgrasp.solver import SolveSettings, solve, solve_batch  # noqa: E402
 
@@ -549,6 +549,23 @@ def test_sweep_and_gws_build_no_program_per_point(monkeypatch, tmp_path, capsys)
     assert built.count(problem.ConicProgram) == 4
 
 
+def assert_sweep_rows_as_alone(family, grid, direction: int) -> list:
+    """Each row of ``metric_sweep(family, grid)`` is what building and
+    solving its point alone gives: that error's text, or its status,
+    iterations and eta bytes.  Returns the error rows' statuses."""
+    rows, errors = metric_sweep(family, grid, direction), []
+    for value, row in zip(grid, rows):
+        try:
+            alone = local_metric(family(value), direction)
+        except ScrewGraspError as exc:
+            errors.append(row.status)
+            assert (row.status, row.eta, row.iterations) == (f"error: {exc}", None, 0)
+        else:
+            assert (row.status, row.iterations) == (alone.status, alone.iterations)
+            assert eta_bytes(row.eta) == eta_bytes(alone.eta)
+    return errors
+
+
 @pytest.mark.parametrize("name, parameter, grid, rejected", [
     ("door_handle", "x_c", [0.0, 0.1, 0.2, 0.25, 0.3], "x_c must lie on the handle: 0 <= 0.25 <= 0.2"),
     ("cuboid_pivot", "alpha", np.radians([0.0, 45.0, 90.0, 100.0, 120.0]), "alpha must lie in [0, pi/2]"),
@@ -561,19 +578,36 @@ def test_sweep_across_a_parameter_bound(name, parameter, grid, rejected, directi
     range is an error row with the parameter type's text, as building that
     point alone raises it, and each row in range is its ``local_metric``
     solve, byte for byte."""
-    family = scenario_family(builtin_scenario(name), parameter)
-    rows = metric_sweep(family, grid, direction)
-    errors = []
-    for value, row in zip(grid, rows):
-        try:
-            alone = local_metric(family(value), direction)
-        except ScrewGraspError as exc:
-            errors.append(row.status)
-            assert (row.status, row.eta, row.iterations) == (f"error: {exc}", None, 0)
-        else:
-            assert (row.status, row.iterations) == (alone.status, alone.iterations)
-            assert eta_bytes(row.eta) == eta_bytes(alone.eta)
+    errors = assert_sweep_rows_as_alone(scenario_family(builtin_scenario(name), parameter), grid, direction)
     assert f"error: {rejected}" in errors and 0 < len(errors) < len(grid)
+
+
+# the solver writes RuntimeWarnings on these points (ROADMAP item 14); the rows must still match
+_SOLVER_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@pytest.mark.parametrize("name, parameter, grid", [
+    ("door_handle", "theta", [0.1, 1e300, -1e300]),
+    ("door_handle", "k_t", [0.6, 1e300, 1.7e308]),
+    ("door_handle", "L", [0.2, 1e300, 1e308]),
+    pytest.param("door_handle", "W", [0.03, 1e300, 1e308], marks=_SOLVER_WARNS),
+    ("door_handle", "e_n", [0.03, 1e-300, 5e-324]),
+    ("door_handle", "f_n_max", [20.0, 1e-300, 1e-100]),
+    ("cuboid_pivot", "weight", [9.81, 1e-300, 1e308]),
+    pytest.param("cuboid_pivot", "mu_c", [0.15, 1e-100, 1e-300], marks=_SOLVER_WARNS),
+    ("cuboid_slide", "L", [0.3, 1e300, 1.7e308]),
+    ("cuboid_pivot", "alpha", [0.0, 5e-324, np.pi / 2]),
+])
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_sweep_at_extreme_accepted_values(name, parameter, grid, direction):
+    """Values that the parameter type accepts, down to the smallest
+    subnormal and up to the largest finite magnitudes: each row of the
+    sweep, stacked, is still that point built and solved alone, whether it
+    solves, stops or fails to compile (a cone of ``e_n = 5e-324`` has an
+    infinite entry)."""
+    for value in grid:
+        BUILTINS[name].params_cls(**{parameter: value})  # accepted by the type
+    assert_sweep_rows_as_alone(scenario_family(builtin_scenario(name), parameter), grid, direction)
 
 
 def test_stacked_kkt_rows_are_solved_in_place(monkeypatch):

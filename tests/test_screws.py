@@ -13,7 +13,6 @@ from screwgrasp.screws import (
     Wrench,
     check_rotation,
     cross3,
-    rotations_pass,
     wrench_to_screw,
 )
 
@@ -211,44 +210,54 @@ def test_cross3_is_np_cross_bit_for_bit(a, b):
     assert cross3(a, b).tobytes() == want.tobytes()
 
 
+AXIS_123 = rot([1.0, 2.0, 3.0], 0.7)
+Z_30 = rot([0.0, 0.0, 1.0], np.pi / 6)
+NOT_A_ROTATION = "matrix is not a rotation: |R'R - I| = "
+
+
 class TestCheckRotation:
     @given(rotations())
     @settings(max_examples=100, deadline=None)
     def test_accepts_rotations(self, R):
         assert check_rotation(R) is not None
 
+    @pytest.mark.parametrize("R", [R * k for R in (np.eye(3), AXIS_123, Z_30) for k in (1.0 + 1e-10, 1.0 - 1e-10)])
+    def test_accepts_within_tolerance(self, R):
+        """An error of 2e-10 in R'R and 3e-10 in det R is inside ROTATION_TOL."""
+        assert np.array_equal(check_rotation(R), R)
+
     @pytest.mark.parametrize("R,message", [
-        (np.diag([1.0, 1.0, -1.0]), "matrix is not a rotation: |R'R - I| = 0.000e+00, det = -1.000000000000"),
-        (np.eye(3) * 1.001, "matrix is not a rotation: |R'R - I| = 2.001e-03, det = 1.003003001000"),
+        (np.diag([1.0, 1.0, -1.0]), NOT_A_ROTATION + "0.000e+00, det = -1.000000000000"),
+        (np.eye(3) * 1.001, NOT_A_ROTATION + "2.001e-03, det = 1.003003001000"),
         (np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, np.inf]]), "rotation contains non-finite entries"),
         (np.eye(2), "rotation must be 3x3, got shape (2, 2)"),
+        (np.eye(3) * (1.0 + 1e-9), NOT_A_ROTATION + "2.000e-09, det = 1.000000003000"),
+        (AXIS_123 * (1.0 + 1e-9), NOT_A_ROTATION + "2.000e-09, det = 1.000000003000"),
+        (AXIS_123 * (1.0 + 1e-8), NOT_A_ROTATION + "2.000e-08, det = 1.000000030000"),
+        (Z_30 * (1.0 + 1e-8), NOT_A_ROTATION + "2.000e-08, det = 1.000000030000"),
+        (-np.eye(3), NOT_A_ROTATION + "0.000e+00, det = -1.000000000000"),
+        (-AXIS_123, NOT_A_ROTATION + "1.110e-16, det = -1.000000000000"),
+        (-Z_30, NOT_A_ROTATION + "0.000e+00, det = -1.000000000000"),
+        (np.diag([1.0, 1.0, -np.inf]), "rotation contains non-finite entries"),
+        (np.full((3, 3), np.nan), "rotation contains non-finite entries"),
     ])
     def test_rejects_with_message(self, R, message):
         with pytest.raises(InvalidRotationError) as err:
             check_rotation(R)
         assert str(err.value) == message
 
-
-class TestRotationsPass:
-    """``rotations_pass`` is ``check_rotation``'s test, entry by entry over a stack."""
-
-    def test_agrees_with_check_rotation_per_matrix(self):
+    def test_tolerance_over_random_rotations(self):
+        """Forty rotations: each scaled by 1 + 1e-10 passes; scaled by
+        1 + 1e-8 or negated, each fails with its error and determinant."""
         rng = np.random.default_rng(3)
-        good = np.array([rot(rng.normal(size=3), a) for a in rng.uniform(-10.0, 10.0, 40)])
-        stack = np.concatenate([good, good * (1.0 + 1e-8), good * (1.0 + 1e-10), -good,
-                                [np.eye(3) * 1.001, np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan),
-                                 np.diag([1.0, 1.0, np.inf])]])
-        expected = []
-        for R in stack:
-            try:
-                check_rotation(R)
-                expected.append(True)
-            except InvalidRotationError:
-                expected.append(False)
-        with np.errstate(all="ignore"):
-            assert rotations_pass(stack).tolist() == expected
-            assert rotations_pass(stack.reshape(2, -1, 3, 3)).tolist() == np.reshape(expected, (2, -1)).tolist()
-        assert 0 < sum(expected) < len(expected)
+        for R in [rot(rng.normal(size=3), a) for a in rng.uniform(-10.0, 10.0, 40)]:
+            assert np.array_equal(check_rotation(R * (1.0 + 1e-10)), R * (1.0 + 1e-10))
+            with pytest.raises(InvalidRotationError, match=r"^matrix is not a rotation: \|R'R - I\| = "
+                                                           r"2\.000e-08, det = 1\.000000030000$"):
+                check_rotation(R * (1.0 + 1e-8))
+            with pytest.raises(InvalidRotationError, match=r"^matrix is not a rotation: \|R'R - I\| = "
+                                                           r"\d\.\d{3}e-1[5-7], det = -1\.000000000000$"):
+                check_rotation(-R)
 
 
 @pytest.mark.parametrize("force, moment", [([np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]),
