@@ -383,7 +383,10 @@ class _Scaling:
             root = math.sqrt(2.0 * w0)
             wbar[0] = w0
             v = wbar / root
-            beta = (rho_s / rho_z) ** 0.25  # W^2 = sqrt(rho_s/rho_z) * P(wbar); 1/beta may be inf
+            beta = (rho_s / rho_z) ** 0.25  # W^2 = sqrt(rho_s/rho_z) * P(wbar)
+            if not 0.0 < beta < math.inf:  # W or W^-1 would not be finite
+                self.bad = True
+                return
             P = 2.0 * np.multiply.outer(v, v) - J
             W = beta * P
             self.soc_W.append(W)
@@ -450,9 +453,8 @@ class _Scaling:
                 if a >= 0 and disc < 0:
                     continue
                 den = -b + math.sqrt(max(disc, 0.0))
-                root = 2.0 * c / den if den else np.float64(2.0 * c) / den  # +-inf or nan, as numpy
-                if root >= 0:
-                    alpha = min(alpha, float(root))
+                if den and (root := 2.0 * c / den) >= 0:  # den = 0: a root of +-inf or nan, no bound
+                    alpha = min(alpha, root)
             steps.append(alpha)
         return min(steps[0], steps[1])
 
@@ -492,6 +494,7 @@ class _BatchScaling(_Scaling):
             # a Python power per block; a bad row's negative ratio is NaN, as numpy gives it
             r = rho[:B] / rho[B:]
             beta = np.reshape([v ** 0.25 for v in np.where(r >= 0.0, r, math.nan).ravel().tolist()], (B, -1, 1, 1))
+            bad[:B] |= ~((0.0 < beta) & (beta < math.inf)).all(axis=(1, 2, 3))  # as for one program
             jv = -v
             jv[..., 0] = v[..., 0]
             V = np.concatenate([v, jv])

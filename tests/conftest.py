@@ -1,8 +1,16 @@
 """Helpers shared by the test modules: rotations, hand-built programs,
-scenario transforms for the invariance checks, cone membership, and the
-one-problem screw algebra that ``compile_program`` writes entry by entry."""
+scenario transforms for the invariance checks, cone membership, the
+one-problem screw algebra that ``compile_program`` writes entry by entry, the
+benchmark's fuzz corpus (drawn once per process), the bundled and
+``eval_grid`` programs, and the conic dual of a program.
 
+Importing this module puts ``tools/`` and the repository root on
+``sys.path``, so that the tests import the tools and ``perfbench``."""
+
+import functools
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -15,8 +23,18 @@ from screwgrasp.problem import (
     SocBlock,
     TorqueModel,
     VariableLayout,
+    compile_program,
+    compile_stacks,
 )
+from screwgrasp.scenarios import builtin_scenario
 from screwgrasp.screws import TaskScrew, Wrench, check_rotation, cross3
+from test_random_scenarios import random_problem
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT)]
+
+THETAS = np.radians(np.linspace(0.0, 40.0, 41))
+ALPHAS = np.radians(np.arange(0, 61, 10))
 
 
 def rot(axis, angle: float) -> np.ndarray:
@@ -179,3 +197,113 @@ def plan_for(p: int, n: int, q: int, soc_dims) -> "solver._Plan":
     dimensions, for standard forms built by hand."""
     lb, ub = np.arange(n) < q, np.arange(n) < q - n
     return solver._plan(p, n, lb.tobytes(), ub.tobytes(), tuple(d - 1 for d in soc_dims))
+
+
+def random_draws(rng, trials: int):
+    """(trial, problem) of each of ``trials`` calls of the random battery's
+    generator on ``rng`` that draws a problem (not None), handed out one at a
+    time, so that the caller may draw from ``rng`` between them."""
+    for trial in range(trials):
+        problem = random_problem(rng)
+        if problem is not None:
+            yield trial, problem
+
+
+@functools.cache
+def fuzz_corpus() -> tuple:
+    """Every draw of the benchmark's fuzz corpus as (generator seed, trial,
+    problem, direction), in corpus order, drawn once: the loop of
+    ``perfbench/workloads.py``, where ``default_rng(seed)`` of each generator
+    seed supplies FUZZ_TRIALS problems and, after each problem that is not
+    None, its direction.  The corpus has no None draw: its 2000 entries are
+    seeds 1-8, trials 0-249."""
+    from perfbench import workloads
+
+    corpus = []
+    for seed in workloads.FUZZ_GENERATOR_SEEDS:
+        rng = np.random.default_rng(seed)
+        for trial, problem in random_draws(rng, workloads.FUZZ_TRIALS):
+            corpus.append((seed, trial, problem, +1 if rng.random() < 0.5 else -1))
+    return tuple(corpus)
+
+
+def corpus_draw(seed: int, trial: int):
+    """Problem and direction of the corpus's draw (generator seed, trial)."""
+    return next((p, d) for s, t, p, d in fuzz_corpus() if (s, t) == (seed, trial))
+
+
+def corpus_pick(size: int, seed: int) -> list:
+    """``size`` draws of the corpus picked with ``default_rng(seed)``, in corpus order."""
+    corpus = fuzz_corpus()
+    return [corpus[i] for i in sorted(np.random.default_rng(seed).choice(len(corpus), size, replace=False))]
+
+
+def bundled_programs() -> list:
+    """The door, pivot and slide programs of the bundled scenarios, both directions."""
+    return [compile_program(builtin_scenario(name).problem(), direction)
+            for name in ("door_handle", "cuboid_pivot", "cuboid_slide") for direction in (+1, -1)]
+
+
+def door_problems(x_c: float) -> list:
+    """The door at each angle of THETAS: one of the ``eval_grid`` sweeps."""
+    return [builtin_scenario("door_handle", x_c=x_c, theta=float(t)).problem() for t in THETAS]
+
+
+def cuboid_problems(name: str) -> list:
+    """A cuboid scenario at each angle of ALPHAS and three contact offsets."""
+    return [builtin_scenario(name, alpha=float(a), x_E=x_E).problem() for x_E in (0.06, 0.09, 0.12) for a in ALPHAS]
+
+
+def stacks_of(problems, direction: int) -> list:
+    """``compile_stacks`` of problems that all compile."""
+    stacks, placed = compile_stacks(problems, direction)
+    assert not any(isinstance(where, Exception) for where in placed)
+    return stacks
+
+
+def with_edge_cap(p, cap):
+    """``p`` with f_n_max = ``cap`` at its first environment contact."""
+    first, *rest = p.environment_contacts
+    return replace(p, environment_contacts=(replace(first, f_n_max=cap), *rest))
+
+
+def presolve_group() -> list:
+    """One structure before presolve (3 variables, 2 equality rows, one
+    cone): full-rank members; consistent rank-deficient members, which lose a
+    row and a pinned column in presolve and so form a batch of their own; an
+    inconsistent member and a free-ray member, settled by presolve."""
+    cone = (soc([[0, 0, 1]], [0], [1, 1, 0], 1.0),)  # |x3| <= x1 + x2 + 1
+
+    def full(a, b):
+        return mkprog([0, 0, 1], [[1, 0, 0], [0, 1, 0]], [a, b], cone)
+
+    def deficient(s, shift=0.0, f=(0, 0, 1)):
+        return mkprog(f, [[1, 1, 0], [2, 2, 0]], [s, 2 * s + shift], cone)
+
+    return [full(0.5, 0.2), deficient(0.3), full(1.0, -0.5), deficient(0.3, shift=1.0),
+            deficient(0.7), full(0.1, 0.1), deficient(0.2, f=(1, -1, 1)), deficient(-0.4),
+            full(-0.3, 0.4), deficient(0.5)]
+
+
+def dual_program(prog: ConicProgram) -> ConicProgram:
+    """The conic dual of ``prog`` (maximize f'x subject to F x = g, lb <= x <=
+    ub and ||A_k x + b_k|| <= c_k'x + d_k), as a program that maximizes the
+    dual objective's negation, so that its optimum is -eta where strong
+    duality holds.  Its variables are y (free, one per row of F), mu_l and
+    mu_u >= 0 (one per finite lower and upper bound) and, per block, (t_k,
+    u_k) with ||u_k|| <= t_k; the dual minimizes g'y - lb'mu_l + ub'mu_u +
+    sum(t_k d_k + b_k'u_k) subject to F'y - mu_l + mu_u - sum(t_k c_k +
+    A_k'u_k) = f."""
+    lo, hi, eye = np.isfinite(prog.lb), np.isfinite(prog.ub), np.eye(prog.n_vars)
+    columns = [prog.F.T, -eye[:, lo], eye[:, hi]] + [-np.column_stack([blk.c, blk.A.T]) for blk in prog.socs]
+    cost = [prog.g, -prog.lb[lo], prog.ub[hi]] + [np.concatenate([[blk.d], blk.b]) for blk in prog.socs]
+    F = np.hstack(columns)
+    start = len(prog.g) + lo.sum() + hi.sum()
+    lb = np.full(F.shape[1], -np.inf)
+    lb[len(prog.g) : start] = 0.0
+    cones = []
+    for blk in prog.socs:
+        t = np.eye(F.shape[1])[start : start + 1 + len(blk.b)]
+        cones.append(soc(t[1:], np.zeros(len(blk.b)), t[0], 0.0, blk.label))
+        start += len(t)
+    return mkprog(-np.concatenate(cost), F, prog.f, cones, lb=lb)

@@ -8,49 +8,26 @@ here is compared with ``solver.solve`` of the same row through
 certificate, residuals and primal bytes.
 """
 
-import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import mkprog, rot, soc
-from test_random_scenarios import random_problem
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-
-from solve_digest import eta_bytes, result_bytes  # noqa: E402
-from screwgrasp import problem, solver  # noqa: E402
-from screwgrasp.cli import _subspace_directions, main  # noqa: E402
-from screwgrasp.contacts import EnvironmentContact, FixedSupport, ManipulatorContact  # noqa: E402
-from screwgrasp.errors import CompileError, ScrewGraspError, SolverDataError  # noqa: E402
-from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep  # noqa: E402
-from screwgrasp.problem import ProgramStack, compile_program, compile_stacks  # noqa: E402
-from screwgrasp.scenarios import (  # noqa: E402
+from conftest import (ALPHAS, THETAS, bundled_programs, cuboid_problems, door_problems, fuzz_corpus, mkprog,
+                      presolve_group, rot, stacks_of, with_edge_cap)
+from solve_digest import eta_bytes, result_bytes
+from screwgrasp import problem, solver
+from screwgrasp.cli import _subspace_directions, main
+from screwgrasp.contacts import EnvironmentContact, FixedSupport, ManipulatorContact
+from screwgrasp.errors import CompileError, ScrewGraspError, SolverDataError
+from screwgrasp.metric import PathPoint, global_metric, gws_sample, local_metric, metric_sweep
+from screwgrasp.problem import ProgramStack, compile_program, compile_stacks
+from screwgrasp.scenarios import (
     BUILTINS, Scenario, builtin_scenario, cuboid_scenario, load_scenario, save_scenario, scenario_family)
-from screwgrasp.screws import TaskScrew, Wrench, wrench_to_screw  # noqa: E402
-from screwgrasp.solver import SolveSettings, solve, solve_batch  # noqa: E402
-
-THETAS = np.radians(np.linspace(0.0, 40.0, 41))
-ALPHAS = np.radians(np.arange(0, 61, 10))
-
-
-def door_problems(x_c: float) -> list:
-    return [builtin_scenario("door_handle", x_c=x_c, theta=float(t)).problem() for t in THETAS]
-
-
-def cuboid_problems(name: str) -> list:
-    return [builtin_scenario(name, alpha=float(a), x_E=x_E).problem() for x_E in (0.06, 0.09, 0.12) for a in ALPHAS]
-
-
-def stacks_of(problems, direction: int) -> list:
-    """``compile_stacks`` of problems that all compile."""
-    stacks, placed = compile_stacks(problems, direction)
-    assert not any(isinstance(where, Exception) for where in placed)
-    return stacks
+from screwgrasp.screws import TaskScrew, Wrench, wrench_to_screw
+from screwgrasp.solver import SolveSettings, solve, solve_batch
 
 
 def rows(stacks) -> list:
@@ -163,12 +140,6 @@ def test_optimal_result_is_the_checked_point_of_its_last_iterate(monkeypatch, st
             assert_point_of(results[k], prog, call, running.index(k))
 
 
-def bundled_programs() -> list:
-    """The door, pivot and slide programs of the bundled scenarios, both directions."""
-    return [compile_program(builtin_scenario(name).problem(), direction)
-            for name in ("door_handle", "cuboid_pivot", "cuboid_slide") for direction in (+1, -1)]
-
-
 def test_untraced_run_checks_only_the_passes_that_can_stop(monkeypatch):
     """A traced run checks every pass against the original program; an
     untraced one only the passes whose dual residual and gap are within
@@ -195,7 +166,7 @@ def every_exit_cases() -> list:
     unboundedness threshold."""
     fuzz = SolveSettings(duality_gap_tol=1e-9)
     return ([(prog, SolveSettings()) for prog in bundled_programs()]
-            + [(compile_program(p, d), fuzz) for p, d in fuzz_problems(2, 10)]
+            + [(compile_program(p, d), fuzz) for seed, trial, p, d in fuzz_corpus() if seed == 2 and trial < 10]
             + [(mkprog([0.0, 1.0], [[1.0, -2.0]], [1.0], lb=[0.0, -np.inf]), SolveSettings()),
                (mkprog([1.0], np.zeros((0, 1)), [], ub=[1e12]), SolveSettings())])
 
@@ -258,12 +229,6 @@ def test_two_structures_keep_input_order():
     assert placed == [(k % 2, k // 2) for k in range(12)] + [(1, 6)]
     batch = assert_same_as_alone(stacks[::-1])
     assert len({r.iterations for r in batch[:7]} & {r.iterations for r in batch[7:]}) == 0
-
-
-def with_edge_cap(p, cap):
-    """``p`` with f_n_max = ``cap`` at its first environment contact."""
-    first, *rest = p.environment_contacts
-    return replace(p, environment_contacts=(replace(first, f_n_max=cap), *rest))
 
 
 def test_environment_bound_presence_makes_a_stack_of_its_own():
@@ -339,24 +304,6 @@ def test_groups_below_min_batch_are_solved_alone(monkeypatch):
     problems = door_problems(0.0)[: solver._MIN_BATCH - 1] + cuboid_problems("cuboid_pivot")[: solver._MIN_BATCH]
     assert_same_as_alone(stacks_of(problems, +1))
     assert [len(r) for r in runs] == [solver._MIN_BATCH]
-
-
-def presolve_group() -> list:
-    """One structure before presolve (3 variables, 2 equality rows, one
-    cone): full-rank members; consistent rank-deficient members, which lose a
-    row and a pinned column in presolve and so form a batch of their own; an
-    inconsistent member and a free-ray member, settled by presolve."""
-    cone = (soc([[0, 0, 1]], [0], [1, 1, 0], 1.0),)  # |x3| <= x1 + x2 + 1
-
-    def full(a, b):
-        return mkprog([0, 0, 1], [[1, 0, 0], [0, 1, 0]], [a, b], cone)
-
-    def deficient(s, shift=0.0, f=(0, 0, 1)):
-        return mkprog(f, [[1, 1, 0], [2, 2, 0]], [s, 2 * s + shift], cone)
-
-    return [full(0.5, 0.2), deficient(0.3), full(1.0, -0.5), deficient(0.3, shift=1.0),
-            deficient(0.7), full(0.1, 0.1), deficient(0.2, f=(1, -1, 1)), deficient(-0.4),
-            full(-0.3, 0.4), deficient(0.5)]
 
 
 def test_presolve_exits_and_reduced_shapes_within_a_group(monkeypatch):
@@ -582,19 +529,15 @@ def test_sweep_across_a_parameter_bound(name, parameter, grid, rejected, directi
     assert f"error: {rejected}" in errors and 0 < len(errors) < len(grid)
 
 
-# the solver writes RuntimeWarnings on these points (ROADMAP item 14); the rows must still match
-_SOLVER_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
 @pytest.mark.parametrize("name, parameter, grid", [
     ("door_handle", "theta", [0.1, 1e300, -1e300]),
     ("door_handle", "k_t", [0.6, 1e300, 1.7e308]),
     ("door_handle", "L", [0.2, 1e300, 1e308]),
-    pytest.param("door_handle", "W", [0.03, 1e300, 1e308], marks=_SOLVER_WARNS),
+    ("door_handle", "W", [0.03, 1e300, 1e308]),
     ("door_handle", "e_n", [0.03, 1e-300, 5e-324]),
     ("door_handle", "f_n_max", [20.0, 1e-300, 1e-100]),
     ("cuboid_pivot", "weight", [9.81, 1e-300, 1e308]),
-    pytest.param("cuboid_pivot", "mu_c", [0.15, 1e-100, 1e-300], marks=_SOLVER_WARNS),
+    ("cuboid_pivot", "mu_c", [0.15, 1e-100, 1e-300]),
     ("cuboid_slide", "L", [0.3, 1e300, 1.7e308]),
     ("cuboid_pivot", "alpha", [0.0, 5e-324, np.pi / 2]),
 ])
@@ -656,16 +599,6 @@ def test_global_metric_per_point_matches_local_metric():
         assert (r.eta, r.active_constraints, r.warning) == (alone.eta, alone.active_constraints, alone.warning)
 
 
-def fuzz_problems(seed: int, draws: int) -> list:
-    """(problem, direction) of the random battery loop run with default_rng(seed)."""
-    rng, problems = np.random.default_rng(seed), []
-    for _ in range(draws):
-        problem = random_problem(rng)
-        if problem is not None:
-            problems.append((problem, +1 if rng.random() < 0.5 else -1))
-    return problems
-
-
 def direction_stacks(problems) -> list:
     """The stacks of each direction's problems."""
     return [st for d in (+1, -1) for st in stacks_of([p for p, pd in problems if pd == d], d)]
@@ -688,7 +621,7 @@ def test_every_loop_exit_is_the_same_from_a_stack(monkeypatch):
     numerical failure reporting its best iterate, and the iteration limit."""
     runs = stacked_runs(monkeypatch)
     fuzz = SolveSettings(duality_gap_tol=1e-9)  # the benchmark's fuzz settings
-    draws = fuzz_problems(2, 250)
+    draws = [(p, d) for seed, _, p, d in fuzz_corpus() if seed == 2]
     assert_same_as_alone(direction_stacks(draws), fuzz)
     assert_same_as_alone(direction_stacks(draws[:40]), replace(fuzz, max_iterations=4))
     # maximize x2 with x1 = a x2 + g, x1 >= 0: every direction is constrained, the objective improves along (a, 1)

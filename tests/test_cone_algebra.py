@@ -21,8 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mkprog, plan_for
-from test_random_scenarios import random_problem
+from conftest import mkprog, plan_for, random_draws
 from screwgrasp.problem import ProgramStack, compile_program
 from screwgrasp.solver import (
     _BatchCone,
@@ -364,10 +363,7 @@ class TestAgainstLoopReference:
 
     def test_equilibrate_compiled_programs(self):
         rng = np.random.default_rng(6)
-        for _ in range(40):
-            prob = random_problem(rng)
-            if prob is None:
-                continue
+        for _, prob in random_draws(rng, 40):
             sf = standard_form(compile_program(prob, +1))
             got = _equilibrate(sf)
             want = ref_equilibrate(sf)
@@ -377,10 +373,7 @@ class TestAgainstLoopReference:
     def test_residual_check(self):
         rng = np.random.default_rng(7)
         seen_bounds = seen_socs = 0
-        for _ in range(60):
-            prob = random_problem(rng)
-            if prob is None:
-                continue
+        for _, prob in random_draws(rng, 60):
             prog = compile_program(prob, -1 if rng.random() < 0.5 else +1)
             measure = _ResidualCheck(ProgramStack.of([prog]), 0)
             seen_bounds += bool(np.isfinite(prog.lb).any() or np.isfinite(prog.ub).any())
@@ -395,13 +388,11 @@ class TestAgainstLoopReference:
         hold in row k exactly program k's own."""
         rng = np.random.default_rng(11)
         by_key: dict = {}
-        for _ in range(200):
-            prob = random_problem(rng)
-            if prob is not None:
-                prog = compile_program(prob, -1 if rng.random() < 0.5 else +1)
-                key = (prog.F.shape, np.isfinite(prog.lb).tobytes(), np.isfinite(prog.ub).tobytes(),
-                       tuple(blk.A.shape[0] for blk in prog.socs))
-                by_key.setdefault(key, []).append(prog)
+        for _, prob in random_draws(rng, 200):
+            prog = compile_program(prob, -1 if rng.random() < 0.5 else +1)
+            key = (prog.F.shape, np.isfinite(prog.lb).tobytes(), np.isfinite(prog.ub).tobytes(),
+                   tuple(blk.A.shape[0] for blk in prog.socs))
+            by_key.setdefault(key, []).append(prog)
         groups = [progs for progs in by_key.values() if len(progs) >= 3]
         assert groups
         # programs with no finite bound and no cone: still one violation per program

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cone_blocks, pcwf_contains, sfce_contains
-from test_random_scenarios import random_problem
+from conftest import cone_blocks, fuzz_corpus, pcwf_contains, sfce_contains
 from screwgrasp.contacts import (
     FixedSupport,
     PcwfParams,
@@ -58,17 +57,6 @@ def ref_pcwf_rays(p, f_n, facets):
 
 FACET_COUNTS = (4, 5, 7, 8, 12, 16, 32, 33, 64, 128)
 UNITS = {"sfce": (_sfce_units, ref_sfce_rays, [0, 1, 3]), "pcwf": (_pcwf_units, ref_pcwf_rays, [0, 1])}
-
-
-def fuzz_slice_problems(seed: int = 4, trials: int = 250) -> list:
-    """The problems of the random battery loop run with default_rng(seed)."""
-    rng, out = np.random.default_rng(seed), []
-    for _ in range(trials):
-        problem = random_problem(rng)
-        if problem is not None:
-            out.append(problem)
-            rng.random()  # the draw's direction, as in the fuzz corpus
-    return out
 
 
 class TestUnitTables:
@@ -146,7 +134,7 @@ class TestCompiledBlocks:
     def test_reference_rays_map_onto_the_unit_table(self, facets):
         bundled = [builtin_scenario(name).problem() for name in ("door_handle", "cuboid_pivot", "cuboid_slide")]
         blocks = 0
-        for p in bundled + fuzz_slice_problems():
+        for p in bundled + [q for seed, _, q, _ in fuzz_corpus() if seed == 4]:
             prog = compile_program(p)
             for blk, cs, params in cone_blocks(p, prog):
                 units, ref, _ = UNITS[cs.kind]

@@ -13,24 +13,12 @@ neither pytest nor ``conftest``.
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from conftest import scale_f_n_max, scale_problem
-from test_random_scenarios import TIGHT, random_problem
+from conftest import corpus_draw, scale_f_n_max, scale_problem
+from test_random_scenarios import TIGHT
 from screwgrasp.problem import compile_program
 from screwgrasp.solver import solve
-
-
-def corpus_draw(seed: int, trial: int):
-    """Problem and direction of trial ``trial`` of the fuzz corpus's loop for
-    generator seed ``seed``: ``default_rng(seed)`` supplies each problem and,
-    for a problem that is not None, its direction."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trial + 1):
-        problem = random_problem(rng)
-        direction = None if problem is None else (+1 if rng.random() < 0.5 else -1)
-    return problem, direction
 
 
 LAWS = {

@@ -8,25 +8,18 @@ the programs that ``ProgramStack.of`` keeps apart, and nothing a plan holds
 may be written to.
 """
 
-import sys
 from dataclasses import replace
 from itertools import chain, zip_longest
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import mkprog, soc
-from test_batch import with_edge_cap
-from test_solver import fuzz_draw
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-
-from solve_digest import result_bytes  # noqa: E402
-from screwgrasp import solver  # noqa: E402
-from screwgrasp.errors import CompileError  # noqa: E402
-from screwgrasp.problem import ProgramStack, TorqueModel, compile_program, compile_stacks  # noqa: E402
-from screwgrasp.scenarios import builtin_scenario, scenario_family  # noqa: E402
+from conftest import bundled_programs, corpus_draw, mkprog, soc, with_edge_cap
+from solve_digest import result_bytes
+from screwgrasp import solver
+from screwgrasp.errors import CompileError
+from screwgrasp.problem import ProgramStack, TorqueModel, compile_program, compile_stacks
+from screwgrasp.scenarios import builtin_scenario, scenario_family
 
 SETTINGS = solver.SolveSettings(duality_gap_tol=1e-9)
 
@@ -61,13 +54,11 @@ def hand_built() -> list:
 
 def programs() -> list:
     """Programs of many plans, each next to programs of other plans."""
-    bundled = [compile_program(builtin_scenario(name).problem(), d)
-               for name in ("door_handle", "cuboid_pivot", "cuboid_slide") for d in (+1, -1)]
     slide = builtin_scenario("cuboid_slide").problem()
     edges = [compile_program(with_edge_cap(slide, cap), d) for cap in (40.0, None) for d in (+1, -1)]
     torque = [compile_program(torque_problem(), d) for d in (+1, -1)]
-    fuzz = [fuzz_draw(*draw) for draw in FUZZ_EXITS]
-    groups = [bundled, edges, torque, hand_built(), fuzz]
+    fuzz = [compile_program(*corpus_draw(*draw)) for draw in FUZZ_EXITS]
+    groups = [bundled_programs(), edges, torque, hand_built(), fuzz]
     return [prog for prog in chain(*zip_longest(*groups)) if prog is not None]
 
 

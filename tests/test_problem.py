@@ -8,6 +8,7 @@ from conftest import (
     adjoint_matrix,
     cone_blocks,
     external_wrench_in_b,
+    fuzz_corpus,
     mkprog,
     rot,
     scale_problem,
@@ -45,7 +46,6 @@ from screwgrasp.scenarios import (
 )
 from screwgrasp.screws import INFINITE_PITCH, TaskScrew
 from screwgrasp.solver import SolveSettings, solve, solve_with_oracle
-from test_random_scenarios import random_problem
 
 TIGHT = SolveSettings(duality_gap_tol=1e-9)
 
@@ -505,19 +505,6 @@ class TestStructureCache:
         assert a.layout.variable_names() is b.layout.variable_names()
 
 
-def fuzz_problems() -> list:
-    """(problem, direction) of the 2000 draws of the fuzz corpus: the random
-    battery's generator with default_rng(seed) for seeds 1-8, 250 draws each."""
-    out = []
-    for seed in range(1, 9):
-        rng = np.random.default_rng(seed)
-        for _ in range(250):
-            problem = random_problem(rng)
-            if problem is not None:
-                out.append((problem, +1 if rng.random() < 0.5 else -1))
-    return out
-
-
 def compiled_alone(p, direction):
     """``compile_program``'s program bytes, or its error as (type, text)."""
     try:
@@ -590,10 +577,10 @@ class TestCompileStacks:
             assert stacked(problems, direction) == [compiled_alone(q, direction) for q in problems]
 
     def test_fuzz_corpus(self):
-        draws = fuzz_problems()
+        draws = fuzz_corpus()
         assert len(draws) == 2000
         for direction in (+1, -1):
-            problems = [p for p, d in draws if d == direction]
+            problems = [p for _, _, p, d in draws if d == direction]
             assert stacked(problems, direction) == [compiled_alone(p, direction) for p in problems]
 
     def test_rows_match_the_one_problem_references(self):
@@ -604,7 +591,7 @@ class TestCompileStacks:
         1 / (mu e) per cone row."""
         door = [door_handle_scenario(DoorHandleParams(theta=t)).problem() for t in (0.0, 0.2)]
         # no external load and zeros prescribed on a turned support: -0.0 - (-s * 0.0) is +0.0
-        for p in door + [pinned_moments(door[0], 0.0), torque_problem()] + [q for q, _ in fuzz_problems()[:300]]:
+        for p in door + [pinned_moments(door[0], 0.0), torque_problem()] + [q for _, _, q, _ in fuzz_corpus()[:300]]:
             for direction in (+1, -1):
                 prog = compile_program(p, direction)
                 F, g = np.zeros((6, prog.n_vars)), -external_wrench_in_b(p.external).as_array()

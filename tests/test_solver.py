@@ -13,18 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import mkprog, plan_for, soc
-from test_random_scenarios import random_problem
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-
-from solve_digest import result_bytes  # noqa: E402
-import screwgrasp  # noqa: E402
-from screwgrasp import contacts, solver  # noqa: E402
-from screwgrasp.errors import SolverDataError, UnsupportedProgramError  # noqa: E402
-from screwgrasp.problem import ProgramStack, compile_program  # noqa: E402
-from screwgrasp.scenarios import DoorHandleParams, builtin_scenario, door_handle_scenario  # noqa: E402
-from screwgrasp.solver import Residuals, SolveResult, SolveSettings, solve, solve_with_oracle  # noqa: E402
+from conftest import (bundled_programs, corpus_draw, corpus_pick, cuboid_problems, door_problems, mkprog,
+                      plan_for, presolve_group, soc, stacks_of)
+from solve_digest import result_bytes
+import screwgrasp
+from screwgrasp import contacts, solver
+from screwgrasp.errors import SolverDataError, UnsupportedProgramError
+from screwgrasp.problem import ProgramStack, compile_program
+from screwgrasp.scenarios import DoorHandleParams, builtin_scenario, door_handle_scenario
+from screwgrasp.solver import Residuals, SolveResult, SolveSettings, solve, solve_with_oracle
 
 TIGHT = SolveSettings(feasibility_tol=1e-9, duality_gap_tol=1e-10)
 
@@ -443,19 +440,6 @@ class TestScipyExtensions:
         assert dict(os.environ) == environ
 
 
-def fuzz_draw(seed: int, trial: int):
-    """Program of one trial of the random battery loop run with default_rng(seed)."""
-    rng = np.random.default_rng(seed)
-    for i in range(trial + 1):
-        problem = random_problem(rng)
-        if problem is None:
-            continue
-        direction = +1 if rng.random() < 0.5 else -1
-        if i == trial:
-            return compile_program(problem, direction)
-    raise ValueError(f"seed {seed} trial {trial} draws no problem")
-
-
 # two FixedSupport contacts whose free reactions align with the task: the
 # objective improves along a ray no constraint sees, yet the program is infeasible
 FREE_RAY_DRAWS = [(1, 187), (1, 189), (3, 94), (3, 116), (3, 197), (6, 41), (8, 52), (8, 198)]
@@ -463,7 +447,7 @@ FREE_RAY_DRAWS = [(1, 187), (1, 189), (3, 94), (3, 116), (3, 197), (6, 41), (8, 
 
 @pytest.mark.parametrize("seed,trial", FREE_RAY_DRAWS)
 def test_free_ray_on_infeasible_draw(seed, trial):
-    prog = fuzz_draw(seed, trial)
+    prog = compile_program(*corpus_draw(seed, trial))
     res = solve(prog, SolveSettings(duality_gap_tol=1e-9))
     assert res.status == "Infeasible", res.certificate
     assert "Farkas" in res.certificate
@@ -492,21 +476,6 @@ def lp_bytes(res: SolveResult) -> bytes:
     return result_bytes(replace(res, certificate=None))
 
 
-def fuzz_slice(size: int, seed: int) -> list:
-    """``size`` draws picked with ``default_rng(seed)`` from the fuzz corpus:
-    trials 0-249 of the random battery loop run with ``default_rng(g)``,
-    g = 1..8, each problem compiled in its drawn direction."""
-    corpus = []
-    for g in range(1, 9):
-        rng = np.random.default_rng(g)
-        for _trial in range(250):
-            problem = random_problem(rng)
-            if problem is not None:
-                corpus.append((problem, +1 if rng.random() < 0.5 else -1))
-    picked = np.random.default_rng(seed).choice(len(corpus), size, replace=False)
-    return [compile_program(*corpus[i]) for i in sorted(picked)]
-
-
 BUNDLED = ("door_handle", "cuboid_pivot", "cuboid_slide")
 
 
@@ -530,11 +499,11 @@ class TestOracleAgainstLinprog:
 
     @pytest.mark.parametrize("seed,trial", FREE_RAY_DRAWS)
     def test_free_ray_draws(self, seed, trial):
-        prog = fuzz_draw(seed, trial)
+        prog = compile_program(*corpus_draw(seed, trial))
         assert lp_bytes(solve_with_oracle(prog, 32)) == lp_bytes(linprog_oracle(prog, 32))
 
     def test_fuzz_corpus_slice(self):
-        progs = fuzz_slice(200, seed=14)
+        progs = [compile_program(p, d) for _, _, p, d in corpus_pick(200, 14)]
         got = [solve_with_oracle(prog, 32) for prog in progs]
         assert [lp_bytes(r) for r in got] == [lp_bytes(linprog_oracle(prog, 32)) for prog in progs]
         assert {r.status for r in got} >= {"Optimal", "Infeasible"}
@@ -554,7 +523,7 @@ class TestOracleAgainstLinprog:
         assert kHighsInf == np.inf
 
     def test_no_warnings(self):
-        progs = [compile_program(builtin_scenario(name).problem(), d) for name in BUNDLED for d in (+1, -1)]
+        progs = bundled_programs()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for prog in [*progs, unsupported_load(), free_ray()]:
@@ -601,8 +570,8 @@ class TestOracleHandOver:
 
     def test_fuzz_model_is_the_dense_reference(self):
         signed_rhs = 0
-        for prog in fuzz_slice(200, seed=14):
-            _, rhs = self.assert_model_is_reference(prog, 32)
+        for _, _, p, d in corpus_pick(200, 14):
+            _, rhs = self.assert_model_is_reference(compile_program(p, d), 32)
             signed_rhs += np.signbit(rhs[rhs == 0.0]).any()
         assert signed_rhs  # some -b and -d are -0.0, and they reach HiGHS so
 
@@ -614,13 +583,13 @@ class TestOracleHandOver:
                 assert lp_bytes(solve_with_oracle(prog, 64)) == lp_bytes(linprog_oracle(prog, 64)), (name, direction)
 
     def test_order_of_calls_does_not_matter(self):
-        progs = fuzz_slice(60, seed=15)
+        progs = [compile_program(p, d) for _, _, p, d in corpus_pick(60, 15)]
         forward = [result_bytes(solve_with_oracle(prog, 32)) for prog in progs]
         backward = [result_bytes(solve_with_oracle(prog, 32)) for prog in reversed(progs)]
         assert backward[::-1] == forward
 
     def test_each_thread_solves_alone(self):
-        progs = fuzz_slice(60, seed=16)
+        progs = [compile_program(p, d) for _, _, p, d in corpus_pick(60, 16)]
         serial = [result_bytes(solve_with_oracle(prog, 32)) for prog in progs]
         halves, got, highs = (progs[:30], progs[30:]), [None, None], [None, None]
         barrier = threading.Barrier(2)
@@ -722,8 +691,6 @@ class TestPresolveRanks:
 
     def test_eval_grid_programs(self):
         """Every program of the ``eval_grid`` benchmark grid: neither reduction fires."""
-        from test_batch import cuboid_problems, door_problems, stacks_of
-
         count = 0
         for problems in [door_problems(x_c) for x_c in (0.0, 0.05, 0.10, 0.15)] + [
                 cuboid_problems(name) for name in ("cuboid_pivot", "cuboid_slide")]:
@@ -734,14 +701,12 @@ class TestPresolveRanks:
         assert count == 412
 
     def test_fuzz_corpus_slice(self):
-        progs = fuzz_slice(300, 17)
+        progs = [compile_program(p, d) for _, _, p, d in corpus_pick(300, 17)]
         needed = [self.check(self.presolved(ProgramStack.of([prog]))) for prog in progs]
         assert any(eq for eq, _ in needed) and any(null for _, null in needed)
 
     def test_rank_deficient_stacks(self):
         """The presolve group of the batch tests, whole and its deficient members alone."""
-        from test_batch import presolve_group
-
         stack = ProgramStack.of(presolve_group())
         assert self.check(self.presolved(stack)) == (True, True)
         assert self.check(self.presolved(stack.take([1, 3, 4, 6, 7, 9]))) == (True, True)
