@@ -27,31 +27,35 @@ a full SVD only where singular values alone do not show full rank); the
 presolve exits (degenerate, inconsistent equalities, free ray) are settled
 in one place, and the rest run through the one HSD loop ``_ipm``: one
 program at a time on its own 1-D arrays, or, from ``_MIN_BATCH`` programs of
-one reduced shape on, as one stack whose residual check reads the stack's
-arrays, whose cone kernels work on runs of SOC blocks of one dimension, and
-which takes the s- and z-side step lengths and scalings as one stack [s; z].
-The iterate u = [x; y; z] is one array in the KKT system's order (s apart):
-the residual is one right-hand side, a direction and a step one operation.
-An iteration computes its cone-block numbers once, in the NT scaling
-(``_Scaling``, ``_BatchScaling``).  Beside W and W^-1 it keeps, for s and for
-z, each block's head, tail and head^2 - ||tail||^2, which the one step search
-of both step lengths reads; lambda = W z with each block's head a, tail b
-and det a^2 - b'b, which the lambda-division reads; and lambda o lambda, the
-predictor's right-hand side.  The corrector reuses the predictor's W dz.
-The termination test unscales x and checks it against the original program
-only on a pass where some instance can stop (its dual residual and gap
-within tolerance), or on every pass of a traced solve, which gives the same
-results; a result reports the point and residuals that test took.  A
-failure exit replays the history of its passes for its best iterate.
+one reduced shape on, as one stack whose cone kernels work on runs of SOC
+blocks of one dimension and take s and z as one stack [s; z].  A stacked
+pass makes its numpy calls per pass, not per instance: a product is one BLAS
+call per run (``np.vecdot``/``np.matvec``), the blocks' scalar arithmetic one
+call over all runs' blocks (a column per block), a test over the instances
+one ``np.count_nonzero`` or ``nonzero``; only LAPACK and the Python powers
+loop over instances.  So a pass costs about 455 us + 22 us per instance on
+door programs and 505 + 32 us on pivot programs, down from 540 + 23 and
+645 + 33 (CPU time, 2-core x86-64 host).  The iterate u = [x; y; z] is one
+array in the KKT system's order (s apart): the residual is one right-hand
+side, a direction and a step one operation.  The NT scaling (``_Scaling``,
+``_BatchScaling``) computes an iteration's cone-block numbers once: W, W^-1,
+each s and z block's head, tail and head^2 - ||tail||^2 (read by the step
+search of both step lengths), lambda = W z with each block's head a, tail b
+and det a^2 - b'b (read by the lambda-division), and lambda o lambda.  The
+corrector reuses the predictor's W dz.  The termination test unscales x and
+checks it against the original program only on a pass where some instance
+can stop (its dual residual and gap within tolerance), or on every pass of
+a traced solve, with the same results; a result reports the point and
+residuals that test took.  A failure exit replays its passes for its best
+iterate.
 What programs of one structure share (their cone with its identity and W = I
 blocks, G's bound rows, the equilibration's row groups, the KKT matrix's
 cone places and the residual check's bound indices) is one read-only
-``_Plan``, built once per structure (the shapes, finite-bound pattern and
-SOC row counts that ``ProgramStack.of`` checks) and cached as
-``problem._structure`` is, so a solve computes only its numbers.
-The loop rounds each instance of a stack as that program alone, so a result
-does not depend on its batch.  Program data need no check here: a
-``ConicProgram`` is valid once it is built.
+``_Plan``, built once per structure (the shapes, finite-bound pattern and SOC
+row counts that ``ProgramStack.of`` checks) and cached as ``problem._structure``
+is, so a solve computes only its numbers.  The loop rounds each instance of a
+stack as that program alone, so a result does not depend on its batch.
+Program data need no check here: a ``ConicProgram`` is valid once it is built.
 
 ``solve_with_oracle`` is the independent validation path: every SOC block is
 replaced by an inscribed polyhedral cone read from the block alone, and the
@@ -81,7 +85,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -304,41 +308,38 @@ class _BatchCone(_Cone):
     """The _Cone operations on stacks of vectors (B, dim), one row per
     instance, each row rounded exactly as the _Cone method rounds it.  They
     work on runs: maximal sequences of consecutive SOC blocks of one dimension
-    d, stored as (start, count k, d, J), each viewed as (B, k, d) by ``split``.
+    d, stored as (start, count k, d), each viewed as (B, k, d) by ``split``.
     Python's min folds keep their block order, column by column of a run.
     ``unit`` and ``places`` hold one W = I block and one index triple per run."""
 
     def __init__(self, q: int, soc_dims: list[int]):
         super().__init__(q, soc_dims)
         firsts = [i for i, d in enumerate(soc_dims) if i == 0 or d != soc_dims[i - 1]]
-        self.runs = [(self.blocks[i][0], j - i, soc_dims[i], self.blocks[i][3])
-                     for i, j in zip(firsts, firsts[1:] + [len(soc_dims)])]
-        self.unit = (self.unit[0], [_soc_matrices(d)[2] for _, _, d, _ in self.runs])
-        idx = [at + np.arange(k * d).reshape(k, d) for at, k, d, _ in self.runs]
-        _read_only(*idx)  # before the views are taken, which keep the flag they see
+        self.runs = [(self.blocks[i][0], j - i, soc_dims[i]) for i, j in zip(firsts, firsts[1:] + [len(soc_dims)])]
+        self.unit = (self.unit[0], [_soc_matrices(d)[2] for _, _, d in self.runs])
+        idx = [at + np.arange(k * d).reshape(k, d) for at, k, d in self.runs]
+        self.heads = np.array([h for h, _, _, _ in self.blocks], dtype=np.intp)  # of every block, in order
+        _read_only(self.heads, *idx)  # before the views are taken, which keep the flag they see
         self.places = [(slice(None), i[:, :, None], i[:, None, :]) for i in idx]
+        # per run: its entries of a vector, k, d, and its columns of a per-block array (one column per block)
+        self.cuts = [(slice(at, at + k * d), k, d, slice(i, i + k)) for (at, k, d), i in zip(self.runs, firsts)]
 
     def split(self, v: np.ndarray) -> list[np.ndarray]:
         """Each run of v (B, dim) as a (B, k, d) view (of a fresh array: writable in place)."""
-        return [v[:, at : at + k * d].reshape(len(v), k, d) for at, k, d, _ in self.runs]
+        return [v[:, cut].reshape(-1, k, d) for cut, k, d, _ in self.cuts]
 
     def min_eig(self, u: np.ndarray) -> np.ndarray:
-        vals = [u[:, : self.q].min(axis=1)] if self.q else []
+        vals = [np.minimum.reduce(u[:, : self.q], axis=1)] if self.q else []
         for U in self.split(u):
             vals.extend((U[..., 0] - np.sqrt(np.vecdot(U[..., 1:], U[..., 1:]))).T)
-        if not vals:
-            return np.full(len(u), math.inf)
-        out = vals[0]
-        for v in vals[1:]:
-            out = _pymin(out, v)
-        return out
+        return reduce(_pymin, vals) if vals else np.full(len(u), math.inf)
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty(u.shape)
-        out[:, : self.q] = u[:, : self.q] * v[:, : self.q]
+        np.multiply(u[:, : self.q], v[:, : self.q], out=out[:, : self.q])
         for U, V, O in zip(self.split(u), self.split(v), self.split(out)):
-            O[..., 0] = U[..., 0] * V[..., 0] + np.vecdot(U[..., 1:], V[..., 1:])
-            O[..., 1:] = U[..., :1] * V[..., 1:] + V[..., :1] * U[..., 1:]
+            np.add(U[..., 0] * V[..., 0], np.vecdot(U[..., 1:], V[..., 1:]), out=O[..., 0])
+            np.add(U[..., :1] * V[..., 1:], V[..., :1] * U[..., 1:], out=O[..., 1:])
         return out
 
 
@@ -460,75 +461,76 @@ class _Scaling:
 
 
 class _BatchScaling(_Scaling):
-    """_Scaling of stacked iterates (B, dim), run by run of a _BatchCone, with
-    s and z taken as one stack [s; z] of 2B rows: W and W^-1 of a run are the
-    halves of one (2B, k, d, d) array, and one step search covers both.
-    ``bad`` marks the instances whose s, z or lambda left the cone interior,
-    as for one program; their rows are meaningless."""
+    """_Scaling of stacked iterates (B, dim) on a _BatchCone, with s and z as
+    one stack [s; z] of 2B rows, in the scaling and in one step search.  ``bad``
+    marks the instances whose s, z or lambda left the cone interior, as for
+    one program; their rows are meaningless."""
 
     def __init__(self, cone: _BatchCone, s: np.ndarray, z: np.ndarray):
-        self.cone = cone
-        B, q = len(s), cone.q
+        self.cone, cuts, B, q = cone, cone.cuts, len(s), cone.q
         self.w_lp = np.sqrt(s[:, :q] / z[:, :q])
-        self.soc_W, self.soc_Winv = [], []
-        self._sz = np.concatenate([s, z])
-        self._runs = []  # per run of [s; z]: heads, tails and head^2 - tail'tail
-        bad = np.zeros(2 * B, dtype=bool)
-        for (_, _, _, J), SZ in zip(cone.runs, cone.split(self._sz)):
-            head, tail = SZ[..., 0], SZ[..., 1:]
-            tt = np.vecdot(tail, tail)
-            norm = np.sqrt(tt)
-            rho = (head - norm) * (head + norm)
-            bad |= ((rho <= 0) | (head <= 0)).any(axis=1)  # rho > 0 in -int(K) too: test the heads
-            self._runs.append((head, tail, head * head - tt))
-            bar = SZ / np.sqrt(rho)[..., None]
-            sbar, zbar = bar[:B], bar[B:]
-            gamma = np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
-            wbar = sbar - zbar
-            wbar[..., 0] = sbar[..., 0] + zbar[..., 0]
-            wbar /= (2.0 * gamma)[..., None]
-            w0 = wbar[..., 0] + 1.0
-            root = np.sqrt(2.0 * w0)
-            v = wbar / root[..., None]
-            v[..., 0] = w0 / root
-            # a Python power per block; a bad row's negative ratio is NaN, as numpy gives it
-            r = rho[:B] / rho[B:]
-            beta = np.reshape([v ** 0.25 for v in np.where(r >= 0.0, r, math.nan).ravel().tolist()], (B, -1, 1, 1))
-            bad[:B] |= ~((0.0 < beta) & (beta < math.inf)).all(axis=(1, 2, 3))  # as for one program
-            jv = -v
-            jv[..., 0] = v[..., 0]
-            V = np.concatenate([v, jv])
-            WW = np.concatenate([beta, 1.0 / beta]) * (2.0 * (V[..., :, None] * V[..., None, :]) - J)
-            self.soc_W.append(WW[:B])
-            self.soc_Winv.append(WW[B:])
-        self.bad = bad[:B] | bad[B:]
-        self.lam = self.apply_W(z)
-        self.lam2 = np.empty(self.lam.shape)
-        self.lam2[:, :q] = self.lam[:, :q] * self.lam[:, :q]
-        self._lam = []  # per run of lambda: a, b and det a^2 - b'b
-        for L, O in zip(cone.split(self.lam), cone.split(self.lam2)):
-            a, b = L[..., 0], L[..., 1:]
-            aa, bb = a * a, np.vecdot(b, b)
-            det = aa - bb
-            self.bad |= ((a <= 0) | (det <= 0)).any(axis=1)
-            self._lam.append((a, b, det))
-            O[..., 0] = aa + bb
-            O[..., 1:] = L[..., :1] * b + L[..., :1] * b
+        sz = np.concatenate([s, z])
+        self._sz_lp = -sz[:, :q]  # the step ratios' numerators
+        self.lam, self.lam2 = np.empty(s.shape), np.empty(s.shape)
+        np.multiply(self.w_lp, z[:, :q], out=self.lam[:, :q])
+        np.multiply(self.lam[:, :q], self.lam[:, :q], out=self.lam2[:, :q])
+        # per block, a column each: [s; z]'s heads, tt = tail'tail and head^2 - tt; s-bar'z-bar; lambda's a and b'b
+        SZ, L, O = (cone.split(v) for v in (sz, self.lam, self.lam2))
+        self._tails = [V[..., 1:] for V in SZ]
+        self._head, dots = sz[:, cone.heads], np.empty((4 * B, len(cone.heads)))
+        tt, sz_bar, bb = dots[: 2 * B], dots[2 * B : 3 * B], dots[3 * B :]
+        for T, (*_, blk) in zip(self._tails, cuts):
+            np.vecdot(T, T, out=tt[:, blk])
+        norm = np.sqrt(tt)
+        rho = (self._head - norm) * (self._head + norm)
+        self._c, root_rho = self._head * self._head - tt, np.sqrt(rho)
+        bars = [V / root_rho[:, blk, None] for V, (*_, blk) in zip(SZ, cuts)]  # s-bar and z-bar
+        for bar, (*_, blk) in zip(bars, cuts):
+            np.vecdot(bar[:B], bar[B:], out=sz_bar[:, blk])
+        # the NT point w-bar = (s-bar + J z-bar) / (2 gamma) and its Jordan square root v, head v0 = w0 / root
+        gamma2 = 2.0 * np.sqrt((1.0 + sz_bar) / 2.0)
+        bar0 = self._head / root_rho
+        w0 = (bar0[:B] + bar0[B:]) / gamma2 + 1.0
+        root = np.sqrt(2.0 * w0)
+        v0 = w0 / root
+        # a Python power per block; a bad row's negative ratio is NaN, as numpy gives it
+        r = rho[:B] / rho[B:]
+        beta = np.array([v ** 0.25 for v in np.where(r >= 0.0, r, math.nan).ravel().tolist()]).reshape(r.shape)
+        inv_beta, self.soc_W, self.soc_Winv = 1.0 / beta, [], []
+        for bar, Z, Lr, Or, (_, _, d, blk) in zip(bars, SZ, L, O, cuts):
+            J, S, _ = _soc_matrices(d)
+            v = (bar[:B] - bar[B:]) / gamma2[:, blk, None] / root[:, blk, None]
+            v[..., 0] = v0[:, blk]
+            P = 2.0 * (v[..., :, None] * v[..., None, :]) - J
+            self.soc_W.append(W := beta[:, blk, None, None] * P)
+            self.soc_Winv.append(inv_beta[:, blk, None, None] * (S * P))  # J W J / beta^2: S * P = 2 (J v)(J v)' - J
+            np.matvec(W, Z[B:], out=Lr)  # lambda = W z
+            np.vecdot(Lr[..., 1:], Lr[..., 1:], out=bb[:, blk])
+            ab = Lr[..., :1] * Lr[..., 1:]
+            np.add(ab, ab, out=Or[..., 1:])  # lambda o lambda's tail, a b + a b
+        a = self.lam[:, cone.heads]
+        det = (aa := a * a) - bb
+        self.lam2[:, cone.heads] = aa + bb
+        self._lam = [(Lr[..., 0], Lr[..., 1:], det[:, blk]) for Lr, (*_, blk) in zip(L, cuts)]
+        # bad where rho or a head <= 0 (rho > 0 in -int(K) too), beta is not in (0, inf) (nor its ratio r),
+        # or a or det <= 0: where the least of those numbers, NaN aside, is <= 0
+        t = np.fmin(rho, self._head)
+        t = np.fmin(np.fmin(t[:B], t[B:]), np.fmin(np.where(r < math.inf, r, 0.0), np.fmin(a, det)))
+        self.bad = np.fmin.reduce(t, axis=1, initial=math.inf) <= 0.0
 
     def _blockwise(self, v: np.ndarray, lp: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
         out = np.empty(v.shape)
-        out[:, : self.cone.q] = lp * v[:, : self.cone.q]
+        np.multiply(lp, v[:, : self.cone.q], out=out[:, : self.cone.q])
         for M, V, O in zip(mats, self.cone.split(v), self.cone.split(out)):
             np.matvec(M, V, out=O)
         return out
 
     def div(self, v: np.ndarray) -> np.ndarray:
         out = np.empty(v.shape)
-        out[:, : self.cone.q] = v[:, : self.cone.q] / self.lam[:, : self.cone.q]
+        np.divide(v[:, : self.cone.q], self.lam[:, : self.cone.q], out=out[:, : self.cone.q])
         for (a, b, det), V, O in zip(self._lam, self.cone.split(v), self.cone.split(out)):
-            x0 = (a * V[..., 0] - np.vecdot(b, V[..., 1:])) / det
-            O[..., 0] = x0
-            O[..., 1:] = (V[..., 1:] - x0[..., None] * b) / a[..., None]
+            np.divide(a * V[..., 0] - np.vecdot(b, V[..., 1:]), det, out=O[..., 0])  # x0, then the tail
+            np.divide(V[..., 1:] - O[..., :1] * b, a[..., None], out=O[..., 1:])
         return out
 
     def max_step(self, ds: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -536,21 +538,21 @@ class _BatchScaling(_Scaling):
         rows.  The orthant ratios and the blocks' roots of a row are reduced
         by one min: a masked root is >= 0 or inf, never NaN, so the min is the
         Python min fold of the one-program search."""
-        q, du = self.cone.q, np.concatenate([ds, dz])
-        parts = []
-        if q:
-            neg = du[:, :q] < 0
-            parts.append(np.divide(-self._sz[:, :q], du[:, :q], out=np.full(neg.shape, math.inf), where=neg))
-        for (u0, u1, c), D in zip(self._runs, self.cone.split(du)):
-            d0, d1 = D[..., 0], D[..., 1:]
-            a = d0 * d0 - np.vecdot(d1, d1)
-            b = 2.0 * (u0 * d0 - np.vecdot(u1, d1))
-            disc = b * b - 4.0 * a * c
-            skip = (a >= 0) & ((b >= 0) | (disc < 0))
-            root = 2.0 * c / (-b + np.sqrt(_pymax(disc, 0.0)))
-            parts.append(np.where(~skip & (root >= 0), root, math.inf))  # inf: the block sets no bound
-        alpha = np.concatenate(parts, axis=1).min(axis=1) if parts else np.full(len(du), math.inf)
-        return _pymin(alpha[: len(ds)], alpha[len(ds) :])
+        du, cone = np.concatenate([ds, dz]), self.cone
+        d0, dots = du[:, cone.heads], np.empty((2, *self._head.shape))  # per block: d1'd1 and u1'd1
+        for U1, D, (*_, blk) in zip(self._tails, cone.split(du), cone.cuts):
+            np.vecdot(D[..., 1:], D[..., 1:], out=dots[0, :, blk])
+            np.vecdot(U1, D[..., 1:], out=dots[1, :, blk])
+        a = d0 * d0 - dots[0]
+        b = 2.0 * (self._head * d0 - dots[1])
+        disc = b * b - 4.0 * a * self._c
+        skip = (a >= 0) & ((b >= 0) | (low := disc < 0))
+        root = 2.0 * self._c / (np.sqrt(np.where(low, 0.0, disc)) - b)  # sqrt(max(disc, 0)) + (-b)
+        lp = du[:, : cone.q]
+        parts = np.concatenate([np.divide(self._sz_lp, lp, out=np.full(lp.shape, math.inf), where=lp < 0),
+                                np.where((root >= 0) > skip, root, math.inf)], axis=1)  # inf: skipped, or no bound
+        alpha = np.minimum.reduce(parts, axis=1) if parts.shape[1] else np.full(len(du), math.inf)
+        return np.where(alpha[len(ds) :] < alpha[: len(ds)], alpha[len(ds) :], alpha[: len(ds)])  # Python's min
 
 
 def _refinement_bound(rhs: np.ndarray):
@@ -599,8 +601,8 @@ class _KKT:
         if self.K.ndim == 2:
             self._factors = self._factor_one(self.K)
             return self._factors is None
-        self._factors = [None if stop else self._factor_one(K) for K, stop in zip(self.K, out)]
-        return ~out & np.array([f is None for f in self._factors])
+        self._factors = [None if stop else self._factor_one(K) for K, stop in zip(self.K, out.tolist())]
+        return np.array([f is None for f in self._factors]) > out
 
     def solve(self, rhs: np.ndarray, out=None, bound=None):
         """x with K x = rhs, from the factors and up to two refinement steps;
@@ -618,19 +620,17 @@ class _KKT:
                     break
                 x = x + _sytrs(*self._factors, r, 1, 1)[0]  # r is overwritten
             return x
-        # the refinement residuals are stacks, the LAPACK solves per instance
-        x, live = np.zeros(rhs.shape), np.flatnonzero(~out)
-        x[live] = rhs[live]
-        for i in live:  # f2py solves each contiguous row of x in place (a test pins it)
-            _sytrs(*self._factors[i], x[i], 1, 1)
-        refine = ~out
-        for _ in range(2):
-            if not refine.any():  # no residual to take
-                break
-            r = rhs - _mv(self.K, x)
-            refine &= ~(np.maximum.reduce(np.abs(r), axis=1) <= bound)
-            for i in np.flatnonzero(refine):
-                x[i] += _sytrs(*self._factors[i], r[i], 1, 1)[0]
+        live = [(i, f) for i, (f, stop) in enumerate(zip(self._factors, out.tolist())) if not stop]
+        x = np.where(out[:, None], 0.0, rhs)
+        for i, (ldu, ipiv) in live:  # f2py solves each contiguous row of x in place (a test pins it)
+            _sytrs(ldu, ipiv, x[i], 1, 1)
+        r = rhs - np.matvec(self.K, x)  # the first residual as a stack, the second (where needed) per instance
+        fine = (np.maximum.reduce(np.abs(r), axis=1) <= bound).tolist()
+        for i, (ldu, ipiv) in live:
+            if not fine[i]:
+                x[i] += _sytrs(ldu, ipiv, r[i], 1, 1)[0]
+                if not np.maximum.reduce(np.abs(ri := rhs[i] - self.K[i].dot(x[i]))) <= bound[i]:
+                    x[i] += _sytrs(ldu, ipiv, ri, 1, 1)[0]
         return x
 
 
@@ -735,21 +735,23 @@ def _equilibrate(sf: _StdForm) -> _StdForm:
     rhs = np.concatenate([sf.b, sf.h], axis=-1)
     dc = np.ones(sf.c.shape)
     if n and plan.starts.size:
-        S = np.abs(M)
+        stack = M.ndim == 3 and len(M) > 1  # views, a stack's instances last for numpy's loops, one program's dropped
+        S, dcl, rhsl = (np.moveaxis(v, 0, -1) if stack else v.reshape(v.shape[M.ndim - 2 :]) for v in (M, dc, rhs))
+        S = np.abs(S, order="C")
         for _ in range(_EQUILIBRATION_ROUNDS):
-            col = np.maximum.reduce(S, axis=-2)
+            col = np.maximum.reduce(S, axis=0)
             if np.count_nonzero(col) < col.size:
                 col[col == 0] = 1.0
             sc = 1.0 / np.sqrt(col)
-            S *= sc[..., None, :]
-            dc *= sc
-            rows = np.maximum.reduceat(np.maximum.reduce(S, axis=-1), plan.starts, axis=-1)
+            S *= sc
+            dcl *= sc
+            rows = np.maximum.reduceat(np.maximum.reduce(S, axis=1), plan.starts, axis=0)
             if np.count_nonzero(rows) < rows.size:
                 rows[rows == 0] = 1.0  # an all-zero row or block keeps scale 1
-            s = (1.0 / np.sqrt(rows)).take(plan.group, axis=-1)
-            S *= s[..., None]
-            rhs *= s
-        np.copysign(S, M, out=M)
+            s = (1.0 / np.sqrt(rows)).take(plan.group, axis=0)
+            S *= s[:, None]
+            rhsl *= s
+        np.copysign(np.moveaxis(S, -1, 0) if stack else S.reshape(M.shape), M, out=M)
     return _StdForm(c=sf.c * dc, A=M[..., :p, :], b=rhs[..., :p], G=M[..., p:, :], h=rhs[..., p:],
                     plan=plan, col_scale=dc)
 
@@ -883,10 +885,9 @@ def solve_batch(stacks, settings: SolveSettings | None = None) -> list[SolveResu
 
 
 # The smallest group worth a stacked run, measured on door, pivot and slide
-# programs (2-core machine, numpy 2.4 with OpenBLAS), presolve included: one
-# program run as a stack of one takes 2.1-2.2 times as long as on its own 1-D
-# arrays, two take 1.1-1.3 times as long as two single solves, three take
-# 0.81-0.94 times as long and four 0.65-0.73.
+# programs (2-core machine, numpy 2.4 with OpenBLAS), presolve included: a stack
+# of one takes 1.7-1.8 times as long as the program on its own 1-D arrays, of
+# two 0.94-1.06 times as long as two single solves, three 0.70-0.77, four 0.60.
 _MIN_BATCH = 3
 
 
@@ -977,18 +978,18 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
     One program's per-instance numbers (tau, kappa, step lengths, norms) are
     Python or numpy scalars; a stack's are arrays.  The few operations that
     differ are bound once per run: a dot or matvec is ``ndarray.dot`` or
-    ``np.vecdot``/``np.matvec`` (the same bits per instance), the cone
-    kernels are ``_BatchCone``/``_BatchScaling`` (run by run of equal SOC
-    blocks), Python's min/max/if become np.where, the powers (tau**2,
-    sigma**3, beta in the scaling) are Python float powers per instance, and
-    LAPACK runs per instance.  The cone, its W = I blocks and its identity
-    come from the programs' plan.  An instance that stops is recorded at once; in a
-    stack its row runs on (skipped by LAPACK) until the next iteration drops
-    it, and the run ends when every instance has stopped.  ``trace`` (one program only) is called once per
-    iteration with plain ints and floats.  A pass is checked against the
-    original programs only where an instance can stop (dual residual and gap
-    within tolerance) or a trace is set; a failure exit replays the recorded
-    passes (x, tau, dual residual, gap) for its best iterate.
+    ``np.vecdot``/``np.matvec`` (the same bits per instance), the cone kernels
+    are ``_BatchCone``/``_BatchScaling``, Python's min/max/if become np.where
+    and a test over the instances ``np.count_nonzero``, the powers (tau**2,
+    sigma**3, beta) are Python float powers per instance, and LAPACK runs per
+    instance.  The cone, its W = I blocks and its identity come from the plan.
+    An instance that stops is recorded at once; in a stack its row runs on
+    (skipped by LAPACK) until the next iteration drops it, and the run ends
+    when every instance has stopped.  ``trace`` (one program only) is called
+    once per iteration with plain ints and floats.  A pass is checked against
+    the original programs only where an instance can stop (dual residual and
+    gap within tolerance) or a trace is set; a failure exit replays the
+    recorded passes (x, tau, dual residual, gap) for its best iterate.
     """
     one = sf.c.ndim == 1
     if one:  # Python's operators and builtins on the program's numbers
@@ -997,9 +998,9 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         sq, sigma_of = (lambda t: t ** 2), _sigma
         hits, row = (lambda m: (0,) if m else ()), (lambda v, i: v)  # the one instance, if m marks it
     else:  # arrays of per-instance numbers, broadcast against vectors as columns
-        cone, scaling, sq, sigma_of = sf.plan.batch, _BatchScaling, _squares, _sigmas
-        dot, mv, vmin, vmax, any_, col, where = _dot, _mv, _pymin, _pymax, np.any, (lambda v: v[:, None]), np.where
-        hits, row = (lambda m: np.flatnonzero(m & ~out)), (lambda v, i: v[i])  # the running instances m marks
+        cone, scaling, sq, sigma_of, any_ = sf.plan.batch, _BatchScaling, _squares, _sigmas, np.count_nonzero
+        dot, mv, vmin, vmax, col, where = np.vecdot, np.matvec, _pymin, _pymax, (lambda v: v[:, None]), np.where
+        hits, row = (lambda m: (m > out).nonzero()[0].tolist()), (lambda v, i: v[i])  # the running instances m marks
     n, p, m = sf.c.shape[-1], sf.A.shape[-2], sf.G.shape[-2]
     B = 1 if one else len(sf.c)
     nu, e = cone.degree, cone.e
@@ -1023,7 +1024,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         results[k] = SolveResult(status, obj, xo, resid, iters, cert)
         if not one:
             out[i] = True
-        if one or out.all():
+        if one or np.count_nonzero(out) == len(out):
             raise _Stop
 
     def give_up(mask, why, status="NumericalFailure"):
@@ -1031,10 +1032,10 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         ``why`` (None: iteration limit) and each one's best iterate: the first
         pass of least merit max(eq, cone, dual, gap) in the history, unscaled
         and checked as a pass that can stop is (none if no merit is finite)."""
-        if one and not mask:  # the common case, without a call of hits
+        if not (mask if one else np.count_nonzero(mask)):  # the common case, without a call of hits
             return
         for i in hits(mask):
-            own, check = sf if one else _take(sf, int(i)), _ResidualCheck(st, int(ids[i]), sf.plan)
+            own, check = sf if one else _take(sf, i), _ResidualCheck(st, int(ids[i]), sf.plan)
             merit, point, iters = math.inf, None, 0
             for xh, th, dres_h, gap_h, it_h, ids_h in history:
                 j = ids_h.searchsorted(ids[i])
@@ -1066,10 +1067,10 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
 
     def max_alpha(ds, dz, dtau, dkappa):
         alpha = scal.max_step(ds, dz)
-        if any_(dtau < 0):
-            alpha = where(dtau < 0, vmin(alpha, -tau / dtau), alpha)
-        if any_(dkappa < 0):
-            alpha = where(dkappa < 0, vmin(alpha, -kappa / dkappa), alpha)
+        if any_(neg := dtau < 0):
+            alpha = where(neg, vmin(alpha, -tau / dtau), alpha)
+        if any_(neg := dkappa < 0):
+            alpha = where(neg, vmin(alpha, -kappa / dkappa), alpha)
         return alpha
 
     c, A, b, G, h = sf.c, sf.A, sf.b, sf.G, sf.h
@@ -1092,8 +1093,8 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
             At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
 
             for it in range(settings.max_iterations):
-                if not one and out.any():  # drop the instances that stopped
-                    keep = ~out
+                if not one and np.count_nonzero(out):  # drop the instances that stopped
+                    keep = (~out).nonzero()[0]
                     sf = _take(sf, keep)
                     c, A, b, G, h = sf.c, sf.A, sf.b, sf.G, sf.h
                     At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
@@ -1106,13 +1107,13 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 # the residual as the KKT right-hand side [-rx; ry; rz]
                 r = np.concatenate([mv(At, y) + mv(Gt, z) + c * tc, b * tc - mv(A, x), h * tc - mv(G, x) - s], axis=-1)
                 neg_rx = np.negative(r[..., :n], out=r[..., :n])
-                rt = kappa + cx + by + hz
-                mu = (sz + tau * kappa) / (nu + 1)
+                rt, tk = kappa + cx + by + hz, tau * kappa
+                mu = (gap := sz + tk) / (nu + 1)
 
                 # -- termination, measured on the original program where an instance may stop
                 dres = _amax(neg_rx) / (tau * c_norm)
                 pobj = cx / tau
-                dobj = -(by + hz) / tau
+                dobj = -(bhz := by + hz) / tau
                 relgap = sz / sq(tau) / vmax(1.0, 0.5 * (abs(pobj) + abs(dobj)))
                 history.append((x.copy(), tau, dres, relgap, it, ids))
                 can = (dres <= ftol) & (relgap <= gtol)
@@ -1131,15 +1132,14 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                                                           row(cone_viol, i), row(relgap, i)))
 
                 # certificates
-                bhz = by + hz
-                if any_(bhz < 0):
+                if any_(neg := bhz < 0):
                     farkas = _amax(mv(At, y / col(-bhz)) + mv(Gt, z / col(-bhz)))
-                    for i in hits((bhz < 0) & (farkas <= ftol * c_norm)):
+                    for i in hits(neg & (farkas <= ftol * c_norm)):
                         done(i, "Infeasible", it,
                              f"Farkas ray with b'y + h'z = -1: ||A'y + G'z||_inf = {row(farkas, i):.3e}")
-                if any_(cx < 0):
+                if any_(neg := cx < 0):
                     ray_eq = _amax(mv(A, xc := x / col(-cx)))
-                    ray = (cx < 0) & (ray_eq <= ftol * b_norm)
+                    ray = neg & (ray_eq <= ftol * b_norm)
                     if any_(ray):  # the second norm only where the first passes
                         ray_cone = _amax(mv(G, xc) + s / col(-cx))
                         for i in hits(ray & (ray_cone <= ftol * h_norm)):
@@ -1157,17 +1157,17 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
 
                 # -- predictor (affine) --------------------------------------
                 lam2 = scal.lam2
-                _, dza, dta, dsa, dka, wdza = direction(r.copy(), rt, -lam2, -tau * kappa)
+                _, dza, dta, dsa, dka, wdza = direction(r.copy(), rt, -lam2, -tk)
                 alpha_aff = vmin(1.0, max_alpha(dsa, dza, dta, dka))
                 ac = col(alpha_aff)
                 gap_aff = (dot(s + ac * dsa, z + ac * dza)
                            + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka))
-                sigma = sigma_of(gap_aff / (sz + tau * kappa))
+                sigma = sigma_of(gap_aff / gap)
 
                 # -- corrector ----------------------------------------------
                 corr = cone.prod(scal.apply_Winv(dsa), wdza)
-                d_s = col(sigma * mu) * e - lam2 - corr
-                d_kt = sigma * mu - tau * kappa - dta * dka
+                d_s = col(smu := sigma * mu) * e - lam2 - corr
+                d_kt = smu - tk - dta * dka
                 om = 1.0 - sigma
                 d, dz, dtau, ds, dkappa, _ = direction(col(om) * r, om * rt, d_s, d_kt)
                 alpha = vmin(1.0, _STEP_FRACTION * max_alpha(ds, dz, dtau, dkappa))

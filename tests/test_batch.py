@@ -589,6 +589,47 @@ def test_kkt_factorization_failure_alone_and_in_a_stack(monkeypatch):
     assert calls == [1] * (2 * solver._MIN_BATCH)  # one attempt per program, stacked and alone
 
 
+def test_kkt_factorization_failure_of_one_member_of_a_stack(monkeypatch):
+    """One program's third ``dsytrf`` (its KKT matrix at iteration 1)
+    reports INFO > 0 and no other call does: in a stack of four, that row is
+    what the program gives alone under the same failure, a NumericalFailure
+    "KKT factorization failed" with its best iterate, and the other rows run
+    on past it, each the bytes of its own solve.  The stacked factor and solve
+    skip the stopped row until the next iteration drops it."""
+    progs = rows(stacks_of(door_problems(0.05)[:4], +1))
+    target, sytrf, seen = progs[1], solver._sytrf, []
+
+    def key(a):
+        return a[:, 0].tobytes()  # [0; A; G]'s first column: one program's at every iteration
+
+    def record(a, lower):
+        seen.append(key(a))
+        return sytrf(a, lower)
+
+    monkeypatch.setattr(solver, "_sytrf", record)
+    solve(target)
+    calls = {}
+
+    def third_fails(a, lower):
+        k = key(a)
+        calls[k] = calls.get(k, 0) + 1
+        if k == seen[0] and calls[k] == 3:
+            return a, np.zeros(len(a), dtype=np.int32), 1
+        return sytrf(a, lower)
+
+    monkeypatch.setattr(solver, "_sytrf", third_fails)
+    runs = stacked_runs(monkeypatch)
+    batch = solve_batch(stacks_of(door_problems(0.05)[:4], +1))
+    assert [len(r) for r in runs] == [4]
+    assert len(calls) == 4 and calls.pop(seen[0]) == 3 and min(calls.values()) > 3  # the others factor on
+    calls.clear()
+    alone = [solve(prog) for prog in progs]
+    assert list(map(result_bytes, batch)) == list(map(result_bytes, alone))
+    assert (batch[1].status, batch[1].certificate) == ("NumericalFailure", "KKT factorization failed")
+    assert batch[1].primal is not None
+    assert [r.status for i, r in enumerate(batch) if i != 1] == ["Optimal"] * 3
+
+
 def test_global_metric_per_point_matches_local_metric():
     path = [PathPoint(float(t), builtin_scenario("door_handle", theta=float(t)).problem(), f"{t:.2f}")
             for t in THETAS[::5]]

@@ -428,8 +428,8 @@ class TestStackedAgainstOneProgram:
 
     def test_runs(self):
         cone = _BatchCone(5, [3, 2, 4, 4, 3])
-        assert [(at, k, d) for at, k, d, _ in cone.runs] == [(5, 1, 3), (8, 1, 2), (10, 2, 4), (18, 1, 3)]
-        assert [r[:3] for r in _BatchCone(4, [4, 4, 3, 3, 3]).runs] == [(4, 2, 4), (12, 3, 3)]
+        assert cone.runs == [(5, 1, 3), (8, 1, 2), (10, 2, 4), (18, 1, 3)]
+        assert _BatchCone(4, [4, 4, 3, 3, 3]).runs == [(4, 2, 4), (12, 3, 3)]
         assert _BatchCone(2, []).runs == []
 
     def test_min_eig_prod_div_max_step(self):

@@ -30,7 +30,13 @@ goes first, so that both see the same machine state:
   ``FUZZ_SETTINGS`` and ``solve_with_oracle`` at 32 facets), one call of the
   case being all 200 (M calls);
 * each of the five ``batch_cli`` jobs, run whole through the side's own
-  ``cli.main`` (build, compile, solve, CSV; M calls).
+  ``cli.main`` (build, compile, solve, CSV; M calls);
+* ``stack of k`` for k = 1, 2, 3 and 4: this checkout's ``solve_batch`` on
+  the stack of the first k programs of the pivot sweep, run as one stacked
+  interior-point loop (``solver._MIN_BATCH`` set to 1 for the call), against
+  this checkout's ``solve`` of the same k programs one by one (M calls).  Both
+  columns of these cases are this checkout, stack first: a ratio below 1 means
+  the stack beats k single solves, which is how ``_MIN_BATCH`` is chosen.
 
 Each side compiles its own programs from its own scenarios, outside the
 timed calls (the ``compile`` and ``eval_grid`` cases build each side's
@@ -159,9 +165,26 @@ def sweep_stacks(pkg, name: str, param: str, values, **fixed):
     return call
 
 
+def stacked_against_single(pkg, k: int, alphas):
+    """The two calls of the ``stack of k`` case, both ``pkg``'s: ``solve_batch``
+    of the first k pivot sweep programs as one stacked run, and ``solve`` of each."""
+    stacks = sweep(pkg, "cuboid_pivot", "alpha", alphas[:k])
+    progs = [st.program(i) for st in stacks for i in range(len(st))]
+
+    def stacked():
+        least, pkg.solver._MIN_BATCH = pkg.solver._MIN_BATCH, 1
+        try:
+            return pkg.solver.solve_batch(stacks)
+        finally:
+            pkg.solver._MIN_BATCH = least
+    return stacked, lambda: [pkg.solver.solve(prog) for prog in progs]
+
+
 def cases() -> list[tuple[str, bool, object]]:
-    """(name, whether it is a batch case, prepare) of every timed case;
-    ``prepare(pkg)`` returns the call that is timed for that side."""
+    """(name, whether it is a batch case, sides) of every timed case;
+    ``sides(this, other)`` returns the two calls that are timed, one per side:
+    ``prepare(this)`` and ``prepare(other)`` for a case that compares the
+    checkouts."""
     alphas = np.radians(np.linspace(0.0, 60.0, 17))
     thetas = np.radians(np.linspace(0.0, 40.0, 41))
     points = workloads.eval_grid_points()
@@ -205,7 +228,7 @@ def cases() -> list[tuple[str, bool, object]]:
         return lambda: pkg.solver.solve_batch(inputs)
 
     names = ("door_handle", "cuboid_pivot", "cuboid_slide")
-    return ([(f"builtin {name}", False, lambda pkg, n=name: lambda: pkg.scenarios.builtin_scenario(n))
+    both = ([(f"builtin {name}", False, lambda pkg, n=name: lambda: pkg.scenarios.builtin_scenario(n))
              for name in names]
             + [(f"compile {name}", False, lambda pkg, n=name: compile_case(pkg, n)) for name in names]
             + [(f"solve {name}", False, lambda pkg, n=name: (lambda p=bundled(pkg, n): pkg.solver.solve(p)))
@@ -225,6 +248,10 @@ def cases() -> list[tuple[str, bool, object]]:
                (f"fuzz op ({len(draws)})", True, fuzz_op)]
             + [(f"job {name}", True, lambda pkg, n=name: (lambda: run_job(pkg, n)))
                for name, _ in workloads.BATCH_JOBS])
+    return ([(name, batch, lambda this, other, prepare=prepare: (prepare(this), prepare(other)))
+             for name, batch, prepare in both]
+            + [(f"stack of {k} vs {k} singles (pivot)", True,
+                lambda this, other, k=k: stacked_against_single(this, k, alphas)) for k in (1, 2, 3, 4)])
 
 
 def as_bytes(res) -> bytes:
@@ -258,10 +285,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"this: {ROOT}\nother: {args.other.resolve()}")
     print(f"{'case':30s} {'this p10':>9s} {'other p10':>9s} {'ratio':>6s} "
           f"{'this p50':>9s} {'other p50':>9s} {'ratio':>6s} {'paired':>6s}   (ms)")
-    for name, batch, prepare in cases():
+    for name, batch, sides in cases():
         if args.only and not any(text in name for text in args.only):
             continue
-        mine, theirs = prepare(screwgrasp), prepare(other)
+        mine, theirs = sides(screwgrasp, other)
         if as_bytes(mine()) != as_bytes(theirs()):
             print(f"{name}: results differ")
             return 1
