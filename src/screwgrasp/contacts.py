@@ -15,8 +15,8 @@ and environment contacts alike).  A rigid environment attachment is modeled
 as a FixedSupport whose wrench components are free unless prescribed.
 
 ``_pcwf_units``/``_sfce_units`` are the unit ray tables of the independent LP
-validation path, not the main solve: one read-only table per dimension (2
-and 3) and facet count, computed once, with one unit vector per column.  The
+validation path, not the main solve, one unit vector per column; the oracle
+builds each once per facet count, through ``_ray_columns``' cache.  The
 oracle inscribes a compiled cone block ||A x + b|| <= c'x + d by A x + b =
 U lambda and c'x + d = 1'lambda, lambda >= 0; the 1/(mu e) rows of a compiled
 block are what turn these unit rays into the rays of an SFCE or PCWF cone.
@@ -194,14 +194,6 @@ def _snap(x: float) -> float:
     return 0.0 if abs(x) < 1e-15 else float(x)
 
 
-def _table(rows: list[tuple[float, ...]]) -> np.ndarray:
-    """One row per ray in, a read-only table with one column per ray out."""
-    table = np.array(rows, dtype=float).T.copy()
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=32)
 def _sfce_units(facets: int) -> np.ndarray:
     """Unit rays of a 3-row cone block, (f_t/(mu e_t), f_o/(mu e_o),
     m_n/(mu e_n)) at f_n = 1 for an SFCE block: a latitude/longitude grid of
@@ -214,22 +206,21 @@ def _sfce_units(facets: int) -> np.ndarray:
             rows.append((0.0, 0.0, np.sign(c)))
             continue
         rows += [(_snap(s * np.cos(phi)), _snap(s * np.sin(phi)), c) for phi in phis]
-    return _table(rows)
+    return np.array(rows, dtype=float).T
 
 
-@functools.lru_cache(maxsize=32)
 def _pcwf_units(facets: int) -> np.ndarray:
     """Unit rays of a 2-row cone block, (f_t/(mu e_t), f_o/(mu e_o)) at
     f_n = 1 for a PCWF block: the regular facets-gon."""
     phis = 2.0 * np.pi * np.arange(facets) / facets
-    return _table([(_snap(np.cos(phi)), _snap(np.sin(phi))) for phi in phis])
+    return np.array([(_snap(np.cos(phi)), _snap(np.sin(phi))) for phi in phis], dtype=float).T
 
 
 @functools.lru_cache(maxsize=32)
 def _ray_columns(rows: int, facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The oracle's ray columns [-U; -1'] of a block of ``rows`` (2 or 3) rows
     as CSC nonzeros from row 0: each column's count, then their row indices
-    (int32) and values; read-only, as the unit table U is."""
+    (int32) and values; read-only, and cached, so U is built once per count."""
     U = (_pcwf_units if rows == 2 else _sfce_units)(facets)
     table = np.vstack([-U, np.full(U.shape[1], -1.0)]).T
     cols, index = np.nonzero(table)

@@ -403,14 +403,6 @@ def scenario_family(scenario: Scenario, parameter: str, task: str | None = None)
 # File I/O
 # ---------------------------------------------------------------------------
 
-def _mat_list(M: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(M)]
-
-
-def _vec_list(v: np.ndarray) -> list[float]:
-    return [float(x) for x in np.asarray(v)]
-
-
 def scenario_to_dict(s: Scenario) -> dict:
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -424,8 +416,8 @@ def scenario_to_dict(s: Scenario) -> dict:
                          "params": {k: float(v) for k, v in s.family.params.items()}}
     doc["manipulator_contacts"] = [
         {
-            "rotation": _mat_list(c.rotation),
-            "position": _vec_list(c.position),
+            "rotation": c.rotation.tolist(),
+            "position": c.position.tolist(),
             "cone": None if c.cone is None else asdict(c.cone),
             "f_n_max": float(c.f_n_max),
         }
@@ -439,7 +431,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         else:
             model = {"type": "fixed_support",
                      "prescribed": {k: float(v) for k, v in c.model.prescribed.items()}}
-        entry = {"rotation": _mat_list(c.rotation), "position": _vec_list(c.position),
+        entry = {"rotation": c.rotation.tolist(), "position": c.position.tolist(),
                  "model": model}
         if c.f_n_min is not None:
             entry["f_n_min"] = float(c.f_n_min)
@@ -448,25 +440,25 @@ def scenario_to_dict(s: Scenario) -> dict:
         env.append(entry)
     doc["environment_contacts"] = env
     doc["external_wrench"] = {
-        "force": _vec_list(s.external.force),
-        "moment": _vec_list(s.external.moment),
-        "application_point": _vec_list(s.external.application_point),
+        "force": s.external.force.tolist(),
+        "moment": s.external.moment.tolist(),
+        "application_point": s.external.application_point.tolist(),
     }
     if s.torque_model is not None:
         tm = s.torque_model
         doc["torque_model"] = {
-            "jacobian": _mat_list(tm.jacobian),
-            "tau_g": _vec_list(tm.tau_g),
-            "tau_min": _vec_list(tm.tau_min),
-            "tau_max": _vec_list(tm.tau_max),
+            "jacobian": tm.jacobian.tolist(),
+            "tau_g": tm.tau_g.tolist(),
+            "tau_min": tm.tau_min.tolist(),
+            "tau_max": tm.tau_max.tolist(),
         }
         if tm.dofs is not None:
             doc["torque_model"]["dofs"] = list(tm.dofs)
     doc["tasks"] = [
         {
             "label": label,
-            "axis": _vec_list(screw.l),
-            "point": _vec_list(screw.q),
+            "axis": screw.l.tolist(),
+            "point": screw.q.tolist(),
             "pitch": "infinite" if screw.infinite_pitch else float(screw.pitch),
         }
         for label, screw in s.tasks

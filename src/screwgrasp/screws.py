@@ -95,10 +95,6 @@ class Wrench:
         if not (np.all(np.isfinite(self.force)) and np.all(np.isfinite(self.moment))):
             raise ValueError("wrench components must be finite")
 
-    def as_array(self) -> np.ndarray:
-        """Stacked 6-vector [force; moment]."""
-        return np.concatenate([self.force, self.moment])
-
     @staticmethod
     def from_array(w) -> "Wrench":
         w = np.asarray(w, dtype=float).reshape(6)

@@ -154,16 +154,6 @@ _sytrf, _sytrs = _flapack.dsytrf, _flapack.dsytrs
 # otherwise); one program's kernels call ``u.dot(v)``, the BLAS call of ``@`` at
 # half its cost on C- or F-contiguous operands, as a program's arrays are.
 
-def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M @ v, instance by instance for stacks."""
-    return M @ v if v.ndim == 1 else np.matvec(M, v)
-
-
-def _dot(u: np.ndarray, v: np.ndarray):
-    """u @ v, instance by instance for stacks of vectors (B, k)."""
-    return u @ v if u.ndim == 1 else np.vecdot(u, v)
-
-
 def _pymax(a, b):
     """Python's max(a, b) elementwise: b where b > a, else a (NaN handling included)."""
     return np.where(b > a, b, a)
@@ -417,9 +407,6 @@ class _Scaling:
 
     def apply_Winv(self, v: np.ndarray) -> np.ndarray:
         return self._blockwise(v, 1.0 / self.w_lp, self.soc_Winv)
-
-    def w_squared_blocks(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        return self.w_lp**2, [W @ W for W in self.soc_W]
 
     def div(self, v: np.ndarray) -> np.ndarray:
         """Solve lambda o x = v for x (every det and head of lambda is > 0)."""
@@ -785,8 +772,8 @@ def _reduce_equalities(sf: _StdForm):
     if r == p:
         return sf, np.zeros(same.shape, dtype=bool), same
     UrT = np.swapaxes(U[..., :r], -1, -2)
-    b = _mv(UrT, sf.b)
-    resid = sf.b - _mv(U[..., :r], b)
+    b = np.matvec(UrT, sf.b)
+    resid = sf.b - np.matvec(U[..., :r], b)
     inconsistent = np.abs(resid).max(axis=-1, initial=0.0) > 1e-9 * (1.0 + np.abs(sf.b).max(axis=-1, initial=0.0))
     return replace(sf, A=UrT @ sf.A, b=b), inconsistent, same
 
@@ -805,9 +792,9 @@ def _reduce_null_columns(sf: _StdForm):
     if r == n:
         return sf, np.zeros(same.shape, dtype=bool), same
     # unbounded where the objective has a free ray
-    free = np.abs(_mv(Vt[..., r:, :], sf.c)).max(axis=-1, initial=0.0) > 1e-10 * (1.0 + np.abs(sf.c).max(axis=-1, initial=0.0))
+    free = np.abs(np.matvec(Vt[..., r:, :], sf.c)).max(axis=-1, initial=0.0) > 1e-10 * (1.0 + np.abs(sf.c).max(axis=-1, initial=0.0))
     basis = np.swapaxes(Vt[..., :r, :], -1, -2)
-    return replace(sf, c=_mv(Vt[..., :r, :], sf.c), A=sf.A @ basis, G=sf.G @ basis, basis=basis), free, same
+    return replace(sf, c=np.matvec(Vt[..., :r, :], sf.c), A=sf.A @ basis, G=sf.G @ basis, basis=basis), free, same
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +818,7 @@ class _ResidualCheck:
 
     def __call__(self, x: np.ndarray):
         one = x.ndim == 1
-        vmax, sqrt, mv, dot = (max, math.sqrt, np.ndarray.dot, np.ndarray.dot) if one else (_pymax, np.sqrt, _mv, _dot)
+        vmax, sqrt, mv, dot = (max, math.sqrt, np.ndarray.dot, np.ndarray.dot) if one else (_pymax, np.sqrt, np.matvec, np.vecdot)
         eq = _amax(mv(self.F, x) - self.g) / self.g_scale
         viol = 0.0 if one else np.zeros(eq.shape)
         if self.lbi.size:
@@ -847,7 +834,7 @@ class _ResidualCheck:
 
 def _unscale(col_scale: np.ndarray, basis: np.ndarray | None, x: np.ndarray, tau) -> np.ndarray:
     """Original variables of the reduced, scaled iterate x with embedding tau."""
-    full = x if basis is None else _mv(basis, x)
+    full = x if basis is None else basis @ x if x.ndim == 1 else np.matvec(basis, x)
     return col_scale * full / tau
 
 
@@ -1150,7 +1137,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 # -- NT scaling and KKT factorization -----------------------
                 scal = scaling(cone, s, z)
                 give_up(scal.bad, "iterate left the cone interior")
-                give_up(kkt.factor(*scal.w_squared_blocks(), out), "KKT factorization failed")
+                give_up(kkt.factor(scal.w_lp**2, [W @ W for W in scal.soc_W], out), "KKT factorization failed")
                 x1, y1, z1 = split(d1 := kkt.solve(rhs_tau, out, tau_bound))
                 denom0 = kappa / tau - (dot(c, x1) + dot(b, y1) + dot(h, z1))
                 give_up(abs(denom0) < 1e-300, "degenerate tau step")

@@ -73,6 +73,11 @@ def screw_to_unit_wrench(s: TaskScrew) -> Wrench:
     return Wrench(force=s.l, moment=cross3(s.q, s.l) + s.pitch * s.l)
 
 
+def wrench_vector(w: Wrench) -> np.ndarray:
+    """The stacked 6-vector [force; moment] of a wrench."""
+    return np.concatenate([w.force, w.moment])
+
+
 def external_wrench_in_b(e: ExternalWrench) -> Wrench:
     """The external load resolved about the body-frame origin."""
     return Wrench(force=e.force, moment=cross3(e.application_point, e.force) + e.moment)

@@ -10,8 +10,8 @@ numbers they read once per iterate; they are held to ``ref_max_step``,
 ``ref_div`` and ``ref_prod`` at the scaling's own s, z and lambda, next to
 the cone boundary too, where lambda's determinant and a step root's
 denominator can round to zero.  The stacked kernels (``_BatchCone``,
-``_BatchScaling``, stacked ``_dot``/``_mv``), which work on runs of equal SOC
-blocks, are held row by row to the one-program ones the same way.  The
+``_BatchScaling``, ``np.vecdot``/``np.matvec``), which work on runs of equal
+SOC blocks, are held row by row to the one-program ones the same way.  The
 behaviour tests check the algebra itself against bisection and the
 Nesterov-Todd identities.
 """
@@ -27,9 +27,7 @@ from screwgrasp.solver import (
     _BatchCone,
     _BatchScaling,
     _Cone,
-    _dot,
     _equilibrate,
-    _mv,
     _ResidualCheck,
     _Scaling,
     _sigma,
@@ -567,7 +565,8 @@ class TestStackedAgainstOneProgram:
         assert scal.bad.tolist() == [_Scaling(cone, s, z).bad for s, z in zip(S, Z)] == [True, True, False]
 
     def test_dot_and_mv_are_per_row_matmul(self):
-        """Stacked products give each row the bits of ``@`` on that row alone,
+        """``np.vecdot`` and ``np.matvec``, the stacked products of presolve and
+        the residual check, give each row the bits of ``@`` on that row alone,
         with strided vectors and transposed matrices as the solver passes them."""
         rng = np.random.default_rng(23)
         for _ in range(300):
@@ -578,10 +577,10 @@ class TestStackedAgainstOneProgram:
             v = rng.normal(size=(B, 2 * n + 1))[:, 1::2] * scale  # strided rows
             u = rng.normal(size=(B, n + 2))[:, 2:] * scale  # offset rows
             for mat in (M, Mt):
-                got = _mv(mat, v)
+                got = np.matvec(mat, v)
                 assert got.shape == (B, m)
                 assert all(np.array_equal(got[i], mat[i] @ v[i]) for i in range(B))
-            assert _dot(u, v).tolist() == [u[i] @ v[i] for i in range(B)]
+            assert np.vecdot(u, v).tolist() == [u[i] @ v[i] for i in range(B)]
 
 
 class TestPythonPowers:

@@ -68,13 +68,6 @@ class TestUnitTables:
             got, want = units(facets), ref(unit, 1.0, facets)[rows]
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), facets
 
-    def test_tables_are_cached_and_read_only(self):
-        for units in (_sfce_units, _pcwf_units):
-            table = units(16)
-            assert units(16) is table
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 2.0
-
     @pytest.mark.parametrize("units", [_sfce_units, _pcwf_units])
     def test_every_ray_is_on_the_boundary(self, units):
         # unit columns: the rays lie on the cone boundary, so their hull is inscribed

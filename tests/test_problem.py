@@ -15,6 +15,7 @@ from conftest import (
     screw_to_unit_wrench,
     soc,
     transform_problem,
+    wrench_vector,
 )
 from screwgrasp.contacts import (
     LOCAL_COMPONENTS,
@@ -594,13 +595,13 @@ class TestCompileStacks:
         for p in door + [pinned_moments(door[0], 0.0), torque_problem()] + [q for _, _, q, _ in fuzz_corpus()[:300]]:
             for direction in (+1, -1):
                 prog = compile_program(p, direction)
-                F, g = np.zeros((6, prog.n_vars)), -external_wrench_in_b(p.external).as_array()
+                F, g = np.zeros((6, prog.n_vars)), -wrench_vector(external_wrench_in_b(p.external))
                 for cs, ct in zip(prog.layout.contacts, (*p.manipulator_contacts, *p.environment_contacts)):
                     G6 = adjoint_matrix(ct.rotation, ct.position)
                     F[:, cs.start : cs.stop] = G6[:, [LOCAL_COMPONENTS.index(comp) for comp in cs.components]]
                     for comp, value in (ct.model.prescribed.items() if cs.kind == "fixed" else ()):
                         g -= G6[:, LOCAL_COMPONENTS.index(comp)] * value
-                F[:, prog.layout.eta_index] = -(direction * screw_to_unit_wrench(p.task).as_array())
+                F[:, prog.layout.eta_index] = -(direction * wrench_vector(screw_to_unit_wrench(p.task)))
                 assert (F.tobytes(), g.tobytes()) == (prog.F[:6].tobytes(), prog.g[:6].tobytes())
                 for blk, cs, prm in cone_blocks(p, prog):  # ||A x|| <= f_n, A row k: 1 / (mu e_k)
                     comps = [comp for comp in cs.components if comp != "f_n"]

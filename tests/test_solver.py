@@ -15,13 +15,14 @@ import pytest
 
 from conftest import (bundled_programs, corpus_draw, corpus_pick, cuboid_problems, door_problems, mkprog,
                       plan_for, presolve_group, soc, stacks_of)
-from solve_digest import result_bytes
+from solve_digest import presolved_bytes, result_bytes
 import screwgrasp
 from screwgrasp import contacts, solver
 from screwgrasp.errors import SolverDataError, UnsupportedProgramError
 from screwgrasp.problem import ProgramStack, compile_program
 from screwgrasp.scenarios import DoorHandleParams, builtin_scenario, door_handle_scenario
 from screwgrasp.solver import Residuals, SolveResult, SolveSettings, solve, solve_with_oracle
+from test_plan import FUZZ_EXITS
 
 TIGHT = SolveSettings(feasibility_tol=1e-9, duality_gap_tol=1e-10)
 
@@ -278,13 +279,28 @@ class TestOracle:
 
     def test_result_does_not_depend_on_cached_tables(self):
         # cold tables at 64 and 32, then 64 again from the cache
-        contacts._sfce_units.cache_clear()
-        contacts._pcwf_units.cache_clear()
         contacts._ray_columns.cache_clear()
         for name in ("door_handle", "cuboid_pivot", "cuboid_slide"):
             prog = compile_program(builtin_scenario(name).problem())
             first, _, again = (result_bytes(solve_with_oracle(prog, k)) for k in (64, 32, 64))
             assert first == again, name
+
+    def test_unit_tables_are_built_once_per_facet_count(self, monkeypatch):
+        # the tables have no cache of their own: the ray columns' cache is what holds them
+        calls = []
+
+        def spy(table):
+            def build(facets):
+                calls.append((table.__name__, facets))
+                return table(facets)
+            return build
+
+        for table in (contacts._sfce_units, contacts._pcwf_units):
+            monkeypatch.setattr(contacts, table.__name__, spy(table))
+        contacts._ray_columns.cache_clear()
+        for name in ("door_handle", "cuboid_pivot", "cuboid_slide") * 2:
+            solve_with_oracle(compile_program(builtin_scenario(name).problem()), 64)
+        assert sorted(calls) == [("_pcwf_units", 64), ("_sfce_units", 64)]
 
 
 # Run in a fresh interpreter: the CLI jobs, then one oracle solve, reporting the
@@ -625,8 +641,8 @@ def ref_reduce_equalities(sf):
     if r == p:
         return sf, np.zeros(rank.shape, dtype=bool), rank == r
     UrT = np.swapaxes(U[..., :r], -1, -2)
-    b = solver._mv(UrT, sf.b)
-    resid = sf.b - solver._mv(U[..., :r], b)
+    b = np.matvec(UrT, sf.b)
+    resid = sf.b - np.matvec(U[..., :r], b)
     inconsistent = np.abs(resid).max(axis=-1, initial=0.0) > 1e-9 * (1.0 + np.abs(sf.b).max(axis=-1, initial=0.0))
     return replace(sf, A=UrT @ sf.A, b=b), inconsistent, rank == r
 
@@ -640,10 +656,10 @@ def ref_reduce_null_columns(sf):
     r = int(np.ravel(rank)[0])
     if r == n:
         return sf, np.zeros(rank.shape, dtype=bool), rank == r
-    free = np.abs(solver._mv(Vt[..., r:, :], sf.c)).max(axis=-1, initial=0.0) > 1e-10 * (
+    free = np.abs(np.matvec(Vt[..., r:, :], sf.c)).max(axis=-1, initial=0.0) > 1e-10 * (
         1.0 + np.abs(sf.c).max(axis=-1, initial=0.0))
     basis = np.swapaxes(Vt[..., :r, :], -1, -2)
-    return replace(sf, c=solver._mv(Vt[..., :r, :], sf.c), A=sf.A @ basis, G=sf.G @ basis, basis=basis), free, rank == r
+    return replace(sf, c=np.matvec(Vt[..., :r, :], sf.c), A=sf.A @ basis, G=sf.G @ basis, basis=basis), free, rank == r
 
 
 def same_reduction(got, want) -> bool:
@@ -763,3 +779,43 @@ class TestPresolveRanks:
                         assert got[0] is sf  # the full SVD decided: full rank
                         decided += 1
         assert decided or not 1.0 < factor < 2.0
+
+
+def test_digest_presolve_is_the_form_ipm_receives(monkeypatch):
+    """``presolved_bytes`` of ``tools/solve_digest.py`` replays the presolve
+    of ``_solve_group`` through the solver's private steps.  On the bundled
+    programs and the fuzz draws of every presolve exit, it gives the same
+    bytes on two calls; where a program's own group reaches ``_ipm`` (not a
+    free ray's feasibility solve), the bytes open with the arrays of the form
+    ``_ipm`` receives, in the tool's encoding with the instance axis put back."""
+    group, ipm, depth, received = solver._solve_group, solver._ipm, [0], []
+
+    def spy_group(*args):
+        depth[0] += 1
+        try:
+            return group(*args)
+        finally:
+            depth[0] -= 1
+
+    def spy_ipm(st, sf, *args):
+        if depth[0] == 1:
+            received.append(sf)
+        return ipm(st, sf, *args)
+
+    monkeypatch.setattr(solver, "_solve_group", spy_group)
+    monkeypatch.setattr(solver, "_ipm", spy_ipm)
+    reached = []
+    for prog in bundled_programs() + [compile_program(*corpus_draw(*draw)) for draw in FUZZ_EXITS]:
+        got = presolved_bytes(prog)
+        assert got == presolved_bytes(prog)
+        received.clear()
+        solve(prog)
+        if received:
+            (sf,) = received
+            arrays = [getattr(sf, name) for name in ("c", "A", "b", "G", "h", "col_scale", "basis")]
+            want = b"|".join(b"none" if v is None else f"{v[None].shape}".encode() + v.astype("<f8").tobytes()
+                             for v in arrays)
+            assert got.startswith(want + b"|")
+            reached.append(sf.basis is not None)
+    # the six bundled programs and the draw with null columns pinned, whose form has a basis
+    assert reached == [False] * 6 + [True]
