@@ -179,7 +179,7 @@ _SQUARE_OVERFLOWS = 2.0 ** 512  # from here on a square is inf
 
 def _squares(t: np.ndarray) -> np.ndarray:
     """``np.float64(v) ** 2`` of each entry of t."""
-    return np.array([v ** 2 for v in np.where(t >= _SQUARE_OVERFLOWS, math.inf, t).tolist()])
+    return np.array([v ** 2 for v in np.where(abs(t) >= _SQUARE_OVERFLOWS, math.inf, t).tolist()])
 
 
 def _sigmas(g: np.ndarray) -> np.ndarray:
@@ -804,10 +804,10 @@ def _reduce_null_columns(sf: _StdForm):
 class _ResidualCheck:
     """x -> (relative equality residual, worst absolute cone/box violation)
     of x against the original programs ``k`` of a stack, read from its arrays
-    with norms taken once.  For a slice or an index array k, x of shape
-    (B, n) gives two arrays of shape (B,), each entry as the program alone
-    gives it; for an int k, x of shape (n,) gives two floats.  ``plan`` is the
-    stack's, if the caller has it."""
+    (views) with norms taken once.  For a slice k, x of shape (B, n) gives two
+    arrays of shape (B,), each entry as the program alone gives it; for an
+    int k, x of shape (n,) gives two floats.  ``plan`` is the stack's, if the
+    caller has it."""
 
     def __init__(self, st: ProgramStack, k=slice(None), plan: _Plan | None = None):
         plan = plan or _plan_of(st)
@@ -865,8 +865,8 @@ def solve_batch(stacks, settings: SolveSettings | None = None) -> list[SolveResu
     through one interior-point loop over stacked arrays from ``_MIN_BATCH``
     members on, so numpy's call overhead is paid once per iteration for the
     stack rather than once per program.  Each instance keeps its own
-    termination, certificates, best iterate and failure exits, and leaves
-    the stack when it finishes.
+    termination, certificates, best iterate and failure exits, and its row
+    of the stack to the end of the run, masked once it finishes.
     """
     return _solve_all(list(stacks), settings)
 
@@ -880,38 +880,33 @@ _MIN_BATCH = 3
 
 def _solve_all(stacks: list[ProgramStack], settings: SolveSettings | None, trace=None) -> list[SolveResult]:
     """The one solve path of ``solve`` and ``solve_batch``: each stack as it
-    comes, one result per row, in order.  ``trace`` reaches the programs that
+    comes, its results by row, in order.  ``trace`` reaches the programs that
     run on their own."""
     settings = settings or SolveSettings()
-    results: list = [None] * sum(len(st) for st in stacks)  # len: a TypeError for a non-stack, before any solve
-    start = 0
-    for st in stacks:
-        slots, start = list(range(start, start + len(st))), start + len(st)
-        while slots:
-            st, slots = _solve_group(st, slots, settings, trace, results)
-    return results
+    stacks = [st for st in stacks if len(st)]  # len: a TypeError for a non-stack, before any solve
+    return [res for st in stacks for res in _solve_group(st, settings, trace)]
 
 
-def _solve_group(st: ProgramStack, slots: list[int], settings: SolveSettings, trace, results: list):
-    """Presolve a stack of one structure and settle the members whose
-    reduced shapes match the first one's: a presolve exit (degenerate,
-    inconsistent, free ray) here, the rest through ``_ipm``, as one stack
-    from ``_MIN_BATCH`` members on and one by one below.  ``slots`` are the
-    members' places in ``results``.  Returns the other members and their
-    slots, to be presolved again as a stack of their own."""
+def _solve_group(st: ProgramStack, settings: SolveSettings, trace) -> list[SolveResult]:
+    """The results of a stack of one structure, by row.  The stack is presolved
+    as one and the members whose reduced shapes match the first one's settled:
+    a presolve exit (degenerate, inconsistent, free ray), or ``_ipm``, as one
+    stack from ``_MIN_BATCH`` members on and one by one below; the others are
+    solved as a stack of their own, by a call of this function."""
+    results: list = [None] * len(st)
     sf0 = _standardize(st)
     if sf0.A.shape[-2] == 0 and sf0.G.shape[-2] == 0:  # degenerate: nothing but the objective
-        for i, c in zip(slots, sf0.c):
+        for k, c in enumerate(sf0.c):
             if np.any(c):
-                results[i] = SolveResult("Unbounded", None, None, Residuals(0.0, 0.0, math.nan), 0,
+                results[k] = SolveResult("Unbounded", None, None, Residuals(0.0, 0.0, math.nan), 0,
                                          "objective is a free ray (no constraints)")
             else:
-                results[i] = SolveResult("Optimal", 0.0, np.zeros(c.size), Residuals(0.0, 0.0, 0.0), 0)
-        return None, []
+                results[k] = SolveResult("Optimal", 0.0, np.zeros(c.size), Residuals(0.0, 0.0, 0.0), 0)
+        return results
     sf, inconsistent, same = _reduce_equalities(_equilibrate(sf0))
     infeasible = same & inconsistent
     for k in np.flatnonzero(infeasible):
-        results[slots[k]] = SolveResult(
+        results[k] = SolveResult(
             "Infeasible", None, None, Residuals(math.inf, 0.0, math.nan), 0,
             "equality system F x = g is rank-deficient and inconsistent")
     live = same & ~inconsistent
@@ -922,24 +917,26 @@ def _solve_group(st: ProgramStack, slots: list[int], settings: SolveSettings, tr
     # a free ray proves unboundedness only if the program is feasible at all
     free = np.flatnonzero(live & free_ray)
     if free.size:
-        feasibility = _solve_all([replace(st.take(free), f=np.zeros((free.size, st.f.shape[1])))], settings, trace)
+        feasibility = _solve_group(replace(st.take(free), f=np.zeros((free.size, st.f.shape[1]))), settings, trace)
         for k, feas in zip(free, feasibility):
             if feas.status != "Optimal":
-                results[slots[k]] = replace(feas, objective=None)
+                results[k] = replace(feas, objective=None)
             else:
-                results[slots[k]] = SolveResult(
+                results[k] = SolveResult(
                     "Unbounded", None, None, Residuals(math.nan, math.nan, math.nan), feas.iterations,
                     "feasible, and the objective improves along a direction no "
                     "constraint sees (uncapped free reaction aligned with the task?)")
     run = np.flatnonzero(live & ~free_ray)
     if len(run) >= _MIN_BATCH:
         for k, res in zip(run, _ipm(st if run.size == len(st) else st.take(run), _take(sf, run), settings)):
-            results[slots[k]] = res
+            results[k] = res
     else:
         for k in run:
-            results[slots[k]] = _ipm(st if len(st) == 1 else st.take([k]), _take(sf, int(k)), settings, trace)[0]
-    rest = np.flatnonzero(~(infeasible | live))
-    return (st.take(rest) if rest.size else None), [slots[k] for k in rest]
+            results[k] = _ipm(st if len(st) == 1 else st.take([k]), _take(sf, int(k)), settings, trace)[0]
+    if (rest := np.flatnonzero(~(infeasible | live))).size:
+        for k, res in zip(rest, _solve_group(st.take(rest), settings, trace)):
+            results[k] = res
+    return results
 
 
 class _Stop(Exception):
@@ -967,12 +964,12 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
     differ are bound once per run: a dot or matvec is ``ndarray.dot`` or
     ``np.vecdot``/``np.matvec`` (the same bits per instance), the cone kernels
     are ``_BatchCone``/``_BatchScaling``, Python's min/max/if become np.where
-    and a test over the instances ``np.count_nonzero``, the powers (tau**2,
-    sigma**3, beta) are Python float powers per instance, and LAPACK runs per
-    instance.  The cone, its W = I blocks and its identity come from the plan.
-    An instance that stops is recorded at once; in a stack its row runs on
-    (skipped by LAPACK) until the next iteration drops it, and the run ends
-    when every instance has stopped.  ``trace`` (one program only) is called
+    and a test over the running instances ``np.count_nonzero``, the powers
+    (tau**2, sigma**3, beta) are Python float powers per instance, and LAPACK
+    runs per instance.  The cone, its W = I blocks and its identity come from
+    the plan.  An instance that stops is recorded at once; in a stack its row
+    stays, marked in ``out``, skipped by LAPACK and masked from every test,
+    until every instance has stopped.  ``trace`` (one program only) is called
     once per iteration with plain ints and floats.  A pass is checked against
     the original programs only where an instance can stop (dual residual and
     gap within tolerance) or a trace is set; a failure exit replays the
@@ -985,30 +982,29 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         sq, sigma_of = (lambda t: t ** 2), _sigma
         hits, row = (lambda m: (0,) if m else ()), (lambda v, i: v)  # the one instance, if m marks it
     else:  # arrays of per-instance numbers, broadcast against vectors as columns
-        cone, scaling, sq, sigma_of, any_ = sf.plan.batch, _BatchScaling, _squares, _sigmas, np.count_nonzero
+        cone, scaling, sq, sigma_of, row = sf.plan.batch, _BatchScaling, _squares, _sigmas, (lambda v, i: v[i])
         dot, mv, vmin, vmax, col, where = np.vecdot, np.matvec, _pymin, _pymax, (lambda v: v[:, None]), np.where
-        hits, row = (lambda m: (m > out).nonzero()[0].tolist()), (lambda v, i: v[i])  # the running instances m marks
+        any_, hits = (lambda m: np.count_nonzero(m > out)), (lambda m: (m > out).nonzero()[0].tolist())  # the running rows m marks
     n, p, m = sf.c.shape[-1], sf.A.shape[-2], sf.G.shape[-2]
     B = 1 if one else len(sf.c)
     nu, e = cone.degree, cone.e
     ftol, gtol = settings.feasibility_tol, settings.duality_gap_tol
     results: list = [None] * B
-    measure = None  # the original programs' residual check: built on first use, and again as instances stop
+    measure = None  # the original programs' residual check, built on first use
     kkt = _KKT(sf.A, sf.G, cone)
-    ids = np.arange(B)
-    out = None if one else np.zeros(B, dtype=bool)  # stopped during this iteration
-    history = []  # each pass's x (a copy), tau, dual residual, gap, iteration and running ids
+    out = None if one else np.zeros(B, dtype=bool)  # the stopped instances: rows kept, masked from every test
+    history = []  # each pass's x (a copy), tau, dual residual, gap and iteration, every row
 
     def done(i, status, iters, cert=None, point=None):
         """Record instance i's result.  ``point`` is its own (x, eq, cone, gap)
         as a termination test takes them (x in original variables, an array
         of its own, checked against the original program)."""
-        k, xo, obj, resid = ids[i], None, None, Residuals(math.nan, math.nan, math.nan)
+        xo, obj, resid = None, None, Residuals(math.nan, math.nan, math.nan)
         if point is not None:
             xo, eq, viol, gap = point
             resid = Residuals(float(eq), float(viol), gap)
-            obj = float(st.f[k] @ xo) if status in ("Optimal", "IterationLimit") else None
-        results[k] = SolveResult(status, obj, xo, resid, iters, cert)
+            obj = float(st.f[i] @ xo) if status in ("Optimal", "IterationLimit") else None
+        results[i] = SolveResult(status, obj, xo, resid, iters, cert)
         if not one:
             out[i] = True
         if one or np.count_nonzero(out) == len(out):
@@ -1019,17 +1015,16 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         ``why`` (None: iteration limit) and each one's best iterate: the first
         pass of least merit max(eq, cone, dual, gap) in the history, unscaled
         and checked as a pass that can stop is (none if no merit is finite)."""
-        if not (mask if one else np.count_nonzero(mask)):  # the common case, without a call of hits
+        if not (mask if one else any_(mask)):  # the common case, without a call of hits
             return
         for i in hits(mask):
-            own, check = sf if one else _take(sf, i), _ResidualCheck(st, int(ids[i]), sf.plan)
+            check, basis = _ResidualCheck(st, i, sf.plan), None if sf.basis is None else row(sf.basis, i)
             merit, point, iters = math.inf, None, 0
-            for xh, th, dres_h, gap_h, it_h, ids_h in history:
-                j = ids_h.searchsorted(ids[i])
-                xo = _unscale(own.col_scale, own.basis, row(xh, j), row(th, j))
+            for xh, th, dres_h, gap_h, it_h in history:
+                xo = _unscale(row(sf.col_scale, i), basis, row(xh, i), row(th, i))
                 eq, viol = check(xo)
-                if (m := max(max(max(eq, viol), row(dres_h, j)), row(gap_h, j))) < merit:
-                    merit, point, iters = m, (xo, eq, viol, row(gap_h, j)), it_h
+                if (m := max(max(max(eq, viol), row(dres_h, i)), row(gap_h, i))) < merit:
+                    merit, point, iters = m, (xo, eq, viol, row(gap_h, i)), it_h
             done(i, status, iters if why else settings.max_iterations, why, point)
 
     def split(u):
@@ -1080,14 +1075,6 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
             At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
 
             for it in range(settings.max_iterations):
-                if not one and np.count_nonzero(out):  # drop the instances that stopped
-                    keep = (~out).nonzero()[0]
-                    sf = _take(sf, keep)
-                    c, A, b, G, h = sf.c, sf.A, sf.b, sf.G, sf.h
-                    At, Gt = np.swapaxes(A, -1, -2), np.swapaxes(G, -1, -2)
-                    u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, tau_bound, ids, kkt.K = (
-                        v[keep] for v in (u, s, tau, kappa, c_norm, b_norm, h_norm, rhs_tau, tau_bound, ids, kkt.K))
-                    out, measure = out[keep], None
                 x, y, z = split(u)
                 cx, by, hz, sz = dot(c, x), dot(b, y), dot(h, z), dot(s, z)
                 tc = col(tau)
@@ -1102,10 +1089,10 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 pobj = cx / tau
                 dobj = -(bhz := by + hz) / tau
                 relgap = sz / sq(tau) / vmax(1.0, 0.5 * (abs(pobj) + abs(dobj)))
-                history.append((x.copy(), tau, dres, relgap, it, ids))
+                history.append((x.copy(), tau, dres, relgap, it))
                 can = (dres <= ftol) & (relgap <= gtol)
                 if trace or any_(can):  # a traced run checks every pass
-                    measure = measure or _ResidualCheck(st, 0 if one else ids, sf.plan)
+                    measure = measure or _ResidualCheck(st, 0 if one else slice(None), sf.plan)
                     eq_res, cone_viol = measure(xo := _unscale(sf.col_scale, sf.basis, x, tc))
                     if trace:
                         trace({"iteration": it, "mu": float(mu), "eq": eq_res, "cone": cone_viol,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = ["solve_batch door sweep (41)", "solve_batch pivot sweep (17)", "solve_batch slide sweep (17)",
-         "solve_batch gws_slide", *(f"stack of {k} vs {k} singles (pivot)" for k in (1, 2, 3, 4))]
+         "solve_batch gws_slide", "solve_batch corpus stacks", *(f"stack of {k} vs {k} singles (pivot)" for k in (1, 2, 3, 4))]
 
 
 def test_checkout_against_itself():

@@ -56,7 +56,7 @@ def test_door_acceptance_sweeps(x_c, direction):
 @pytest.mark.parametrize("name", ["cuboid_pivot", "cuboid_slide"])
 def test_pivot_and_slide_grids(name, direction):
     batch = assert_same_as_alone(stacks_of(cuboid_problems(name), direction))
-    # instances stop at different iterations and leave the stack one by one
+    # instances stop at different iterations, each keeping its row to the end of the run
     assert len({r.iterations for r in batch}) > 1
 
 
@@ -96,19 +96,20 @@ def unscaled_iterates(monkeypatch) -> list:
     return calls
 
 
-def assert_point_of(res, prog, iterate, row):
+def assert_point_of(res, prog, iterate, row, running):
     """``res`` reports row ``row`` of ``iterate`` (one ``_unscale`` call), and
-    each row of the call is its fresh one-program ``_unscale`` byte for byte;
-    the residuals are those a fresh ``_ResidualCheck`` of that point gives."""
+    each row of the call in ``running`` is its fresh one-program ``_unscale``
+    byte for byte; the residuals are those a fresh ``_ResidualCheck`` of that
+    point gives."""
     col_scale, basis, x, tau, point = iterate
     if x.ndim == 1:
         rows, alone = [point], [solver._unscale(col_scale, basis, x, tau)]
     else:
-        rows = list(point)
+        rows = [point[r] for r in running]
         alone = [solver._unscale(col_scale[r], None if basis is None else basis[r], x[r], tau[r, 0])
-                 for r in range(len(x))]
+                 for r in running]
     assert [p.tobytes() for p in rows] == [p.tobytes() for p in alone]
-    assert res.primal.tobytes() == alone[row].tobytes()
+    assert res.primal.tobytes() == alone[running.index(row)].tobytes()
     check = solver._ResidualCheck(problem.ProgramStack.of([prog]), 0)
     assert np.array(check(res.primal)).tobytes() == np.array([res.residuals.primal, res.residuals.cone]).tobytes()
 
@@ -118,26 +119,36 @@ def test_optimal_result_is_the_checked_point_of_its_last_iterate(monkeypatch, st
     """An Optimal result reports the point and residuals of the last pass
     that its run checked against the original program, and they are those
     of the program alone: a stack's rows are each a fresh one-program
-    ``_unscale`` and ``_ResidualCheck``.  An instance leaves a stack after
-    the pass it stops at, so the call of row k's last pass is the last one
-    over the instances that stopped no earlier than k, and k is its place
-    among them."""
-    calls = unscaled_iterates(monkeypatch)
+    ``_unscale`` and ``_ResidualCheck``.  A stack's rows keep their places to
+    the end of its run, so every call of the run has all of them, and row k
+    reports row k of the call of the pass it stopped at.  An untraced run
+    checks the passes where a running row can stop, read here from each
+    row's traced solve alone; only the rows still running at a pass are
+    compared, since a stopped row's numbers are never read."""
+    calls, settings = unscaled_iterates(monkeypatch), SolveSettings()
     for stack in (stacks_of(door_problems(0.05)[::4], +1)[0], stacks_of(cuboid_problems("cuboid_pivot")[::3], -1)[0]):
         if stacked:
+            passes = []
+            for prog in rows([stack]):
+                passes.append([])
+                solve(prog, settings, passes[-1].append)
             calls.clear()
-            results = solve_batch([stack])
-            assert {call[2].ndim for call in calls} == {2}  # one stacked run, no replay
+            results = solve_batch([stack], settings)
+            assert {call[2].shape[0] for call in calls} == {len(stack)} and {call[2].ndim for call in calls} == {2}
+            checked = sorted({p["iteration"] for res, own in zip(results, passes) for p in own
+                              if p["iteration"] <= res.iterations and p["dual"] <= settings.feasibility_tol
+                              and p["relgap"] <= settings.duality_gap_tol})
+            assert len(calls) == len(checked)  # no replay
         for k, prog in enumerate(rows([stack])):
             if not stacked:
                 calls.clear()
-                results = {k: solve(prog)}
+                results = {k: solve(prog, settings)}
                 running, call = [k], calls[-1]
             else:
                 running = [j for j, res in enumerate(results) if res.iterations >= results[k].iterations]
-                call = [c for c in calls if len(c[2]) == len(running)][-1]
+                call = calls[checked.index(results[k].iterations)]
             assert results[k].status == "Optimal"
-            assert_point_of(results[k], prog, call, running.index(k))
+            assert_point_of(results[k], prog, call, k, running)
 
 
 def test_untraced_run_checks_only_the_passes_that_can_stop(monkeypatch):
@@ -594,8 +605,8 @@ def test_kkt_factorization_failure_of_one_member_of_a_stack(monkeypatch):
     reports INFO > 0 and no other call does: in a stack of four, that row is
     what the program gives alone under the same failure, a NumericalFailure
     "KKT factorization failed" with its best iterate, and the other rows run
-    on past it, each the bytes of its own solve.  The stacked factor and solve
-    skip the stopped row until the next iteration drops it."""
+    on past it, each the bytes of its own solve.  The stopped row keeps its
+    place to the end of the run, and the stacked factor and solve skip it."""
     progs = rows(stacks_of(door_problems(0.05)[:4], +1))
     target, sytrf, seen = progs[1], solver._sytrf, []
 

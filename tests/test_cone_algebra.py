@@ -17,6 +17,7 @@ Nesterov-Todd identities.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -610,6 +611,16 @@ class TestPythonPowers:
             want = [np.float64(v) ** 2 for v in values]
         assert math.isinf(want[self.EDGES.index(2.0 ** 512)]) and not math.isinf(want[9])
         assert same_bits(_squares(np.array(values)), want)
+
+    def test_squares_of_any_float_a_stopped_row_holds(self):
+        """A stopped row of a stacked run keeps its place, and its tau, which
+        may be any float, reaches ``_squares`` on every later pass: a huge
+        negative one squares to inf as a huge positive one does (Python raises
+        on it), NaN stays NaN, and nothing warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _squares(np.array([-2.0 ** 600, 2.0 ** 600, -math.inf, math.inf, math.nan, -3.0]))
+        assert same_bits(got, [math.inf, math.inf, math.inf, math.inf, math.nan, 9.0])
 
     def test_sigmas(self):
         rng = np.random.default_rng(33)

@@ -23,6 +23,10 @@ goes first, so that both see the same machine state:
   pivot and slide sweeps of the ``batch_cli`` workload (41, 17 and 17
   points) and on what the ``gws_slide`` job hands to ``solve_batch`` (M
   calls each side);
+* ``solve_batch corpus stacks``: ``solve_batch`` at ``FUZZ_SETTINGS`` on the
+  stacks of 3 or more rows that ``compile_stacks`` writes for the 2000 draws
+  of the ``fuzz_oracle`` corpus, a direction at a time (57 stacks, 1564
+  rows, whose rows stop at many different passes; M calls each side);
 * ``solve_with_oracle`` at 32 facets on each of the first 200 draws of the
   ``fuzz_oracle`` corpus, one call of the case being all 200 (M calls);
 * the ``fuzz_oracle`` operation on the same 200 draws: per draw, the three
@@ -40,12 +44,13 @@ goes first, so that both see the same machine state:
 
 Each side compiles its own programs from its own scenarios, outside the
 timed calls (the ``compile`` and ``eval_grid`` cases build each side's
-problems outside them and compile inside); the fuzz corpus, drawn
-with this checkout's generator, is compiled once by this checkout and
-handed to both oracles, while the ``fuzz op`` case hands each side the
-drawn problems rebuilt from its own classes and times its own compile.  Each result of one side must equal the other's
-byte for byte, and each job's CSV the other side's with the ``wall_ms``
-column left out.  Times are process CPU time,
+problems outside them and compile inside); the fuzz corpus, drawn with this
+checkout's generator, is compiled once by this checkout and handed to both
+oracles, while the ``fuzz op`` and ``corpus stacks`` cases hand each side
+the drawn problems rebuilt from its own classes (``fuzz op`` times its own
+compile).  The results of each case's first pair of calls, which are timed
+too, must be equal byte for byte, and each job's CSV the other side's with
+the ``wall_ms`` column left out.  Times are process CPU time,
 which other processes on a shared machine disturb less than wall time.  For
 every case it prints the p10 and p50 time per call of both sides, their
 ratios this / other, and the median of the per-pair ratios (each call of
@@ -188,8 +193,9 @@ def cases() -> list[tuple[str, bool, object]]:
     alphas = np.radians(np.linspace(0.0, 60.0, 17))
     thetas = np.radians(np.linspace(0.0, 40.0, 41))
     points = workloads.eval_grid_points()
-    draws = [(prob, direction) for gen_seed in workloads.FUZZ_GENERATOR_SEEDS
-             for prob, direction, _trial in workloads.FuzzOracle(seed=0)._draws(gen_seed)][:200]
+    every = [(prob, direction) for gen_seed in workloads.FUZZ_GENERATOR_SEEDS
+             for prob, direction, _trial in workloads.FuzzOracle(seed=0)._draws(gen_seed)]
+    draws = every[:200]
     corpus = [problem.compile_program(prob, direction) for prob, direction in draws]
 
     def bundled(pkg, name):
@@ -223,6 +229,13 @@ def cases() -> list[tuple[str, bool, object]]:
                  for name, params, direction in points]
         return lambda: [pkg.metric.local_metric(prob, direction).solve_result for prob, direction in probs]
 
+    def corpus_stacks(pkg):
+        """``solve_batch`` of the corpus's stacks of 3 or more rows, compiled by ``pkg``."""
+        mine, settings = in_package(pkg, (every, workloads.FUZZ_SETTINGS))
+        stacks = [st for d in (+1, -1) for st in pkg.problem.compile_stacks([p for p, pd in mine if pd == d], d)[0]
+                  if len(st) >= 3]
+        return lambda: pkg.solver.solve_batch(stacks, settings)
+
     def gws_case(pkg):
         inputs = job_inputs(pkg, "gws_slide")
         return lambda: pkg.solver.solve_batch(inputs)
@@ -242,7 +255,8 @@ def cases() -> list[tuple[str, bool, object]]:
                ("solve_batch door sweep (41)", True, sweep_case("door_handle", "theta", thetas, x_c=0.0)),
                ("solve_batch pivot sweep (17)", True, sweep_case("cuboid_pivot", "alpha", alphas)),
                ("solve_batch slide sweep (17)", True, sweep_case("cuboid_slide", "alpha", alphas)),
-               ("solve_batch gws_slide", True, gws_case)]
+               ("solve_batch gws_slide", True, gws_case),
+               ("solve_batch corpus stacks", True, corpus_stacks)]
             + [(f"oracle@{workloads.FUZZ_FACETS} fuzz corpus ({len(corpus)})", True,
                 lambda pkg: (lambda: [pkg.solver.solve_with_oracle(p, workloads.FUZZ_FACETS) for p in corpus])),
                (f"fuzz op ({len(draws)})", True, fuzz_op)]
@@ -267,10 +281,10 @@ def as_bytes(res) -> bytes:
     return b"".join(map(result_bytes, res)) if isinstance(res, list) else result_bytes(res)
 
 
-def timed(call) -> float:
+def timed(call) -> tuple[float, object]:
     t0 = time.process_time()
-    call()
-    return time.process_time() - t0
+    res = call()
+    return time.process_time() - t0, res
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -289,17 +303,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.only and not any(text in name for text in args.only):
             continue
         mine, theirs = sides(screwgrasp, other)
-        if as_bytes(mine()) != as_bytes(theirs()):
-            print(f"{name}: results differ")
-            return 1
         t_mine, t_theirs = [], []
         for k in range(args.batch_calls if batch else args.calls):
-            if k % 2:
-                t_theirs.append(timed(theirs))
-                t_mine.append(timed(mine))
-            else:
-                t_mine.append(timed(mine))
-                t_theirs.append(timed(theirs))
+            (a, got), (b, want) = (timed(theirs), timed(mine))[::-1] if k % 2 else (timed(mine), timed(theirs))
+            if k == 0 and as_bytes(got) != as_bytes(want):  # the first pair's results, compared
+                print(f"{name}: results differ")
+                return 1
+            t_mine.append(a)
+            t_theirs.append(b)
         a10, a50 = np.percentile(t_mine, [10, 50]) * 1e3
         b10, b50 = np.percentile(t_theirs, [10, 50]) * 1e3
         paired = np.median(np.array(t_mine) / np.array(t_theirs))

@@ -34,7 +34,6 @@ import argparse
 import copy
 import hashlib
 import json
-import struct
 import sys
 import warnings
 from collections import Counter
@@ -56,18 +55,11 @@ import numpy as np  # noqa: E402
 from perfbench import workloads  # noqa: E402  (puts this checkout's src/ and tests/ on sys.path)
 from screwgrasp import problem, scenarios, solver  # noqa: E402
 from screwgrasp.errors import ScrewGraspError  # noqa: E402
+from solve_digest import result_bytes  # noqa: E402  (tools/, beside this file)
 
 import conftest  # noqa: E402  (tests/: the law battery's transforms)
 
 FACTORS = (1e3, 1e-3, 1e100, 1e-100, -1.0, 0.0)
-
-
-def result_bytes(res: solver.SolveResult) -> bytes:
-    """Every field of a SolveResult that the arithmetic decides, as bytes (as ``tools/solve_digest.py`` takes them)."""
-    objective = b"none" if res.objective is None else struct.pack("<d", res.objective)
-    resid = struct.pack("<3d", res.residuals.primal, res.residuals.cone, res.residuals.gap)
-    primal = b"none" if res.primal is None else res.primal.astype("<f8").tobytes()
-    return f"{res.status}|{res.iterations}|{res.certificate}|".encode() + objective + resid + primal
 
 
 class Counted:

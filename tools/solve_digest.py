@@ -1,9 +1,9 @@
 """Print SHA-256 digests over the solver's results on the benchmark's inputs.
 
 A change meant to speed the solver up without changing its arithmetic must
-leave all seven digests unchanged; a change to the LP oracle's results alone
-leaves the interior-point, sweep, batch, presolve and limit digests unchanged
-and moves only the two oracle digests.  Run it on the change and on the
+leave all eight digests unchanged; a change to the LP oracle's results alone
+leaves the interior-point, sweep, batch, presolve, limit and stacked corpus
+digests unchanged and moves only the two oracle digests.  Run it on the change and on the
 parent commit (another checkout, for example a ``git archive`` of it, digested
 by this file's lines through ``--root``), and compare the outputs:
 
@@ -48,8 +48,16 @@ The limit digest (eighth line) covers the failure exits that report a best
 iterate: every ``eval_grid`` program and the first 500 draws of the corpus,
 each solved alone, and the stacks that the five ``batch_cli`` jobs hand to
 ``solve_batch``, each solved as one stack, all at ``max_iterations`` 1, 2 and
-3 (the benchmark's settings otherwise), each result's bytes as above.  The
-whole run takes about 30 s on a 2-core x86-64 machine.
+3 (the benchmark's settings otherwise), each result's bytes as above.
+
+The stacked corpus digest (ninth line) covers the 2000 draws of the corpus
+once more, each direction's draws compiled into stacks by
+``problem.compile_stacks`` and solved by ``solver.solve_batch`` at the
+benchmark's fuzz settings, each result's bytes as above, in corpus order.
+Its rows stop at many different passes and by different exits.  The line
+also counts the mismatches: the rows whose bytes differ from the same
+draw's single solve (of the second line), which must be 0.  The whole run
+takes about 25 s on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
@@ -218,10 +226,30 @@ def oracle64_digest(draws: list) -> str:
     return f"oracle64={len(bundled) + len(draws)} oracle64_digest={digest.hexdigest()}"
 
 
+def stacked_corpus_digest(draws: list, singles: list[bytes]) -> str:
+    """The stacked corpus digest line: ``draws``, (problem, direction) in
+    corpus order, compiled by ``compile_stacks`` and solved by ``solve_batch``
+    a direction at a time, at the benchmark's fuzz settings, against
+    ``singles``, the bytes of each draw's single solve."""
+    got: list = [None] * len(draws)
+    for direction in (+1, -1):
+        members = [i for i, (_prob, d) in enumerate(draws) if d == direction]
+        stacks, placed = problem.compile_stacks([draws[i][0] for i in members], direction)
+        results = solver.solve_batch(stacks, workloads.FUZZ_SETTINGS)
+        starts = np.cumsum([0] + [len(st) for st in stacks])
+        for i, where in zip(members, placed):
+            if isinstance(where, Exception):
+                raise where
+            got[i] = result_bytes(results[starts[where[0]] + where[1]])
+    mismatches = sum(mine != single for mine, single in zip(got, singles))
+    return (f"stacked_corpus={len(got)} mismatches={mismatches} "
+            f"stacked_corpus_digest={hashlib.sha256(b''.join(got)).hexdigest()}")
+
+
 def main() -> int:
     digest, oracle, presolved = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = {"eval_grid": 0, "fuzz_socp": 0, "fuzz_oracle": 0}
-    grid, first_draws = [], []
+    grid, first_draws, draws, singles = [], [], [], []
     for name, params, direction in workloads.eval_grid_points():
         grid.append(prog := problem.compile_program(scenarios.builtin_scenario(name, **params).problem(), direction))
         digest.update(result_bytes(solver.solve(prog)))
@@ -231,7 +259,9 @@ def main() -> int:
     for gen_seed in workloads.FUZZ_GENERATOR_SEEDS:
         for prob, direction, _trial in corpus._draws(gen_seed):
             prog = problem.compile_program(prob, direction)
-            digest.update(result_bytes(solver.solve(prog, workloads.FUZZ_SETTINGS)))
+            singles.append(result_bytes(solver.solve(prog, workloads.FUZZ_SETTINGS)))
+            digest.update(singles[-1])
+            draws.append((prob, direction))
             presolved.update(presolved_bytes(prog))
             oracle.update(result_bytes(solver.solve_with_oracle(prog, workloads.FUZZ_FACETS)))
             counts["fuzz_socp"] += 1
@@ -246,6 +276,7 @@ def main() -> int:
     print(f"presolved={counts['eval_grid'] + counts['fuzz_socp']} presolve_digest={presolved.hexdigest()}")
     print(oracle64_digest(first_draws[:200]))
     print(limit_digest(grid, first_draws))
+    print(stacked_corpus_digest(draws, singles))
     return 0
 
 
