@@ -743,24 +743,17 @@ def _equilibrate(sf: _StdForm) -> _StdForm:
                     plan=plan, col_scale=dc)
 
 
-def _rank(sv: np.ndarray, shape: tuple[int, int], empty: float, slack: float = 1.0) -> np.ndarray:
-    """Numerical rank from singular values, per instance; ``slack`` scales the tolerance."""
-    tol = slack * max(shape) * np.finfo(float).eps * (sv[..., :1] if sv.shape[-1] else empty)
-    return (sv > tol).sum(axis=-1)
-
-
-def _svd_rank(M: np.ndarray, full: int, empty: float):
+def _svd_rank(M: np.ndarray, full: int):
     """Both reductions' rank test, of one program's M or a stack: (U, Vt, r,
-    same), M's full SVD, the rank r of its first instance, by which a stack is
-    reduced, and the instances of rank r, whose reduction is then their own.
-    It is (None, None, ``full``, all True), with no full SVD, if every instance
-    shows full rank by its singular values alone at twice the tolerance, a
-    margin measured to cover the full SVD's last bits (at most 2e-15 tolerances
-    apart on 12 000 random matrices; OpenBLAS 0.3.31, x86-64 Haswell)."""
-    if (_rank(np.linalg.svd(M, compute_uv=False), M.shape[-2:], empty, 2.0) == full).all():
+    same), r the first instance's rank, by which a stack is reduced, and ``same``
+    the instances of rank r, reduced as their own.  A rank counts the singular
+    values above max(M's shape) * eps times the largest, as ``matrix_rank`` does;
+    M's full SVD runs only for U and Vt, where some instance is below full rank."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    rank = (sv > max(M.shape[-2:]) * np.finfo(float).eps * sv[..., :1]).sum(axis=-1)
+    if (rank == full).all():
         return None, None, full, np.ones(M.shape[:-2], dtype=bool)
-    U, sv, Vt = np.linalg.svd(M, full_matrices=True)
-    rank = _rank(sv, M.shape[-2:], empty)
+    U, _, Vt = np.linalg.svd(M, full_matrices=True)
     r = int(np.ravel(rank)[0])
     return U, Vt, r, rank == r
 
@@ -768,7 +761,7 @@ def _svd_rank(M: np.ndarray, full: int, empty: float):
 def _reduce_equalities(sf: _StdForm):
     """Drop linearly dependent equality rows; flag inconsistency."""
     p = sf.A.shape[-2]
-    U, _, r, same = _svd_rank(sf.A, p, 0.0)
+    U, _, r, same = _svd_rank(sf.A, p)
     if r == p:
         return sf, np.zeros(same.shape, dtype=bool), same
     UrT = np.swapaxes(U[..., :r], -1, -2)
@@ -788,7 +781,7 @@ def _reduce_null_columns(sf: _StdForm):
     nonsingular.
     """
     n = sf.c.shape[-1]
-    _, Vt, r, same = _svd_rank(np.concatenate([sf.A, sf.G], axis=-2), n, 1.0)
+    _, Vt, r, same = _svd_rank(np.concatenate([sf.A, sf.G], axis=-2), n)
     if r == n:
         return sf, np.zeros(same.shape, dtype=bool), same
     # unbounded where the objective has a free ray
@@ -993,7 +986,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
     measure = None  # the original programs' residual check, built on first use
     kkt = _KKT(sf.A, sf.G, cone)
     out = None if one else np.zeros(B, dtype=bool)  # the stopped instances: rows kept, masked from every test
-    history = []  # each pass's x (a copy), tau, dual residual, gap and iteration, every row
+    history = []  # each pass's x (a copy), tau, dual residual and gap, every row, at its pass number
 
     def done(i, status, iters, cert=None, point=None):
         """Record instance i's result.  ``point`` is its own (x, eq, cone, gap)
@@ -1020,7 +1013,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         for i in hits(mask):
             check, basis = _ResidualCheck(st, i, sf.plan), None if sf.basis is None else row(sf.basis, i)
             merit, point, iters = math.inf, None, 0
-            for xh, th, dres_h, gap_h, it_h in history:
+            for it_h, (xh, th, dres_h, gap_h) in enumerate(history):
                 xo = _unscale(row(sf.col_scale, i), basis, row(xh, i), row(th, i))
                 eq, viol = check(xo)
                 if (m := max(max(max(eq, viol), row(dres_h, i)), row(gap_h, i))) < merit:
@@ -1089,7 +1082,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                 pobj = cx / tau
                 dobj = -(bhz := by + hz) / tau
                 relgap = sz / sq(tau) / vmax(1.0, 0.5 * (abs(pobj) + abs(dobj)))
-                history.append((x.copy(), tau, dres, relgap, it))
+                history.append((x.copy(), tau, dres, relgap))
                 can = (dres <= ftol) & (relgap <= gtol)
                 if trace or any_(can):  # a traced run checks every pass
                     measure = measure or _ResidualCheck(st, 0 if one else slice(None), sf.plan)

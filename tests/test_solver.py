@@ -626,17 +626,23 @@ class TestOracleHandOver:
 
 
 # ---------------------------------------------------------------------------
-# Presolve's rank tests: singular values alone, a full SVD where they fail
+# Presolve's rank test: singular values alone, a full SVD only to reduce
 # ---------------------------------------------------------------------------
 
+def sv_rank(sv, shape):
+    """Rank from singular values, per instance, at one tolerance: max(shape)
+    * eps times the largest.  The references' own, not the solver's."""
+    return (sv > sv[..., :1] * (max(shape) * np.finfo(float).eps)).sum(axis=-1)
+
+
 def ref_reduce_equalities(sf):
-    """``_reduce_equalities`` with its rank from a full SVD every time, as it
-    was before the singular-values-alone test: the reference."""
+    """``_reduce_equalities`` with its rank from a full SVD every time: the
+    reference."""
     p, n = sf.A.shape[-2:]
     if p == 0:
         return sf, np.zeros(sf.A.shape[:-2], dtype=bool), np.ones(sf.A.shape[:-2], dtype=bool)
     U, sv, _ = np.linalg.svd(sf.A, full_matrices=True)
-    rank = solver._rank(sv, (p, n), 0.0)
+    rank = sv_rank(sv, (p, n))
     r = int(np.ravel(rank)[0])
     if r == p:
         return sf, np.zeros(rank.shape, dtype=bool), rank == r
@@ -652,7 +658,7 @@ def ref_reduce_null_columns(sf):
     n = sf.c.shape[-1]
     M = np.concatenate([sf.A, sf.G], axis=-2)
     _, sv, Vt = np.linalg.svd(M, full_matrices=True)
-    rank = solver._rank(sv, M.shape[-2:], 1.0)
+    rank = sv_rank(sv, M.shape[-2:])
     r = int(np.ravel(rank)[0])
     if r == n:
         return sf, np.zeros(rank.shape, dtype=bool), rank == r
@@ -671,34 +677,29 @@ def same_reduction(got, want) -> bool:
             and all(np.array_equal(u, v) for u, v in zip(masks_a, masks_b)))
 
 
-def svd_ranks(M, empty, slack=1.0):
-    """(rank from singular values alone at ``slack`` tolerances, rank from a
-    full SVD's at one), per instance."""
-    alone = solver._rank(np.linalg.svd(M, compute_uv=False), M.shape[-2:], empty, slack)
-    return alone, solver._rank(np.linalg.svd(M, full_matrices=True)[1], M.shape[-2:], empty)
+def svd_ranks(M):
+    """(rank from singular values alone, rank from a full SVD's), per instance."""
+    alone, full = np.linalg.svd(M, compute_uv=False), np.linalg.svd(M, full_matrices=True)[1]
+    return sv_rank(alone, M.shape[-2:]), sv_rank(full, M.shape[-2:])
 
 
 class TestPresolveRanks:
-    """Both reductions test full rank from singular values alone and take a
-    full SVD only where that test fails at twice the tolerance.  That test
-    never shows full rank where the full SVD does not; the rank from singular
-    values alone equals the full SVD's on every program here but matrices
-    built to sit near the tolerance; and each reduction gives the bits of the
-    reference that takes a full SVD every time."""
+    """Both reductions take their rank from singular values alone and a full
+    SVD only to reduce.  That rank equals the full SVD's on every program here
+    but matrices built to sit near the tolerance, and each reduction gives the
+    bits of the reference that takes its rank from a full SVD every time."""
 
     def check(self, sf):
         """The ranks agree and both reductions equal their references; returns
         whether each reduction was needed (a member not of full rank)."""
-        eq_alone, eq_full = svd_ranks(sf.A, 0.0)
+        eq_alone, eq_full = svd_ranks(sf.A)
         assert np.array_equal(eq_alone, eq_full)
-        assert ((svd_ranks(sf.A, 0.0, 2.0)[0] < sf.A.shape[-2]) | (eq_full == sf.A.shape[-2])).all()
         got = solver._reduce_equalities(sf)
         assert same_reduction(got, ref_reduce_equalities(sf))
         reduced = got[0]
         M = np.concatenate([reduced.A, reduced.G], axis=-2)
-        null_alone, null_full = svd_ranks(M, 1.0)
+        null_alone, null_full = svd_ranks(M)
         assert np.array_equal(null_alone, null_full)
-        assert ((svd_ranks(M, 1.0, 2.0)[0] < M.shape[-1]) | (null_full == M.shape[-1])).all()
         assert same_reduction(solver._reduce_null_columns(reduced), ref_reduce_null_columns(reduced))
         return bool((eq_full < sf.A.shape[-2]).any()), bool((null_full < sf.c.shape[-1]).any())
 
@@ -727,17 +728,15 @@ class TestPresolveRanks:
         assert self.check(self.presolved(stack)) == (True, True)
         assert self.check(self.presolved(stack.take([1, 3, 4, 6, 7, 9]))) == (True, True)
 
-    @pytest.mark.parametrize("factor", [0.3, 0.9, 0.99, 1.01, 1.1, 1.5, 2.5, 10.0])
+    @pytest.mark.parametrize("factor", [0.3, 0.9, 0.99, 1.01, 1.1, 1.5, 1.9, 2.5, 10.0])
     def test_smallest_singular_value_near_the_tolerance(self, factor, monkeypatch):
         """Matrices whose smallest singular value is ``factor`` times the rank
         tolerance (as designed; as computed it moves by a few eps times the
-        largest): each reduction is its reference, and the singular values
-        alone never show full rank at two tolerances where the full SVD does
-        not, which is what the reductions rely on.  Where the singular values
-        alone put the smallest between one and two tolerances, the full SVD
-        decides.  The two ranks at one tolerance must agree only for factors
-        well away from 1; near it they may split on last bits, which depend
-        on the LAPACK build."""
+        largest): each reduction takes a full SVD if and only if the singular
+        values alone show a rank below full, none from a factor of 1.1 on, and
+        is its reference wherever that rank and the full SVD's agree.  They
+        must agree only for factors well away from 1; near it they may split on
+        last bits, which depend on the LAPACK build."""
         full_svds, svd = [], np.linalg.svd
 
         def spy(M, **kw):
@@ -756,29 +755,25 @@ class TestPresolveRanks:
             sv[0], sv[-1] = 1.0, factor * max(rows, cols) * eps
             return (U * sv) @ V
 
-        decided = 0
         for p, m, n in ((3, 4, 5), (5, 8, 6), (6, 12, 14)):
             for _ in range(20):
                 A, M = designed(p, n), designed(p + m, n)
-                for sf, X, full, empty, reduce, ref in (
+                for sf, X, full, reduce, ref in (
                         (solver._StdForm(c=rng.normal(size=n), A=A, b=A @ rng.normal(size=n), G=rng.normal(size=(m, n)),
                                          h=rng.normal(size=m), plan=plan_for(p, n, m, [])),
-                         A, p, 0.0, solver._reduce_equalities, ref_reduce_equalities),
+                         A, p, solver._reduce_equalities, ref_reduce_equalities),
                         (solver._StdForm(c=rng.normal(size=n), A=M[:p], b=rng.normal(size=p), G=M[p:],
                                          h=rng.normal(size=m), plan=plan_for(p, n, m, [])),
-                         M, n, 1.0, solver._reduce_null_columns, ref_reduce_null_columns)):
-                    (alone, rank), alone2 = svd_ranks(X, empty), svd_ranks(X, empty, 2.0)[0]
-                    assert alone2 < full or rank == full
+                         M, n, solver._reduce_null_columns, ref_reduce_null_columns)):
+                    alone, rank = svd_ranks(X)
                     if not 0.5 < factor < 2.0:
                         assert alone == rank
                     full_svds.clear()
                     got, calls = reduce(sf), list(full_svds)
-                    assert same_reduction(got, ref(sf))
-                    assert calls == ([] if alone2 == full else [X.shape])
-                    if rank == full and alone2 < full:
-                        assert got[0] is sf  # the full SVD decided: full rank
-                        decided += 1
-        assert decided or not 1.0 < factor < 2.0
+                    assert not calls or factor < 1.1
+                    assert calls == ([X.shape] if alone < full else [])
+                    if alone == rank:
+                        assert same_reduction(got, ref(sf))
 
 
 def test_digest_presolve_is_the_form_ipm_receives(monkeypatch):

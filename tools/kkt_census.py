@@ -18,14 +18,14 @@ solved, each program alone:
   document that loads is solved in both directions at the default settings.
 
 Each corpus prints one line: its solves, the programs that failed to load or
-compile, the ``dsytrf`` calls, the matrices that met an exactly zero pivot
-(INFO > 0), the factorizations that succeeded on a retry right after one (a
-retry rescue), the solves that met a zero pivot, and a digest of every
-result's bytes (status, iterations, certificate, objective, residuals and
-primal).  A corpus with solves that met a zero pivot adds a digest that
-leaves out their certificates, and the count of each certificate text.
-Run it on two checkouts (``--root``) and compare the lines.  Warnings are
-ignored.  The default run takes about two minutes on a 2-core x86-64 machine.
+compile, the ``dsytrf`` calls, the solves that met an exactly zero pivot
+(INFO > 0; such a pivot stops its solve, so a solve meets at most one), and a
+digest of every result's bytes (status, iterations, certificate, objective,
+residuals and primal).  A corpus with solves that met a zero pivot adds a
+digest that leaves out their certificates, and the count of each certificate
+text.  Run it on two checkouts (``--root``) and compare the lines.  Warnings
+are ignored.  The default run takes about two minutes on a 2-core x86-64
+machine.
 """
 
 from __future__ import annotations
@@ -88,19 +88,15 @@ def census(name: str, programs, settings, counted: Counted) -> None:
         infos = counted.infos[start:]
         counts["solves"] += 1
         counts["calls"] += len(infos)
-        zero = [k for k, info in enumerate(infos) if info > 0]
-        counts["zero"] += sum(1 for k in zero if k == 0 or infos[k - 1] == 0)  # the first of a run
-        counts["rescued"] += sum(1 for k in zero if k + 1 < len(infos) and infos[k + 1] == 0)
         digest.update(result_bytes(res))
-        if zero:
-            counts["zero_solves"] += 1
+        if any(info > 0 for info in infos):
+            counts["zero_pivots"] += 1
             certs[res.certificate] += 1
             res = replace(res, certificate=None)
         free_digest.update(result_bytes(res))
     line = (f"{name}: solves={counts['solves']} rejected={counts['rejected']} dsytrf={counts['calls']} "
-            f"zero_pivots={counts['zero']} rescued={counts['rescued']} zero_pivot_solves={counts['zero_solves']} "
-            f"digest={digest.hexdigest()[:16]}")
-    if counts["zero_solves"]:
+            f"zero_pivots={counts['zero_pivots']} digest={digest.hexdigest()[:16]}")
+    if counts["zero_pivots"]:
         line += f" digest_but_zero_pivot_certificates={free_digest.hexdigest()[:16]} certificates={dict(certs)}"
     print(line, flush=True)
 
