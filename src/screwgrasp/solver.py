@@ -34,8 +34,8 @@ call per run (``np.vecdot``/``np.matvec``), the blocks' scalar arithmetic one
 call over all runs' blocks (a column per block), a test over the instances
 one ``np.count_nonzero`` or ``nonzero``; only LAPACK and the Python powers
 loop over instances.  So a pass costs about 455 us + 22 us per instance on
-door programs and 505 + 32 us on pivot programs, down from 540 + 23 and
-645 + 33 (CPU time, 2-core x86-64 host).  The iterate u = [x; y; z] is one
+door programs and 505 + 32 us on pivot programs (CPU time, 2-core x86-64
+host).  The iterate u = [x; y; z] is one
 array in the KKT system's order (s apart): the residual is one right-hand
 side, a direction and a step one operation.  The NT scaling (``_Scaling``,
 ``_BatchScaling``) computes an iteration's cone-block numbers once: W, W^-1,
@@ -96,7 +96,6 @@ from .problem import ConicProgram, ProgramStack
 
 _STEP_FRACTION = 0.99
 _MIN_STEP = 1e-13
-_UNBOUNDEDNESS_THRESHOLD = 1e10
 
 _EXTENSION_LOCK = threading.Lock()  # one load per extension, whichever thread asks first
 
@@ -194,8 +193,7 @@ class SolveSettings:
 
     ``feasibility_tol`` bounds equality residuals (relative) and cone/box
     violations (absolute) of the returned primal; ``duality_gap_tol`` is
-    relative.  An objective beyond ``_UNBOUNDEDNESS_THRESHOLD`` (1e10) in
-    magnitude is classified as Unbounded even without a clean certificate.
+    relative.
     """
 
     feasibility_tol: float = 1e-8
@@ -844,7 +842,7 @@ def solve(prog: ConicProgram, settings: SolveSettings | None = None, trace=None,
     """
     if backend is not None:
         return backend(prog, settings, trace)
-    return _solve_all([ProgramStack.of([prog])], settings, trace)[0]
+    return _solve_group(ProgramStack.of([prog]), settings or SolveSettings(), trace)[0]
 
 
 def solve_batch(stacks, settings: SolveSettings | None = None) -> list[SolveResult]:
@@ -861,7 +859,9 @@ def solve_batch(stacks, settings: SolveSettings | None = None) -> list[SolveResu
     termination, certificates, best iterate and failure exits, and its row
     of the stack to the end of the run, masked once it finishes.
     """
-    return _solve_all(list(stacks), settings)
+    stacks = [st for st in stacks if len(st)]  # len: a TypeError for a non-stack, before any solve
+    settings = settings or SolveSettings()
+    return [res for st in stacks for res in _solve_group(st, settings, None)]
 
 
 # The smallest group worth a stacked run, measured on door, pivot and slide
@@ -869,15 +869,6 @@ def solve_batch(stacks, settings: SolveSettings | None = None) -> list[SolveResu
 # of one takes 1.7-1.8 times as long as the program on its own 1-D arrays, of
 # two 0.94-1.06 times as long as two single solves, three 0.70-0.77, four 0.60.
 _MIN_BATCH = 3
-
-
-def _solve_all(stacks: list[ProgramStack], settings: SolveSettings | None, trace=None) -> list[SolveResult]:
-    """The one solve path of ``solve`` and ``solve_batch``: each stack as it
-    comes, its results by row, in order.  ``trace`` reaches the programs that
-    run on their own."""
-    settings = settings or SolveSettings()
-    stacks = [st for st in stacks if len(st)]  # len: a TypeError for a non-stack, before any solve
-    return [res for st in stacks for res in _solve_group(st, settings, trace)]
 
 
 def _solve_group(st: ProgramStack, settings: SolveSettings, trace) -> list[SolveResult]:
@@ -1091,12 +1082,8 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
                         trace({"iteration": it, "mu": float(mu), "eq": eq_res, "cone": cone_viol,
                                "dual": float(dres), "relgap": float(relgap), "tau": float(tau), "kappa": float(kappa)})
                     for i in hits(can & (eq_res <= ftol) & (cone_viol <= ftol)):
-                        eta = -row(pobj, i)  # program maximizes f'x, standard form minimizes
-                        if abs(eta) > _UNBOUNDEDNESS_THRESHOLD:
-                            done(i, "Unbounded", it, f"objective magnitude {abs(eta):.3e} exceeds threshold")
-                        else:
-                            done(i, "Optimal", it, point=(xo if one else xo[i].copy(), row(eq_res, i),
-                                                          row(cone_viol, i), row(relgap, i)))
+                        done(i, "Optimal", it, point=(xo if one else xo[i].copy(), row(eq_res, i),
+                                                      row(cone_viol, i), row(relgap, i)))
 
                 # certificates
                 if any_(neg := bhz < 0):
@@ -1203,9 +1190,9 @@ def solve_with_oracle(prog: ConicProgram, facets: int) -> SolveResult:
     polyhedral cone and solving the LP with HiGHS.
 
     The LP (``_oracle_model``) is built from each block's own rows and the
-    unit ray table of its dimension, with bounds +-inf where absent, so the
-    oracle shares no code with the interior-point path beyond the program
-    data itself.  Its CSC arrays go to scipy's bundled HiGHS through the
+    unit ray table of its dimension, with bounds +-inf where absent; of the
+    interior-point path it shares only ``_ResidualCheck``, which checks an
+    optimal answer.  Its CSC arrays go to scipy's bundled HiGHS through the
     binding's array ``passModel``.  Each thread keeps one HiGHS, made with
     ``linprog``'s options on its first call and cleared before each model,
     so no model, basis or solution crosses calls or threads.  HiGHS's

@@ -153,10 +153,13 @@ class TestResultContracts:
         res = solve(compile_program(builtin_scenario(name).problem()), trace=seen.append)
         assert len(seen) == res.iterations + 1 == calls
 
-    def test_objective_threshold_reports_unbounded(self):
-        prog = mkprog([1.0], np.zeros((0, 1)), [], ub=[1e12])
-        r = solve(prog)
-        assert r.status == "Unbounded"
+    def test_a_large_bounded_optimum_is_optimal(self):
+        """Unbounded needs an improving ray: maximize x s.t. x <= u is
+        Optimal at exactly u however large u is, with zero residuals."""
+        for u in (2e10, 5e11, 1e12, 3e13):
+            r = solve(mkprog([1.0], np.zeros((0, 1)), [], ub=[u]))
+            assert (r.status, r.objective, r.certificate) == ("Optimal", u, None)
+            assert r.primal.tolist() == [u] and (r.residuals.primal, r.residuals.cone) == (0.0, 0.0)
 
     def test_backend_seam(self):
         from screwgrasp.solver import Residuals, SolveResult
