@@ -24,20 +24,20 @@ or ``ProgramStack.of`` decided which programs share it; a program alone is a
 stack of one), filled into one stacked standard form with array assignments
 and presolved as one stack (equilibration and two SVD reductions, each with
 a full SVD only where singular values alone do not show full rank); the
-presolve exits (degenerate, inconsistent equalities, free ray) are settled
-in one place, and the rest run through the one HSD loop ``_ipm``: one
-program at a time on its own 1-D arrays, or, from ``_MIN_BATCH`` programs of
-one reduced shape on, as one stack whose cone kernels work on runs of SOC
-blocks of one dimension and take s and z as one stack [s; z].  A stacked
-pass makes its numpy calls per pass, not per instance: a product is one BLAS
-call per run (``np.vecdot``/``np.matvec``), the blocks' scalar arithmetic one
-call over all runs' blocks (a column per block), a test over the instances
-one ``np.count_nonzero`` or ``nonzero``; only LAPACK and the Python powers
-loop over instances.  So a pass costs about 455 us + 22 us per instance on
-door programs and 505 + 32 us on pivot programs (CPU time, 2-core x86-64
-host).  The iterate u = [x; y; z] is one
-array in the KKT system's order (s apart): the residual is one right-hand
-side, a direction and a step one operation.  The NT scaling (``_Scaling``,
+presolve exits (degenerate, inconsistent equalities) are settled in one
+place, and the rest (a free ray's with c = 0, its run deciding feasibility)
+run through the one HSD loop ``_ipm``: one program at a time on its own 1-D
+arrays, or, from ``_MIN_BATCH`` programs of one reduced shape on, as one
+stack whose cone kernels work on runs of SOC blocks of one dimension and take
+s and z as one stack [s; z].  A stacked pass makes its numpy calls per pass,
+not per instance: a product is one BLAS call per run (``np.vecdot``/
+``np.matvec``), the blocks' scalar arithmetic one call over all runs' blocks
+(a column per block), a test over the instances one ``np.count_nonzero`` or
+``nonzero``; only LAPACK and the Python powers loop over instances.  So a
+pass costs about 455 us + 22 us per instance on door programs and 505 + 32
+us on pivot programs (CPU time, 2-core x86-64 host).  The iterate
+u = [x; y; z] is one array in the KKT system's order (s apart): the residual
+is one right-hand side, a direction and a step one operation.  The NT scaling (``_Scaling``,
 ``_BatchScaling``) computes an iteration's cone-block numbers once: W, W^-1,
 each s and z block's head, tail and head^2 - ||tail||^2 (read by the step
 search of both step lengths), lambda = W z with each block's head a, tail b
@@ -874,9 +874,10 @@ _MIN_BATCH = 3
 def _solve_group(st: ProgramStack, settings: SolveSettings, trace) -> list[SolveResult]:
     """The results of a stack of one structure, by row.  The stack is presolved
     as one and the members whose reduced shapes match the first one's settled:
-    a presolve exit (degenerate, inconsistent, free ray), or ``_ipm``, as one
-    stack from ``_MIN_BATCH`` members on and one by one below; the others are
-    solved as a stack of their own, by a call of this function."""
+    a presolve exit (degenerate, inconsistent), or ``_ipm``, as one stack from
+    ``_MIN_BATCH`` members on and one by one below (a free ray's with c = 0:
+    Unbounded if feasible); the others are solved as a stack of their own, by
+    a call of this function."""
     results: list = [None] * len(st)
     sf0 = _standardize(st)
     if sf0.A.shape[-2] == 0 and sf0.G.shape[-2] == 0:  # degenerate: nothing but the objective
@@ -894,29 +895,25 @@ def _solve_group(st: ProgramStack, settings: SolveSettings, trace) -> list[Solve
             "Infeasible", None, None, Residuals(math.inf, 0.0, math.nan), 0,
             "equality system F x = g is rank-deficient and inconsistent")
     live = same & ~inconsistent
-    free_ray = np.zeros_like(live)
+    free = np.zeros_like(live)
     if live.any():  # else no member needs the second reduction
-        sf, free_ray, same_null = _reduce_null_columns(sf)
+        sf, free, same_null = _reduce_null_columns(sf)
         live &= same_null
-    # a free ray proves unboundedness only if the program is feasible at all
-    free = np.flatnonzero(live & free_ray)
-    if free.size:
-        feasibility = _solve_group(replace(st.take(free), f=np.zeros((free.size, st.f.shape[1]))), settings, trace)
-        for k, feas in zip(free, feasibility):
-            if feas.status != "Optimal":
-                results[k] = replace(feas, objective=None)
-            else:
-                results[k] = SolveResult(
-                    "Unbounded", None, None, Residuals(math.nan, math.nan, math.nan), feas.iterations,
-                    "feasible, and the objective improves along a direction no "
-                    "constraint sees (uncapped free reaction aligned with the task?)")
-    run = np.flatnonzero(live & ~free_ray)
+        free &= live
+        sf.c[free] = 0.0  # a free ray proves unboundedness only if the program is feasible: its run decides
+    run = np.flatnonzero(live)
     if len(run) >= _MIN_BATCH:
         for k, res in zip(run, _ipm(st if run.size == len(st) else st.take(run), _take(sf, run), settings)):
             results[k] = res
     else:
         for k in run:
             results[k] = _ipm(st if len(st) == 1 else st.take([k]), _take(sf, int(k)), settings, trace)[0]
+    for k in np.flatnonzero(free):
+        feas = results[k]
+        results[k] = replace(feas, objective=None) if feas.status != "Optimal" else SolveResult(
+            "Unbounded", None, None, Residuals(math.nan, math.nan, math.nan), feas.iterations,
+            "feasible, and the objective improves along a direction no "
+            "constraint sees (uncapped free reaction aligned with the task?)")
     if (rest := np.flatnonzero(~(infeasible | live))).size:
         for k, res in zip(rest, _solve_group(st.take(rest), settings, trace)):
             results[k] = res
@@ -986,7 +983,7 @@ def _ipm(st: ProgramStack, sf: _StdForm, settings: SolveSettings, trace=None) ->
         xo, obj, resid = None, None, Residuals(math.nan, math.nan, math.nan)
         if point is not None:
             xo, eq, viol, gap = point
-            resid = Residuals(float(eq), float(viol), gap)
+            resid = Residuals(float(eq), float(viol), float(gap))
             obj = float(st.f[i] @ xo) if status in ("Optimal", "IterationLimit") else None
         results[i] = SolveResult(status, obj, xo, resid, iters, cert)
         if not one:

@@ -10,7 +10,7 @@ certificate, residuals and primal bytes.
 
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -173,13 +173,16 @@ def every_exit_cases() -> list:
     iteration limit: the six bundled programs, the first ten draws of the
     fuzz corpus's generator seed 2 at the benchmark's fuzz settings (Optimal,
     Farkas rays, and its trial 9, defect 2: a NumericalFailure that reports
-    its best iterate), an improving ray, and maximize x s.t. x <= 1e12, whose
-    large optimum is Optimal like any other."""
+    its best iterate), an improving ray, maximize x s.t. x <= 1e12, whose
+    large optimum is Optimal like any other, and maximize x2 s.t. x1 = g, x1
+    >= 0, where x2 is a free ray: Unbounded for g = 5, Infeasible for g = -5,
+    each decided by its run with the objective zeroed."""
     fuzz = SolveSettings(duality_gap_tol=1e-9)
     return ([(prog, SolveSettings()) for prog in bundled_programs()]
             + [(compile_program(p, d), fuzz) for seed, trial, p, d in fuzz_corpus() if seed == 2 and trial < 10]
             + [(mkprog([0.0, 1.0], [[1.0, -2.0]], [1.0], lb=[0.0, -np.inf]), SolveSettings()),
-               (mkprog([1.0], np.zeros((0, 1)), [], ub=[1e12]), SolveSettings())])
+               (mkprog([1.0], np.zeros((0, 1)), [], ub=[1e12]), SolveSettings())]
+            + [(mkprog([0.0, 1.0], [[1.0, 0.0]], [g], lb=[0.0, -np.inf]), SolveSettings()) for g in (5.0, -5.0)])
 
 
 @pytest.mark.parametrize("limit", [None, 1, 2, 3, 4])
@@ -187,16 +190,22 @@ def test_traced_and_untraced_runs_give_the_same_bytes(limit):
     """Whether a run checks every pass (traced) or only those that can stop,
     its result is the same, byte for byte, alone and as each row of a stack
     of three copies, for every exit of the loop, at the default iteration
-    limit and at ``max_iterations`` 1-4 (IterationLimit)."""
+    limit and at ``max_iterations`` 1-4 (IterationLimit).  Each result's
+    objective (where there is one) and residuals are Python floats and its
+    iteration count a Python int."""
     exits = set()
     for prog, settings in every_exit_cases():
         settings = replace(settings, max_iterations=limit or settings.max_iterations)
         res = solve(prog, settings)
         assert result_bytes(solve(prog, settings, lambda _: None)) == result_bytes(res)
-        assert list(map(result_bytes, solve_batch([ProgramStack.of([prog] * 3)], settings))) == [result_bytes(res)] * 3
+        batch = solve_batch([ProgramStack.of([prog] * 3)], settings)
+        assert list(map(result_bytes, batch)) == [result_bytes(res)] * 3
+        for r in [res, *batch]:
+            assert r.objective is None or type(r.objective) is float
+            assert [type(v) for v in (*astuple(r.residuals), r.iterations)] == [float, float, float, int]
         exits.add(loop_exit(res))
     assert exits >= ({"IterationLimit"} if limit else {
-        "Optimal", "Infeasible", "improving ray", "NumericalFailure, best iterate"})
+        "Optimal", "Infeasible", "improving ray", "free ray", "NumericalFailure, best iterate"})
 
 
 @pytest.mark.parametrize("limit", [None, 1, 2, 3, 4])
@@ -324,23 +333,26 @@ def test_presolve_exits_and_reduced_shapes_within_a_group(monkeypatch):
                                          "Optimal", "Optimal", "Unbounded", "Optimal",
                                          "Optimal", "Optimal"]
     assert abs(batch[0].objective - 1.7) < 1e-7 and abs(batch[1].objective - 1.3) < 1e-7
-    assert sorted(len(r) for r in runs) == [4, 4]
+    assert sorted(len(r) for r in runs) == [4, 5]  # the free-ray member runs with the rank-deficient ones
 
 
 def test_each_program_is_presolved_once(monkeypatch):
     """``solve`` and ``solve_batch`` share one presolve: a single program is
-    equilibrated once; the presolve group above once as a whole (10
-    programs), once for its rank-deficient members (6), and once for the
-    free-ray member's feasibility program.  Presolve exits are not presolved
-    again."""
+    equilibrated once, a feasible program with a free ray too; the presolve
+    group above once as a whole (10 programs) and once for its rank-deficient
+    members (6), its free-ray member among them.  Presolve exits are not
+    presolved again."""
     calls = []
     equilibrate = solver._equilibrate
     monkeypatch.setattr(solver, "_equilibrate", lambda sf: calls.append(sf.c.shape[:-1]) or equilibrate(sf))
     solve(compile_program(door_problems(0.05)[0], +1))
     assert len(calls) == 1
     calls.clear()
+    res = solve(mkprog([0.0, 1.0], [[1.0, 0.0]], [5.0], lb=[0.0, -np.inf]))
+    assert loop_exit(res) == "free ray" and calls == [(1,)]
+    calls.clear()
     solve_batch([ProgramStack.of(presolve_group())])
-    assert calls == [(10,), (6,), (1,)]
+    assert calls == [(10,), (6,)]
 
 
 def test_rejected_program_raises_before_solving():
@@ -662,7 +674,8 @@ def loop_exit(res) -> str:
     if res.status == "NumericalFailure":
         return "NumericalFailure, best iterate" if res.primal is not None else "NumericalFailure"
     if res.status == "Unbounded":
-        return "improving ray" if cert.startswith("improving ray") else "?"
+        return ("improving ray" if cert.startswith("improving ray")
+                else "free ray" if cert.startswith("feasible, and the objective improves") else "?")
     return res.status if res.status != "Infeasible" or cert.startswith("Farkas ray") else "?"
 
 

@@ -23,7 +23,7 @@ from screwgrasp.scenarios import builtin_scenario, scenario_family
 
 SETTINGS = solver.SolveSettings(duality_gap_tol=1e-9)
 
-# fuzz-corpus draws (seed, trial) of each presolve exit: an inconsistent
+# fuzz-corpus draws (seed, trial) of each presolve outcome: an inconsistent
 # rank-deficient F x = g; a free ray on a feasible and on an infeasible
 # program; null columns pinned without a free ray
 FUZZ_EXITS = [(1, 3), (1, 55), (1, 187), (1, 7)]

@@ -783,24 +783,16 @@ def test_digest_presolve_is_the_form_ipm_receives(monkeypatch):
     """``presolved_bytes`` of ``tools/solve_digest.py`` replays the presolve
     of ``_solve_group`` through the solver's private steps.  On the bundled
     programs and the fuzz draws of every presolve exit, it gives the same
-    bytes on two calls; where a program's own group reaches ``_ipm`` (not a
-    free ray's feasibility solve), the bytes open with the arrays of the form
-    ``_ipm`` receives, in the tool's encoding with the instance axis put back."""
-    group, ipm, depth, received = solver._solve_group, solver._ipm, [0], []
-
-    def spy_group(*args):
-        depth[0] += 1
-        try:
-            return group(*args)
-        finally:
-            depth[0] -= 1
+    bytes on two calls; where a program reaches ``_ipm``, the bytes open with
+    the arrays of the form ``_ipm`` receives, in the tool's encoding with the
+    instance axis put back.  A free ray's program reaches it too, with c = 0
+    where the bytes keep its reduced objective."""
+    ipm, received = solver._ipm, []
 
     def spy_ipm(st, sf, *args):
-        if depth[0] == 1:
-            received.append(sf)
+        received.append(sf)
         return ipm(st, sf, *args)
 
-    monkeypatch.setattr(solver, "_solve_group", spy_group)
     monkeypatch.setattr(solver, "_ipm", spy_ipm)
     reached = []
     for prog in bundled_programs() + [compile_program(*corpus_draw(*draw)) for draw in FUZZ_EXITS]:
@@ -810,10 +802,12 @@ def test_digest_presolve_is_the_form_ipm_receives(monkeypatch):
         solve(prog)
         if received:
             (sf,) = received
-            arrays = [getattr(sf, name) for name in ("c", "A", "b", "G", "h", "col_scale", "basis")]
-            want = b"|".join(b"none" if v is None else f"{v[None].shape}".encode() + v.astype("<f8").tobytes()
-                             for v in arrays)
-            assert got.startswith(want + b"|")
-            reached.append(sf.basis is not None)
-    # the six bundled programs and the draw with null columns pinned, whose form has a basis
-    assert reached == [False] * 6 + [True]
+            encoded = [b"none" if v is None else f"{v[None].shape}".encode() + v.astype("<f8").tobytes()
+                       for v in (getattr(sf, name) for name in ("c", "A", "b", "G", "h", "col_scale", "basis"))]
+            zeroed = not sf.c.any()  # a free ray's run: the bytes keep its reduced objective
+            assert (got[: len(encoded[0])] == encoded[0]) != zeroed
+            assert got[len(encoded[0]) :].startswith(b"|" + b"|".join(encoded[1:]) + b"|")
+            reached.append((sf.basis is not None, zeroed))
+    # the six bundled programs; the free-ray draws on a feasible and an infeasible program; the draw with
+    # null columns pinned: the last three have a basis
+    assert reached == [(False, False)] * 6 + [(True, True)] * 2 + [(True, False)]

@@ -1,9 +1,9 @@
 """Print SHA-256 digests over the solver's results on the benchmark's inputs.
 
 A change meant to speed the solver up without changing its arithmetic must
-leave all eight digests unchanged; a change to the LP oracle's results alone
-leaves the interior-point, sweep, batch, presolve, limit and stacked corpus
-digests unchanged and moves only the two oracle digests.  Run it on the change and on the
+leave all nine digests unchanged; a change to the LP oracle's results alone
+leaves the interior-point, sweep, batch, presolve, limit, stacked corpus and
+dual digests unchanged and moves only the two oracle digests.  Run it on the change and on the
 parent commit (another checkout, for example a ``git archive`` of it, digested
 by this file's lines through ``--root``), and compare the outputs:
 
@@ -57,8 +57,14 @@ benchmark's fuzz settings, each result's bytes as above, in corpus order.
 Its rows stop at many different passes and by different exits.  The line
 also counts the mismatches: the rows whose bytes differ from the same
 draw's single solve (of the second line), which must be 0: the tool
-exits 1 when it is not, after printing every line.  The whole run
-takes about 25 s on a 2-core x86-64 machine.
+exits 1 when it is not, after printing every line.
+
+The dual digest (tenth line) covers the conic duals of the 2000 draws
+(``dual_program`` of ``tests/conftest.py``), each solved alone at the
+benchmark's fuzz settings, each result's bytes as above.  The corpus reaches
+presolve's free-ray mark on few draws; its duals reach it on about a quarter,
+and the loop's improving ray on about half.  The whole run takes about 30 s
+on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
@@ -82,8 +88,10 @@ sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
 
-from perfbench import workloads  # noqa: E402  (puts this checkout's src/ on sys.path)
+from perfbench import workloads  # noqa: E402  (puts this checkout's src/ and tests/ on sys.path)
 from screwgrasp import cli, metric, problem, scenarios, solver  # noqa: E402
+
+import conftest  # noqa: E402  (tests/: dual_program)
 
 
 def result_bytes(res: solver.SolveResult) -> bytes:
@@ -248,7 +256,7 @@ def stacked_corpus_digest(draws: list, singles: list[bytes]) -> tuple[str, int]:
 
 
 def main() -> int:
-    digest, oracle, presolved = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    digest, oracle, presolved, duals = hashlib.sha256(), hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = {"eval_grid": 0, "fuzz_socp": 0, "fuzz_oracle": 0}
     grid, first_draws, draws, singles = [], [], [], []
     for name, params, direction in workloads.eval_grid_points():
@@ -265,6 +273,7 @@ def main() -> int:
             draws.append((prob, direction))
             presolved.update(presolved_bytes(prog))
             oracle.update(result_bytes(solver.solve_with_oracle(prog, workloads.FUZZ_FACETS)))
+            duals.update(result_bytes(solver.solve(conftest.dual_program(prog), workloads.FUZZ_SETTINGS)))
             counts["fuzz_socp"] += 1
             counts["fuzz_oracle"] += 1
             if len(first_draws) < 500:
@@ -279,6 +288,7 @@ def main() -> int:
     print(limit_digest(grid, first_draws))
     line, mismatches = stacked_corpus_digest(draws, singles)
     print(line)
+    print(f"duals={counts['fuzz_socp']} dual_digest={duals.hexdigest()}")
     return 1 if mismatches else 0
 
 
