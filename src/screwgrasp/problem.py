@@ -430,9 +430,9 @@ def _stacked(objs: list):
     return np.array([math.nan if isinstance(o, InfinitePitch) else o for o in objs], dtype=float)
 
 
-def _write(p: GraspProblem, B: int, direction: int, key=None) -> tuple[ProgramStack, np.ndarray, np.ndarray]:
-    """The one number writer: the B problems of one stack ``key`` held by
-    ``p``, each number with a leading axis over them (a contact, the task and
+def _write(p: GraspProblem, B: int, direction: int) -> tuple[ProgramStack, np.ndarray, np.ndarray]:
+    """The one number writer: the B problems of one stack key (``_key``) held
+    by ``p``, each number with a leading axis over them (a contact, the task and
     load together, or the torque model without it is every problem's; a
     GraspProblem is one problem), as a stack, each entry rounded as for one
     problem (``skew(p) @ R`` a stacked matmul, cross products entry by entry,
@@ -441,7 +441,7 @@ def _write(p: GraspProblem, B: int, direction: int, key=None) -> tuple[ProgramSt
     buffer that holds them all."""
     if direction not in (+1, -1):
         raise CompileError("direction must be +1 or -1")
-    key = key or _key(p)
+    key = _key(p)
     layout, jt_cols, cols, prescribed, (getters, at), cones, entries, parts = _structure(key[:3])
     (a_at, c_at), n_tau, n = entries, key[2], layout.n_vars
     buffer = np.zeros((B, parts[0]))
@@ -541,8 +541,8 @@ def compile_stacks(problems: list[GraspProblem], direction: int = +1) -> tuple[l
         except Exception as exc:  # noqa: BLE001  (the caller decides which errors a job tolerates)
             placed[i] = exc
     stacks = []
-    for key, members in groups.items():
-        group, rows = compile_columns(_stacked([problems[i] for i in members]), len(members), direction, key)
+    for members in groups.values():
+        group, rows = compile_columns(_stacked([problems[i] for i in members]), len(members), direction)
         for i, where in zip(members, rows):
             placed[i] = where if isinstance(where, Exception) else (len(stacks), where[1])
         stacks += group
@@ -558,9 +558,9 @@ def _placed(stack: ProgramStack, errors: list) -> tuple[list, list]:
     return stacks, [exc or (0, next(at)) for exc in errors]
 
 
-def compile_columns(p: GraspProblem, n: int, direction: int = +1, key=None) -> tuple[list, list]:
+def compile_columns(p: GraspProblem, n: int, direction: int = +1) -> tuple[list, list]:
     """``compile_stacks`` of the n problems of one stack key that ``p`` holds
     as ``_write`` takes them: at most one stack, and per problem ``(0, row)``
     or its error."""
-    stack, W, bad = _write(p, n, direction, key)
+    stack, W, bad = _write(p, n, direction)
     return _placed(stack, [_row_error(stack, W, k) if failed else None for k, failed in enumerate(bad.tolist())])

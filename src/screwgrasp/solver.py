@@ -22,15 +22,15 @@ convergence is always measured against the *original* data.
 the unit of work is a ``ProgramStack``, solved as it comes (``compile_stacks``
 or ``ProgramStack.of`` decided which programs share it; a program alone is a
 stack of one), filled into one stacked standard form with array assignments
-and presolved as one stack (equilibration and two SVD reductions, each with
-a full SVD only where singular values alone do not show full rank); the
-presolve exits (degenerate, inconsistent equalities) are settled in one
-place, and the rest (a free ray's with c = 0, its run deciding feasibility)
-run through the one HSD loop ``_ipm``: one program at a time on its own 1-D
-arrays, or, from ``_MIN_BATCH`` programs of one reduced shape on, as one
-stack whose cone kernels work on runs of SOC blocks of one dimension and take
-s and z as one stack [s; z].  A stacked pass makes its numpy calls per pass,
-not per instance: a product is one BLAS call per run (``np.vecdot``/
+and presolved as one stack by ``_presolve`` (equilibration and two SVD
+reductions, each with a full SVD only where singular values alone do not show
+full rank); the presolve exits (degenerate, inconsistent equalities) are
+settled in one place, and the rest (a free ray's with c = 0, its run deciding
+feasibility) run through the one HSD loop ``_ipm``: one program at a time on
+its own 1-D arrays, or, from ``_MIN_BATCH`` programs of one reduced shape on,
+as one stack whose cone kernels work on runs of SOC blocks of one dimension
+and take s and z as one stack [s; z].  A stacked pass makes its numpy calls
+per pass, not per instance: a product is one BLAS call per run (``np.vecdot``/
 ``np.matvec``), the blocks' scalar arithmetic one call over all runs' blocks
 (a column per block), a test over the instances one ``np.count_nonzero`` or
 ``nonzero``; only LAPACK and the Python powers loop over instances.  So a
@@ -825,7 +825,7 @@ class _ResidualCheck:
 
 def _unscale(col_scale: np.ndarray, basis: np.ndarray | None, x: np.ndarray, tau) -> np.ndarray:
     """Original variables of the reduced, scaled iterate x with embedding tau."""
-    full = x if basis is None else basis @ x if x.ndim == 1 else np.matvec(basis, x)
+    full = x if basis is None else np.matvec(basis, x)
     return col_scale * full / tau
 
 
@@ -871,24 +871,37 @@ def solve_batch(stacks, settings: SolveSettings | None = None) -> list[SolveResu
 _MIN_BATCH = 3
 
 
+def _presolve(st: ProgramStack) -> tuple[_StdForm, tuple]:
+    """``st`` in standard form, equilibrated and reduced, with the masks of the
+    reductions that ran: none (no rows), (inconsistent, same[, free, same_null])."""
+    sf = _standardize(st)
+    if sf.A.shape[-2] == 0 and sf.G.shape[-2] == 0:
+        return sf, ()
+    sf, inconsistent, same = _reduce_equalities(_equilibrate(sf))
+    if not (same & ~inconsistent).any():  # no member needs the second reduction
+        return sf, (inconsistent, same)
+    sf, free, same_null = _reduce_null_columns(sf)
+    return sf, (inconsistent, same, free, same_null)
+
+
 def _solve_group(st: ProgramStack, settings: SolveSettings, trace) -> list[SolveResult]:
     """The results of a stack of one structure, by row.  The stack is presolved
-    as one and the members whose reduced shapes match the first one's settled:
-    a presolve exit (degenerate, inconsistent), or ``_ipm``, as one stack from
-    ``_MIN_BATCH`` members on and one by one below (a free ray's with c = 0:
-    Unbounded if feasible); the others are solved as a stack of their own, by
-    a call of this function."""
+    as one by ``_presolve``, and the members whose reduced shapes match the
+    first one's settled: a presolve exit (degenerate, inconsistent), or
+    ``_ipm``, as one stack from ``_MIN_BATCH`` members on and one by one below
+    (a free ray's with c = 0: Unbounded if feasible); the others are solved as
+    a stack of their own, by a call of this function."""
     results: list = [None] * len(st)
-    sf0 = _standardize(st)
-    if sf0.A.shape[-2] == 0 and sf0.G.shape[-2] == 0:  # degenerate: nothing but the objective
-        for k, c in enumerate(sf0.c):
+    sf, masks = _presolve(st)
+    if not masks:  # degenerate: nothing but the objective
+        for k, c in enumerate(sf.c):
             if np.any(c):
                 results[k] = SolveResult("Unbounded", None, None, Residuals(0.0, 0.0, math.nan), 0,
                                          "objective is a free ray (no constraints)")
             else:
                 results[k] = SolveResult("Optimal", 0.0, np.zeros(c.size), Residuals(0.0, 0.0, 0.0), 0)
         return results
-    sf, inconsistent, same = _reduce_equalities(_equilibrate(sf0))
+    inconsistent, same, *null = masks
     infeasible = same & inconsistent
     for k in np.flatnonzero(infeasible):
         results[k] = SolveResult(
@@ -896,10 +909,9 @@ def _solve_group(st: ProgramStack, settings: SolveSettings, trace) -> list[Solve
             "equality system F x = g is rank-deficient and inconsistent")
     live = same & ~inconsistent
     free = np.zeros_like(live)
-    if live.any():  # else no member needs the second reduction
-        sf, free, same_null = _reduce_null_columns(sf)
-        live &= same_null
-        free &= live
+    if null:  # the second reduction ran on a live member; its masks are (free, same_null)
+        live &= null[1]
+        free = null[0] & live
         sf.c[free] = 0.0  # a free ray proves unboundedness only if the program is feasible: its run decides
     run = np.flatnonzero(live)
     if len(run) >= _MIN_BATCH:

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import (bundled_programs, corpus_draw, corpus_pick, cuboid_problems, door_problems, mkprog,
                       plan_for, presolve_group, soc, stacks_of)
-from solve_digest import presolved_bytes, result_bytes
+from solve_digest import result_bytes
 import screwgrasp
 from screwgrasp import contacts, solver
 from screwgrasp.errors import SolverDataError, UnsupportedProgramError
@@ -408,6 +408,9 @@ class TestScipyExtensions:
                 want = "NumericalFailure"  # linprog's code 2, but a model HiGHS refuses was never solved
             assert solver._ORACLE_STATUS.get(status.name, "NumericalFailure") == want, status
 
+    def test_no_extension_file_for_a_missing_module(self):
+        assert solver._extension_file("scipy.linalg._no_such_module") is None
+
     def test_fallback_imports_through_the_package(self, monkeypatch):
         # a scipy with another layout: no extension file is found, so the module
         # comes from importing it through scipy.linalg; CPython keeps one copy of
@@ -779,35 +782,24 @@ class TestPresolveRanks:
                         assert same_reduction(got, ref(sf))
 
 
-def test_digest_presolve_is_the_form_ipm_receives(monkeypatch):
-    """``presolved_bytes`` of ``tools/solve_digest.py`` replays the presolve
-    of ``_solve_group`` through the solver's private steps.  On the bundled
-    programs and the fuzz draws of every presolve exit, it gives the same
-    bytes on two calls; where a program reaches ``_ipm``, the bytes open with
-    the arrays of the form ``_ipm`` receives, in the tool's encoding with the
-    instance axis put back.  A free ray's program reaches it too, with c = 0
-    where the bytes keep its reduced objective."""
+def test_ipm_receives_the_presolved_form(monkeypatch):
+    """On the bundled programs and the fuzz draws of every presolve exit, a
+    program that reaches ``_ipm`` hands it the arrays ``_presolve`` returns,
+    with c zeroed exactly where presolve marks a free ray."""
     ipm, received = solver._ipm, []
-
-    def spy_ipm(st, sf, *args):
-        received.append(sf)
-        return ipm(st, sf, *args)
-
-    monkeypatch.setattr(solver, "_ipm", spy_ipm)
+    monkeypatch.setattr(solver, "_ipm", lambda st, sf, *args: received.append(sf) or ipm(st, sf, *args))
     reached = []
     for prog in bundled_programs() + [compile_program(*corpus_draw(*draw)) for draw in FUZZ_EXITS]:
-        got = presolved_bytes(prog)
-        assert got == presolved_bytes(prog)
         received.clear()
         solve(prog)
         if received:
-            (sf,) = received
-            encoded = [b"none" if v is None else f"{v[None].shape}".encode() + v.astype("<f8").tobytes()
-                       for v in (getattr(sf, name) for name in ("c", "A", "b", "G", "h", "col_scale", "basis"))]
-            zeroed = not sf.c.any()  # a free ray's run: the bytes keep its reduced objective
-            assert (got[: len(encoded[0])] == encoded[0]) != zeroed
-            assert got[len(encoded[0]) :].startswith(b"|" + b"|".join(encoded[1:]) + b"|")
-            reached.append((sf.basis is not None, zeroed))
+            (sf,), (pre, masks) = received, solver._presolve(ProgramStack.of([prog]))
+            free = len(masks) == 4 and bool(masks[2][0])
+            assert sf.c.tobytes() == (np.zeros_like(pre.c[0]) if free else pre.c[0]).tobytes()
+            for name in ("A", "b", "G", "h", "col_scale", "basis"):
+                got, want = getattr(sf, name), getattr(pre, name)
+                assert (got is want is None) or got.tobytes() == want[0].tobytes(), name
+            reached.append((sf.basis is not None, free))
     # the six bundled programs; the free-ray draws on a feasible and an infeasible program; the draw with
     # null columns pinned: the last three have a basis
     assert reached == [(False, False)] * 6 + [(True, True)] * 2 + [(True, False)]

@@ -5,7 +5,8 @@ leave all nine digests unchanged; a change to the LP oracle's results alone
 leaves the interior-point, sweep, batch, presolve, limit, stacked corpus and
 dual digests unchanged and moves only the two oracle digests.  Run it on the change and on the
 parent commit (another checkout, for example a ``git archive`` of it, digested
-by this file's lines through ``--root``), and compare the outputs:
+by this file's lines through ``--root`` if it has ``solver._presolve``, else by
+its own copy of this tool), and compare the outputs:
 
     python3 tools/solve_digest.py
     python3 tools/solve_digest.py --root ../parent
@@ -32,12 +33,12 @@ the multi-point jobs: every ``solve_batch`` result, all of its bytes as in the
 first digest, of the five ``batch_cli`` jobs (four sweeps and one GWS probe,
 run through the CLI) and of the door acceptance sweeps.
 
-The presolve digest (sixth line) covers the programs of the second: each
-one's presolved form as the solver computes it before its interior-point
-run (standard form, equilibration and the two reductions): c, A, b, G, h,
-the column scales and the basis, with their shapes, and the masks of the
-presolve exits.  It pins the presolve's arithmetic directly, not only
-through the results it leads to.
+The presolve digest (sixth line) covers the programs of the second: what
+``solver._presolve`` returns for each one as a stack of one (standard form,
+equilibration and the two reductions): c, A, b, G, h, the column scales and
+the basis, with their shapes, and the masks of the reductions that ran.  It
+pins the presolve's arithmetic directly, not only through the results it
+leads to.
 
 The 64-facet oracle digest (seventh line) covers the LP oracle at 64
 facets, the facet count of ``oracle-check`` in the README: the six bundled
@@ -104,16 +105,9 @@ def result_bytes(res: solver.SolveResult) -> bytes:
 
 
 def presolved_bytes(prog: problem.ConicProgram) -> bytes:
-    """One program's presolved form and exit masks, as ``solver._solve_group``
-    computes them, as bytes."""
-    sf = solver._standardize(problem.ProgramStack.of([prog]))
-    masks = []
-    if sf.A.shape[-2] or sf.G.shape[-2]:  # else the degenerate exit, before any scaling
-        sf, inconsistent, same = solver._reduce_equalities(solver._equilibrate(sf))
-        masks += [inconsistent, same]
-        if (same & ~inconsistent).any():
-            sf, free, same_null = solver._reduce_null_columns(sf)
-            masks += [free, same_null]
+    """One program's presolved form and exit masks, as ``solver._presolve``
+    returns them, as bytes."""
+    sf, masks = solver._presolve(problem.ProgramStack.of([prog]))
     arrays = [getattr(sf, name) for name in ("c", "A", "b", "G", "h", "col_scale", "basis")]
     return b"|".join([b"none" if v is None else f"{v.shape}".encode() + v.astype("<f8").tobytes() for v in arrays]
                      + [np.asarray(m).tobytes() for m in masks])
